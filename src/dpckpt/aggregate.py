@@ -1,26 +1,27 @@
 """Checkpoint aggregation: parameter averages and output ensembles.
 
-Parameter-space methods (EMA with a warm-up coefficient schedule,
-uniform past-k / tail averages, polynomial-decay averaging, constant-
-beta EMA over accuracy-ranked checkpoints) return a single parameter
-vector that is always a convex combination of its inputs. Output-space
-methods (prediction averaging, majority vote) combine per-checkpoint
-predictions instead. Everything here is post-processing: no function
-reads training data, noise state, or the privacy ledger.
+A run is a (K, p) checkpoint matrix plus the step of each row. Every
+parameter-space method (EMA with a warm-up coefficient schedule, uniform
+past-k / tail averages, polynomial-decay averaging, constant-beta EMA
+over accuracy-ranked checkpoints) is a weight vector on the simplex over
+those K rows, given by weights(spec, steps); its value is that vector
+times the matrix, so it is always a convex combination of its inputs.
+combine() applies a spec to a whole run and rolling() gives its value
+after each checkpoint of a trailing window. Output-space methods
+(prediction averaging, majority vote) combine per-checkpoint predictions
+instead. Everything here is post-processing: no function reads training
+data, noise state, or the privacy ledger.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .model import DatasetHandle, LossModel, accuracy
-
-if TYPE_CHECKING:
-    from .trainer import Checkpoint
 
 VALID_KINDS = ("ema", "upa_k", "upa_tail", "pda", "opa", "omv", "best_k")
 
@@ -74,166 +75,126 @@ class AggregationSpec:
 
 
 # ---------------------------------------------------------------------------
-# EMA with warm-up
+# parameter-space weights
 
 
-def ema_beta(beta_cap: float, t: int) -> float:
-    """Warm-up coefficient min(beta_cap, (1+t)/(10+t)) used at update t."""
+def ema_beta(beta_cap: float, t):
+    """Warm-up coefficient min(beta_cap, (1+t)/(10+t)) used at update t.
+
+    t may be an integer or an array of them. The scheduled coefficient
+    decays the previous average, so a cold average adopts early values
+    quickly (the warm-up term binds) while large beta_cap values give long
+    memory late in training.
+    """
     if not 0 < beta_cap <= 1:
         raise ValueError("beta_cap must be in (0, 1]")
-    if t < 0:
+    t = np.asarray(t)
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    return min(beta_cap, (1.0 + t) / (10.0 + t))
+    return np.minimum(beta_cap, (1.0 + t) / (10.0 + t))
 
 
-@dataclass(frozen=True)
-class EmaState:
-    current: np.ndarray
-    step_count: int
-    beta_cap: float
+def _fold_weights(keep: np.ndarray) -> np.ndarray:
+    """Weights of the fold x_0 = row 0, x_t = keep_t x_{t-1} + (1 - keep_t) row t.
 
-
-def ema_init(theta0: np.ndarray, beta_cap: float) -> EmaState:
-    if not 0 < beta_cap <= 1:
-        raise ValueError("beta_cap must be in (0, 1]")
-    return EmaState(np.array(theta0, dtype=np.float64), 0, beta_cap)
-
-
-def ema_update(state: EmaState, theta_t: np.ndarray, t: int) -> EmaState:
-    """Fold theta_t into the average; t must advance by exactly 1.
-
-    The scheduled coefficient decays the previous average, so a cold average
-    adopts early values quickly (the warm-up term binds) while large beta_cap
-    values give long memory late in training.
+    keep holds keep_1..keep_{K-1}. Row j keeps its share (1 - keep_j, or 1
+    for row 0) times the product of every later keep.
     """
-    if t != state.step_count + 1:
-        raise ValueError(f"expected t={state.step_count + 1}, got {t}")
-    b = ema_beta(state.beta_cap, t)
-    return EmaState(b * state.current + (1.0 - b) * np.asarray(theta_t), t, state.beta_cap)
+    later = np.append(np.cumprod(keep[::-1])[::-1], 1.0)
+    return np.append(1.0, 1.0 - keep) * later
 
 
-def ema_over_stream(thetas: Sequence[np.ndarray], beta_cap: float) -> np.ndarray:
-    """EMA of a whole stream, seeded with its first element."""
-    if len(thetas) < 1:
-        raise ValueError("need at least one parameter vector")
-    state = ema_init(thetas[0], beta_cap)
-    for i, theta in enumerate(thetas[1:], start=1):
-        state = ema_update(state, theta, i)
-    return state.current
+def weights(spec: AggregationSpec, steps: Sequence[int]) -> np.ndarray:
+    """The (K,) simplex weights a parameter-space spec puts on K checkpoints.
 
-
-def ema_stream_states(thetas: Sequence[np.ndarray], beta_cap: float) -> list[np.ndarray]:
-    """The running EMA value after each element (for per-step reporting)."""
-    if len(thetas) < 1:
-        raise ValueError("need at least one parameter vector")
-    state = ema_init(thetas[0], beta_cap)
-    out = [state.current]
-    for i, theta in enumerate(thetas[1:], start=1):
-        state = ema_update(state, theta, i)
-        out.append(state.current)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# uniform averages
-
-
-def upa_past_k(thetas: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """Unweighted mean of the last k parameter vectors."""
-    if not 1 <= k <= len(thetas):
-        raise ValueError(f"k={k} outside [1, {len(thetas)}]")
-    return np.mean(np.stack(thetas[len(thetas) - k :]), axis=0)
-
-
-def upa_tail(
-    thetas: Sequence[np.ndarray],
-    alpha: float,
-    steps: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Mean of checkpoints with step > floor((1-alpha)*T), T the last step.
-
-    steps defaults to 1..len(thetas); pass explicit step indices when the
-    stream was checkpointed at a coarser cadence.
+    steps are the checkpoints' increasing step numbers. Only upa_tail
+    reads their values; the other kinds index rows by position. For
+    best_k the rows are the selected checkpoints, best first.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    if len(thetas) < 1:
-        raise ValueError("need at least one parameter vector")
+    steps = np.asarray(steps)
+    K = len(steps)
+    if K < 1:
+        raise ValueError("need at least one checkpoint")
+    t = np.arange(1, K)
+    if spec.kind == "ema":
+        return _fold_weights(ema_beta(spec.beta, t))
+    if spec.kind == "pda":
+        # the s-th checkpoint (s = t+1) enters with w_s = (gamma+1)/(s+gamma)
+        return _fold_weights(t / (t + 1.0 + spec.gamma))
+    if spec.kind == "best_k":
+        return _fold_weights(np.full(K - 1, spec.beta))
+    w = np.zeros(K)
+    if spec.kind == "upa_k":
+        if spec.k > K:
+            raise ValueError(f"k={spec.k} outside [1, {K}]")
+        w[K - spec.k :] = 1.0 / spec.k
+        return w
+    if spec.kind == "upa_tail":
+        tail = steps > math.floor((1.0 - spec.alpha) * steps[-1])
+        # the last step lies past the cut in exact arithmetic, but
+        # (1 - alpha) * T rounds up to T for alpha below about one ulp
+        tail[-1] = True
+        w[tail] = 1.0 / tail.sum()
+        return w
+    raise ValueError(f"aggregation {spec.kind!r} does not produce a parameter vector")
+
+
+def _aligned_steps(steps: Sequence[int] | None, count: int) -> np.ndarray:
     if steps is None:
-        steps = range(1, len(thetas) + 1)
-    steps = list(steps)
-    if len(steps) != len(thetas):
-        raise ValueError("steps and thetas must align")
-    cut = math.floor((1.0 - alpha) * steps[-1])
-    tail = [theta for s, theta in zip(steps, thetas) if s > cut]
-    if not tail:
-        raise ValueError(f"tail is empty for alpha={alpha}")
-    return np.mean(np.stack(tail), axis=0)
+        return np.arange(1, count + 1)
+    steps = np.asarray(steps)
+    if len(steps) != count:
+        raise ValueError("steps and checkpoints must align")
+    return steps
 
 
-# ---------------------------------------------------------------------------
-# polynomial-decay averaging
+def combine(
+    spec: AggregationSpec, params: np.ndarray, steps: Sequence[int] | None = None
+) -> np.ndarray:
+    """The spec's parameter vector over a (K, p) checkpoint matrix.
+
+    steps default to 1..K; pass explicit step numbers when the run was
+    checkpointed at a coarser cadence.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    return weights(spec, _aligned_steps(steps, len(params))) @ params
 
 
-@dataclass(frozen=True)
-class PdaState:
-    current: np.ndarray
-    t: int
-    gamma: float
+def rolling(
+    spec: AggregationSpec, params: np.ndarray, steps: Sequence[int], last_n: int
+) -> np.ndarray:
+    """The spec's value after each of the last last_n checkpoints, (last_n, p).
+
+    Row i is the spec applied to the run's prefix ending at that
+    checkpoint; a prefix shorter than k averages every row it has.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    K = len(params)
+    steps = _aligned_steps(steps, K)
+    if spec.kind == "best_k":
+        raise ValueError("best_k ranks its rows, so it has no per-step rolling form")
+    if not 1 <= last_n <= K:
+        raise ValueError(f"window of {last_n} exceeds the {K} checkpoints")
+    W = np.zeros((last_n, K))
+    for row, end in enumerate(range(K - last_n + 1, K + 1)):
+        prefix = spec if spec.k is None or spec.k <= end else replace(spec, k=end)
+        W[row, :end] = weights(prefix, steps[:end])
+    return W @ params
 
 
-def pda_init(theta1: np.ndarray, gamma: float) -> PdaState:
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    return PdaState(np.array(theta1, dtype=np.float64), 1, gamma)
-
-
-def pda_update(state: PdaState, theta_t: np.ndarray, t: int) -> PdaState:
-    """avg <- (1 - w) avg + w theta_t with w = (gamma+1)/(t+gamma)."""
-    if t != state.t + 1:
-        raise ValueError(f"expected t={state.t + 1}, got {t}")
-    w = (state.gamma + 1.0) / (t + state.gamma)
-    return PdaState((1.0 - w) * state.current + w * np.asarray(theta_t), t, state.gamma)
-
-
-def pda_over_stream(thetas: Sequence[np.ndarray], gamma: float) -> np.ndarray:
-    if len(thetas) < 1:
-        raise ValueError("need at least one parameter vector")
-    state = pda_init(thetas[0], gamma)
-    for i, theta in enumerate(thetas[1:], start=2):
-        state = pda_update(state, theta, i)
-    return state.current
+def upa_past_k(thetas: np.ndarray, k: int) -> np.ndarray:
+    """Unweighted mean of the last k parameter vectors."""
+    return combine(AggregationSpec("upa_k", k=k), thetas)
 
 
 # ---------------------------------------------------------------------------
 # output aggregation
 
 
-def opa_probs(thetas: Sequence[np.ndarray], model: LossModel, x: np.ndarray) -> np.ndarray:
-    """Mean prediction vector over the given parameter vectors."""
-    if len(thetas) < 1:
-        raise ValueError("need at least one parameter vector")
-    return np.mean(np.stack([model.predict(theta, x) for theta in thetas]), axis=0)
-
-
-def opa(thetas: Sequence[np.ndarray], model: LossModel, x: np.ndarray) -> int:
-    """Label of the averaged prediction vector (ties to lowest class)."""
-    return int(np.argmax(opa_probs(thetas, model, x)))
-
-
-def omv(thetas: Sequence[np.ndarray], model: LossModel, x: np.ndarray) -> int:
-    """Majority vote over per-checkpoint labels (ties to lowest class)."""
-    if len(thetas) < 1:
-        raise ValueError("need at least one parameter vector")
-    labels = [int(np.argmax(model.predict(theta, x))) for theta in thetas]
-    counts = np.bincount(labels)
-    return int(np.argmax(counts))
-
-
 def opa_batch_labels(
     thetas: Sequence[np.ndarray], model: LossModel, features: np.ndarray
 ) -> np.ndarray:
-    """opa() over many inputs at once."""
+    """Label of the averaged prediction vector per input (ties to lowest class)."""
     mean_probs = np.mean(
         np.stack([model.predict_proba(theta, features) for theta in thetas]), axis=0
     )
@@ -243,7 +204,7 @@ def opa_batch_labels(
 def omv_batch_labels(
     thetas: Sequence[np.ndarray], model: LossModel, features: np.ndarray
 ) -> np.ndarray:
-    """omv() over many inputs at once."""
+    """Majority vote over per-checkpoint labels per input (ties to lowest class)."""
     probs = np.stack([model.predict_proba(theta, features) for theta in thetas])
     labels = probs.argmax(axis=2)  # (k, n)
     num_classes = probs.shape[2]
@@ -258,41 +219,25 @@ def omv_batch_labels(
 
 
 def select_best_k(
-    checkpoints: Sequence["Checkpoint"],
+    params: np.ndarray,
+    steps: Sequence[int],
     model: LossModel,
     heldout: DatasetHandle,
     k: int,
     train_tag: str | None = None,
-) -> list["Checkpoint"]:
-    """The k checkpoints scoring best on heldout data, best first.
+) -> np.ndarray:
+    """Row indices of the k checkpoints scoring best on heldout data, best first.
 
     Accuracy ties resolve toward the earlier step. heldout must not be
     the training partition; when the caller passes the training tag this
     is asserted against the heldout tag.
     """
-    if not 1 <= k <= len(checkpoints):
-        raise ValueError(f"k={k} outside [1, {len(checkpoints)}]")
+    if not 1 <= k <= len(params):
+        raise ValueError(f"k={k} outside [1, {len(params)}]")
     if train_tag is not None and train_tag == heldout.tag:
         raise ValueError("heldout partition carries the training tag; must be disjoint")
-    scored = [
-        (-accuracy(model, c.params, heldout), c.step, i)
-        for i, c in enumerate(checkpoints)
-    ]
-    scored.sort()
-    return [checkpoints[i] for _, _, i in scored[:k]]
-
-
-def ema_over_best_k(ranked: Sequence[np.ndarray], beta: float) -> np.ndarray:
-    """Constant-beta EMA over checkpoints already ranked best-to-worst.
-
-    beta decays the running average, matching ema_update's orientation; no
-    warm-up schedule here because the fold is over a fixed short list.
-    """
-    if len(ranked) < 1:
-        raise ValueError("need at least one parameter vector")
-    if not 0 < beta <= 1:
-        raise ValueError("beta must be in (0, 1]")
-    current = np.array(ranked[0], dtype=np.float64)
-    for theta in ranked[1:]:
-        current = beta * current + (1.0 - beta) * np.asarray(theta)
-    return current
+    scored = sorted(
+        (-accuracy(model, theta, heldout), step, i)
+        for i, (theta, step) in enumerate(zip(params, steps))
+    )
+    return np.array([i for _, _, i in scored[:k]])

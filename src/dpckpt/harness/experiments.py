@@ -179,23 +179,6 @@ def tune_on_validation(
 # applying aggregation specs to finished runs
 
 
-def combine_checkpoints(
-    spec: AggregationSpec,
-    params: Sequence[np.ndarray],
-    steps: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Parameter vector produced by a parameter-space aggregation."""
-    if spec.kind == "ema":
-        return aggregate.ema_over_stream(params, spec.beta)
-    if spec.kind == "upa_k":
-        return aggregate.upa_past_k(params, spec.k)
-    if spec.kind == "upa_tail":
-        return aggregate.upa_tail(params, spec.alpha, steps=steps)
-    if spec.kind == "pda":
-        return aggregate.pda_over_stream(params, spec.gamma)
-    raise ValueError(f"aggregation {spec.kind!r} does not produce a parameter vector")
-
-
 def aggregation_accuracy(
     spec: AggregationSpec,
     record: "trainer.RunRecord",
@@ -206,28 +189,19 @@ def aggregation_accuracy(
 ) -> float:
     """Accuracy on eval_data after applying one aggregation to a run."""
     params = record.checkpoint_params()
-    steps = [c.step for c in record.checkpoints]
-    if spec.kind in ("ema", "upa_k", "upa_tail", "pda"):
-        theta = combine_checkpoints(spec, params, steps)
-        return accuracy(model, theta, eval_data)
+    steps = np.array([c.step for c in record.checkpoints])
     if spec.kind in ("opa", "omv"):
         if spec.k > len(params):
             raise ValueError(f"k={spec.k} exceeds the {len(params)} checkpoints")
-        tail = params[len(params) - spec.k :]
-        if spec.kind == "opa":
-            labels = aggregate.opa_batch_labels(tail, model, eval_data.features)
-        else:
-            labels = aggregate.omv_batch_labels(tail, model, eval_data.features)
+        vote = aggregate.opa_batch_labels if spec.kind == "opa" else aggregate.omv_batch_labels
+        labels = vote(params[len(params) - spec.k :], model, eval_data.features)
         return float(np.mean(labels == eval_data.labels))
     if spec.kind == "best_k":
         if heldout is None:
             raise ValueError("best_k aggregation needs a heldout partition")
-        ranked = aggregate.select_best_k(
-            record.checkpoints, model, heldout, spec.k, train_tag=train_tag
-        )
-        theta = aggregate.ema_over_best_k([c.params for c in ranked], spec.beta)
-        return accuracy(model, theta, eval_data)
-    raise ValueError(f"unknown aggregation kind {spec.kind!r}")
+        rows = aggregate.select_best_k(params, steps, model, heldout, spec.k, train_tag=train_tag)
+        params, steps = params[rows], steps[rows]
+    return accuracy(model, aggregate.combine(spec, params, steps), eval_data)
 
 
 def parse_aggregation_list(items: Sequence[str], key: str = "agg.list") -> list[AggregationSpec]:
@@ -278,45 +252,6 @@ class StabilityReport:
         return float(self.aggregate_accuracy.std(ddof=1))
 
 
-def rolling_aggregate(
-    spec: AggregationSpec,
-    params: Sequence[np.ndarray],
-    steps: Sequence[int] | None = None,
-) -> list[np.ndarray]:
-    """The aggregation's value after each checkpoint, aligned with params."""
-    n = len(params)
-    if n < 1:
-        raise ValueError("need at least one checkpoint")
-    if steps is None:
-        steps = list(range(1, n + 1))
-    if spec.kind == "ema":
-        return aggregate.ema_stream_states(params, spec.beta)
-    if spec.kind == "pda":
-        state = aggregate.pda_init(params[0], spec.gamma)
-        out = [state.current]
-        for i, theta in enumerate(params[1:], start=2):
-            state = aggregate.pda_update(state, theta, i)
-            out.append(state.current)
-        return out
-    prefix = np.cumsum(np.stack(params), axis=0)
-
-    def window_mean(lo: int, hi: int) -> np.ndarray:
-        total = prefix[hi] - (prefix[lo - 1] if lo > 0 else 0.0)
-        return total / (hi - lo + 1)
-
-    if spec.kind == "upa_k":
-        return [window_mean(max(0, i - spec.k + 1), i) for i in range(n)]
-    if spec.kind == "upa_tail":
-        steps_arr = np.asarray(list(steps))
-        out = []
-        for i in range(n):
-            cut = math.floor((1.0 - spec.alpha) * steps_arr[i])
-            lo = int(np.searchsorted(steps_arr, cut, side="right"))
-            out.append(window_mean(min(lo, i), i))
-        return out
-    raise ValueError(f"aggregation {spec.kind!r} has no per-step rolling form")
-
-
 def stability_report(
     run: "trainer.RunRecord",
     model,
@@ -331,17 +266,12 @@ def stability_report(
     """
     if last_n < 2:
         raise ValueError("window must cover at least two checkpoints")
-    if last_n > len(run.checkpoints):
-        raise ValueError(
-            f"window of {last_n} exceeds the {len(run.checkpoints)} checkpoints"
-        )
     params = run.checkpoint_params()
     steps = [c.step for c in run.checkpoints]
-    rolling = rolling_aggregate(spec, params, steps)
-    lo = len(params) - last_n
-    base = np.array([accuracy(model, theta, eval_data) for theta in params[lo:]])
-    agg = np.array([accuracy(model, theta, eval_data) for theta in rolling[lo:]])
-    return StabilityReport(steps[lo:], base, agg)
+    rolled = aggregate.rolling(spec, params, steps, last_n)
+    base = np.array([accuracy(model, theta, eval_data) for theta in params[-last_n:]])
+    agg = np.array([accuracy(model, theta, eval_data) for theta in rolled])
+    return StabilityReport(steps[-last_n:], base, agg)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +332,16 @@ def _spec_entry(spec: AggregationSpec, acc: float, n_seeds: int) -> dict:
         "resultingAccuracy": acc,
         "nSeeds": n_seeds,
     }
+
+
+def _check_k_fits(specs: Sequence[AggregationSpec], steps: int, every: int, key: str) -> None:
+    """Reject, before any training, a k larger than the run's checkpoint count."""
+    count = len(trainer.checkpoint_steps(steps, every))
+    for spec in specs:
+        if spec.k is not None and spec.k > count:
+            raise ConfigError(
+                f"k={spec.k} exceeds the {count} checkpoints of a {steps}-step run", key=key
+            )
 
 
 def _save_runs(records, out_dir: str) -> None:
@@ -476,7 +416,7 @@ def _risk_seed_worker(args):
     steps = [c.step for c in record.checkpoints]
     out = {"last": model.loss_full(record.final_params(), data) - min_loss}
     for spec in specs:
-        theta = combine_checkpoints(spec, params, steps)
+        theta = aggregate.combine(spec, params, steps)
         out[spec.label()] = model.loss_full(theta, data) - min_loss
     return record, out
 
@@ -504,6 +444,7 @@ def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: 
 
     model = LogisticLoss.for_data(data, l2_reg=l2, radius=radius)
     steps = steps_cfg or trainer.choose_T(data.n, rho)
+    _check_k_fits(specs, steps, every, "agg.list")
     noise = privacy.calibrate_theoretical(model.lipschitz, steps, data.n, rho)
     eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
     min_loss = trainer.min_loss_in_ball(model, data, radius)
@@ -602,6 +543,7 @@ def run_aggregate_eval(view: ConfigView, out_dir: str, master_seed: int, workers
     save_runs = view.get_bool("save_runs", True)
     seeds = _resolve_seeds(view, master_seed, 5)
     specs = parse_aggregation_list(agg_items)
+    _check_k_fits(specs, steps, every, "agg.list")
     view.ensure_all_used()
 
     args = [
@@ -640,7 +582,7 @@ def run_aggregate_eval(view: ConfigView, out_dir: str, master_seed: int, workers
     return ResultTable(rows)
 
 
-def _sweep_specs(view: ConfigView, task: str, steps: int) -> list[AggregationSpec]:
+def _sweep_specs(view: ConfigView, task: str) -> list[AggregationSpec]:
     if task == "ema_sweep":
         betas = view.get_float_list("sweep.betas", list(DEFAULT_BETA_GRID))
         if not betas:
@@ -649,11 +591,6 @@ def _sweep_specs(view: ConfigView, task: str, steps: int) -> list[AggregationSpe
     ks = view.get_int_list("sweep.ks", list(DEFAULT_K_GRID))
     if not ks:
         raise ConfigError("k grid is empty", key="sweep.ks")
-    bad = [k for k in ks if k > steps]
-    if bad:
-        raise ConfigError(
-            f"k={bad[0]} exceeds the run length of {steps} steps", key="sweep.ks"
-        )
     return [AggregationSpec("upa_k", k=k) for k in ks]
 
 
@@ -661,7 +598,8 @@ def _run_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int, t
     model, parts, steps, eta, clip, batch, every, z, delta = _read_practical_setup(
         view, default_steps=400
     )
-    specs = _sweep_specs(view, task, steps)
+    specs = _sweep_specs(view, task)
+    _check_k_fits(specs, steps, every, "sweep.ks")
     save_runs = view.get_bool("save_runs", False)
     seeds = _resolve_seeds(view, master_seed, 5)
     view.ensure_all_used()
@@ -729,9 +667,8 @@ def _pds_seed_worker(args):
     def spec_window_accuracy(spec: AggregationSpec, part: DatasetHandle) -> float:
         # Score by the trailing-window mean, not the final value: under a
         # shifting distribution the endpoint rewards phase luck.
-        rolling = rolling_aggregate(spec, params, steps)
-        lo = len(rolling) - window
-        return float(np.mean([accuracy(model, theta, part) for theta in rolling[lo:]]))
+        rolled = aggregate.rolling(spec, params, steps, window)
+        return float(np.mean([accuracy(model, theta, part) for theta in rolled]))
 
     beta_specs = [AggregationSpec("ema", beta=b) for b in beta_grid]
     k_specs = [AggregationSpec("upa_k", k=k) for k in k_grid if k <= len(params)]
@@ -828,7 +765,7 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
         for i, r in enumerate(results):
             for method in ("baseline", "ema", "upa"):
                 for step, acc in zip(r["steps"], r[method]):
-                    fh.write(f"{i},{method},{step},{acc!r}\n")
+                    fh.write(f"{i},{method},{step},{float(acc)!r}\n")
     if save_runs:
         _save_runs([r["record"] for r in results], out_dir)
     return ResultTable(rows)
@@ -872,7 +809,11 @@ def _uq_seed_worker(args):
                 statistic_mode=mode,
                 num_test_inputs=len(test_inputs),
             )
-            w_ck = uncertainty.uq_from_checkpoints(runs[0], model, test_inputs, ck)
+            # per-input widths of the first run's last k checkpoints; their
+            # mean is the checkpoint method's width
+            w_ck = uncertainty.uq_widths(
+                [c.params for c in runs[0].checkpoints[-k:]], model, test_inputs, ck
+            )
             w_ind = uncertainty.uq_from_independent_runs(
                 runs, model, test_inputs, ind, selection_seed=outer_seed
             )
@@ -899,6 +840,12 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
         raise ConfigError("level must be in (0, 1)", key="uq.level")
     if pool < max(k_list, default=2):
         raise ConfigError("pool must hold at least max(k) runs", key="uq.pool_runs")
+    shortest = min(trainer.choose_T(data.n, privacy.epsilon_to_zcdp(e, delta)) for e in eps_list)
+    if shortest < max(k_list, default=2):
+        raise ConfigError(
+            f"k={max(k_list)} exceeds the {shortest} checkpoints of the shortest run",
+            key="uq.k_values",
+        )
     view.ensure_all_used()
 
     model = LogisticLoss.for_data(data, l2_reg=l2, radius=radius)
@@ -915,7 +862,7 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
     rows = []
     for eps in eps_list:
         for k in k_list:
-            ck = [r[(eps, k)][0] for r in results]
+            ck = [float(r[(eps, k)][0].mean()) for r in results]
             ind = [r[(eps, k)][1] for r in results]
             rows.append(summarize(f"width_checkpoints(eps={eps},k={k})", ck))
             rows.append(summarize(f"width_independent(eps={eps},k={k})", ind))
@@ -926,31 +873,16 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
                 )
             )
 
-    # one canonical per-input report for the checkpoint method
-    eps0, k0 = eps_list[0], k_list[0]
-    rho0 = privacy.epsilon_to_zcdp(eps0, delta)
-    steps0 = trainer.choose_T(data.n, rho0)
-    noise0 = privacy.calibrate_theoretical(model.lipschitz, steps0, data.n, rho0)
-    eta0 = trainer.theorem_step_size(radius, model.lipschitz, noise0.std, model.param_dim())
-    config0 = trainer.TrainerConfig(
-        mode="theoretical",
-        num_steps=steps0,
-        eta=eta0,
-        projection_radius=radius,
-        checkpoint_every=1,
-        seed=derive_run_seed(seeds[0], 0),
-    )
-    run0 = trainer.dp_sgd_theoretical(model, data, config0, rho=rho0, delta=delta)
+    # one canonical per-input report for the checkpoint method: the first
+    # seed's first run at the first (epsilon, k) cell
     uq_cfg = uncertainty.UQConfig(
         method="last_k_checkpoints",
-        k=k0,
+        k=k_list[0],
         level=level,
         statistic_mode=mode,
         num_test_inputs=num_inputs,
     )
-    widths = uncertainty.uq_widths(
-        run0.checkpoint_params()[-k0:], model, test_inputs, uq_cfg
-    )
+    widths = results[0][(eps_list[0], k_list[0])][0]
     uncertainty.write_uq_report(
         os.path.join(out_dir, "uq_report.json"), uq_cfg, float(widths.mean()), widths
     )

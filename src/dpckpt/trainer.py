@@ -119,8 +119,9 @@ class RunRecord:
     def steps(self) -> np.ndarray:
         return np.arange(1, self.config.num_steps + 1)
 
-    def checkpoint_params(self) -> list[np.ndarray]:
-        return [c.params for c in self.checkpoints]
+    def checkpoint_params(self) -> np.ndarray:
+        """The (K, p) float64 matrix of checkpoint parameters, one row per step."""
+        return np.array([c.params for c in self.checkpoints], dtype=np.float64)
 
     def final_params(self) -> np.ndarray:
         return self.checkpoints[-1].params
@@ -346,12 +347,6 @@ def _num_out(x: float):
     return x
 
 
-def _num_in(x) -> float:
-    if isinstance(x, str):
-        return float(x)
-    return float(x)
-
-
 def save_run(record: RunRecord, run_dir: str) -> None:
     """Write manifest.json, checkpoints.bin, and metrics.csv."""
     os.makedirs(run_dir, exist_ok=True)
@@ -408,9 +403,9 @@ def load_run(run_dir: str) -> RunRecord:
         seed=manifest["seed"],
     )
     budget = PrivacyBudget(
-        rho=_num_in(manifest["budget"]["rho"]),
-        delta=_num_in(manifest["budget"]["delta"]),
-        epsilon=_num_in(manifest["budget"]["epsilon"]),
+        rho=float(manifest["budget"]["rho"]),
+        delta=float(manifest["budget"]["delta"]),
+        epsilon=float(manifest["budget"]["epsilon"]),
     )
     steps = manifest["checkpoint_steps"]
     dim = manifest["dim"]

@@ -200,20 +200,12 @@ class UQConfig:
             raise ValueError("num_test_inputs must be positive")
 
 
-def model_statistic(theta: np.ndarray, model: LossModel, x: np.ndarray, mode: str) -> float:
-    """Scalar summary of one model's prediction on one input."""
-    probs = model.predict(theta, x)
-    if mode == "label_as_integer":
-        return float(np.argmax(probs))
-    if mode == "modal_class_probability":
-        return float(np.max(probs))
-    raise ValueError(f"unknown statistic mode {mode!r}")
-
-
 def _statistic_matrix(
     thetas: Sequence[np.ndarray], model: LossModel, inputs: np.ndarray, mode: str
 ) -> np.ndarray:
     """(k, n_inputs) statistics, one row per model."""
+    if mode not in STATISTIC_MODES:
+        raise ValueError(f"unknown statistic mode {mode!r}")
     rows = []
     for theta in thetas:
         probs = model.predict_proba(theta, inputs)

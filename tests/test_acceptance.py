@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from dpckpt import aggregate, dpld, privacy, rng, trainer, uncertainty
+from dpckpt.aggregate import AggregationSpec
 from dpckpt.harness.config import ConfigView
 from dpckpt.harness.experiments import (
     run_dpld_bias,
@@ -65,11 +66,13 @@ def test_ac1_aggregator_exactness():
 
         cap = float(gen.uniform(0.05, 1.0))
         worst = max(worst, float(np.max(np.abs(
-            aggregate.ema_over_stream(thetas, cap) - _brute_ema(thetas, cap)))))
+            aggregate.combine(AggregationSpec("ema", beta=cap), thetas)
+            - _brute_ema(thetas, cap)))))
 
         gamma = float(gen.uniform(0.0, 5.0))
         worst = max(worst, float(np.max(np.abs(
-            aggregate.pda_over_stream(thetas, gamma) - _brute_pda(thetas, gamma)))))
+            aggregate.combine(AggregationSpec("pda", gamma=gamma), thetas)
+            - _brute_pda(thetas, gamma)))))
 
         k = int(gen.integers(1, n + 1))
         worst = max(worst, float(np.max(np.abs(
@@ -79,25 +82,28 @@ def test_ac1_aggregator_exactness():
         cut = math.floor((1.0 - alpha) * steps[-1])
         tail = [th for th, s in zip(thetas, steps) if s > cut]
         worst = max(worst, float(np.max(np.abs(
-            aggregate.upa_tail(thetas, alpha, steps=steps) - np.mean(tail, axis=0)))))
+            aggregate.combine(AggregationSpec("upa_tail", alpha=alpha), thetas, steps)
+            - np.mean(tail, axis=0)))))
 
     # prediction-space operators against direct probability averaging / voting
     data = synth_classification(40, 5, num_classes=3, separation=3.0, seed=21)
     model = LogisticLoss.for_data(data, l2_reg=0.01, radius=2.0)
     params = [gen.normal(size=model.param_dim()) for _ in range(9)]
+    opa_labels = aggregate.opa_batch_labels(params, model, data.features)
+    omv_labels = aggregate.omv_batch_labels(params, model, data.features)
     opa_mismatch = omv_mismatch = 0
-    for x in data.features:
+    for x, opa_label, omv_label in zip(data.features, opa_labels, omv_labels):
         probs = np.mean([model.predict_proba(t, x[None, :])[0] for t in params], axis=0)
-        if aggregate.opa(params, model, x) != int(np.argmax(probs)):
+        if opa_label != int(np.argmax(probs)):
             opa_mismatch += 1
         votes = [int(np.argmax(model.predict_proba(t, x[None, :])[0])) for t in params]
-        if aggregate.omv(params, model, x) != int(np.argmax(np.bincount(votes))):
+        if omv_label != int(np.argmax(np.bincount(votes))):
             omv_mismatch += 1
 
     # running-mean and single-checkpoint identities
     running_ok = all(
         np.allclose(
-            aggregate.pda_over_stream(thetas[: i + 1], 0.0),
+            aggregate.combine(AggregationSpec("pda", gamma=0.0), thetas[: i + 1]),
             np.mean(thetas[: i + 1], axis=0),
             atol=1e-12,
         )
@@ -106,9 +112,11 @@ def test_ac1_aggregator_exactness():
     one = [thetas[0]]
     identity_ok = (
         np.array_equal(aggregate.upa_past_k(thetas, 1), thetas[-1])
-        and np.array_equal(aggregate.ema_over_stream(one, 0.9), one[0])
-        and np.array_equal(aggregate.pda_over_stream(one, 1.0), one[0])
-        and np.array_equal(aggregate.upa_tail(one, 0.5, steps=[4]), one[0])
+        and np.array_equal(aggregate.combine(AggregationSpec("ema", beta=0.9), one), one[0])
+        and np.array_equal(aggregate.combine(AggregationSpec("pda", gamma=1.0), one), one[0])
+        and np.array_equal(
+            aggregate.combine(AggregationSpec("upa_tail", alpha=0.5), one, [4]), one[0]
+        )
     )
 
     ok = worst < 1e-12 and opa_mismatch == 0 and omv_mismatch == 0 and running_ok and identity_ok
@@ -416,9 +424,9 @@ def test_ac9_determinism_and_postprocessing(tmp_path):
     params_before = [p.copy() for p in record.checkpoint_params()]
 
     params = record.checkpoint_params()
-    aggregate.ema_over_stream(params, 0.9)
+    aggregate.combine(AggregationSpec("ema", beta=0.9), params)
     aggregate.upa_past_k(params, 5)
-    aggregate.pda_over_stream(params, 1.0)
+    aggregate.combine(AggregationSpec("pda", gamma=1.0), params)
     uq_cfg = uncertainty.UQConfig(
         method="last_k_checkpoints",
         k=5,
@@ -429,8 +437,11 @@ def test_ac9_determinism_and_postprocessing(tmp_path):
     uncertainty.uq_from_checkpoints(record, model, data.features[:8], uq_cfg)
 
     after = (record.budget.rho, record.budget.epsilon, record.budget.delta)
-    ledger_ok = after == before and all(
-        np.array_equal(a, b) for a, b in zip(record.checkpoint_params(), params_before)
+    # checkpoint_params() returns a copy, so check the matrix the operators read too
+    ledger_ok = (
+        after == before
+        and np.array_equal(params, params_before)
+        and all(np.array_equal(a, b) for a, b in zip(record.checkpoint_params(), params_before))
     )
 
     ok = identical and ledger_ok

@@ -9,32 +9,33 @@ from hypothesis import strategies as st
 
 from dpckpt.aggregate import (
     AggregationSpec,
-    EmaState,
+    combine,
     ema_beta,
-    ema_init,
-    ema_over_best_k,
-    ema_over_stream,
-    ema_stream_states,
-    ema_update,
-    omv,
     omv_batch_labels,
-    opa,
     opa_batch_labels,
-    opa_probs,
-    pda_init,
-    pda_over_stream,
-    pda_update,
+    rolling,
     select_best_k,
     upa_past_k,
-    upa_tail,
+    weights,
 )
 from dpckpt.model import DatasetHandle
-from dpckpt.trainer import Checkpoint
 
 
 def _stream(count: int, dim: int, seed: int = 0) -> list[np.ndarray]:
     gen = np.random.default_rng(seed)
     return [gen.normal(size=dim) for _ in range(count)]
+
+
+def _ema(beta):
+    return AggregationSpec("ema", beta=beta)
+
+
+def _pda(gamma):
+    return AggregationSpec("pda", gamma=gamma)
+
+
+def _tail(alpha):
+    return AggregationSpec("upa_tail", alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +88,8 @@ def test_ema_decays_the_old_average():
     With cap 0.9999 the warm-up gives beta_1 = 2/11, so the average after
     seeing theta_1 is (2/11) theta_0 + (9/11) theta_1.
     """
-    state = ema_init(np.array([1.0, 0.0]), beta_cap=0.9999)
-    state = ema_update(state, np.array([0.0, 1.0]), t=1)
-    assert np.allclose(state.current, [2.0 / 11.0, 9.0 / 11.0], atol=1e-15)
+    got = combine(_ema(0.9999), [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    assert np.allclose(got, [2.0 / 11.0, 9.0 / 11.0], atol=1e-15)
 
 
 def _brute_force_ema(thetas, beta_cap):
@@ -103,35 +103,26 @@ def _brute_force_ema(thetas, beta_cap):
 @pytest.mark.parametrize("beta_cap", [0.3, 0.85, 0.99, 1.0])
 def test_ema_over_stream_matches_brute_force(beta_cap):
     thetas = _stream(40, 6, seed=int(beta_cap * 100))
-    got = ema_over_stream(thetas, beta_cap)
+    got = combine(_ema(beta_cap), thetas)
     assert np.allclose(got, _brute_force_ema(thetas, beta_cap), atol=1e-12)
 
 
 def test_ema_constant_stream_is_fixed_point():
     theta = np.array([0.5, -2.0, 1.0])
-    assert np.allclose(ema_over_stream([theta] * 25, 0.97), theta, atol=1e-12)
+    assert np.allclose(combine(_ema(0.97), [theta] * 25), theta, atol=1e-12)
 
 
 def test_ema_stream_states_prefix_consistent():
     thetas = _stream(12, 3, seed=4)
-    running = ema_stream_states(thetas, 0.9)
+    running = rolling(_ema(0.9), thetas, range(1, 13), 12)
     assert len(running) == 12
     for i, value in enumerate(running):
         assert np.allclose(value, _brute_force_ema(thetas[: i + 1], 0.9), atol=1e-12)
 
 
-def test_ema_update_requires_consecutive_steps():
-    state = ema_init(np.zeros(2), 0.9)
-    with pytest.raises(ValueError):
-        ema_update(state, np.ones(2), t=2)  # skipped t=1
-    state = ema_update(state, np.ones(2), t=1)
-    with pytest.raises(ValueError):
-        ema_update(state, np.ones(2), t=1)  # repeated
-
-
 def test_ema_single_element_stream_identity():
     theta = np.array([3.0, 1.0])
-    assert np.array_equal(ema_over_stream([theta], 0.99), theta)
+    assert np.array_equal(combine(_ema(0.99), [theta]), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -153,33 +144,34 @@ def test_upa_past_k_brute_force():
 def test_upa_tail_half_of_four():
     thetas = [np.array([float(i)]) for i in (1, 2, 3, 4)]
     # T=4, alpha=0.5: cut=2, keep steps 3 and 4
-    assert upa_tail(thetas, 0.5) == pytest.approx(3.5)
+    assert combine(_tail(0.5), thetas) == pytest.approx(3.5)
     # alpha=1 keeps everything
-    assert upa_tail(thetas, 1.0) == pytest.approx(2.5)
+    assert combine(_tail(1.0), thetas) == pytest.approx(2.5)
     # alpha=1/T keeps only the last step: cut = floor(3) = 3
-    assert upa_tail(thetas, 0.25) == pytest.approx(4.0)
+    assert combine(_tail(0.25), thetas) == pytest.approx(4.0)
 
 
 def test_upa_tail_with_explicit_steps():
     # checkpoints at steps 2,4,6,8,10; alpha=0.3 cuts at floor(7)=7
     thetas = [np.array([float(s)]) for s in (2, 4, 6, 8, 10)]
-    got = upa_tail(thetas, 0.3, steps=[2, 4, 6, 8, 10])
+    got = combine(_tail(0.3), thetas, steps=[2, 4, 6, 8, 10])
     assert got == pytest.approx(9.0)  # mean of steps 8 and 10
 
 
 def test_upa_tail_validation():
     thetas = [np.zeros(1)] * 4
     with pytest.raises(ValueError):
-        upa_tail(thetas, 0.0)
+        combine(_tail(0.0), thetas)
     with pytest.raises(ValueError):
-        upa_tail(thetas, 1.2)
+        combine(_tail(1.2), thetas)
     with pytest.raises(ValueError):
-        upa_tail([], 0.5)
+        combine(_tail(0.5), [])
     with pytest.raises(ValueError):
-        upa_tail(thetas, 0.5, steps=[1, 2])  # misaligned
+        combine(_tail(0.5), thetas, steps=[1, 2])  # misaligned
     # the final step always survives the cut, even for tiny alpha
-    last_only = upa_tail([np.array([float(i)]) for i in range(1, 5)], 1e-6)
-    assert last_only == pytest.approx(4.0)
+    for alpha in (1e-6, 1e-17):
+        last_only = combine(_tail(alpha), [np.array([float(i)]) for i in range(1, 5)])
+        assert last_only == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,36 +189,27 @@ def _brute_force_pda(thetas, gamma):
 @pytest.mark.parametrize("gamma", [0.0, 1.0, 5.0])
 def test_pda_over_stream_matches_brute_force(gamma):
     thetas = _stream(30, 5, seed=int(gamma) + 7)
-    assert np.allclose(pda_over_stream(thetas, gamma), _brute_force_pda(thetas, gamma), atol=1e-12)
+    assert np.allclose(combine(_pda(gamma), thetas), _brute_force_pda(thetas, gamma), atol=1e-12)
 
 
 def test_pda_gamma0_is_running_mean():
     thetas = _stream(17, 3, seed=2)
     for prefix in range(1, 18):
-        got = pda_over_stream(thetas[:prefix], 0.0)
+        got = combine(_pda(0.0), thetas[:prefix])
         assert np.allclose(got, np.mean(thetas[:prefix], axis=0), atol=1e-12)
 
 
 def test_pda_gamma1_weights():
     # gamma=1: w_t = 2/(t+1); three elements give weights (1/6, 2/6, 3/6)
     thetas = [np.array([1.0]), np.array([0.0]), np.array([0.0])]
-    assert pda_over_stream(thetas, 1.0) == pytest.approx(1.0 / 6.0)
+    assert combine(_pda(1.0), thetas) == pytest.approx(1.0 / 6.0)
     thetas = [np.array([0.0]), np.array([0.0]), np.array([1.0])]
-    assert pda_over_stream(thetas, 1.0) == pytest.approx(0.5)
-
-
-def test_pda_update_requires_consecutive_steps():
-    state = pda_init(np.zeros(1), 1.0)
-    state = pda_update(state, np.ones(1), 2)
-    with pytest.raises(ValueError):
-        pda_update(state, np.ones(1), 4)
-    with pytest.raises(ValueError):
-        pda_init(np.zeros(1), -1.0)
+    assert combine(_pda(1.0), thetas) == pytest.approx(0.5)
 
 
 def test_pda_constant_stream_is_fixed_point():
     theta = np.array([2.0, -1.0])
-    assert np.allclose(pda_over_stream([theta] * 12, 3.0), theta, atol=1e-12)
+    assert np.allclose(combine(_pda(3.0), [theta] * 12), theta, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +231,41 @@ def test_aggregates_are_convex_combinations(data, beta, gamma, alpha):
     lo = np.min(thetas, axis=0) - 1e-9
     hi = np.max(thetas, axis=0) + 1e-9
     for agg in (
-        ema_over_stream(thetas, beta),
-        pda_over_stream(thetas, gamma),
+        combine(_ema(beta), thetas),
+        combine(_pda(gamma), thetas),
         upa_past_k(thetas, len(thetas) // 2 + 1),
-        upa_tail(thetas, alpha),
+        combine(_tail(alpha), thetas),
     ):
         assert np.all(agg >= lo) and np.all(agg <= hi)
+
+
+@given(
+    gaps=st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=40),
+    beta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    gamma=st.floats(min_value=0.0, max_value=10.0),
+    alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    data=st.data(),
+)
+def test_weights_lie_on_the_simplex(gaps, beta, gamma, alpha, data):
+    steps = np.cumsum(gaps)
+    k = data.draw(st.integers(min_value=1, max_value=len(steps)))
+    for spec in (
+        _ema(beta),
+        _pda(gamma),
+        _tail(alpha),
+        AggregationSpec("upa_k", k=k),
+        AggregationSpec("best_k", k=k, beta=beta),
+    ):
+        w = weights(spec, steps)
+        assert w.shape == (len(steps),)
+        assert np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+
+
+def test_weights_refuse_output_space_kinds():
+    for spec in (AggregationSpec("opa", k=2), AggregationSpec("omv", k=2)):
+        with pytest.raises(ValueError):
+            weights(spec, [1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +274,12 @@ def test_aggregates_are_convex_combinations(data, beta, gamma, alpha):
 
 def test_opa_averages_probabilities(prob_model):
     # parameters are probability rows: mean of (0.6,0.4,0) and (0,0.2,0.8)
+    # the labels tie one vote each, so only the averaged row (0.3, 0.3, 0.4)
+    # picks class 2
     thetas = [np.array([0.6, 0.4, 0.0]), np.array([0.0, 0.2, 0.8])]
-    x = np.zeros(3)
-    probs = opa_probs(thetas, prob_model, x)
-    assert np.allclose(probs, [0.3, 0.3, 0.4], atol=1e-12)
-    assert opa(thetas, prob_model, x) == 2
+    features = np.zeros((1, 3))
+    assert opa_batch_labels(thetas, prob_model, features).tolist() == [2]
+    assert omv_batch_labels(thetas, prob_model, features).tolist() == [0]
 
 
 def test_opa_vs_omv_disagree_on_crafted_votes(prob_model):
@@ -276,14 +289,14 @@ def test_opa_vs_omv_disagree_on_crafted_votes(prob_model):
         np.array([0.4, 0.6, 0.0]),
         np.array([1.0, 0.0, 0.0]),
     ]
-    x = np.zeros(3)
-    assert omv(thetas, prob_model, x) == 1  # majority of labels
-    assert opa(thetas, prob_model, x) == 0  # probability mass wins
+    features = np.zeros((1, 3))
+    assert omv_batch_labels(thetas, prob_model, features).tolist() == [1]  # majority of labels
+    assert opa_batch_labels(thetas, prob_model, features).tolist() == [0]  # probability mass wins
 
 
 def test_omv_tie_goes_to_lowest_class(prob_model):
     thetas = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])]
-    assert omv(thetas, prob_model, np.zeros(3)) == 0
+    assert omv_batch_labels(thetas, prob_model, np.zeros((1, 3))).tolist() == [0]
 
 
 def test_batch_label_helpers_match_scalar_ops(prob_model):
@@ -294,8 +307,10 @@ def test_batch_label_helpers_match_scalar_ops(prob_model):
     opa_batch = opa_batch_labels(thetas, prob_model, features)
     omv_batch = omv_batch_labels(thetas, prob_model, features)
     for i in range(4):
-        assert opa_batch[i] == opa(thetas, prob_model, features[i])
-        assert omv_batch[i] == omv(thetas, prob_model, features[i])
+        probs = [prob_model.predict(theta, features[i]) for theta in thetas]
+        assert opa_batch[i] == int(np.argmax(np.mean(probs, axis=0)))
+        votes = [int(np.argmax(p)) for p in probs]
+        assert omv_batch[i] == int(np.argmax(np.bincount(votes)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,35 +327,34 @@ def _ranked_checkpoints(prob_model):
         3: [0.1, 0.8, 0.1],  # predicts 1: accuracy 0
         4: [0.2, 0.1, 0.7],  # predicts 2: accuracy 1
     }
-    ckpts = [Checkpoint(step, np.array(p)) for step, p in probs.items()]
-    return ckpts, heldout
+    return np.array(list(probs.values())), list(probs), heldout
 
 
 def test_select_best_k_ranks_by_accuracy_then_step(prob_model):
-    ckpts, heldout = _ranked_checkpoints(prob_model)
-    best = select_best_k(ckpts, prob_model, heldout, k=2)
+    params, steps, heldout = _ranked_checkpoints(prob_model)
+    best = select_best_k(params, steps, prob_model, heldout, k=2)
     # both accuracy-1 checkpoints, earlier step first on the tie
-    assert [c.step for c in best] == [2, 4]
-    top3 = select_best_k(ckpts, prob_model, heldout, k=3)
+    assert [steps[i] for i in best] == [2, 4]
+    top3 = select_best_k(params, steps, prob_model, heldout, k=3)
     # third place: accuracy-0 tie broken by step
-    assert [c.step for c in top3] == [2, 4, 1]
+    assert [steps[i] for i in top3] == [2, 4, 1]
 
 
 def test_select_best_k_refuses_training_data(prob_model):
-    ckpts, heldout = _ranked_checkpoints(prob_model)
+    params, steps, heldout = _ranked_checkpoints(prob_model)
     train_like = DatasetHandle(heldout.features, heldout.labels, 3, tag="train")
     with pytest.raises(ValueError):
-        select_best_k(ckpts, prob_model, train_like, k=2, train_tag="train")
+        select_best_k(params, steps, prob_model, train_like, k=2, train_tag="train")
     # distinct tags pass
-    select_best_k(ckpts, prob_model, heldout, k=2, train_tag="train")
+    select_best_k(params, steps, prob_model, heldout, k=2, train_tag="train")
     with pytest.raises(ValueError):
-        select_best_k(ckpts, prob_model, heldout, k=5)  # k > available
+        select_best_k(params, steps, prob_model, heldout, k=5)  # k > available
 
 
 def test_ema_over_best_k_folds_from_top_checkpoint(prob_model):
-    ckpts, heldout = _ranked_checkpoints(prob_model)
-    best = select_best_k(ckpts, prob_model, heldout, k=3)
-    got = ema_over_best_k([c.params for c in best], beta=0.6)
+    params, steps, heldout = _ranked_checkpoints(prob_model)
+    best = select_best_k(params, steps, prob_model, heldout, k=3)
+    got = combine(AggregationSpec("best_k", k=3, beta=0.6), params[best])
     ranked = [np.array([0.1, 0.2, 0.7]), np.array([0.2, 0.1, 0.7]), np.array([0.8, 0.1, 0.1])]
     expected = ranked[0]
     for theta in ranked[1:]:
@@ -349,11 +363,11 @@ def test_ema_over_best_k_folds_from_top_checkpoint(prob_model):
 
 
 def test_ema_over_best_k_single_element_identity(prob_model):
-    ckpts, heldout = _ranked_checkpoints(prob_model)
-    best = select_best_k(ckpts, prob_model, heldout, k=1)
-    got = ema_over_best_k([c.params for c in best], beta=0.9)
+    params, steps, heldout = _ranked_checkpoints(prob_model)
+    best = select_best_k(params, steps, prob_model, heldout, k=1)
+    got = combine(AggregationSpec("best_k", k=1, beta=0.9), params[best])
     assert np.allclose(got, [0.1, 0.2, 0.7])
     with pytest.raises(ValueError):
-        ema_over_best_k([], beta=0.9)
+        combine(AggregationSpec("best_k", k=1, beta=0.9), np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        ema_over_best_k([np.zeros(2)], beta=0.0)
+        AggregationSpec("best_k", k=1, beta=0.0)

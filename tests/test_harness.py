@@ -16,12 +16,10 @@ from dpckpt.harness.experiments import (
     ResultRow,
     ResultTable,
     aggregation_accuracy,
-    combine_checkpoints,
     derive_run_seed,
     ensure_distinct_tags,
     normalize_task,
     parse_aggregation_list,
-    rolling_aggregate,
     run_experiment,
     split_dataset,
     stability_report,
@@ -244,41 +242,32 @@ def test_parse_aggregation_list_all_kinds():
 
 
 def test_combine_checkpoints_matches_operators():
+    # the whole-run value is the last row of the rolling form
     gen = np.random.default_rng(3)
     params = [gen.normal(size=4) for _ in range(12)]
     steps = list(range(1, 13))
-    assert np.allclose(
-        combine_checkpoints(AggregationSpec("ema", beta=0.9), params),
-        aggregate.ema_over_stream(params, 0.9),
-    )
-    assert np.allclose(
-        combine_checkpoints(AggregationSpec("upa_k", k=4), params),
-        aggregate.upa_past_k(params, 4),
-    )
-    assert np.allclose(
-        combine_checkpoints(AggregationSpec("upa_tail", alpha=0.5), params, steps),
-        aggregate.upa_tail(params, 0.5, steps=steps),
-    )
-    assert np.allclose(
-        combine_checkpoints(AggregationSpec("pda", gamma=1.0), params),
-        aggregate.pda_over_stream(params, 1.0),
-    )
+    for spec in (
+        AggregationSpec("ema", beta=0.9),
+        AggregationSpec("upa_k", k=4),
+        AggregationSpec("upa_tail", alpha=0.5),
+        AggregationSpec("pda", gamma=1.0),
+    ):
+        assert np.allclose(
+            aggregate.combine(spec, params, steps),
+            aggregate.rolling(spec, params, steps, 1)[0],
+        )
     with pytest.raises(ValueError):
-        combine_checkpoints(AggregationSpec("omv", k=3), params)
+        aggregate.combine(AggregationSpec("omv", k=3), params)
 
 
 def _brute_force_rolling(spec, params, steps):
     out = []
     for i in range(len(params)):
         prefix = params[: i + 1]
-        if spec.kind == "ema":
-            out.append(aggregate.ema_over_stream(prefix, spec.beta))
-        elif spec.kind == "pda":
-            out.append(aggregate.pda_over_stream(prefix, spec.gamma))
-        elif spec.kind == "upa_k":
+        if spec.kind == "upa_k":
             out.append(aggregate.upa_past_k(prefix, min(spec.k, len(prefix))))
-        elif spec.kind == "upa_tail":
-            out.append(aggregate.upa_tail(prefix, spec.alpha, steps=steps[: i + 1]))
+        else:
+            out.append(aggregate.combine(spec, prefix, steps[: i + 1]))
     return out
 
 
@@ -297,7 +286,7 @@ def test_rolling_aggregate_matches_brute_force(spec):
     gen = np.random.default_rng(11)
     params = [gen.normal(size=3) for _ in range(17)]
     steps = list(range(1, 18))
-    rolling = rolling_aggregate(spec, params, steps)
+    rolling = aggregate.rolling(spec, params, steps, 17)
     expected = _brute_force_rolling(spec, params, steps)
     assert len(rolling) == 17
     for got, want in zip(rolling, expected):
@@ -309,7 +298,7 @@ def test_rolling_aggregate_with_coarse_steps():
     spec = AggregationSpec("upa_tail", alpha=0.5)
     params = [np.array([float(i)]) for i in range(1, 7)]
     steps = [3, 6, 9, 12, 15, 18]
-    rolling = rolling_aggregate(spec, params, steps)
+    rolling = aggregate.rolling(spec, params, steps, 6)
     expected = _brute_force_rolling(spec, params, steps)
     for got, want in zip(rolling, expected):
         assert np.allclose(got, want, atol=1e-12)
@@ -517,6 +506,34 @@ def test_cli_out_dir_from_config(tmp_path):
     cfg = _write_cfg(tmp_path, TRAIN_CFG + f"out_dir = {out}\n")
     assert cli.main(["train", "--config", cfg]) == 0
     assert os.path.exists(os.path.join(out, "table.csv"))
+
+
+# 100 steps checkpointed every 10 leave 10 checkpoints, fewer than k=20
+TEN_CHECKPOINTS = "train.steps = 100\ntrain.checkpoint_every = 10\n"
+
+
+@pytest.mark.parametrize(
+    "command, lines, key",
+    [
+        ("sweep", "task = k_sweep\nsweep.ks = 3, 20\n" + TEN_CHECKPOINTS, "sweep.ks"),
+        ("aggregate", "task = aggregate_eval\nagg.list = upa_k:20\n" + TEN_CHECKPOINTS, "agg.list"),
+        ("report", "task = risk_compare\nagg.list = upa_k:20\n" + TEN_CHECKPOINTS, "agg.list"),
+        # epsilon 0.01 gives a one-step theoretical run
+        (
+            "uq",
+            "task = uq_compare\nuq.epsilons = 0.01\nuq.k_values = 20\nuq.pool_runs = 20\n",
+            "uq.k_values",
+        ),
+    ],
+    ids=["k_sweep", "aggregate_eval", "risk_compare", "uq_compare"],
+)
+def test_cli_k_beyond_checkpoint_count_exits_2(tmp_path, capsys, command, lines, key):
+    cfg = _write_cfg(tmp_path, lines)
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "k=20" in err
+    assert not os.path.exists(os.path.join(out, "status.json"))
 
 
 def test_cli_missing_out_dir_exits_2(tmp_path, capsys):

@@ -20,7 +20,7 @@ from dpckpt.uncertainty import (
     UQConfig,
     betainc_regularized,
     ci_mean,
-    model_statistic,
+    _statistic_matrix,
     t_cdf,
     t_quantile,
     uq_average_width,
@@ -202,11 +202,12 @@ def test_ci_mean_nominal_level_scaling():
 
 def test_model_statistic_modes(prob_model):
     theta = np.array([0.2, 0.5, 0.3])
-    x = np.zeros(3)
-    assert model_statistic(theta, prob_model, x, "modal_class_probability") == pytest.approx(0.5)
-    assert model_statistic(theta, prob_model, x, "label_as_integer") == 1.0
+    x = np.zeros((1, 3))
+    modal = _statistic_matrix([theta], prob_model, x, "modal_class_probability")
+    assert modal.tolist() == [[pytest.approx(0.5)]]
+    assert _statistic_matrix([theta], prob_model, x, "label_as_integer").tolist() == [[1.0]]
     with pytest.raises(ValueError):
-        model_statistic(theta, prob_model, x, "entropy")
+        _statistic_matrix([theta], prob_model, x, "entropy")
 
 
 def test_uq_widths_hand_computed(prob_model):
