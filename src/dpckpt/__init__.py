@@ -35,6 +35,7 @@ from .trainer import (
     TrainerConfig,
     dp_sgd_practical,
     dp_sgd_theoretical,
+    dp_sgd_theoretical_runs,
     excess_risk,
     load_run,
     save_run,
@@ -74,6 +75,7 @@ __all__ = [
     "TrainerConfig",
     "dp_sgd_practical",
     "dp_sgd_theoretical",
+    "dp_sgd_theoretical_runs",
     "excess_risk",
     "load_run",
     "save_run",

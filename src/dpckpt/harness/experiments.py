@@ -253,7 +253,8 @@ class StabilityReport:
 
 
 def stability_report(
-    run: "trainer.RunRecord",
+    params: np.ndarray,
+    steps: Sequence[int],
     model,
     eval_data: DatasetHandle,
     spec: AggregationSpec,
@@ -261,13 +262,13 @@ def stability_report(
 ) -> StabilityReport:
     """Accuracy series of raw checkpoints vs the rolling aggregate.
 
-    Covers the trailing last_n checkpoints; the window must hold at least
-    two points for the stds to exist.
+    params is a run's (K, p) checkpoint matrix and steps its K checkpoint
+    steps. Covers the trailing last_n checkpoints; the window must hold
+    at least two points for the stds to exist.
     """
     if last_n < 2:
         raise ValueError("window must cover at least two checkpoints")
-    params = run.checkpoint_params()
-    steps = [c.step for c in run.checkpoints]
+    steps = list(steps)
     rolled = aggregate.rolling(spec, params, steps, last_n)
     base = np.array([accuracy(model, theta, eval_data) for theta in params[-last_n:]])
     agg = np.array([accuracy(model, theta, eval_data) for theta in rolled])
@@ -344,6 +345,37 @@ def _check_k_fits(specs: Sequence[AggregationSpec], steps: int, every: int, key:
             )
 
 
+def _theoretical_configs(
+    model, n: int, rho: float, radius: float, seeds: Sequence[int],
+    steps: int | None = None, every: int | None = None,
+) -> list["trainer.TrainerConfig"]:
+    """Configs of seeded theoretical runs under a total budget of rho-zCDP.
+
+    T is choose_T(n, rho) unless steps is given; the step size is the
+    theorem schedule for the noise that rho calibrates over T steps.
+    """
+    steps = steps or trainer.choose_T(n, rho)
+    noise = privacy.calibrate_theoretical(model.lipschitz, steps, n, rho)
+    eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
+    return [
+        trainer.TrainerConfig(
+            mode="theoretical",
+            num_steps=steps,
+            eta=eta,
+            projection_radius=radius,
+            checkpoint_every=every,
+            seed=s,
+        )
+        for s in seeds
+    ]
+
+
+def _contiguous_groups(items: list, parts: int) -> list[list]:
+    """items cut, in order, into at most `parts` groups of near-equal size."""
+    size = -(-len(items) // parts)
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
 def _save_runs(records, out_dir: str) -> None:
     for i, record in enumerate(records):
         trainer.save_run(record, os.path.join(out_dir, "runs", f"seed_{i:03d}"))
@@ -365,18 +397,9 @@ def run_single_training(view: ConfigView, out_dir: str, master_seed: int, worker
 
     if mode == "theoretical":
         rho = view.get_float("train.rho", 0.5)
-        steps = view.get_int("train.steps", None) or trainer.choose_T(data.n, rho)
+        steps = view.get_int("train.steps", None)
         every = view.get_int("train.checkpoint_every", None)
-        noise = privacy.calibrate_theoretical(model.lipschitz, steps, data.n, rho)
-        eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
-        config = trainer.TrainerConfig(
-            mode="theoretical",
-            num_steps=steps,
-            eta=eta,
-            projection_radius=radius,
-            checkpoint_every=every,
-            seed=seeds[0],
-        )
+        (config,) = _theoretical_configs(model, data.n, rho, radius, seeds[:1], steps, every)
         view.ensure_all_used()
         record = trainer.dp_sgd_theoretical(model, data, config, rho=rho, delta=delta)
     elif mode == "practical":
@@ -409,16 +432,19 @@ def run_single_training(view: ConfigView, out_dir: str, master_seed: int, worker
 # task: excess-risk comparison of aggregators vs the last iterate
 
 
-def _risk_seed_worker(args):
-    model, data, config, rho, delta, min_loss, specs = args
-    record = trainer.dp_sgd_theoretical(model, data, config, rho=rho, delta=delta)
-    params = record.checkpoint_params()
-    steps = [c.step for c in record.checkpoints]
-    out = {"last": model.loss_full(record.final_params(), data) - min_loss}
-    for spec in specs:
-        theta = aggregate.combine(spec, params, steps)
-        out[spec.label()] = model.loss_full(theta, data) - min_loss
-    return record, out
+def _risk_group_worker(args):
+    """Train a group of seeds as one batch; (record, excess risks) per seed."""
+    model, data, configs, rho, delta, min_loss, specs = args
+    records = trainer.dp_sgd_theoretical_runs(model, data, configs, rho=rho, delta=delta)
+    out = []
+    for record in records:
+        params = record.checkpoint_params()
+        steps = [c.step for c in record.checkpoints]
+        thetas = [params[-1]] + [aggregate.combine(spec, params, steps) for spec in specs]
+        excess = model.loss_full(np.array(thetas), data) - min_loss
+        labels = ["last"] + [spec.label() for spec in specs]
+        out.append((record, dict(zip(labels, excess.tolist()))))
+    return out
 
 
 def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: int):
@@ -440,35 +466,27 @@ def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: 
         feats = feats / np.maximum(np.linalg.norm(feats, axis=1, keepdims=True), 1e-12)
     data = DatasetHandle(feats, data.labels, data.num_classes, tag="train")
     specs = parse_aggregation_list(agg_items)
+    output_space = [spec.label() for spec in specs if spec.kind in ("opa", "omv", "best_k")]
+    if output_space:
+        raise ConfigError(
+            f"excess risk needs parameter-space aggregations; {', '.join(output_space)} "
+            "aggregate predictions",
+            key="agg.list",
+        )
     view.ensure_all_used()
 
     model = LogisticLoss.for_data(data, l2_reg=l2, radius=radius)
-    steps = steps_cfg or trainer.choose_T(data.n, rho)
-    _check_k_fits(specs, steps, every, "agg.list")
-    noise = privacy.calibrate_theoretical(model.lipschitz, steps, data.n, rho)
-    eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
+    configs = _theoretical_configs(model, data.n, rho, radius, seeds, steps_cfg, every)
+    _check_k_fits(specs, configs[0].num_steps, every, "agg.list")
     min_loss = trainer.min_loss_in_ball(model, data, radius)
 
+    # one batched trainer call per worker group; bit-identical per seed
+    # whatever the grouping, so the table does not depend on workers
     args = [
-        (
-            model,
-            data,
-            trainer.TrainerConfig(
-                mode="theoretical",
-                num_steps=steps,
-                eta=eta,
-                projection_radius=radius,
-                checkpoint_every=every,
-                seed=s,
-            ),
-            rho,
-            delta,
-            min_loss,
-            specs,
-        )
-        for s in seeds
+        (model, data, group, rho, delta, min_loss, specs)
+        for group in _contiguous_groups(configs, workers)
     ]
-    results = _run_parallel(_risk_seed_worker, args, workers)
+    results = [r for group in _run_parallel(_risk_group_worker, args, workers) for r in group]
 
     rows = [summarize("excess_last", [r[1]["last"] for r in results])]
     for spec in specs:
@@ -675,8 +693,8 @@ def _pds_seed_worker(args):
     best_ema, _ = tune_on_validation(beta_specs, spec_window_accuracy, parts["validation"])
     best_upa, _ = tune_on_validation(k_specs, spec_window_accuracy, parts["validation"])
 
-    ema_rep = stability_report(record, model, parts["test"], best_ema, window)
-    upa_rep = stability_report(record, model, parts["test"], best_upa, window)
+    ema_rep = stability_report(params, steps, model, parts["test"], best_ema, window)
+    upa_rep = stability_report(params, steps, model, parts["test"], best_upa, window)
     return {
         "record": record,
         "best_ema": best_ema,
@@ -778,22 +796,11 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
 def _uq_seed_worker(args):
     (model, data, test_inputs, outer_seed, eps_list, k_list, pool, delta, radius, level, mode) = args
     out = {}
+    pool_seeds = [derive_run_seed(outer_seed, j) for j in range(pool)]
     for eps in eps_list:
         rho = privacy.epsilon_to_zcdp(eps, delta)
-        steps = trainer.choose_T(data.n, rho)
-        noise = privacy.calibrate_theoretical(model.lipschitz, steps, data.n, rho)
-        eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
-        runs = []
-        for j in range(pool):
-            config = trainer.TrainerConfig(
-                mode="theoretical",
-                num_steps=steps,
-                eta=eta,
-                projection_radius=radius,
-                checkpoint_every=1,
-                seed=derive_run_seed(outer_seed, j),
-            )
-            runs.append(trainer.dp_sgd_theoretical(model, data, config, rho=rho, delta=delta))
+        configs = _theoretical_configs(model, data.n, rho, radius, pool_seeds, every=1)
+        runs = trainer.dp_sgd_theoretical_runs(model, data, configs, rho=rho, delta=delta)
         for k in k_list:
             ck = uncertainty.UQConfig(
                 method="last_k_checkpoints",

@@ -6,6 +6,12 @@ l2-regularized logistic regression (binary sigmoid or multiclass
 softmax), and a small one-hidden-layer tanh network for qualitative
 experiments. All parameters are flat float64 vectors so the trainer and
 the aggregation operators never need to know the model structure.
+loss_full and grad_full also take an (S, p) matrix of S parameter rows
+(the seed-batched trainer's iterates) and return one value per row; a
+(p,) vector is the one-row case of the same code. Row products go
+through stacked np.matmul, which makes the same BLAS call per row as an
+unbatched product, so a batched row equals the unbatched result bit for
+bit (a plain X @ Theta.T would be one larger product, rounded differently).
 """
 
 import csv
@@ -157,6 +163,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _row_sq_norms(rows: np.ndarray) -> np.ndarray:
+    """theta @ theta for every row of an (S, p) matrix, bit-equal to the 1-d dot."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
 def _check_finite_logits(logits: np.ndarray) -> None:
     if not np.all(np.isfinite(logits)):
         raise NumericOverflowError("non-finite logits in prediction")
@@ -181,10 +192,12 @@ class LossModel:
     def param_dim(self) -> int:
         raise NotImplementedError
 
-    def loss_full(self, theta: np.ndarray, data: DatasetHandle | None) -> float:
+    def loss_full(self, theta: np.ndarray, data: DatasetHandle | None):
+        """Mean loss: a float for a (p,) vector, an (S,) array for (S, p) rows."""
         raise NotImplementedError
 
     def grad_full(self, theta: np.ndarray, data: DatasetHandle | None) -> np.ndarray:
+        """Mean gradient: (p,) for a (p,) vector, (S, p) for (S, p) rows."""
         raise NotImplementedError
 
     def grad_per_example(self, theta: np.ndarray, data: DatasetHandle) -> np.ndarray:
@@ -208,6 +221,17 @@ class LossModel:
                 f"parameter vector has shape {theta.shape}, expected ({self.param_dim()},)"
             )
         return theta
+
+    def _check_rows(self, theta: np.ndarray) -> tuple[np.ndarray, bool]:
+        """(S, p) parameter rows, and whether a single (p,) vector was passed."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.ndim == 1:
+            return self._check_theta(theta)[None, :], True
+        if theta.ndim != 2 or theta.shape[1] != self.param_dim():
+            raise ValueError(
+                f"parameter rows have shape {theta.shape}, expected (S, {self.param_dim()})"
+            )
+        return theta, False
 
 
 @dataclass(eq=False)
@@ -234,14 +258,15 @@ class QuadraticLoss(LossModel):
     def param_dim(self) -> int:
         return self.center.shape[0]
 
-    def loss_full(self, theta, data=None) -> float:
-        theta = self._check_theta(theta)
-        d = theta - self.center
-        return 0.5 * self.curvature * float(d @ d)
+    def loss_full(self, theta, data=None):
+        rows, single = self._check_rows(theta)
+        loss = 0.5 * self.curvature * _row_sq_norms(rows - self.center)
+        return float(loss[0]) if single else loss
 
     def grad_full(self, theta, data=None) -> np.ndarray:
-        theta = self._check_theta(theta)
-        return self.curvature * (theta - self.center)
+        rows, single = self._check_rows(theta)
+        grad = self.curvature * (rows - self.center)
+        return grad[0] if single else grad
 
     def grad_per_example(self, theta, data) -> np.ndarray:
         g = self.grad_full(theta)
@@ -308,34 +333,45 @@ class LogisticLoss(LossModel):
     def _weights(self, theta: np.ndarray) -> np.ndarray:
         return theta.reshape(self.num_classes, self.n_features)
 
-    def loss_full(self, theta, data) -> float:
-        theta = self._check_theta(theta)
-        reg = 0.5 * self.l2_reg * float(theta @ theta)
+    def _logits(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """(S, n) margins (binary) or (S, n, c) logits, one stacked BLAS call per row."""
         if self.binary:
-            margins = data.features @ theta
+            return np.matmul(features, rows[:, :, None])[:, :, 0]
+        weights = rows.reshape(len(rows), self.num_classes, self.n_features)
+        return np.matmul(features, weights.transpose(0, 2, 1))
+
+    def loss_full(self, theta, data):
+        rows, single = self._check_rows(theta)
+        reg = 0.5 * self.l2_reg * _row_sq_norms(rows)
+        logits = self._logits(rows, data.features)
+        if self.binary:
             signs = 2.0 * data.labels - 1.0
-            z = signs * margins
+            z = signs * logits
             # ln(1 + exp(-z)) evaluated stably
             ce = np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-            return float(ce.mean()) + reg
-        logits = data.features @ self._weights(theta).T
-        zmax = logits.max(axis=1)
-        lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
-        picked = logits[np.arange(data.n), data.labels]
-        return float((lse - picked).mean()) + reg
+        else:
+            zmax = logits.max(axis=2)
+            lse = zmax + np.log(np.exp(logits - zmax[:, :, None]).sum(axis=2))
+            ce = lse - logits[:, np.arange(data.n), data.labels]
+        # np.mean's own arithmetic (sum, then divide by n) minus its wrapper cost
+        loss = ce.sum(axis=1) / data.n + reg
+        return float(loss[0]) if single else loss
 
     def grad_full(self, theta, data) -> np.ndarray:
-        theta = self._check_theta(theta)
+        rows, single = self._check_rows(theta)
+        logits = self._logits(rows, data.features)
         if self.binary:
-            margins = data.features @ theta
             signs = 2.0 * data.labels - 1.0
             # d/dm ln(1+exp(-y m)) = -y * sigmoid(-y m)
-            coeff = -signs * _sigmoid(-signs * margins)
-            return data.features.T @ coeff / data.n + self.l2_reg * theta
-        probs = _softmax(data.features @ self._weights(theta).T)
-        probs[np.arange(data.n), data.labels] -= 1.0
-        grad_w = probs.T @ data.features / data.n
-        return grad_w.ravel() + self.l2_reg * theta
+            coeff = -signs * _sigmoid(-signs * logits)
+            grad = np.matmul(data.features.T, coeff[:, :, None])[:, :, 0] / data.n
+        else:
+            probs = _softmax(logits)
+            probs[:, np.arange(data.n), data.labels] -= 1.0
+            grad_w = np.matmul(probs.transpose(0, 2, 1), data.features) / data.n
+            grad = grad_w.reshape(len(rows), -1)
+        grad = grad + self.l2_reg * rows
+        return grad[0] if single else grad
 
     def grad_per_example(self, theta, data) -> np.ndarray:
         theta = self._check_theta(theta)
@@ -366,12 +402,9 @@ class LogisticLoss(LossModel):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; each branch is the form that keeps precision
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(eq=False)
@@ -419,14 +452,18 @@ class TinyMLP(LossModel):
         logits = hidden @ w2.T + b2
         return hidden, logits
 
-    def loss_full(self, theta, data) -> float:
-        theta = self._check_theta(theta)
+    def _loss_row(self, theta: np.ndarray, data: DatasetHandle) -> float:
         _, logits = self._forward(theta, data.features)
         zmax = logits.max(axis=1)
         lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
         picked = logits[np.arange(data.n), data.labels]
         reg = 0.5 * self.l2_reg * float(theta @ theta)
         return float((lse - picked).mean()) + reg
+
+    def loss_full(self, theta, data):
+        rows, single = self._check_rows(theta)
+        loss = np.array([self._loss_row(r, data) for r in rows])
+        return float(loss[0]) if single else loss
 
     def _backward(self, theta: np.ndarray, data: DatasetHandle):
         """Per-example gradient blocks, stacked into an (n, dim) matrix."""
@@ -447,8 +484,9 @@ class TinyMLP(LossModel):
         return flat + self.l2_reg * theta
 
     def grad_full(self, theta, data) -> np.ndarray:
-        theta = self._check_theta(theta)
-        return self._backward(theta, data).mean(axis=0)
+        rows, single = self._check_rows(theta)
+        grad = np.array([self._backward(r, data).mean(axis=0) for r in rows])
+        return grad[0] if single else grad
 
     def grad_per_example(self, theta, data) -> np.ndarray:
         theta = self._check_theta(theta)

@@ -4,7 +4,13 @@ Two modes share the checkpoint/metrics plumbing:
 
   theoretical  full-gradient projected DP-SGD started at the origin,
                with per-step Gaussian noise calibrated so the whole
-               T-step run is rho-zCDP.
+               T-step run is rho-zCDP. S runs that differ only in their
+               seed train as one loop over an (S, p) iterate matrix:
+               each step takes one batched gradient and loss over the S
+               rows, and the noise for a chunk of steps of all S seeds
+               comes from one rng.gaussian_steps draw. Every row equals
+               the run trained alone bit for bit, so a one-run call is
+               the S = 1 case of the same loop.
   practical    minibatch DP-SGD with per-example clipping, noise on the
                summed clipped gradient, and plain T-fold composition
                accounting (no subsampling amplification claimed).
@@ -19,7 +25,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -139,13 +145,19 @@ def choose_T(n: int, rho: float) -> int:
 
 
 def project_l2(v: np.ndarray, radius: float) -> np.ndarray:
-    """Project onto the origin-centered l2 ball of the given radius."""
+    """Project onto the origin-centered l2 ball of the given radius.
+
+    A (p,) vector is projected as one point, an (S, p) matrix row by row.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    norm = float(np.linalg.norm(v))
-    if norm <= radius:
-        return v
-    return v * (radius / norm)
+    rows = np.atleast_2d(v)
+    # the stacked row dot equals np.linalg.norm's dot bit for bit, and a
+    # factor of exactly 1.0 leaves rows inside the ball untouched
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    factors = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+    out = rows * factors[:, None]
+    return out if np.ndim(v) == 2 else out[0]
 
 
 def minibatch_indices(seed: int, step: int, n: int, batch_size: int) -> np.ndarray:
@@ -185,33 +197,66 @@ def dp_sgd_theoretical(
     ball. rho = inf runs the zero-noise limit. Pass eval_data to record
     per-step accuracy (otherwise that metric column is NaN).
     """
+    return dp_sgd_theoretical_runs(model, data, [config], rho, delta, eval_data)[0]
+
+
+def dp_sgd_theoretical_runs(
+    model: LossModel,
+    data: DatasetHandle,
+    configs: list[TrainerConfig],
+    rho: float,
+    delta: float = 1e-5,
+    eval_data: DatasetHandle | None = None,
+) -> list[RunRecord]:
+    """dp_sgd_theoretical for configs that differ only in their seed.
+
+    The S runs advance together as the rows of one (S, p) iterate
+    matrix; record s is bit-identical to dp_sgd_theoretical(configs[s]).
+    A non-finite loss in any row stops all of them at that step.
+    """
+    if not configs:
+        raise ValueError("need at least one config")
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("batched theoretical runs must differ only in their seed")
     if config.mode != "theoretical":
         raise ValueError("config.mode must be 'theoretical'")
     if model.lipschitz is None or not math.isfinite(model.lipschitz):
         raise ValueError("theoretical mode needs a model with a finite Lipschitz bound")
+    seeds = [c.seed for c in configs]
     dim = model.param_dim()
     T = config.num_steps
-    scale = calibrate_theoretical(model.lipschitz, T, data.n, rho)
-    noise_std = scale.std
-    ckpt_steps = set(checkpoint_steps(T, config.resolved_checkpoint_every()))
+    noise_std = calibrate_theoretical(model.lipschitz, T, data.n, rho).std
+    ckpt_steps = checkpoint_steps(T, config.resolved_checkpoint_every())
+    ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
 
-    theta = np.zeros(dim)
-    checkpoints: list[Checkpoint] = []
-    metrics = np.empty((T, 2))
+    theta = np.zeros((len(seeds), dim))
+    ckpts = np.empty((len(seeds), len(ckpt_steps), dim))
+    metrics = np.empty((len(seeds), T, 2))
+    noise = rng.gaussian_steps(seeds, rng.STREAM_NOISE, T, dim) if noise_std > 0 else None
     for t in range(1, T + 1):
         g = model.grad_full(theta, data)
-        if noise_std > 0:
-            g = g + noise_std * rng.gaussian_vector(config.seed, rng.STREAM_NOISE, t, dim)
+        if noise is not None:
+            g = g + noise_std * next(noise)
         theta = project_l2(theta - config.eta.at(t) * g, config.projection_radius)
         loss = model.loss_full(theta, data)
-        if not math.isfinite(loss):
+        if not np.all(np.isfinite(loss)):
             raise NumericDivergenceError("training loss became non-finite", step=t)
-        metrics[t - 1, 0] = loss
-        metrics[t - 1, 1] = _eval_acc(model, theta, eval_data)
-        if t in ckpt_steps:
-            checkpoints.append(Checkpoint(t, theta.copy()))
+        metrics[:, t - 1, 0] = loss
+        metrics[:, t - 1, 1] = [_eval_acc(model, row, eval_data) for row in theta]
+        if t in ckpt_index:
+            ckpts[:, ckpt_index[t]] = theta
     budget = PrivacyBudget.from_rho(rho, delta)
-    return RunRecord(config, budget, checkpoints, metrics, config.seed)
+    return [
+        RunRecord(
+            c,
+            budget,
+            [Checkpoint(step, ckpts[s, i]) for i, step in enumerate(ckpt_steps)],
+            metrics[s],
+            c.seed,
+        )
+        for s, c in enumerate(configs)
+    ]
 
 
 def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:

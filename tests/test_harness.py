@@ -28,7 +28,6 @@ from dpckpt.harness.experiments import (
 )
 from dpckpt.model import DatasetHandle, LossModel, synth_classification
 from dpckpt import aggregate
-from dpckpt.trainer import Checkpoint, EtaSchedule, RunRecord, TrainerConfig
 
 # ---------------------------------------------------------------------------
 # config file format
@@ -322,23 +321,18 @@ class _ProbModel2(LossModel):
 
 
 def _oscillating_run(qs):
-    ckpts = [
-        Checkpoint(t, np.array([1.0 - q, q])) for t, q in enumerate(qs, start=1)
-    ]
-    return RunRecord(
-        TrainerConfig("practical", len(qs), EtaSchedule("constant", 0.1), checkpoint_every=1),
-        budget=None,
-        checkpoints=ckpts,
-        metrics=np.zeros((len(qs), 2)),
-        seed=0,
-    )
+    """(K, 2) checkpoint matrix and steps 1..K of a hand-built run."""
+    params = np.array([[1.0 - q, q] for q in qs])
+    return params, list(range(1, len(qs) + 1))
 
 
 def test_stability_report_smooths_oscillation():
-    run = _oscillating_run([0.2, 0.8, 0.2, 0.8, 0.2, 0.8])
+    params, steps = _oscillating_run([0.2, 0.8, 0.2, 0.8, 0.2, 0.8])
     eval_data = DatasetHandle(np.zeros((4, 2)), np.ones(4, dtype=int), 2, tag="test")
     model = _ProbModel2()
-    report = stability_report(run, model, eval_data, AggregationSpec("upa_k", k=6), last_n=4)
+    report = stability_report(
+        params, steps, model, eval_data, AggregationSpec("upa_k", k=6), last_n=4
+    )
     assert report.steps == [3, 4, 5, 6]
     # raw checkpoints alternate between wrong and right
     assert report.baseline_accuracy.tolist() == [0.0, 1.0, 0.0, 1.0]
@@ -349,12 +343,13 @@ def test_stability_report_smooths_oscillation():
 
 
 def test_stability_report_window_validation():
-    run = _oscillating_run([0.2, 0.8, 0.2])
+    params, steps = _oscillating_run([0.2, 0.8, 0.2])
     eval_data = DatasetHandle(np.zeros((2, 2)), np.ones(2, dtype=int), 2, tag="test")
+    spec = AggregationSpec("upa_k", k=3)
     with pytest.raises(ValueError):
-        stability_report(run, _ProbModel2(), eval_data, AggregationSpec("upa_k", k=3), last_n=1)
+        stability_report(params, steps, _ProbModel2(), eval_data, spec, last_n=1)
     with pytest.raises(ValueError):
-        stability_report(run, _ProbModel2(), eval_data, AggregationSpec("upa_k", k=3), last_n=4)
+        stability_report(params, steps, _ProbModel2(), eval_data, spec, last_n=4)
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +427,35 @@ save_runs = false
 """
 
 
+UQ_CFG = """
+task = uq_compare
+uq.epsilons = 2.0, 4.0
+uq.k_values = 3
+uq.pool_runs = 3
+uq.num_test_inputs = 5
+num_seeds = 3
+data.n = 200
+data.p = 4
+"""
+
+
 def test_worker_count_does_not_change_results(tmp_path):
-    """The same experiment with 1 and 2 workers writes identical tables."""
-    outs = []
-    for workers, name in ((1, "w1"), (2, "w2")):
-        out = str(tmp_path / name)
-        view = ConfigView(parse_config_text(RISK_CFG))
-        run_experiment(view, out, master_seed=0, workers=workers)
-        with open(os.path.join(out, "table.csv"), "rb") as fh:
-            outs.append(fh.read())
-    assert outs[0] == outs[1]
+    """The same experiment with 1 and 2 workers writes identical artifacts.
+
+    risk_compare trains each worker's seeds as one batch and uq_compare
+    each pool as one batch, so this also pins batch composition.
+    """
+    for name, text, files in (
+        ("risk", RISK_CFG, ["table.csv"]),
+        ("uq", UQ_CFG, ["table.csv", "uq_report.json"]),
+    ):
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / f"{name}_w{workers}"
+            view = ConfigView(parse_config_text(text))
+            run_experiment(view, str(out), master_seed=0, workers=workers)
+            outs.append([(out / f).read_bytes() for f in files])
+        assert outs[0] == outs[1]
 
 
 def test_uq_compare_pool_validation(tmp_path):
@@ -533,6 +547,22 @@ def test_cli_k_beyond_checkpoint_count_exits_2(tmp_path, capsys, command, lines,
     assert cli.main([command, "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert key in err and "k=20" in err
+    assert not os.path.exists(os.path.join(out, "status.json"))
+
+
+@pytest.mark.parametrize("entry", ["opa:3", "omv:3", "best_k:3:0.9"])
+def test_cli_risk_compare_rejects_output_space_kinds(tmp_path, capsys, monkeypatch, entry):
+    def no_training(*args, **kwargs):
+        raise AssertionError("risk_compare trained before rejecting its aggregation list")
+
+    monkeypatch.setattr(experiments.trainer, "dp_sgd_theoretical_runs", no_training)
+    cfg = _write_cfg(
+        tmp_path, f"task = risk_compare\nagg.list = {entry}\ntrain.steps = 50\nnum_seeds = 2\n"
+    )
+    out = str(tmp_path / "out")
+    assert cli.main(["report", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "agg.list" in err and entry.split(":")[0] in err
     assert not os.path.exists(os.path.join(out, "status.json"))
 
 

@@ -18,6 +18,7 @@ from dpckpt.model import (
     diurnal_prob,
     load_csv,
     save_csv,
+    _sigmoid,
     synth_classification,
 )
 from dpckpt.rng import step_generator
@@ -218,6 +219,58 @@ def test_accuracy_against_hand_labels():
 def test_wrong_theta_shape_rejected(binary_model, binary_data):
     with pytest.raises(ValueError):
         binary_model.loss_full(np.zeros(binary_model.param_dim() + 1), binary_data)
+
+
+def _masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The two-pass masked form the branch-free sigmoid replaced."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_form():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([800.0, -800.0, 0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 36.0, -36.0,
+                        710.0, -745.0, np.inf, -np.inf])
+    z = np.concatenate([special, np.random.default_rng(4).normal(scale=20.0, size=(1000,))])
+    got, want = _sigmoid(z), _masked_sigmoid(z)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    grid = z[14:].reshape(100, 10)
+    assert np.array_equal(_sigmoid(grid), _masked_sigmoid(grid.ravel()).reshape(100, 10))
+
+
+def _every_family(binary_data, multi_data):
+    return [
+        (QuadraticLoss(center=np.array([0.5, -1.0, 2.0])), binary_data),
+        (LogisticLoss.for_data(binary_data, l2_reg=0.1), binary_data),
+        (LogisticLoss.for_data(multi_data, l2_reg=0.1), multi_data),
+        (TinyMLP(n_features=multi_data.p, hidden=4, num_classes=3, l2_reg=0.1), multi_data),
+    ]
+
+
+def test_row_batched_loss_and_grad_equal_per_row_calls(binary_data, multi_data):
+    gen = np.random.default_rng(8)
+    for model, data in _every_family(binary_data, multi_data):
+        rows = gen.normal(scale=2.0, size=(5, model.param_dim()))
+        losses, grads = model.loss_full(rows, data), model.grad_full(rows, data)
+        assert losses.shape == (5,) and grads.shape == rows.shape
+        for row, loss, grad in zip(rows, losses, grads):
+            one = model.loss_full(row, data)
+            assert isinstance(one, float) and loss == one
+            assert np.array_equal(grad, model.grad_full(row, data))
+
+
+def test_row_batched_calls_check_the_width(binary_data, multi_data):
+    for model, data in _every_family(binary_data, multi_data):
+        for bad in (np.zeros((2, model.param_dim() + 1)), np.zeros((1, 1, model.param_dim()))):
+            with pytest.raises(ValueError):
+                model.grad_full(bad, data)
+            with pytest.raises(ValueError):
+                model.loss_full(bad, data)
 
 
 # ---------------------------------------------------------------------------

@@ -58,3 +58,53 @@ def test_negative_step_rejected_but_seed_wraps():
     a = rng.step_generator(-1, rng.STREAM_NOISE, 0).standard_normal(4)
     b = rng.step_generator(2**64 - 1, rng.STREAM_NOISE, 0).standard_normal(4)
     assert np.array_equal(a, b)
+
+
+def _numpy_raw(seed: int, stream: int, step: int, count: int) -> np.ndarray:
+    key = [np.uint64(seed & (2**64 - 1)), np.uint64(stream)]
+    return np.random.Philox(counter=[0, 0, 0, np.uint64(step)], key=key).random_raw(count)
+
+
+@pytest.mark.parametrize("num_blocks", [1, 2, 5])
+def test_philox_blocks_reproduce_numpy_random_raw(num_blocks):
+    seeds = [-1, 0, 2**64 - 1, 3, 2**63 + 5]
+    steps = [0, 1, 2, 39, 2**40]
+    words = rng.philox_blocks(seeds, rng.STREAM_NOISE, steps, num_blocks)
+    assert words.shape == (len(steps), len(seeds), 4 * num_blocks)
+    assert words.dtype == np.uint64
+    for i, t in enumerate(steps):
+        for s, seed in enumerate(seeds):
+            assert np.array_equal(
+                words[i, s], _numpy_raw(seed, rng.STREAM_NOISE, t, 4 * num_blocks)
+            )
+
+
+@pytest.mark.parametrize("dim", [1, 3, 10, 21, 200])
+def test_gaussian_block_matches_gaussian_vector(dim):
+    # odd dims leave half of the last counter block unused
+    seeds = [-1, 0, 2**64 - 1]
+    steps = [0, 1, 7, 2**40]
+    block = rng.gaussian_block(seeds, rng.STREAM_NOISE, steps, dim)
+    assert block.shape == (len(steps), len(seeds), dim)
+    for i, t in enumerate(steps):
+        for s, seed in enumerate(seeds):
+            assert np.array_equal(block[i, s], rng.gaussian_vector(seed, rng.STREAM_NOISE, t, dim))
+
+
+def test_gaussian_steps_across_chunk_boundaries(monkeypatch):
+    # 3 seeds x 2 blocks per draw: 12 blocks allow 2 steps per draw
+    monkeypatch.setattr(rng, "MAX_BLOCKS", 12)
+    assert rng.steps_per_draw(3, 3) == 2
+    seeds = [5, -1, 2**64 - 1]
+    drawn = list(rng.gaussian_steps(seeds, rng.STREAM_NOISE, 7, 3))
+    assert len(drawn) == 7
+    for t, noise in enumerate(drawn, start=1):
+        want = [rng.gaussian_vector(s, rng.STREAM_NOISE, t, 3) for s in seeds]
+        assert np.array_equal(noise, want)
+    # a single step larger than the bound is still drawn whole
+    assert rng.steps_per_draw(3, 200) == 1
+
+
+def test_philox_blocks_reject_negative_steps():
+    with pytest.raises(ValueError):
+        rng.philox_blocks([0], rng.STREAM_NOISE, [3, -1], 1)

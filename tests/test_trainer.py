@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpckpt.model import DatasetHandle, LogisticLoss, QuadraticLoss, synth_classification
 from dpckpt.privacy import calibrate_theoretical, epsilon_to_zcdp
@@ -17,6 +19,7 @@ from dpckpt.trainer import (
     clip_rows,
     dp_sgd_practical,
     dp_sgd_theoretical,
+    dp_sgd_theoretical_runs,
     excess_risk,
     load_run,
     min_loss_in_ball,
@@ -229,6 +232,86 @@ def test_theoretical_requires_lipschitz():
             TrainerConfig("practical", 5, EtaSchedule("constant", 0.1)),
             rho=0.5,
         )
+
+
+def _batch_setup(family: str):
+    if family == "quadratic":
+        model = QuadraticLoss(center=np.array([0.7, -0.4, 0.3]), curvature=1.5, lipschitz=2.0)
+        return model, _dummy_data(60, 3)
+    classes = 2 if family == "binary" else 3
+    data = synth_classification(60, 4, num_classes=classes, separation=2.0, seed=5)
+    return LogisticLoss.for_data(data, l2_reg=0.05, radius=1.0), data
+
+
+@given(
+    family=st.sampled_from(["binary", "softmax", "quadratic"]),
+    rho=st.sampled_from([math.inf, 0.05, 2.0]),
+    seeds=st.lists(st.integers(-(2**63), 2**64 - 1), min_size=1, max_size=4, unique=True),
+    steps=st.integers(1, 40),
+    every=st.integers(1, 7),
+)
+def test_batched_runs_equal_separate_runs(family, rho, seeds, steps, every):
+    model, data = _batch_setup(family)
+    configs = [
+        TrainerConfig(
+            "theoretical", steps, EtaSchedule("inverse_sqrt", 0.4), projection_radius=0.8,
+            checkpoint_every=min(every, steps), seed=s,
+        )
+        for s in seeds
+    ]
+    batched = dp_sgd_theoretical_runs(model, data, configs, rho=rho)
+    assert len(batched) == len(configs)
+    for config, got in zip(configs, batched):
+        alone = dp_sgd_theoretical(model, data, config, rho=rho)
+        assert got.config == config and got.seed == config.seed
+        assert [c.step for c in got.checkpoints] == [c.step for c in alone.checkpoints]
+        assert np.array_equal(got.checkpoint_params(), alone.checkpoint_params())
+        assert np.array_equal(got.metrics, alone.metrics, equal_nan=True)
+        assert got.budget == alone.budget
+
+
+def _scalar_reference(model, data, config, rho):
+    """The one-vector trainer loop, step by step, as an independent oracle."""
+    noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho).std
+    theta = np.zeros(model.param_dim())
+    params, losses = [], []
+    for t in range(1, config.num_steps + 1):
+        g = model.grad_full(theta, data)
+        if noise_std > 0:
+            g = g + noise_std * rng.gaussian_vector(config.seed, rng.STREAM_NOISE, t, len(theta))
+        theta = theta - config.eta.at(t) * g
+        norm = float(np.linalg.norm(theta))
+        if norm > config.projection_radius:
+            theta = theta * (config.projection_radius / norm)
+        params.append(theta)
+        losses.append(model.loss_full(theta, data))
+    return np.array(params), np.array(losses)
+
+
+@pytest.mark.parametrize("family", ["binary", "softmax", "quadratic"])
+def test_batched_rows_match_the_scalar_loop(family):
+    model, data = _batch_setup(family)
+    configs = [
+        TrainerConfig(
+            "theoretical", 30, EtaSchedule("inverse_sqrt", 0.6), projection_radius=0.5,
+            checkpoint_every=1, seed=s,
+        )
+        for s in (4, 2**64 - 3, -7)
+    ]
+    for config, record in zip(configs, dp_sgd_theoretical_runs(model, data, configs, rho=0.3)):
+        params, losses = _scalar_reference(model, data, config, 0.3)
+        assert np.array_equal(record.checkpoint_params(), params)
+        assert np.array_equal(record.metrics[:, 0], losses)
+
+
+def test_batched_runs_must_differ_only_in_seed():
+    model, data = _batch_setup("quadratic")
+    base = TrainerConfig("theoretical", 5, EtaSchedule("constant", 0.1), seed=1)
+    with pytest.raises(ValueError):
+        dp_sgd_theoretical_runs(model, data, [base, TrainerConfig(
+            "theoretical", 6, EtaSchedule("constant", 0.1), seed=2)], rho=0.5)
+    with pytest.raises(ValueError):
+        dp_sgd_theoretical_runs(model, data, [], rho=0.5)
 
 
 # ---------------------------------------------------------------------------
