@@ -12,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -213,14 +213,12 @@ def parse_aggregation_list(items: Sequence[str], key: str = "agg.list") -> list[
         try:
             if kind == "ema":
                 spec = AggregationSpec("ema", beta=float(parts[1]))
-            elif kind == "upa_k":
-                spec = AggregationSpec("upa_k", k=int(parts[1]))
+            elif kind in ("upa_k", "opa", "omv"):
+                spec = AggregationSpec(kind, k=int(parts[1]))
             elif kind == "upa_tail":
                 spec = AggregationSpec("upa_tail", alpha=float(parts[1]))
             elif kind == "pda":
                 spec = AggregationSpec("pda", gamma=float(parts[1]))
-            elif kind in ("opa", "omv"):
-                spec = AggregationSpec(kind, k=int(parts[1]))
             elif kind == "best_k":
                 spec = AggregationSpec("best_k", k=int(parts[1]), beta=float(parts[2]))
             else:
@@ -335,14 +333,43 @@ def _spec_entry(spec: AggregationSpec, acc: float, n_seeds: int) -> dict:
     }
 
 
-def _check_k_fits(specs: Sequence[AggregationSpec], steps: int, every: int, key: str) -> None:
+def _num_checkpoints(config: "trainer.TrainerConfig") -> int:
+    return len(trainer.checkpoint_steps(config.num_steps, config.resolved_checkpoint_every()))
+
+
+def _check_k_fits(specs: Sequence[AggregationSpec], config: "trainer.TrainerConfig", key: str):
     """Reject, before any training, a k larger than the run's checkpoint count."""
-    count = len(trainer.checkpoint_steps(steps, every))
+    count = _num_checkpoints(config)
     for spec in specs:
         if spec.k is not None and spec.k > count:
             raise ConfigError(
-                f"k={spec.k} exceeds the {count} checkpoints of a {steps}-step run", key=key
+                f"k={spec.k} exceeds the {count} checkpoints of a {config.num_steps}-step run",
+                key=key,
             )
+
+
+def _check_batch_fits(config: "trainer.TrainerConfig", data: DatasetHandle) -> None:
+    """Reject, before any training, a minibatch larger than the rows it is drawn
+    from without replacement."""
+    if config.batch_size > data.n:
+        raise ConfigError(
+            f"batch of {config.batch_size} exceeds the {data.n} training rows",
+            key="train.batch_size",
+        )
+
+
+def _trainer_configs(seeds: Sequence[int], eta: tuple[str, float], **fields):
+    """One TrainerConfig per seed, alike in every other field.
+
+    This is the harness's only TrainerConfig construction: a value that
+    TrainerConfig or its EtaSchedule (kind, value) rejects becomes a config
+    error here, before any training starts.
+    """
+    try:
+        template = trainer.TrainerConfig(eta=trainer.EtaSchedule(*eta), **fields)
+    except ValueError as exc:
+        raise ConfigError(f"bad trainer setting: {exc}") from None
+    return [replace(template, seed=s) for s in seeds]
 
 
 def _theoretical_configs(
@@ -357,17 +384,30 @@ def _theoretical_configs(
     steps = steps or trainer.choose_T(n, rho)
     noise = privacy.calibrate_theoretical(model.lipschitz, steps, n, rho)
     eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
-    return [
-        trainer.TrainerConfig(
-            mode="theoretical",
-            num_steps=steps,
-            eta=eta,
-            projection_radius=radius,
-            checkpoint_every=every,
-            seed=s,
-        )
-        for s in seeds
-    ]
+    return _trainer_configs(
+        seeds,
+        (eta.kind, eta.value),
+        mode="theoretical",
+        num_steps=steps,
+        projection_radius=radius,
+        checkpoint_every=every,
+    )
+
+
+def _practical_configs(
+    view: ConfigView, seeds: Sequence[int], steps: int, eta: float, batch: int, every: int | None
+) -> list["trainer.TrainerConfig"]:
+    """Configs of seeded practical runs; the arguments after seeds are the
+    defaults of the train.* keys."""
+    return _trainer_configs(
+        seeds,
+        ("constant", view.get_float("train.eta", eta)),
+        mode="practical",
+        num_steps=view.get_int("train.steps", steps),
+        clip_norm=view.get_float("train.clip_norm", 1.0),
+        batch_size=view.get_int("train.batch_size", batch),
+        checkpoint_every=view.get_int("train.checkpoint_every", every),
+    )
 
 
 def _contiguous_groups(items: list, parts: int) -> list[list]:
@@ -391,6 +431,11 @@ def run_single_training(view: ConfigView, out_dir: str, master_seed: int, worker
     radius = view.get_float("train.radius", 1.0)
     l2 = view.get_float("train.l2_reg", 0.0)
     seeds = _resolve_seeds(view, master_seed, 1)
+    if len(seeds) > 1:
+        raise ConfigError(
+            f"the train task writes one run; got {len(seeds)} seeds",
+            key="seeds" if view.has("seeds") else "num_seeds",
+        )
     data = _dataset_from_view(view, n=1000, p=10, classes=2, separation=2.0, seed=7)
     data = data.subset(np.arange(data.n), tag="train")
     model = LogisticLoss.for_data(data, l2_reg=l2, radius=radius)
@@ -399,22 +444,13 @@ def run_single_training(view: ConfigView, out_dir: str, master_seed: int, worker
         rho = view.get_float("train.rho", 0.5)
         steps = view.get_int("train.steps", None)
         every = view.get_int("train.checkpoint_every", None)
-        (config,) = _theoretical_configs(model, data.n, rho, radius, seeds[:1], steps, every)
+        (config,) = _theoretical_configs(model, data.n, rho, radius, seeds, steps, every)
         view.ensure_all_used()
         record = trainer.dp_sgd_theoretical(model, data, config, rho=rho, delta=delta)
     elif mode == "practical":
-        steps = view.get_int("train.steps", 200)
         z = view.get_float("train.noise_multiplier", 1.0)
-        eta = trainer.EtaSchedule("constant", view.get_float("train.eta", 0.1))
-        config = trainer.TrainerConfig(
-            mode="practical",
-            num_steps=steps,
-            eta=eta,
-            clip_norm=view.get_float("train.clip_norm", 1.0),
-            batch_size=view.get_int("train.batch_size", 32),
-            checkpoint_every=view.get_int("train.checkpoint_every", None),
-            seed=seeds[0],
-        )
+        (config,) = _practical_configs(view, seeds, 200, 0.1, 32, None)
+        _check_batch_fits(config, data)
         view.ensure_all_used()
         record = trainer.dp_sgd_practical(model, data, config, z, delta=delta)
     else:
@@ -477,7 +513,7 @@ def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: 
 
     model = LogisticLoss.for_data(data, l2_reg=l2, radius=radius)
     configs = _theoretical_configs(model, data.n, rho, radius, seeds, steps_cfg, every)
-    _check_k_fits(specs, configs[0].num_steps, every, "agg.list")
+    _check_k_fits(specs, configs[0], "agg.list")
     min_loss = trainer.min_loss_in_ball(model, data, radius)
 
     # one batched trainer call per worker group; bit-identical per seed
@@ -506,14 +542,12 @@ def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: 
 
 
 def _train_and_score_worker(args):
-    model, parts, config, z, delta, specs, eval_part, include_last = args
+    model, parts, config, z, delta, specs, eval_part, eval_data = args
     record = trainer.dp_sgd_practical(
-        model, parts["train"], config, z, delta=delta, eval_data=parts["test"]
+        model, parts["train"], config, z, delta=delta, eval_data=eval_data
     )
     target = parts[eval_part]
-    out = {}
-    if include_last:
-        out["last"] = accuracy(model, record.final_params(), target)
+    out = {"last": accuracy(model, record.final_params(), target)}
     for spec in specs:
         out[spec.label()] = aggregation_accuracy(
             spec, record, model, target, heldout=parts["heldout"], train_tag="train"
@@ -521,21 +555,19 @@ def _train_and_score_worker(args):
     return record, out
 
 
-def _read_practical_setup(
+def _practical_setup(
     view: ConfigView,
+    seeds: Sequence[int],
     default_steps: int,
     default_eta: float = 0.1,
     default_separation: float = 3.0,
 ):
-    """Shared data/model/config keys of the practical-trainer tasks."""
+    """Shared data/model/config keys of the practical-trainer tasks:
+    (model, partitions, one config per seed, noise multiplier, delta)."""
     delta = view.get_float("train.delta", 1e-5)
     l2 = view.get_float("train.l2_reg", 0.0)
     z = view.get_float("train.noise_multiplier", 1.0)
-    steps = view.get_int("train.steps", default_steps)
-    eta = trainer.EtaSchedule("constant", view.get_float("train.eta", default_eta))
-    clip = view.get_float("train.clip_norm", 1.0)
-    batch = view.get_int("train.batch_size", 128)
-    every = view.get_int("train.checkpoint_every", 1)
+    configs = _practical_configs(view, seeds, default_steps, default_eta, 128, 1)
     data = _dataset_from_view(
         view, n=5000, p=20, classes=10, separation=default_separation, seed=11
     )
@@ -547,127 +579,72 @@ def _read_practical_setup(
         test_fraction=view.get_float("data.test_fraction", 0.1),
     )
     model = LogisticLoss.for_data(parts["train"], l2_reg=l2, radius=1.0)
-    return model, parts, steps, eta, clip, batch, every, z, delta
+    return model, parts, configs, z, delta
+
+
+def _run_scored(
+    view: ConfigView, out_dir: str, master_seed: int, workers: int,
+    specs: Sequence[AggregationSpec], specs_key: str, eval_part: str, save_default: bool,
+) -> tuple[list[ResultRow], list[float]]:
+    """Train the seeds on the practical trainer and score every spec on the
+    eval_part partition: one row per spec, also written to aggregates.json,
+    and the last iterate's accuracy per seed. When save_runs holds, the runs
+    are saved with their per-step test accuracy."""
+    seeds = _resolve_seeds(view, master_seed, 5)
+    model, parts, configs, z, delta = _practical_setup(view, seeds, default_steps=400)
+    save_runs = view.get_bool("save_runs", save_default)
+    _check_k_fits(specs, configs[0], specs_key)
+    _check_batch_fits(configs[0], parts["train"])
+    view.ensure_all_used()
+
+    eval_data = parts["test"] if save_runs else None
+    args = [(model, parts, c, z, delta, specs, eval_part, eval_data) for c in configs]
+    results = _run_parallel(_train_and_score_worker, args, workers)
+
+    rows = [summarize(spec.label(), [r[1][spec.label()] for r in results]) for spec in specs]
+    entries = [_spec_entry(spec, row.mean, row.n_seeds) for spec, row in zip(specs, rows)]
+    _write_json(os.path.join(out_dir, "aggregates.json"), entries)
+    if save_runs:
+        _save_runs([r[0] for r in results], out_dir)
+    return rows, [r[1]["last"] for r in results]
 
 
 def run_aggregate_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int):
-    model, parts, steps, eta, clip, batch, every, z, delta = _read_practical_setup(
-        view, default_steps=400
-    )
     agg_items = view.get_str_list(
         "agg.list",
         ["ema:0.9", "upa_k:5", "upa_tail:0.5", "pda:1.0", "opa:5", "omv:5", "best_k:5:0.9"],
     )
-    save_runs = view.get_bool("save_runs", True)
-    seeds = _resolve_seeds(view, master_seed, 5)
     specs = parse_aggregation_list(agg_items)
-    _check_k_fits(specs, steps, every, "agg.list")
-    view.ensure_all_used()
-
-    args = [
-        (
-            model,
-            parts,
-            trainer.TrainerConfig(
-                mode="practical",
-                num_steps=steps,
-                eta=eta,
-                clip_norm=clip,
-                batch_size=batch,
-                checkpoint_every=every,
-                seed=s,
-            ),
-            z,
-            delta,
-            specs,
-            "test",
-            True,
-        )
-        for s in seeds
-    ]
-    results = _run_parallel(_train_and_score_worker, args, workers)
-
-    rows = [summarize("last", [r[1]["last"] for r in results])]
-    entries = []
-    for spec in specs:
-        label = spec.label()
-        row = summarize(label, [r[1][label] for r in results])
-        rows.append(row)
-        entries.append(_spec_entry(spec, row.mean, row.n_seeds))
-    _write_json(os.path.join(out_dir, "aggregates.json"), entries)
-    if save_runs:
-        _save_runs([r[0] for r in results], out_dir)
-    return ResultTable(rows)
+    rows, last = _run_scored(view, out_dir, master_seed, workers, specs, "agg.list", "test", True)
+    return ResultTable([summarize("last", last)] + rows)
 
 
-def _sweep_specs(view: ConfigView, task: str) -> list[AggregationSpec]:
-    if task == "ema_sweep":
-        betas = view.get_float_list("sweep.betas", list(DEFAULT_BETA_GRID))
-        if not betas:
-            raise ConfigError("beta grid is empty", key="sweep.betas")
-        return [AggregationSpec("ema", beta=b) for b in betas]
-    ks = view.get_int_list("sweep.ks", list(DEFAULT_K_GRID))
-    if not ks:
-        raise ConfigError("k grid is empty", key="sweep.ks")
-    return [AggregationSpec("upa_k", k=k) for k in ks]
-
-
-def _run_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int, task: str):
-    model, parts, steps, eta, clip, batch, every, z, delta = _read_practical_setup(
-        view, default_steps=400
-    )
-    specs = _sweep_specs(view, task)
-    _check_k_fits(specs, steps, every, "sweep.ks")
-    save_runs = view.get_bool("save_runs", False)
-    seeds = _resolve_seeds(view, master_seed, 5)
-    view.ensure_all_used()
-
-    args = [
-        (
-            model,
-            parts,
-            trainer.TrainerConfig(
-                mode="practical",
-                num_steps=steps,
-                eta=eta,
-                clip_norm=clip,
-                batch_size=batch,
-                checkpoint_every=every,
-                seed=s,
-            ),
-            z,
-            delta,
-            specs,
-            "validation",
-            False,
-        )
-        for s in seeds
-    ]
-    results = _run_parallel(_train_and_score_worker, args, workers)
-
-    rows = []
-    entries = []
-    ranked = []
-    for i, spec in enumerate(specs):
-        label = spec.label()
-        row = summarize(label, [r[1][label] for r in results])
-        rows.append(row)
-        entries.append(_spec_entry(spec, row.mean, row.n_seeds))
-        ranked.append(((-row.mean, _tiebreak(spec), i), row))
-    best = min(ranked)[1]
+def _run_sweep(
+    view: ConfigView, out_dir: str, master_seed: int, workers: int,
+    specs: list[AggregationSpec], key: str,
+) -> ResultTable:
+    """Validation rows of one spec grid, then the winner's row."""
+    rows, _ = _run_scored(view, out_dir, master_seed, workers, specs, key, "validation", False)
+    # min keeps the first of tied keys, so listing order breaks the last ties
+    best = rows[min(range(len(rows)), key=lambda i: (-rows[i].mean, _tiebreak(specs[i])))]
     rows.append(ResultRow(f"best={best.setting}", best.mean, best.std, best.n_seeds))
-    _write_json(os.path.join(out_dir, "aggregates.json"), entries)
-    if save_runs:
-        _save_runs([r[0] for r in results], out_dir)
     return ResultTable(rows)
 
 
 def run_ema_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int):
-    return _run_sweep(view, out_dir, master_seed, workers, "ema_sweep")
+    betas = view.get_float_list("sweep.betas", list(DEFAULT_BETA_GRID))
+    if not betas:
+        raise ConfigError("beta grid is empty", key="sweep.betas")
+    specs = [AggregationSpec("ema", beta=b) for b in betas]
+    return _run_sweep(view, out_dir, master_seed, workers, specs, "sweep.betas")
 
 
 def run_k_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int):
-    return _run_sweep(view, out_dir, master_seed, workers, "k_sweep")
+    ks = view.get_int_list("sweep.ks", list(DEFAULT_K_GRID))
+    if not ks:
+        raise ConfigError("k grid is empty", key="sweep.ks")
+    specs = [AggregationSpec("upa_k", k=k) for k in ks]
+    return _run_sweep(view, out_dir, master_seed, workers, specs, "sweep.ks")
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +652,9 @@ def run_k_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int):
 
 
 def _pds_seed_worker(args):
-    (model, parts, config, z, delta, beta_grid, k_grid, window) = args
+    (model, parts, config, z, delta, beta_specs, k_specs, window, eval_data) = args
     record = trainer.dp_sgd_practical(
-        model, parts["train"], config, z, delta=delta, eval_data=parts["test"]
+        model, parts["train"], config, z, delta=delta, eval_data=eval_data
     )
     params = record.checkpoint_params()
     steps = [c.step for c in record.checkpoints]
@@ -688,8 +665,6 @@ def _pds_seed_worker(args):
         rolled = aggregate.rolling(spec, params, steps, window)
         return float(np.mean([accuracy(model, theta, part) for theta in rolled]))
 
-    beta_specs = [AggregationSpec("ema", beta=b) for b in beta_grid]
-    k_specs = [AggregationSpec("upa_k", k=k) for k in k_grid if k <= len(params)]
     best_ema, _ = tune_on_validation(beta_specs, spec_window_accuracy, parts["validation"])
     best_upa, _ = tune_on_validation(k_specs, spec_window_accuracy, parts["validation"])
 
@@ -710,17 +685,30 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
     # Large steps and nearer clusters make each oscillation phase reshape the
     # model, so the per-step accuracy swings the aggregates are meant to tame
     # actually show up at this scale.
-    model, parts, steps, eta, clip, batch, every, z, delta = _read_practical_setup(
-        view, default_steps=800, default_eta=4.0, default_separation=2.0
+    seeds = _resolve_seeds(view, master_seed, 5)
+    model, parts, configs, z, delta = _practical_setup(
+        view, seeds, default_steps=800, default_eta=4.0, default_separation=2.0
     )
-    period = view.get_int("pds.period", max(2, steps // 8))
+    period = view.get_int("pds.period", max(2, configs[0].num_steps // 8))
     beta_grid = view.get_float_list("agg.beta_grid", list(DEFAULT_BETA_GRID))
     k_grid = view.get_int_list("agg.k_grid", list(DEFAULT_K_GRID))
     window_fraction = view.get_float("stability.window_fraction", 0.1)
     save_runs = view.get_bool("save_runs", True)
-    seeds = _resolve_seeds(view, master_seed, 5)
     if not 0.0 < window_fraction <= 1.0:
         raise ConfigError("window fraction must be in (0, 1]", key="stability.window_fraction")
+    num_ckpts = _num_checkpoints(configs[0])
+    window = max(2, int(round(window_fraction * num_ckpts)))
+    beta_specs = [AggregationSpec("ema", beta=b) for b in beta_grid]
+    k_specs = [AggregationSpec("upa_k", k=k) for k in k_grid if k <= num_ckpts]
+    if window > num_ckpts:
+        raise ConfigError(
+            f"the stability window of {window} checkpoints exceeds the {num_ckpts} "
+            "checkpoints set by train.steps and train.checkpoint_every"
+        )
+    if not beta_specs:
+        raise ConfigError("beta grid is empty", key="agg.beta_grid")
+    if not k_specs:
+        raise ConfigError(f"no k at or below the {num_ckpts} checkpoints", key="agg.k_grid")
     view.ensure_all_used()
 
     train = parts["train"]
@@ -731,44 +719,20 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
         source_a=train.subset(even, tag="source_even"),
         source_b=train.subset(odd, tag="source_odd"),
     )
-    num_ckpts = len(trainer.checkpoint_steps(steps, every))
-    window = max(2, int(round(window_fraction * num_ckpts)))
-
+    eval_data = parts["test"] if save_runs else None
     args = [
-        (
-            model,
-            parts,
-            trainer.TrainerConfig(
-                mode="practical",
-                num_steps=steps,
-                eta=eta,
-                clip_norm=clip,
-                batch_size=batch,
-                checkpoint_every=every,
-                seed=s,
-                diurnal=schedule,
-            ),
-            z,
-            delta,
-            beta_grid,
-            k_grid,
-            window,
-        )
-        for s in seeds
+        (model, parts, replace(c, diurnal=schedule), z, delta, beta_specs, k_specs, window,
+         eval_data)
+        for c in configs
     ]
     results = _run_parallel(_pds_seed_worker, args, workers)
 
+    methods = ("baseline", "ema", "upa")
     rows = [
-        summarize("window_std_baseline", [r["baseline"].std(ddof=1) for r in results]),
-        summarize("window_std_ema", [r["ema"].std(ddof=1) for r in results]),
-        summarize("window_std_upa", [r["upa"].std(ddof=1) for r in results]),
-        summarize("window_mean_baseline", [r["baseline"].mean() for r in results]),
-        summarize("window_mean_ema", [r["ema"].mean() for r in results]),
-        summarize("window_mean_upa", [r["upa"].mean() for r in results]),
-    ]
+        summarize(f"window_std_{m}", [r[m].std(ddof=1) for r in results]) for m in methods
+    ] + [summarize(f"window_mean_{m}", [r[m].mean() for r in results]) for m in methods]
     entries = []
-    for name in ("best_ema", "best_upa"):
-        series = "ema" if name == "best_ema" else "upa"
+    for name, series in (("best_ema", "ema"), ("best_upa", "upa")):
         chosen: list[AggregationSpec] = []
         for r in results:  # first-seen order keeps the file deterministic
             if r[name] not in chosen:
@@ -781,7 +745,7 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
     with open(os.path.join(out_dir, "plot_data.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("seed_index,method,step,accuracy\n")
         for i, r in enumerate(results):
-            for method in ("baseline", "ema", "upa"):
+            for method in methods:
                 for step, acc in zip(r["steps"], r[method]):
                     fh.write(f"{i},{method},{step},{float(acc)!r}\n")
     if save_runs:
@@ -794,37 +758,24 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
 
 
 def _uq_seed_worker(args):
-    (model, data, test_inputs, outer_seed, eps_list, k_list, pool, delta, radius, level, mode) = args
+    (model, data, test_inputs, outer_seed, eps_list, uq_configs, pool, delta, radius) = args
     out = {}
     pool_seeds = [derive_run_seed(outer_seed, j) for j in range(pool)]
     for eps in eps_list:
         rho = privacy.epsilon_to_zcdp(eps, delta)
         configs = _theoretical_configs(model, data.n, rho, radius, pool_seeds, every=1)
         runs = trainer.dp_sgd_theoretical_runs(model, data, configs, rho=rho, delta=delta)
-        for k in k_list:
-            ck = uncertainty.UQConfig(
-                method="last_k_checkpoints",
-                k=k,
-                level=level,
-                statistic_mode=mode,
-                num_test_inputs=len(test_inputs),
-            )
-            ind = uncertainty.UQConfig(
-                method="independent_runs",
-                k=k,
-                level=level,
-                statistic_mode=mode,
-                num_test_inputs=len(test_inputs),
-            )
+        for ck in uq_configs:
+            ind = replace(ck, method="independent_runs")
             # per-input widths of the first run's last k checkpoints; their
             # mean is the checkpoint method's width
             w_ck = uncertainty.uq_widths(
-                [c.params for c in runs[0].checkpoints[-k:]], model, test_inputs, ck
+                [c.params for c in runs[0].checkpoints[-ck.k:]], model, test_inputs, ck
             )
             w_ind = uncertainty.uq_from_independent_runs(
                 runs, model, test_inputs, ind, selection_seed=outer_seed
             )
-            out[(eps, k)] = (w_ck, w_ind)
+            out[(eps, ck.k)] = (w_ck, w_ind)
     return out
 
 
@@ -853,6 +804,19 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
             f"k={max(k_list)} exceeds the {shortest} checkpoints of the shortest run",
             key="uq.k_values",
         )
+    try:
+        uq_configs = [
+            uncertainty.UQConfig(
+                method="last_k_checkpoints",
+                k=k,
+                level=level,
+                statistic_mode=mode,
+                num_test_inputs=num_inputs,
+            )
+            for k in k_list
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"bad uq setting: {exc}") from None
     view.ensure_all_used()
 
     model = LogisticLoss.for_data(data, l2_reg=l2, radius=radius)
@@ -861,8 +825,7 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
     ).features
 
     args = [
-        (model, data, test_inputs, s, eps_list, k_list, pool, delta, radius, level, mode)
-        for s in seeds
+        (model, data, test_inputs, s, eps_list, uq_configs, pool, delta, radius) for s in seeds
     ]
     results = _run_parallel(_uq_seed_worker, args, workers)
 
@@ -882,16 +845,9 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
 
     # one canonical per-input report for the checkpoint method: the first
     # seed's first run at the first (epsilon, k) cell
-    uq_cfg = uncertainty.UQConfig(
-        method="last_k_checkpoints",
-        k=k_list[0],
-        level=level,
-        statistic_mode=mode,
-        num_test_inputs=num_inputs,
-    )
     widths = results[0][(eps_list[0], k_list[0])][0]
     uncertainty.write_uq_report(
-        os.path.join(out_dir, "uq_report.json"), uq_cfg, float(widths.mean()), widths
+        os.path.join(out_dir, "uq_report.json"), uq_configs[0], float(widths.mean()), widths
     )
     return ResultTable(rows)
 

@@ -15,6 +15,10 @@ Two modes share the checkpoint/metrics plumbing:
                summed clipped gradient, and plain T-fold composition
                accounting (no subsampling amplification claimed).
 
+Both modes take their noise from the one path: rng.gaussian_steps,
+which draws a chunk of steps at a time and equals the per-step
+rng.gaussian_vector(seed, STREAM_NOISE, t, dim) bit for bit.
+
 Runs are deterministic functions of (model, data, config): all noise,
 batch selection, and initialization draws are addressed by
 (seed, stream, step) through the counter-based generator in rng.py, so
@@ -302,6 +306,9 @@ def dp_sgd_practical(
     theta = 0.02 * rng.uniform_vector(config.seed, rng.STREAM_INIT, 0, dim) - 0.01
     checkpoints: list[Checkpoint] = []
     metrics = np.empty((T, 2))
+    noise = None
+    if mean_noise_std > 0:
+        noise = rng.gaussian_steps([config.seed], rng.STREAM_NOISE, T, dim)
     for t in range(1, T + 1):
         if config.diurnal is not None:
             # diurnal phase starts at 0 so the first batch is pure source_a
@@ -312,10 +319,8 @@ def dp_sgd_practical(
             batch = data.subset(idx, tag=data.tag)
         grads = clip_rows(model.grad_per_example(theta, batch), config.clip_norm)
         g = grads.mean(axis=0)
-        if mean_noise_std > 0:
-            g = g + mean_noise_std * rng.gaussian_vector(
-                config.seed, rng.STREAM_NOISE, t, dim
-            )
+        if noise is not None:
+            g = g + mean_noise_std * next(noise)[0]
         theta = theta - config.eta.at(t) * g
         loss = model.loss_full(theta, batch)
         if not math.isfinite(loss) or not np.all(np.isfinite(theta)):

@@ -582,3 +582,83 @@ def test_cli_seed_flag_changes_derived_runs(tmp_path):
         with open(os.path.join(out, "table.csv")) as fh:
             tables.append(fh.read())
     assert tables[0] != tables[1]
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a trainer ran before the config was rejected")
+
+
+@pytest.mark.parametrize(
+    "command, lines, needle",
+    [
+        ("report", "task = risk_compare\ntrain.steps = 5\ntrain.checkpoint_every = 10\n",
+         "checkpoint_every"),
+        ("aggregate", "task = aggregate_eval\ntrain.batch_size = 5000\n", "train.batch_size"),
+        ("sweep", "task = k_sweep\ntrain.eta = 0\n", "eta value must be positive"),
+        ("aggregate", "task = pds_eval\ntrain.clip_norm = -1\n", "clip_norm"),
+        ("aggregate", "task = pds_eval\nagg.beta_grid =\n", "agg.beta_grid"),
+        ("aggregate", "task = pds_eval\ntrain.steps = 40\nagg.k_grid = 50, 100\n",
+         "agg.k_grid"),
+        ("aggregate", "task = pds_eval\ntrain.steps = 1\n", "window of 2"),
+        ("train", TRAIN_CFG.replace("batch_size = 16", "batch_size = 151"), "exceeds the 150"),
+        ("train", TRAIN_CFG + "train.checkpoint_every = 21\n", "checkpoint_every"),
+        ("train", TRAIN_CFG + "num_seeds = 2\n", "num_seeds"),
+        ("train", "train.mode = theoretical\ntrain.steps = 5\ntrain.checkpoint_every = 10\n",
+         "checkpoint_every"),
+        ("train", "train.mode = theoretical\ntrain.steps = 5\nseeds = 1, 2, 3\n", "seeds"),
+        ("uq", "task = uq_compare\nuq.k_values = 1\n", "k must be at least 2"),
+    ],
+    ids=[
+        "risk_compare-every", "aggregate_eval-batch", "k_sweep-eta", "pds_eval-clip",
+        "pds_eval-no-beta", "pds_eval-no-k", "pds_eval-one-checkpoint", "train-practical-batch",
+        "train-practical-every", "train-practical-num_seeds", "train-theoretical-every",
+        "train-theoretical-seeds", "uq_compare-k1",
+    ],
+)
+def test_cli_unfinishable_config_exits_2_before_training(
+    tmp_path, capsys, monkeypatch, command, lines, needle
+):
+    for name in ("dp_sgd_practical", "dp_sgd_theoretical", "dp_sgd_theoretical_runs"):
+        monkeypatch.setattr(experiments.trainer, name, _no_training)
+    cfg = _write_cfg(tmp_path, lines)
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", cfg, "--out", out]) == 2
+    assert needle in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "status.json"))
+
+
+SCORED_TINY = "train.steps = 12\ntrain.batch_size = 16\nnum_seeds = 2\ndata.n = 300\ndata.p = 4\n"
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "task = aggregate_eval\nagg.list = ema:0.9, upa_k:3\n",
+        "task = pds_eval\nagg.k_grid = 3\n",
+    ],
+    ids=["aggregate_eval", "pds_eval"],
+)
+@pytest.mark.parametrize("save_runs", [False, True])
+def test_per_step_accuracy_only_for_saved_runs(tmp_path, monkeypatch, lines, save_runs):
+    real = experiments.trainer.dp_sgd_practical
+    seen = []
+
+    def recording(*args, eval_data=None, **kwargs):
+        seen.append(eval_data)
+        return real(*args, eval_data=eval_data, **kwargs)
+
+    monkeypatch.setattr(experiments.trainer, "dp_sgd_practical", recording)
+    out = tmp_path / "out"
+    text = lines + SCORED_TINY + f"save_runs = {str(save_runs).lower()}\n"
+    run_experiment(ConfigView(parse_config_text(text)), str(out), workers=1)
+    assert len(seen) == 2
+    if not save_runs:
+        assert seen == [None, None]
+        assert not (out / "runs").exists()
+        return
+    assert [h.tag for h in seen] == ["test", "test"]
+    for run in ("seed_000", "seed_001"):
+        with open(out / "runs" / run / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 12
+        assert all(0.0 <= float(r["eval_acc"]) <= 1.0 for r in rows)

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpckpt.model import DatasetHandle, LogisticLoss, QuadraticLoss, synth_classification
+from dpckpt.model import (
+    DatasetHandle,
+    DiurnalSchedule,
+    LogisticLoss,
+    QuadraticLoss,
+    accuracy,
+    diurnal_draw,
+    synth_classification,
+)
 from dpckpt.privacy import calibrate_theoretical, epsilon_to_zcdp
 from dpckpt.trainer import (
     Checkpoint,
@@ -384,6 +392,50 @@ def test_practical_learns_separable_data(practical_setup):
     record = dp_sgd_practical(model, data, config, noise_multiplier=0.0, delta=1e-5, eval_data=data)
     assert accuracy(model, record.final_params(), data) > 0.9
     assert record.metrics[-1, 1] > 0.9  # eval column populated
+
+
+def _practical_reference(model, data, config, z, eval_data):
+    """The practical loop with one gaussian_vector draw per step, as an
+    independent oracle for the trainer's block-drawn noise."""
+    std = z * config.clip_norm / config.batch_size
+    theta = 0.02 * rng.uniform_vector(config.seed, rng.STREAM_INIT, 0, model.param_dim()) - 0.01
+    params, metrics = [], []
+    for t in range(1, config.num_steps + 1):
+        if config.diurnal is not None:
+            gen = rng.step_generator(config.seed, rng.STREAM_BATCH, t)
+            batch = diurnal_draw(config.diurnal, t - 1, config.batch_size, gen)
+        else:
+            batch = data.subset(minibatch_indices(config.seed, t, data.n, config.batch_size))
+        g = clip_rows(model.grad_per_example(theta, batch), config.clip_norm).mean(axis=0)
+        g = g + std * rng.gaussian_vector(config.seed, rng.STREAM_NOISE, t, len(theta))
+        theta = theta - config.eta.at(t) * g
+        params.append(theta)
+        metrics.append((model.loss_full(theta, batch), accuracy(model, theta, eval_data)))
+    return np.array(params), np.array(metrics)
+
+
+@pytest.mark.parametrize("diurnal", [False, True])
+def test_practical_block_noise_matches_per_step_draws(diurnal):
+    # softmax with p * classes = 75 coordinates: each block draw spans
+    # several steps and the last chunk is partial
+    data = synth_classification(200, 25, num_classes=3, separation=2.0, seed=5)
+    model = LogisticLoss.for_data(data, l2_reg=0.01, radius=1.0)
+    schedule = None
+    if diurnal:
+        schedule = DiurnalSchedule(
+            period=6,
+            source_a=data.subset(np.flatnonzero(data.labels == 0)),
+            source_b=data.subset(np.flatnonzero(data.labels != 0)),
+        )
+    config = TrainerConfig(
+        "practical", 250, EtaSchedule("constant", 0.3), clip_norm=0.7, batch_size=16,
+        checkpoint_every=1, seed=9, diurnal=schedule,
+    )
+    assert rng.steps_per_draw(1, model.param_dim()) < config.num_steps
+    record = dp_sgd_practical(model, data, config, noise_multiplier=1.3, eval_data=data)
+    params, metrics = _practical_reference(model, data, config, 1.3, data)
+    assert np.array_equal(record.checkpoint_params(), params)
+    assert np.array_equal(record.metrics, metrics)
 
 
 def test_practical_batch_size_validation(practical_setup):
