@@ -12,12 +12,20 @@ smooth strongly convex losses fall back to Euler-Maruyama integration.
 Strong convexity m != 1 is normalized away before simulation: running
 the unit-curvature process on the sped-up clock m*t with noise scale
 sigma/sqrt(m) gives the same law.
+
+All trials of an experiment run together as one (trials, p) iterate
+matrix. Their noise is counter-addressed: event s of trial j (the s-th
+OU segment, or the s-th Euler-Maruyama step counted over the whole
+trajectory) uses the normals rng.gaussian_vector(seed, STREAM_TRIAL,
+(j << 32) + s, p), so each trial is a pure function of (seed, j)
+whatever the trial count, worker count or code path.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +34,11 @@ from .errors import NumericDivergenceError
 from .model import DatasetHandle, LossModel, QuadraticLoss
 
 _ORACLE_CHUNK = 100_000
+MIN_TRIALS = 100
+MIN_ORACLE_SAMPLES = 100_000
+# trial j and event s share one 63-bit counter step, (j << 32) + s
+MAX_TRIALS = 2**31
+MAX_EVENTS = 2**32
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +152,14 @@ def em_step(
     model: LossModel,
     eta: float,
     sigma: float,
-    gen: np.random.Generator,
+    normals: np.ndarray,
     data: Optional[DatasetHandle] = None,
 ) -> np.ndarray:
     """One Euler-Maruyama step with injected noise N(0, 2*eta*sigma^2 I).
 
-    eta touches both drift and noise so eta=0 is the identity. sigma=0
-    degenerates to plain gradient descent.
+    theta is a (p,) vector or (S, p) rows; normals are standard normals
+    of the same shape. eta touches both drift and noise so eta=0 is the
+    identity. sigma=0 degenerates to plain gradient descent.
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
@@ -153,7 +167,7 @@ def em_step(
         return theta.copy()
     drift = theta - eta * model.grad_full(theta, data)
     if sigma > 0:
-        drift = drift + math.sqrt(2.0 * eta) * sigma * gen.standard_normal(theta.size)
+        drift = drift + math.sqrt(2.0 * eta) * sigma * normals
     if not np.all(np.isfinite(drift)):
         raise NumericDivergenceError("Langevin state became non-finite")
     return drift
@@ -164,12 +178,13 @@ def ou_exact_sample(
     sigma: float,
     theta_t: np.ndarray,
     elapsed: float,
-    gen: np.random.Generator,
+    normals: np.ndarray,
 ) -> np.ndarray:
     """Exact unit-curvature OU transition over the given elapsed time.
 
-    Draws from N(theta* + exp(-s)(theta_t - theta*), sigma^2 (1-exp(-2s)) I).
-    s=0 returns theta_t unchanged.
+    Draws from N(theta* + exp(-s)(theta_t - theta*), sigma^2 (1-exp(-2s)) I)
+    for a (p,) vector or each row of (S, p) rows, using standard normals
+    of theta_t's shape. s=0 returns theta_t unchanged.
     """
     if elapsed < 0:
         raise ValueError("elapsed time must be nonnegative")
@@ -178,7 +193,13 @@ def ou_exact_sample(
     decay = math.exp(-elapsed)
     std = sigma * math.sqrt(-math.expm1(-2.0 * elapsed))
     mean = theta_star + decay * (theta_t - theta_star)
-    return mean + std * gen.standard_normal(theta_t.size)
+    return mean + std * normals
+
+
+def _em_steps(elapsed_norm: float, eta_target: float) -> int:
+    """Step count of an Euler-Maruyama segment: the fewest steps of at most
+    eta_target that land on the segment end exactly."""
+    return max(1, math.ceil(elapsed_norm / eta_target))
 
 
 def _em_segment(
@@ -189,19 +210,21 @@ def _em_segment(
     sigma_eff: float,
     eta_target: float,
     elapsed_norm: float,
-    gen: np.random.Generator,
+    normals: Iterator[np.ndarray],
 ) -> np.ndarray:
     """Integrate the normalized (unit-curvature-clock) dynamics over a segment.
 
-    The drift is grad L / m so the process matches the m-rescaled diffusion;
-    the step count is chosen to land on the segment end exactly.
+    The drift is grad L / m so the process matches the m-rescaled diffusion.
+    theta is a (p,) vector or (S, p) rows; each of the _em_steps steps takes
+    the next array of standard normals, shaped like theta, from `normals`
+    and leaves the rest for the next segment.
     """
-    steps = max(1, math.ceil(elapsed_norm / eta_target))
+    steps = _em_steps(elapsed_norm, eta_target)
     eta = elapsed_norm / steps
     scale = math.sqrt(2.0 * eta) * sigma_eff
-    for _ in range(steps):
+    for _, z in zip(range(steps), normals):
         grad = model.grad_full(theta, data) / strong_convexity
-        theta = theta - eta * grad + scale * gen.standard_normal(theta.size)
+        theta = theta - eta * grad + scale * z
         if not np.all(np.isfinite(theta)):
             raise NumericDivergenceError("Langevin state became non-finite")
     return theta
@@ -232,21 +255,27 @@ def stationary_oracle_V(
     Returns (estimate, standard error); the SE comes from the large-sample
     variance of a sample variance, (m4 - v^2) / n.
     """
-    if samples < 100_000:
+    if samples < MIN_ORACLE_SAMPLES:
         raise ValueError("oracle needs at least 1e5 samples")
     center = np.asarray(theta_star, dtype=np.float64)
     if gen is None:
         gen = rng.step_generator(seed, rng.STREAM_ORACLE, 0)
     values = np.empty(samples, dtype=np.float64)
+    chunk = np.empty((min(_ORACLE_CHUNK, samples), center.size), dtype=np.float64)
     done = 0
     while done < samples:
-        count = min(_ORACLE_CHUNK, samples - done)
-        draws = center + sigma * gen.standard_normal((count, center.size))
-        values[done : done + count] = statistic.evaluate_batch(draws)
-        done += count
+        draws = chunk[: min(_ORACLE_CHUNK, samples - done)]
+        gen.standard_normal(out=draws)
+        draws *= sigma
+        draws += center
+        values[done : done + len(draws)] = statistic.evaluate_batch(draws)
+        done += len(draws)
     v = float(np.var(values, ddof=1))
-    centered = values - values.mean()
-    m4 = float(np.mean(centered**4))
+    fourth = values - values.mean()
+    # squaring twice in place skips the libm pow that centered**4 goes through
+    fourth *= fourth
+    fourth *= fourth
+    m4 = float(np.mean(fourth))
     se = math.sqrt(max(0.0, m4 - v * v) / samples)
     return v, se
 
@@ -292,6 +321,13 @@ def _quadratic_center(model: LossModel, data: Optional[DatasetHandle]) -> np.nda
     raise RuntimeError("minimizer search did not converge")
 
 
+def _trial_normals(seed: int, trials: int, dim: int, event: int) -> np.ndarray:
+    """(trials, dim) standard normals of one event; row j is
+    gaussian_vector(seed, STREAM_TRIAL, (j << 32) + event, dim)."""
+    steps = (np.arange(trials, dtype=np.int64) << 32) + event
+    return rng.gaussian_block([seed], rng.STREAM_TRIAL, steps, dim)[:, 0]
+
+
 def variance_bias_experiment(
     config: LDConfig,
     times: CheckpointTimes,
@@ -305,39 +341,46 @@ def variance_bias_experiment(
 
     Each trial runs one trajectory from config.theta_start, reads the
     statistic at the k checkpoint times, and takes the sample variance S.
-    Trial j draws all its randomness from a generator keyed by
-    (experiment_seed, trial j), so trials are independent and the whole
-    experiment replays bit-for-bit. Quadratic losses use exact OU
-    transitions; other losses are integrated by Euler-Maruyama at
+    The trials advance together as one (trials, p) matrix. Event s of
+    trial j (its s-th OU segment, or its s-th Euler-Maruyama step counted
+    over the whole trajectory) draws the normals
+    gaussian_vector(experiment_seed, STREAM_TRIAL, (j << 32) + s, p), so
+    trials are independent, trial j does not depend on the trial count,
+    and the whole experiment replays bit-for-bit. Quadratic losses use
+    exact OU transitions; other losses are integrated by Euler-Maruyama at
     config.eta on the curvature-normalized clock.
     """
-    if trials < 100:
+    if trials < MIN_TRIALS:
         raise ValueError("need at least 100 trials")
+    if trials >= MAX_TRIALS:
+        raise ValueError(f"trials must be below 2**31, got {trials}")
+    if oracle_samples < MIN_ORACLE_SAMPLES:
+        raise ValueError("oracle needs at least 1e5 samples")
     model = config.model
     m = model.strong_convexity
     if m <= 0:
         raise ValueError("model must be strongly convex")
-    center = _quadratic_center(model, data)
-    if center.size != config.theta_start.size:
-        raise ValueError("theta_start dimension does not match the model")
     sigma_eff = config.sigma / math.sqrt(m)
     segments = [m * s for s in times.elapsed_segments()]
     exact = isinstance(model, QuadraticLoss)
+    events = len(segments) if exact else sum(_em_steps(s, config.eta) for s in segments)
+    if events >= MAX_EVENTS:
+        raise ValueError(f"a trajectory must have fewer than 2**32 noise events, got {events}")
+    center = _quadratic_center(model, data)
+    if center.size != config.theta_start.size:
+        raise ValueError("theta_start dimension does not match the model")
 
-    s_values = np.empty(trials, dtype=np.float64)
-    vals = np.empty(times.k, dtype=np.float64)
-    for j in range(trials):
-        gen = rng.step_generator(experiment_seed, rng.STREAM_TRIAL, j)
-        theta = config.theta_start
-        for i, seg in enumerate(segments):
-            if exact:
-                theta = ou_exact_sample(center, sigma_eff, theta, seg, gen)
-            else:
-                theta = _em_segment(
-                    theta, model, data, m, sigma_eff, config.eta, seg, gen
-                )
-            vals[i] = statistic.evaluate(theta)
-        s_values[j] = np.var(vals, ddof=1)
+    dim = center.size
+    normals = (_trial_normals(experiment_seed, trials, dim, s) for s in itertools.count())
+    theta = np.tile(config.theta_start, (trials, 1))
+    vals = np.empty((trials, times.k), dtype=np.float64)
+    for i, seg in enumerate(segments):
+        if exact:
+            theta = ou_exact_sample(center, sigma_eff, theta, seg, next(normals))
+        else:
+            theta = _em_segment(theta, model, data, m, sigma_eff, config.eta, seg, normals)
+        vals[:, i] = statistic.evaluate_batch(theta)
+    s_values = np.var(vals, axis=1, ddof=1)
 
     mean_s = float(s_values.mean())
     se_mean_s = float(s_values.std(ddof=1) / math.sqrt(trials))

@@ -379,10 +379,14 @@ def _theoretical_configs(
     """Configs of seeded theoretical runs under a total budget of rho-zCDP.
 
     T is choose_T(n, rho) unless steps is given; the step size is the
-    theorem schedule for the noise that rho calibrates over T steps.
+    theorem schedule for the noise that rho calibrates over T steps. A
+    rho or steps that the calibration rejects is a config error.
     """
-    steps = steps or trainer.choose_T(n, rho)
-    noise = privacy.calibrate_theoretical(model.lipschitz, steps, n, rho)
+    try:
+        steps = trainer.choose_T(n, rho) if steps is None else steps
+        noise = privacy.calibrate_theoretical(model.lipschitz, steps, n, rho)
+    except ValueError as exc:
+        raise ConfigError(f"bad trainer setting: {exc}") from None
     eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
     return _trainer_configs(
         seeds,
@@ -796,10 +800,18 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
         raise ConfigError(f"unknown statistic mode {mode!r}", key="uq.statistic")
     if not 0.0 < level < 1.0:
         raise ConfigError("level must be in (0, 1)", key="uq.level")
-    if pool < max(k_list, default=2):
+    if not eps_list:
+        raise ConfigError("epsilon list is empty", key="uq.epsilons")
+    if not k_list:
+        raise ConfigError("k list is empty", key="uq.k_values")
+    if pool < max(k_list):
         raise ConfigError("pool must hold at least max(k) runs", key="uq.pool_runs")
-    shortest = min(trainer.choose_T(data.n, privacy.epsilon_to_zcdp(e, delta)) for e in eps_list)
-    if shortest < max(k_list, default=2):
+    try:
+        rhos = [privacy.epsilon_to_zcdp(e, delta) for e in eps_list]
+    except ValueError as exc:
+        raise ConfigError(f"bad privacy setting: {exc}") from None
+    shortest = min(trainer.choose_T(data.n, rho) for rho in rhos)
+    if shortest < max(k_list):
         raise ConfigError(
             f"k={max(k_list)} exceeds the {shortest} checkpoints of the shortest run",
             key="uq.k_values",
@@ -897,8 +909,16 @@ def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int
     oracle_samples = view.get_int("dpld.oracle_samples", 1_000_000)
     c_constant = view.get_float("dpld.c_constant", 4.0)
     delta_target = view.get_float("dpld.delta_target", 1e-2)
-    if trials < 100:
-        raise ConfigError("need at least 100 trials", key="dpld.trials")
+    if not dpld.MIN_TRIALS <= trials < dpld.MAX_TRIALS:
+        raise ConfigError(
+            f"need at least {dpld.MIN_TRIALS} and fewer than 2**31 trials", key="dpld.trials"
+        )
+    if oracle_samples < dpld.MIN_ORACLE_SAMPLES:
+        raise ConfigError(
+            f"need at least {dpld.MIN_ORACLE_SAMPLES} samples", key="dpld.oracle_samples"
+        )
+    if dim < 1:
+        raise ConfigError("dim must be at least 1", key="dpld.dim")
     if not points:
         raise ConfigError("need at least one t1:gap point", key="dpld.points")
     _make_statistic(stat_name, np.zeros(dim))  # validate the name up front
@@ -906,24 +926,21 @@ def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int
 
     model = QuadraticLoss(np.zeros(dim))
     theta_start = np.full(dim, distance / math.sqrt(dim))
-    config = dpld.LDConfig(
-        model=model,
-        theta_start=theta_start,
-        sigma=sigma,
-        eta=eta,
-        c_constant=c_constant,
-        delta_target=delta_target,
-    )
-    args = [
-        (
-            config,
-            dpld.CheckpointTimes(t1=t1, gap=gap, k=k),
-            stat_name,
-            trials,
-            derive_run_seed(master_seed, i),
-            oracle_samples,
+    try:
+        config = dpld.LDConfig(
+            model=model,
+            theta_start=theta_start,
+            sigma=sigma,
+            eta=eta,
+            c_constant=c_constant,
+            delta_target=delta_target,
         )
-        for i, (t1, gap) in enumerate(points)
+        all_times = [dpld.CheckpointTimes(t1=t1, gap=gap, k=k) for t1, gap in points]
+    except ValueError as exc:
+        raise ConfigError(f"bad dpld setting: {exc}") from None
+    args = [
+        (config, times, stat_name, trials, derive_run_seed(master_seed, i), oracle_samples)
+        for i, times in enumerate(all_times)
     ]
     reports = _run_parallel(_dpld_point_worker, args, workers)
 

@@ -1,6 +1,7 @@
 """Langevin simulation: transition kernels, oracles, and analytic bounds."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from dpckpt.dpld import (
     CheckpointTimes,
     LDConfig,
     _em_segment,
+    _quadratic_center,
     burn_in_gamma,
     em_step,
     expectation_gap_bound,
@@ -26,7 +28,7 @@ from dpckpt.dpld import (
 )
 from dpckpt.errors import NumericDivergenceError
 from dpckpt.model import LogisticLoss, QuadraticLoss, synth_classification
-from dpckpt.rng import STREAM_ORACLE, step_generator
+from dpckpt.rng import STREAM_ORACLE, STREAM_TRIAL, gaussian_vector, step_generator
 
 # Var[clip(Z, -1, 1)] for Z ~ N(0,1): (2 Phi(1) - 1 - 2 phi(1)) + 2 (1 - Phi(1)),
 # evaluated with scipy.stats.norm and frozen
@@ -83,17 +85,18 @@ def test_statistics_are_bounded():
 def test_em_step_zero_eta_is_identity():
     model = QuadraticLoss(center=np.zeros(2))
     theta = np.array([1.0, -2.0])
-    out = em_step(theta, model, 0.0, 1.0, step_generator(0, STREAM_ORACLE, 0))
+    gen = step_generator(0, STREAM_ORACLE, 0)
+    out = em_step(theta, model, 0.0, 1.0, gen.standard_normal(2))
     assert np.array_equal(out, theta)
     assert out is not theta  # a copy, not the same array
     with pytest.raises(ValueError):
-        em_step(theta, model, -0.1, 1.0, step_generator(0, STREAM_ORACLE, 0))
+        em_step(theta, model, -0.1, 1.0, gen.standard_normal(2))
 
 
 def test_em_step_zero_sigma_is_gradient_descent():
     model = QuadraticLoss(center=np.array([1.0, 1.0]), curvature=2.0)
     theta = np.array([3.0, 1.0])
-    out = em_step(theta, model, 0.1, 0.0, step_generator(0, STREAM_ORACLE, 1))
+    out = em_step(theta, model, 0.1, 0.0, step_generator(0, STREAM_ORACLE, 1).standard_normal(2))
     # theta - eta * 2 (theta - center) = (3,1) - 0.1*(4,0)
     assert np.allclose(out, [2.6, 1.0], atol=1e-15)
 
@@ -103,7 +106,7 @@ def test_em_step_noise_variance():
     eta, sigma, dim = 0.01, 1.5, 200_000
     model = QuadraticLoss(center=np.zeros(dim))
     out = em_step(
-        np.zeros(dim), model, eta, sigma, step_generator(7, STREAM_ORACLE, 3)
+        np.zeros(dim), model, eta, sigma, step_generator(7, STREAM_ORACLE, 3).standard_normal(dim)
     )
     # drift is zero at the center, so out is pure noise
     assert out.var() == pytest.approx(2 * eta * sigma**2, rel=0.02)
@@ -116,7 +119,7 @@ def test_em_step_divergence_detection():
     gen = step_generator(0, STREAM_ORACLE, 5)
     with pytest.raises(NumericDivergenceError), np.errstate(over="ignore"):
         for _ in range(2000):
-            theta = em_step(theta, model, 1e8, 0.0, gen)
+            theta = em_step(theta, model, 1e8, 0.0, gen.standard_normal(2))
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +128,11 @@ def test_em_step_divergence_detection():
 
 def test_ou_zero_elapsed_is_identity():
     theta = np.array([2.0, -1.0])
-    out = ou_exact_sample(np.zeros(2), 1.0, theta, 0.0, step_generator(0, STREAM_ORACLE, 0))
+    gen = step_generator(0, STREAM_ORACLE, 0)
+    out = ou_exact_sample(np.zeros(2), 1.0, theta, 0.0, gen.standard_normal(2))
     assert np.array_equal(out, theta)
     with pytest.raises(ValueError):
-        ou_exact_sample(np.zeros(2), 1.0, theta, -0.5, step_generator(0, STREAM_ORACLE, 0))
+        ou_exact_sample(np.zeros(2), 1.0, theta, -0.5, gen.standard_normal(2))
 
 
 def test_ou_conditional_moments():
@@ -142,7 +146,7 @@ def test_ou_conditional_moments():
     theta_star = np.ones(dim)
     start = np.full(dim, 3.0)
     gen = step_generator(11, STREAM_ORACLE, 2)
-    draws = ou_exact_sample(theta_star, sigma, start, s, gen)
+    draws = ou_exact_sample(theta_star, sigma, start, s, gen.standard_normal(dim))
     expected_mean = 1.0 + math.exp(-s) * 2.0
     expected_var = sigma**2 * (1.0 - math.exp(-2.0 * s))
     assert draws.mean() == pytest.approx(expected_mean, abs=4 * sigma / math.sqrt(dim))
@@ -154,7 +158,7 @@ def test_ou_large_elapsed_reaches_stationarity():
     theta_star = np.full(dim, 2.0)
     sigma = 1.3
     gen = step_generator(5, STREAM_ORACLE, 9)
-    draws = ou_exact_sample(theta_star, sigma, np.full(dim, 50.0), 40.0, gen)
+    draws = ou_exact_sample(theta_star, sigma, np.full(dim, 50.0), 40.0, gen.standard_normal(dim))
     # the faraway start is forgotten entirely
     assert draws.mean() == pytest.approx(2.0, abs=0.02)
     assert draws.var() == pytest.approx(sigma**2, rel=0.03)
@@ -167,8 +171,8 @@ def test_ou_markov_chaining():
     sigma, s1, s2 = 1.0, 0.3, 0.5
     start = np.full(dim, 2.0)
     gen = step_generator(13, STREAM_ORACLE, 1)
-    mid = ou_exact_sample(theta_star, sigma, start, s1, gen)
-    chained = ou_exact_sample(theta_star, sigma, mid, s2, gen)
+    mid = ou_exact_sample(theta_star, sigma, start, s1, gen.standard_normal(dim))
+    chained = ou_exact_sample(theta_star, sigma, mid, s2, gen.standard_normal(dim))
     expected_mean = 2.0 * math.exp(-(s1 + s2))
     expected_var = 1.0 - math.exp(-2.0 * (s1 + s2))
     assert chained.mean() == pytest.approx(expected_mean, abs=4 / math.sqrt(dim))
@@ -188,7 +192,8 @@ def test_em_segment_matches_ou_moments():
     start = np.full(dim, 3.0)
     gen = step_generator(3, STREAM_ORACLE, 4)
     sigma_eff = sigma / math.sqrt(m)
-    draws = _em_segment(start, model, None, m, sigma_eff, 1e-3, m * s, gen)
+    normals = (gen.standard_normal(dim) for _ in itertools.count())
+    draws = _em_segment(start, model, None, m, sigma_eff, 1e-3, m * s, normals)
     expected_mean = 1.0 + math.exp(-m * s) * 2.0
     expected_var = sigma_eff**2 * (1.0 - math.exp(-2.0 * m * s))
     assert draws.mean() == pytest.approx(expected_mean, abs=0.02)
@@ -318,6 +323,112 @@ def test_variance_bias_experiment_non_quadratic_path():
     assert math.isfinite(report.oracle_v)
     # Gaussian-approximation oracle at curvature m: variance sigma^2/m levels
     assert 0.0 < report.oracle_v < 1.0
+
+
+def _per_trial_reference(config, times, statistic, trials, seed, data=None):
+    """(mean_s, se_mean_s) from one trajectory at a time: gaussian_vector
+    per event, then the OU chain or the EM steps, then np.var per trial."""
+    model = config.model
+    m = model.strong_convexity
+    center = _quadratic_center(model, data)
+    sigma_eff = config.sigma / math.sqrt(m)
+    s_values = np.empty(trials)
+    for j in range(trials):
+        normals = (
+            gaussian_vector(seed, STREAM_TRIAL, (j << 32) + s, center.size)
+            for s in itertools.count()
+        )
+        theta = config.theta_start
+        vals = np.empty(times.k)
+        for i, seg in enumerate(times.elapsed_segments()):
+            if isinstance(model, QuadraticLoss):
+                theta = ou_exact_sample(center, sigma_eff, theta, m * seg, next(normals))
+            else:
+                theta = _em_segment(
+                    theta, model, data, m, sigma_eff, config.eta, m * seg, normals
+                )
+            vals[i] = statistic.evaluate(theta)
+        s_values[j] = np.var(vals, ddof=1)
+    return float(s_values.mean()), float(s_values.std(ddof=1) / math.sqrt(trials))
+
+
+@pytest.mark.parametrize(
+    "seed, trials, k, p",
+    [(0, 101, 2, 1), (7, 123, 5, 3), (2**64 - 1, 101, 5, 4), (2**64 - 1, 111, 2, 3)],
+)
+def test_variance_bias_experiment_matches_per_trial_reference_ou(seed, trials, k, p):
+    config = LDConfig(
+        model=QuadraticLoss(center=np.full(p, 0.5), curvature=1.5),
+        theta_start=np.full(p, 2.0),
+        sigma=0.8,
+    )
+    times = CheckpointTimes(t1=0.4, gap=0.3, k=k)
+    stat = make_clamped_norm_excess(np.full(p, 0.5))
+    report = variance_bias_experiment(
+        config, times, stat, trials=trials, experiment_seed=seed, oracle_samples=100_000
+    )
+    ref = _per_trial_reference(config, times, stat, trials, seed)
+    assert np.array_equal((report.mean_s, report.se_mean_s), ref)
+
+
+@pytest.mark.parametrize("seed, trials, k, p", [(3, 101, 2, 1), (2**64 - 1, 103, 5, 4)])
+def test_variance_bias_experiment_matches_per_trial_reference_em(seed, trials, k, p):
+    data = synth_classification(60, p, num_classes=2, separation=2.0, seed=5)
+    model = LogisticLoss.for_data(data, l2_reg=0.5, radius=1.0)
+    config = LDConfig(model=model, theta_start=np.zeros(p), sigma=0.7, eta=5e-2)
+    times = CheckpointTimes(t1=0.5, gap=0.3, k=k)
+    stat = make_clamped_coordinate(np.zeros(p))
+    report = variance_bias_experiment(
+        config, times, stat, trials=trials, experiment_seed=seed, oracle_samples=100_000,
+        data=data,
+    )
+    ref = _per_trial_reference(config, times, stat, trials, seed, data)
+    assert np.array_equal((report.mean_s, report.se_mean_s), ref)
+
+
+def test_variance_bias_experiment_address_limits():
+    """Trial j and event s share one counter step, so both are bounded."""
+    quad = LDConfig(model=QuadraticLoss(center=np.zeros(2)), theta_start=np.ones(2))
+    times = CheckpointTimes(t1=1.0, gap=1.0, k=3)
+    stat = make_clamped_coordinate(np.zeros(2))
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        variance_bias_experiment(quad, times, stat, trials=2**31)
+    data = synth_classification(40, 2, num_classes=2, separation=2.0, seed=5)
+    model = LogisticLoss.for_data(data, l2_reg=0.5, radius=1.0)
+    # ceil(1.0 * m / 1e-10) steps in the first segment alone exceed 2**32
+    fine = LDConfig(model=model, theta_start=np.zeros(2), eta=1e-10)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        variance_bias_experiment(fine, times, stat, trials=100, data=data)
+
+
+def _chunked_oracle_reference(theta_star, sigma, statistic, samples, seed):
+    """stationary_oracle_V as a fresh (chunk, p) draw per chunk and centered**4."""
+    center = np.asarray(theta_star, dtype=np.float64)
+    gen = step_generator(seed, STREAM_ORACLE, 0)
+    values = np.empty(samples)
+    done = 0
+    while done < samples:
+        count = min(100_000, samples - done)
+        draws = center + sigma * gen.standard_normal((count, center.size))
+        values[done : done + count] = statistic.evaluate_batch(draws)
+        done += count
+    v = float(np.var(values, ddof=1))
+    centered = values - values.mean()
+    m4 = float(np.mean(centered**4))
+    return v, math.sqrt(max(0.0, m4 - v * v) / samples)
+
+
+@pytest.mark.parametrize(
+    "make_stat", [make_clamped_coordinate, make_sign_coordinate, make_clamped_norm_excess]
+)
+def test_stationary_oracle_matches_chunked_reference(make_stat):
+    center = np.array([0.3, -1.0, 2.0])
+    stat = make_stat(center)
+    # 250_000 ends on a partial chunk
+    v, se = stationary_oracle_V(center, 1.3, stat, samples=250_000, seed=6)
+    ref_v, ref_se = _chunked_oracle_reference(center, 1.3, stat, 250_000, 6)
+    assert v == ref_v
+    assert se == pytest.approx(ref_se, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

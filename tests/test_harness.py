@@ -585,7 +585,7 @@ def test_cli_seed_flag_changes_derived_runs(tmp_path):
 
 
 def _no_training(*args, **kwargs):
-    raise AssertionError("a trainer ran before the config was rejected")
+    raise AssertionError("a trainer or simulation ran before the config was rejected")
 
 
 @pytest.mark.parametrize(
@@ -607,12 +607,33 @@ def _no_training(*args, **kwargs):
          "checkpoint_every"),
         ("train", "train.mode = theoretical\ntrain.steps = 5\nseeds = 1, 2, 3\n", "seeds"),
         ("uq", "task = uq_compare\nuq.k_values = 1\n", "k must be at least 2"),
+        ("uq", "task = uq_compare\nuq.k_values =\n", "uq.k_values"),
+        ("uq", "task = uq_compare\nuq.epsilons =\n", "uq.epsilons"),
+        ("uq", "task = uq_compare\nuq.epsilons = 0\n", "epsilon must be positive"),
+        ("train", "train.mode = theoretical\ntrain.rho = 0\n", "rho > 0"),
+        ("report", "task = risk_compare\ntrain.rho = 0\n", "rho > 0"),
+        ("train", "train.mode = theoretical\ntrain.steps = 0\n", "num_steps"),
+        ("dpld-bias", "task = dpld_bias\ndpld.points = 20:20, 0:1\n", "t1 must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.points = 1:-1\n", "gap must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.k = 1\n", "k must be at least 2"),
+        ("dpld-bias", "task = dpld_bias\ndpld.sigma = 0\n", "sigma must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.eta = 0\n", "eta must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.dim = 0\n", "dpld.dim"),
+        ("dpld-bias", "task = dpld_bias\ndpld.c_constant = 0\n", "c_constant must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.delta_target = 1\n", "delta_target must be in"),
+        ("dpld-bias", "task = dpld_bias\ndpld.oracle_samples = 99999\n",
+         "dpld.oracle_samples"),
+        ("dpld-bias", "task = dpld_bias\ndpld.trials = 2147483648\n", "dpld.trials"),
     ],
     ids=[
         "risk_compare-every", "aggregate_eval-batch", "k_sweep-eta", "pds_eval-clip",
         "pds_eval-no-beta", "pds_eval-no-k", "pds_eval-one-checkpoint", "train-practical-batch",
         "train-practical-every", "train-practical-num_seeds", "train-theoretical-every",
-        "train-theoretical-seeds", "uq_compare-k1",
+        "train-theoretical-seeds", "uq_compare-k1", "uq_compare-no-k", "uq_compare-no-eps",
+        "uq_compare-eps0", "train-theoretical-rho0", "risk_compare-rho0",
+        "train-theoretical-steps0", "dpld_bias-t1", "dpld_bias-gap", "dpld_bias-k1",
+        "dpld_bias-sigma", "dpld_bias-eta", "dpld_bias-dim", "dpld_bias-c", "dpld_bias-delta",
+        "dpld_bias-oracle", "dpld_bias-trials",
     ],
 )
 def test_cli_unfinishable_config_exits_2_before_training(
@@ -620,6 +641,7 @@ def test_cli_unfinishable_config_exits_2_before_training(
 ):
     for name in ("dp_sgd_practical", "dp_sgd_theoretical", "dp_sgd_theoretical_runs"):
         monkeypatch.setattr(experiments.trainer, name, _no_training)
+    monkeypatch.setattr(experiments.dpld, "variance_bias_experiment", _no_training)
     cfg = _write_cfg(tmp_path, lines)
     out = str(tmp_path / "out")
     assert cli.main([command, "--config", cfg, "--out", out]) == 2
