@@ -188,8 +188,7 @@ def aggregation_accuracy(
     train_tag: str | None = None,
 ) -> float:
     """Accuracy on eval_data after applying one aggregation to a run."""
-    params = record.checkpoint_params()
-    steps = np.array([c.step for c in record.checkpoints])
+    params, steps = record.params, record.steps
     if spec.kind in ("opa", "omv"):
         if spec.k > len(params):
             raise ValueError(f"k={spec.k} exceeds the {len(params)} checkpoints")
@@ -463,7 +462,7 @@ def run_single_training(view: ConfigView, out_dir: str, master_seed: int, worker
     trainer.save_run(record, out_dir)
     rows = [
         ResultRow("final_train_loss", float(record.metrics[-1, 0]), math.nan, 1),
-        ResultRow("num_checkpoints", float(len(record.checkpoints)), math.nan, 1),
+        ResultRow("num_checkpoints", float(len(record.steps)), math.nan, 1),
     ]
     return ResultTable(rows)
 
@@ -478,8 +477,7 @@ def _risk_group_worker(args):
     records = trainer.dp_sgd_theoretical_runs(model, data, configs, rho=rho, delta=delta)
     out = []
     for record in records:
-        params = record.checkpoint_params()
-        steps = [c.step for c in record.checkpoints]
+        params, steps = record.params, record.steps
         thetas = [params[-1]] + [aggregate.combine(spec, params, steps) for spec in specs]
         excess = model.loss_full(np.array(thetas), data) - min_loss
         labels = ["last"] + [spec.label() for spec in specs]
@@ -551,7 +549,7 @@ def _train_and_score_worker(args):
         model, parts["train"], config, z, delta=delta, eval_data=eval_data
     )
     target = parts[eval_part]
-    out = {"last": accuracy(model, record.final_params(), target)}
+    out = {"last": accuracy(model, record.params[-1], target)}
     for spec in specs:
         out[spec.label()] = aggregation_accuracy(
             spec, record, model, target, heldout=parts["heldout"], train_tag="train"
@@ -660,8 +658,7 @@ def _pds_seed_worker(args):
     record = trainer.dp_sgd_practical(
         model, parts["train"], config, z, delta=delta, eval_data=eval_data
     )
-    params = record.checkpoint_params()
-    steps = [c.step for c in record.checkpoints]
+    params, steps = record.params, record.steps
 
     def spec_window_accuracy(spec: AggregationSpec, part: DatasetHandle) -> float:
         # Score by the trailing-window mean, not the final value: under a
@@ -773,9 +770,7 @@ def _uq_seed_worker(args):
             ind = replace(ck, method="independent_runs")
             # per-input widths of the first run's last k checkpoints; their
             # mean is the checkpoint method's width
-            w_ck = uncertainty.uq_widths(
-                [c.params for c in runs[0].checkpoints[-ck.k:]], model, test_inputs, ck
-            )
+            w_ck = uncertainty.uq_widths(runs[0].params[-ck.k :], model, test_inputs, ck)
             w_ind = uncertainty.uq_from_independent_runs(
                 runs, model, test_inputs, ind, selection_seed=outer_seed
             )

@@ -19,6 +19,10 @@ Both modes take their noise from the one path: rng.gaussian_steps,
 which draws a chunk of steps at a time and equals the per-step
 rng.gaussian_vector(seed, STREAM_NOISE, t, dim) bit for bit.
 
+A run is its checkpoints: RunRecord holds the (K, p) float64 checkpoint
+matrix and its (K,) step vector, the (params, steps) pair the aggregators
+read, and save_run/load_run write and read that matrix as it is.
+
 Runs are deterministic functions of (model, data, config): all noise,
 batch selection, and initialization draws are addressed by
 (seed, stream, step) through the counter-based generator in rng.py, so
@@ -28,7 +32,6 @@ concurrent runs can never perturb each other.
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,22 +122,33 @@ class Checkpoint:
 
 @dataclass
 class RunRecord:
+    """One run: the (K, p) checkpoint matrix, its (K,) steps, and metrics.
+
+    Row i of params is theta after step steps[i]; metrics has one row per step.
+    """
+
     config: TrainerConfig
     budget: PrivacyBudget
-    checkpoints: list[Checkpoint]
+    params: np.ndarray  # (K, p) float64, one row per checkpoint
+    steps: np.ndarray  # (K,) checkpoint steps
     metrics: np.ndarray  # (num_steps, 2): train_loss, eval_acc (nan if unset)
-    seed: int
 
     @property
-    def steps(self) -> np.ndarray:
-        return np.arange(1, self.config.num_steps + 1)
+    def seed(self) -> int:
+        return self.config.seed
+
+    # Kept because the benchmark's reload check and AC9 read them; the
+    # package itself reads params and steps directly.
+    @property
+    def checkpoints(self) -> list[Checkpoint]:
+        return [Checkpoint(int(t), row) for t, row in zip(self.steps, self.params)]
 
     def checkpoint_params(self) -> np.ndarray:
-        """The (K, p) float64 matrix of checkpoint parameters, one row per step."""
-        return np.array([c.params for c in self.checkpoints], dtype=np.float64)
+        """A copy of the (K, p) checkpoint matrix."""
+        return self.params.copy()
 
     def final_params(self) -> np.ndarray:
-        return self.checkpoints[-1].params
+        return self.params[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +192,6 @@ def checkpoint_steps(num_steps: int, every: int) -> list[int]:
     if not steps or steps[-1] != num_steps:
         steps.append(num_steps)
     return steps
-
-
-def _eval_acc(model, theta, eval_data) -> float:
-    if eval_data is None:
-        return math.nan
-    return accuracy(model, theta, eval_data)
 
 
 def dp_sgd_theoretical(
@@ -236,7 +244,7 @@ def dp_sgd_theoretical_runs(
 
     theta = np.zeros((len(seeds), dim))
     ckpts = np.empty((len(seeds), len(ckpt_steps), dim))
-    metrics = np.empty((len(seeds), T, 2))
+    metrics = np.full((len(seeds), T, 2), math.nan)
     noise = rng.gaussian_steps(seeds, rng.STREAM_NOISE, T, dim) if noise_std > 0 else None
     for t in range(1, T + 1):
         g = model.grad_full(theta, data)
@@ -247,20 +255,13 @@ def dp_sgd_theoretical_runs(
         if not np.all(np.isfinite(loss)):
             raise NumericDivergenceError("training loss became non-finite", step=t)
         metrics[:, t - 1, 0] = loss
-        metrics[:, t - 1, 1] = [_eval_acc(model, row, eval_data) for row in theta]
+        if eval_data is not None:
+            metrics[:, t - 1, 1] = [accuracy(model, row, eval_data) for row in theta]
         if t in ckpt_index:
             ckpts[:, ckpt_index[t]] = theta
     budget = PrivacyBudget.from_rho(rho, delta)
-    return [
-        RunRecord(
-            c,
-            budget,
-            [Checkpoint(step, ckpts[s, i]) for i, step in enumerate(ckpt_steps)],
-            metrics[s],
-            c.seed,
-        )
-        for s, c in enumerate(configs)
-    ]
+    steps = np.array(ckpt_steps)
+    return [RunRecord(c, budget, ckpts[s], steps, metrics[s]) for s, c in enumerate(configs)]
 
 
 def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -301,11 +302,12 @@ def dp_sgd_practical(
         rho_total = math.inf
     else:
         raise ValueError("noise_multiplier must be nonnegative")
-    ckpt_steps = set(checkpoint_steps(T, config.resolved_checkpoint_every()))
+    ckpt_steps = checkpoint_steps(T, config.resolved_checkpoint_every())
+    ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
 
     theta = 0.02 * rng.uniform_vector(config.seed, rng.STREAM_INIT, 0, dim) - 0.01
-    checkpoints: list[Checkpoint] = []
-    metrics = np.empty((T, 2))
+    params = np.empty((len(ckpt_steps), dim))
+    metrics = np.full((T, 2), math.nan)
     noise = None
     if mean_noise_std > 0:
         noise = rng.gaussian_steps([config.seed], rng.STREAM_NOISE, T, dim)
@@ -326,11 +328,12 @@ def dp_sgd_practical(
         if not math.isfinite(loss) or not np.all(np.isfinite(theta)):
             raise NumericDivergenceError("training loss became non-finite", step=t)
         metrics[t - 1, 0] = loss
-        metrics[t - 1, 1] = _eval_acc(model, theta, eval_data)
-        if t in ckpt_steps:
-            checkpoints.append(Checkpoint(t, theta.copy()))
+        if eval_data is not None:
+            metrics[t - 1, 1] = accuracy(model, theta, eval_data)
+        if t in ckpt_index:
+            params[ckpt_index[t]] = theta
     budget = PrivacyBudget.from_rho(rho_total, delta)
-    return RunRecord(config, budget, checkpoints, metrics, config.seed)
+    return RunRecord(config, budget, params, np.array(ckpt_steps), metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +422,14 @@ def save_run(record: RunRecord, run_dir: str) -> None:
             "epsilon": _num_out(record.budget.epsilon),
         },
         "seed": record.seed,
-        "dim": len(record.checkpoints[-1].params),
-        "checkpoint_steps": [c.step for c in record.checkpoints],
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "dim": record.params.shape[1],
+        "checkpoint_steps": record.steps.tolist(),
     }
     with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    stacked = np.stack([c.params for c in record.checkpoints])
     with open(os.path.join(run_dir, "checkpoints.bin"), "wb") as fh:
-        fh.write(np.ascontiguousarray(stacked, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(record.params, dtype="<f8").tobytes())
     with open(os.path.join(run_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,train_loss,eval_acc\n")
         for t in range(cfg.num_steps):
@@ -457,17 +458,30 @@ def load_run(run_dir: str) -> RunRecord:
         delta=float(manifest["budget"]["delta"]),
         epsilon=float(manifest["budget"]["epsilon"]),
     )
-    steps = manifest["checkpoint_steps"]
+    steps = np.array(manifest["checkpoint_steps"])
     dim = manifest["dim"]
-    raw = np.fromfile(os.path.join(run_dir, "checkpoints.bin"), dtype="<f8")
-    stacked = raw.reshape(len(steps), dim)
-    checkpoints = [Checkpoint(s, stacked[i].copy()) for i, s in enumerate(steps)]
-    metrics = np.full((config.num_steps, 2), math.nan)
-    with open(os.path.join(run_dir, "metrics.csv"), "r", encoding="utf-8") as fh:
+    bin_path = os.path.join(run_dir, "checkpoints.bin")
+    size, expected = os.path.getsize(bin_path), len(steps) * dim * 8
+    if size != expected:
+        raise ValueError(
+            f"{bin_path} holds {size} bytes, not the {expected} of "
+            f"{len(steps)} checkpoints of dim {dim}"
+        )
+    params = np.fromfile(bin_path, dtype="<f8").reshape(len(steps), dim)
+    metrics_path = os.path.join(run_dir, "metrics.csv")
+    rows = []
+    with open(metrics_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "step,train_loss,eval_acc":
-            raise ValueError(f"unexpected metrics header {header!r} in {run_dir}")
+            raise ValueError(f"unexpected header {header!r} in {metrics_path}")
         for line in fh:
             step_s, loss_s, acc_s = line.strip().split(",")
-            metrics[int(step_s) - 1] = (float(loss_s), float(acc_s))
-    return RunRecord(config, budget, checkpoints, metrics, manifest["seed"])
+            if int(step_s) != len(rows) + 1:
+                raise ValueError(
+                    f"{metrics_path} has step {step_s} where step {len(rows) + 1} "
+                    f"belongs; rows must be steps 1..{config.num_steps} in order"
+                )
+            rows.append((float(loss_s), float(acc_s)))
+    if len(rows) != config.num_steps:
+        raise ValueError(f"{metrics_path} has {len(rows)} step rows, not {config.num_steps}")
+    return RunRecord(config, budget, params, steps, np.array(rows))

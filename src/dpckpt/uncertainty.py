@@ -250,12 +250,9 @@ def uq_from_checkpoints(
     config: UQConfig,
 ) -> float:
     """Average width using the last k checkpoints of a single run."""
-    if len(run.checkpoints) < config.k:
-        raise ValueError(
-            f"run has {len(run.checkpoints)} checkpoints, need {config.k}"
-        )
-    thetas = [c.params for c in run.checkpoints[-config.k :]]
-    return uq_average_width(thetas, model, test_inputs, config)
+    if len(run.params) < config.k:
+        raise ValueError(f"run has {len(run.params)} checkpoints, need {config.k}")
+    return uq_average_width(run.params[-config.k :], model, test_inputs, config)
 
 
 def uq_from_independent_runs(
@@ -273,7 +270,7 @@ def uq_from_independent_runs(
         raise ValueError("independent runs must carry distinct seeds")
     gen = rng.step_generator(selection_seed, rng.STREAM_SELECT, 0)
     chosen = gen.choice(len(runs), size=config.k, replace=False)
-    thetas = [runs[i].final_params() for i in sorted(chosen)]
+    thetas = [runs[i].params[-1] for i in sorted(chosen)]
     return uq_average_width(thetas, model, test_inputs, config)
 
 

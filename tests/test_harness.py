@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -649,6 +650,22 @@ def test_cli_unfinishable_config_exits_2_before_training(
     assert not os.path.exists(os.path.join(out, "status.json"))
 
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg")))
+def test_stock_configs_pass_their_checks(tmp_path, monkeypatch, name):
+    """Every shipped config passes validation and reaches its first compute call."""
+    for fn in ("dp_sgd_practical", "dp_sgd_theoretical", "dp_sgd_theoretical_runs"):
+        monkeypatch.setattr(experiments.trainer, fn, _no_training)
+    monkeypatch.setattr(experiments.dpld, "variance_bias_experiment", _no_training)
+    path = os.path.join(CONFIG_DIR, name)
+    command = cli._subcommand_for(normalize_task(load_config(path)["task"]))
+    out = str(tmp_path / "out")
+    with pytest.raises(AssertionError, match="ran before the config was rejected"):
+        cli.main([command, "--config", path, "--out", out, "--workers", "1"])
+
+
 SCORED_TINY = "train.steps = 12\ntrain.batch_size = 16\nnum_seeds = 2\ndata.n = 300\ndata.p = 4\n"
 
 
@@ -684,3 +701,17 @@ def test_per_step_accuracy_only_for_saved_runs(tmp_path, monkeypatch, lines, sav
             rows = list(csv.DictReader(fh))
         assert len(rows) == 12
         assert all(0.0 <= float(r["eval_acc"]) <= 1.0 for r in rows)
+
+
+def test_saved_runs_replay_byte_for_byte(tmp_path, monkeypatch):
+    text = "task = aggregate_eval\nagg.list = ema:0.9\n" + SCORED_TINY + "save_runs = true\n"
+    trees = []
+    for stamp in ("2001-01-01T00:00:00+0000", "2030-06-15T12:34:56+0200"):
+        monkeypatch.setattr(time, "strftime", lambda *args, stamp=stamp: stamp)
+        runs = tmp_path / stamp[:4] / "runs"
+        run_experiment(ConfigView(parse_config_text(text)), str(runs.parent), workers=1)
+        trees.append({
+            str(f.relative_to(runs)): f.read_bytes() for f in sorted(runs.rglob("*")) if f.is_file()
+        })
+    assert len(trees[0]) == 6
+    assert trees[0] == trees[1]

@@ -1,6 +1,8 @@
 """Both trainers, step schedules, projection, clipping, and run IO."""
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -530,16 +532,110 @@ def test_save_load_infinite_budget(tmp_path, practical_setup):
     assert back.budget.epsilon == math.inf
 
 
+def test_save_run_ignores_the_clock(tmp_path, practical_setup, monkeypatch):
+    model, data = practical_setup
+    config = TrainerConfig("practical", 6, EtaSchedule("constant", 0.1), batch_size=8, seed=3)
+    record = dp_sgd_practical(model, data, config, noise_multiplier=1.0)
+    run_dirs = []
+    for stamp in ("2001-01-01T00:00:00+0000", "2030-06-15T12:34:56+0200"):
+        monkeypatch.setattr(time, "strftime", lambda *args, stamp=stamp: stamp)
+        run_dirs.append(tmp_path / stamp[:4])
+        save_run(record, str(run_dirs[-1]))
+    for name in ("manifest.json", "checkpoints.bin", "metrics.csv"):
+        assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes()
+
+
+def _rewrite_metrics(edit):
+    def corrupt(run_dir):
+        path = os.path.join(run_dir, "metrics.csv")
+        with open(path) as fh:
+            header, *rows = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join([header] + edit(rows)) + "\n")
+
+    return corrupt
+
+
+def _resize_bin(delta_bytes):
+    def corrupt(run_dir):
+        path = os.path.join(run_dir, "checkpoints.bin")
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) + delta_bytes)
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, name",
+    [
+        (_resize_bin(-8), "checkpoints.bin"),
+        (_resize_bin(8), "checkpoints.bin"),
+        (_rewrite_metrics(lambda rows: ["0" + rows[0][1:]] + rows[1:]), "metrics.csv"),
+        (_rewrite_metrics(lambda rows: rows[:2] + rows[3:]), "metrics.csv"),
+        (_rewrite_metrics(lambda rows: rows[:2] + rows[1:]), "metrics.csv"),
+    ],
+    ids=["truncated-bin", "extended-bin", "step-0-row", "missing-row", "duplicate-row"],
+)
+def test_load_run_rejects_corrupt_run_dirs(tmp_path, practical_setup, corrupt, name):
+    model, data = practical_setup
+    config = TrainerConfig(
+        "practical", 4, EtaSchedule("constant", 0.1), batch_size=8, checkpoint_every=2
+    )
+    run_dir = str(tmp_path / "run")
+    save_run(dp_sgd_practical(model, data, config, noise_multiplier=1.0), run_dir)
+    load_run(run_dir)  # intact before the corruption
+    corrupt(run_dir)
+    with pytest.raises(ValueError) as exc:
+        load_run(run_dir)
+    assert os.path.join(run_dir, name) in str(exc.value)
+
+
+def test_kept_accessors_agree_with_the_checkpoint_matrix(tmp_path, practical_setup):
+    """checkpoints, checkpoint_params() and final_params() read params/steps."""
+    model, data = practical_setup
+    records = [
+        dp_sgd_theoretical(
+            model, data,
+            TrainerConfig("theoretical", 9, EtaSchedule("inverse_sqrt", 0.4),
+                          checkpoint_every=4, seed=3),
+            rho=0.5,
+        ),
+        dp_sgd_practical(
+            model, data,
+            TrainerConfig("practical", 9, EtaSchedule("constant", 0.2), batch_size=16,
+                          checkpoint_every=4, seed=3),
+            noise_multiplier=1.0,
+        ),
+    ]
+    for i, record in enumerate(list(records)):
+        save_run(record, str(tmp_path / f"run{i}"))
+        back = load_run(str(tmp_path / f"run{i}"))
+        assert back.params.tobytes() == record.params.tobytes()
+        records.append(back)
+    for record in records:
+        assert record.params.dtype == np.float64
+        assert record.params.shape == (3, model.param_dim())
+        assert record.steps.tolist() == [4, 8, 9]
+        ckpts = record.checkpoints
+        assert [c.step for c in ckpts] == [4, 8, 9]
+        assert all(type(c.step) is int and isinstance(c, Checkpoint) for c in ckpts)
+        assert all(c.params.tobytes() == row.tobytes() for c, row in zip(ckpts, record.params))
+        copy = record.checkpoint_params()
+        assert copy.tobytes() == record.params.tobytes()
+        assert not np.shares_memory(copy, record.params)
+        assert record.final_params().tobytes() == record.params[-1].tobytes()
+
+
 def test_run_record_accessors():
-    ckpts = [Checkpoint(2, np.array([1.0])), Checkpoint(4, np.array([2.0]))]
     record = RunRecord(
         TrainerConfig("theoretical", 4, EtaSchedule("constant", 0.1), checkpoint_every=2),
         budget=None,
-        checkpoints=ckpts,
+        params=np.array([[1.0], [2.0]]),
+        steps=np.array([2, 4]),
         metrics=np.zeros((4, 2)),
-        seed=0,
     )
-    assert np.array_equal(record.steps, [1, 2, 3, 4])  # metric rows, one per step
+    assert np.array_equal(record.steps, [2, 4])  # checkpoint steps, one per row
+    assert record.seed == 0
     assert [c.step for c in record.checkpoints] == [2, 4]
     assert np.array_equal(record.checkpoint_params()[1], [2.0])
     assert np.array_equal(record.final_params(), [2.0])

@@ -14,7 +14,7 @@ import scipy.stats
 
 from dpckpt.model import DatasetHandle
 from dpckpt.rng import STREAM_TRIAL, step_generator
-from dpckpt.trainer import Checkpoint, EtaSchedule, RunRecord, TrainerConfig
+from dpckpt.trainer import EtaSchedule, RunRecord, TrainerConfig
 from dpckpt.uncertainty import (
     CIReport,
     UQConfig,
@@ -239,15 +239,13 @@ def test_uq_config_validation():
 
 
 def _fake_run(seed: int, final: np.ndarray, count: int = 6) -> RunRecord:
-    ckpts = [
-        Checkpoint(step, final * (0.5 + 0.1 * step)) for step in range(1, count + 1)
-    ]
+    steps = np.arange(1, count + 1)
     return RunRecord(
         TrainerConfig("practical", count, EtaSchedule("constant", 0.1), checkpoint_every=1, seed=seed),
         budget=None,
-        checkpoints=ckpts,
+        params=final * (0.5 + 0.1 * steps[:, None]),
+        steps=steps,
         metrics=np.zeros((count, 2)),
-        seed=seed,
     )
 
 
