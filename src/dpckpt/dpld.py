@@ -32,6 +32,7 @@ import numpy as np
 from . import rng
 from .errors import NumericDivergenceError
 from .model import DatasetHandle, LossModel, QuadraticLoss
+from .trainer import minimize_loss
 
 _ORACLE_CHUNK = 100_000
 MIN_TRIALS = 100
@@ -247,7 +248,6 @@ def stationary_oracle_V(
     sigma: float,
     statistic: Statistic,
     samples: int,
-    gen: Optional[np.random.Generator] = None,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Monte-Carlo Var[f(theta)] under the stationary law N(theta*, sigma^2 I).
@@ -258,8 +258,7 @@ def stationary_oracle_V(
     if samples < MIN_ORACLE_SAMPLES:
         raise ValueError("oracle needs at least 1e5 samples")
     center = np.asarray(theta_star, dtype=np.float64)
-    if gen is None:
-        gen = rng.step_generator(seed, rng.STREAM_ORACLE, 0)
+    gen = rng.step_generator(seed, rng.STREAM_ORACLE, 0)
     values = np.empty(samples, dtype=np.float64)
     chunk = np.empty((min(_ORACLE_CHUNK, samples), center.size), dtype=np.float64)
     done = 0
@@ -307,18 +306,11 @@ class VarianceBiasReport:
 def _quadratic_center(model: LossModel, data: Optional[DatasetHandle]) -> np.ndarray:
     if isinstance(model, QuadraticLoss):
         return model.center.copy()
-    # smooth strongly convex fallback: locate the minimizer by gradient descent
+    # smooth strongly convex fallback: unconstrained gradient descent at step
+    # 1/M until a step moves theta by less than 1e-12
     if model.strong_convexity <= 0 or model.smoothness <= 0:
         raise ValueError("model must be strongly convex and smooth")
-    theta = np.zeros(model.param_dim(), dtype=np.float64)
-    step = 1.0 / model.smoothness
-    for _ in range(200_000):
-        grad = model.grad_full(theta, data)
-        nxt = theta - step * grad
-        if np.linalg.norm(nxt - theta) < 1e-12:
-            return nxt
-        theta = nxt
-    raise RuntimeError("minimizer search did not converge")
+    return minimize_loss(model, data, math.inf, max_steps=200_000, tol=1e-12 * model.smoothness)
 
 
 def _trial_normals(seed: int, trials: int, dim: int, event: int) -> np.ndarray:

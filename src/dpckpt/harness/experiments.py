@@ -12,6 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -297,19 +298,47 @@ def _resolve_seeds(view: ConfigView, master_seed: int, default_count: int) -> li
     return [derive_run_seed(master_seed, i) for i in range(count)]
 
 
+@contextmanager
+def _config_errors(what: str, key: str | None = None):
+    """Turn a ValueError raised in the block (a library object rejecting a
+    value read from the config) into the ConfigError "bad <what>: <reason>"
+    for key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}", key=key) from None
+
+
+def _read_delta(view: ConfigView) -> float:
+    with _config_errors("privacy setting", "train.delta"):
+        return privacy.check_delta(view.get_float("train.delta", 1e-5))
+
+
 def _dataset_from_view(
     view: ConfigView, n: int, p: int, classes: int, separation: float, seed: int
 ) -> DatasetHandle:
     csv_path = view.get_str("data.csv", None)
     if csv_path is not None:
         return load_csv(csv_path)
-    return synth_classification(
-        n=view.get_int("data.n", n),
-        p=view.get_int("data.p", p),
-        num_classes=view.get_int("data.classes", classes),
-        separation=view.get_float("data.separation", separation),
-        seed=view.get_int("data.seed", seed),
-    )
+    with _config_errors("data setting (data.n, data.p, data.classes, data.separation)"):
+        return synth_classification(
+            n=view.get_int("data.n", n),
+            p=view.get_int("data.p", p),
+            num_classes=view.get_int("data.classes", classes),
+            separation=view.get_float("data.separation", separation),
+            seed=view.get_int("data.seed", seed),
+        )
+
+
+def _logistic_model(data: DatasetHandle, l2_reg: float, radius: float) -> LogisticLoss:
+    with _config_errors("model setting"):
+        return LogisticLoss.for_data(data, l2_reg=l2_reg, radius=radius)
+
+
+def _grid_specs(kind: str, param: str, values: Sequence, key: str) -> list[AggregationSpec]:
+    """One spec of the given kind per grid value, passed as its param."""
+    with _config_errors("grid value", key):
+        return [AggregationSpec(kind, **{param: v}) for v in values]
 
 
 def _write_json(path: str, payload) -> None:
@@ -364,10 +393,8 @@ def _trainer_configs(seeds: Sequence[int], eta: tuple[str, float], **fields):
     TrainerConfig or its EtaSchedule (kind, value) rejects becomes a config
     error here, before any training starts.
     """
-    try:
+    with _config_errors("trainer setting"):
         template = trainer.TrainerConfig(eta=trainer.EtaSchedule(*eta), **fields)
-    except ValueError as exc:
-        raise ConfigError(f"bad trainer setting: {exc}") from None
     return [replace(template, seed=s) for s in seeds]
 
 
@@ -381,12 +408,10 @@ def _theoretical_configs(
     theorem schedule for the noise that rho calibrates over T steps. A
     rho or steps that the calibration rejects is a config error.
     """
-    try:
+    with _config_errors("trainer setting"):
         steps = trainer.choose_T(n, rho) if steps is None else steps
         noise = privacy.calibrate_theoretical(model.lipschitz, steps, n, rho)
-    except ValueError as exc:
-        raise ConfigError(f"bad trainer setting: {exc}") from None
-    eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
+        eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
     return _trainer_configs(
         seeds,
         (eta.kind, eta.value),
@@ -399,10 +424,10 @@ def _theoretical_configs(
 
 def _practical_configs(
     view: ConfigView, seeds: Sequence[int], steps: int, eta: float, batch: int, every: int | None
-) -> list["trainer.TrainerConfig"]:
-    """Configs of seeded practical runs; the arguments after seeds are the
-    defaults of the train.* keys."""
-    return _trainer_configs(
+) -> tuple[list["trainer.TrainerConfig"], float]:
+    """Configs of seeded practical runs and their noise multiplier; the
+    arguments after seeds are the defaults of the train.* keys."""
+    configs = _trainer_configs(
         seeds,
         ("constant", view.get_float("train.eta", eta)),
         mode="practical",
@@ -411,6 +436,10 @@ def _practical_configs(
         batch_size=view.get_int("train.batch_size", batch),
         checkpoint_every=view.get_int("train.checkpoint_every", every),
     )
+    z = view.get_float("train.noise_multiplier", 1.0)
+    with _config_errors("trainer setting", "train.noise_multiplier"):
+        trainer.practical_noise(configs[0], z)
+    return configs, z
 
 
 def _contiguous_groups(items: list, parts: int) -> list[list]:
@@ -430,7 +459,7 @@ def _save_runs(records, out_dir: str) -> None:
 
 def run_single_training(view: ConfigView, out_dir: str, master_seed: int, workers: int):
     mode = view.get_str("train.mode", "practical")
-    delta = view.get_float("train.delta", 1e-5)
+    delta = _read_delta(view)
     radius = view.get_float("train.radius", 1.0)
     l2 = view.get_float("train.l2_reg", 0.0)
     seeds = _resolve_seeds(view, master_seed, 1)
@@ -441,7 +470,7 @@ def run_single_training(view: ConfigView, out_dir: str, master_seed: int, worker
         )
     data = _dataset_from_view(view, n=1000, p=10, classes=2, separation=2.0, seed=7)
     data = data.subset(np.arange(data.n), tag="train")
-    model = LogisticLoss.for_data(data, l2_reg=l2, radius=radius)
+    model = _logistic_model(data, l2, radius)
 
     if mode == "theoretical":
         rho = view.get_float("train.rho", 0.5)
@@ -451,8 +480,7 @@ def run_single_training(view: ConfigView, out_dir: str, master_seed: int, worker
         view.ensure_all_used()
         record = trainer.dp_sgd_theoretical(model, data, config, rho=rho, delta=delta)
     elif mode == "practical":
-        z = view.get_float("train.noise_multiplier", 1.0)
-        (config,) = _practical_configs(view, seeds, 200, 0.1, 32, None)
+        (config,), z = _practical_configs(view, seeds, 200, 0.1, 32, None)
         _check_batch_fits(config, data)
         view.ensure_all_used()
         record = trainer.dp_sgd_practical(model, data, config, z, delta=delta)
@@ -487,7 +515,7 @@ def _risk_group_worker(args):
 
 def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: int):
     rho = view.get_float("train.rho", 0.5)
-    delta = view.get_float("train.delta", 1e-5)
+    delta = _read_delta(view)
     radius = view.get_float("train.radius", 2.0)
     l2 = view.get_float("train.l2_reg", 1.0)
     steps_cfg = view.get_int("train.steps", None)
@@ -513,7 +541,7 @@ def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: 
         )
     view.ensure_all_used()
 
-    model = LogisticLoss.for_data(data, l2_reg=l2, radius=radius)
+    model = _logistic_model(data, l2, radius)
     configs = _theoretical_configs(model, data.n, rho, radius, seeds, steps_cfg, every)
     _check_k_fits(specs, configs[0], "agg.list")
     min_loss = trainer.min_loss_in_ball(model, data, radius)
@@ -566,10 +594,9 @@ def _practical_setup(
 ):
     """Shared data/model/config keys of the practical-trainer tasks:
     (model, partitions, one config per seed, noise multiplier, delta)."""
-    delta = view.get_float("train.delta", 1e-5)
+    delta = _read_delta(view)
     l2 = view.get_float("train.l2_reg", 0.0)
-    z = view.get_float("train.noise_multiplier", 1.0)
-    configs = _practical_configs(view, seeds, default_steps, default_eta, 128, 1)
+    configs, z = _practical_configs(view, seeds, default_steps, default_eta, 128, 1)
     data = _dataset_from_view(
         view, n=5000, p=20, classes=10, separation=default_separation, seed=11
     )
@@ -580,7 +607,7 @@ def _practical_setup(
         heldout_fraction=view.get_float("data.heldout_fraction", 0.1),
         test_fraction=view.get_float("data.test_fraction", 0.1),
     )
-    model = LogisticLoss.for_data(parts["train"], l2_reg=l2, radius=1.0)
+    model = _logistic_model(parts["train"], l2, 1.0)
     return model, parts, configs, z, delta
 
 
@@ -637,7 +664,7 @@ def run_ema_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int
     betas = view.get_float_list("sweep.betas", list(DEFAULT_BETA_GRID))
     if not betas:
         raise ConfigError("beta grid is empty", key="sweep.betas")
-    specs = [AggregationSpec("ema", beta=b) for b in betas]
+    specs = _grid_specs("ema", "beta", betas, "sweep.betas")
     return _run_sweep(view, out_dir, master_seed, workers, specs, "sweep.betas")
 
 
@@ -645,7 +672,7 @@ def run_k_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int):
     ks = view.get_int_list("sweep.ks", list(DEFAULT_K_GRID))
     if not ks:
         raise ConfigError("k grid is empty", key="sweep.ks")
-    specs = [AggregationSpec("upa_k", k=k) for k in ks]
+    specs = _grid_specs("upa_k", "k", ks, "sweep.ks")
     return _run_sweep(view, out_dir, master_seed, workers, specs, "sweep.ks")
 
 
@@ -699,8 +726,8 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
         raise ConfigError("window fraction must be in (0, 1]", key="stability.window_fraction")
     num_ckpts = _num_checkpoints(configs[0])
     window = max(2, int(round(window_fraction * num_ckpts)))
-    beta_specs = [AggregationSpec("ema", beta=b) for b in beta_grid]
-    k_specs = [AggregationSpec("upa_k", k=k) for k in k_grid if k <= num_ckpts]
+    beta_specs = _grid_specs("ema", "beta", beta_grid, "agg.beta_grid")
+    k_specs = _grid_specs("upa_k", "k", [k for k in k_grid if k <= num_ckpts], "agg.k_grid")
     if window > num_ckpts:
         raise ConfigError(
             f"the stability window of {window} checkpoints exceeds the {num_ckpts} "
@@ -715,11 +742,12 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
     train = parts["train"]
     even = np.flatnonzero(train.labels % 2 == 0)
     odd = np.flatnonzero(train.labels % 2 == 1)
-    schedule = DiurnalSchedule(
-        period=period,
-        source_a=train.subset(even, tag="source_even"),
-        source_b=train.subset(odd, tag="source_odd"),
-    )
+    with _config_errors("diurnal schedule", "pds.period"):
+        schedule = DiurnalSchedule(
+            period=period,
+            source_a=train.subset(even, tag="source_even"),
+            source_b=train.subset(odd, tag="source_odd"),
+        )
     eval_data = parts["test"] if save_runs else None
     args = [
         (model, parts, replace(c, diurnal=schedule), z, delta, beta_specs, k_specs, window,
@@ -779,7 +807,7 @@ def _uq_seed_worker(args):
 
 
 def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: int):
-    delta = view.get_float("train.delta", 1e-5)
+    delta = _read_delta(view)
     radius = view.get_float("train.radius", 2.0)
     l2 = view.get_float("train.l2_reg", 0.05)
     eps_list = view.get_float_list("uq.epsilons", [1.0, 8.0])
@@ -801,17 +829,15 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
         raise ConfigError("k list is empty", key="uq.k_values")
     if pool < max(k_list):
         raise ConfigError("pool must hold at least max(k) runs", key="uq.pool_runs")
-    try:
+    with _config_errors("privacy setting"):
         rhos = [privacy.epsilon_to_zcdp(e, delta) for e in eps_list]
-    except ValueError as exc:
-        raise ConfigError(f"bad privacy setting: {exc}") from None
     shortest = min(trainer.choose_T(data.n, rho) for rho in rhos)
     if shortest < max(k_list):
         raise ConfigError(
             f"k={max(k_list)} exceeds the {shortest} checkpoints of the shortest run",
             key="uq.k_values",
         )
-    try:
+    with _config_errors("uq setting"):
         uq_configs = [
             uncertainty.UQConfig(
                 method="last_k_checkpoints",
@@ -822,11 +848,9 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
             )
             for k in k_list
         ]
-    except ValueError as exc:
-        raise ConfigError(f"bad uq setting: {exc}") from None
     view.ensure_all_used()
 
-    model = LogisticLoss.for_data(data, l2_reg=l2, radius=radius)
+    model = _logistic_model(data, l2, radius)
     test_inputs = synth_classification(
         num_inputs, data.p, data.num_classes, separation=2.0, seed=99
     ).features
@@ -921,7 +945,7 @@ def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int
 
     model = QuadraticLoss(np.zeros(dim))
     theta_start = np.full(dim, distance / math.sqrt(dim))
-    try:
+    with _config_errors("dpld setting"):
         config = dpld.LDConfig(
             model=model,
             theta_start=theta_start,
@@ -931,8 +955,6 @@ def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int
             delta_target=delta_target,
         )
         all_times = [dpld.CheckpointTimes(t1=t1, gap=gap, k=k) for t1, gap in points]
-    except ValueError as exc:
-        raise ConfigError(f"bad dpld setting: {exc}") from None
     args = [
         (config, times, stat_name, trials, derive_run_seed(master_seed, i), oracle_samples)
         for i, times in enumerate(all_times)

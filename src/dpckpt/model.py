@@ -311,6 +311,8 @@ class LogisticLoss(LossModel):
         The per-example gradient norm bound is max_i ||x_i|| + l2_reg * radius,
         valid as long as iterates stay in the radius ball.
         """
+        if not radius > 0:
+            raise ValueError("radius must be positive")
         norms = np.linalg.norm(data.features, axis=1)
         max_norm = float(norms.max())
         hess = 0.25 if data.num_classes == 2 else 0.5

@@ -36,10 +36,16 @@ class NoiseScale:
         return math.sqrt(self.variance_per_step)
 
 
-def zcdp_to_epsilon(rho: float, delta: float) -> float:
-    """epsilon = rho + 2*sqrt(rho*ln(1/delta)); rho = inf maps to inf."""
+def check_delta(delta: float) -> float:
+    """delta itself, if an (epsilon, delta) report can use it."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
+    return delta
+
+
+def zcdp_to_epsilon(rho: float, delta: float) -> float:
+    """epsilon = rho + 2*sqrt(rho*ln(1/delta)); rho = inf maps to inf."""
+    check_delta(delta)
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if math.isinf(rho):
@@ -49,8 +55,7 @@ def zcdp_to_epsilon(rho: float, delta: float) -> float:
 
 def epsilon_to_zcdp(epsilon: float, delta: float) -> float:
     """Inverse of zcdp_to_epsilon at fixed delta (exact, via the quadratic)."""
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_delta(delta)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     log_term = math.log(1.0 / delta)

@@ -271,6 +271,20 @@ def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     return grads * factors[:, None]
 
 
+def practical_noise(config: TrainerConfig, noise_multiplier: float) -> tuple[float, float]:
+    """(std of the noise on the mean clipped gradient, total rho) of a practical run.
+
+    rho is plain T-fold composition; noise_multiplier = 0 is noiseless SGD
+    with an infinite budget.
+    """
+    if noise_multiplier > 0:
+        scale, rho_step = calibrate_practical(config.clip_norm, noise_multiplier)
+        return scale.std / config.batch_size, compose_zcdp([rho_step] * config.num_steps)
+    if noise_multiplier == 0:
+        return 0.0, math.inf
+    raise ValueError("noise_multiplier must be nonnegative")
+
+
 def dp_sgd_practical(
     model: LossModel,
     data: DatasetHandle,
@@ -293,15 +307,7 @@ def dp_sgd_practical(
         raise ValueError("batch_size exceeds dataset size")
     dim = model.param_dim()
     T = config.num_steps
-    if noise_multiplier > 0:
-        scale, rho_step = calibrate_practical(config.clip_norm, noise_multiplier)
-        mean_noise_std = scale.std / config.batch_size
-        rho_total = compose_zcdp([rho_step] * T)
-    elif noise_multiplier == 0:
-        mean_noise_std = 0.0
-        rho_total = math.inf
-    else:
-        raise ValueError("noise_multiplier must be nonnegative")
+    mean_noise_std, rho_total = practical_noise(config, noise_multiplier)
     ckpt_steps = checkpoint_steps(T, config.resolved_checkpoint_every())
     ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
 

@@ -6,14 +6,15 @@ average interval width over many test inputs is the uncertainty proxy
 compared between two ways of obtaining the k models: the final
 checkpoints of k independent runs, or the last k checkpoints of one run.
 
-The t quantile is computed from scratch: the CDF goes through the
-regularized incomplete beta function I_x(a, b), evaluated with the
-classic continued fraction (modified Lentz iteration, as in the Cephes
-incbet/incbcf routines), and the quantile inverts the CDF by bisection.
+The t quantile is computed from scratch. Every interval has k - 1
+degrees of freedom, an integer, so the CDF is the closed-form finite
+series in cos^2(atan(|x| / sqrt(dof))) for integer dof (Abramowitz &
+Stegun 26.7.3-26.7.4), and the quantile inverts the CDF by bisection.
 """
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -26,10 +27,6 @@ from .model import LossModel
 if TYPE_CHECKING:
     from .trainer import RunRecord
 
-_FPMIN = 1e-300
-_CF_EPS = 1e-15
-_MAX_CF_ITER = 400
-
 STATISTIC_MODES = ("label_as_integer", "modal_class_probability")
 
 
@@ -37,81 +34,33 @@ STATISTIC_MODES = ("label_as_integer", "modal_class_probability")
 # special functions
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, by modified Lentz.
-
-    Converges quickly for x < (a+1)/(a+b+2); the caller flips to the
-    symmetric form otherwise.
-    """
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_CF_ITER + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise RuntimeError(f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
-
-
-def betainc_regularized(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - math.exp(b * math.log1p(-x) + a * math.log(x) - _log_beta(b, a)) * _betacf(
-        b, a, 1.0 - x
-    ) / b
-
-
 def t_cdf(dof: int, x: float) -> float:
-    """CDF of Student's t with dof degrees of freedom."""
-    if dof < 1:
-        raise ValueError("dof must be at least 1")
-    if x == 0.0:
-        return 0.5
-    z = dof / (dof + x * x)
-    tail = 0.5 * betainc_regularized(0.5 * dof, 0.5, z)
-    return 1.0 - tail if x > 0 else tail
+    """CDF of Student's t with a positive integer dof.
+
+    With theta = atan(|x| / sqrt(dof)), P(|T| < |x|) is a finite series in
+    cos^2 theta (Abramowitz & Stegun 26.7.3 for even dof, 26.7.4 for odd).
+    """
+    if isinstance(dof, bool) or not isinstance(dof, numbers.Integral) or dof < 1:
+        raise ValueError(f"dof must be a positive integer, got {dof!r}")
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
+    theta = math.atan2(abs(x), math.sqrt(dof))
+    sin, cos = math.sin(theta), math.cos(theta)
+    cos2 = cos * cos
+    term = total = 1.0
+    if dof % 2 == 0:
+        for j in range(1, dof // 2):
+            term *= cos2 * (2 * j - 1) / (2 * j)
+            total += term
+        inside = sin * total
+    else:
+        if dof > 1:
+            for j in range(1, (dof - 1) // 2):
+                term *= cos2 * (2 * j) / (2 * j + 1)
+                total += term
+            theta += sin * cos * total
+        inside = 2.0 / math.pi * theta
+    return 0.5 + math.copysign(0.5 * inside, x)
 
 
 @lru_cache(maxsize=8192)

@@ -589,6 +589,49 @@ def _no_training(*args, **kwargs):
     raise AssertionError("a trainer or simulation ran before the config was rejected")
 
 
+# (subcommand, config head) of each task, for the one-bad-key cases below
+_TASK_HEADS = {
+    "train-practical": ("train", ""),
+    "train-theoretical": ("train", "train.mode = theoretical\n"),
+    "aggregate_eval": ("aggregate", "task = aggregate_eval\n"),
+    "pds_eval": ("aggregate", "task = pds_eval\n"),
+    "ema_sweep": ("sweep", "task = ema_sweep\n"),
+    "k_sweep": ("sweep", "task = k_sweep\n"),
+    "risk_compare": ("report", "task = risk_compare\n"),
+    "uq_compare": ("uq", "task = uq_compare\n"),
+}
+_PRACTICAL_TASKS = ["train-practical", "aggregate_eval", "pds_eval", "ema_sweep", "k_sweep"]
+# (tasks, the one bad line, what the error must name): values that a library
+# object rejects where the harness builds it, or that only a trainer checks
+_BAD_KEY_CASES = [
+    (list(_TASK_HEADS), "train.delta = 0", "train.delta"),
+    (["train-practical", "train-theoretical", "pds_eval", "k_sweep"], "train.delta = 2",
+     "train.delta"),
+    (_PRACTICAL_TASKS, "train.noise_multiplier = -1", "train.noise_multiplier"),
+    (list(_TASK_HEADS), "train.l2_reg = -1", "l2_reg must be nonnegative"),
+    (["risk_compare", "train-theoretical", "uq_compare"], "train.radius = -1",
+     "radius must be positive"),
+    (["ema_sweep"], "sweep.betas = 0", "sweep.betas"),
+    (["k_sweep"], "sweep.ks = 0", "sweep.ks"),
+    (["pds_eval"], "agg.beta_grid = 1.5", "agg.beta_grid"),
+    (["pds_eval"], "agg.k_grid = 0, 3", "agg.k_grid"),
+    (["pds_eval"], "pds.period = 1", "pds.period"),
+    (["train-practical", "aggregate_eval", "risk_compare"], "data.n = 0", "data.n"),
+    (["train-theoretical", "pds_eval", "uq_compare"], "data.p = 0", "data.p"),
+    (["train-practical", "k_sweep", "uq_compare"], "data.classes = 1", "data.classes"),
+]
+_BAD_KEY_PARAMS = [
+    (_TASK_HEADS[task][0], _TASK_HEADS[task][1] + line + "\n", needle)
+    for tasks, line, needle in _BAD_KEY_CASES
+    for task in tasks
+]
+_BAD_KEY_IDS = [
+    f"{task}-{line.replace(' = ', '=').replace(', ', ',')}"
+    for tasks, line, _ in _BAD_KEY_CASES
+    for task in tasks
+]
+
+
 @pytest.mark.parametrize(
     "command, lines, needle",
     [
@@ -625,7 +668,7 @@ def _no_training(*args, **kwargs):
         ("dpld-bias", "task = dpld_bias\ndpld.oracle_samples = 99999\n",
          "dpld.oracle_samples"),
         ("dpld-bias", "task = dpld_bias\ndpld.trials = 2147483648\n", "dpld.trials"),
-    ],
+    ] + _BAD_KEY_PARAMS,
     ids=[
         "risk_compare-every", "aggregate_eval-batch", "k_sweep-eta", "pds_eval-clip",
         "pds_eval-no-beta", "pds_eval-no-k", "pds_eval-one-checkpoint", "train-practical-batch",
@@ -635,7 +678,7 @@ def _no_training(*args, **kwargs):
         "train-theoretical-steps0", "dpld_bias-t1", "dpld_bias-gap", "dpld_bias-k1",
         "dpld_bias-sigma", "dpld_bias-eta", "dpld_bias-dim", "dpld_bias-c", "dpld_bias-delta",
         "dpld_bias-oracle", "dpld_bias-trials",
-    ],
+    ] + _BAD_KEY_IDS,
 )
 def test_cli_unfinishable_config_exits_2_before_training(
     tmp_path, capsys, monkeypatch, command, lines, needle

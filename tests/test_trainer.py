@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpckpt.errors import NumericDivergenceError
 from dpckpt.model import (
     DatasetHandle,
     DiurnalSchedule,
@@ -455,6 +456,47 @@ def test_practical_batch_size_validation(practical_setup):
             noise_multiplier=-0.5,
             delta=1e-5,
         )
+
+
+# ---------------------------------------------------------------------------
+# divergence
+
+
+class _NaNGradientOnCall(QuadraticLoss):
+    """Quadratic loss whose gradient turns NaN in `rows` on its nan_call-th call.
+
+    QuadraticLoss.grad_per_example calls grad_full once, so both trainers
+    make exactly one counted call per step.
+    """
+
+    def __init__(self, nan_call: int, rows=..., **kwargs):
+        super().__init__(center=np.array([0.5, -0.5]), lipschitz=1.0, **kwargs)
+        self.nan_call, self.rows, self.calls = nan_call, rows, 0
+
+    def grad_full(self, theta, data=None):
+        grad = super().grad_full(theta, data)
+        self.calls += 1
+        if self.calls == self.nan_call:
+            grad[self.rows] = math.nan
+        return grad
+
+
+def test_practical_raises_at_the_step_whose_gradient_is_nan():
+    model = _NaNGradientOnCall(nan_call=4)
+    config = TrainerConfig("practical", 10, EtaSchedule("constant", 0.1), batch_size=4)
+    with pytest.raises(NumericDivergenceError) as info:
+        dp_sgd_practical(model, _dummy_data(20, 2), config, noise_multiplier=1.0)
+    assert info.value.step == 4
+
+
+def test_batched_theoretical_raises_when_one_row_turns_nan():
+    model = _NaNGradientOnCall(nan_call=3, rows=1)
+    configs = [
+        TrainerConfig("theoretical", 10, EtaSchedule("inverse_sqrt", 0.4), seed=s) for s in (1, 2)
+    ]
+    with pytest.raises(NumericDivergenceError) as info:
+        dp_sgd_theoretical_runs(model, _dummy_data(20, 2), configs, rho=0.5)
+    assert info.value.step == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,60 @@
+"""Hash every artifact the stock configs write.
+
+    PYTHONPATH=src python tools/stock_digest.py > after.txt
+
+Runs each configs/*.cfg through dpckpt.harness.run_experiment at master
+seed 0 and workers 1, then runs aggregate_eval, pds_eval and risk_compare
+once more with save_runs set to true, so their run directories are hashed
+too. Prints "sha256  relative/path" for every file written, sorted by path.
+
+dpckpt is imported from PYTHONPATH, so one copy of this script hashes any
+checkout; a refactor that claims byte-identical artifacts shows it with
+
+    PYTHONPATH=/path/to/parent/src python tools/stock_digest.py > before.txt
+    diff before.txt after.txt
+"""
+
+import hashlib
+import os
+import tempfile
+
+from dpckpt.harness.config import ConfigView, load_config
+from dpckpt.harness.experiments import run_experiment
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+SAVE_RUNS_TASKS = ("aggregate_eval", "pds_eval", "risk_compare")
+
+
+def write_stock_artifacts(config_dir: str, out_root: str) -> None:
+    """Every stock run, each under out_root/<config name>[+save_runs]."""
+    for name in sorted(f for f in os.listdir(config_dir) if f.endswith(".cfg")):
+        values = load_config(os.path.join(config_dir, name))
+        stem = name[: -len(".cfg")]
+        runs = [(stem, values)]
+        if values["task"] in SAVE_RUNS_TASKS:
+            # the stock files assign save_runs, so override the parsed value
+            runs.append((f"{stem}+save_runs", {**values, "save_runs": "true"}))
+        for label, run_values in runs:
+            out_dir = os.path.join(out_root, label)
+            run_experiment(ConfigView(run_values), out_dir, master_seed=0, workers=1)
+
+
+def digest_lines(out_root: str) -> list[str]:
+    entries = []
+    for dirpath, _, files in os.walk(out_root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            entries.append((os.path.relpath(path, out_root), digest))
+    return [f"{digest}  {path}" for path, digest in sorted(entries)]
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as out_root:
+        write_stock_artifacts(CONFIG_DIR, out_root)
+        print("\n".join(digest_lines(out_root)))
+
+
+if __name__ == "__main__":
+    main()
