@@ -19,6 +19,11 @@ OU segment, or the s-th Euler-Maruyama step counted over the whole
 trajectory) uses the normals rng.gaussian_vector(seed, STREAM_TRIAL,
 (j << 32) + s, p), so each trial is a pure function of (seed, j)
 whatever the trial count, worker count or code path.
+
+Every checkpoint schedule of one configuration shares the stationary law
+N(theta*, sigma_eff^2 I) (stationary_law), so the Monte-Carlo oracle of
+the statistic's stationary variance (stationary_oracle_V) is drawn once
+and handed to each variance_bias_experiment as a (V, SE) pair.
 """
 
 import csv
@@ -320,13 +325,27 @@ def _trial_normals(seed: int, trials: int, dim: int, event: int) -> np.ndarray:
     return rng.gaussian_block([seed], rng.STREAM_TRIAL, steps, dim)[:, 0]
 
 
+def stationary_law(
+    config: LDConfig, data: Optional[DatasetHandle] = None
+) -> tuple[np.ndarray, float]:
+    """(theta*, sigma_eff) of the stationary law N(theta*, sigma_eff^2 I) of
+    the curvature-normalized dynamics, sigma_eff = sigma / sqrt(m)."""
+    m = config.model.strong_convexity
+    if m <= 0:
+        raise ValueError("model must be strongly convex")
+    center = _quadratic_center(config.model, data)
+    if center.size != config.theta_start.size:
+        raise ValueError("theta_start dimension does not match the model")
+    return center, config.sigma / math.sqrt(m)
+
+
 def variance_bias_experiment(
     config: LDConfig,
     times: CheckpointTimes,
     statistic: Statistic,
     trials: int,
-    experiment_seed: int = 0,
-    oracle_samples: int = 1_000_000,
+    experiment_seed: int,
+    oracle: tuple[float, float],
     data: Optional[DatasetHandle] = None,
 ) -> VarianceBiasReport:
     """Bias of the checkpoint sample-variance estimator vs the true variance.
@@ -341,26 +360,24 @@ def variance_bias_experiment(
     and the whole experiment replays bit-for-bit. Quadratic losses use
     exact OU transitions; other losses are integrated by Euler-Maruyama at
     config.eta on the curvature-normalized clock.
+
+    oracle is the (variance, SE) pair of the statistic under the
+    stationary law, usually stationary_oracle_V(*stationary_law(config,
+    data), statistic, samples, seed); experiments that share the law and
+    the statistic share one oracle.
     """
     if trials < MIN_TRIALS:
         raise ValueError("need at least 100 trials")
     if trials >= MAX_TRIALS:
         raise ValueError(f"trials must be below 2**31, got {trials}")
-    if oracle_samples < MIN_ORACLE_SAMPLES:
-        raise ValueError("oracle needs at least 1e5 samples")
     model = config.model
+    center, sigma_eff = stationary_law(config, data)
     m = model.strong_convexity
-    if m <= 0:
-        raise ValueError("model must be strongly convex")
-    sigma_eff = config.sigma / math.sqrt(m)
     segments = [m * s for s in times.elapsed_segments()]
     exact = isinstance(model, QuadraticLoss)
     events = len(segments) if exact else sum(_em_steps(s, config.eta) for s in segments)
     if events >= MAX_EVENTS:
         raise ValueError(f"a trajectory must have fewer than 2**32 noise events, got {events}")
-    center = _quadratic_center(model, data)
-    if center.size != config.theta_start.size:
-        raise ValueError("theta_start dimension does not match the model")
 
     dim = center.size
     normals = (_trial_normals(experiment_seed, trials, dim, s) for s in itertools.count())
@@ -376,9 +393,7 @@ def variance_bias_experiment(
 
     mean_s = float(s_values.mean())
     se_mean_s = float(s_values.std(ddof=1) / math.sqrt(trials))
-    oracle_v, oracle_se = stationary_oracle_V(
-        center, sigma_eff, statistic, oracle_samples, seed=experiment_seed
-    )
+    oracle_v, oracle_se = oracle
     dist0sq = float(np.sum((config.theta_start - center) ** 2))
     bound = burn_in_gamma(
         smoothness=model.smoothness / m if model.smoothness > 0 else 1.0,

@@ -898,11 +898,9 @@ def _make_statistic(name: str, center: np.ndarray) -> dpld.Statistic:
 
 
 def _dpld_point_worker(args):
-    config, times, stat_name, trials, seed, oracle_samples = args
+    config, times, stat_name, trials, seed, oracle = args
     stat = _make_statistic(stat_name, config.model.center)
-    return dpld.variance_bias_experiment(
-        config, times, stat, trials, experiment_seed=seed, oracle_samples=oracle_samples
-    )
+    return dpld.variance_bias_experiment(config, times, stat, trials, seed, oracle)
 
 
 def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int):
@@ -940,7 +938,7 @@ def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int
         raise ConfigError("dim must be at least 1", key="dpld.dim")
     if not points:
         raise ConfigError("need at least one t1:gap point", key="dpld.points")
-    _make_statistic(stat_name, np.zeros(dim))  # validate the name up front
+    stat = _make_statistic(stat_name, np.zeros(dim))
     view.ensure_all_used()
 
     model = QuadraticLoss(np.zeros(dim))
@@ -955,8 +953,13 @@ def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int
             delta_target=delta_target,
         )
         all_times = [dpld.CheckpointTimes(t1=t1, gap=gap, k=k) for t1, gap in points]
+    # every point shares the stationary law and the statistic, so one oracle
+    # serves them all; it takes the first point's seed
+    oracle = dpld.stationary_oracle_V(
+        *dpld.stationary_law(config), stat, oracle_samples, seed=derive_run_seed(master_seed, 0)
+    )
     args = [
-        (config, times, stat_name, trials, derive_run_seed(master_seed, i), oracle_samples)
+        (config, times, stat_name, trials, derive_run_seed(master_seed, i), oracle)
         for i, times in enumerate(all_times)
     ]
     reports = _run_parallel(_dpld_point_worker, args, workers)

@@ -34,14 +34,18 @@ STATISTIC_MODES = ("label_as_integer", "modal_class_probability")
 # special functions
 
 
+def _check_dof(dof: int) -> None:
+    if isinstance(dof, bool) or not isinstance(dof, numbers.Integral) or dof < 1:
+        raise ValueError(f"dof must be a positive integer, got {dof!r}")
+
+
 def t_cdf(dof: int, x: float) -> float:
     """CDF of Student's t with a positive integer dof.
 
     With theta = atan(|x| / sqrt(dof)), P(|T| < |x|) is a finite series in
     cos^2 theta (Abramowitz & Stegun 26.7.3 for even dof, 26.7.4 for odd).
     """
-    if isinstance(dof, bool) or not isinstance(dof, numbers.Integral) or dof < 1:
-        raise ValueError(f"dof must be a positive integer, got {dof!r}")
+    _check_dof(dof)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     theta = math.atan2(abs(x), math.sqrt(dof))
@@ -63,11 +67,11 @@ def t_cdf(dof: int, x: float) -> float:
     return 0.5 + math.copysign(0.5 * inside, x)
 
 
-@lru_cache(maxsize=8192)
+# typed: True and 1 are equal keys to an untyped cache, and True is no dof
+@lru_cache(maxsize=8192, typed=True)
 def t_quantile(dof: int, p: float) -> float:
     """x with t_cdf(dof, x) = p, by bisection (absolute error < 1e-10)."""
-    if dof < 1:
-        raise ValueError("dof must be at least 1")
+    _check_dof(dof)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     if p == 0.5:

@@ -21,6 +21,7 @@ from dpckpt.dpld import (
     ou_exact_sample,
     renyi_gaussians_shared_cov,
     sample_variance,
+    stationary_law,
     stationary_oracle_V,
     subgaussian_tail_check,
     variance_bias_experiment,
@@ -249,6 +250,11 @@ def test_checkpoint_times():
         CheckpointTimes(t1=1.0, gap=1.0, k=1)
 
 
+def _oracle(config, stat, samples, seed, data=None):
+    """The (V, SE) oracle of stat under config's stationary law."""
+    return stationary_oracle_V(*stationary_law(config, data), stat, samples, seed=seed)
+
+
 def test_variance_bias_experiment_well_mixed_quadratic():
     """With long burn-in and wide gaps, E[S] matches the stationary variance."""
     config = LDConfig(
@@ -259,7 +265,8 @@ def test_variance_bias_experiment_well_mixed_quadratic():
     times = CheckpointTimes(t1=20.0, gap=20.0, k=5)
     stat = make_clamped_coordinate(np.zeros(4))
     report = variance_bias_experiment(
-        config, times, stat, trials=3000, experiment_seed=1, oracle_samples=200_000
+        config, times, stat, trials=3000, experiment_seed=1,
+        oracle=_oracle(config, stat, 200_000, seed=1),
     )
     assert report.trials == 3000
     assert report.abs_bias <= 3 * report.combined_se
@@ -277,7 +284,8 @@ def test_variance_bias_experiment_detects_correlation_bias():
     times = CheckpointTimes(t1=0.01, gap=0.01, k=5)
     stat = make_clamped_coordinate(np.zeros(4))
     report = variance_bias_experiment(
-        config, times, stat, trials=2000, experiment_seed=2, oracle_samples=200_000
+        config, times, stat, trials=2000, experiment_seed=2,
+        oracle=_oracle(config, stat, 200_000, seed=2),
     )
     # nearly coincident checkpoints share their noise, so S collapses
     assert report.mean_s < 0.2 * report.oracle_v
@@ -291,7 +299,7 @@ def test_variance_bias_experiment_deterministic():
     )
     times = CheckpointTimes(t1=1.0, gap=1.0, k=3)
     stat = make_clamped_coordinate(np.zeros(2))
-    kwargs = dict(trials=500, experiment_seed=9, oracle_samples=100_000)
+    kwargs = dict(trials=500, experiment_seed=9, oracle=_oracle(config, stat, 100_000, seed=9))
     a = variance_bias_experiment(config, times, stat, **kwargs)
     b = variance_bias_experiment(config, times, stat, **kwargs)
     assert (a.mean_s, a.se_mean_s, a.oracle_v, a.oracle_se) == (
@@ -301,7 +309,7 @@ def test_variance_bias_experiment_deterministic():
         b.oracle_se,
     )
     with pytest.raises(ValueError):
-        variance_bias_experiment(config, times, stat, trials=50)
+        variance_bias_experiment(config, times, stat, **{**kwargs, "trials": 50})
 
 
 def test_variance_bias_experiment_non_quadratic_path():
@@ -310,13 +318,14 @@ def test_variance_bias_experiment_non_quadratic_path():
     model = LogisticLoss.for_data(data, l2_reg=0.5, radius=1.0)
     config = LDConfig(model=model, theta_start=np.zeros(2), sigma=0.7, eta=2e-2)
     times = CheckpointTimes(t1=2.0, gap=2.0, k=3)
+    stat = make_clamped_coordinate(np.zeros(2))
     report = variance_bias_experiment(
         config,
         times,
-        make_clamped_coordinate(np.zeros(2)),
+        stat,
         trials=120,
         experiment_seed=3,
-        oracle_samples=100_000,
+        oracle=_oracle(config, stat, 100_000, seed=3, data=data),
         data=data,
     )
     assert math.isfinite(report.mean_s)
@@ -365,7 +374,8 @@ def test_variance_bias_experiment_matches_per_trial_reference_ou(seed, trials, k
     times = CheckpointTimes(t1=0.4, gap=0.3, k=k)
     stat = make_clamped_norm_excess(np.full(p, 0.5))
     report = variance_bias_experiment(
-        config, times, stat, trials=trials, experiment_seed=seed, oracle_samples=100_000
+        config, times, stat, trials=trials, experiment_seed=seed,
+        oracle=_oracle(config, stat, 100_000, seed=seed),
     )
     ref = _per_trial_reference(config, times, stat, trials, seed)
     assert np.array_equal((report.mean_s, report.se_mean_s), ref)
@@ -379,8 +389,8 @@ def test_variance_bias_experiment_matches_per_trial_reference_em(seed, trials, k
     times = CheckpointTimes(t1=0.5, gap=0.3, k=k)
     stat = make_clamped_coordinate(np.zeros(p))
     report = variance_bias_experiment(
-        config, times, stat, trials=trials, experiment_seed=seed, oracle_samples=100_000,
-        data=data,
+        config, times, stat, trials=trials, experiment_seed=seed,
+        oracle=_oracle(config, stat, 100_000, seed=seed, data=data), data=data,
     )
     ref = _per_trial_reference(config, times, stat, trials, seed, data)
     assert np.array_equal((report.mean_s, report.se_mean_s), ref)
@@ -392,13 +402,34 @@ def test_variance_bias_experiment_address_limits():
     times = CheckpointTimes(t1=1.0, gap=1.0, k=3)
     stat = make_clamped_coordinate(np.zeros(2))
     with pytest.raises(ValueError, match="2\\*\\*31"):
-        variance_bias_experiment(quad, times, stat, trials=2**31)
+        variance_bias_experiment(
+            quad, times, stat, trials=2**31, experiment_seed=0,
+            oracle=_oracle(quad, stat, 100_000, seed=0),
+        )
     data = synth_classification(40, 2, num_classes=2, separation=2.0, seed=5)
     model = LogisticLoss.for_data(data, l2_reg=0.5, radius=1.0)
     # ceil(1.0 * m / 1e-10) steps in the first segment alone exceed 2**32
     fine = LDConfig(model=model, theta_start=np.zeros(2), eta=1e-10)
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        variance_bias_experiment(fine, times, stat, trials=100, data=data)
+        variance_bias_experiment(
+            fine, times, stat, trials=100, experiment_seed=0,
+            oracle=_oracle(fine, stat, 100_000, seed=0, data=data), data=data,
+        )
+
+
+def test_stationary_law_normalizes_curvature():
+    """sigma_eff = sigma / sqrt(m) around the loss minimizer."""
+    config = LDConfig(
+        model=QuadraticLoss(center=np.full(3, 0.5), curvature=1.5),
+        theta_start=np.zeros(3),
+        sigma=0.8,
+    )
+    center, sigma_eff = stationary_law(config)
+    assert np.array_equal(center, np.full(3, 0.5))
+    assert sigma_eff == 0.8 / math.sqrt(1.5)
+    wrong_dim = LDConfig(model=QuadraticLoss(center=np.zeros(3)), theta_start=np.zeros(2))
+    with pytest.raises(ValueError, match="dimension"):
+        stationary_law(wrong_dim)
 
 
 def _chunked_oracle_reference(theta_star, sigma, statistic, samples, seed):
@@ -508,7 +539,8 @@ def test_write_dpld_report(tmp_path):
     times = CheckpointTimes(t1=1.0, gap=1.0, k=3)
     stat = make_clamped_coordinate(np.zeros(2))
     report = variance_bias_experiment(
-        config, times, stat, trials=200, experiment_seed=0, oracle_samples=100_000
+        config, times, stat, trials=200, experiment_seed=0,
+        oracle=_oracle(config, stat, 100_000, seed=0),
     )
     path = str(tmp_path / "dpld.csv")
     write_dpld_report([report], path)

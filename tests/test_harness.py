@@ -27,7 +27,7 @@ from dpckpt.harness.experiments import (
     summarize,
     tune_on_validation,
 )
-from dpckpt.model import DatasetHandle, LossModel, synth_classification
+from dpckpt.model import DatasetHandle, LossModel, QuadraticLoss, synth_classification
 from dpckpt import aggregate
 
 # ---------------------------------------------------------------------------
@@ -440,15 +440,25 @@ data.p = 4
 """
 
 
+DPLD_CFG = """
+task = dpld_bias
+dpld.trials = 100
+dpld.oracle_samples = 100000
+dpld.points = 20:20, 0.1:10, 10:0.1
+"""
+
+
 def test_worker_count_does_not_change_results(tmp_path):
     """The same experiment with 1 and 2 workers writes identical artifacts.
 
     risk_compare trains each worker's seeds as one batch and uq_compare
-    each pool as one batch, so this also pins batch composition.
+    each pool as one batch, so this also pins batch composition; dpld_bias
+    hands its one oracle to every worker.
     """
     for name, text, files in (
         ("risk", RISK_CFG, ["table.csv"]),
         ("uq", UQ_CFG, ["table.csv", "uq_report.json"]),
+        ("dpld", DPLD_CFG, ["dpld_report.csv", "table.csv"]),
     ):
         outs = []
         for workers in (1, 2):
@@ -457,6 +467,41 @@ def test_worker_count_does_not_change_results(tmp_path):
             run_experiment(view, str(out), master_seed=0, workers=workers)
             outs.append([(out / f).read_bytes() for f in files])
         assert outs[0] == outs[1]
+
+
+def test_dpld_bias_draws_one_oracle_for_every_point(tmp_path, monkeypatch):
+    """One stationary_oracle_V call at the first point's seed serves every
+    row, and each row's trials are the standalone experiment at its seed."""
+    calls = []
+    real_oracle = experiments.dpld.stationary_oracle_V
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return real_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.dpld, "stationary_oracle_V", counted)
+    master_seed = 3
+    table = run_experiment(
+        ConfigView(parse_config_text(DPLD_CFG)), str(tmp_path), master_seed=master_seed, workers=1
+    )
+    assert calls == [derive_run_seed(master_seed, 0)]
+    with open(tmp_path / "dpld_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+
+    dpld = experiments.dpld
+    config = dpld.LDConfig(model=QuadraticLoss(np.zeros(4)), theta_start=np.full(4, 5.0))
+    stat = dpld.make_clamped_coordinate(np.zeros(4))
+    oracle = real_oracle(*dpld.stationary_law(config), stat, 100_000, seed=calls[0])
+    for i, (row, (t1, gap)) in enumerate(zip(rows, [(20.0, 20.0), (0.1, 10.0), (10.0, 0.1)])):
+        assert (float(row["oracle_V"]), float(row["oracle_SE"])) == oracle
+        times = dpld.CheckpointTimes(t1=t1, gap=gap, k=5)
+        alone = dpld.variance_bias_experiment(
+            config, times, stat, 100, derive_run_seed(master_seed, i), oracle
+        )
+        assert float(row["mean_S"]) == alone.mean_s
+        # table.csv's std is hypot(se_mean_s, oracle_SE) with oracle_SE shared
+        assert table.lookup(f"abs_bias(t1={t1},gap={gap})").std == alone.combined_se
 
 
 def test_uq_compare_pool_validation(tmp_path):
@@ -685,7 +730,8 @@ def test_cli_unfinishable_config_exits_2_before_training(
 ):
     for name in ("dp_sgd_practical", "dp_sgd_theoretical", "dp_sgd_theoretical_runs"):
         monkeypatch.setattr(experiments.trainer, name, _no_training)
-    monkeypatch.setattr(experiments.dpld, "variance_bias_experiment", _no_training)
+    for fn in ("stationary_oracle_V", "variance_bias_experiment"):
+        monkeypatch.setattr(experiments.dpld, fn, _no_training)
     cfg = _write_cfg(tmp_path, lines)
     out = str(tmp_path / "out")
     assert cli.main([command, "--config", cfg, "--out", out]) == 2
@@ -701,7 +747,8 @@ def test_stock_configs_pass_their_checks(tmp_path, monkeypatch, name):
     """Every shipped config passes validation and reaches its first compute call."""
     for fn in ("dp_sgd_practical", "dp_sgd_theoretical", "dp_sgd_theoretical_runs"):
         monkeypatch.setattr(experiments.trainer, fn, _no_training)
-    monkeypatch.setattr(experiments.dpld, "variance_bias_experiment", _no_training)
+    for fn in ("stationary_oracle_V", "variance_bias_experiment"):
+        monkeypatch.setattr(experiments.dpld, fn, _no_training)
     path = os.path.join(CONFIG_DIR, name)
     command = cli._subcommand_for(normalize_task(load_config(path)["task"]))
     out = str(tmp_path / "out")

@@ -65,10 +65,24 @@ def test_t_cdf_against_scipy():
             )
 
 
-@pytest.mark.parametrize("dof", [4.5, True, 0])
-def test_t_cdf_rejects_a_dof_that_is_not_a_positive_int(dof):
+@pytest.mark.parametrize(
+    "dof, p",
+    [(4.5, None), (True, None), (0, None), (4.5, 0.5), (True, 0.5), (0, 0.5), (True, 0.975)],
+    ids=[
+        "4.5", "True", "0", "t_quantile-4.5-median", "t_quantile-True-median",
+        "t_quantile-0-median", "t_quantile-True-cached",
+    ],
+)
+def test_t_cdf_rejects_a_dof_that_is_not_a_positive_int(dof, p):
+    """t_cdf (p None) and t_quantile at p reject the dof, past the p = 0.5
+    shortcut and past a cached t_quantile(1, p)."""
+    if p is None:
+        with pytest.raises(ValueError):
+            t_cdf(dof, 1.0)
+        return
+    t_quantile(1, p)  # True == 1, so an untyped cache would hand True this entry
     with pytest.raises(ValueError):
-        t_cdf(dof, 1.0)
+        t_quantile(dof, p)
 
 
 def test_t_cdf_nan_and_infinite_x():
