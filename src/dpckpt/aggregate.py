@@ -23,10 +23,9 @@ import numpy as np
 
 from .model import DatasetHandle, LossModel, accuracy
 
-VALID_KINDS = ("ema", "upa_k", "upa_tail", "pda", "opa", "omv", "best_k")
-
-# which optional parameters each aggregation kind uses
-_KIND_PARAMS = {
+# which optional parameters each aggregation kind uses, in the order a
+# config entry such as "best_k:5:0.9" lists them
+KIND_PARAMS = {
     "ema": ("beta",),
     "upa_k": ("k",),
     "upa_tail": ("alpha",),
@@ -35,6 +34,7 @@ _KIND_PARAMS = {
     "omv": ("k",),
     "best_k": ("k", "beta"),
 }
+VALID_KINDS = tuple(KIND_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class AggregationSpec:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown aggregation kind {self.kind!r}")
-        needed = _KIND_PARAMS[self.kind]
+        needed = KIND_PARAMS[self.kind]
         for name in ("k", "alpha", "gamma", "beta"):
             val = getattr(self, name)
             if name in needed and val is None:
@@ -67,7 +67,7 @@ class AggregationSpec:
             raise ValueError("beta must be in (0, 1]")
 
     def label(self) -> str:
-        params = _KIND_PARAMS[self.kind]
+        params = KIND_PARAMS[self.kind]
         if not params:
             return self.kind
         inner = ",".join(f"{name}={getattr(self, name)}" for name in params)

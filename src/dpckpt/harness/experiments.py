@@ -34,17 +34,6 @@ from .config import ConfigView
 
 SEED_STRIDE = 1_000_003
 
-TASK_NAMES = (
-    "train",
-    "risk_compare",
-    "aggregate_eval",
-    "pds_eval",
-    "uq_compare",
-    "dpld_bias",
-    "ema_sweep",
-    "k_sweep",
-)
-
 DEFAULT_BETA_GRID = (0.85, 0.9, 0.95, 0.99, 0.999, 0.9999)
 DEFAULT_K_GRID = (3, 5, 10, 20, 50, 100, 200)
 
@@ -205,27 +194,24 @@ def aggregation_accuracy(
 
 
 def parse_aggregation_list(items: Sequence[str], key: str = "agg.list") -> list[AggregationSpec]:
-    """Entries like "ema:0.9", "upa_k:5", "best_k:5:0.9" -> specs."""
+    """Entries like "ema:0.9", "upa_k:5", "best_k:5:0.9" -> specs.
+
+    The fields after the kind are its aggregate.KIND_PARAMS, in order and
+    all of them: k is an int, every other parameter a float.
+    """
     specs = []
     for item in items:
-        parts = [p.strip() for p in item.split(":")]
-        kind = parts[0]
+        kind, *fields = [p.strip() for p in item.split(":")]
+        if kind not in aggregate.KIND_PARAMS:
+            raise ConfigError(f"unknown aggregation kind {kind!r}", key=key)
+        names = aggregate.KIND_PARAMS[kind]
         try:
-            if kind == "ema":
-                spec = AggregationSpec("ema", beta=float(parts[1]))
-            elif kind in ("upa_k", "opa", "omv"):
-                spec = AggregationSpec(kind, k=int(parts[1]))
-            elif kind == "upa_tail":
-                spec = AggregationSpec("upa_tail", alpha=float(parts[1]))
-            elif kind == "pda":
-                spec = AggregationSpec("pda", gamma=float(parts[1]))
-            elif kind == "best_k":
-                spec = AggregationSpec("best_k", k=int(parts[1]), beta=float(parts[2]))
-            else:
-                raise ConfigError(f"unknown aggregation kind {kind!r}", key=key)
-        except (IndexError, ValueError) as exc:
+            if len(fields) != len(names):
+                raise ValueError(f"{kind} takes {len(names)} field(s), got {len(fields)}")
+            values = {n: int(v) if n == "k" else float(v) for n, v in zip(names, fields)}
+            specs.append(AggregationSpec(kind, **values))
+        except ValueError as exc:
             raise ConfigError(f"bad aggregation entry {item!r}: {exc}", key=key) from None
-        specs.append(spec)
     if not specs:
         raise ConfigError("aggregation list is empty", key=key)
     return specs
@@ -255,22 +241,26 @@ def stability_report(
     steps: Sequence[int],
     model,
     eval_data: DatasetHandle,
-    spec: AggregationSpec,
+    specs: Sequence[AggregationSpec],
     last_n: int,
-) -> StabilityReport:
-    """Accuracy series of raw checkpoints vs the rolling aggregate.
+) -> list[StabilityReport]:
+    """Accuracy series of raw checkpoints vs each spec's rolling aggregate.
 
     params is a run's (K, p) checkpoint matrix and steps its K checkpoint
     steps. Covers the trailing last_n checkpoints; the window must hold
-    at least two points for the stds to exist.
+    at least two points for the stds to exist. The raw checkpoints are
+    scored once, and every report shares that baseline.
     """
     if last_n < 2:
         raise ValueError("window must cover at least two checkpoints")
     steps = list(steps)
-    rolled = aggregate.rolling(spec, params, steps, last_n)
     base = np.array([accuracy(model, theta, eval_data) for theta in params[-last_n:]])
-    agg = np.array([accuracy(model, theta, eval_data) for theta in rolled])
-    return StabilityReport(steps[-last_n:], base, agg)
+    reports = []
+    for spec in specs:
+        rolled = aggregate.rolling(spec, params, steps, last_n)
+        agg = np.array([accuracy(model, theta, eval_data) for theta in rolled])
+        reports.append(StabilityReport(steps[-last_n:], base, agg))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +338,7 @@ def _write_json(path: str, payload) -> None:
 
 
 def _spec_entry(spec: AggregationSpec, acc: float, n_seeds: int) -> dict:
-    params = {
-        name: getattr(spec, name)
-        for name in ("k", "alpha", "gamma", "beta")
-        if getattr(spec, name) is not None
-    }
+    params = {name: getattr(spec, name) for name in aggregate.KIND_PARAMS[spec.kind]}
     return {
         "kind": spec.kind,
         "params": params,
@@ -696,8 +682,9 @@ def _pds_seed_worker(args):
     best_ema, _ = tune_on_validation(beta_specs, spec_window_accuracy, parts["validation"])
     best_upa, _ = tune_on_validation(k_specs, spec_window_accuracy, parts["validation"])
 
-    ema_rep = stability_report(params, steps, model, parts["test"], best_ema, window)
-    upa_rep = stability_report(params, steps, model, parts["test"], best_upa, window)
+    ema_rep, upa_rep = stability_report(
+        params, steps, model, parts["test"], [best_ema, best_upa], window
+    )
     return {
         "record": record,
         "best_ema": best_ema,
@@ -739,15 +726,11 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
         raise ConfigError(f"no k at or below the {num_ckpts} checkpoints", key="agg.k_grid")
     view.ensure_all_used()
 
-    train = parts["train"]
-    even = np.flatnonzero(train.labels % 2 == 0)
-    odd = np.flatnonzero(train.labels % 2 == 1)
+    labels = parts["train"].labels
+    even = np.flatnonzero(labels % 2 == 0)
+    odd = np.flatnonzero(labels % 2 == 1)
     with _config_errors("diurnal schedule", "pds.period"):
-        schedule = DiurnalSchedule(
-            period=period,
-            source_a=train.subset(even, tag="source_even"),
-            source_b=train.subset(odd, tag="source_odd"),
-        )
+        schedule = DiurnalSchedule(period, even, odd)
     eval_data = parts["test"] if save_runs else None
     args = [
         (model, parts, replace(c, diurnal=schedule), z, delta, beta_specs, k_specs, window,
@@ -996,7 +979,7 @@ _TASK_FUNCS = {
 def normalize_task(name: str) -> str | None:
     """Accept snake_case, camelCase, and hyphenated task spellings."""
     folded = name.strip().lower().replace("_", "").replace("-", "")
-    for task in TASK_NAMES:
+    for task in _TASK_FUNCS:
         if folded == task.replace("_", ""):
             return task
     return None

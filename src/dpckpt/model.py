@@ -12,11 +12,12 @@ loss_full and grad_full also take an (S, p) matrix of S parameter rows
 through stacked np.matmul, which makes the same BLAS call per row as an
 unbatched product, so a batched row equals the unbatched result bit for
 bit (a plain X @ Theta.T would be one larger product, rounded differently).
+The diurnal sampler draws a minibatch as row indices into the training
+data, as the uniform sampler does, so a batch is always data.subset(rows).
 """
 
 import csv
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +32,14 @@ class DatasetHandle:
     """A fixed design matrix with integer class labels.
 
     The tag names the partition an instance came from ("train", "test",
-    a diurnal source, ...); operators that require disjoint partitions
-    compare tags rather than contents.
+    ...); operators that require disjoint partitions compare tags rather
+    than contents.
     """
 
     features: np.ndarray  # (n, p) float64
     labels: np.ndarray  # (n,) integer class ids
     num_classes: int
     tag: str = ""
-    _fingerprint: str | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -62,16 +62,6 @@ class DatasetHandle:
     @property
     def p(self) -> int:
         return self.features.shape[1]
-
-    def fingerprint(self) -> str:
-        """Content hash, used to key caches of per-dataset computations."""
-        if self._fingerprint is None:
-            h = hashlib.sha256()
-            h.update(str(self.features.shape).encode())
-            h.update(np.ascontiguousarray(self.features).tobytes())
-            h.update(np.ascontiguousarray(self.labels).tobytes())
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
 
     def subset(self, indices: np.ndarray, tag: str | None = None) -> "DatasetHandle":
         return DatasetHandle(
@@ -211,9 +201,6 @@ class LossModel:
         probs = self.predict_proba(theta, np.asarray(x, dtype=np.float64)[None, :])
         return probs[0]
 
-    def cache_key(self) -> tuple:
-        raise NotImplementedError
-
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.param_dim(),):
@@ -274,9 +261,6 @@ class QuadraticLoss(LossModel):
 
     def predict_proba(self, theta, features):
         raise ValueError("quadratic model has no prediction head")
-
-    def cache_key(self) -> tuple:
-        return ("quadratic", self.curvature, self.center.tobytes())
 
 
 @dataclass(eq=False)
@@ -399,9 +383,6 @@ class LogisticLoss(LossModel):
         _check_finite_logits(logits)
         return _softmax(logits)
 
-    def cache_key(self) -> tuple:
-        return ("logistic", self.n_features, self.num_classes, self.l2_reg)
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows; each branch is the form that keeps precision
@@ -501,9 +482,6 @@ class TinyMLP(LossModel):
         _check_finite_logits(logits)
         return _softmax(logits)
 
-    def cache_key(self) -> tuple:
-        return ("tiny_mlp", self.n_features, self.hidden, self.num_classes, self.l2_reg)
-
 
 def accuracy(model: LossModel, theta: np.ndarray, data: DatasetHandle) -> float:
     """Fraction of examples whose argmax class matches the label."""
@@ -512,33 +490,35 @@ def accuracy(model: LossModel, theta: np.ndarray, data: DatasetHandle) -> float:
 
 
 # ---------------------------------------------------------------------------
-# diurnal (periodically shifting) data source
+# diurnal (periodically shifting) minibatch sampler
 
 
 @dataclass(eq=False)
 class DiurnalSchedule:
-    """Two data sources mixed with a triangle-wave probability.
+    """Two row sets of the training data mixed with a triangle-wave probability.
 
-    At step t an example comes from source_a with probability
-    |2 (t mod period) / period - 1|, else from source_b, so the batch
+    rows_a and rows_b index rows of the data the trainer trains on. At
+    step t an example is a row of rows_a with probability
+    |2 (t mod period) / period - 1|, else a row of rows_b, so the batch
     distribution sweeps a -> b -> a over each period.
     """
 
     period: int
-    source_a: DatasetHandle
-    source_b: DatasetHandle
+    rows_a: np.ndarray
+    rows_b: np.ndarray
 
     def __post_init__(self):
         if self.period < 2:
             raise ValueError("period must be at least 2")
-        if self.source_a.p != self.source_b.p:
-            raise ValueError("diurnal sources must share feature dimension")
-        if self.source_a.num_classes != self.source_b.num_classes:
-            raise ValueError("diurnal sources must share the class set")
+        self.rows_a = np.asarray(self.rows_a, dtype=np.int64)
+        self.rows_b = np.asarray(self.rows_b, dtype=np.int64)
+        for name, rows in (("rows_a", self.rows_a), ("rows_b", self.rows_b)):
+            if rows.ndim != 1 or rows.size < 1:
+                raise ValueError(f"{name} must be a non-empty 1-d index vector")
 
 
 def diurnal_prob(schedule: DiurnalSchedule, t: int) -> float:
-    """Probability that a step-t example comes from source_a."""
+    """Probability that a step-t example is a row of rows_a."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     phase = (t % schedule.period) / schedule.period
@@ -547,23 +527,16 @@ def diurnal_prob(schedule: DiurnalSchedule, t: int) -> float:
 
 def diurnal_draw(
     schedule: DiurnalSchedule, t: int, count: int, rng: np.random.Generator
-) -> DatasetHandle:
-    """Draw a batch of `count` examples for step t (independent per example)."""
+) -> np.ndarray:
+    """Row indices of a batch of `count` examples for step t (independent per example)."""
     if count < 1:
         raise ValueError("count must be at least 1")
     p = diurnal_prob(schedule, t)
     from_a = rng.random(count) < p
-    feats = np.empty((count, schedule.source_a.p))
-    labels = np.empty(count, dtype=np.int64)
+    rows = np.empty(count, dtype=np.int64)
     n_a = int(from_a.sum())
     if n_a:
-        idx = rng.integers(0, schedule.source_a.n, n_a)
-        feats[from_a] = schedule.source_a.features[idx]
-        labels[from_a] = schedule.source_a.labels[idx]
+        rows[from_a] = schedule.rows_a[rng.integers(0, len(schedule.rows_a), n_a)]
     if count - n_a:
-        idx = rng.integers(0, schedule.source_b.n, count - n_a)
-        feats[~from_a] = schedule.source_b.features[idx]
-        labels[~from_a] = schedule.source_b.labels[idx]
-    return DatasetHandle(
-        feats, labels, schedule.source_a.num_classes, tag=f"diurnal(t={t})"
-    )
+        rows[~from_a] = schedule.rows_b[rng.integers(0, len(schedule.rows_b), count - n_a)]
+    return rows

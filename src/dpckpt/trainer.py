@@ -14,6 +14,10 @@ Two modes share the checkpoint/metrics plumbing:
   practical    minibatch DP-SGD with per-example clipping, noise on the
                summed clipped gradient, and plain T-fold composition
                accounting (no subsampling amplification claimed).
+               Each step's minibatch is a vector of row indices into
+               the training data, drawn uniformly without replacement
+               or by the diurnal schedule, and data.subset(rows) is the
+               batch.
 
 Both modes take their noise from the one path: rng.gaussian_steps,
 which draws a chunk of steps at a time and equals the per-step
@@ -303,8 +307,13 @@ def dp_sgd_practical(
     """
     if config.mode != "practical":
         raise ValueError("config.mode must be 'practical'")
-    if config.diurnal is None and config.batch_size > data.n:
+    diurnal = config.diurnal
+    if diurnal is None and config.batch_size > data.n:
         raise ValueError("batch_size exceeds dataset size")
+    if diurnal is not None and any(
+        rows.min() < 0 or rows.max() >= data.n for rows in (diurnal.rows_a, diurnal.rows_b)
+    ):
+        raise ValueError(f"diurnal rows must index the {data.n} training rows")
     dim = model.param_dim()
     T = config.num_steps
     mean_noise_std, rho_total = practical_noise(config, noise_multiplier)
@@ -318,13 +327,13 @@ def dp_sgd_practical(
     if mean_noise_std > 0:
         noise = rng.gaussian_steps([config.seed], rng.STREAM_NOISE, T, dim)
     for t in range(1, T + 1):
-        if config.diurnal is not None:
-            # diurnal phase starts at 0 so the first batch is pure source_a
+        if diurnal is not None:
+            # diurnal phase starts at 0 so the first batch is all rows_a
             gen = rng.step_generator(config.seed, rng.STREAM_BATCH, t)
-            batch = diurnal_draw(config.diurnal, t - 1, config.batch_size, gen)
+            idx = diurnal_draw(diurnal, t - 1, config.batch_size, gen)
         else:
             idx = minibatch_indices(config.seed, t, data.n, config.batch_size)
-            batch = data.subset(idx, tag=data.tag)
+        batch = data.subset(idx)
         grads = clip_rows(model.grad_per_example(theta, batch), config.clip_norm)
         g = grads.mean(axis=0)
         if noise is not None:
@@ -343,10 +352,7 @@ def dp_sgd_practical(
 
 
 # ---------------------------------------------------------------------------
-# excess risk against a cached constrained minimizer
-
-
-_MINIMIZER_CACHE: dict[tuple, tuple[np.ndarray, float]] = {}
+# excess risk against the constrained minimizer
 
 
 def minimize_loss(
@@ -377,13 +383,8 @@ def minimize_loss(
 
 
 def min_loss_in_ball(model: LossModel, data: DatasetHandle | None, radius: float) -> float:
-    """Minimum loss over the radius ball, cached per (model, data, radius)."""
-    data_key = data.fingerprint() if data is not None else None
-    key = (model.cache_key(), data_key, radius)
-    if key not in _MINIMIZER_CACHE:
-        theta = minimize_loss(model, data, radius)
-        _MINIMIZER_CACHE[key] = (theta, model.loss_full(theta, data))
-    return _MINIMIZER_CACHE[key][1]
+    """Minimum loss over the radius ball."""
+    return model.loss_full(minimize_loss(model, data, radius), data)
 
 
 def excess_risk(
@@ -445,7 +446,7 @@ def save_run(record: RunRecord, run_dir: str) -> None:
 
 
 def load_run(run_dir: str) -> RunRecord:
-    """Rebuild a RunRecord from a run directory (diurnal sources excluded)."""
+    """Rebuild a RunRecord from a run directory (diurnal schedule excluded)."""
     with open(os.path.join(run_dir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     c = manifest["config"]

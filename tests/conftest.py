@@ -63,9 +63,6 @@ class ProbVectorModel(LossModel):
         theta = np.asarray(theta, dtype=np.float64)
         return np.tile(theta / theta.sum(), (len(features), 1))
 
-    def cache_key(self) -> tuple:
-        return ("probvector", self.num_classes)
-
 
 @pytest.fixture(scope="session")
 def prob_model() -> ProbVectorModel:

@@ -234,7 +234,9 @@ def test_parse_aggregation_list_all_kinds():
     assert kinds == ["ema", "upa_k", "upa_tail", "pda", "opa", "omv", "best_k"]
     assert specs[0].beta == 0.9
     assert specs[-1].k == 5 and specs[-1].beta == 0.9
-    for bad in ("median:3", "ema", "upa_k:x", "best_k:5", ""):
+    for bad in (
+        "median:3", "ema", "upa_k:x", "best_k:5", "", "ema:0.9:7", "upa_k:5:junk", "pda:1.0:2:3"
+    ):
         with pytest.raises(ConfigError):
             parse_aggregation_list([bad])
     with pytest.raises(ConfigError):
@@ -317,9 +319,6 @@ class _ProbModel2(LossModel):
     def predict_proba(self, theta, features):
         return np.tile(np.asarray(theta, dtype=np.float64), (len(features), 1))
 
-    def cache_key(self):
-        return ("probmodel2",)
-
 
 def _oscillating_run(qs):
     """(K, 2) checkpoint matrix and steps 1..K of a hand-built run."""
@@ -331,8 +330,8 @@ def test_stability_report_smooths_oscillation():
     params, steps = _oscillating_run([0.2, 0.8, 0.2, 0.8, 0.2, 0.8])
     eval_data = DatasetHandle(np.zeros((4, 2)), np.ones(4, dtype=int), 2, tag="test")
     model = _ProbModel2()
-    report = stability_report(
-        params, steps, model, eval_data, AggregationSpec("upa_k", k=6), last_n=4
+    (report,) = stability_report(
+        params, steps, model, eval_data, [AggregationSpec("upa_k", k=6)], last_n=4
     )
     assert report.steps == [3, 4, 5, 6]
     # raw checkpoints alternate between wrong and right
@@ -348,9 +347,31 @@ def test_stability_report_window_validation():
     eval_data = DatasetHandle(np.zeros((2, 2)), np.ones(2, dtype=int), 2, tag="test")
     spec = AggregationSpec("upa_k", k=3)
     with pytest.raises(ValueError):
-        stability_report(params, steps, _ProbModel2(), eval_data, spec, last_n=1)
+        stability_report(params, steps, _ProbModel2(), eval_data, [spec], last_n=1)
     with pytest.raises(ValueError):
-        stability_report(params, steps, _ProbModel2(), eval_data, spec, last_n=4)
+        stability_report(params, steps, _ProbModel2(), eval_data, [spec], last_n=4)
+
+
+def test_stability_report_scores_the_baseline_once(monkeypatch):
+    params, steps = _oscillating_run([0.2, 0.8, 0.2, 0.8, 0.2, 0.8])
+    eval_data = DatasetHandle(np.zeros((4, 2)), np.ones(4, dtype=int), 2, tag="test")
+    specs = [AggregationSpec("upa_k", k=6), AggregationSpec("ema", beta=0.5)]
+    alone = [stability_report(params, steps, _ProbModel2(), eval_data, [s], 4)[0] for s in specs]
+    calls = []
+    real_accuracy = experiments.accuracy
+
+    def counted(*args):
+        calls.append(1)
+        return real_accuracy(*args)
+
+    monkeypatch.setattr(experiments, "accuracy", counted)
+    reports = stability_report(params, steps, _ProbModel2(), eval_data, specs, 4)
+    # 4 baseline scores, then 4 per spec
+    assert len(calls) == 4 + 2 * 4
+    for got, want in zip(reports, alone):
+        assert got.steps == want.steps
+        assert np.array_equal(got.baseline_accuracy, want.baseline_accuracy)
+        assert np.array_equal(got.aggregate_accuracy, want.aggregate_accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +461,20 @@ data.p = 4
 """
 
 
+PDS_CFG = """
+task = pds_eval
+train.steps = 40
+train.batch_size = 32
+agg.beta_grid = 0.9, 0.99
+agg.k_grid = 3, 5
+num_seeds = 2
+save_runs = false
+data.n = 400
+data.p = 4
+data.classes = 4
+"""
+
+
 DPLD_CFG = """
 task = dpld_bias
 dpld.trials = 100
@@ -453,12 +488,14 @@ def test_worker_count_does_not_change_results(tmp_path):
 
     risk_compare trains each worker's seeds as one batch and uq_compare
     each pool as one batch, so this also pins batch composition; dpld_bias
-    hands its one oracle to every worker.
+    hands its one oracle to every worker, and pds_eval its pickled diurnal
+    schedule.
     """
     for name, text, files in (
         ("risk", RISK_CFG, ["table.csv"]),
         ("uq", UQ_CFG, ["table.csv", "uq_report.json"]),
         ("dpld", DPLD_CFG, ["dpld_report.csv", "table.csv"]),
+        ("pds", PDS_CFG, ["table.csv", "aggregates.json", "plot_data.csv"]),
     ):
         outs = []
         for workers in (1, 2):

@@ -1,4 +1,4 @@
-"""Datasets, loss gradients, prediction heads, and the diurnal source."""
+"""Datasets, loss gradients, prediction heads, and the diurnal sampler."""
 
 import math
 
@@ -22,6 +22,7 @@ from dpckpt.model import (
     synth_classification,
 )
 from dpckpt.rng import step_generator
+from dpckpt.trainer import EtaSchedule, TrainerConfig, dp_sgd_practical
 
 # ---------------------------------------------------------------------------
 # datasets
@@ -57,15 +58,6 @@ def test_separation_scales_cluster_distance():
 
     ratio = centroid_gap(far) / centroid_gap(near)
     assert 5.0 < ratio < 7.0
-
-
-def test_fingerprint_content_addressed():
-    a = synth_classification(30, 3, seed=9, tag="x")
-    b = DatasetHandle(a.features.copy(), a.labels.copy(), a.num_classes, tag="y")
-    # tag does not enter the fingerprint, contents do
-    assert a.fingerprint() == b.fingerprint()
-    moved = DatasetHandle(a.features + 1e-12, a.labels, a.num_classes)
-    assert moved.fingerprint() != a.fingerprint()
 
 
 def test_subset_tags_and_contents():
@@ -288,19 +280,56 @@ def test_mlp_grad_matches_fd(binary_data, fd_grad):
 
 
 # ---------------------------------------------------------------------------
-# diurnal source
+# diurnal sampler
 
 
-def _two_sources(n=60, p=3):
-    gen = np.random.default_rng(0)
-    a = DatasetHandle(gen.normal(size=(n, p)), np.zeros(n, dtype=int), 2, tag="a")
-    b = DatasetHandle(gen.normal(size=(n, p)), np.ones(n, dtype=int), 2, tag="b")
-    return a, b
+def _two_row_sets(n=60, p=3):
+    """A dataset whose first n rows are class 0 and last n rows class 1,
+    and those two row sets."""
+    features = np.random.default_rng(0).normal(size=(2 * n, p))
+    data = DatasetHandle(features, np.repeat([0, 1], n), 2, tag="train")
+    return data, np.arange(n), np.arange(n, 2 * n)
+
+
+def _mask_and_gather(sched, data, t, count, gen):
+    """Reference batch assembly: copy each row set out as its own source,
+    then fill the batch from them through the from-a mask."""
+    source_a, source_b = data.subset(sched.rows_a), data.subset(sched.rows_b)
+    from_a = gen.random(count) < diurnal_prob(sched, t)
+    feats = np.empty((count, data.p))
+    labels = np.empty(count, dtype=np.int64)
+    n_a = int(from_a.sum())
+    if n_a:
+        idx = gen.integers(0, source_a.n, n_a)
+        feats[from_a] = source_a.features[idx]
+        labels[from_a] = source_a.labels[idx]
+    if count - n_a:
+        idx = gen.integers(0, source_b.n, count - n_a)
+        feats[~from_a] = source_b.features[idx]
+        labels[~from_a] = source_b.labels[idx]
+    return feats, labels
+
+
+def test_diurnal_rows_match_mask_and_gather_assembly():
+    # interleaved, unequal row sets of a shuffled dataset
+    data = synth_classification(150, 4, num_classes=3, seed=2)
+    sched = DiurnalSchedule(
+        period=8,
+        rows_a=np.flatnonzero(data.labels == 1),
+        rows_b=np.flatnonzero(data.labels != 1),
+    )
+    for seed in range(6):
+        # t = 0, 8, 16 draw only rows_a and t = 4, 12 only rows_b
+        for t in range(17):
+            batch = data.subset(diurnal_draw(sched, t, 24, step_generator(seed, 7, t)))
+            feats, labels = _mask_and_gather(sched, data, t, 24, step_generator(seed, 7, t))
+            assert np.array_equal(batch.features, feats)
+            assert np.array_equal(batch.labels, labels)
 
 
 def test_diurnal_prob_triangle_wave():
-    a, b = _two_sources()
-    sched = DiurnalSchedule(period=8, source_a=a, source_b=b)
+    _, a, b = _two_row_sets()
+    sched = DiurnalSchedule(period=8, rows_a=a, rows_b=b)
     assert diurnal_prob(sched, 0) == 1.0
     assert diurnal_prob(sched, 2) == 0.5
     assert diurnal_prob(sched, 4) == 0.0
@@ -311,34 +340,46 @@ def test_diurnal_prob_triangle_wave():
 
 
 def test_diurnal_draw_pure_phases():
-    a, b = _two_sources()
-    sched = DiurnalSchedule(period=8, source_a=a, source_b=b)
-    batch_a = diurnal_draw(sched, 0, 32, step_generator(0, 7, 1))
-    assert np.all(batch_a.labels == 0)  # p=1, everything from source_a
-    batch_b = diurnal_draw(sched, 4, 32, step_generator(0, 7, 2))
-    assert np.all(batch_b.labels == 1)
-    assert batch_a.n == 32 and batch_a.p == 3
-    assert batch_a.tag == "diurnal(t=0)"
+    data, a, b = _two_row_sets()
+    sched = DiurnalSchedule(period=8, rows_a=a, rows_b=b)
+    rows_a = diurnal_draw(sched, 0, 32, step_generator(0, 7, 1))
+    assert np.all(data.labels[rows_a] == 0)  # p=1, every row from rows_a
+    rows_b = diurnal_draw(sched, 4, 32, step_generator(0, 7, 2))
+    assert np.all(data.labels[rows_b] == 1)
+    assert rows_a.shape == (32,) and rows_a.dtype == np.int64
 
 
 def test_diurnal_draw_mixes_at_half_phase():
-    a, b = _two_sources(n=200)
-    sched = DiurnalSchedule(period=8, source_a=a, source_b=b)
+    data, a, b = _two_row_sets(n=200)
+    sched = DiurnalSchedule(period=8, rows_a=a, rows_b=b)
     counts = []
     for rep in range(200):
-        batch = diurnal_draw(sched, 2, 16, step_generator(1, 7, rep))
-        counts.append(int((batch.labels == 0).sum()))
-    # mean fraction from source_a should be near p=0.5
+        rows = diurnal_draw(sched, 2, 16, step_generator(1, 7, rep))
+        counts.append(int((data.labels[rows] == 0).sum()))
+    # mean fraction from rows_a should be near p=0.5
     assert abs(np.mean(counts) / 16.0 - 0.5) < 0.03
 
 
 def test_diurnal_validation_errors():
-    a, b = _two_sources()
+    data, a, b = _two_row_sets()
     with pytest.raises(ValueError):
-        DiurnalSchedule(period=1, source_a=a, source_b=b)
-    narrow = DatasetHandle(np.zeros((5, 2)), np.zeros(5, dtype=int), 2, tag="c")
-    with pytest.raises(ValueError):
-        DiurnalSchedule(period=4, source_a=a, source_b=narrow)
-    sched = DiurnalSchedule(period=4, source_a=a, source_b=b)
+        DiurnalSchedule(period=1, rows_a=a, rows_b=b)
+    for rows in (np.array([], dtype=np.int64), np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError):
+            DiurnalSchedule(period=4, rows_a=a, rows_b=rows)
+    sched = DiurnalSchedule(period=4, rows_a=a, rows_b=b)
     with pytest.raises(ValueError):
         diurnal_draw(sched, 0, 0, step_generator(0, 7, 0))
+
+    # rows outside the training data fail before the first step
+    model = LogisticLoss.for_data(data)
+    steps_taken = []
+    model.grad_per_example = lambda theta, batch: steps_taken.append(1)
+    for rows in (np.array([0, -1]), np.array([0, data.n])):
+        config = TrainerConfig(
+            "practical", 3, EtaSchedule("constant", 0.1), batch_size=4,
+            diurnal=DiurnalSchedule(period=4, rows_a=a, rows_b=rows),
+        )
+        with pytest.raises(ValueError, match="diurnal rows"):
+            dp_sgd_practical(model, data, config, noise_multiplier=0.0)
+    assert steps_taken == []

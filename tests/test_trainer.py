@@ -406,9 +406,10 @@ def _practical_reference(model, data, config, z, eval_data):
     for t in range(1, config.num_steps + 1):
         if config.diurnal is not None:
             gen = rng.step_generator(config.seed, rng.STREAM_BATCH, t)
-            batch = diurnal_draw(config.diurnal, t - 1, config.batch_size, gen)
+            idx = diurnal_draw(config.diurnal, t - 1, config.batch_size, gen)
         else:
-            batch = data.subset(minibatch_indices(config.seed, t, data.n, config.batch_size))
+            idx = minibatch_indices(config.seed, t, data.n, config.batch_size)
+        batch = data.subset(idx)
         g = clip_rows(model.grad_per_example(theta, batch), config.clip_norm).mean(axis=0)
         g = g + std * rng.gaussian_vector(config.seed, rng.STREAM_NOISE, t, len(theta))
         theta = theta - config.eta.at(t) * g
@@ -427,8 +428,8 @@ def test_practical_block_noise_matches_per_step_draws(diurnal):
     if diurnal:
         schedule = DiurnalSchedule(
             period=6,
-            source_a=data.subset(np.flatnonzero(data.labels == 0)),
-            source_b=data.subset(np.flatnonzero(data.labels != 0)),
+            rows_a=np.flatnonzero(data.labels == 0),
+            rows_b=np.flatnonzero(data.labels != 0),
         )
     config = TrainerConfig(
         "practical", 250, EtaSchedule("constant", 0.3), clip_norm=0.7, batch_size=16,
