@@ -61,7 +61,7 @@ class AggregationSpec:
             raise ValueError("k must be at least 1")
         if self.alpha is not None and not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if self.gamma is not None and self.gamma < 0:
+        if self.gamma is not None and not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
         if self.beta is not None and not 0 < self.beta <= 1:
             raise ValueError("beta must be in (0, 1]")
@@ -195,23 +195,17 @@ def opa_batch_labels(
     thetas: Sequence[np.ndarray], model: LossModel, features: np.ndarray
 ) -> np.ndarray:
     """Label of the averaged prediction vector per input (ties to lowest class)."""
-    mean_probs = np.mean(
-        np.stack([model.predict_proba(theta, features) for theta in thetas]), axis=0
-    )
-    return mean_probs.argmax(axis=1)
+    return np.mean(model.predict_proba(np.asarray(thetas), features), axis=0).argmax(axis=1)
 
 
 def omv_batch_labels(
     thetas: Sequence[np.ndarray], model: LossModel, features: np.ndarray
 ) -> np.ndarray:
     """Majority vote over per-checkpoint labels per input (ties to lowest class)."""
-    probs = np.stack([model.predict_proba(theta, features) for theta in thetas])
+    probs = model.predict_proba(np.asarray(thetas), features)
     labels = probs.argmax(axis=2)  # (k, n)
-    num_classes = probs.shape[2]
-    onehot = np.zeros((labels.shape[1], num_classes), dtype=np.int64)
-    for row in labels:
-        onehot[np.arange(labels.shape[1]), row] += 1
-    return onehot.argmax(axis=1)
+    votes = (labels[:, :, None] == np.arange(probs.shape[2])).sum(axis=0)  # (n, c)
+    return votes.argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +230,5 @@ def select_best_k(
         raise ValueError(f"k={k} outside [1, {len(params)}]")
     if train_tag is not None and train_tag == heldout.tag:
         raise ValueError("heldout partition carries the training tag; must be disjoint")
-    scored = sorted(
-        (-accuracy(model, theta, heldout), step, i)
-        for i, (theta, step) in enumerate(zip(params, steps))
-    )
-    return np.array([i for _, _, i in scored[:k]])
+    # lexsort is stable, so rows tied on accuracy and step keep their order
+    return np.lexsort((np.asarray(steps), -accuracy(model, params, heldout)))[:k]

@@ -55,15 +55,11 @@ MAX_EVENTS = 2**32
 class Statistic:
     """Named map from a parameter vector to a scalar in [-1, 1].
 
-    The callable must accept a (n, p) batch and return (n,) values;
-    evaluate() handles the single-vector case.
+    The callable must accept a (n, p) batch and return (n,) values.
     """
 
     name: str
     batch_fn: Callable[[np.ndarray], np.ndarray]
-
-    def evaluate(self, theta: np.ndarray) -> float:
-        return float(self.batch_fn(np.atleast_2d(theta))[0])
 
     def evaluate_batch(self, thetas: np.ndarray) -> np.ndarray:
         return np.asarray(self.batch_fn(thetas), dtype=np.float64)
@@ -113,17 +109,19 @@ class LDConfig:
     delta_target: float = 1e-2
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.c_constant <= 0:
+        if not self.c_constant > 0:
             raise ValueError("c_constant must be positive")
         if not 0.0 < self.delta_target < 1.0:
             raise ValueError("delta_target must be in (0, 1)")
         theta = np.asarray(self.theta_start, dtype=np.float64)
         if theta.ndim != 1 or theta.size == 0:
             raise ValueError("theta_start must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta_start must be finite")
         object.__setattr__(self, "theta_start", theta)
 
 
@@ -134,9 +132,9 @@ class CheckpointTimes:
     k: int
 
     def __post_init__(self):
-        if self.t1 <= 0:
+        if not self.t1 > 0:
             raise ValueError("t1 must be positive")
-        if self.gap <= 0:
+        if not self.gap > 0:
             raise ValueError("gap must be positive")
         if self.k < 2:
             raise ValueError("k must be at least 2")

@@ -254,12 +254,11 @@ def stability_report(
     if last_n < 2:
         raise ValueError("window must cover at least two checkpoints")
     steps = list(steps)
-    base = np.array([accuracy(model, theta, eval_data) for theta in params[-last_n:]])
+    base = accuracy(model, params[-last_n:], eval_data)
     reports = []
     for spec in specs:
         rolled = aggregate.rolling(spec, params, steps, last_n)
-        agg = np.array([accuracy(model, theta, eval_data) for theta in rolled])
-        reports.append(StabilityReport(steps[-last_n:], base, agg))
+        reports.append(StabilityReport(steps[-last_n:], base, accuracy(model, rolled, eval_data)))
     return reports
 
 
@@ -677,7 +676,7 @@ def _pds_seed_worker(args):
         # Score by the trailing-window mean, not the final value: under a
         # shifting distribution the endpoint rewards phase luck.
         rolled = aggregate.rolling(spec, params, steps, window)
-        return float(np.mean([accuracy(model, theta, part) for theta in rolled]))
+        return float(np.mean(accuracy(model, rolled, part)))
 
     best_ema, _ = tune_on_validation(beta_specs, spec_window_accuracy, parts["validation"])
     best_upa, _ = tune_on_validation(k_specs, spec_window_accuracy, parts["validation"])

@@ -12,6 +12,9 @@ loss_full and grad_full also take an (S, p) matrix of S parameter rows
 through stacked np.matmul, which makes the same BLAS call per row as an
 unbatched product, so a batched row equals the unbatched result bit for
 bit (a plain X @ Theta.T would be one larger product, rounded differently).
+predict_proba and accuracy take rows the same way: (S, p) rows give
+(S, n, c) probabilities and (S,) accuracies, and accuracy scores the rows
+in chunks so that no probability block grows past ~40k elements.
 The diurnal sampler draws a minibatch as row indices into the training
 data, as the uniform sampler does, so a batch is always data.subset(rows).
 """
@@ -64,12 +67,14 @@ class DatasetHandle:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray, tag: str | None = None) -> "DatasetHandle":
-        return DatasetHandle(
-            self.features[indices],
-            self.labels[indices],
-            self.num_classes,
-            tag if tag is not None else self.tag,
-        )
+        """The selected rows, without re-running the __post_init__ scans on rows
+        of this validated dataset; an empty selection still fails."""
+        sub = object.__new__(type(self))
+        sub.features, sub.labels = self.features[indices], self.labels[indices]
+        sub.num_classes, sub.tag = self.num_classes, self.tag if tag is None else tag
+        if sub.features.ndim != 2 or sub.n < 1:
+            raise ValueError("subset must select a non-empty 1-d set of rows")
+        return sub
 
 
 def synth_classification(
@@ -194,12 +199,8 @@ class LossModel:
         raise NotImplementedError
 
     def predict_proba(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """Class probabilities: (n, c) for a (p,) vector, (S, n, c) for (S, p) rows."""
         raise NotImplementedError
-
-    def predict(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Class-probability vector for a single input."""
-        probs = self.predict_proba(theta, np.asarray(x, dtype=np.float64)[None, :])
-        return probs[0]
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
@@ -282,7 +283,7 @@ class LogisticLoss(LossModel):
     def __post_init__(self):
         if self.n_features < 1 or self.num_classes < 2:
             raise ValueError("need n_features >= 1 and num_classes >= 2")
-        if self.l2_reg < 0:
+        if not self.l2_reg >= 0:
             raise ValueError("l2_reg must be nonnegative")
         self.strong_convexity = self.l2_reg
 
@@ -315,9 +316,6 @@ class LogisticLoss(LossModel):
 
     def param_dim(self) -> int:
         return self.n_features if self.binary else self.num_classes * self.n_features
-
-    def _weights(self, theta: np.ndarray) -> np.ndarray:
-        return theta.reshape(self.num_classes, self.n_features)
 
     def _logits(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
         """(S, n) margins (binary) or (S, n, c) logits, one stacked BLAS call per row."""
@@ -366,22 +364,21 @@ class LogisticLoss(LossModel):
             signs = 2.0 * data.labels - 1.0
             coeff = -signs * _sigmoid(-signs * margins)
             return coeff[:, None] * data.features + self.l2_reg * theta
-        probs = _softmax(data.features @ self._weights(theta).T)
+        probs = _softmax(data.features @ theta.reshape(self.num_classes, -1).T)
         probs[np.arange(data.n), data.labels] -= 1.0
         grads = np.einsum("ic,ip->icp", probs, data.features)
         return grads.reshape(data.n, -1) + self.l2_reg * theta
 
     def predict_proba(self, theta, features) -> np.ndarray:
-        theta = self._check_theta(theta)
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if self.binary:
-            margins = features @ theta
-            _check_finite_logits(margins)
-            pos = _sigmoid(margins)
-            return np.stack([1.0 - pos, pos], axis=1)
-        logits = features @ self._weights(theta).T
+        rows, single = self._check_rows(theta)
+        logits = self._logits(rows, np.atleast_2d(np.asarray(features, dtype=np.float64)))
         _check_finite_logits(logits)
-        return _softmax(logits)
+        if self.binary:
+            pos = _sigmoid(logits)
+            probs = np.stack([1.0 - pos, pos], axis=-1)
+        else:
+            probs = _softmax(logits)
+        return probs[0] if single else probs
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -409,7 +406,7 @@ class TinyMLP(LossModel):
     def __post_init__(self):
         if self.n_features < 1 or self.hidden < 1 or self.num_classes < 2:
             raise ValueError("bad tinyMLP sizes")
-        if self.l2_reg < 0:
+        if not self.l2_reg >= 0:
             raise ValueError("l2_reg must be nonnegative")
         self.strong_convexity = 0.0
 
@@ -476,17 +473,31 @@ class TinyMLP(LossModel):
         return self._backward(theta, data)
 
     def predict_proba(self, theta, features) -> np.ndarray:
-        theta = self._check_theta(theta)
+        rows, single = self._check_rows(theta)
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        _, logits = self._forward(theta, features)
+        logits = np.array([self._forward(r, features)[1] for r in rows])
         _check_finite_logits(logits)
-        return _softmax(logits)
+        probs = _softmax(logits)
+        return probs[0] if single else probs
 
 
-def accuracy(model: LossModel, theta: np.ndarray, data: DatasetHandle) -> float:
-    """Fraction of examples whose argmax class matches the label."""
-    probs = model.predict_proba(theta, data.features)
-    return float(np.mean(probs.argmax(axis=1) == data.labels))
+# elements of one (rows, n, c) probability block that accuracy scores at once
+ACCURACY_BLOCK = 40_000
+
+
+def accuracy(model: LossModel, theta: np.ndarray, data: DatasetHandle):
+    """Fraction of examples whose argmax class matches the label: a float for
+    a (p,) vector, an (S,) array for (S, p) rows. Rows are scored a chunk at a
+    time, as many as fit ACCURACY_BLOCK (row, example, class) probabilities."""
+    theta = np.asarray(theta, dtype=np.float64)
+    rows = np.atleast_2d(theta)
+    chunk = max(1, ACCURACY_BLOCK // (data.n * data.num_classes))
+    acc = np.empty(len(rows))
+    for lo in range(0, len(rows), chunk):
+        probs = model.predict_proba(rows[lo : lo + chunk], data.features)
+        # a count over n is np.mean's own arithmetic on the boolean hits
+        acc[lo : lo + chunk] = (probs.argmax(axis=2) == data.labels).sum(axis=1) / data.n
+    return float(acc[0]) if theta.ndim == 1 else acc
 
 
 # ---------------------------------------------------------------------------

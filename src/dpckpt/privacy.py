@@ -46,7 +46,7 @@ def check_delta(delta: float) -> float:
 def zcdp_to_epsilon(rho: float, delta: float) -> float:
     """epsilon = rho + 2*sqrt(rho*ln(1/delta)); rho = inf maps to inf."""
     check_delta(delta)
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if math.isinf(rho):
         return math.inf
@@ -56,7 +56,7 @@ def zcdp_to_epsilon(rho: float, delta: float) -> float:
 def epsilon_to_zcdp(epsilon: float, delta: float) -> float:
     """Inverse of zcdp_to_epsilon at fixed delta (exact, via the quadratic)."""
     check_delta(delta)
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     log_term = math.log(1.0 / delta)
     # epsilon = rho + 2*sqrt(rho*log_term): solve for sqrt(rho)
@@ -84,7 +84,7 @@ def calibrate_theoretical(
     """
     if lipschitz <= 0 or num_steps < 1 or n < 1:
         raise ValueError("lipschitz, num_steps, n must be positive")
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if math.isinf(rho):
         return NoiseScale(0.0)

@@ -99,9 +99,9 @@ class TrainerConfig:
             raise ValueError(f"unknown trainer mode {self.mode!r}")
         if self.num_steps < 1:
             raise ValueError("num_steps must be at least 1")
-        if self.projection_radius <= 0:
+        if not self.projection_radius > 0:
             raise ValueError("projection_radius must be positive")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:
             raise ValueError("clip_norm must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
@@ -161,7 +161,7 @@ class RunRecord:
 
 def choose_T(n: int, rho: float) -> int:
     """Step count ceil(n * rho) used by the theoretical trainer."""
-    if n < 1 or rho <= 0:
+    if n < 1 or not rho > 0:
         raise ValueError("need n >= 1 and rho > 0")
     return max(1, math.ceil(n * rho))
 
@@ -260,7 +260,7 @@ def dp_sgd_theoretical_runs(
             raise NumericDivergenceError("training loss became non-finite", step=t)
         metrics[:, t - 1, 0] = loss
         if eval_data is not None:
-            metrics[:, t - 1, 1] = [accuracy(model, row, eval_data) for row in theta]
+            metrics[:, t - 1, 1] = accuracy(model, theta, eval_data)
         if t in ckpt_index:
             ckpts[:, ckpt_index[t]] = theta
     budget = PrivacyBudget.from_rho(rho, delta)

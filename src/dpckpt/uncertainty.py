@@ -159,14 +159,10 @@ def _statistic_matrix(
     """(k, n_inputs) statistics, one row per model."""
     if mode not in STATISTIC_MODES:
         raise ValueError(f"unknown statistic mode {mode!r}")
-    rows = []
-    for theta in thetas:
-        probs = model.predict_proba(theta, inputs)
-        if mode == "label_as_integer":
-            rows.append(probs.argmax(axis=1).astype(np.float64))
-        else:
-            rows.append(probs.max(axis=1))
-    return np.stack(rows)
+    probs = model.predict_proba(np.asarray(thetas), inputs)
+    if mode == "label_as_integer":
+        return probs.argmax(axis=2).astype(np.float64)
+    return probs.max(axis=2)
 
 
 def uq_widths(

@@ -60,8 +60,10 @@ class ProbVectorModel(LossModel):
         return self.num_classes
 
     def predict_proba(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """(n, c) for a (p,) vector, (S, n, c) for (S, p) rows."""
         theta = np.asarray(theta, dtype=np.float64)
-        return np.tile(theta / theta.sum(), (len(features), 1))
+        probs = theta / theta.sum(axis=-1, keepdims=True)
+        return np.repeat(probs[..., None, :], len(features), axis=-2)
 
 
 @pytest.fixture(scope="session")

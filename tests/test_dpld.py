@@ -44,17 +44,17 @@ BURN_IN_EXAMPLE = 0.5 + math.log(2.0) + 1.0
 
 def test_clamped_coordinate_statistic():
     stat = make_clamped_coordinate(np.array([2.0, 0.0]), coord=0)
-    assert stat.evaluate(np.array([2.3, 9.9])) == pytest.approx(0.3)
-    assert stat.evaluate(np.array([5.0, 0.0])) == 1.0  # clipped high
-    assert stat.evaluate(np.array([-5.0, 0.0])) == -1.0  # clipped low
+    assert stat.evaluate_batch(np.array([2.3, 9.9])[None])[0] == pytest.approx(0.3)
+    assert stat.evaluate_batch(np.array([5.0, 0.0])[None])[0] == 1.0  # clipped high
+    assert stat.evaluate_batch(np.array([-5.0, 0.0])[None])[0] == -1.0  # clipped low
     batch = np.array([[2.1, 0.0], [1.5, 3.0]])
     assert np.allclose(stat.evaluate_batch(batch), [0.1, -0.5])
 
 
 def test_sign_coordinate_statistic():
     stat = make_sign_coordinate(np.array([1.0, -1.0]), coord=1)
-    assert stat.evaluate(np.array([0.0, 4.0])) == 1.0
-    assert stat.evaluate(np.array([0.0, -4.0])) == -1.0
+    assert stat.evaluate_batch(np.array([0.0, 4.0])[None])[0] == 1.0
+    assert stat.evaluate_batch(np.array([0.0, -4.0])[None])[0] == -1.0
 
 
 def test_clamped_norm_excess_statistic():
@@ -63,8 +63,8 @@ def test_clamped_norm_excess_statistic():
     # ||theta|| = sqrt(4) + 0.5 gives excess 0.5
     theta = np.zeros(4)
     theta[0] = 2.5
-    assert stat.evaluate(theta) == pytest.approx(0.5)
-    assert stat.evaluate(np.zeros(4)) == -1.0  # excess -2 clips to -1
+    assert stat.evaluate_batch(theta[None])[0] == pytest.approx(0.5)
+    assert stat.evaluate_batch(np.zeros(4)[None])[0] == -1.0  # excess -2 clips to -1
 
 
 def test_statistics_are_bounded():
@@ -356,7 +356,7 @@ def _per_trial_reference(config, times, statistic, trials, seed, data=None):
                 theta = _em_segment(
                     theta, model, data, m, sigma_eff, config.eta, m * seg, normals
                 )
-            vals[i] = statistic.evaluate(theta)
+            vals[i] = statistic.evaluate_batch(theta[None])[0]
         s_values[j] = np.var(vals, ddof=1)
     return float(s_values.mean()), float(s_values.std(ddof=1) / math.sqrt(trials))
 

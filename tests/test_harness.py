@@ -317,7 +317,9 @@ class _ProbModel2(LossModel):
         return 2
 
     def predict_proba(self, theta, features):
-        return np.tile(np.asarray(theta, dtype=np.float64), (len(features), 1))
+        """(n, 2) for a (2,) vector, (S, n, 2) for (S, 2) rows."""
+        theta = np.asarray(theta, dtype=np.float64)
+        return np.repeat(theta[..., None, :], len(features), axis=-2)
 
 
 def _oscillating_run(qs):
@@ -361,13 +363,14 @@ def test_stability_report_scores_the_baseline_once(monkeypatch):
     real_accuracy = experiments.accuracy
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args)
         return real_accuracy(*args)
 
     monkeypatch.setattr(experiments, "accuracy", counted)
     reports = stability_report(params, steps, _ProbModel2(), eval_data, specs, 4)
-    # 4 baseline scores, then 4 per spec
-    assert len(calls) == 4 + 2 * 4
+    # one call on the last 4 raw rows, then one per spec on its rolled rows
+    assert len(calls) == 1 + len(specs)
+    assert np.array_equal(calls[0][1], params[-4:])
     for got, want in zip(reports, alone):
         assert got.steps == want.steps
         assert np.array_equal(got.baseline_accuracy, want.baseline_accuracy)
@@ -691,8 +694,11 @@ _BAD_KEY_CASES = [
      "train.delta"),
     (_PRACTICAL_TASKS, "train.noise_multiplier = -1", "train.noise_multiplier"),
     (list(_TASK_HEADS), "train.l2_reg = -1", "l2_reg must be nonnegative"),
+    (["train-practical", "risk_compare"], "train.l2_reg = nan", "l2_reg must be nonnegative"),
     (["risk_compare", "train-theoretical", "uq_compare"], "train.radius = -1",
      "radius must be positive"),
+    (_PRACTICAL_TASKS, "train.clip_norm = nan", "clip_norm must be positive"),
+    (["aggregate_eval"], "agg.list = pda:nan", "gamma must be nonnegative"),
     (["ema_sweep"], "sweep.betas = 0", "sweep.betas"),
     (["k_sweep"], "sweep.ks = 0", "sweep.ks"),
     (["pds_eval"], "agg.beta_grid = 1.5", "agg.beta_grid"),
@@ -737,6 +743,8 @@ _BAD_KEY_IDS = [
         ("uq", "task = uq_compare\nuq.epsilons =\n", "uq.epsilons"),
         ("uq", "task = uq_compare\nuq.epsilons = 0\n", "epsilon must be positive"),
         ("train", "train.mode = theoretical\ntrain.rho = 0\n", "rho > 0"),
+        ("train", "train.mode = theoretical\ntrain.rho = nan\n", "rho > 0"),
+        ("uq", "task = uq_compare\nuq.epsilons = nan\n", "epsilon must be positive"),
         ("report", "task = risk_compare\ntrain.rho = 0\n", "rho > 0"),
         ("train", "train.mode = theoretical\ntrain.steps = 0\n", "num_steps"),
         ("dpld-bias", "task = dpld_bias\ndpld.points = 20:20, 0:1\n", "t1 must be positive"),
@@ -750,16 +758,24 @@ _BAD_KEY_IDS = [
         ("dpld-bias", "task = dpld_bias\ndpld.oracle_samples = 99999\n",
          "dpld.oracle_samples"),
         ("dpld-bias", "task = dpld_bias\ndpld.trials = 2147483648\n", "dpld.trials"),
+        ("dpld-bias", "task = dpld_bias\ndpld.sigma = nan\n", "sigma must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.eta = nan\n", "eta must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.c_constant = nan\n", "c_constant must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.start_distance = nan\n",
+         "theta_start must be finite"),
+        ("dpld-bias", "task = dpld_bias\ndpld.points = nan:1\n", "t1 must be positive"),
     ] + _BAD_KEY_PARAMS,
     ids=[
         "risk_compare-every", "aggregate_eval-batch", "k_sweep-eta", "pds_eval-clip",
         "pds_eval-no-beta", "pds_eval-no-k", "pds_eval-one-checkpoint", "train-practical-batch",
         "train-practical-every", "train-practical-num_seeds", "train-theoretical-every",
         "train-theoretical-seeds", "uq_compare-k1", "uq_compare-no-k", "uq_compare-no-eps",
-        "uq_compare-eps0", "train-theoretical-rho0", "risk_compare-rho0",
+        "uq_compare-eps0", "train-theoretical-rho0", "train-theoretical-rho-nan",
+        "uq_compare-eps-nan", "risk_compare-rho0",
         "train-theoretical-steps0", "dpld_bias-t1", "dpld_bias-gap", "dpld_bias-k1",
         "dpld_bias-sigma", "dpld_bias-eta", "dpld_bias-dim", "dpld_bias-c", "dpld_bias-delta",
-        "dpld_bias-oracle", "dpld_bias-trials",
+        "dpld_bias-oracle", "dpld_bias-trials", "dpld_bias-sigma-nan", "dpld_bias-eta-nan",
+        "dpld_bias-c-nan", "dpld_bias-start-nan", "dpld_bias-t1-nan",
     ] + _BAD_KEY_IDS,
 )
 def test_cli_unfinishable_config_exits_2_before_training(

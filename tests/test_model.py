@@ -7,6 +7,7 @@ import pytest
 
 from dpckpt.errors import NumericOverflowError
 from dpckpt.model import (
+    ACCURACY_BLOCK,
     DatasetHandle,
     DiurnalSchedule,
     LogisticLoss,
@@ -66,8 +67,12 @@ def test_subset_tags_and_contents():
     assert sub.n == 3 and sub.p == 3
     assert sub.tag == "validation"
     assert np.array_equal(sub.features, data.features[[3, 1, 7]])
+    assert np.array_equal(sub.labels, data.labels[[3, 1, 7]]) and sub.num_classes == 2
     inherit = data.subset(np.array([0, 2]))
     assert inherit.tag == "train"
+    for empty in (np.array([], dtype=np.int64), np.zeros(20, dtype=bool)):
+        with pytest.raises(ValueError):
+            data.subset(empty)
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -263,6 +268,22 @@ def test_row_batched_calls_check_the_width(binary_data, multi_data):
                 model.grad_full(bad, data)
             with pytest.raises(ValueError):
                 model.loss_full(bad, data)
+            with pytest.raises(ValueError):
+                model.predict_proba(bad, data.features)
+
+
+def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):
+    gen = np.random.default_rng(9)
+    for model, data in _every_family(binary_data, multi_data)[1:]:
+        chunk = max(1, ACCURACY_BLOCK // (data.n * data.num_classes))
+        rows = gen.normal(scale=2.0, size=(2 * chunk + 1, model.param_dim()))
+        probs, accs = model.predict_proba(rows, data.features), accuracy(model, rows, data)
+        assert probs.shape == (len(rows), data.n, data.num_classes)
+        assert accs.shape == (len(rows),) and len(set(accs.tolist())) > 1
+        for s, row in enumerate(rows):
+            assert np.array_equal(probs[s], model.predict_proba(row, data.features))
+            one = accuracy(model, row, data)
+            assert type(one) is float and accs[s] == one
 
 
 # ---------------------------------------------------------------------------

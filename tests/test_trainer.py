@@ -147,6 +147,11 @@ def test_trainer_config_validation():
         TrainerConfig("practical", 10, eta, batch_size=0)
     with pytest.raises(ValueError):
         TrainerConfig("practical", 10, eta, checkpoint_every=11)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="projection_radius"):
+            TrainerConfig("theoretical", 10, eta, projection_radius=bad)
+        with pytest.raises(ValueError, match="clip_norm"):
+            TrainerConfig("practical", 10, eta, clip_norm=bad)
 
 
 # ---------------------------------------------------------------------------
