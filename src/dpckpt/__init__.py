@@ -18,7 +18,6 @@ from .model import (
     LogisticLoss,
     LossModel,
     QuadraticLoss,
-    TinyMLP,
     accuracy,
     synth_classification,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "LogisticLoss",
     "LossModel",
     "QuadraticLoss",
-    "TinyMLP",
     "accuracy",
     "synth_classification",
     "PrivacyBudget",

@@ -811,9 +811,9 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
         raise ConfigError("k list is empty", key="uq.k_values")
     if pool < max(k_list):
         raise ConfigError("pool must hold at least max(k) runs", key="uq.pool_runs")
-    with _config_errors("privacy setting"):
+    with _config_errors("privacy setting", "uq.epsilons"):
         rhos = [privacy.epsilon_to_zcdp(e, delta) for e in eps_list]
-    shortest = min(trainer.choose_T(data.n, rho) for rho in rhos)
+        shortest = min(trainer.choose_T(data.n, rho) for rho in rhos)
     if shortest < max(k_list):
         raise ConfigError(
             f"k={max(k_list)} exceeds the {shortest} checkpoints of the shortest run",

@@ -1,10 +1,9 @@
 """Datasets, loss models, and prediction heads.
 
-Three loss families are supported: a quadratic bowl (used by the
-Langevin experiments and as an analytically tractable trainer target),
+Two loss families are supported: a quadratic bowl (used by the Langevin
+experiments and as an analytically tractable trainer target) and
 l2-regularized logistic regression (binary sigmoid or multiclass
-softmax), and a small one-hidden-layer tanh network for qualitative
-experiments. All parameters are flat float64 vectors so the trainer and
+softmax). All parameters are flat float64 vectors so the trainer and
 the aggregation operators never need to know the model structure.
 loss_full and grad_full also take an (S, p) matrix of S parameter rows
 (the seed-batched trainer's iterates) and return one value per row; a
@@ -12,6 +11,11 @@ loss_full and grad_full also take an (S, p) matrix of S parameter rows
 through stacked np.matmul, which makes the same BLAS call per row as an
 unbatched product, so a batched row equals the unbatched result bit for
 bit (a plain X @ Theta.T would be one larger product, rounded differently).
+loss_and_grad gives both at once from one logits block: the binary head
+shares z = y * margin and exp(-|z|) between the cross-entropy and its
+slope, the softmax head shares exp(logits - max) and its row sum between
+the log-sum-exp and the probabilities. loss_full and grad_full read the
+same helpers, so the fused pair equals the separate calls bit for bit.
 predict_proba and accuracy take rows the same way: (S, p) rows give
 (S, n, c) probabilities and (S,) accuracies, and accuracy scores the rows
 in chunks so that no probability block grows past ~40k elements.
@@ -152,10 +156,46 @@ def load_csv(path: str, num_classes: int | None = None, tag: str = "") -> Datase
 # loss models
 
 
+def _sigmoid_from(nonneg: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(x) from nonneg = (x >= 0) and e = exp(-|x|): 1/(1+e) where x >= 0
+    and e/(1+e) elsewhere, the form that keeps precision on each side."""
+    return np.where(nonneg, 1.0, e) / (1.0 + e)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp(-|x|) never overflows
+    return _sigmoid_from(x >= 0, np.exp(-np.abs(x)))
+
+
+def _margin_terms(margins: np.ndarray, labels: np.ndarray):
+    """(signs, z, e): the labels as +-1 signs, z = signs * margins and
+    e = exp(-|z|), which the binary cross-entropy and its slope both read."""
+    signs = 2.0 * labels - 1.0
+    z = signs * margins
+    return signs, z, np.exp(-np.abs(z))
+
+
+def _binary_ce(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # ln(1 + exp(-z)) evaluated stably
+    return np.maximum(-z, 0.0) + np.log1p(e)
+
+
+def _binary_slope(signs: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # d/dm ln(1+exp(-y m)) = -y * sigmoid(-z), and -z >= 0 exactly where z <= 0
+    return -signs * _sigmoid_from(z <= 0, e)
+
+
+def _softmax_terms(logits: np.ndarray):
+    """(max logit, exp(logits - max), the sum of those exps) over the last
+    axis, which the log-sum-exp and the softmax probabilities both read."""
+    zmax = logits.max(axis=-1, keepdims=True)
+    ex = np.exp(logits - zmax)
+    return zmax, ex, ex.sum(axis=-1, keepdims=True)
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    _, ex, total = _softmax_terms(logits)
+    return ex / total
 
 
 def _row_sq_norms(rows: np.ndarray) -> np.ndarray:
@@ -171,9 +211,9 @@ def _check_finite_logits(logits: np.ndarray) -> None:
 class LossModel:
     """Common surface for the loss families.
 
-    Subclasses define param_dim, loss_full, grad_full, grad_per_example
-    and (for classifiers) predict_proba. The curvature attributes drive
-    step-size rules and noise calibration:
+    Subclasses define param_dim, loss_full, grad_full, loss_and_grad,
+    grad_per_example and (for classifiers) predict_proba. The curvature
+    attributes drive step-size rules and noise calibration:
 
       lipschitz        bound on a per-example gradient norm (None if unset)
       smoothness       gradient Lipschitz constant
@@ -193,6 +233,11 @@ class LossModel:
 
     def grad_full(self, theta: np.ndarray, data: DatasetHandle | None) -> np.ndarray:
         """Mean gradient: (p,) for a (p,) vector, (S, p) for (S, p) rows."""
+        raise NotImplementedError
+
+    def loss_and_grad(self, rows: np.ndarray, data: DatasetHandle | None):
+        """((S,) losses, (S, p) gradients) of (S, p) rows, each bit-equal to
+        loss_full and grad_full but read off one pass over the data."""
         raise NotImplementedError
 
     def grad_per_example(self, theta: np.ndarray, data: DatasetHandle) -> np.ndarray:
@@ -255,6 +300,10 @@ class QuadraticLoss(LossModel):
         rows, single = self._check_rows(theta)
         grad = self.curvature * (rows - self.center)
         return grad[0] if single else grad
+
+    def loss_and_grad(self, rows, data=None):
+        diff = self._check_rows(rows)[0] - self.center
+        return 0.5 * self.curvature * _row_sq_norms(diff), self.curvature * diff
 
     def grad_per_example(self, theta, data) -> np.ndarray:
         g = self.grad_full(theta)
@@ -324,45 +373,54 @@ class LogisticLoss(LossModel):
         weights = rows.reshape(len(rows), self.num_classes, self.n_features)
         return np.matmul(features, weights.transpose(0, 2, 1))
 
-    def loss_full(self, theta, data):
-        rows, single = self._check_rows(theta)
-        reg = 0.5 * self.l2_reg * _row_sq_norms(rows)
-        logits = self._logits(rows, data.features)
+    def _terms(self, logits: np.ndarray, labels: np.ndarray):
+        """What the loss and the gradient both read off the logits."""
+        return _margin_terms(logits, labels) if self.binary else _softmax_terms(logits)
+
+    def _loss_from(self, rows, logits, terms, data) -> np.ndarray:
         if self.binary:
-            signs = 2.0 * data.labels - 1.0
-            z = signs * logits
-            # ln(1 + exp(-z)) evaluated stably
-            ce = np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+            ce = _binary_ce(*terms[1:])
         else:
-            zmax = logits.max(axis=2)
-            lse = zmax + np.log(np.exp(logits - zmax[:, :, None]).sum(axis=2))
+            zmax, _, total = terms
+            lse = (zmax + np.log(total))[:, :, 0]
             ce = lse - logits[:, np.arange(data.n), data.labels]
         # np.mean's own arithmetic (sum, then divide by n) minus its wrapper cost
-        loss = ce.sum(axis=1) / data.n + reg
+        return ce.sum(axis=1) / data.n + 0.5 * self.l2_reg * _row_sq_norms(rows)
+
+    def _grad_from(self, rows, terms, data) -> np.ndarray:
+        if self.binary:
+            coeff = _binary_slope(*terms)
+            grad = np.matmul(data.features.T, coeff[:, :, None])[:, :, 0] / data.n
+        else:
+            _, ex, total = terms
+            probs = ex / total
+            probs[:, np.arange(data.n), data.labels] -= 1.0
+            grad_w = np.matmul(probs.transpose(0, 2, 1), data.features) / data.n
+            grad = grad_w.reshape(len(rows), -1)
+        return grad + self.l2_reg * rows
+
+    def loss_full(self, theta, data):
+        rows, single = self._check_rows(theta)
+        logits = self._logits(rows, data.features)
+        loss = self._loss_from(rows, logits, self._terms(logits, data.labels), data)
         return float(loss[0]) if single else loss
 
     def grad_full(self, theta, data) -> np.ndarray:
         rows, single = self._check_rows(theta)
         logits = self._logits(rows, data.features)
-        if self.binary:
-            signs = 2.0 * data.labels - 1.0
-            # d/dm ln(1+exp(-y m)) = -y * sigmoid(-y m)
-            coeff = -signs * _sigmoid(-signs * logits)
-            grad = np.matmul(data.features.T, coeff[:, :, None])[:, :, 0] / data.n
-        else:
-            probs = _softmax(logits)
-            probs[:, np.arange(data.n), data.labels] -= 1.0
-            grad_w = np.matmul(probs.transpose(0, 2, 1), data.features) / data.n
-            grad = grad_w.reshape(len(rows), -1)
-        grad = grad + self.l2_reg * rows
+        grad = self._grad_from(rows, self._terms(logits, data.labels), data)
         return grad[0] if single else grad
+
+    def loss_and_grad(self, rows, data):
+        rows = self._check_rows(rows)[0]
+        logits = self._logits(rows, data.features)
+        terms = self._terms(logits, data.labels)
+        return self._loss_from(rows, logits, terms, data), self._grad_from(rows, terms, data)
 
     def grad_per_example(self, theta, data) -> np.ndarray:
         theta = self._check_theta(theta)
         if self.binary:
-            margins = data.features @ theta
-            signs = 2.0 * data.labels - 1.0
-            coeff = -signs * _sigmoid(-signs * margins)
+            coeff = _binary_slope(*_margin_terms(data.features @ theta, data.labels))
             return coeff[:, None] * data.features + self.l2_reg * theta
         probs = _softmax(data.features @ theta.reshape(self.num_classes, -1).T)
         probs[np.arange(data.n), data.labels] -= 1.0
@@ -378,106 +436,6 @@ class LogisticLoss(LossModel):
             probs = np.stack([1.0 - pos, pos], axis=-1)
         else:
             probs = _softmax(logits)
-        return probs[0] if single else probs
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows; each branch is the form that keeps precision
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-@dataclass(eq=False)
-class TinyMLP(LossModel):
-    """One tanh hidden layer with a softmax head, for qualitative runs.
-
-    Non-convex, so strong_convexity is 0 and the curvature constants are
-    whatever the caller supplies; they are used for step-size defaults
-    and noise calibration, not guaranteed bounds.
-    """
-
-    n_features: int
-    hidden: int
-    num_classes: int
-    lipschitz: float | None = None
-    smoothness: float = 0.0
-    l2_reg: float = 0.0
-
-    def __post_init__(self):
-        if self.n_features < 1 or self.hidden < 1 or self.num_classes < 2:
-            raise ValueError("bad tinyMLP sizes")
-        if not self.l2_reg >= 0:
-            raise ValueError("l2_reg must be nonnegative")
-        self.strong_convexity = 0.0
-
-    def param_dim(self) -> int:
-        h, p, c = self.hidden, self.n_features, self.num_classes
-        return h * p + h + c * h + c
-
-    def _unpack(self, theta: np.ndarray):
-        h, p, c = self.hidden, self.n_features, self.num_classes
-        i = 0
-        w1 = theta[i : i + h * p].reshape(h, p)
-        i += h * p
-        b1 = theta[i : i + h]
-        i += h
-        w2 = theta[i : i + c * h].reshape(c, h)
-        i += c * h
-        b2 = theta[i : i + c]
-        return w1, b1, w2, b2
-
-    def _forward(self, theta: np.ndarray, features: np.ndarray):
-        w1, b1, w2, b2 = self._unpack(theta)
-        hidden = np.tanh(features @ w1.T + b1)
-        logits = hidden @ w2.T + b2
-        return hidden, logits
-
-    def _loss_row(self, theta: np.ndarray, data: DatasetHandle) -> float:
-        _, logits = self._forward(theta, data.features)
-        zmax = logits.max(axis=1)
-        lse = zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
-        picked = logits[np.arange(data.n), data.labels]
-        reg = 0.5 * self.l2_reg * float(theta @ theta)
-        return float((lse - picked).mean()) + reg
-
-    def loss_full(self, theta, data):
-        rows, single = self._check_rows(theta)
-        loss = np.array([self._loss_row(r, data) for r in rows])
-        return float(loss[0]) if single else loss
-
-    def _backward(self, theta: np.ndarray, data: DatasetHandle):
-        """Per-example gradient blocks, stacked into an (n, dim) matrix."""
-        w1, b1, w2, b2 = self._unpack(theta)
-        hidden = np.tanh(data.features @ w1.T + b1)  # (n, h)
-        probs = _softmax(hidden @ w2.T + b2)  # (n, c)
-        probs[np.arange(data.n), data.labels] -= 1.0
-        d2 = probs  # dloss/dlogits per example
-        g_w2 = np.einsum("ic,ih->ich", d2, hidden)
-        g_b2 = d2
-        d1 = (d2 @ w2) * (1.0 - hidden**2)  # (n, h)
-        g_w1 = np.einsum("ih,ip->ihp", d1, data.features)
-        g_b1 = d1
-        n = data.n
-        flat = np.concatenate(
-            [g_w1.reshape(n, -1), g_b1, g_w2.reshape(n, -1), g_b2], axis=1
-        )
-        return flat + self.l2_reg * theta
-
-    def grad_full(self, theta, data) -> np.ndarray:
-        rows, single = self._check_rows(theta)
-        grad = np.array([self._backward(r, data).mean(axis=0) for r in rows])
-        return grad[0] if single else grad
-
-    def grad_per_example(self, theta, data) -> np.ndarray:
-        theta = self._check_theta(theta)
-        return self._backward(theta, data)
-
-    def predict_proba(self, theta, features) -> np.ndarray:
-        rows, single = self._check_rows(theta)
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        logits = np.array([self._forward(r, features)[1] for r in rows])
-        _check_finite_logits(logits)
-        probs = _softmax(logits)
         return probs[0] if single else probs
 
 

@@ -6,11 +6,14 @@ Two modes share the checkpoint/metrics plumbing:
                with per-step Gaussian noise calibrated so the whole
                T-step run is rho-zCDP. S runs that differ only in their
                seed train as one loop over an (S, p) iterate matrix:
-               each step takes one batched gradient and loss over the S
-               rows, and the noise for a chunk of steps of all S seeds
-               comes from one rng.gaussian_steps draw. Every row equals
-               the run trained alone bit for bit, so a one-run call is
-               the S = 1 case of the same loop.
+               each step makes one model.loss_and_grad call on the S
+               projected rows, one logits pass that gives the step's
+               recorded loss and the next step's gradient (T + 1 passes
+               in all, the first at the origin), and the noise for a
+               chunk of steps of all S seeds comes from one
+               rng.gaussian_steps draw. Every row equals the run trained
+               alone bit for bit, so a one-run call is the S = 1 case of
+               the same loop.
   practical    minibatch DP-SGD with per-example clipping, noise on the
                summed clipped gradient, and plain T-fold composition
                accounting (no subsampling amplification claimed).
@@ -163,6 +166,8 @@ def choose_T(n: int, rho: float) -> int:
     """Step count ceil(n * rho) used by the theoretical trainer."""
     if n < 1 or not rho > 0:
         raise ValueError("need n >= 1 and rho > 0")
+    if not math.isfinite(rho):
+        raise ValueError("an infinite rho (no noise) needs an explicit step count")
     return max(1, math.ceil(n * rho))
 
 
@@ -250,12 +255,13 @@ def dp_sgd_theoretical_runs(
     ckpts = np.empty((len(seeds), len(ckpt_steps), dim))
     metrics = np.full((len(seeds), T, 2), math.nan)
     noise = rng.gaussian_steps(seeds, rng.STREAM_NOISE, T, dim) if noise_std > 0 else None
+    g = model.loss_and_grad(theta, data)[1]
     for t in range(1, T + 1):
-        g = model.grad_full(theta, data)
         if noise is not None:
             g = g + noise_std * next(noise)
         theta = project_l2(theta - config.eta.at(t) * g, config.projection_radius)
-        loss = model.loss_full(theta, data)
+        # theta_t's loss is step t's metric and its gradient drives step t + 1
+        loss, g = model.loss_and_grad(theta, data)
         if not np.all(np.isfinite(loss)):
             raise NumericDivergenceError("training loss became non-finite", step=t)
         metrics[:, t - 1, 0] = loss

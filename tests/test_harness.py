@@ -746,6 +746,9 @@ _BAD_KEY_IDS = [
         ("train", "train.mode = theoretical\ntrain.rho = nan\n", "rho > 0"),
         ("uq", "task = uq_compare\nuq.epsilons = nan\n", "epsilon must be positive"),
         ("report", "task = risk_compare\ntrain.rho = 0\n", "rho > 0"),
+        ("train", "train.mode = theoretical\ntrain.rho = inf\n", "explicit step count"),
+        ("report", "task = risk_compare\ntrain.rho = inf\n", "explicit step count"),
+        ("uq", "task = uq_compare\nuq.epsilons = 2, inf\n", "'uq.epsilons'"),
         ("train", "train.mode = theoretical\ntrain.steps = 0\n", "num_steps"),
         ("dpld-bias", "task = dpld_bias\ndpld.points = 20:20, 0:1\n", "t1 must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.points = 1:-1\n", "gap must be positive"),
@@ -771,7 +774,8 @@ _BAD_KEY_IDS = [
         "train-practical-every", "train-practical-num_seeds", "train-theoretical-every",
         "train-theoretical-seeds", "uq_compare-k1", "uq_compare-no-k", "uq_compare-no-eps",
         "uq_compare-eps0", "train-theoretical-rho0", "train-theoretical-rho-nan",
-        "uq_compare-eps-nan", "risk_compare-rho0",
+        "uq_compare-eps-nan", "risk_compare-rho0", "train-theoretical-rho-inf",
+        "risk_compare-rho-inf", "uq_compare-eps-inf",
         "train-theoretical-steps0", "dpld_bias-t1", "dpld_bias-gap", "dpld_bias-k1",
         "dpld_bias-sigma", "dpld_bias-eta", "dpld_bias-dim", "dpld_bias-c", "dpld_bias-delta",
         "dpld_bias-oracle", "dpld_bias-trials", "dpld_bias-sigma-nan", "dpld_bias-eta-nan",
@@ -790,6 +794,22 @@ def test_cli_unfinishable_config_exits_2_before_training(
     assert cli.main([command, "--config", cfg, "--out", out]) == 2
     assert needle in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "status.json"))
+
+
+def test_cli_infinite_rho_with_explicit_steps_trains_noiselessly(tmp_path):
+    lines = "train.mode = theoretical\ntrain.rho = inf\ntrain.steps = 20\ndata.n = 50\n"
+    runs = []
+    for seed in (5, 6):
+        out = str(tmp_path / f"seed{seed}")
+        cfg = _write_cfg(tmp_path, lines + f"seeds = {seed}\n")
+        assert cli.main(["train", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert manifest["budget"]["rho"] == "inf" and manifest["config"]["num_steps"] == 20
+        with open(os.path.join(out, "checkpoints.bin"), "rb") as fh:
+            runs.append(fh.read())
+    # without noise the seed reaches nothing: both runs are the same
+    assert runs[0] == runs[1]
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")

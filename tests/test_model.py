@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dpckpt.errors import NumericOverflowError
 from dpckpt.model import (
@@ -12,7 +14,6 @@ from dpckpt.model import (
     DiurnalSchedule,
     LogisticLoss,
     QuadraticLoss,
-    TinyMLP,
     accuracy,
     csv_header,
     diurnal_draw,
@@ -245,7 +246,6 @@ def _every_family(binary_data, multi_data):
         (QuadraticLoss(center=np.array([0.5, -1.0, 2.0])), binary_data),
         (LogisticLoss.for_data(binary_data, l2_reg=0.1), binary_data),
         (LogisticLoss.for_data(multi_data, l2_reg=0.1), multi_data),
-        (TinyMLP(n_features=multi_data.p, hidden=4, num_classes=3, l2_reg=0.1), multi_data),
     ]
 
 
@@ -272,6 +272,40 @@ def test_row_batched_calls_check_the_width(binary_data, multi_data):
                 model.predict_proba(bad, data.features)
 
 
+@given(
+    family=st.sampled_from([0, 1, 2]),
+    num_rows=st.sampled_from([1, 3]),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+    zero_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_and_grad_equals_the_separate_calls(
+    binary_data, multi_data, family, num_rows, scale, zero_row, seed
+):
+    model, data = _every_family(binary_data, multi_data)[family]
+    rows = np.random.default_rng(seed).normal(scale=scale, size=(num_rows, model.param_dim()))
+    if zero_row:
+        rows[0] = 0.0  # every logit is exactly 0, so z = signs * 0 holds both +0.0 and -0.0
+    losses, grads = model.loss_and_grad(rows, data)
+    assert losses.shape == (num_rows,) and grads.shape == rows.shape
+    assert np.array_equal(losses, model.loss_full(rows, data))
+    assert np.array_equal(grads, model.grad_full(rows, data))
+
+
+def test_loss_and_grad_cases_reach_underflow_and_signed_zeros(binary_data, multi_data):
+    """The rows the bit-identity test draws do reach the edge cases it names."""
+    binary, multi = (m for m, _ in _every_family(binary_data, multi_data)[1:])
+    gen = np.random.default_rng(0)
+    big = gen.normal(scale=1e3, size=(3, binary.param_dim()))
+    z = (2.0 * binary_data.labels - 1.0) * binary._logits(big, binary_data.features)
+    assert np.any(np.exp(-np.abs(z)) == 0.0)
+    z0 = (2.0 * binary_data.labels - 1.0) * binary._logits(np.zeros((1, binary.param_dim())),
+                                                           binary_data.features)
+    assert np.all(z0 == 0.0) and np.any(np.signbit(z0)) and not np.all(np.signbit(z0))
+    logits = multi._logits(gen.normal(scale=1e3, size=(3, multi.param_dim())), multi_data.features)
+    assert np.any(np.exp(logits - logits.max(axis=-1, keepdims=True)) == 0.0)
+
+
 def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):
     gen = np.random.default_rng(9)
     for model, data in _every_family(binary_data, multi_data)[1:]:
@@ -284,20 +318,6 @@ def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):
             assert np.array_equal(probs[s], model.predict_proba(row, data.features))
             one = accuracy(model, row, data)
             assert type(one) is float and accs[s] == one
-
-
-# ---------------------------------------------------------------------------
-# tiny MLP
-
-
-def test_mlp_grad_matches_fd(binary_data, fd_grad):
-    model = TinyMLP(n_features=binary_data.p, num_classes=2, hidden=4)
-    gen = np.random.default_rng(11)
-    theta = gen.normal(0.0, 0.3, model.param_dim())
-    fd = fd_grad(lambda th: model.loss_full(th, binary_data), theta)
-    assert np.allclose(model.grad_full(theta, binary_data), fd, atol=1e-5)
-    per = model.grad_per_example(theta, binary_data)
-    assert np.allclose(per.mean(axis=0), model.grad_full(theta, binary_data), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,8 @@ def test_choose_T():
         choose_T(0, 0.5)
     with pytest.raises(ValueError):
         choose_T(10, 0.0)
+    with pytest.raises(ValueError, match="explicit step count"):
+        choose_T(10, math.inf)
 
 
 def test_project_l2():
@@ -320,6 +322,60 @@ def test_batched_rows_match_the_scalar_loop(family):
         assert np.array_equal(record.metrics[:, 0], losses)
 
 
+def _two_call_reference(model, data, configs, rho):
+    """The step before the fused kernel, over all S rows: grad_full at the
+    current iterate, per-step gaussian_vector noise, project_l2, then
+    loss_full and accuracy at the new iterate."""
+    config, seeds = configs[0], [c.seed for c in configs]
+    noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho).std
+    theta = np.zeros((len(seeds), model.param_dim()))
+    params, metrics = [], []
+    for t in range(1, config.num_steps + 1):
+        g = model.grad_full(theta, data)
+        if noise_std > 0:
+            g = g + noise_std * np.stack(
+                [rng.gaussian_vector(s, rng.STREAM_NOISE, t, theta.shape[1]) for s in seeds]
+            )
+        theta = project_l2(theta - config.eta.at(t) * g, config.projection_radius)
+        params.append(theta)
+        metrics.append(np.stack([model.loss_full(theta, data), accuracy(model, theta, data)], 1))
+    return np.stack(params, axis=1), np.stack(metrics, axis=1)
+
+
+@pytest.mark.parametrize("family", ["binary", "softmax"])
+@pytest.mark.parametrize("seeds", [[3], [3, 2**64 - 1, -5]], ids=["S1", "S3"])
+@pytest.mark.parametrize("rho", [0.3, math.inf], ids=["noisy", "noiseless"])
+def test_fused_steps_replay_the_two_call_step(family, seeds, rho):
+    model, data = _batch_setup(family)
+    configs = [
+        TrainerConfig("theoretical", 25, EtaSchedule("inverse_sqrt", 0.7), projection_radius=0.6,
+                      checkpoint_every=1, seed=s)
+        for s in seeds
+    ]
+    params, metrics = _two_call_reference(model, data, configs, rho)
+    records = dp_sgd_theoretical_runs(model, data, configs, rho=rho, eval_data=data)
+    for s, record in enumerate(records):
+        assert np.array_equal(record.params, params[s])
+        assert np.array_equal(record.metrics, metrics[s])
+
+
+@pytest.mark.parametrize("family", ["binary", "softmax"])
+def test_theoretical_run_forms_the_logits_once_per_step(family, monkeypatch):
+    model, data = _batch_setup(family)
+    real, calls = LogisticLoss._logits, []
+
+    def counting(self, rows, features):
+        calls.append(len(rows))
+        return real(self, rows, features)
+
+    monkeypatch.setattr(LogisticLoss, "_logits", counting)
+    configs = [
+        TrainerConfig("theoretical", 9, EtaSchedule("constant", 0.1), seed=s) for s in (1, 2)
+    ]
+    dp_sgd_theoretical_runs(model, data, configs, rho=0.5)
+    assert calls == [2] * (9 + 1)
+
+
 def test_batched_runs_must_differ_only_in_seed():
     model, data = _batch_setup("quadratic")
     base = TrainerConfig("theoretical", 5, EtaSchedule("constant", 0.1), seed=1)
@@ -471,20 +527,28 @@ def test_practical_batch_size_validation(practical_setup):
 class _NaNGradientOnCall(QuadraticLoss):
     """Quadratic loss whose gradient turns NaN in `rows` on its nan_call-th call.
 
-    QuadraticLoss.grad_per_example calls grad_full once, so both trainers
-    make exactly one counted call per step.
+    QuadraticLoss.grad_per_example calls grad_full once per practical step;
+    the theoretical trainer's t-th loss_and_grad call (the first is at the
+    origin) gives the gradient of step t. So either trainer's nan_call-th
+    counted call feeds step nan_call.
     """
 
     def __init__(self, nan_call: int, rows=..., **kwargs):
         super().__init__(center=np.array([0.5, -0.5]), lipschitz=1.0, **kwargs)
         self.nan_call, self.rows, self.calls = nan_call, rows, 0
 
-    def grad_full(self, theta, data=None):
-        grad = super().grad_full(theta, data)
+    def _count(self, grad):
         self.calls += 1
         if self.calls == self.nan_call:
             grad[self.rows] = math.nan
         return grad
+
+    def grad_full(self, theta, data=None):
+        return self._count(super().grad_full(theta, data))
+
+    def loss_and_grad(self, rows, data=None):
+        loss, grad = super().loss_and_grad(rows, data)
+        return loss, self._count(grad)
 
 
 def test_practical_raises_at_the_step_whose_gradient_is_nan():

@@ -5,7 +5,9 @@
 Runs each configs/*.cfg through dpckpt.harness.run_experiment at master
 seed 0 and workers 1, then runs aggregate_eval, pds_eval and risk_compare
 once more with save_runs set to true, so their run directories are hashed
-too. Prints "sha256  relative/path" for every file written, sorted by path.
+too. Prints "sha256  relative/path" for every file written, sorted by path,
+to stdout, and "<seconds>  <config name>[+save_runs]" for each run, the
+wall time of its run_experiment call, to stderr.
 
 dpckpt is imported from PYTHONPATH, so one copy of this script hashes any
 checkout; a refactor that claims byte-identical artifacts shows it with
@@ -16,7 +18,9 @@ checkout; a refactor that claims byte-identical artifacts shows it with
 
 import hashlib
 import os
+import sys
 import tempfile
+import time
 
 from dpckpt.harness.config import ConfigView, load_config
 from dpckpt.harness.experiments import run_experiment
@@ -26,7 +30,8 @@ SAVE_RUNS_TASKS = ("aggregate_eval", "pds_eval", "risk_compare")
 
 
 def write_stock_artifacts(config_dir: str, out_root: str) -> None:
-    """Every stock run, each under out_root/<config name>[+save_runs]."""
+    """Every stock run, each under out_root/<config name>[+save_runs]; each
+    run's wall time goes to stderr."""
     for name in sorted(f for f in os.listdir(config_dir) if f.endswith(".cfg")):
         values = load_config(os.path.join(config_dir, name))
         stem = name[: -len(".cfg")]
@@ -36,7 +41,9 @@ def write_stock_artifacts(config_dir: str, out_root: str) -> None:
             runs.append((f"{stem}+save_runs", {**values, "save_runs": "true"}))
         for label, run_values in runs:
             out_dir = os.path.join(out_root, label)
+            start = time.perf_counter()
             run_experiment(ConfigView(run_values), out_dir, master_seed=0, workers=1)
+            print(f"{time.perf_counter() - start:8.3f}  {label}", file=sys.stderr)
 
 
 def digest_lines(out_root: str) -> list[str]:
