@@ -35,7 +35,6 @@ from .trainer import (
     dp_sgd_practical,
     dp_sgd_theoretical,
     dp_sgd_theoretical_runs,
-    excess_risk,
     load_run,
     save_run,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "dp_sgd_practical",
     "dp_sgd_theoretical",
     "dp_sgd_theoretical_runs",
-    "excess_risk",
     "load_run",
     "save_run",
     "UQConfig",

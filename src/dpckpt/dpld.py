@@ -5,20 +5,18 @@ over k checkpoints of the diffusion dtheta = -grad L dt + sigma*sqrt(2) dW
 approaches the statistic's true stationary variance once the first
 checkpoint time and the inter-checkpoint gap are past burn-in.
 
-For quadratic losses the diffusion is an Ornstein-Uhlenbeck process and
-checkpoints are sampled exactly by chaining OU transitions through the
-Markov property; no discretization error enters the comparison. General
-smooth strongly convex losses fall back to Euler-Maruyama integration.
-Strong convexity m != 1 is normalized away before simulation: running
-the unit-curvature process on the sped-up clock m*t with noise scale
-sigma/sqrt(m) gives the same law.
+The loss is quadratic, so the diffusion is an Ornstein-Uhlenbeck process
+and checkpoints are sampled exactly by chaining OU transitions through the
+Markov property; no discretization error enters the comparison. Curvature
+m != 1 is normalized away before simulation: running the unit-curvature
+process on the sped-up clock m*t with noise scale sigma/sqrt(m) gives the
+same law.
 
 All trials of an experiment run together as one (trials, p) iterate
-matrix. Their noise is counter-addressed: event s of trial j (the s-th
-OU segment, or the s-th Euler-Maruyama step counted over the whole
-trajectory) uses the normals rng.gaussian_vector(seed, STREAM_TRIAL,
-(j << 32) + s, p), so each trial is a pure function of (seed, j)
-whatever the trial count, worker count or code path.
+matrix. Their noise is counter-addressed: the s-th OU segment of trial j
+uses the normals rng.gaussian_vector(seed, STREAM_TRIAL, (j << 32) + s, p),
+so each trial is a pure function of (seed, j) whatever the trial count or
+worker count.
 
 Every checkpoint schedule of one configuration shares the stationary law
 N(theta*, sigma_eff^2 I) (stationary_law), so the Monte-Carlo oracle of
@@ -27,17 +25,14 @@ and handed to each variance_bias_experiment as a (V, SE) pair.
 """
 
 import csv
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import rng
-from .errors import NumericDivergenceError
-from .model import DatasetHandle, LossModel, QuadraticLoss
-from .trainer import minimize_loss
+from .model import QuadraticLoss
 
 _ORACLE_CHUNK = 100_000
 MIN_TRIALS = 100
@@ -100,19 +95,18 @@ def make_clamped_norm_excess(theta_star: np.ndarray) -> Statistic:
 
 @dataclass(frozen=True)
 class LDConfig:
-    model: LossModel
+    model: QuadraticLoss
     theta_start: np.ndarray
     sigma: float = 1.0
-    eta: float = 1e-3
     # annotation-only knobs for the burn-in formula on reports
     c_constant: float = 4.0
     delta_target: float = 1e-2
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if not isinstance(self.model, QuadraticLoss):
+            raise ValueError(f"model must be a QuadraticLoss, got {type(self.model).__name__}")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ValueError("sigma must be positive and finite")
         if not self.c_constant > 0:
             raise ValueError("c_constant must be positive")
         if not 0.0 < self.delta_target < 1.0:
@@ -148,33 +142,7 @@ class CheckpointTimes:
 
 
 # ---------------------------------------------------------------------------
-# integrators
-
-
-def em_step(
-    theta: np.ndarray,
-    model: LossModel,
-    eta: float,
-    sigma: float,
-    normals: np.ndarray,
-    data: Optional[DatasetHandle] = None,
-) -> np.ndarray:
-    """One Euler-Maruyama step with injected noise N(0, 2*eta*sigma^2 I).
-
-    theta is a (p,) vector or (S, p) rows; normals are standard normals
-    of the same shape. eta touches both drift and noise so eta=0 is the
-    identity. sigma=0 degenerates to plain gradient descent.
-    """
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    if eta == 0.0:
-        return theta.copy()
-    drift = theta - eta * model.grad_full(theta, data)
-    if sigma > 0:
-        drift = drift + math.sqrt(2.0 * eta) * sigma * normals
-    if not np.all(np.isfinite(drift)):
-        raise NumericDivergenceError("Langevin state became non-finite")
-    return drift
+# exact OU transition
 
 
 def ou_exact_sample(
@@ -200,50 +168,8 @@ def ou_exact_sample(
     return mean + std * normals
 
 
-def _em_steps(elapsed_norm: float, eta_target: float) -> int:
-    """Step count of an Euler-Maruyama segment: the fewest steps of at most
-    eta_target that land on the segment end exactly."""
-    return max(1, math.ceil(elapsed_norm / eta_target))
-
-
-def _em_segment(
-    theta: np.ndarray,
-    model: LossModel,
-    data: Optional[DatasetHandle],
-    strong_convexity: float,
-    sigma_eff: float,
-    eta_target: float,
-    elapsed_norm: float,
-    normals: Iterator[np.ndarray],
-) -> np.ndarray:
-    """Integrate the normalized (unit-curvature-clock) dynamics over a segment.
-
-    The drift is grad L / m so the process matches the m-rescaled diffusion.
-    theta is a (p,) vector or (S, p) rows; each of the _em_steps steps takes
-    the next array of standard normals, shaped like theta, from `normals`
-    and leaves the rest for the next segment.
-    """
-    steps = _em_steps(elapsed_norm, eta_target)
-    eta = elapsed_norm / steps
-    scale = math.sqrt(2.0 * eta) * sigma_eff
-    for _, z in zip(range(steps), normals):
-        grad = model.grad_full(theta, data) / strong_convexity
-        theta = theta - eta * grad + scale * z
-        if not np.all(np.isfinite(theta)):
-            raise NumericDivergenceError("Langevin state became non-finite")
-    return theta
-
-
 # ---------------------------------------------------------------------------
-# estimator and oracle
-
-
-def sample_variance(values: Sequence[float]) -> float:
-    """Unbiased (k-1 denominator) sample variance."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 2:
-        raise ValueError("sample variance needs at least two values")
-    return float(np.var(arr, ddof=1))
+# stationary oracle
 
 
 def stationary_oracle_V(
@@ -306,16 +232,6 @@ class VarianceBiasReport:
         return math.sqrt(self.se_mean_s**2 + self.oracle_se**2)
 
 
-def _quadratic_center(model: LossModel, data: Optional[DatasetHandle]) -> np.ndarray:
-    if isinstance(model, QuadraticLoss):
-        return model.center.copy()
-    # smooth strongly convex fallback: unconstrained gradient descent at step
-    # 1/M until a step moves theta by less than 1e-12
-    if model.strong_convexity <= 0 or model.smoothness <= 0:
-        raise ValueError("model must be strongly convex and smooth")
-    return minimize_loss(model, data, math.inf, max_steps=200_000, tol=1e-12 * model.smoothness)
-
-
 def _trial_normals(seed: int, trials: int, dim: int, event: int) -> np.ndarray:
     """(trials, dim) standard normals of one event; row j is
     gaussian_vector(seed, STREAM_TRIAL, (j << 32) + event, dim)."""
@@ -323,18 +239,13 @@ def _trial_normals(seed: int, trials: int, dim: int, event: int) -> np.ndarray:
     return rng.gaussian_block([seed], rng.STREAM_TRIAL, steps, dim)[:, 0]
 
 
-def stationary_law(
-    config: LDConfig, data: Optional[DatasetHandle] = None
-) -> tuple[np.ndarray, float]:
+def stationary_law(config: LDConfig) -> tuple[np.ndarray, float]:
     """(theta*, sigma_eff) of the stationary law N(theta*, sigma_eff^2 I) of
     the curvature-normalized dynamics, sigma_eff = sigma / sqrt(m)."""
-    m = config.model.strong_convexity
-    if m <= 0:
-        raise ValueError("model must be strongly convex")
-    center = _quadratic_center(config.model, data)
+    center = config.model.center.copy()
     if center.size != config.theta_start.size:
         raise ValueError("theta_start dimension does not match the model")
-    return center, config.sigma / math.sqrt(m)
+    return center, config.sigma / math.sqrt(config.model.curvature)
 
 
 def variance_bias_experiment(
@@ -344,48 +255,41 @@ def variance_bias_experiment(
     trials: int,
     experiment_seed: int,
     oracle: tuple[float, float],
-    data: Optional[DatasetHandle] = None,
 ) -> VarianceBiasReport:
     """Bias of the checkpoint sample-variance estimator vs the true variance.
 
     Each trial runs one trajectory from config.theta_start, reads the
     statistic at the k checkpoint times, and takes the sample variance S.
-    The trials advance together as one (trials, p) matrix. Event s of
-    trial j (its s-th OU segment, or its s-th Euler-Maruyama step counted
-    over the whole trajectory) draws the normals
+    The trials advance together as one (trials, p) matrix through exact OU
+    transitions on the curvature-normalized clock. The s-th segment of
+    trial j draws the normals
     gaussian_vector(experiment_seed, STREAM_TRIAL, (j << 32) + s, p), so
     trials are independent, trial j does not depend on the trial count,
-    and the whole experiment replays bit-for-bit. Quadratic losses use
-    exact OU transitions; other losses are integrated by Euler-Maruyama at
-    config.eta on the curvature-normalized clock.
+    and the whole experiment replays bit-for-bit.
 
     oracle is the (variance, SE) pair of the statistic under the
-    stationary law, usually stationary_oracle_V(*stationary_law(config,
-    data), statistic, samples, seed); experiments that share the law and
-    the statistic share one oracle.
+    stationary law, usually stationary_oracle_V(*stationary_law(config),
+    statistic, samples, seed); experiments that share the law and the
+    statistic share one oracle.
     """
     if trials < MIN_TRIALS:
         raise ValueError("need at least 100 trials")
     if trials >= MAX_TRIALS:
         raise ValueError(f"trials must be below 2**31, got {trials}")
-    model = config.model
-    center, sigma_eff = stationary_law(config, data)
-    m = model.strong_convexity
+    if times.k >= MAX_EVENTS:
+        raise ValueError(
+            f"a trajectory must have fewer than {MAX_EVENTS} noise events, got k = {times.k}"
+        )
+    center, sigma_eff = stationary_law(config)
+    m = config.model.curvature
     segments = [m * s for s in times.elapsed_segments()]
-    exact = isinstance(model, QuadraticLoss)
-    events = len(segments) if exact else sum(_em_steps(s, config.eta) for s in segments)
-    if events >= MAX_EVENTS:
-        raise ValueError(f"a trajectory must have fewer than 2**32 noise events, got {events}")
 
     dim = center.size
-    normals = (_trial_normals(experiment_seed, trials, dim, s) for s in itertools.count())
     theta = np.tile(config.theta_start, (trials, 1))
     vals = np.empty((trials, times.k), dtype=np.float64)
     for i, seg in enumerate(segments):
-        if exact:
-            theta = ou_exact_sample(center, sigma_eff, theta, seg, next(normals))
-        else:
-            theta = _em_segment(theta, model, data, m, sigma_eff, config.eta, seg, normals)
+        normals = _trial_normals(experiment_seed, trials, dim, i)
+        theta = ou_exact_sample(center, sigma_eff, theta, seg, normals)
         vals[:, i] = statistic.evaluate_batch(theta)
     s_values = np.var(vals, axis=1, ddof=1)
 
@@ -393,8 +297,9 @@ def variance_bias_experiment(
     se_mean_s = float(s_values.std(ddof=1) / math.sqrt(trials))
     oracle_v, oracle_se = oracle
     dist0sq = float(np.sum((config.theta_start - center) ** 2))
+    # smoothness / strong convexity of the normalized quadratic is exactly 1
     bound = burn_in_gamma(
-        smoothness=model.smoothness / m if model.smoothness > 0 else 1.0,
+        smoothness=1.0,
         dim=center.size,
         dist0sq=dist0sq,
         delta=config.delta_target,

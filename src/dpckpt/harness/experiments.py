@@ -104,8 +104,8 @@ def split_dataset(
     test_fraction: float = 0.1,
 ) -> dict[str, DatasetHandle]:
     """Shuffle and cut into tagged train/validation/heldout/test parts."""
-    if min(val_fraction, heldout_fraction, test_fraction) < 0:
-        raise ConfigError("partition fractions must be nonnegative")
+    if not all(f >= 0 for f in (val_fraction, heldout_fraction, test_fraction)):
+        raise ConfigError("partition fractions must be nonnegative numbers")
     held_total = val_fraction + heldout_fraction + test_fraction
     if held_total >= 1.0:
         raise ConfigError("partition fractions must leave room for training data")
@@ -888,7 +888,6 @@ def _dpld_point_worker(args):
 def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int):
     dim = view.get_int("dpld.dim", 4)
     sigma = view.get_float("dpld.sigma", 1.0)
-    eta = view.get_float("dpld.eta", 1e-3)
     k = view.get_int("dpld.k", 5)
     trials = view.get_int("dpld.trials", 10_000)
     points = view.get_float_pairs(
@@ -930,7 +929,6 @@ def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int
             model=model,
             theta_start=theta_start,
             sigma=sigma,
-            eta=eta,
             c_constant=c_constant,
             delta_target=delta_target,
         )

@@ -146,10 +146,20 @@ def load_csv(path: str, num_classes: int | None = None, tag: str = "") -> Datase
                 raise ConfigError(f"dataset file {path} row {i} is not numeric") from None
     if not feats:
         raise ConfigError(f"dataset file {path} has no data rows")
+    feat_arr = np.array(feats)
     label_arr = np.array(labels, dtype=np.int64)
+    bad = np.flatnonzero(~np.isfinite(feat_arr).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"dataset file {path} row {bad[0]} has a non-finite feature")
     if num_classes is None:
         num_classes = max(2, int(label_arr.max()) + 1)
-    return DatasetHandle(np.array(feats), label_arr, num_classes, tag or path)
+    bad = np.flatnonzero((label_arr < 0) | (label_arr >= num_classes))
+    if bad.size:
+        raise ConfigError(
+            f"dataset file {path} row {bad[0]} has label {label_arr[bad[0]]},"
+            f" outside [0, {num_classes})"
+        )
+    return DatasetHandle(feat_arr, label_arr, num_classes, tag or path)
 
 
 # ---------------------------------------------------------------------------

@@ -358,24 +358,19 @@ def dp_sgd_practical(
 
 
 # ---------------------------------------------------------------------------
-# excess risk against the constrained minimizer
+# the constrained minimizer
 
 
-def minimize_loss(
-    model: LossModel,
-    data: DatasetHandle | None,
-    radius: float,
-    max_steps: int = 100_000,
-    tol: float = 1e-9,
-) -> np.ndarray:
+def minimize_loss(model: LossModel, data: DatasetHandle | None, radius: float) -> np.ndarray:
     """Noiseless projected gradient descent to the constrained minimizer.
 
     Runs at step size 1/M until the projected-gradient norm drops below
-    tol. Raises if the model has no positive smoothness constant or the
-    tolerance is not reached within max_steps.
+    1e-9. Raises if the model has no positive smoothness constant or the
+    tolerance is not reached within 100,000 steps.
     """
     if model.smoothness <= 0:
         raise ValueError("minimize_loss needs a model with positive smoothness")
+    max_steps, tol = 100_000, 1e-9
     eta = 1.0 / model.smoothness
     theta = np.zeros(model.param_dim())
     for _ in range(max_steps):
@@ -391,13 +386,6 @@ def minimize_loss(
 def min_loss_in_ball(model: LossModel, data: DatasetHandle | None, radius: float) -> float:
     """Minimum loss over the radius ball."""
     return model.loss_full(minimize_loss(model, data, radius), data)
-
-
-def excess_risk(
-    model: LossModel, data: DatasetHandle | None, theta: np.ndarray, radius: float
-) -> float:
-    """loss_full(theta) minus the constrained minimum (>= -1e-9)."""
-    return model.loss_full(theta, data) - min_loss_in_ball(model, data, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -192,18 +192,6 @@ def uq_average_width(
     return float(uq_widths(thetas, model, test_inputs, config).mean())
 
 
-def uq_from_checkpoints(
-    run: "RunRecord",
-    model: LossModel,
-    test_inputs: np.ndarray,
-    config: UQConfig,
-) -> float:
-    """Average width using the last k checkpoints of a single run."""
-    if len(run.params) < config.k:
-        raise ValueError(f"run has {len(run.params)} checkpoints, need {config.k}")
-    return uq_average_width(run.params[-config.k :], model, test_inputs, config)
-
-
 def uq_from_independent_runs(
     runs: Sequence["RunRecord"],
     model: LossModel,

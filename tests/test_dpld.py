@@ -1,33 +1,28 @@
 """Langevin simulation: transition kernels, oracles, and analytic bounds."""
 
 import csv
-import itertools
 import math
 
 import numpy as np
 import pytest
 
+from dpckpt import dpld
 from dpckpt.dpld import (
     CheckpointTimes,
     LDConfig,
-    _em_segment,
-    _quadratic_center,
     burn_in_gamma,
-    em_step,
     expectation_gap_bound,
     make_clamped_coordinate,
     make_clamped_norm_excess,
     make_sign_coordinate,
     ou_exact_sample,
     renyi_gaussians_shared_cov,
-    sample_variance,
     stationary_law,
     stationary_oracle_V,
     subgaussian_tail_check,
     variance_bias_experiment,
     write_dpld_report,
 )
-from dpckpt.errors import NumericDivergenceError
 from dpckpt.model import LogisticLoss, QuadraticLoss, synth_classification
 from dpckpt.rng import STREAM_ORACLE, STREAM_TRIAL, gaussian_vector, step_generator
 
@@ -77,50 +72,6 @@ def test_statistics_are_bounded():
     ):
         values = stat.evaluate_batch(batch)
         assert np.all(values >= -1.0) and np.all(values <= 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Euler-Maruyama step
-
-
-def test_em_step_zero_eta_is_identity():
-    model = QuadraticLoss(center=np.zeros(2))
-    theta = np.array([1.0, -2.0])
-    gen = step_generator(0, STREAM_ORACLE, 0)
-    out = em_step(theta, model, 0.0, 1.0, gen.standard_normal(2))
-    assert np.array_equal(out, theta)
-    assert out is not theta  # a copy, not the same array
-    with pytest.raises(ValueError):
-        em_step(theta, model, -0.1, 1.0, gen.standard_normal(2))
-
-
-def test_em_step_zero_sigma_is_gradient_descent():
-    model = QuadraticLoss(center=np.array([1.0, 1.0]), curvature=2.0)
-    theta = np.array([3.0, 1.0])
-    out = em_step(theta, model, 0.1, 0.0, step_generator(0, STREAM_ORACLE, 1).standard_normal(2))
-    # theta - eta * 2 (theta - center) = (3,1) - 0.1*(4,0)
-    assert np.allclose(out, [2.6, 1.0], atol=1e-15)
-
-
-def test_em_step_noise_variance():
-    """The injected noise has variance 2 eta sigma^2 per coordinate."""
-    eta, sigma, dim = 0.01, 1.5, 200_000
-    model = QuadraticLoss(center=np.zeros(dim))
-    out = em_step(
-        np.zeros(dim), model, eta, sigma, step_generator(7, STREAM_ORACLE, 3).standard_normal(dim)
-    )
-    # drift is zero at the center, so out is pure noise
-    assert out.var() == pytest.approx(2 * eta * sigma**2, rel=0.02)
-    assert abs(out.mean()) < 3 * math.sqrt(2 * eta * sigma**2 / dim)
-
-
-def test_em_step_divergence_detection():
-    model = QuadraticLoss(center=np.zeros(2), curvature=1.0)
-    theta = np.array([1.0, 1.0])
-    gen = step_generator(0, STREAM_ORACLE, 5)
-    with pytest.raises(NumericDivergenceError), np.errstate(over="ignore"):
-        for _ in range(2000):
-            theta = em_step(theta, model, 1e8, 0.0, gen.standard_normal(2))
 
 
 # ---------------------------------------------------------------------------
@@ -180,44 +131,8 @@ def test_ou_markov_chaining():
     assert chained.var() == pytest.approx(expected_var, rel=0.02)
 
 
-def test_em_segment_matches_ou_moments():
-    """Fine-step EM integration agrees with the exact kernel's moments.
-
-    Curvature m != 1 rescales the clock: the segment behaves as a
-    unit-curvature process run for m*s with stationary std sigma/sqrt(m).
-    Independent coordinates again stand in for repeated scalar draws.
-    """
-    dim = 50_000
-    m, sigma, s = 2.0, 1.0, 0.6
-    model = QuadraticLoss(center=np.ones(dim), curvature=m)
-    start = np.full(dim, 3.0)
-    gen = step_generator(3, STREAM_ORACLE, 4)
-    sigma_eff = sigma / math.sqrt(m)
-    normals = (gen.standard_normal(dim) for _ in itertools.count())
-    draws = _em_segment(start, model, None, m, sigma_eff, 1e-3, m * s, normals)
-    expected_mean = 1.0 + math.exp(-m * s) * 2.0
-    expected_var = sigma_eff**2 * (1.0 - math.exp(-2.0 * m * s))
-    assert draws.mean() == pytest.approx(expected_mean, abs=0.02)
-    assert draws.var() == pytest.approx(expected_var, rel=0.05)
-
-
 # ---------------------------------------------------------------------------
 # variance estimation
-
-
-def test_sample_variance_pinned():
-    assert sample_variance(np.array([1.0, 2.0, 3.0, 4.0])) == pytest.approx(5.0 / 3.0)
-    assert sample_variance(np.array([2.0, 2.0])) == 0.0
-    with pytest.raises(ValueError):
-        sample_variance(np.array([1.0]))
-
-
-def test_sample_variance_unbiased():
-    gen = step_generator(2, STREAM_ORACLE, 8)
-    draws = gen.normal(0.0, 2.0, size=(100_000, 5))
-    estimates = draws.var(axis=1, ddof=1)
-    assert np.allclose(estimates[:3], [sample_variance(row) for row in draws[:3]])
-    assert estimates.mean() == pytest.approx(4.0, rel=0.01)
 
 
 def test_stationary_oracle_matches_analytic_value():
@@ -250,9 +165,9 @@ def test_checkpoint_times():
         CheckpointTimes(t1=1.0, gap=1.0, k=1)
 
 
-def _oracle(config, stat, samples, seed, data=None):
+def _oracle(config, stat, samples, seed):
     """The (V, SE) oracle of stat under config's stationary law."""
-    return stationary_oracle_V(*stationary_law(config, data), stat, samples, seed=seed)
+    return stationary_oracle_V(*stationary_law(config), stat, samples, seed=seed)
 
 
 def test_variance_bias_experiment_well_mixed_quadratic():
@@ -312,50 +227,20 @@ def test_variance_bias_experiment_deterministic():
         variance_bias_experiment(config, times, stat, **{**kwargs, "trials": 50})
 
 
-def test_variance_bias_experiment_non_quadratic_path():
-    """A strongly convex logistic target runs through the EM integrator."""
-    data = synth_classification(60, 2, num_classes=2, separation=2.0, seed=5)
-    model = LogisticLoss.for_data(data, l2_reg=0.5, radius=1.0)
-    config = LDConfig(model=model, theta_start=np.zeros(2), sigma=0.7, eta=2e-2)
-    times = CheckpointTimes(t1=2.0, gap=2.0, k=3)
-    stat = make_clamped_coordinate(np.zeros(2))
-    report = variance_bias_experiment(
-        config,
-        times,
-        stat,
-        trials=120,
-        experiment_seed=3,
-        oracle=_oracle(config, stat, 100_000, seed=3, data=data),
-        data=data,
-    )
-    assert math.isfinite(report.mean_s)
-    assert math.isfinite(report.oracle_v)
-    # Gaussian-approximation oracle at curvature m: variance sigma^2/m levels
-    assert 0.0 < report.oracle_v < 1.0
-
-
-def _per_trial_reference(config, times, statistic, trials, seed, data=None):
+def _per_trial_reference(config, times, statistic, trials, seed):
     """(mean_s, se_mean_s) from one trajectory at a time: gaussian_vector
-    per event, then the OU chain or the EM steps, then np.var per trial."""
+    per segment, then the OU chain, then np.var per trial."""
     model = config.model
     m = model.strong_convexity
-    center = _quadratic_center(model, data)
+    center = model.center
     sigma_eff = config.sigma / math.sqrt(m)
     s_values = np.empty(trials)
     for j in range(trials):
-        normals = (
-            gaussian_vector(seed, STREAM_TRIAL, (j << 32) + s, center.size)
-            for s in itertools.count()
-        )
         theta = config.theta_start
         vals = np.empty(times.k)
         for i, seg in enumerate(times.elapsed_segments()):
-            if isinstance(model, QuadraticLoss):
-                theta = ou_exact_sample(center, sigma_eff, theta, m * seg, next(normals))
-            else:
-                theta = _em_segment(
-                    theta, model, data, m, sigma_eff, config.eta, m * seg, normals
-                )
+            normals = gaussian_vector(seed, STREAM_TRIAL, (j << 32) + i, center.size)
+            theta = ou_exact_sample(center, sigma_eff, theta, m * seg, normals)
             vals[i] = statistic.evaluate_batch(theta[None])[0]
         s_values[j] = np.var(vals, ddof=1)
     return float(s_values.mean()), float(s_values.std(ddof=1) / math.sqrt(trials))
@@ -381,40 +266,35 @@ def test_variance_bias_experiment_matches_per_trial_reference_ou(seed, trials, k
     assert np.array_equal((report.mean_s, report.se_mean_s), ref)
 
 
-@pytest.mark.parametrize("seed, trials, k, p", [(3, 101, 2, 1), (2**64 - 1, 103, 5, 4)])
-def test_variance_bias_experiment_matches_per_trial_reference_em(seed, trials, k, p):
-    data = synth_classification(60, p, num_classes=2, separation=2.0, seed=5)
-    model = LogisticLoss.for_data(data, l2_reg=0.5, radius=1.0)
-    config = LDConfig(model=model, theta_start=np.zeros(p), sigma=0.7, eta=5e-2)
-    times = CheckpointTimes(t1=0.5, gap=0.3, k=k)
-    stat = make_clamped_coordinate(np.zeros(p))
-    report = variance_bias_experiment(
-        config, times, stat, trials=trials, experiment_seed=seed,
-        oracle=_oracle(config, stat, 100_000, seed=seed, data=data), data=data,
-    )
-    ref = _per_trial_reference(config, times, stat, trials, seed, data)
-    assert np.array_equal((report.mean_s, report.se_mean_s), ref)
-
-
-def test_variance_bias_experiment_address_limits():
-    """Trial j and event s share one counter step, so both are bounded."""
+def test_variance_bias_experiment_address_limits(monkeypatch):
+    """Trial j and segment s share one counter step, so both are bounded."""
     quad = LDConfig(model=QuadraticLoss(center=np.zeros(2)), theta_start=np.ones(2))
     times = CheckpointTimes(t1=1.0, gap=1.0, k=3)
     stat = make_clamped_coordinate(np.zeros(2))
+    oracle = _oracle(quad, stat, 100_000, seed=0)
     with pytest.raises(ValueError, match="2\\*\\*31"):
         variance_bias_experiment(
-            quad, times, stat, trials=2**31, experiment_seed=0,
-            oracle=_oracle(quad, stat, 100_000, seed=0),
+            quad, times, stat, trials=2**31, experiment_seed=0, oracle=oracle
         )
+    # one noise event per checkpoint; a lowered bound stands in for 2**32
+    monkeypatch.setattr(dpld, "MAX_EVENTS", 5)
+    with pytest.raises(ValueError, match="fewer than 5 noise events"):
+        variance_bias_experiment(
+            quad, CheckpointTimes(t1=1.0, gap=1.0, k=5), stat, trials=100,
+            experiment_seed=0, oracle=oracle,
+        )
+    report = variance_bias_experiment(
+        quad, CheckpointTimes(t1=1.0, gap=1.0, k=4), stat, trials=100,
+        experiment_seed=0, oracle=oracle,
+    )
+    assert report.times.k == 4
+
+
+def test_ld_config_rejects_a_model_that_is_not_quadratic():
     data = synth_classification(40, 2, num_classes=2, separation=2.0, seed=5)
     model = LogisticLoss.for_data(data, l2_reg=0.5, radius=1.0)
-    # ceil(1.0 * m / 1e-10) steps in the first segment alone exceed 2**32
-    fine = LDConfig(model=model, theta_start=np.zeros(2), eta=1e-10)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        variance_bias_experiment(
-            fine, times, stat, trials=100, experiment_seed=0,
-            oracle=_oracle(fine, stat, 100_000, seed=0, data=data), data=data,
-        )
+    with pytest.raises(ValueError, match="LogisticLoss"):
+        LDConfig(model=model, theta_start=np.zeros(2))
 
 
 def test_stationary_law_normalizes_curvature():

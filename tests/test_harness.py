@@ -707,6 +707,9 @@ _BAD_KEY_CASES = [
     (["train-practical", "aggregate_eval", "risk_compare"], "data.n = 0", "data.n"),
     (["train-theoretical", "pds_eval", "uq_compare"], "data.p = 0", "data.p"),
     (["train-practical", "k_sweep", "uq_compare"], "data.classes = 1", "data.classes"),
+    (["aggregate_eval"], "data.val_fraction = nan", "partition fractions"),
+    (["aggregate_eval"], "data.heldout_fraction = nan", "partition fractions"),
+    (["aggregate_eval"], "data.test_fraction = nan", "partition fractions"),
 ]
 _BAD_KEY_PARAMS = [
     (_TASK_HEADS[task][0], _TASK_HEADS[task][1] + line + "\n", needle)
@@ -754,7 +757,7 @@ _BAD_KEY_IDS = [
         ("dpld-bias", "task = dpld_bias\ndpld.points = 1:-1\n", "gap must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.k = 1\n", "k must be at least 2"),
         ("dpld-bias", "task = dpld_bias\ndpld.sigma = 0\n", "sigma must be positive"),
-        ("dpld-bias", "task = dpld_bias\ndpld.eta = 0\n", "eta must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.eta = 0\n", "'dpld.eta': unknown key"),
         ("dpld-bias", "task = dpld_bias\ndpld.dim = 0\n", "dpld.dim"),
         ("dpld-bias", "task = dpld_bias\ndpld.c_constant = 0\n", "c_constant must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.delta_target = 1\n", "delta_target must be in"),
@@ -762,7 +765,8 @@ _BAD_KEY_IDS = [
          "dpld.oracle_samples"),
         ("dpld-bias", "task = dpld_bias\ndpld.trials = 2147483648\n", "dpld.trials"),
         ("dpld-bias", "task = dpld_bias\ndpld.sigma = nan\n", "sigma must be positive"),
-        ("dpld-bias", "task = dpld_bias\ndpld.eta = nan\n", "eta must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.eta = nan\n", "'dpld.eta': unknown key"),
+        ("dpld-bias", "task = dpld_bias\ndpld.sigma = inf\n", "sigma must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.c_constant = nan\n", "c_constant must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.start_distance = nan\n",
          "theta_start must be finite"),
@@ -779,7 +783,7 @@ _BAD_KEY_IDS = [
         "train-theoretical-steps0", "dpld_bias-t1", "dpld_bias-gap", "dpld_bias-k1",
         "dpld_bias-sigma", "dpld_bias-eta", "dpld_bias-dim", "dpld_bias-c", "dpld_bias-delta",
         "dpld_bias-oracle", "dpld_bias-trials", "dpld_bias-sigma-nan", "dpld_bias-eta-nan",
-        "dpld_bias-c-nan", "dpld_bias-start-nan", "dpld_bias-t1-nan",
+        "dpld_bias-sigma-inf", "dpld_bias-c-nan", "dpld_bias-start-nan", "dpld_bias-t1-nan",
     ] + _BAD_KEY_IDS,
 )
 def test_cli_unfinishable_config_exits_2_before_training(
@@ -793,6 +797,25 @@ def test_cli_unfinishable_config_exits_2_before_training(
     out = str(tmp_path / "out")
     assert cli.main([command, "--config", cfg, "--out", out]) == 2
     assert needle in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "status.json"))
+
+
+@pytest.mark.parametrize(
+    "bad_row, needle",
+    [("nan,0.0,0", "row 1 has a non-finite feature"), ("0.5,1.0,-1", "row 1 has label -1")],
+    ids=["nan-feature", "negative-label"],
+)
+def test_cli_bad_csv_row_exits_2_naming_file_and_row(
+    tmp_path, capsys, monkeypatch, bad_row, needle
+):
+    monkeypatch.setattr(experiments.trainer, "dp_sgd_practical", _no_training)
+    data_path = tmp_path / "rows.csv"
+    data_path.write_text("f0,f1,label\n0.5,1.0,1\n" + bad_row + "\n2.0,-1.0,0\n")
+    cfg = _write_cfg(tmp_path, f"task = train\ntrain.steps = 5\ndata.csv = {data_path}\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert str(data_path) in err and needle in err
     assert not os.path.exists(os.path.join(out, "status.json"))
 
 

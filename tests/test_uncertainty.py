@@ -22,7 +22,6 @@ from dpckpt.uncertainty import (
     t_cdf,
     t_quantile,
     uq_average_width,
-    uq_from_checkpoints,
     uq_from_independent_runs,
     uq_widths,
     write_uq_report,
@@ -261,18 +260,6 @@ def _fake_run(seed: int, final: np.ndarray, count: int = 6) -> RunRecord:
         steps=steps,
         metrics=np.zeros((count, 2)),
     )
-
-
-def test_uq_from_checkpoints_uses_last_k(prob_model):
-    run = _fake_run(0, np.array([0.5, 0.3, 0.2]))
-    config = UQConfig(k=4)
-    width = uq_from_checkpoints(run, prob_model, np.zeros((3, 3)), config)
-    thetas = [c.params for c in run.checkpoints[-4:]]
-    assert width == pytest.approx(
-        uq_average_width(thetas, prob_model, np.zeros((3, 3)), config)
-    )
-    with pytest.raises(ValueError):
-        uq_from_checkpoints(_fake_run(0, np.ones(3), count=3), prob_model, np.zeros((1, 3)), config)
 
 
 def test_uq_from_independent_runs_selection(prob_model):
