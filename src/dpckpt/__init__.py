@@ -38,7 +38,7 @@ from .trainer import (
     load_run,
     save_run,
 )
-from .uncertainty import UQConfig, ci_mean, t_quantile, uq_average_width
+from .uncertainty import independent_rows, statistic_matrix, t_quantile, t_widths
 
 __version__ = "0.1.0"
 
@@ -75,9 +75,9 @@ __all__ = [
     "dp_sgd_theoretical_runs",
     "load_run",
     "save_run",
-    "UQConfig",
-    "ci_mean",
+    "independent_rows",
+    "statistic_matrix",
     "t_quantile",
-    "uq_average_width",
+    "t_widths",
     "__version__",
 ]

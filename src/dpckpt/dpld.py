@@ -132,6 +132,11 @@ class CheckpointTimes:
             raise ValueError("gap must be positive")
         if self.k < 2:
             raise ValueError("k must be at least 2")
+        # one noise event per checkpoint, and a trial's events share a counter
+        if self.k >= MAX_EVENTS:
+            raise ValueError(
+                f"a trajectory must have fewer than {MAX_EVENTS} noise events, got k = {self.k}"
+            )
 
     def times(self) -> list[float]:
         return [self.t1 + i * self.gap for i in range(self.k)]
@@ -276,10 +281,6 @@ def variance_bias_experiment(
         raise ValueError("need at least 100 trials")
     if trials >= MAX_TRIALS:
         raise ValueError(f"trials must be below 2**31, got {trials}")
-    if times.k >= MAX_EVENTS:
-        raise ValueError(
-            f"a trajectory must have fewer than {MAX_EVENTS} noise events, got k = {times.k}"
-        )
     center, sigma_eff = stationary_law(config)
     m = config.model.curvature
     segments = [m * s for s in times.elapsed_segments()]

@@ -127,15 +127,19 @@ def split_dataset(
     return parts
 
 
-def _tiebreak(spec: AggregationSpec) -> tuple:
-    k = spec.k if spec.k is not None else math.inf
-    scalar = math.inf
-    for name in ("beta", "alpha", "gamma"):
-        value = getattr(spec, name)
-        if value is not None:
-            scalar = value
-            break
-    return (k, scalar)
+def _best_index(specs: Sequence[AggregationSpec], accs: Sequence[float]) -> int:
+    """Index of the best accuracy; the one tie-break policy of tuning and
+    the sweeps."""
+
+    def key(i: int) -> tuple:
+        spec = specs[i]
+        k = spec.k if spec.k is not None else math.inf
+        scalar = next(
+            (v for v in (spec.beta, spec.alpha, spec.gamma) if v is not None), math.inf
+        )
+        return (-accs[i], k, scalar, i)
+
+    return min(range(len(specs)), key=key)
 
 
 def tune_on_validation(
@@ -146,9 +150,9 @@ def tune_on_validation(
 ) -> tuple[AggregationSpec, float]:
     """Candidate with the best validation accuracy.
 
-    Ties break toward smaller k, then the smaller scalar coefficient,
-    then listing order. The validation partition must not carry a
-    training or heldout tag.
+    Ties break toward smaller k, then the smaller scalar coefficient
+    (beta, alpha or gamma), then listing order. The validation partition
+    must not carry a training or heldout tag.
     """
     if not candidates:
         raise ValueError("no candidates to tune over")
@@ -156,13 +160,9 @@ def tune_on_validation(
         raise ConfigError(
             f"validation partition is tagged {validation.tag!r}; tuning data must be disjoint"
         )
-    best = None
-    for i, cand in enumerate(candidates):
-        acc = float(evaluate(cand, validation))
-        key = (-acc, _tiebreak(cand), i)
-        if best is None or key < best[0]:
-            best = (key, cand, acc)
-    return best[1], best[2]
+    accs = [float(evaluate(cand, validation)) for cand in candidates]
+    best = _best_index(candidates, accs)
+    return candidates[best], accs[best]
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +639,7 @@ def _run_sweep(
 ) -> ResultTable:
     """Validation rows of one spec grid, then the winner's row."""
     rows, _ = _run_scored(view, out_dir, master_seed, workers, specs, key, "validation", False)
-    # min keeps the first of tied keys, so listing order breaks the last ties
-    best = rows[min(range(len(rows)), key=lambda i: (-rows[i].mean, _tiebreak(specs[i])))]
+    best = rows[_best_index(specs, [row.mean for row in rows])]
     rows.append(ResultRow(f"best={best.setting}", best.mean, best.std, best.n_seeds))
     return ResultTable(rows)
 
@@ -769,22 +768,28 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
 
 
 def _uq_seed_worker(args):
-    (model, data, test_inputs, outer_seed, eps_list, uq_configs, pool, delta, radius) = args
+    model, data, test_inputs, outer_seed, eps_list, k_list, level, mode, pool, delta, radius = args
     out = {}
     pool_seeds = [derive_run_seed(outer_seed, j) for j in range(pool)]
+    chosen = {k: uncertainty.independent_rows(pool_seeds, k, outer_seed) for k in k_list}
     for eps in eps_list:
         rho = privacy.epsilon_to_zcdp(eps, delta)
         configs = _theoretical_configs(model, data.n, rho, radius, pool_seeds, every=1)
         runs = trainer.dp_sgd_theoretical_runs(model, data, configs, rho=rho, delta=delta)
-        for ck in uq_configs:
-            ind = replace(ck, method="independent_runs")
-            # per-input widths of the first run's last k checkpoints; their
-            # mean is the checkpoint method's width
-            w_ck = uncertainty.uq_widths(runs[0].params[-ck.k :], model, test_inputs, ck)
-            w_ind = uncertainty.uq_from_independent_runs(
-                runs, model, test_inputs, ind, selection_seed=outer_seed
-            )
-            out[(eps, ck.k)] = (w_ck, w_ind)
+        # statistics of the first run's last max(k) checkpoints and of every
+        # run's final checkpoint; each (eps, k) cell selects rows of these
+        last = uncertainty.statistic_matrix(
+            runs[0].params[-max(k_list) :], model, test_inputs, mode
+        )
+        final = uncertainty.statistic_matrix(
+            [r.params[-1] for r in runs], model, test_inputs, mode
+        )
+        for k in k_list:
+            # per-input widths of the last k checkpoints; their mean is the
+            # checkpoint method's width
+            w_ck = uncertainty.t_widths(last[-k:], level)
+            w_ind = float(uncertainty.t_widths(final[chosen[k]], level).mean())
+            out[(eps, k)] = (w_ck, w_ind)
     return out
 
 
@@ -809,6 +814,10 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
         raise ConfigError("epsilon list is empty", key="uq.epsilons")
     if not k_list:
         raise ConfigError("k list is empty", key="uq.k_values")
+    if min(k_list) < 2:
+        raise ConfigError("k must be at least 2", key="uq.k_values")
+    if num_inputs < 1:
+        raise ConfigError("need at least one test input", key="uq.num_test_inputs")
     if pool < max(k_list):
         raise ConfigError("pool must hold at least max(k) runs", key="uq.pool_runs")
     with _config_errors("privacy setting", "uq.epsilons"):
@@ -819,17 +828,6 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
             f"k={max(k_list)} exceeds the {shortest} checkpoints of the shortest run",
             key="uq.k_values",
         )
-    with _config_errors("uq setting"):
-        uq_configs = [
-            uncertainty.UQConfig(
-                method="last_k_checkpoints",
-                k=k,
-                level=level,
-                statistic_mode=mode,
-                num_test_inputs=num_inputs,
-            )
-            for k in k_list
-        ]
     view.ensure_all_used()
 
     model = _logistic_model(data, l2, radius)
@@ -838,7 +836,8 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
     ).features
 
     args = [
-        (model, data, test_inputs, s, eps_list, uq_configs, pool, delta, radius) for s in seeds
+        (model, data, test_inputs, s, eps_list, k_list, level, mode, pool, delta, radius)
+        for s in seeds
     ]
     results = _run_parallel(_uq_seed_worker, args, workers)
 
@@ -860,7 +859,7 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
     # seed's first run at the first (epsilon, k) cell
     widths = results[0][(eps_list[0], k_list[0])][0]
     uncertainty.write_uq_report(
-        os.path.join(out_dir, "uq_report.json"), uq_configs[0], float(widths.mean()), widths
+        os.path.join(out_dir, "uq_report.json"), k_list[0], level, mode, widths
     )
     return ResultTable(rows)
 

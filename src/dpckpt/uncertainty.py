@@ -5,6 +5,8 @@ small i.i.d. sample: mean +/- t_{k-1, 1-(1-level)/2} * s / sqrt(k). The
 average interval width over many test inputs is the uncertainty proxy
 compared between two ways of obtaining the k models: the final
 checkpoints of k independent runs, or the last k checkpoints of one run.
+Both are row selections of a statistic_matrix: its last k rows for one
+run's checkpoints, its independent_rows for the runs' final checkpoints.
 
 The t quantile is computed from scratch. Every interval has k - 1
 degrees of freedom, an integer, so the CDF is the closed-form finite
@@ -15,17 +17,13 @@ Stegun 26.7.3-26.7.4), and the quantile inverts the CDF by bisection.
 import json
 import math
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import rng
 from .model import LossModel
-
-if TYPE_CHECKING:
-    from .trainer import RunRecord
 
 STATISTIC_MODES = ("label_as_integer", "modal_class_probability")
 
@@ -98,65 +96,14 @@ def t_quantile(dof: int, p: float) -> float:
 # confidence intervals
 
 
-@dataclass(frozen=True)
-class CIReport:
-    mean: float
-    half_width: float
-    k: int
-    level: float
-
-    @property
-    def dof(self) -> int:
-        return self.k - 1
-
-    @property
-    def width(self) -> float:
-        return 2.0 * self.half_width
-
-
-def ci_mean(samples: Sequence[float], level: float = 0.95) -> CIReport:
-    """Two-sided t interval for the mean of a small i.i.d. sample.
-
-    Zero sample variance gives half_width 0 (all models agree); fewer
-    than two samples is an error.
-    """
-    values = np.asarray(samples, dtype=np.float64)
-    k = len(values)
-    if k < 2:
-        raise ValueError("ci_mean needs at least two samples")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    mean = float(values.mean())
-    s = float(values.std(ddof=1))
-    q = t_quantile(k - 1, 1.0 - (1.0 - level) / 2.0)
-    return CIReport(mean=mean, half_width=q * s / math.sqrt(k), k=k, level=level)
-
-
-@dataclass(frozen=True)
-class UQConfig:
-    method: str = "last_k_checkpoints"  # or "independent_runs"
-    k: int = 5
-    level: float = 0.95
-    statistic_mode: str = "modal_class_probability"
-    num_test_inputs: int = 50
-
-    def __post_init__(self):
-        if self.method not in ("last_k_checkpoints", "independent_runs"):
-            raise ValueError(f"unknown UQ method {self.method!r}")
-        if self.k < 2:
-            raise ValueError("k must be at least 2 for a t interval")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must be in (0, 1)")
-        if self.statistic_mode not in STATISTIC_MODES:
-            raise ValueError(f"unknown statistic mode {self.statistic_mode!r}")
-        if self.num_test_inputs < 1:
-            raise ValueError("num_test_inputs must be positive")
-
-
-def _statistic_matrix(
+def statistic_matrix(
     thetas: Sequence[np.ndarray], model: LossModel, inputs: np.ndarray, mode: str
 ) -> np.ndarray:
-    """(k, n_inputs) statistics, one row per model."""
+    """(S, n_inputs) statistics, one row per model.
+
+    Each row depends only on its own model, so a row slice of the result
+    equals the matrix of those rows' models bit for bit.
+    """
     if mode not in STATISTIC_MODES:
         raise ValueError(f"unknown statistic mode {mode!r}")
     probs = model.predict_proba(np.asarray(thetas), inputs)
@@ -165,68 +112,48 @@ def _statistic_matrix(
     return probs.max(axis=2)
 
 
-def uq_widths(
-    thetas: Sequence[np.ndarray],
-    model: LossModel,
-    test_inputs: np.ndarray,
-    config: UQConfig,
-) -> np.ndarray:
-    """Per-input CI widths (2 * half_width) over the k models."""
-    if len(thetas) < 2:
-        raise ValueError("need at least two models")
-    inputs = np.atleast_2d(np.asarray(test_inputs, dtype=np.float64))
-    stats = _statistic_matrix(thetas, model, inputs, config.statistic_mode)
+def t_widths(stats: np.ndarray, level: float) -> np.ndarray:
+    """Widths 2 * t_{k-1} * s / sqrt(k) of the two-sided t intervals for
+    the mean of each column of a (k, n) sample matrix, or one width for a
+    (k,) sample.
+
+    Zero sample variance gives width 0 (all models agree); fewer than
+    two samples is an error.
+    """
+    stats = np.asarray(stats, dtype=np.float64)
     k = stats.shape[0]
-    q = t_quantile(k - 1, 1.0 - (1.0 - config.level) / 2.0)
-    s = stats.std(axis=0, ddof=1)
-    return 2.0 * q * s / math.sqrt(k)
+    if k < 2:
+        raise ValueError(f"a t interval needs at least two samples, got {k}")
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    q = t_quantile(k - 1, 1.0 - (1.0 - level) / 2.0)
+    return 2.0 * q * stats.std(axis=0, ddof=1) / math.sqrt(k)
 
 
-def uq_average_width(
-    thetas: Sequence[np.ndarray],
-    model: LossModel,
-    test_inputs: np.ndarray,
-    config: UQConfig,
-) -> float:
-    """Mean CI width over test inputs; the paper-style uncertainty proxy."""
-    return float(uq_widths(thetas, model, test_inputs, config).mean())
-
-
-def uq_from_independent_runs(
-    runs: Sequence["RunRecord"],
-    model: LossModel,
-    test_inputs: np.ndarray,
-    config: UQConfig,
-    selection_seed: int = 0,
-) -> float:
-    """Average width using final checkpoints of k seeded-randomly chosen runs."""
-    if len(runs) < config.k:
-        raise ValueError(f"have {len(runs)} runs, need at least {config.k}")
-    seeds = [r.seed for r in runs]
+def independent_rows(seeds: Sequence[int], k: int, selection_seed: int) -> np.ndarray:
+    """Sorted indices of k of the runs with these seeds, drawn without
+    replacement from the selection_seed's STREAM_SELECT generator."""
+    if len(seeds) < k:
+        raise ValueError(f"have {len(seeds)} runs, need at least {k}")
     if len(set(seeds)) != len(seeds):
         raise ValueError("independent runs must carry distinct seeds")
     gen = rng.step_generator(selection_seed, rng.STREAM_SELECT, 0)
-    chosen = gen.choice(len(runs), size=config.k, replace=False)
-    thetas = [runs[i].params[-1] for i in sorted(chosen)]
-    return uq_average_width(thetas, model, test_inputs, config)
+    return np.sort(gen.choice(len(seeds), size=k, replace=False))
 
 
 def write_uq_report(
-    path: str,
-    config: UQConfig,
-    average_width: float,
-    per_input_widths: Sequence[float] | None = None,
+    path: str, k: int, level: float, statistic_mode: str, widths: Sequence[float]
 ) -> None:
-    """JSON report of one uncertainty measurement."""
+    """JSON report of the last-k-checkpoints interval widths, one per input."""
+    widths = np.asarray(widths, dtype=np.float64)
     payload = {
-        "method": config.method,
-        "k": config.k,
-        "level": config.level,
-        "statisticMode": config.statistic_mode,
-        "averageWidth": average_width,
+        "method": "last_k_checkpoints",
+        "k": k,
+        "level": level,
+        "statisticMode": statistic_mode,
+        "averageWidth": float(widths.mean()),
+        "perInputWidths": [float(w) for w in widths],
     }
-    if per_input_widths is not None:
-        payload["perInputWidths"] = [float(w) for w in per_input_widths]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

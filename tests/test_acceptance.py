@@ -302,12 +302,8 @@ def test_ac7_interval_machinery():
     trials, k = 10_000, 5
     gen = rng.step_generator(2024, rng.STREAM_TRIAL, 0)
     draws = gen.standard_normal((trials, k))
-    covered = 0
-    for row in draws:
-        report = uncertainty.ci_mean(row, level=0.95)
-        if abs(report.mean) <= report.half_width:
-            covered += 1
-    coverage = covered / trials
+    half_widths = uncertainty.t_widths(draws.T, level=0.95) / 2
+    coverage = int(np.count_nonzero(np.abs(draws.mean(axis=1)) <= half_widths)) / trials
 
     # the per-trial sample variance of variance_bias_experiment is unbiased
     # for the population variance
@@ -428,14 +424,11 @@ def test_ac9_determinism_and_postprocessing(tmp_path):
     aggregate.combine(AggregationSpec("ema", beta=0.9), params)
     aggregate.upa_past_k(params, 5)
     aggregate.combine(AggregationSpec("pda", gamma=1.0), params)
-    uq_cfg = uncertainty.UQConfig(
-        method="last_k_checkpoints",
-        k=5,
-        level=0.95,
-        statistic_mode="modal_class_probability",
-        num_test_inputs=8,
+    stats = uncertainty.statistic_matrix(
+        params, model, data.features[:8], "modal_class_probability"
     )
-    uncertainty.uq_average_width(params[-5:], model, data.features[:8], uq_cfg)
+    uncertainty.t_widths(stats[-5:], level=0.95)
+    uncertainty.t_widths(stats[uncertainty.independent_rows(range(len(params)), 5, 0)], 0.95)
 
     after = (record.budget.rho, record.budget.epsilon, record.budget.delta)
     # checkpoint_params() returns a copy, so check the matrix the operators read too

@@ -279,10 +279,7 @@ def test_variance_bias_experiment_address_limits(monkeypatch):
     # one noise event per checkpoint; a lowered bound stands in for 2**32
     monkeypatch.setattr(dpld, "MAX_EVENTS", 5)
     with pytest.raises(ValueError, match="fewer than 5 noise events"):
-        variance_bias_experiment(
-            quad, CheckpointTimes(t1=1.0, gap=1.0, k=5), stat, trials=100,
-            experiment_seed=0, oracle=oracle,
-        )
+        CheckpointTimes(t1=1.0, gap=1.0, k=5)
     report = variance_bias_experiment(
         quad, CheckpointTimes(t1=1.0, gap=1.0, k=4), stat, trials=100,
         experiment_seed=0, oracle=oracle,

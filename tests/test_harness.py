@@ -771,6 +771,8 @@ _BAD_KEY_IDS = [
         ("dpld-bias", "task = dpld_bias\ndpld.start_distance = nan\n",
          "theta_start must be finite"),
         ("dpld-bias", "task = dpld_bias\ndpld.points = nan:1\n", "t1 must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.k = 4294967296\n", "fewer than 4294967296"),
+        ("uq", "task = uq_compare\nuq.num_test_inputs = 0\n", "uq.num_test_inputs"),
     ] + _BAD_KEY_PARAMS,
     ids=[
         "risk_compare-every", "aggregate_eval-batch", "k_sweep-eta", "pds_eval-clip",
@@ -784,6 +786,7 @@ _BAD_KEY_IDS = [
         "dpld_bias-sigma", "dpld_bias-eta", "dpld_bias-dim", "dpld_bias-c", "dpld_bias-delta",
         "dpld_bias-oracle", "dpld_bias-trials", "dpld_bias-sigma-nan", "dpld_bias-eta-nan",
         "dpld_bias-sigma-inf", "dpld_bias-c-nan", "dpld_bias-start-nan", "dpld_bias-t1-nan",
+        "dpld_bias-k-2**32", "uq_compare-no-inputs",
     ] + _BAD_KEY_IDS,
 )
 def test_cli_unfinishable_config_exits_2_before_training(

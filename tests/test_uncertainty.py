@@ -11,19 +11,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from dpckpt.model import DatasetHandle
+from dpckpt.errors import ConfigError
+from dpckpt.harness import ConfigView, parse_config_text, run_experiment
+from dpckpt.model import LogisticLoss, synth_classification
 from dpckpt.rng import STREAM_TRIAL, step_generator
-from dpckpt.trainer import EtaSchedule, RunRecord, TrainerConfig
 from dpckpt.uncertainty import (
-    CIReport,
-    UQConfig,
-    ci_mean,
-    _statistic_matrix,
+    STATISTIC_MODES,
+    independent_rows,
+    statistic_matrix,
     t_cdf,
     t_quantile,
-    uq_average_width,
-    uq_from_independent_runs,
-    uq_widths,
+    t_widths,
     write_uq_report,
 )
 
@@ -162,33 +160,37 @@ def test_t_quantile_validation():
 
 
 # ---------------------------------------------------------------------------
-# confidence intervals
+# confidence intervals for the mean (ci_mean) of a k-sample: t_widths
 
 
 def test_ci_mean_frozen_example():
-    report = ci_mean([0.2, 0.4, 0.6, 0.8, 1.0], level=0.95)
-    assert report.mean == pytest.approx(0.6)
-    assert report.k == 5
-    assert report.dof == 4
-    assert report.half_width == pytest.approx(CI_HALF_EXAMPLE, abs=1e-12)
-    assert report.width == pytest.approx(2 * CI_HALF_EXAMPLE, abs=1e-12)
+    width = t_widths([0.2, 0.4, 0.6, 0.8, 1.0], level=0.95)
+    assert np.ndim(width) == 0
+    assert width == pytest.approx(2 * CI_HALF_EXAMPLE, abs=1e-12)
+    # the columns of a (k, n) matrix are k-samples of their own
+    column = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
+    widths = t_widths(np.stack([column, 3 * column, np.full(5, 0.5)], axis=1), level=0.95)
+    assert widths.shape == (3,)
+    assert widths == pytest.approx([2 * CI_HALF_EXAMPLE, 6 * CI_HALF_EXAMPLE, 0.0], abs=1e-12)
 
 
 def test_ci_mean_zero_variance_and_validation():
-    report = ci_mean([0.5, 0.5, 0.5])
-    assert report.half_width == 0.0
-    with pytest.raises(ValueError):
-        ci_mean([1.0])
-    with pytest.raises(ValueError):
-        ci_mean([1.0, 2.0], level=1.0)
+    assert t_widths([0.5, 0.5, 0.5], level=0.95) == 0.0
+    with pytest.raises(ValueError, match="at least two samples"):
+        t_widths([1.0], level=0.95)
+    with pytest.raises(ValueError, match="at least two samples"):
+        t_widths(np.ones((1, 4)), level=0.95)
+    for level in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="level"):
+            t_widths([1.0, 2.0], level=level)
 
 
 def test_ci_mean_permutation_and_scale():
-    base = ci_mean([0.1, 0.9, 0.4, 0.6])
-    shuffled = ci_mean([0.9, 0.4, 0.6, 0.1])
-    assert shuffled.half_width == pytest.approx(base.half_width, abs=1e-15)
-    tripled = ci_mean([0.3, 2.7, 1.2, 1.8])
-    assert tripled.half_width == pytest.approx(3 * base.half_width, rel=1e-12)
+    base = t_widths([0.1, 0.9, 0.4, 0.6], level=0.95)
+    shuffled = t_widths([0.9, 0.4, 0.6, 0.1], level=0.95)
+    assert shuffled == pytest.approx(base, abs=1e-15)
+    tripled = t_widths([0.3, 2.7, 1.2, 1.8], level=0.95)
+    assert tripled == pytest.approx(3 * base, rel=1e-12)
 
 
 def test_ci_mean_coverage_simulation():
@@ -196,101 +198,98 @@ def test_ci_mean_coverage_simulation():
     trials, k = 10_000, 5
     gen = step_generator(123, STREAM_TRIAL, 0)
     draws = gen.normal(0.0, 1.0, size=(trials, k))
-    q = t_quantile(k - 1, 0.975)
-    half = q * draws.std(axis=1, ddof=1) / math.sqrt(k)
-    covered = np.abs(draws.mean(axis=1)) <= half
+    covered = np.abs(draws.mean(axis=1)) <= t_widths(draws.T, level=0.95) / 2
     assert abs(covered.mean() - 0.95) < 0.01
 
 
 def test_ci_mean_nominal_level_scaling():
     samples = [0.2, 0.5, 0.9, 0.3]
-    wide = ci_mean(samples, level=0.99)
-    narrow = ci_mean(samples, level=0.8)
-    assert wide.half_width > ci_mean(samples).half_width > narrow.half_width
+    wide = t_widths(samples, level=0.99)
+    narrow = t_widths(samples, level=0.8)
+    assert wide > t_widths(samples, level=0.95) > narrow
 
 
 # ---------------------------------------------------------------------------
-# model statistics and UQ drivers
+# model statistics and run selection
 
 
 def test_model_statistic_modes(prob_model):
     theta = np.array([0.2, 0.5, 0.3])
     x = np.zeros((1, 3))
-    modal = _statistic_matrix([theta], prob_model, x, "modal_class_probability")
+    modal = statistic_matrix([theta], prob_model, x, "modal_class_probability")
     assert modal.tolist() == [[pytest.approx(0.5)]]
-    assert _statistic_matrix([theta], prob_model, x, "label_as_integer").tolist() == [[1.0]]
+    assert statistic_matrix([theta], prob_model, x, "label_as_integer").tolist() == [[1.0]]
     with pytest.raises(ValueError):
-        _statistic_matrix([theta], prob_model, x, "entropy")
+        statistic_matrix([theta], prob_model, x, "entropy")
 
 
 def test_uq_widths_hand_computed(prob_model):
     # statistics for modal_class_probability are just max(theta) per model
     thetas = [np.array([0.2, 0.5, 0.3]), np.array([0.4, 0.4, 0.2]), np.array([0.1, 0.8, 0.1])]
     inputs = np.zeros((2, 3))
-    config = UQConfig(k=3)
-    widths = uq_widths(thetas, prob_model, inputs, config)
-    stats = np.array([0.5, 0.4, 0.8])
-    expected = 2 * t_quantile(2, 0.975) * stats.std(ddof=1) / math.sqrt(3)
+    stats = statistic_matrix(thetas, prob_model, inputs, "modal_class_probability")
+    widths = t_widths(stats, level=0.95)
+    expected = 2 * t_quantile(2, 0.975) * np.array([0.5, 0.4, 0.8]).std(ddof=1) / math.sqrt(3)
     assert widths.shape == (2,)
     assert np.allclose(widths, expected, atol=1e-12)
-    assert uq_average_width(thetas, prob_model, inputs, config) == pytest.approx(expected)
-    with pytest.raises(ValueError):
-        uq_widths(thetas[:1], prob_model, inputs, config)
 
 
-def test_uq_config_validation():
-    with pytest.raises(ValueError):
-        UQConfig(method="bootstrap")
-    with pytest.raises(ValueError):
-        UQConfig(k=1)
-    with pytest.raises(ValueError):
-        UQConfig(level=0.0)
-    with pytest.raises(ValueError):
-        UQConfig(statistic_mode="entropy")
-    with pytest.raises(ValueError):
-        UQConfig(num_test_inputs=0)
-
-
-def _fake_run(seed: int, final: np.ndarray, count: int = 6) -> RunRecord:
-    steps = np.arange(1, count + 1)
-    return RunRecord(
-        TrainerConfig("practical", count, EtaSchedule("constant", 0.1), checkpoint_every=1, seed=seed),
-        budget=None,
-        params=final * (0.5 + 0.1 * steps[:, None]),
-        steps=steps,
-        metrics=np.zeros((count, 2)),
+@pytest.mark.parametrize("classes", [2, 3], ids=["binary", "softmax"])
+@pytest.mark.parametrize("mode", STATISTIC_MODES)
+def test_statistic_matrix_row_slices_equal_the_matrix_of_those_rows(classes, mode):
+    """uq_compare computes one matrix per epsilon and slices its cells
+    from it, which relies on each row not depending on its neighbours."""
+    data = synth_classification(60, 4, num_classes=classes, separation=2.0, seed=3)
+    model = LogisticLoss.for_data(data, l2_reg=0.05, radius=2.0)
+    thetas = step_generator(11, STREAM_TRIAL, 0).normal(size=(12, model.param_dim()))
+    inputs = data.features[:25]
+    full = statistic_matrix(thetas, model, inputs, mode)
+    assert full.shape == (12, 25)
+    for rows in (slice(-5, None), slice(0, 1), [1, 4, 7, 11], [3]):
+        assert np.array_equal(full[rows], statistic_matrix(thetas[rows], model, inputs, mode))
+    assert np.array_equal(
+        full[[2, 9]], statistic_matrix([thetas[2], thetas[9]], model, inputs, mode)
     )
 
 
-def test_uq_from_independent_runs_selection(prob_model):
-    gen = np.random.default_rng(9)
-    runs = [_fake_run(seed, gen.uniform(0.1, 1.0, 3)) for seed in range(8)]
-    config = UQConfig(method="independent_runs", k=3)
-    inputs = np.zeros((2, 3))
-    a = uq_from_independent_runs(runs, prob_model, inputs, config, selection_seed=5)
-    b = uq_from_independent_runs(runs, prob_model, inputs, config, selection_seed=5)
-    assert a == b  # same selection seed, same subset
-    widths = {
-        uq_from_independent_runs(runs, prob_model, inputs, config, selection_seed=s)
-        for s in range(6)
-    }
-    assert len(widths) > 1  # different seeds pick different subsets
-    dupes = [_fake_run(3, np.ones(3)), _fake_run(3, np.ones(3)), _fake_run(4, np.ones(3))]
-    with pytest.raises(ValueError):
-        uq_from_independent_runs(dupes, prob_model, inputs, config)
-    with pytest.raises(ValueError):
-        uq_from_independent_runs(runs[:2], prob_model, inputs, config)
+def test_uq_from_independent_runs_selection():
+    seeds = [101, 102, 103, 104, 105, 106, 107, 108]
+    rows = independent_rows(seeds, 3, selection_seed=5)
+    assert rows.tolist() == sorted(set(rows.tolist()))  # sorted and distinct
+    assert len(rows) == 3 and 0 <= rows.min() and rows.max() < len(seeds)
+    # same selection seed, same subset
+    assert np.array_equal(independent_rows(seeds, 3, selection_seed=5), rows)
+    picks = {tuple(independent_rows(seeds, 3, selection_seed=s)) for s in range(6)}
+    assert len(picks) > 1  # different seeds pick different subsets
+    with pytest.raises(ValueError, match="distinct seeds"):
+        independent_rows([3, 3, 4], 3, selection_seed=0)
+    with pytest.raises(ValueError, match="need at least 3"):
+        independent_rows(seeds[:2], 3, selection_seed=0)
+
+
+def test_uq_config_validation(tmp_path):
+    """uq_compare rejects each bad uq setting, naming its key, before training."""
+    for line, key in (
+        ("uq.method = bootstrap", "uq.method"),
+        ("uq.k_values = 1", "uq.k_values"),
+        ("uq.level = 0", "uq.level"),
+        ("uq.statistic = entropy", "uq.statistic"),
+        ("uq.num_test_inputs = 0", "uq.num_test_inputs"),
+    ):
+        view = ConfigView(parse_config_text(f"task = uq_compare\n{line}\n"))
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(view, str(tmp_path / "out"), workers=1)
+        assert exc.value.key == key
 
 
 def test_write_uq_report(tmp_path):
     path = str(tmp_path / "uq_report.json")
-    config = UQConfig(method="last_k_checkpoints", k=5, level=0.95)
-    write_uq_report(path, config, 0.123, per_input_widths=[0.1, 0.15])
+    write_uq_report(path, 5, 0.95, "modal_class_probability", np.array([0.1, 0.15]))
     with open(path) as fh:
         payload = json.load(fh)
     assert payload["method"] == "last_k_checkpoints"
     assert payload["k"] == 5
     assert payload["level"] == 0.95
     assert payload["statisticMode"] == "modal_class_probability"
-    assert payload["averageWidth"] == 0.123
+    assert payload["averageWidth"] == 0.125
     assert payload["perInputWidths"] == [0.1, 0.15]
