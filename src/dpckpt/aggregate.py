@@ -202,9 +202,9 @@ def omv_batch_labels(
     thetas: Sequence[np.ndarray], model: LossModel, features: np.ndarray
 ) -> np.ndarray:
     """Majority vote over per-checkpoint labels per input (ties to lowest class)."""
-    probs = model.predict_proba(np.asarray(thetas), features)
-    labels = probs.argmax(axis=2)  # (k, n)
-    votes = (labels[:, :, None] == np.arange(probs.shape[2])).sum(axis=0)  # (n, c)
+    labels = model.predict_labels(np.asarray(thetas), features)  # (k, n)
+    # classes above the largest label get no votes, so they cannot win
+    votes = (labels[:, :, None] == np.arange(labels.max() + 1)).sum(axis=0)  # (n, c')
     return votes.argmax(axis=1)
 
 

@@ -16,9 +16,10 @@ shares z = y * margin and exp(-|z|) between the cross-entropy and its
 slope, the softmax head shares exp(logits - max) and its row sum between
 the log-sum-exp and the probabilities. loss_full and grad_full read the
 same helpers, so the fused pair equals the separate calls bit for bit.
-predict_proba and accuracy take rows the same way: (S, p) rows give
-(S, n, c) probabilities and (S,) accuracies, and accuracy scores the rows
-in chunks so that no probability block grows past ~40k elements.
+predict_proba, predict_labels and accuracy take rows the same way: (S, p)
+rows give (S, n, c) probabilities, (S, n) labels and (S,) accuracies.
+predict_labels reads the argmax straight off the logits, with no softmax,
+and accuracy scores the rows in chunks of at most ~40k logits.
 The diurnal sampler draws a minibatch as row indices into the training
 data, as the uniform sampler does, so a batch is always data.subset(rows).
 """
@@ -222,7 +223,8 @@ class LossModel:
     """Common surface for the loss families.
 
     Subclasses define param_dim, loss_full, grad_full, loss_and_grad,
-    grad_per_example and (for classifiers) predict_proba. The curvature
+    grad_per_example and (for classifiers) predict_proba, and may override
+    predict_labels with a cheaper argmax than the probability one. The curvature
     attributes drive step-size rules and noise calibration:
 
       lipschitz        bound on a per-example gradient norm (None if unset)
@@ -256,6 +258,10 @@ class LossModel:
     def predict_proba(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Class probabilities: (n, c) for a (p,) vector, (S, n, c) for (S, p) rows."""
         raise NotImplementedError
+
+    def predict_labels(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """Argmax classes: (n,) for a (p,) vector, (S, n) for (S, p) rows."""
+        return self.predict_proba(theta, features).argmax(axis=-1)
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
@@ -437,10 +443,16 @@ class LogisticLoss(LossModel):
         grads = np.einsum("ic,ip->icp", probs, data.features)
         return grads.reshape(data.n, -1) + self.l2_reg * theta
 
-    def predict_proba(self, theta, features) -> np.ndarray:
+    def _checked_logits(self, theta, features):
+        """Finite logits of the rows on the features, and whether one (p,)
+        vector was passed; what both prediction heads read."""
         rows, single = self._check_rows(theta)
         logits = self._logits(rows, np.atleast_2d(np.asarray(features, dtype=np.float64)))
         _check_finite_logits(logits)
+        return logits, single
+
+    def predict_proba(self, theta, features) -> np.ndarray:
+        logits, single = self._checked_logits(theta, features)
         if self.binary:
             pos = _sigmoid(logits)
             probs = np.stack([1.0 - pos, pos], axis=-1)
@@ -448,23 +460,32 @@ class LogisticLoss(LossModel):
             probs = _softmax(logits)
         return probs[0] if single else probs
 
+    def predict_labels(self, theta, features) -> np.ndarray:
+        """The argmax of the logits, which softmax and sigmoid preserve; a zero
+        margin or a logit tie gives the lowest class, as the probability argmax
+        does. The two differ only where distinct logits round to equal
+        probabilities: there the probability argmax gives the lower class."""
+        logits, single = self._checked_logits(theta, features)
+        labels = (logits > 0).astype(np.int64) if self.binary else logits.argmax(axis=-1)
+        return labels[0] if single else labels
 
-# elements of one (rows, n, c) probability block that accuracy scores at once
+
+# elements of one (rows, n, c) logits block that accuracy scores at once
 ACCURACY_BLOCK = 40_000
 
 
 def accuracy(model: LossModel, theta: np.ndarray, data: DatasetHandle):
-    """Fraction of examples whose argmax class matches the label: a float for
-    a (p,) vector, an (S,) array for (S, p) rows. Rows are scored a chunk at a
-    time, as many as fit ACCURACY_BLOCK (row, example, class) probabilities."""
+    """Fraction of examples whose predict_labels class matches the label: a
+    float for a (p,) vector, an (S,) array for (S, p) rows. Rows are scored a
+    chunk at a time, as many as fit ACCURACY_BLOCK (row, example, class) logits."""
     theta = np.asarray(theta, dtype=np.float64)
     rows = np.atleast_2d(theta)
     chunk = max(1, ACCURACY_BLOCK // (data.n * data.num_classes))
     acc = np.empty(len(rows))
     for lo in range(0, len(rows), chunk):
-        probs = model.predict_proba(rows[lo : lo + chunk], data.features)
+        labels = model.predict_labels(rows[lo : lo + chunk], data.features)
         # a count over n is np.mean's own arithmetic on the boolean hits
-        acc[lo : lo + chunk] = (probs.argmax(axis=2) == data.labels).sum(axis=1) / data.n
+        acc[lo : lo + chunk] = (labels == data.labels).sum(axis=1) / data.n
     return float(acc[0]) if theta.ndim == 1 else acc
 
 

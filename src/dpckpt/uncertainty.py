@@ -106,10 +106,9 @@ def statistic_matrix(
     """
     if mode not in STATISTIC_MODES:
         raise ValueError(f"unknown statistic mode {mode!r}")
-    probs = model.predict_proba(np.asarray(thetas), inputs)
     if mode == "label_as_integer":
-        return probs.argmax(axis=2).astype(np.float64)
-    return probs.max(axis=2)
+        return model.predict_labels(np.asarray(thetas), inputs).astype(np.float64)
+    return model.predict_proba(np.asarray(thetas), inputs).max(axis=2)
 
 
 def t_widths(stats: np.ndarray, level: float) -> np.ndarray:

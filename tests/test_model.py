@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpckpt.aggregate import AggregationSpec, omv_batch_labels, select_best_k
 from dpckpt.errors import NumericOverflowError
+from dpckpt.harness.experiments import stability_report
 from dpckpt.model import (
     ACCURACY_BLOCK,
     DatasetHandle,
@@ -270,6 +272,8 @@ def test_row_batched_calls_check_the_width(binary_data, multi_data):
                 model.loss_full(bad, data)
             with pytest.raises(ValueError):
                 model.predict_proba(bad, data.features)
+            with pytest.raises(ValueError):
+                model.predict_labels(bad, data.features)
 
 
 @given(
@@ -318,6 +322,84 @@ def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):
             assert np.array_equal(probs[s], model.predict_proba(row, data.features))
             one = accuracy(model, row, data)
             assert type(one) is float and accs[s] == one
+
+
+# ---------------------------------------------------------------------------
+# labels from logits
+
+
+@given(
+    binary=st.booleans(),
+    single=st.booleans(),
+    scale=st.sampled_from([0.1, 1.0, 10.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_labels_equals_the_probability_argmax(
+    binary_data, multi_data, binary, single, scale, seed
+):
+    data = binary_data if binary else multi_data
+    model = LogisticLoss.for_data(data)
+    gen = np.random.default_rng(seed)
+    theta = gen.normal(scale=scale, size=model.param_dim() if single else (3, model.param_dim()))
+    labels = model.predict_labels(theta, data.features)
+    assert labels.shape == ((data.n,) if single else (3, data.n))
+    assert np.array_equal(labels, model.predict_proba(theta, data.features).argmax(-1))
+
+
+def test_predict_labels_exact_ties_give_class_zero(monkeypatch):
+    binary = LogisticLoss(n_features=1)
+    features = np.array([[1.0], [-1.0]])
+    assert binary.predict_labels(np.zeros(1), features).tolist() == [0, 0]
+    # a BLAS sum starting from +0.0 never yields -0.0, so feed both signed zeros
+    monkeypatch.setattr(binary, "_logits", lambda rows, feats: np.array([[0.0, -0.0]]))
+    assert binary.predict_labels(np.zeros(1), features).tolist() == [0, 0]
+    assert binary.predict_proba(np.zeros(1), features).argmax(-1).tolist() == [0, 0]
+    multi = LogisticLoss(n_features=2, num_classes=3)
+    labels = multi.predict_labels(np.zeros((2, 6)), features.repeat(2, axis=1))
+    assert labels.tolist() == [[0, 0], [0, 0]]
+
+
+def test_predict_labels_splits_logits_that_round_to_equal_probabilities():
+    """The one place labels differ from the probability argmax: adjacent-float
+    logits whose softmax probabilities round equal."""
+    model = LogisticLoss(n_features=1, num_classes=3)
+    # exp(-ulp(0.1)) rounds to 1.0, so the two top probabilities round equal
+    theta, features = np.array([0.1, np.nextafter(0.1, 1.0), -5.0]), np.array([[1.0]])
+    probs = model.predict_proba(theta, features)
+    assert probs[0, 0] == probs[0, 1] and probs.argmax(-1).tolist() == [0]
+    assert model.predict_labels(theta, features).tolist() == [1]
+    assert accuracy(model, theta, DatasetHandle(features, np.array([1]), 3)) == 1.0
+
+
+def test_predict_labels_rejects_non_finite_logits_and_quadratic_models(binary_data):
+    model = LogisticLoss(n_features=1)
+    data = DatasetHandle(np.array([[1.0]]), np.array([1]), 2)
+    with pytest.raises(NumericOverflowError):
+        model.predict_labels(np.array([np.inf]), data.features)
+    with pytest.raises(NumericOverflowError):
+        accuracy(model, np.array([np.inf]), data)
+    with pytest.raises(ValueError, match="no prediction head"):
+        QuadraticLoss(center=np.zeros(5)).predict_labels(np.zeros(5), binary_data.features)
+
+
+def test_label_scoring_never_builds_probabilities(monkeypatch, multi_data):
+    """accuracy, best-k, OMV, the stability report and the trainer's per-step
+    eval all score a LogisticLoss from its logits alone."""
+    model = LogisticLoss.for_data(multi_data, l2_reg=0.01)
+
+    def no_probs(self, theta, features):
+        raise AssertionError("predict_proba called where only labels are read")
+
+    monkeypatch.setattr(LogisticLoss, "predict_proba", no_probs)
+    params = np.random.default_rng(5).normal(size=(6, model.param_dim()))
+    steps = list(range(1, 7))
+    assert accuracy(model, params, multi_data).shape == (6,)
+    assert len(select_best_k(params, steps, model, multi_data, 2)) == 2
+    assert omv_batch_labels(params, model, multi_data.features).shape == (multi_data.n,)
+    stability_report(params, steps, model, multi_data, [AggregationSpec("ema", beta=0.5)], 3)
+    config = TrainerConfig("practical", 4, EtaSchedule("constant", 0.1), batch_size=8)
+    run = dp_sgd_practical(model, multi_data, config, noise_multiplier=1.0, eval_data=multi_data)
+    assert np.all(np.isfinite(run.metrics[:, 1]))
 
 
 # ---------------------------------------------------------------------------
