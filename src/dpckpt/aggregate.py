@@ -97,11 +97,27 @@ def ema_beta(beta_cap: float, t):
 def _fold_weights(keep: np.ndarray) -> np.ndarray:
     """Weights of the fold x_0 = row 0, x_t = keep_t x_{t-1} + (1 - keep_t) row t.
 
-    keep holds keep_1..keep_{K-1}. Row j keeps its share (1 - keep_j, or 1
-    for row 0) times the product of every later keep.
+    keep holds keep_1..keep_{K-1} along its last axis, one fold per leading
+    index. Row j keeps its share (1 - keep_j, or 1 for row 0) times the
+    product of every later keep, taken from the last keep backwards.
     """
-    later = np.append(np.cumprod(keep[::-1])[::-1], 1.0)
-    return np.append(1.0, 1.0 - keep) * later
+    w = np.empty(keep.shape[:-1] + (keep.shape[-1] + 1,))
+    np.cumprod(keep[..., ::-1], axis=-1, out=w[..., -2::-1])
+    w[..., -1] = 1.0
+    w[..., 1:] *= 1.0 - keep
+    return w
+
+
+def _fold_keep(spec: AggregationSpec, t: np.ndarray) -> np.ndarray | None:
+    """keep_t of a fold kind at updates t, or None for the other kinds."""
+    if spec.kind == "ema":
+        return ema_beta(spec.beta, t)
+    if spec.kind == "pda":
+        # the s-th checkpoint (s = t+1) enters with w_s = (gamma+1)/(s+gamma)
+        return t / (t + 1.0 + spec.gamma)
+    if spec.kind == "best_k":
+        return np.full(len(t), spec.beta)
+    return None
 
 
 def weights(spec: AggregationSpec, steps: Sequence[int]) -> np.ndarray:
@@ -115,14 +131,9 @@ def weights(spec: AggregationSpec, steps: Sequence[int]) -> np.ndarray:
     K = len(steps)
     if K < 1:
         raise ValueError("need at least one checkpoint")
-    t = np.arange(1, K)
-    if spec.kind == "ema":
-        return _fold_weights(ema_beta(spec.beta, t))
-    if spec.kind == "pda":
-        # the s-th checkpoint (s = t+1) enters with w_s = (gamma+1)/(s+gamma)
-        return _fold_weights(t / (t + 1.0 + spec.gamma))
-    if spec.kind == "best_k":
-        return _fold_weights(np.full(K - 1, spec.beta))
+    keep = _fold_keep(spec, np.arange(1, K))
+    if keep is not None:
+        return _fold_weights(keep)
     w = np.zeros(K)
     if spec.kind == "upa_k":
         if spec.k > K:
@@ -175,6 +186,15 @@ def rolling(
         raise ValueError("best_k ranks its rows, so it has no per-step rolling form")
     if not 1 <= last_n <= K:
         raise ValueError(f"window of {last_n} exceeds the {K} checkpoints")
+    t = np.arange(1, K)
+    keep = _fold_keep(spec, t)
+    if keep is not None:
+        ends = np.arange(K - last_n + 1, K + 1)
+        # A fold's keeps do not depend on where its prefix ends. Each window
+        # row keeps exact 1.0s past its prefix: they leave the backward
+        # products of its own keeps unchanged and give its later rows a
+        # share of 0, so every row equals weights() on its prefix bit for bit.
+        return _fold_weights(np.where(t < ends[:, None], keep, 1.0)) @ params
     W = np.zeros((last_n, K))
     for row, end in enumerate(range(K - last_n + 1, K + 1)):
         prefix = spec if spec.k is None or spec.k <= end else replace(spec, k=end)

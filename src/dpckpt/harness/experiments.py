@@ -1,9 +1,10 @@
 """Seeded multi-run experiment tasks.
 
 Each task reads its whole key set from the config view up front (so an
-unknown key fails before any training starts), fans per-seed work out to
-a process pool when workers > 1, and funnels every artifact write
-through the parent process. Results are deterministic functions of the
+unknown key fails before any training starts), fans per-seed work (or
+groups of seeds, each trained as one batch) out to a process pool when
+workers > 1, and funnels every artifact write through the parent
+process. Results are deterministic functions of the
 config plus the master seed, independent of worker count.
 """
 
@@ -557,17 +558,21 @@ def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: 
 
 
 def _train_and_score_worker(args):
-    model, parts, config, z, delta, specs, eval_part, eval_data = args
-    record = trainer.dp_sgd_practical(
-        model, parts["train"], config, z, delta=delta, eval_data=eval_data
+    """Train a group of seeds as one batch; (record, accuracy per setting) per seed."""
+    model, parts, configs, z, delta, specs, eval_part, eval_data = args
+    records = trainer.dp_sgd_practical_runs(
+        model, parts["train"], configs, z, delta=delta, eval_data=eval_data
     )
     target = parts[eval_part]
-    out = {"last": accuracy(model, record.params[-1], target)}
-    for spec in specs:
-        out[spec.label()] = aggregation_accuracy(
-            spec, record, model, target, heldout=parts["heldout"], train_tag="train"
-        )
-    return record, out
+    out = []
+    for record in records:
+        scores = {"last": accuracy(model, record.params[-1], target)}
+        for spec in specs:
+            scores[spec.label()] = aggregation_accuracy(
+                spec, record, model, target, heldout=parts["heldout"], train_tag="train"
+            )
+        out.append((record, scores))
+    return out
 
 
 def _practical_setup(
@@ -612,8 +617,12 @@ def _run_scored(
     view.ensure_all_used()
 
     eval_data = parts["test"] if save_runs else None
-    args = [(model, parts, c, z, delta, specs, eval_part, eval_data) for c in configs]
-    results = _run_parallel(_train_and_score_worker, args, workers)
+    # one batched trainer call per worker group, as in run_risk_compare
+    args = [
+        (model, parts, group, z, delta, specs, eval_part, eval_data)
+        for group in _contiguous_groups(configs, workers)
+    ]
+    results = [r for group in _run_parallel(_train_and_score_worker, args, workers) for r in group]
 
     rows = [summarize(spec.label(), [r[1][spec.label()] for r in results]) for spec in specs]
     entries = [_spec_entry(spec, row.mean, row.n_seeds) for spec, row in zip(specs, rows)]
@@ -664,11 +673,16 @@ def run_k_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int):
 # task: periodically shifting distribution, aggregation as a stabilizer
 
 
-def _pds_seed_worker(args):
-    (model, parts, config, z, delta, beta_specs, k_specs, window, eval_data) = args
-    record = trainer.dp_sgd_practical(
-        model, parts["train"], config, z, delta=delta, eval_data=eval_data
+def _pds_group_worker(args):
+    """Train a group of seeds as one batch, then tune and score each seed."""
+    (model, parts, configs, z, delta, beta_specs, k_specs, window, eval_data) = args
+    records = trainer.dp_sgd_practical_runs(
+        model, parts["train"], configs, z, delta=delta, eval_data=eval_data
     )
+    return [_pds_scores(record, model, parts, beta_specs, k_specs, window) for record in records]
+
+
+def _pds_scores(record, model, parts, beta_specs, k_specs, window) -> dict:
     params, steps = record.params, record.steps
 
     def spec_window_accuracy(spec: AggregationSpec, part: DatasetHandle) -> float:
@@ -730,12 +744,12 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
     with _config_errors("diurnal schedule", "pds.period"):
         schedule = DiurnalSchedule(period, even, odd)
     eval_data = parts["test"] if save_runs else None
+    configs = [replace(c, diurnal=schedule) for c in configs]
     args = [
-        (model, parts, replace(c, diurnal=schedule), z, delta, beta_specs, k_specs, window,
-         eval_data)
-        for c in configs
+        (model, parts, group, z, delta, beta_specs, k_specs, window, eval_data)
+        for group in _contiguous_groups(configs, workers)
     ]
-    results = _run_parallel(_pds_seed_worker, args, workers)
+    results = [r for group in _run_parallel(_pds_group_worker, args, workers) for r in group]
 
     methods = ("baseline", "ema", "upa")
     rows = [

@@ -20,8 +20,18 @@ predict_proba, predict_labels and accuracy take rows the same way: (S, p)
 rows give (S, n, c) probabilities, (S, n) labels and (S,) accuracies.
 predict_labels reads the argmax straight off the logits, with no softmax,
 and accuracy scores the rows in chunks of at most ~40k logits.
+clipped_grad_mean is the practical trainer's step: for S rows, each with
+its own (B, d) minibatch, the mean of the per-example gradients after each
+is scaled to norm at most clip_norm. It never forms the (B, p) per-example
+gradients. A logistic per-example gradient is R_i (x) x_i + l2 * theta,
+with R_i the softmax residual (probabilities minus one-hot) or the binary
+slope, so its squared norm is |R_i|^2 |x_i|^2 + 2 l2 <R_i, logits_i> +
+l2^2 |theta|^2, read off one logits pass, and the clipped mean is one
+matmul of the factor-scaled residuals with the batch (ghost clipping: Li
+et al., arXiv 2110.05679). batch_loss gives each row's loss on its own
+batch the same way.
 The diurnal sampler draws a minibatch as row indices into the training
-data, as the uniform sampler does, so a batch is always data.subset(rows).
+data, as the uniform sampler does, so a batch is a gather of those rows.
 """
 
 import csv
@@ -214,6 +224,19 @@ def _row_sq_norms(rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
+def _label_index(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """Index of each example's true-class logit in (S, n, c) logits, for labels
+    shared by every row, (n,), or one batch of labels per row, (S, n)."""
+    return np.arange(len(logits))[:, None], np.arange(labels.shape[-1]), labels
+
+
+def _clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
+    """min(1, clip_norm / norm) from squared norms, which are clamped at 0
+    against rounding; a norm at or under clip_norm gives exactly 1.0."""
+    norms = np.sqrt(np.maximum(sq_norms, 0.0))
+    return np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
+
+
 def _check_finite_logits(logits: np.ndarray) -> None:
     if not np.all(np.isfinite(logits)):
         raise NumericOverflowError("non-finite logits in prediction")
@@ -223,9 +246,9 @@ class LossModel:
     """Common surface for the loss families.
 
     Subclasses define param_dim, loss_full, grad_full, loss_and_grad,
-    grad_per_example and (for classifiers) predict_proba, and may override
-    predict_labels with a cheaper argmax than the probability one. The curvature
-    attributes drive step-size rules and noise calibration:
+    clipped_grad_mean, batch_loss and (for classifiers) predict_proba, and
+    may override predict_labels with a cheaper argmax than the probability
+    one. The curvature attributes drive step-size rules and noise calibration:
 
       lipschitz        bound on a per-example gradient norm (None if unset)
       smoothness       gradient Lipschitz constant
@@ -252,7 +275,16 @@ class LossModel:
         loss_full and grad_full but read off one pass over the data."""
         raise NotImplementedError
 
-    def grad_per_example(self, theta: np.ndarray, data: DatasetHandle) -> np.ndarray:
+    def clipped_grad_mean(self, rows, features, labels, feature_sq_norms, clip_norm):
+        """(S, p): for each of the (S, p) rows, the mean over its batch of the
+        per-example gradients, each first scaled to norm at most clip_norm.
+        Row s's batch is features[s] (B, d) with labels[s] (B,), and
+        feature_sq_norms[s] (B,) holds the squared norms of those feature rows."""
+        raise NotImplementedError
+
+    def batch_loss(self, rows: np.ndarray, features: np.ndarray, labels: np.ndarray):
+        """(S,) mean loss of each of the (S, p) rows on its own batch, the
+        (S, B, d) features and (S, B) labels of clipped_grad_mean."""
         raise NotImplementedError
 
     def predict_proba(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -321,9 +353,14 @@ class QuadraticLoss(LossModel):
         diff = self._check_rows(rows)[0] - self.center
         return 0.5 * self.curvature * _row_sq_norms(diff), self.curvature * diff
 
-    def grad_per_example(self, theta, data) -> np.ndarray:
-        g = self.grad_full(theta)
-        return np.tile(g, (data.n, 1))
+    def clipped_grad_mean(self, rows, features, labels, feature_sq_norms, clip_norm):
+        # every example has the same gradient, so the clipped mean is that
+        # gradient, clipped
+        grad = self.grad_full(self._check_rows(rows)[0])
+        return grad * _clip_factors(_row_sq_norms(grad), clip_norm)[:, None]
+
+    def batch_loss(self, rows, features, labels):
+        return self.loss_full(self._check_rows(rows)[0])
 
     def predict_proba(self, theta, features):
         raise ValueError("quadratic model has no prediction head")
@@ -393,15 +430,15 @@ class LogisticLoss(LossModel):
         """What the loss and the gradient both read off the logits."""
         return _margin_terms(logits, labels) if self.binary else _softmax_terms(logits)
 
-    def _loss_from(self, rows, logits, terms, data) -> np.ndarray:
+    def _loss_from(self, rows, logits, terms, labels) -> np.ndarray:
         if self.binary:
             ce = _binary_ce(*terms[1:])
         else:
             zmax, _, total = terms
             lse = (zmax + np.log(total))[:, :, 0]
-            ce = lse - logits[:, np.arange(data.n), data.labels]
+            ce = lse - logits[_label_index(logits, labels)]
         # np.mean's own arithmetic (sum, then divide by n) minus its wrapper cost
-        return ce.sum(axis=1) / data.n + 0.5 * self.l2_reg * _row_sq_norms(rows)
+        return ce.sum(axis=1) / labels.shape[-1] + 0.5 * self.l2_reg * _row_sq_norms(rows)
 
     def _grad_from(self, rows, terms, data) -> np.ndarray:
         if self.binary:
@@ -410,7 +447,7 @@ class LogisticLoss(LossModel):
         else:
             _, ex, total = terms
             probs = ex / total
-            probs[:, np.arange(data.n), data.labels] -= 1.0
+            probs[_label_index(probs, data.labels)] -= 1.0
             grad_w = np.matmul(probs.transpose(0, 2, 1), data.features) / data.n
             grad = grad_w.reshape(len(rows), -1)
         return grad + self.l2_reg * rows
@@ -418,7 +455,7 @@ class LogisticLoss(LossModel):
     def loss_full(self, theta, data):
         rows, single = self._check_rows(theta)
         logits = self._logits(rows, data.features)
-        loss = self._loss_from(rows, logits, self._terms(logits, data.labels), data)
+        loss = self._loss_from(rows, logits, self._terms(logits, data.labels), data.labels)
         return float(loss[0]) if single else loss
 
     def grad_full(self, theta, data) -> np.ndarray:
@@ -431,17 +468,40 @@ class LogisticLoss(LossModel):
         rows = self._check_rows(rows)[0]
         logits = self._logits(rows, data.features)
         terms = self._terms(logits, data.labels)
-        return self._loss_from(rows, logits, terms, data), self._grad_from(rows, terms, data)
+        loss = self._loss_from(rows, logits, terms, data.labels)
+        return loss, self._grad_from(rows, terms, data)
 
-    def grad_per_example(self, theta, data) -> np.ndarray:
-        theta = self._check_theta(theta)
+    def clipped_grad_mean(self, rows, features, labels, feature_sq_norms, clip_norm):
+        rows = self._check_rows(rows)[0]
+        logits = self._logits(rows, features)
         if self.binary:
-            coeff = _binary_slope(*_margin_terms(data.features @ theta, data.labels))
-            return coeff[:, None] * data.features + self.l2_reg * theta
-        probs = _softmax(data.features @ theta.reshape(self.num_classes, -1).T)
-        probs[np.arange(data.n), data.labels] -= 1.0
-        grads = np.einsum("ic,ip->icp", probs, data.features)
-        return grads.reshape(data.n, -1) + self.l2_reg * theta
+            resid = _binary_slope(*_margin_terms(logits, labels))  # (S, B)
+            resid_sq, resid_logits = resid * resid, resid * logits
+        else:
+            resid = _softmax(logits)  # (S, B, c)
+            resid[_label_index(logits, labels)] -= 1.0
+            resid_sq = (resid * resid).sum(axis=-1)
+            resid_logits = (resid * logits).sum(axis=-1)
+        lam = self.l2_reg
+        sq_norms = (
+            resid_sq * feature_sq_norms
+            + 2.0 * lam * resid_logits
+            + lam * lam * _row_sq_norms(rows)[:, None]
+        )
+        factors = _clip_factors(sq_norms, clip_norm)  # (S, B)
+        batch = labels.shape[-1]
+        if self.binary:
+            coeff = (factors * resid)[:, None, :]
+            grad = np.matmul(coeff, features)[:, 0, :] / batch
+        else:
+            coeff = (factors[:, :, None] * resid).transpose(0, 2, 1)
+            grad = (np.matmul(coeff, features) / batch).reshape(len(rows), -1)
+        return grad + lam * rows * (factors.sum(axis=1) / batch)[:, None]
+
+    def batch_loss(self, rows, features, labels):
+        rows = self._check_rows(rows)[0]
+        logits = self._logits(rows, features)
+        return self._loss_from(rows, logits, self._terms(logits, labels), labels)
 
     def _checked_logits(self, theta, features):
         """Finite logits of the rows on the features, and whether one (p,)

@@ -17,10 +17,16 @@ Two modes share the checkpoint/metrics plumbing:
   practical    minibatch DP-SGD with per-example clipping, noise on the
                summed clipped gradient, and plain T-fold composition
                accounting (no subsampling amplification claimed).
-               Each step's minibatch is a vector of row indices into
-               the training data, drawn uniformly without replacement
-               or by the diurnal schedule, and data.subset(rows) is the
-               batch.
+               S runs that differ only in their seed train as one loop
+               over an (S, p) iterate matrix too. Each seed draws its
+               step's minibatch from its own (seed, step) generator, as
+               row indices into the training data, uniformly without
+               replacement or by the diurnal schedule; the S index
+               vectors gather one (S, B, d) batch, and each step makes
+               one model.clipped_grad_mean call (the clipped per-example
+               mean, without forming per-example gradients) and one
+               model.batch_loss call on it. Every row equals the run
+               trained alone bit for bit.
 
 Both modes take their noise from the one path: rng.gaussian_steps,
 which draws a chunk of steps at a time and equals the per-step
@@ -221,6 +227,18 @@ def dp_sgd_theoretical(
     return dp_sgd_theoretical_runs(model, data, [config], rho, delta, eval_data)[0]
 
 
+def _shared_config(configs: list[TrainerConfig], mode: str) -> TrainerConfig:
+    """The config of a batch of runs, which must differ only in their seed."""
+    if not configs:
+        raise ValueError("need at least one config")
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError(f"batched {mode} runs must differ only in their seed")
+    if config.mode != mode:
+        raise ValueError(f"config.mode must be {mode!r}")
+    return config
+
+
 def dp_sgd_theoretical_runs(
     model: LossModel,
     data: DatasetHandle,
@@ -235,13 +253,7 @@ def dp_sgd_theoretical_runs(
     matrix; record s is bit-identical to dp_sgd_theoretical(configs[s]).
     A non-finite loss in any row stops all of them at that step.
     """
-    if not configs:
-        raise ValueError("need at least one config")
-    config = configs[0]
-    if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError("batched theoretical runs must differ only in their seed")
-    if config.mode != "theoretical":
-        raise ValueError("config.mode must be 'theoretical'")
+    config = _shared_config(configs, "theoretical")
     if model.lipschitz is None or not math.isfinite(model.lipschitz):
         raise ValueError("theoretical mode needs a model with a finite Lipschitz bound")
     seeds = [c.seed for c in configs]
@@ -274,13 +286,6 @@ def dp_sgd_theoretical_runs(
     return [RunRecord(c, budget, ckpts[s], steps, metrics[s]) for s, c in enumerate(configs)]
 
 
-def clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale each row to norm at most clip_norm (rows at the bound untouched)."""
-    norms = np.linalg.norm(grads, axis=1)
-    factors = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
-    return grads * factors[:, None]
-
-
 def practical_noise(config: TrainerConfig, noise_multiplier: float) -> tuple[float, float]:
     """(std of the noise on the mean clipped gradient, total rho) of a practical run.
 
@@ -311,8 +316,25 @@ def dp_sgd_practical(
     budget is plain composition: rho = T / (2 z^2). noise_multiplier = 0
     degrades to non-private SGD and reports an infinite budget.
     """
-    if config.mode != "practical":
-        raise ValueError("config.mode must be 'practical'")
+    return dp_sgd_practical_runs(model, data, [config], noise_multiplier, delta, eval_data)[0]
+
+
+def dp_sgd_practical_runs(
+    model: LossModel,
+    data: DatasetHandle,
+    configs: list[TrainerConfig],
+    noise_multiplier: float,
+    delta: float = 1e-5,
+    eval_data: DatasetHandle | None = None,
+) -> list[RunRecord]:
+    """dp_sgd_practical for configs that differ only in their seed.
+
+    The S runs advance together as the rows of one (S, p) iterate matrix;
+    each seed draws its own batches and noise, so record s is bit-identical
+    to dp_sgd_practical(configs[s]). A non-finite loss or iterate in any
+    row stops all of them at that step.
+    """
+    config = _shared_config(configs, "practical")
     diurnal = config.diurnal
     if diurnal is None and config.batch_size > data.n:
         raise ValueError("batch_size exceeds dataset size")
@@ -320,41 +342,49 @@ def dp_sgd_practical(
         rows.min() < 0 or rows.max() >= data.n for rows in (diurnal.rows_a, diurnal.rows_b)
     ):
         raise ValueError(f"diurnal rows must index the {data.n} training rows")
+    seeds = [c.seed for c in configs]
     dim = model.param_dim()
     T = config.num_steps
     mean_noise_std, rho_total = practical_noise(config, noise_multiplier)
     ckpt_steps = checkpoint_steps(T, config.resolved_checkpoint_every())
     ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
+    feature_sq_norms = np.einsum("ij,ij->i", data.features, data.features)
 
-    theta = 0.02 * rng.uniform_vector(config.seed, rng.STREAM_INIT, 0, dim) - 0.01
-    params = np.empty((len(ckpt_steps), dim))
-    metrics = np.full((T, 2), math.nan)
+    theta = np.stack([0.02 * rng.uniform_vector(s, rng.STREAM_INIT, 0, dim) - 0.01 for s in seeds])
+    ckpts = np.empty((len(seeds), len(ckpt_steps), dim))
+    metrics = np.full((len(seeds), T, 2), math.nan)
     noise = None
     if mean_noise_std > 0:
-        noise = rng.gaussian_steps([config.seed], rng.STREAM_NOISE, T, dim)
+        noise = rng.gaussian_steps(seeds, rng.STREAM_NOISE, T, dim)
     for t in range(1, T + 1):
         if diurnal is not None:
             # diurnal phase starts at 0 so the first batch is all rows_a
-            gen = rng.step_generator(config.seed, rng.STREAM_BATCH, t)
-            idx = diurnal_draw(diurnal, t - 1, config.batch_size, gen)
+            idx = np.stack([
+                diurnal_draw(
+                    diurnal, t - 1, config.batch_size, rng.step_generator(s, rng.STREAM_BATCH, t)
+                )
+                for s in seeds
+            ])
         else:
-            idx = minibatch_indices(config.seed, t, data.n, config.batch_size)
-        batch = data.subset(idx)
-        grads = clip_rows(model.grad_per_example(theta, batch), config.clip_norm)
-        g = grads.mean(axis=0)
+            idx = np.stack([minibatch_indices(s, t, data.n, config.batch_size) for s in seeds])
+        features, labels = data.features[idx], data.labels[idx]
+        g = model.clipped_grad_mean(
+            theta, features, labels, feature_sq_norms[idx], config.clip_norm
+        )
         if noise is not None:
-            g = g + mean_noise_std * next(noise)[0]
+            g = g + mean_noise_std * next(noise)
         theta = theta - config.eta.at(t) * g
-        loss = model.loss_full(theta, batch)
-        if not math.isfinite(loss) or not np.all(np.isfinite(theta)):
+        loss = model.batch_loss(theta, features, labels)
+        if not (np.all(np.isfinite(loss)) and np.all(np.isfinite(theta))):
             raise NumericDivergenceError("training loss became non-finite", step=t)
-        metrics[t - 1, 0] = loss
+        metrics[:, t - 1, 0] = loss
         if eval_data is not None:
-            metrics[t - 1, 1] = accuracy(model, theta, eval_data)
+            metrics[:, t - 1, 1] = accuracy(model, theta, eval_data)
         if t in ckpt_index:
-            params[ckpt_index[t]] = theta
+            ckpts[:, ckpt_index[t]] = theta
     budget = PrivacyBudget.from_rho(rho_total, delta)
-    return RunRecord(config, budget, params, np.array(ckpt_steps), metrics)
+    steps = np.array(ckpt_steps)
+    return [RunRecord(c, budget, ckpts[s], steps, metrics[s]) for s, c in enumerate(configs)]
 
 
 # ---------------------------------------------------------------------------

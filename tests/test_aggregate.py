@@ -120,6 +120,24 @@ def test_ema_stream_states_prefix_consistent():
         assert np.allclose(value, _brute_force_ema(thetas[: i + 1], 0.9), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec", [_ema(0.99), _ema(0.9), _ema(0.5), _ema(1.0), _pda(2.0), _pda(0.0), _pda(0.7)],
+    ids=lambda spec: spec.label(),
+)
+@pytest.mark.parametrize("K, last_n", [(1, 1), (2, 2), (9, 4), (30, 30), (40, 1)])
+def test_rolling_folds_equal_the_per_row_weights(spec, K, last_n):
+    """The one-matrix rolling form of ema and pda equals weights() applied to
+    each prefix, bit for bit; last_n = K reaches the one-row prefix."""
+    steps = np.arange(1, K + 1) * 3
+    per_row = np.zeros((last_n, K))
+    for row, end in enumerate(range(K - last_n + 1, K + 1)):
+        per_row[row, :end] = weights(spec, steps[:end])
+    # against the identity matrix rolling returns its weight matrix itself
+    assert np.array_equal(rolling(spec, np.eye(K), steps, last_n), per_row)
+    params = np.array(_stream(K, 5, seed=K))
+    assert np.array_equal(rolling(spec, params, steps, last_n), per_row @ params)
+
+
 def test_ema_single_element_stream_identity():
     theta = np.array([3.0, 1.0])
     assert np.array_equal(combine(_ema(0.99), [theta]), theta)

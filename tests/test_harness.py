@@ -478,6 +478,18 @@ data.classes = 4
 """
 
 
+AGG_SAVED_CFG = """
+task = aggregate_eval
+agg.list = ema:0.9, upa_k:3, best_k:3:0.9
+train.steps = 20
+train.batch_size = 16
+num_seeds = 3
+save_runs = true
+data.n = 300
+data.p = 4
+"""
+
+
 DPLD_CFG = """
 task = dpld_bias
 dpld.trials = 100
@@ -489,24 +501,31 @@ dpld.points = 20:20, 0.1:10, 10:0.1
 def test_worker_count_does_not_change_results(tmp_path):
     """The same experiment with 1 and 2 workers writes identical artifacts.
 
-    risk_compare trains each worker's seeds as one batch and uq_compare
-    each pool as one batch, so this also pins batch composition; dpld_bias
-    hands its one oracle to every worker, and pds_eval its pickled diurnal
-    schedule.
+    risk_compare, aggregate_eval and pds_eval train each worker's seeds as
+    one batch and uq_compare each pool as one batch, so this also pins
+    batch composition; dpld_bias hands its one oracle to every worker, and
+    pds_eval its pickled diurnal schedule.
     """
     for name, text, files in (
         ("risk", RISK_CFG, ["table.csv"]),
         ("uq", UQ_CFG, ["table.csv", "uq_report.json"]),
         ("dpld", DPLD_CFG, ["dpld_report.csv", "table.csv"]),
         ("pds", PDS_CFG, ["table.csv", "aggregates.json", "plot_data.csv"]),
+        ("agg", AGG_SAVED_CFG, ["table.csv", "aggregates.json"]),
     ):
         outs = []
         for workers in (1, 2):
             out = tmp_path / f"{name}_w{workers}"
             view = ConfigView(parse_config_text(text))
             run_experiment(view, str(out), master_seed=0, workers=workers)
-            outs.append([(out / f).read_bytes() for f in files])
+            run_files = sorted(
+                str(path.relative_to(out))
+                for pattern in ("runs/*/checkpoints.bin", "runs/*/metrics.csv")
+                for path in out.glob(pattern)
+            )
+            outs.append([(f, (out / f).read_bytes()) for f in files + run_files])
         assert outs[0] == outs[1]
+    assert sum(f.startswith("runs/") for f, _ in outs[0]) == 2 * 3
 
 
 def test_dpld_bias_draws_one_oracle_for_every_point(tmp_path, monkeypatch):
@@ -792,7 +811,9 @@ _BAD_KEY_IDS = [
 def test_cli_unfinishable_config_exits_2_before_training(
     tmp_path, capsys, monkeypatch, command, lines, needle
 ):
-    for name in ("dp_sgd_practical", "dp_sgd_theoretical", "dp_sgd_theoretical_runs"):
+    for name in (
+        "dp_sgd_practical", "dp_sgd_practical_runs", "dp_sgd_theoretical", "dp_sgd_theoretical_runs"
+    ):
         monkeypatch.setattr(experiments.trainer, name, _no_training)
     for fn in ("stationary_oracle_V", "variance_bias_experiment"):
         monkeypatch.setattr(experiments.dpld, fn, _no_training)
@@ -844,7 +865,9 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg")))
 def test_stock_configs_pass_their_checks(tmp_path, monkeypatch, name):
     """Every shipped config passes validation and reaches its first compute call."""
-    for fn in ("dp_sgd_practical", "dp_sgd_theoretical", "dp_sgd_theoretical_runs"):
+    for fn in (
+        "dp_sgd_practical", "dp_sgd_practical_runs", "dp_sgd_theoretical", "dp_sgd_theoretical_runs"
+    ):
         monkeypatch.setattr(experiments.trainer, fn, _no_training)
     for fn in ("stationary_oracle_V", "variance_bias_experiment"):
         monkeypatch.setattr(experiments.dpld, fn, _no_training)
@@ -868,23 +891,23 @@ SCORED_TINY = "train.steps = 12\ntrain.batch_size = 16\nnum_seeds = 2\ndata.n = 
 )
 @pytest.mark.parametrize("save_runs", [False, True])
 def test_per_step_accuracy_only_for_saved_runs(tmp_path, monkeypatch, lines, save_runs):
-    real = experiments.trainer.dp_sgd_practical
+    real = experiments.trainer.dp_sgd_practical_runs
     seen = []
 
     def recording(*args, eval_data=None, **kwargs):
         seen.append(eval_data)
         return real(*args, eval_data=eval_data, **kwargs)
 
-    monkeypatch.setattr(experiments.trainer, "dp_sgd_practical", recording)
+    monkeypatch.setattr(experiments.trainer, "dp_sgd_practical_runs", recording)
     out = tmp_path / "out"
     text = lines + SCORED_TINY + f"save_runs = {str(save_runs).lower()}\n"
     run_experiment(ConfigView(parse_config_text(text)), str(out), workers=1)
-    assert len(seen) == 2
+    assert len(seen) == 1  # one worker trains both seeds as one batch
     if not save_runs:
-        assert seen == [None, None]
+        assert seen == [None]
         assert not (out / "runs").exists()
         return
-    assert [h.tag for h in seen] == ["test", "test"]
+    assert [h.tag for h in seen] == ["test"]
     for run in ("seed_000", "seed_001"):
         with open(out / "runs" / run / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))

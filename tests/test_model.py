@@ -27,6 +27,7 @@ from dpckpt.model import (
 )
 from dpckpt.rng import step_generator
 from dpckpt.trainer import EtaSchedule, TrainerConfig, dp_sgd_practical
+from per_example import clip_rows, per_example_grads
 
 # ---------------------------------------------------------------------------
 # datasets
@@ -154,7 +155,7 @@ def test_per_example_grads_average_to_full(which, binary_model, binary_data, mul
     )
     gen = np.random.default_rng(8)
     theta = gen.normal(0.0, 0.5, model.param_dim())
-    per = model.grad_per_example(theta, data)
+    per = per_example_grads(model, theta, data)
     assert per.shape == (data.n, model.param_dim())
     assert np.allclose(per.mean(axis=0), model.grad_full(theta, data), atol=1e-12)
 
@@ -173,10 +174,60 @@ def test_per_example_grad_norms_within_lipschitz(binary_model, binary_data):
     for _ in range(5):
         theta = gen.normal(0.0, 1.0, binary_model.param_dim())
         theta *= radius / np.linalg.norm(theta)
-        norms = np.linalg.norm(
-            binary_model.grad_per_example(theta, binary_data), axis=1
-        )
+        norms = np.linalg.norm(per_example_grads(binary_model, theta, binary_data), axis=1)
         assert norms.max() <= binary_model.lipschitz + 1e-9
+
+
+def _kernel_case(kind: str, l2: float):
+    if kind == "quadratic":
+        data = synth_classification(60, 4, num_classes=2, seed=9)
+        return QuadraticLoss(center=np.array([0.6, -0.2, 0.4, 0.1]), curvature=1.5), data
+    data = synth_classification(90, 5, num_classes=2 if kind == "binary" else 4, seed=9)
+    return LogisticLoss.for_data(data, l2_reg=l2), data
+
+
+@pytest.mark.parametrize("kind", ["binary", "softmax", "quadratic"])
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+@pytest.mark.parametrize("clipped", ["none", "some", "all", "at_bound"])
+def test_clipped_grad_mean_matches_the_per_example_oracle(kind, l2, clipped):
+    model, data = _kernel_case(kind, l2)
+    gen = np.random.default_rng(12)
+    S, B = 3, 16
+    rows = gen.normal(0.0, 0.8, (S, model.param_dim()))
+    idx = np.stack([gen.choice(data.n, B, replace=False) for _ in range(S)])
+    batches = [data.subset(i) for i in idx]
+    per = [per_example_grads(model, rows[s], batches[s]) for s in range(S)]
+    norms = np.linalg.norm(per, axis=2)  # (S, B)
+    clip_norm = {
+        "none": 2.0 * norms.max(),
+        "some": float(np.median(norms)),
+        "all": 0.5 * norms.min(),
+        "at_bound": norms[0, 0],  # example 0 of row 0 sits exactly at the bound
+    }[clipped]
+    above = (norms > clip_norm).sum()
+    assert {"none": above == 0, "all": above == norms.size}.get(clipped, 0 < above < norms.size)
+
+    features, labels = data.features[idx], data.labels[idx]
+    sq_norms = np.einsum("ij,ij->i", data.features, data.features)[idx]
+    got = model.clipped_grad_mean(rows, features, labels, sq_norms, clip_norm)
+    oracle = np.stack([clip_rows(per[s], clip_norm).mean(axis=0) for s in range(S)])
+    assert got.shape == rows.shape
+    assert np.max(np.abs(got - oracle)) <= 1e-12
+    losses = model.batch_loss(rows, features, labels)
+    for s in range(S):
+        one = model.clipped_grad_mean(rows[s : s + 1], features[s : s + 1], labels[s : s + 1],
+                                      sq_norms[s : s + 1], clip_norm)
+        assert np.array_equal(one[0], got[s])
+        assert losses[s] == model.loss_full(rows[s], batches[s])
+
+    # a one-example batch's clipped mean is that example's clipped gradient:
+    # its norm is the sensitivity the privacy ledger charges
+    each = model.clipped_grad_mean(
+        np.repeat(rows, B, axis=0), features.reshape(S * B, 1, -1), labels.reshape(S * B, 1),
+        sq_norms.reshape(S * B, 1), clip_norm,
+    )
+    assert np.linalg.norm(each, axis=1).max() <= clip_norm * (1 + 1e-12)
+    assert np.max(np.abs(each - clip_rows(np.concatenate(per), clip_norm))) <= 1e-12
 
 
 def test_predict_proba_rows_sum_to_one(multi_model, multi_data):
@@ -497,7 +548,7 @@ def test_diurnal_validation_errors():
     # rows outside the training data fail before the first step
     model = LogisticLoss.for_data(data)
     steps_taken = []
-    model.grad_per_example = lambda theta, batch: steps_taken.append(1)
+    model.clipped_grad_mean = lambda *args: steps_taken.append(1)
     for rows in (np.array([0, -1]), np.array([0, data.n])):
         config = TrainerConfig(
             "practical", 3, EtaSchedule("constant", 0.1), batch_size=4,

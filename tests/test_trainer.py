@@ -3,6 +3,7 @@
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from dpckpt.trainer import (
     TrainerConfig,
     checkpoint_steps,
     choose_T,
-    clip_rows,
     dp_sgd_practical,
+    dp_sgd_practical_runs,
     dp_sgd_theoretical,
     dp_sgd_theoretical_runs,
     load_run,
@@ -40,6 +41,7 @@ from dpckpt.trainer import (
     theorem_step_size,
 )
 from dpckpt import rng
+from per_example import clip_rows, clipped_mean
 
 
 def _dummy_data(n: int, p: int = 1) -> DatasetHandle:
@@ -405,13 +407,14 @@ def test_practical_z0_equals_plain_sgd(practical_setup):
     record = dp_sgd_practical(model, data, config, noise_multiplier=0.0, delta=1e-5)
     assert record.budget.rho == math.inf
 
-    # replay the exact loop: clipped minibatch means, no noise
+    # replay the loop with explicit per-example gradients, clipped and
+    # averaged, and no noise; the trainer's clipped mean never forms them,
+    # so it matches to the vectorised-path tolerance, not bit for bit
     theta = 0.02 * rng.uniform_vector(6, rng.STREAM_INIT, 0, model.param_dim()) - 0.01
     for t in range(1, 41):
         idx = minibatch_indices(6, t, data.n, 32)
-        grads = clip_rows(model.grad_per_example(theta, data.subset(idx)), 0.5)
-        theta = theta - 0.2 * grads.mean(axis=0)
-        assert np.array_equal(record.checkpoints[t - 1].params, theta)
+        theta = theta - 0.2 * clipped_mean(model, theta, data.subset(idx), 0.5)
+        assert np.max(np.abs(record.params[t - 1] - theta)) <= 1e-12
 
 
 def test_practical_noise_changes_trajectory_but_not_batches(practical_setup):
@@ -459,9 +462,12 @@ def test_practical_learns_separable_data(practical_setup):
 
 def _practical_reference(model, data, config, z, eval_data):
     """The practical loop with one gaussian_vector draw per step, as an
-    independent oracle for the trainer's block-drawn noise."""
+    independent oracle for the trainer's block-drawn noise. It takes the
+    same clipped_grad_mean kernel on each step's batch, so it matches bit
+    for bit."""
     std = z * config.clip_norm / config.batch_size
     theta = 0.02 * rng.uniform_vector(config.seed, rng.STREAM_INIT, 0, model.param_dim()) - 0.01
+    sq_norms = np.einsum("ij,ij->i", data.features, data.features)  # the trainer's form
     params, metrics = [], []
     for t in range(1, config.num_steps + 1):
         if config.diurnal is not None:
@@ -470,7 +476,10 @@ def _practical_reference(model, data, config, z, eval_data):
         else:
             idx = minibatch_indices(config.seed, t, data.n, config.batch_size)
         batch = data.subset(idx)
-        g = clip_rows(model.grad_per_example(theta, batch), config.clip_norm).mean(axis=0)
+        g = model.clipped_grad_mean(
+            theta[None], batch.features[None], batch.labels[None], sq_norms[None, idx],
+            config.clip_norm,
+        )[0]
         g = g + std * rng.gaussian_vector(config.seed, rng.STREAM_NOISE, t, len(theta))
         theta = theta - config.eta.at(t) * g
         params.append(theta)
@@ -519,6 +528,51 @@ def test_practical_batch_size_validation(practical_setup):
         )
 
 
+@given(
+    family=st.sampled_from(["binary", "softmax", "quadratic"]),
+    diurnal=st.booleans(),
+    z=st.sampled_from([0.0, 1.3]),
+    seeds=st.lists(st.integers(-(2**63), 2**64 - 1), min_size=1, max_size=4, unique=True),
+    steps=st.integers(1, 30),
+    every=st.integers(1, 7),
+)
+def test_practical_batched_runs_equal_separate_runs(family, diurnal, z, seeds, steps, every):
+    model, data = _batch_setup(family)
+    schedule = None
+    if diurnal:
+        rows = np.arange(data.n)
+        schedule = DiurnalSchedule(period=5, rows_a=rows[rows % 3 == 0], rows_b=rows[rows % 3 != 0])
+    configs = [
+        TrainerConfig(
+            "practical", steps, EtaSchedule("constant", 0.5), clip_norm=0.6, batch_size=8,
+            checkpoint_every=min(every, steps), seed=s, diurnal=schedule,
+        )
+        for s in seeds
+    ]
+    eval_data = None if family == "quadratic" else data
+    batched = dp_sgd_practical_runs(model, data, configs, z, eval_data=eval_data)
+    assert len(batched) == len(configs)
+    for config, got in zip(configs, batched):
+        alone = dp_sgd_practical(model, data, config, z, eval_data=eval_data)
+        assert got.config == config and got.seed == config.seed
+        assert np.array_equal(got.steps, alone.steps)
+        assert np.array_equal(got.params, alone.params)
+        assert np.array_equal(got.metrics, alone.metrics, equal_nan=True)
+        assert got.budget == alone.budget
+
+
+def test_practical_runs_must_differ_only_in_seed(practical_setup):
+    model, data = practical_setup
+    base = TrainerConfig("practical", 5, EtaSchedule("constant", 0.1), batch_size=8, seed=1)
+    for other in (replace(base, seed=2, batch_size=9), replace(base, seed=2, clip_norm=0.5)):
+        with pytest.raises(ValueError, match="differ only in their seed"):
+            dp_sgd_practical_runs(model, data, [base, other], 1.0)
+    with pytest.raises(ValueError, match="config.mode"):
+        dp_sgd_practical_runs(model, data, [replace(base, mode="theoretical")], 1.0)
+    with pytest.raises(ValueError):
+        dp_sgd_practical_runs(model, data, [], 1.0)
+
+
 # ---------------------------------------------------------------------------
 # divergence
 
@@ -526,7 +580,7 @@ def test_practical_batch_size_validation(practical_setup):
 class _NaNGradientOnCall(QuadraticLoss):
     """Quadratic loss whose gradient turns NaN in `rows` on its nan_call-th call.
 
-    QuadraticLoss.grad_per_example calls grad_full once per practical step;
+    QuadraticLoss.clipped_grad_mean calls grad_full once per practical step;
     the theoretical trainer's t-th loss_and_grad call (the first is at the
     origin) gives the gradient of step t. So either trainer's nan_call-th
     counted call feeds step nan_call.
@@ -556,6 +610,17 @@ def test_practical_raises_at_the_step_whose_gradient_is_nan():
     with pytest.raises(NumericDivergenceError) as info:
         dp_sgd_practical(model, _dummy_data(20, 2), config, noise_multiplier=1.0)
     assert info.value.step == 4
+
+
+def test_batched_practical_raises_when_one_row_turns_nan():
+    model = _NaNGradientOnCall(nan_call=5, rows=1)
+    configs = [
+        TrainerConfig("practical", 10, EtaSchedule("constant", 0.1), batch_size=4, seed=s)
+        for s in (1, 2, 3)
+    ]
+    with pytest.raises(NumericDivergenceError) as info:
+        dp_sgd_practical_runs(model, _dummy_data(20, 2), configs, noise_multiplier=1.0)
+    assert info.value.step == 5
 
 
 def test_batched_theoretical_raises_when_one_row_turns_nan():
