@@ -107,8 +107,8 @@ class LDConfig:
             raise ValueError(f"model must be a QuadraticLoss, got {type(self.model).__name__}")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
-        if not self.c_constant > 0:
-            raise ValueError("c_constant must be positive")
+        if not 0 < self.c_constant < math.inf:
+            raise ValueError("c_constant must be positive and finite")
         if not 0.0 < self.delta_target < 1.0:
             raise ValueError("delta_target must be in (0, 1)")
         theta = np.asarray(self.theta_start, dtype=np.float64)

@@ -50,15 +50,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         view = ConfigView(load_config(args.config))
-        raw_task = view.get_str("task", None)
-        if raw_task is None:
-            if args.command != "train":
-                raise ConfigError("required key is missing", key="task")
-            task = "train"
-        else:
-            task = normalize_task(raw_task)
-            if task is None:
-                raise ConfigError(f"unknown task {raw_task!r}", key="task")
+        # only the train subcommand may leave the task implied
+        raw_task = view.raw("task", "train") if args.command == "train" else view.raw("task")
+        task = normalize_task(raw_task)
+        if task is None:
+            raise ConfigError(f"unknown task {raw_task!r}", key="task")
         if task not in _SUBCOMMAND_TASKS[args.command]:
             raise ConfigError(
                 f"task {task!r} belongs to subcommand "

@@ -2,12 +2,15 @@
 
 Files hold one `key = value` assignment per line, UTF-8, with `#`
 starting a comment (whole-line or trailing). Keys are dotted lowercase
-names. Every key must be consumed by the task that runs: a leftover key
-is a config error naming the key, which catches both typos and options
-that do not apply to the chosen task.
+names. Each task declares its keys as one tuple of `Key`s, and
+`read_keys` reads and checks them all before any compute. Every key in
+the file must be in that tuple: a leftover key is a config error naming
+the key, which catches both typos and options that do not apply to the
+chosen task.
 """
 
-import math
+from dataclasses import dataclass
+from typing import Callable
 
 from ..errors import ConfigError
 
@@ -42,102 +45,99 @@ def load_config(path: str) -> dict[str, str]:
         return parse_config_text(fh.read())
 
 
+def _split(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _parse_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"expected an integer, got {text!r}", key=key) from None
+
+
+def _parse_float(key: str, text: str) -> float:
+    try:
+        return float(text)  # takes "inf" and "nan" in any case
+    except ValueError:
+        raise ConfigError(f"expected a number, got {text!r}", key=key) from None
+
+
+def _parse_bool(key: str, text: str) -> bool:
+    word = text.strip().lower()
+    if word in _TRUE_WORDS:
+        return True
+    if word in _FALSE_WORDS:
+        return False
+    raise ConfigError(f"expected a boolean, got {text!r}", key=key)
+
+
+def _parse_pairs(key: str, text: str) -> list[tuple[float, float]]:
+    pairs = []
+    for part in _split(text):
+        pieces = part.split(":")
+        if len(pieces) != 2:
+            raise ConfigError(f"expected 'a:b' pairs, got {part!r}", key=key)
+        pairs.append((_parse_float(key, pieces[0]), _parse_float(key, pieces[1])))
+    return pairs
+
+
 class ConfigView:
-    """Typed access to parsed config values with used-key tracking."""
+    """Typed access to parsed config values with used-key tracking.
+
+    A getter returns the default unparsed when the key is unset; a value
+    that does not parse is a config error naming the key.
+    """
 
     def __init__(self, values: dict[str, str]):
         self._values = dict(values)
         self._used: set[str] = set()
 
-    def _lookup(self, key: str, default):
-        self._used.add(key)
+    def raw(self, key: str, default=_MISSING):
+        """The unparsed value of key, without marking it read: for choosing
+        which key table reads the config."""
         if key in self._values:
             return self._values[key]
         if default is _MISSING:
             raise ConfigError("required key is missing", key=key)
         return default
 
+    def _get(self, key: str, default, parse):
+        self._used.add(key)
+        value = self.raw(key, default)
+        return parse(key, value) if isinstance(value, str) else value
+
     def has(self, key: str) -> bool:
         return key in self._values
 
     def get_str(self, key: str, default=_MISSING) -> str:
-        value = self._lookup(key, default)
-        return value if isinstance(value, str) else value
+        return self._get(key, default, lambda key, text: text)
 
     def get_int(self, key: str, default=_MISSING) -> int:
-        value = self._lookup(key, default)
-        if not isinstance(value, str):
-            return value
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"expected an integer, got {value!r}", key=key) from None
+        return self._get(key, default, _parse_int)
 
     def get_float(self, key: str, default=_MISSING) -> float:
-        value = self._lookup(key, default)
-        if not isinstance(value, str):
-            return value
-        return self._parse_float(key, value)
-
-    def _parse_float(self, key: str, text: str) -> float:
-        word = text.strip().lower()
-        if word in ("inf", "infinity"):
-            return math.inf
-        try:
-            return float(word)
-        except ValueError:
-            raise ConfigError(f"expected a number, got {text!r}", key=key) from None
+        return self._get(key, default, _parse_float)
 
     def get_bool(self, key: str, default=_MISSING) -> bool:
-        value = self._lookup(key, default)
-        if not isinstance(value, str):
-            return value
-        word = value.strip().lower()
-        if word in _TRUE_WORDS:
-            return True
-        if word in _FALSE_WORDS:
-            return False
-        raise ConfigError(f"expected a boolean, got {value!r}", key=key)
-
-    def _split(self, text: str) -> list[str]:
-        return [part.strip() for part in text.split(",") if part.strip()]
+        return self._get(key, default, _parse_bool)
 
     def get_str_list(self, key: str, default=_MISSING) -> list[str]:
-        value = self._lookup(key, default)
-        if not isinstance(value, str):
-            return value
-        return self._split(value)
+        return self._get(key, default, lambda key, text: _split(text))
 
     def get_int_list(self, key: str, default=_MISSING) -> list[int]:
-        value = self._lookup(key, default)
-        if not isinstance(value, str):
-            return value
-        out = []
-        for part in self._split(value):
-            try:
-                out.append(int(part))
-            except ValueError:
-                raise ConfigError(f"expected integers, got {part!r}", key=key) from None
-        return out
+        return self._get(
+            key, default, lambda key, text: [_parse_int(key, p) for p in _split(text)]
+        )
 
     def get_float_list(self, key: str, default=_MISSING) -> list[float]:
-        value = self._lookup(key, default)
-        if not isinstance(value, str):
-            return value
-        return [self._parse_float(key, part) for part in self._split(value)]
+        return self._get(
+            key, default, lambda key, text: [_parse_float(key, p) for p in _split(text)]
+        )
 
     def get_float_pairs(self, key: str, default=_MISSING) -> list[tuple[float, float]]:
         """Comma-separated colon pairs, e.g. "20:20, 0.01:0.01"."""
-        value = self._lookup(key, default)
-        if not isinstance(value, str):
-            return value
-        pairs = []
-        for part in self._split(value):
-            pieces = part.split(":")
-            if len(pieces) != 2:
-                raise ConfigError(f"expected 'a:b' pairs, got {part!r}", key=key)
-            pairs.append((self._parse_float(key, pieces[0]), self._parse_float(key, pieces[1])))
-        return pairs
+        return self._get(key, default, _parse_pairs)
 
     def unused_keys(self) -> list[str]:
         return sorted(set(self._values) - self._used)
@@ -146,3 +146,34 @@ class ConfigView:
         leftover = self.unused_keys()
         if leftover:
             raise ConfigError("unknown key for this task", key=leftover[0])
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key of a task: kind names its ConfigView getter ("int"
+    reads through get_int). A value the config sets must pass check, else
+    the key is rejected with rule, and no key in excludes may be set too."""
+
+    name: str
+    kind: str
+    default: object
+    check: Callable[[object], bool] | None = None
+    rule: str = ""
+    excludes: tuple[str, ...] = ()
+
+
+def read_keys(view: ConfigView, keys: tuple[Key, ...]) -> dict:
+    """Every value of a task's key table, by key name, parsed and checked in
+    table order; then a key the table does not list is a config error."""
+    values = {}
+    for key in keys:
+        value = getattr(view, "get_" + key.kind)(key.name, key.default)
+        if view.has(key.name):
+            if key.check is not None and not key.check(value):
+                raise ConfigError(key.rule, key=key.name)
+            for other in key.excludes:
+                if view.has(other):
+                    raise ConfigError(f"set only one of '{key.name}' and '{other}'", key=key.name)
+        values[key.name] = value
+    view.ensure_all_used()
+    return values

@@ -1,11 +1,14 @@
 """Seeded multi-run experiment tasks.
 
-Each task reads its whole key set from the config view up front (so an
-unknown key fails before any training starts), fans per-seed work (or
-groups of seeds, each trained as one batch) out to a process pool when
-workers > 1, and funnels every artifact write through the parent
-process. Results are deterministic functions of the
-config plus the master seed, independent of worker count.
+Each task declares its config keys as one table in KEY_TABLES, and its
+driver opens with one read_keys call that parses and checks every value
+and rejects a key the table does not list. The cross-key checks and the
+library objects that own the other value rules come next, so a config
+that cannot finish fails before any training or simulation starts. A
+driver then fans per-seed work (or groups of seeds, each trained as one
+batch) out to a process pool when workers > 1, and funnels every artifact
+write through the parent process. Results are deterministic functions of
+the config plus the master seed, independent of worker count.
 """
 
 import csv
@@ -31,7 +34,7 @@ from ..model import (
     load_csv,
     synth_classification,
 )
-from .config import ConfigView
+from .config import ConfigView, Key, read_keys
 
 SEED_STRIDE = 1_000_003
 
@@ -264,6 +267,161 @@ def stability_report(
 
 
 # ---------------------------------------------------------------------------
+# key tables
+#
+# A value rule that a library object owns stays in that object; the driver
+# builds the object before any compute, so its ValueError is a config error.
+
+
+def _at_least(low: int) -> tuple:
+    return (lambda v: v >= low), f"must be at least {low}"
+
+
+def _one_of(names: Sequence[str]) -> tuple:
+    return (lambda v: v in names), "must be one of " + ", ".join(names)
+
+
+_NONEMPTY = (bool, "must not be empty")
+_RUN_KEYS = (
+    Key("task", "str", None),
+    Key("out_dir", "str", None),
+    Key("workers", "int", 1, *_at_least(1)),
+)
+_SYNTH_KEYS = ("data.n", "data.p", "data.classes", "data.separation", "data.seed")
+_SPLIT_KEYS = (
+    Key("data.split_seed", "int", 1, *_at_least(0)),
+    Key("data.val_fraction", "float", 0.1),
+    Key("data.heldout_fraction", "float", 0.1),
+    Key("data.test_fraction", "float", 0.1),
+)
+
+
+def _training_keys(num_seeds: int, n: int, p: int, classes: int, separation: float,
+                   data_seed: int) -> tuple[Key, ...]:
+    """The run, seed and data keys of a training task; data.csv replaces the
+    synthetic data."""
+    return _RUN_KEYS + (
+        Key("seeds", "int_list", None, lambda s: 0 < len(s) == len(set(s)),
+            "must list one or more distinct seeds", excludes=("num_seeds",)),
+        Key("num_seeds", "int", num_seeds, *_at_least(1)),
+        Key("data.csv", "str", None, excludes=_SYNTH_KEYS),
+        Key("data.n", "int", n),
+        Key("data.p", "int", p),
+        Key("data.classes", "int", classes),
+        Key("data.separation", "float", separation),
+        Key("data.seed", "int", data_seed),
+    )
+
+
+def _practical_keys(steps: int, eta: float, batch: int, every: int | None) -> tuple[Key, ...]:
+    return (
+        Key("train.steps", "int", steps),
+        Key("train.eta", "float", eta),
+        Key("train.clip_norm", "float", 1.0),
+        Key("train.batch_size", "int", batch),
+        Key("train.checkpoint_every", "int", every),
+        Key("train.noise_multiplier", "float", 1.0),
+        Key("train.delta", "float", 1e-5),
+        Key("train.l2_reg", "float", 0.0),
+    )
+
+
+def _theoretical_keys(radius: float, l2: float, every: int | None) -> tuple[Key, ...]:
+    """train.steps unset is choose_T(n, rho)."""
+    return (
+        Key("train.rho", "float", 0.5),
+        Key("train.steps", "int", None),
+        Key("train.checkpoint_every", "int", every),
+        Key("train.radius", "float", radius),
+        Key("train.l2_reg", "float", l2),
+        Key("train.delta", "float", 1e-5),
+    )
+
+
+def _scored_keys(steps: int, eta: float, separation: float) -> tuple[Key, ...]:
+    """The keys that aggregate_eval, the sweeps and pds_eval share."""
+    return (
+        _training_keys(5, 5000, 20, 10, separation, 11) + _SPLIT_KEYS
+        + _practical_keys(steps, eta, 128, 1)
+    )
+
+
+_STATISTICS = {
+    "clamped_coord": dpld.make_clamped_coordinate,
+    "sign_coord": dpld.make_sign_coordinate,
+    "norm_excess": dpld.make_clamped_norm_excess,
+}
+_TRAIN_MODE = Key("train.mode", "str", "practical")
+
+# train-practical and train-theoretical are the train task under each
+# train.mode; the other tables are named after their task.
+KEY_TABLES: dict[str, tuple[Key, ...]] = {
+    "train-practical": _training_keys(1, 1000, 10, 2, 2.0, 7) + (
+        _TRAIN_MODE, Key("train.radius", "float", 1.0),
+    ) + _practical_keys(200, 0.1, 32, None),
+    "train-theoretical": _training_keys(1, 1000, 10, 2, 2.0, 7) + (_TRAIN_MODE,)
+    + _theoretical_keys(1.0, 0.0, None),
+    "risk_compare": _training_keys(20, 1000, 10, 2, 2.0, 7) + _theoretical_keys(2.0, 1.0, 1) + (
+        Key("data.unit_norm", "bool", True),
+        Key("agg.list", "str_list", ("upa_tail:0.5", "pda:1.0")),
+        Key("save_runs", "bool", True),
+    ),
+    "aggregate_eval": _scored_keys(400, 0.1, 3.0) + (
+        Key("agg.list", "str_list", (
+            "ema:0.9", "upa_k:5", "upa_tail:0.5", "pda:1.0", "opa:5", "omv:5", "best_k:5:0.9",
+        )),
+        Key("save_runs", "bool", True),
+    ),
+    "ema_sweep": _scored_keys(400, 0.1, 3.0) + (
+        Key("sweep.betas", "float_list", DEFAULT_BETA_GRID, *_NONEMPTY),
+        Key("save_runs", "bool", False),
+    ),
+    "k_sweep": _scored_keys(400, 0.1, 3.0) + (
+        Key("sweep.ks", "int_list", DEFAULT_K_GRID, *_NONEMPTY),
+        Key("save_runs", "bool", False),
+    ),
+    "pds_eval": _scored_keys(800, 4.0, 2.0) + (
+        Key("pds.period", "int", None),  # unset: an eighth of train.steps, at least 2
+        Key("agg.beta_grid", "float_list", DEFAULT_BETA_GRID, *_NONEMPTY),
+        Key("agg.k_grid", "int_list", DEFAULT_K_GRID),
+        Key("stability.window_fraction", "float", 0.1, lambda f: 0 < f <= 1,
+            "window fraction must be in (0, 1]"),
+        Key("save_runs", "bool", True),
+    ),
+    "uq_compare": _training_keys(20, 1000, 10, 2, 2.0, 7) + (
+        Key("train.radius", "float", 2.0),
+        Key("train.l2_reg", "float", 0.05),
+        Key("train.delta", "float", 1e-5),
+        Key("uq.epsilons", "float_list", (1.0, 8.0), *_NONEMPTY),
+        Key("uq.k_values", "int_list", (3, 5, 10), lambda ks: bool(ks) and min(ks) >= 2,
+            "must list one or more k, and k must be at least 2"),
+        Key("uq.pool_runs", "int", 10),
+        Key("uq.level", "float", 0.95, lambda a: 0 < a < 1, "level must be in (0, 1)"),
+        Key("uq.statistic", "str", "modal_class_probability",
+            *_one_of(uncertainty.STATISTIC_MODES)),
+        Key("uq.num_test_inputs", "int", 50, *_at_least(1)),
+    ),
+    "dpld_bias": _RUN_KEYS + (
+        Key("dpld.dim", "int", 4, *_at_least(1)),
+        Key("dpld.sigma", "float", 1.0),
+        Key("dpld.k", "int", 5),
+        Key("dpld.trials", "int", 10_000, lambda t: dpld.MIN_TRIALS <= t < dpld.MAX_TRIALS,
+            f"must be at least {dpld.MIN_TRIALS} and below 2**31"),
+        Key("dpld.points", "float_pairs", (
+            (20.0, 20.0), (0.01, 0.01), (0.1, 10.0), (1.0, 10.0), (10.0, 10.0), (10.0, 0.1),
+            (10.0, 1.0),
+        ), *_NONEMPTY),
+        # NaN and inf are left to LDConfig, whose theta_start must be finite
+        Key("dpld.start_distance", "float", 10.0, lambda d: not d < 0, "must be nonnegative"),
+        Key("dpld.statistic", "str", "clamped_coord", *_one_of(tuple(_STATISTICS))),
+        Key("dpld.oracle_samples", "int", 1_000_000, *_at_least(dpld.MIN_ORACLE_SAMPLES)),
+        Key("dpld.c_constant", "float", 4.0),
+        Key("dpld.delta_target", "float", 1e-2),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # shared task plumbing
 
 
@@ -274,18 +432,10 @@ def _run_parallel(worker, arg_tuples: list, workers: int) -> list:
         return list(pool.map(worker, arg_tuples))
 
 
-def _resolve_seeds(view: ConfigView, master_seed: int, default_count: int) -> list[int]:
-    explicit = view.get_int_list("seeds", None)
-    if explicit is not None:
-        if not explicit:
-            raise ConfigError("seed list is empty", key="seeds")
-        if len(set(explicit)) != len(explicit):
-            raise ConfigError("seeds must be distinct", key="seeds")
-        return explicit
-    count = view.get_int("num_seeds", default_count)
-    if count < 1:
-        raise ConfigError("need at least one seed", key="num_seeds")
-    return [derive_run_seed(master_seed, i) for i in range(count)]
+def _resolve_seeds(cfg: dict, master_seed: int) -> list[int]:
+    if cfg["seeds"] is not None:
+        return cfg["seeds"]
+    return [derive_run_seed(master_seed, i) for i in range(cfg["num_seeds"])]
 
 
 @contextmanager
@@ -299,24 +449,22 @@ def _config_errors(what: str, key: str | None = None):
         raise ConfigError(f"bad {what}: {exc}", key=key) from None
 
 
-def _read_delta(view: ConfigView) -> float:
+def _checked_delta(cfg: dict) -> float:
     with _config_errors("privacy setting", "train.delta"):
-        return privacy.check_delta(view.get_float("train.delta", 1e-5))
+        return privacy.check_delta(cfg["train.delta"])
 
 
-def _dataset_from_view(
-    view: ConfigView, n: int, p: int, classes: int, separation: float, seed: int
-) -> DatasetHandle:
-    csv_path = view.get_str("data.csv", None)
-    if csv_path is not None:
-        return load_csv(csv_path)
+def _dataset(cfg: dict, tag: str = "") -> DatasetHandle:
+    if cfg["data.csv"] is not None:
+        return load_csv(cfg["data.csv"], tag=tag)
     with _config_errors("data setting (data.n, data.p, data.classes, data.separation)"):
         return synth_classification(
-            n=view.get_int("data.n", n),
-            p=view.get_int("data.p", p),
-            num_classes=view.get_int("data.classes", classes),
-            separation=view.get_float("data.separation", separation),
-            seed=view.get_int("data.seed", seed),
+            n=cfg["data.n"],
+            p=cfg["data.p"],
+            num_classes=cfg["data.classes"],
+            separation=cfg["data.separation"],
+            seed=cfg["data.seed"],
+            tag=tag,
         )
 
 
@@ -409,20 +557,19 @@ def _theoretical_configs(
 
 
 def _practical_configs(
-    view: ConfigView, seeds: Sequence[int], steps: int, eta: float, batch: int, every: int | None
+    cfg: dict, seeds: Sequence[int]
 ) -> tuple[list["trainer.TrainerConfig"], float]:
-    """Configs of seeded practical runs and their noise multiplier; the
-    arguments after seeds are the defaults of the train.* keys."""
+    """Configs of seeded practical runs and their noise multiplier."""
     configs = _trainer_configs(
         seeds,
-        ("constant", view.get_float("train.eta", eta)),
+        ("constant", cfg["train.eta"]),
         mode="practical",
-        num_steps=view.get_int("train.steps", steps),
-        clip_norm=view.get_float("train.clip_norm", 1.0),
-        batch_size=view.get_int("train.batch_size", batch),
-        checkpoint_every=view.get_int("train.checkpoint_every", every),
+        num_steps=cfg["train.steps"],
+        clip_norm=cfg["train.clip_norm"],
+        batch_size=cfg["train.batch_size"],
+        checkpoint_every=cfg["train.checkpoint_every"],
     )
-    z = view.get_float("train.noise_multiplier", 1.0)
+    z = cfg["train.noise_multiplier"]
     with _config_errors("trainer setting", "train.noise_multiplier"):
         trainer.practical_noise(configs[0], z)
     return configs, z
@@ -443,35 +590,32 @@ def _save_runs(records, out_dir: str) -> None:
 # task: single training run
 
 
-def run_single_training(view: ConfigView, out_dir: str, master_seed: int, workers: int):
-    mode = view.get_str("train.mode", "practical")
-    delta = _read_delta(view)
-    radius = view.get_float("train.radius", 1.0)
-    l2 = view.get_float("train.l2_reg", 0.0)
-    seeds = _resolve_seeds(view, master_seed, 1)
+def run_single_training(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
+    mode = view.raw("train.mode", "practical")
+    if mode not in ("practical", "theoretical"):
+        raise ConfigError(f"unknown trainer mode {mode!r}", key="train.mode")
+    cfg = read_keys(view, KEY_TABLES[f"train-{mode}"])
+    delta = _checked_delta(cfg)
+    seeds = _resolve_seeds(cfg, master_seed)
     if len(seeds) > 1:
         raise ConfigError(
             f"the train task writes one run; got {len(seeds)} seeds",
-            key="seeds" if view.has("seeds") else "num_seeds",
+            key="num_seeds" if cfg["seeds"] is None else "seeds",
         )
-    data = _dataset_from_view(view, n=1000, p=10, classes=2, separation=2.0, seed=7)
-    data = data.subset(np.arange(data.n), tag="train")
-    model = _logistic_model(data, l2, radius)
+    data = _dataset(cfg, tag="train")
+    radius = cfg["train.radius"]
+    model = _logistic_model(data, cfg["train.l2_reg"], radius)
 
     if mode == "theoretical":
-        rho = view.get_float("train.rho", 0.5)
-        steps = view.get_int("train.steps", None)
-        every = view.get_int("train.checkpoint_every", None)
-        (config,) = _theoretical_configs(model, data.n, rho, radius, seeds, steps, every)
-        view.ensure_all_used()
+        rho = cfg["train.rho"]
+        (config,) = _theoretical_configs(
+            model, data.n, rho, radius, seeds, cfg["train.steps"], cfg["train.checkpoint_every"]
+        )
         record = trainer.dp_sgd_theoretical(model, data, config, rho=rho, delta=delta)
-    elif mode == "practical":
-        (config,), z = _practical_configs(view, seeds, 200, 0.1, 32, None)
-        _check_batch_fits(config, data)
-        view.ensure_all_used()
-        record = trainer.dp_sgd_practical(model, data, config, z, delta=delta)
     else:
-        raise ConfigError(f"unknown trainer mode {mode!r}", key="train.mode")
+        (config,), z = _practical_configs(cfg, seeds)
+        _check_batch_fits(config, data)
+        record = trainer.dp_sgd_practical(model, data, config, z, delta=delta)
 
     trainer.save_run(record, out_dir)
     rows = [
@@ -499,25 +643,20 @@ def _risk_group_worker(args):
     return out
 
 
-def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: int):
-    rho = view.get_float("train.rho", 0.5)
-    delta = _read_delta(view)
-    radius = view.get_float("train.radius", 2.0)
-    l2 = view.get_float("train.l2_reg", 1.0)
-    steps_cfg = view.get_int("train.steps", None)
-    every = view.get_int("train.checkpoint_every", 1)
-    agg_items = view.get_str_list("agg.list", ["upa_tail:0.5", "pda:1.0"])
-    save_runs = view.get_bool("save_runs", True)
-    unit_norm = view.get_bool("data.unit_norm", True)
-    seeds = _resolve_seeds(view, master_seed, 20)
-    data = _dataset_from_view(view, n=1000, p=10, classes=2, separation=2.0, seed=7)
+def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
+    cfg = read_keys(view, KEY_TABLES["risk_compare"])
+    workers = cfg["workers"] if workers is None else workers
+    rho, radius = cfg["train.rho"], cfg["train.radius"]
+    delta = _checked_delta(cfg)
+    seeds = _resolve_seeds(cfg, master_seed)
+    data = _dataset(cfg)
     feats = data.features
-    if unit_norm:
+    if cfg["data.unit_norm"]:
         # Unit-norm rows keep the per-example gradient bound at 1 + l2*radius,
         # the usual setup when a Lipschitz constant replaces gradient clipping.
         feats = feats / np.maximum(np.linalg.norm(feats, axis=1, keepdims=True), 1e-12)
     data = DatasetHandle(feats, data.labels, data.num_classes, tag="train")
-    specs = parse_aggregation_list(agg_items)
+    specs = parse_aggregation_list(cfg["agg.list"])
     output_space = [spec.label() for spec in specs if spec.kind in ("opa", "omv", "best_k")]
     if output_space:
         raise ConfigError(
@@ -525,10 +664,11 @@ def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: 
             "aggregate predictions",
             key="agg.list",
         )
-    view.ensure_all_used()
 
-    model = _logistic_model(data, l2, radius)
-    configs = _theoretical_configs(model, data.n, rho, radius, seeds, steps_cfg, every)
+    model = _logistic_model(data, cfg["train.l2_reg"], radius)
+    configs = _theoretical_configs(
+        model, data.n, rho, radius, seeds, cfg["train.steps"], cfg["train.checkpoint_every"]
+    )
     _check_k_fits(specs, configs[0], "agg.list")
     min_loss = trainer.min_loss_in_ball(model, data, radius)
 
@@ -548,7 +688,7 @@ def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: 
         label = spec.label()
         wins = [1.0 if r[1][label] < r[1]["last"] else 0.0 for r in results]
         rows.append(summarize(f"frac_{label}_beats_last", wins))
-    if save_runs:
+    if cfg["save_runs"]:
         _save_runs([r[0] for r in results], out_dir)
     return ResultTable(rows)
 
@@ -575,48 +715,36 @@ def _train_and_score_worker(args):
     return out
 
 
-def _practical_setup(
-    view: ConfigView,
-    seeds: Sequence[int],
-    default_steps: int,
-    default_eta: float = 0.1,
-    default_separation: float = 3.0,
-):
-    """Shared data/model/config keys of the practical-trainer tasks:
+def _practical_setup(cfg: dict, master_seed: int):
+    """Shared data/model/config values of the practical-trainer tasks:
     (model, partitions, one config per seed, noise multiplier, delta)."""
-    delta = _read_delta(view)
-    l2 = view.get_float("train.l2_reg", 0.0)
-    configs, z = _practical_configs(view, seeds, default_steps, default_eta, 128, 1)
-    data = _dataset_from_view(
-        view, n=5000, p=20, classes=10, separation=default_separation, seed=11
-    )
+    delta = _checked_delta(cfg)
+    configs, z = _practical_configs(cfg, _resolve_seeds(cfg, master_seed))
     parts = split_dataset(
-        data,
-        seed=view.get_int("data.split_seed", 1),
-        val_fraction=view.get_float("data.val_fraction", 0.1),
-        heldout_fraction=view.get_float("data.heldout_fraction", 0.1),
-        test_fraction=view.get_float("data.test_fraction", 0.1),
+        _dataset(cfg),
+        seed=cfg["data.split_seed"],
+        val_fraction=cfg["data.val_fraction"],
+        heldout_fraction=cfg["data.heldout_fraction"],
+        test_fraction=cfg["data.test_fraction"],
     )
-    model = _logistic_model(parts["train"], l2, 1.0)
+    model = _logistic_model(parts["train"], cfg["train.l2_reg"], 1.0)
     return model, parts, configs, z, delta
 
 
 def _run_scored(
-    view: ConfigView, out_dir: str, master_seed: int, workers: int,
-    specs: Sequence[AggregationSpec], specs_key: str, eval_part: str, save_default: bool,
+    cfg: dict, out_dir: str, master_seed: int, workers: int | None,
+    specs: Sequence[AggregationSpec], specs_key: str, eval_part: str,
 ) -> tuple[list[ResultRow], list[float]]:
     """Train the seeds on the practical trainer and score every spec on the
     eval_part partition: one row per spec, also written to aggregates.json,
     and the last iterate's accuracy per seed. When save_runs holds, the runs
     are saved with their per-step test accuracy."""
-    seeds = _resolve_seeds(view, master_seed, 5)
-    model, parts, configs, z, delta = _practical_setup(view, seeds, default_steps=400)
-    save_runs = view.get_bool("save_runs", save_default)
+    workers = cfg["workers"] if workers is None else workers
+    model, parts, configs, z, delta = _practical_setup(cfg, master_seed)
     _check_k_fits(specs, configs[0], specs_key)
     _check_batch_fits(configs[0], parts["train"])
-    view.ensure_all_used()
 
-    eval_data = parts["test"] if save_runs else None
+    eval_data = parts["test"] if cfg["save_runs"] else None
     # one batched trainer call per worker group, as in run_risk_compare
     args = [
         (model, parts, group, z, delta, specs, eval_part, eval_data)
@@ -627,46 +755,39 @@ def _run_scored(
     rows = [summarize(spec.label(), [r[1][spec.label()] for r in results]) for spec in specs]
     entries = [_spec_entry(spec, row.mean, row.n_seeds) for spec, row in zip(specs, rows)]
     _write_json(os.path.join(out_dir, "aggregates.json"), entries)
-    if save_runs:
+    if cfg["save_runs"]:
         _save_runs([r[0] for r in results], out_dir)
     return rows, [r[1]["last"] for r in results]
 
 
-def run_aggregate_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int):
-    agg_items = view.get_str_list(
-        "agg.list",
-        ["ema:0.9", "upa_k:5", "upa_tail:0.5", "pda:1.0", "opa:5", "omv:5", "best_k:5:0.9"],
-    )
-    specs = parse_aggregation_list(agg_items)
-    rows, last = _run_scored(view, out_dir, master_seed, workers, specs, "agg.list", "test", True)
+def run_aggregate_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
+    cfg = read_keys(view, KEY_TABLES["aggregate_eval"])
+    specs = parse_aggregation_list(cfg["agg.list"])
+    rows, last = _run_scored(cfg, out_dir, master_seed, workers, specs, "agg.list", "test")
     return ResultTable([summarize("last", last)] + rows)
 
 
 def _run_sweep(
-    view: ConfigView, out_dir: str, master_seed: int, workers: int,
+    cfg: dict, out_dir: str, master_seed: int, workers: int | None,
     specs: list[AggregationSpec], key: str,
 ) -> ResultTable:
     """Validation rows of one spec grid, then the winner's row."""
-    rows, _ = _run_scored(view, out_dir, master_seed, workers, specs, key, "validation", False)
+    rows, _ = _run_scored(cfg, out_dir, master_seed, workers, specs, key, "validation")
     best = rows[_best_index(specs, [row.mean for row in rows])]
     rows.append(ResultRow(f"best={best.setting}", best.mean, best.std, best.n_seeds))
     return ResultTable(rows)
 
 
-def run_ema_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int):
-    betas = view.get_float_list("sweep.betas", list(DEFAULT_BETA_GRID))
-    if not betas:
-        raise ConfigError("beta grid is empty", key="sweep.betas")
-    specs = _grid_specs("ema", "beta", betas, "sweep.betas")
-    return _run_sweep(view, out_dir, master_seed, workers, specs, "sweep.betas")
+def run_ema_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
+    cfg = read_keys(view, KEY_TABLES["ema_sweep"])
+    specs = _grid_specs("ema", "beta", cfg["sweep.betas"], "sweep.betas")
+    return _run_sweep(cfg, out_dir, master_seed, workers, specs, "sweep.betas")
 
 
-def run_k_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int):
-    ks = view.get_int_list("sweep.ks", list(DEFAULT_K_GRID))
-    if not ks:
-        raise ConfigError("k grid is empty", key="sweep.ks")
-    specs = _grid_specs("upa_k", "k", ks, "sweep.ks")
-    return _run_sweep(view, out_dir, master_seed, workers, specs, "sweep.ks")
+def run_k_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
+    cfg = read_keys(view, KEY_TABLES["k_sweep"])
+    specs = _grid_specs("upa_k", "k", cfg["sweep.ks"], "sweep.ks")
+    return _run_sweep(cfg, out_dir, master_seed, workers, specs, "sweep.ks")
 
 
 # ---------------------------------------------------------------------------
@@ -708,42 +829,35 @@ def _pds_scores(record, model, parts, beta_specs, k_specs, window) -> dict:
     }
 
 
-def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int):
+def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
     # Large steps and nearer clusters make each oscillation phase reshape the
     # model, so the per-step accuracy swings the aggregates are meant to tame
     # actually show up at this scale.
-    seeds = _resolve_seeds(view, master_seed, 5)
-    model, parts, configs, z, delta = _practical_setup(
-        view, seeds, default_steps=800, default_eta=4.0, default_separation=2.0
-    )
-    period = view.get_int("pds.period", max(2, configs[0].num_steps // 8))
-    beta_grid = view.get_float_list("agg.beta_grid", list(DEFAULT_BETA_GRID))
-    k_grid = view.get_int_list("agg.k_grid", list(DEFAULT_K_GRID))
-    window_fraction = view.get_float("stability.window_fraction", 0.1)
-    save_runs = view.get_bool("save_runs", True)
-    if not 0.0 < window_fraction <= 1.0:
-        raise ConfigError("window fraction must be in (0, 1]", key="stability.window_fraction")
+    cfg = read_keys(view, KEY_TABLES["pds_eval"])
+    workers = cfg["workers"] if workers is None else workers
+    model, parts, configs, z, delta = _practical_setup(cfg, master_seed)
     num_ckpts = _num_checkpoints(configs[0])
-    window = max(2, int(round(window_fraction * num_ckpts)))
-    beta_specs = _grid_specs("ema", "beta", beta_grid, "agg.beta_grid")
-    k_specs = _grid_specs("upa_k", "k", [k for k in k_grid if k <= num_ckpts], "agg.k_grid")
+    window = max(2, int(round(cfg["stability.window_fraction"] * num_ckpts)))
     if window > num_ckpts:
         raise ConfigError(
             f"the stability window of {window} checkpoints exceeds the {num_ckpts} "
             "checkpoints set by train.steps and train.checkpoint_every"
         )
-    if not beta_specs:
-        raise ConfigError("beta grid is empty", key="agg.beta_grid")
+    beta_specs = _grid_specs("ema", "beta", cfg["agg.beta_grid"], "agg.beta_grid")
+    k_grid = [k for k in cfg["agg.k_grid"] if k <= num_ckpts]
+    k_specs = _grid_specs("upa_k", "k", k_grid, "agg.k_grid")
     if not k_specs:
         raise ConfigError(f"no k at or below the {num_ckpts} checkpoints", key="agg.k_grid")
-    view.ensure_all_used()
 
+    period = cfg["pds.period"]
+    if period is None:
+        period = max(2, configs[0].num_steps // 8)
     labels = parts["train"].labels
     even = np.flatnonzero(labels % 2 == 0)
     odd = np.flatnonzero(labels % 2 == 1)
     with _config_errors("diurnal schedule", "pds.period"):
         schedule = DiurnalSchedule(period, even, odd)
-    eval_data = parts["test"] if save_runs else None
+    eval_data = parts["test"] if cfg["save_runs"] else None
     configs = [replace(c, diurnal=schedule) for c in configs]
     args = [
         (model, parts, group, z, delta, beta_specs, k_specs, window, eval_data)
@@ -772,7 +886,7 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int)
             for method in methods:
                 for step, acc in zip(r["steps"], r[method]):
                     fh.write(f"{i},{method},{step},{float(acc)!r}\n")
-    if save_runs:
+    if cfg["save_runs"]:
         _save_runs([r["record"] for r in results], out_dir)
     return ResultTable(rows)
 
@@ -807,31 +921,14 @@ def _uq_seed_worker(args):
     return out
 
 
-def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: int):
-    delta = _read_delta(view)
-    radius = view.get_float("train.radius", 2.0)
-    l2 = view.get_float("train.l2_reg", 0.05)
-    eps_list = view.get_float_list("uq.epsilons", [1.0, 8.0])
-    k_list = view.get_int_list("uq.k_values", [3, 5, 10])
-    pool = view.get_int("uq.pool_runs", 10)
-    level = view.get_float("uq.level", 0.95)
-    mode = view.get_str("uq.statistic", "modal_class_probability")
-    num_inputs = view.get_int("uq.num_test_inputs", 50)
-    seeds = _resolve_seeds(view, master_seed, 20)
-    data = _dataset_from_view(view, n=1000, p=10, classes=2, separation=2.0, seed=7)
-    data = data.subset(np.arange(data.n), tag="train")
-    if mode not in uncertainty.STATISTIC_MODES:
-        raise ConfigError(f"unknown statistic mode {mode!r}", key="uq.statistic")
-    if not 0.0 < level < 1.0:
-        raise ConfigError("level must be in (0, 1)", key="uq.level")
-    if not eps_list:
-        raise ConfigError("epsilon list is empty", key="uq.epsilons")
-    if not k_list:
-        raise ConfigError("k list is empty", key="uq.k_values")
-    if min(k_list) < 2:
-        raise ConfigError("k must be at least 2", key="uq.k_values")
-    if num_inputs < 1:
-        raise ConfigError("need at least one test input", key="uq.num_test_inputs")
+def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
+    cfg = read_keys(view, KEY_TABLES["uq_compare"])
+    workers = cfg["workers"] if workers is None else workers
+    eps_list, k_list = cfg["uq.epsilons"], cfg["uq.k_values"]
+    level, mode, pool = cfg["uq.level"], cfg["uq.statistic"], cfg["uq.pool_runs"]
+    delta = _checked_delta(cfg)
+    seeds = _resolve_seeds(cfg, master_seed)
+    data = _dataset(cfg, tag="train")
     if pool < max(k_list):
         raise ConfigError("pool must hold at least max(k) runs", key="uq.pool_runs")
     with _config_errors("privacy setting", "uq.epsilons"):
@@ -842,11 +939,11 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
             f"k={max(k_list)} exceeds the {shortest} checkpoints of the shortest run",
             key="uq.k_values",
         )
-    view.ensure_all_used()
 
-    model = _logistic_model(data, l2, radius)
+    radius = cfg["train.radius"]
+    model = _logistic_model(data, cfg["train.l2_reg"], radius)
     test_inputs = synth_classification(
-        num_inputs, data.p, data.num_classes, separation=2.0, seed=99
+        cfg["uq.num_test_inputs"], data.p, data.num_classes, separation=2.0, seed=99
     ).features
 
     args = [
@@ -882,74 +979,35 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
 # task: variance-estimator bias on the Langevin simulator
 
 
-def _make_statistic(name: str, center: np.ndarray) -> dpld.Statistic:
-    if name == "clamped_coord":
-        return dpld.make_clamped_coordinate(center)
-    if name == "sign_coord":
-        return dpld.make_sign_coordinate(center)
-    if name == "norm_excess":
-        return dpld.make_clamped_norm_excess(center)
-    raise ConfigError(f"unknown statistic {name!r}", key="dpld.statistic")
-
-
 def _dpld_point_worker(args):
     config, times, stat_name, trials, seed, oracle = args
-    stat = _make_statistic(stat_name, config.model.center)
+    stat = _STATISTICS[stat_name](config.model.center)
     return dpld.variance_bias_experiment(config, times, stat, trials, seed, oracle)
 
 
-def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int):
-    dim = view.get_int("dpld.dim", 4)
-    sigma = view.get_float("dpld.sigma", 1.0)
-    k = view.get_int("dpld.k", 5)
-    trials = view.get_int("dpld.trials", 10_000)
-    points = view.get_float_pairs(
-        "dpld.points",
-        [
-            (20.0, 20.0),
-            (0.01, 0.01),
-            (0.1, 10.0),
-            (1.0, 10.0),
-            (10.0, 10.0),
-            (10.0, 0.1),
-            (10.0, 1.0),
-        ],
-    )
-    distance = view.get_float("dpld.start_distance", 10.0)
-    stat_name = view.get_str("dpld.statistic", "clamped_coord")
-    oracle_samples = view.get_int("dpld.oracle_samples", 1_000_000)
-    c_constant = view.get_float("dpld.c_constant", 4.0)
-    delta_target = view.get_float("dpld.delta_target", 1e-2)
-    if not dpld.MIN_TRIALS <= trials < dpld.MAX_TRIALS:
-        raise ConfigError(
-            f"need at least {dpld.MIN_TRIALS} and fewer than 2**31 trials", key="dpld.trials"
-        )
-    if oracle_samples < dpld.MIN_ORACLE_SAMPLES:
-        raise ConfigError(
-            f"need at least {dpld.MIN_ORACLE_SAMPLES} samples", key="dpld.oracle_samples"
-        )
-    if dim < 1:
-        raise ConfigError("dim must be at least 1", key="dpld.dim")
-    if not points:
-        raise ConfigError("need at least one t1:gap point", key="dpld.points")
-    stat = _make_statistic(stat_name, np.zeros(dim))
-    view.ensure_all_used()
-
+def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
+    cfg = read_keys(view, KEY_TABLES["dpld_bias"])
+    workers = cfg["workers"] if workers is None else workers
+    dim, stat_name, trials = cfg["dpld.dim"], cfg["dpld.statistic"], cfg["dpld.trials"]
     model = QuadraticLoss(np.zeros(dim))
-    theta_start = np.full(dim, distance / math.sqrt(dim))
+    theta_start = np.full(dim, cfg["dpld.start_distance"] / math.sqrt(dim))
     with _config_errors("dpld setting"):
         config = dpld.LDConfig(
             model=model,
             theta_start=theta_start,
-            sigma=sigma,
-            c_constant=c_constant,
-            delta_target=delta_target,
+            sigma=cfg["dpld.sigma"],
+            c_constant=cfg["dpld.c_constant"],
+            delta_target=cfg["dpld.delta_target"],
         )
-        all_times = [dpld.CheckpointTimes(t1=t1, gap=gap, k=k) for t1, gap in points]
+        all_times = [
+            dpld.CheckpointTimes(t1=t1, gap=gap, k=cfg["dpld.k"]) for t1, gap in cfg["dpld.points"]
+        ]
     # every point shares the stationary law and the statistic, so one oracle
     # serves them all; it takes the first point's seed
+    stat = _STATISTICS[stat_name](model.center)
     oracle = dpld.stationary_oracle_V(
-        *dpld.stationary_law(config), stat, oracle_samples, seed=derive_run_seed(master_seed, 0)
+        *dpld.stationary_law(config), stat, cfg["dpld.oracle_samples"],
+        seed=derive_run_seed(master_seed, 0),
     )
     args = [
         (config, times, stat_name, trials, derive_run_seed(master_seed, i), oracle)
@@ -1011,20 +1069,16 @@ def run_experiment(
 ) -> ResultTable:
     """Run one configured task and write its artifacts under out_dir.
 
-    Unknown config keys fail before compute starts. A numeric divergence
+    The task's key table is read and checked before compute starts;
+    workers, when given, overrides the config's. A numeric divergence
     mid-run leaves a status.json flagging the partial output, then
     propagates (the CLI maps it to exit code 3).
     """
     if task is None:
-        task = normalize_task(view.get_str("task"))
+        task = normalize_task(view.raw("task"))
         if task is None:
             raise ConfigError("unknown task name", key="task")
-    view.get_str("task", None)
-    view.get_str("out_dir", None)
-    config_workers = view.get_int("workers", 1)
-    if workers is None:
-        workers = config_workers
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ConfigError("workers must be at least 1", key="workers")
     os.makedirs(out_dir, exist_ok=True)
 

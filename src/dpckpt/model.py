@@ -385,8 +385,8 @@ class LogisticLoss(LossModel):
     def __post_init__(self):
         if self.n_features < 1 or self.num_classes < 2:
             raise ValueError("need n_features >= 1 and num_classes >= 2")
-        if not self.l2_reg >= 0:
-            raise ValueError("l2_reg must be nonnegative")
+        if not 0 <= self.l2_reg < np.inf:
+            raise ValueError("l2_reg must be nonnegative and finite")
         self.strong_convexity = self.l2_reg
 
     @classmethod

@@ -88,7 +88,10 @@ def calibrate_theoretical(
         raise ValueError(f"rho must be positive, got {rho}")
     if math.isinf(rho):
         return NoiseScale(0.0)
-    return NoiseScale(lipschitz**2 * num_steps / (2.0 * n * rho))
+    try:
+        return NoiseScale(lipschitz**2 * num_steps / (2.0 * n * rho))
+    except OverflowError:
+        raise ValueError(f"the noise variance of lipschitz {lipschitz} overflows") from None
 
 
 def calibrate_practical(clip_norm: float, noise_multiplier: float) -> tuple[NoiseScale, float]:
@@ -97,12 +100,18 @@ def calibrate_practical(clip_norm: float, noise_multiplier: float) -> tuple[Nois
     The noise has std noise_multiplier * clip_norm on the *summed*
     clipped gradient; each step costs rho_step = 1 / (2 * noise_multiplier^2).
     """
-    if clip_norm <= 0:
-        raise ValueError(f"clip_norm must be positive, got {clip_norm}")
-    if noise_multiplier <= 0:
-        raise ValueError(f"noise_multiplier must be positive, got {noise_multiplier}")
-    scale = NoiseScale((noise_multiplier * clip_norm) ** 2)
-    return scale, 1.0 / (2.0 * noise_multiplier**2)
+    if not 0 < clip_norm < math.inf:
+        raise ValueError(f"clip_norm must be positive and finite, got {clip_norm}")
+    if not 0 < noise_multiplier < math.inf:
+        raise ValueError(f"noise_multiplier must be positive and finite, got {noise_multiplier}")
+    try:
+        scale = NoiseScale((noise_multiplier * clip_norm) ** 2)
+        return scale, 1.0 / (2.0 * noise_multiplier**2)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"noise_multiplier {noise_multiplier} with clip_norm {clip_norm} puts the noise"
+            " variance or rho_step out of float range"
+        ) from None
 
 
 def gaussian_hockey_stick_mc(

@@ -68,8 +68,8 @@ class EtaSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "inverse_sqrt"):
             raise ValueError(f"unknown eta schedule kind {self.kind!r}")
-        if not self.value > 0:
-            raise ValueError("eta value must be positive")
+        if not 0 < self.value < math.inf:
+            raise ValueError("eta value must be positive and finite")
 
     def at(self, t: int) -> float:
         if t < 1:
@@ -110,8 +110,8 @@ class TrainerConfig:
             raise ValueError("num_steps must be at least 1")
         if not self.projection_radius > 0:
             raise ValueError("projection_radius must be positive")
-        if not self.clip_norm > 0:
-            raise ValueError("clip_norm must be positive")
+        if not 0 < self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.checkpoint_every is not None and not (

@@ -294,6 +294,12 @@ def test_ld_config_rejects_a_model_that_is_not_quadratic():
         LDConfig(model=model, theta_start=np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+def test_ld_config_rejects_a_c_constant_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="c_constant must be positive and finite"):
+        LDConfig(model=QuadraticLoss(center=np.zeros(2)), theta_start=np.ones(2), c_constant=bad)
+
+
 def test_stationary_law_normalizes_curvature():
     """sigma_eff = sigma / sqrt(m) around the loss minimizer."""
     config = LDConfig(

@@ -729,6 +729,13 @@ _BAD_KEY_CASES = [
     (["aggregate_eval"], "data.val_fraction = nan", "partition fractions"),
     (["aggregate_eval"], "data.heldout_fraction = nan", "partition fractions"),
     (["aggregate_eval"], "data.test_fraction = nan", "partition fractions"),
+    (_PRACTICAL_TASKS, "train.eta = inf", "eta value must be positive and finite"),
+    (_PRACTICAL_TASKS, "train.clip_norm = inf", "clip_norm must be positive and finite"),
+    (list(_TASK_HEADS), "train.l2_reg = inf", "l2_reg must be nonnegative and finite"),
+    (_PRACTICAL_TASKS, "train.noise_multiplier = inf",
+     "noise_multiplier must be positive and finite"),
+    (["aggregate_eval", "pds_eval", "ema_sweep", "k_sweep"], "data.split_seed = -1",
+     "data.split_seed"),
 ]
 _BAD_KEY_PARAMS = [
     (_TASK_HEADS[task][0], _TASK_HEADS[task][1] + line + "\n", needle)
@@ -792,6 +799,14 @@ _BAD_KEY_IDS = [
         ("dpld-bias", "task = dpld_bias\ndpld.points = nan:1\n", "t1 must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.k = 4294967296\n", "fewer than 4294967296"),
         ("uq", "task = uq_compare\nuq.num_test_inputs = 0\n", "uq.num_test_inputs"),
+        ("dpld-bias", "task = dpld_bias\ndpld.c_constant = inf\n",
+         "c_constant must be positive and finite"),
+        ("dpld-bias", "task = dpld_bias\ndpld.start_distance = -1\n", "dpld.start_distance"),
+        ("report", "task = risk_compare\nseeds = 1, 2\nnum_seeds = 2\n",
+         "only one of 'seeds' and 'num_seeds'"),
+        ("train", "train.noise_multiplier = 1e200\n", "out of float range"),
+        ("train", "train.noise_multiplier = 1e-200\n", "out of float range"),
+        ("train", "train.mode = theoretical\ntrain.l2_reg = 1e300\n", "overflows"),
     ] + _BAD_KEY_PARAMS,
     ids=[
         "risk_compare-every", "aggregate_eval-batch", "k_sweep-eta", "pds_eval-clip",
@@ -805,7 +820,10 @@ _BAD_KEY_IDS = [
         "dpld_bias-sigma", "dpld_bias-eta", "dpld_bias-dim", "dpld_bias-c", "dpld_bias-delta",
         "dpld_bias-oracle", "dpld_bias-trials", "dpld_bias-sigma-nan", "dpld_bias-eta-nan",
         "dpld_bias-sigma-inf", "dpld_bias-c-nan", "dpld_bias-start-nan", "dpld_bias-t1-nan",
-        "dpld_bias-k-2**32", "uq_compare-no-inputs",
+        "dpld_bias-k-2**32", "uq_compare-no-inputs", "dpld_bias-c-inf",
+        "dpld_bias-start-negative", "risk_compare-seeds-and-num_seeds",
+        "train-practical-noise-1e200", "train-practical-noise-1e-200",
+        "train-theoretical-l2-1e300",
     ] + _BAD_KEY_IDS,
 )
 def test_cli_unfinishable_config_exits_2_before_training(
@@ -822,6 +840,13 @@ def test_cli_unfinishable_config_exits_2_before_training(
     assert cli.main([command, "--config", cfg, "--out", out]) == 2
     assert needle in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "status.json"))
+
+
+def test_cli_config_workers_is_checked_under_the_workers_flag(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TRAIN_CFG + "workers = 0\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--config", cfg, "--out", out, "--workers", "1"]) == 2
+    assert "'workers'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -927,3 +952,41 @@ def test_saved_runs_replay_byte_for_byte(tmp_path, monkeypatch):
         })
     assert len(trees[0]) == 6
     assert trees[0] == trees[1]
+
+
+# the config head that selects each key table
+_TABLE_HEADS = {
+    name: {"task": "train", "train.mode": name.split("-")[1]} if name.startswith("train-")
+    else {"task": name}
+    for name in experiments.KEY_TABLES
+}
+
+
+def test_every_table_key_fails_before_compute_or_not_at_all(tmp_path, monkeypatch):
+    """Every key of every table, set to each probe value, is either rejected
+    as a config error or reaches the first trainer or Langevin call."""
+    for fn in (
+        "dp_sgd_practical", "dp_sgd_practical_runs", "dp_sgd_theoretical",
+        "dp_sgd_theoretical_runs", "min_loss_in_ball",
+    ):
+        monkeypatch.setattr(experiments.trainer, fn, _no_training)
+    for fn in ("stationary_oracle_V", "variance_bias_experiment"):
+        monkeypatch.setattr(experiments.dpld, fn, _no_training)
+    outcomes = {"config error": 0, "reached compute": 0}
+    for name, keys in experiments.KEY_TABLES.items():
+        for key in keys:
+            for probe in ("nan", "inf", "-1", "0", ""):
+                view = ConfigView({**_TABLE_HEADS[name], key.name: probe})
+                try:
+                    run_experiment(view, str(tmp_path / "out"), workers=1)
+                except ConfigError:
+                    outcomes["config error"] += 1
+                except AssertionError as exc:
+                    assert "ran before the config was rejected" in str(exc)
+                    outcomes["reached compute"] += 1
+                except FileNotFoundError:
+                    # data.csv names a file: a missing one is an i/o error (exit 4)
+                    assert key.name == "data.csv"
+                else:
+                    raise AssertionError(f"{name}: {key.name} = {probe!r} ran to completion")
+    assert min(outcomes.values()) > 0

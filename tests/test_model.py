@@ -267,6 +267,12 @@ def test_accuracy_against_hand_labels():
     assert accuracy(model, np.array([-1.0]), data) == 0.5
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_logistic_loss_rejects_an_l2_reg_that_is_not_nonnegative_and_finite(bad):
+    with pytest.raises(ValueError, match="l2_reg must be nonnegative and finite"):
+        LogisticLoss(n_features=1, l2_reg=bad)
+
+
 def test_wrong_theta_shape_rejected(binary_model, binary_data):
     with pytest.raises(ValueError):
         binary_model.loss_full(np.zeros(binary_model.param_dim() + 1), binary_data)

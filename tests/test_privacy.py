@@ -105,6 +105,8 @@ def test_calibrate_theoretical_scalings():
     assert calibrate_theoretical(1.0, 100, 1000, 1.0).variance_per_step == pytest.approx(base / 2)
     # infinite budget degrades to zero noise
     assert calibrate_theoretical(1.0, 100, 1000, math.inf).variance_per_step == 0.0
+    with pytest.raises(ValueError, match="overflows"):
+        calibrate_theoretical(1e200, 100, 1000, 0.5)
 
 
 def test_calibrate_practical_pinned():
@@ -118,6 +120,13 @@ def test_calibrate_practical_pinned():
         calibrate_practical(0.0, 1.0)
     with pytest.raises(ValueError):
         calibrate_practical(1.0, -1.0)
+    # an infinite multiplier would charge rho_step = 0 for a noiseless step
+    with pytest.raises(ValueError, match="finite"):
+        calibrate_practical(1.0, math.inf)
+    # finite multipliers whose square overflows or underflows a float
+    for z in (1e200, 1e-200):
+        with pytest.raises(ValueError, match="out of float range"):
+            calibrate_practical(1.0, z)
 
 
 @pytest.mark.parametrize("rho,delta", [(0.5, 1e-5), (0.125, 1e-2), (2.0, 1e-3)])

@@ -64,6 +64,8 @@ def test_eta_schedule():
         EtaSchedule("linear", 0.1)
     with pytest.raises(ValueError):
         EtaSchedule("constant", 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        EtaSchedule("constant", math.inf)
 
 
 def test_theorem_step_size():
@@ -155,6 +157,8 @@ def test_trainer_config_validation():
             TrainerConfig("theoretical", 10, eta, projection_radius=bad)
         with pytest.raises(ValueError, match="clip_norm"):
             TrainerConfig("practical", 10, eta, clip_norm=bad)
+    with pytest.raises(ValueError, match="clip_norm must be positive and finite"):
+        TrainerConfig("practical", 10, eta, clip_norm=math.inf)
 
 
 # ---------------------------------------------------------------------------
