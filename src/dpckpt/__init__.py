@@ -32,8 +32,7 @@ from .privacy import (
 from .trainer import (
     RunRecord,
     TrainerConfig,
-    dp_sgd_practical,
-    dp_sgd_theoretical,
+    dp_sgd_practical_runs,
     dp_sgd_theoretical_runs,
     load_run,
     save_run,
@@ -70,8 +69,7 @@ __all__ = [
     "zcdp_to_epsilon",
     "RunRecord",
     "TrainerConfig",
-    "dp_sgd_practical",
-    "dp_sgd_theoretical",
+    "dp_sgd_practical_runs",
     "dp_sgd_theoretical_runs",
     "load_run",
     "save_run",

@@ -4,14 +4,20 @@ Each task declares its config keys as one table in KEY_TABLES, and its
 driver opens with one read_keys call that parses and checks every value
 and rejects a key the table does not list. The cross-key checks and the
 library objects that own the other value rules come next, so a config
-that cannot finish fails before any training or simulation starts. A
-driver then fans per-seed work (or groups of seeds, each trained as one
-batch) out to a process pool when workers > 1, and funnels every artifact
-write through the parent process. Results are deterministic functions of
-the config plus the master seed, independent of worker count.
+that cannot finish fails before any training or simulation starts.
+
+A training task builds one TrainerConfig for all of its seeds. One
+_train_and_score call cuts the seed list into contiguous groups, trains
+each group as one batched trainer call, scores every record and returns
+the scores in seed order; _run_parallel fans the groups (or uq_compare's
+seeds, or dpld_bias's points) out to a process pool when workers > 1, and
+every artifact write stays in the parent process. Results are
+deterministic functions of the config plus the master seed, independent
+of worker count.
 """
 
 import csv
+import functools
 import json
 import math
 import os
@@ -150,7 +156,6 @@ def tune_on_validation(
     candidates: Sequence[AggregationSpec],
     evaluate: Callable[[AggregationSpec, DatasetHandle], float],
     validation: DatasetHandle,
-    forbidden_tags: Sequence[str] = ("train", "heldout"),
 ) -> tuple[AggregationSpec, float]:
     """Candidate with the best validation accuracy.
 
@@ -160,7 +165,7 @@ def tune_on_validation(
     """
     if not candidates:
         raise ValueError("no candidates to tune over")
-    if validation.tag in forbidden_tags:
+    if validation.tag in ("train", "heldout"):
         raise ConfigError(
             f"validation partition is tagged {validation.tag!r}; tuning data must be disjoint"
         )
@@ -277,6 +282,11 @@ def _at_least(low: int) -> tuple:
     return (lambda v: v >= low), f"must be at least {low}"
 
 
+def _count(low: int) -> tuple:
+    """A count is bounded like a step count, below 2**31."""
+    return (lambda v: low <= v <= trainer.MAX_STEPS), f"must be at least {low} and below 2**31"
+
+
 def _one_of(names: Sequence[str]) -> tuple:
     return (lambda v: v in names), "must be one of " + ", ".join(names)
 
@@ -303,7 +313,7 @@ def _training_keys(num_seeds: int, n: int, p: int, classes: int, separation: flo
     return _RUN_KEYS + (
         Key("seeds", "int_list", None, lambda s: 0 < len(s) == len(set(s)),
             "must list one or more distinct seeds", excludes=("num_seeds",)),
-        Key("num_seeds", "int", num_seeds, *_at_least(1)),
+        Key("num_seeds", "int", num_seeds, *_count(1)),
         Key("data.csv", "str", None, excludes=_SYNTH_KEYS),
         Key("data.n", "int", n),
         Key("data.p", "int", p),
@@ -395,18 +405,17 @@ KEY_TABLES: dict[str, tuple[Key, ...]] = {
         Key("uq.epsilons", "float_list", (1.0, 8.0), *_NONEMPTY),
         Key("uq.k_values", "int_list", (3, 5, 10), lambda ks: bool(ks) and min(ks) >= 2,
             "must list one or more k, and k must be at least 2"),
-        Key("uq.pool_runs", "int", 10),
+        Key("uq.pool_runs", "int", 10, *_count(1)),
         Key("uq.level", "float", 0.95, lambda a: 0 < a < 1, "level must be in (0, 1)"),
         Key("uq.statistic", "str", "modal_class_probability",
             *_one_of(uncertainty.STATISTIC_MODES)),
-        Key("uq.num_test_inputs", "int", 50, *_at_least(1)),
+        Key("uq.num_test_inputs", "int", 50, *_count(1)),
     ),
     "dpld_bias": _RUN_KEYS + (
-        Key("dpld.dim", "int", 4, *_at_least(1)),
+        Key("dpld.dim", "int", 4, *_count(1)),
         Key("dpld.sigma", "float", 1.0),
         Key("dpld.k", "int", 5),
-        Key("dpld.trials", "int", 10_000, lambda t: dpld.MIN_TRIALS <= t < dpld.MAX_TRIALS,
-            f"must be at least {dpld.MIN_TRIALS} and below 2**31"),
+        Key("dpld.trials", "int", 10_000, *_count(dpld.MIN_TRIALS)),
         Key("dpld.points", "float_pairs", (
             (20.0, 20.0), (0.01, 0.01), (0.1, 10.0), (1.0, 10.0), (10.0, 10.0), (10.0, 0.1),
             (10.0, 1.0),
@@ -414,7 +423,7 @@ KEY_TABLES: dict[str, tuple[Key, ...]] = {
         # NaN and inf are left to LDConfig, whose theta_start must be finite
         Key("dpld.start_distance", "float", 10.0, lambda d: not d < 0, "must be nonnegative"),
         Key("dpld.statistic", "str", "clamped_coord", *_one_of(tuple(_STATISTICS))),
-        Key("dpld.oracle_samples", "int", 1_000_000, *_at_least(dpld.MIN_ORACLE_SAMPLES)),
+        Key("dpld.oracle_samples", "int", 1_000_000, *_count(dpld.MIN_ORACLE_SAMPLES)),
         Key("dpld.c_constant", "float", 4.0),
         Key("dpld.delta_target", "float", 1e-2),
     ),
@@ -425,11 +434,13 @@ KEY_TABLES: dict[str, tuple[Key, ...]] = {
 # shared task plumbing
 
 
-def _run_parallel(worker, arg_tuples: list, workers: int) -> list:
-    if workers <= 1 or len(arg_tuples) <= 1:
-        return [worker(args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, arg_tuples))
+def _run_parallel(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], on a pool of at most `workers` processes."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    # a forked pool starts all its processes at once, so never more than items
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _resolve_seeds(cfg: dict, master_seed: int) -> list[int]:
@@ -520,23 +531,18 @@ def _check_batch_fits(config: "trainer.TrainerConfig", data: DatasetHandle) -> N
         )
 
 
-def _trainer_configs(seeds: Sequence[int], eta: tuple[str, float], **fields):
-    """One TrainerConfig per seed, alike in every other field.
-
-    This is the harness's only TrainerConfig construction: a value that
+def _trainer_config(eta: tuple[str, float], **fields) -> "trainer.TrainerConfig":
+    """The harness's only TrainerConfig construction: a value that
     TrainerConfig or its EtaSchedule (kind, value) rejects becomes a config
-    error here, before any training starts.
-    """
+    error here, before any training starts."""
     with _config_errors("trainer setting"):
-        template = trainer.TrainerConfig(eta=trainer.EtaSchedule(*eta), **fields)
-    return [replace(template, seed=s) for s in seeds]
+        return trainer.TrainerConfig(eta=trainer.EtaSchedule(*eta), **fields)
 
 
-def _theoretical_configs(
-    model, n: int, rho: float, radius: float, seeds: Sequence[int],
-    steps: int | None = None, every: int | None = None,
-) -> list["trainer.TrainerConfig"]:
-    """Configs of seeded theoretical runs under a total budget of rho-zCDP.
+def _theoretical_config(
+    model, n: int, rho: float, radius: float, steps: int | None = None, every: int | None = None
+) -> "trainer.TrainerConfig":
+    """The config of theoretical runs under a total budget of rho-zCDP.
 
     T is choose_T(n, rho) unless steps is given; the step size is the
     theorem schedule for the noise that rho calibrates over T steps. A
@@ -546,8 +552,7 @@ def _theoretical_configs(
         steps = trainer.choose_T(n, rho) if steps is None else steps
         noise = privacy.calibrate_theoretical(model.lipschitz, steps, n, rho)
         eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
-    return _trainer_configs(
-        seeds,
+    return _trainer_config(
         (eta.kind, eta.value),
         mode="theoretical",
         num_steps=steps,
@@ -556,12 +561,9 @@ def _theoretical_configs(
     )
 
 
-def _practical_configs(
-    cfg: dict, seeds: Sequence[int]
-) -> tuple[list["trainer.TrainerConfig"], float]:
-    """Configs of seeded practical runs and their noise multiplier."""
-    configs = _trainer_configs(
-        seeds,
+def _practical_config(cfg: dict) -> tuple["trainer.TrainerConfig", float]:
+    """The config of practical runs and their noise multiplier."""
+    config = _trainer_config(
         ("constant", cfg["train.eta"]),
         mode="practical",
         num_steps=cfg["train.steps"],
@@ -571,8 +573,8 @@ def _practical_configs(
     )
     z = cfg["train.noise_multiplier"]
     with _config_errors("trainer setting", "train.noise_multiplier"):
-        trainer.practical_noise(configs[0], z)
-    return configs, z
+        trainer.practical_noise(config, z)
+    return config, z
 
 
 def _contiguous_groups(items: list, parts: int) -> list[list]:
@@ -584,6 +586,26 @@ def _contiguous_groups(items: list, parts: int) -> list[list]:
 def _save_runs(records, out_dir: str) -> None:
     for i, record in enumerate(records):
         trainer.save_run(record, os.path.join(out_dir, "runs", f"seed_{i:03d}"))
+
+
+def _train_group(train, score, seeds: list[int]) -> list[tuple]:
+    return [(record, score(record)) for record in train(seeds)]
+
+
+def _train_and_score(train, score, seeds: list[int], workers: int, save_dir: str | None) -> list:
+    """score(record) for each seed's run, in seed order.
+
+    train(group) is one batched trainer call. The seeds are cut into at
+    most `workers` contiguous groups, one call each; a run is bit-identical
+    whatever batch it trains in, so the scores do not depend on workers.
+    With save_dir set, the runs are saved under save_dir/runs.
+    """
+    train_group = functools.partial(_train_group, train, score)
+    groups = _run_parallel(train_group, _contiguous_groups(seeds, workers), workers)
+    results = [pair for group in groups for pair in group]
+    if save_dir is not None:
+        _save_runs([record for record, _ in results], save_dir)
+    return [scores for _, scores in results]
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +630,14 @@ def run_single_training(view: ConfigView, out_dir: str, master_seed: int, worker
 
     if mode == "theoretical":
         rho = cfg["train.rho"]
-        (config,) = _theoretical_configs(
-            model, data.n, rho, radius, seeds, cfg["train.steps"], cfg["train.checkpoint_every"]
+        config = _theoretical_config(
+            model, data.n, rho, radius, cfg["train.steps"], cfg["train.checkpoint_every"]
         )
-        record = trainer.dp_sgd_theoretical(model, data, config, rho=rho, delta=delta)
+        (record,) = trainer.dp_sgd_theoretical_runs(model, data, config, seeds, rho, delta)
     else:
-        (config,), z = _practical_configs(cfg, seeds)
+        config, z = _practical_config(cfg)
         _check_batch_fits(config, data)
-        record = trainer.dp_sgd_practical(model, data, config, z, delta=delta)
+        (record,) = trainer.dp_sgd_practical_runs(model, data, config, seeds, z, delta)
 
     trainer.save_run(record, out_dir)
     rows = [
@@ -629,18 +651,12 @@ def run_single_training(view: ConfigView, out_dir: str, master_seed: int, worker
 # task: excess-risk comparison of aggregators vs the last iterate
 
 
-def _risk_group_worker(args):
-    """Train a group of seeds as one batch; (record, excess risks) per seed."""
-    model, data, configs, rho, delta, min_loss, specs = args
-    records = trainer.dp_sgd_theoretical_runs(model, data, configs, rho=rho, delta=delta)
-    out = []
-    for record in records:
-        params, steps = record.params, record.steps
-        thetas = [params[-1]] + [aggregate.combine(spec, params, steps) for spec in specs]
-        excess = model.loss_full(np.array(thetas), data) - min_loss
-        labels = ["last"] + [spec.label() for spec in specs]
-        out.append((record, dict(zip(labels, excess.tolist()))))
-    return out
+def _excess_risks(model, data, min_loss, specs, record) -> dict:
+    """Excess risk of the last iterate and of each spec's aggregate."""
+    params, steps = record.params, record.steps
+    thetas = [params[-1]] + [aggregate.combine(spec, params, steps) for spec in specs]
+    excess = model.loss_full(np.array(thetas), data) - min_loss
+    return dict(zip(["last"] + [spec.label() for spec in specs], excess.tolist()))
 
 
 def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
@@ -666,30 +682,27 @@ def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: 
         )
 
     model = _logistic_model(data, cfg["train.l2_reg"], radius)
-    configs = _theoretical_configs(
-        model, data.n, rho, radius, seeds, cfg["train.steps"], cfg["train.checkpoint_every"]
+    config = _theoretical_config(
+        model, data.n, rho, radius, cfg["train.steps"], cfg["train.checkpoint_every"]
     )
-    _check_k_fits(specs, configs[0], "agg.list")
+    _check_k_fits(specs, config, "agg.list")
     min_loss = trainer.min_loss_in_ball(model, data, radius)
 
-    # one batched trainer call per worker group; bit-identical per seed
-    # whatever the grouping, so the table does not depend on workers
-    args = [
-        (model, data, group, rho, delta, min_loss, specs)
-        for group in _contiguous_groups(configs, workers)
-    ]
-    results = [r for group in _run_parallel(_risk_group_worker, args, workers) for r in group]
-
-    rows = [summarize("excess_last", [r[1]["last"] for r in results])]
+    train = functools.partial(
+        trainer.dp_sgd_theoretical_runs, model, data, config, rho=rho, delta=delta
+    )
+    results = _train_and_score(
+        train, functools.partial(_excess_risks, model, data, min_loss, specs),
+        seeds, workers, out_dir if cfg["save_runs"] else None,
+    )
+    rows = [summarize("excess_last", [r["last"] for r in results])]
     for spec in specs:
         label = spec.label()
-        rows.append(summarize(f"excess_{label}", [r[1][label] for r in results]))
+        rows.append(summarize(f"excess_{label}", [r[label] for r in results]))
     for spec in specs:
         label = spec.label()
-        wins = [1.0 if r[1][label] < r[1]["last"] else 0.0 for r in results]
+        wins = [1.0 if r[label] < r["last"] else 0.0 for r in results]
         rows.append(summarize(f"frac_{label}_beats_last", wins))
-    if cfg["save_runs"]:
-        _save_runs([r[0] for r in results], out_dir)
     return ResultTable(rows)
 
 
@@ -697,29 +710,22 @@ def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: 
 # task: aggregation accuracy evaluation (and the two sweep variants)
 
 
-def _train_and_score_worker(args):
-    """Train a group of seeds as one batch; (record, accuracy per setting) per seed."""
-    model, parts, configs, z, delta, specs, eval_part, eval_data = args
-    records = trainer.dp_sgd_practical_runs(
-        model, parts["train"], configs, z, delta=delta, eval_data=eval_data
-    )
+def _accuracies(model, parts, specs, eval_part, record) -> dict:
+    """Accuracy on the eval_part partition of the last iterate and of each spec."""
     target = parts[eval_part]
-    out = []
-    for record in records:
-        scores = {"last": accuracy(model, record.params[-1], target)}
-        for spec in specs:
-            scores[spec.label()] = aggregation_accuracy(
-                spec, record, model, target, heldout=parts["heldout"], train_tag="train"
-            )
-        out.append((record, scores))
-    return out
+    scores = {"last": accuracy(model, record.params[-1], target)}
+    for spec in specs:
+        scores[spec.label()] = aggregation_accuracy(
+            spec, record, model, target, heldout=parts["heldout"], train_tag="train"
+        )
+    return scores
 
 
-def _practical_setup(cfg: dict, master_seed: int):
+def _practical_setup(cfg: dict):
     """Shared data/model/config values of the practical-trainer tasks:
-    (model, partitions, one config per seed, noise multiplier, delta)."""
+    (model, partitions, config, noise multiplier, delta)."""
     delta = _checked_delta(cfg)
-    configs, z = _practical_configs(cfg, _resolve_seeds(cfg, master_seed))
+    config, z = _practical_config(cfg)
     parts = split_dataset(
         _dataset(cfg),
         seed=cfg["data.split_seed"],
@@ -728,7 +734,7 @@ def _practical_setup(cfg: dict, master_seed: int):
         test_fraction=cfg["data.test_fraction"],
     )
     model = _logistic_model(parts["train"], cfg["train.l2_reg"], 1.0)
-    return model, parts, configs, z, delta
+    return model, parts, config, z, delta
 
 
 def _run_scored(
@@ -740,24 +746,22 @@ def _run_scored(
     and the last iterate's accuracy per seed. When save_runs holds, the runs
     are saved with their per-step test accuracy."""
     workers = cfg["workers"] if workers is None else workers
-    model, parts, configs, z, delta = _practical_setup(cfg, master_seed)
-    _check_k_fits(specs, configs[0], specs_key)
-    _check_batch_fits(configs[0], parts["train"])
+    model, parts, config, z, delta = _practical_setup(cfg)
+    _check_k_fits(specs, config, specs_key)
+    _check_batch_fits(config, parts["train"])
 
-    eval_data = parts["test"] if cfg["save_runs"] else None
-    # one batched trainer call per worker group, as in run_risk_compare
-    args = [
-        (model, parts, group, z, delta, specs, eval_part, eval_data)
-        for group in _contiguous_groups(configs, workers)
-    ]
-    results = [r for group in _run_parallel(_train_and_score_worker, args, workers) for r in group]
-
-    rows = [summarize(spec.label(), [r[1][spec.label()] for r in results]) for spec in specs]
+    train = functools.partial(
+        trainer.dp_sgd_practical_runs, model, parts["train"], config, noise_multiplier=z,
+        delta=delta, eval_data=parts["test"] if cfg["save_runs"] else None,
+    )
+    results = _train_and_score(
+        train, functools.partial(_accuracies, model, parts, specs, eval_part),
+        _resolve_seeds(cfg, master_seed), workers, out_dir if cfg["save_runs"] else None,
+    )
+    rows = [summarize(spec.label(), [r[spec.label()] for r in results]) for spec in specs]
     entries = [_spec_entry(spec, row.mean, row.n_seeds) for spec, row in zip(specs, rows)]
     _write_json(os.path.join(out_dir, "aggregates.json"), entries)
-    if cfg["save_runs"]:
-        _save_runs([r[0] for r in results], out_dir)
-    return rows, [r[1]["last"] for r in results]
+    return rows, [r["last"] for r in results]
 
 
 def run_aggregate_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
@@ -794,16 +798,9 @@ def run_k_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int |
 # task: periodically shifting distribution, aggregation as a stabilizer
 
 
-def _pds_group_worker(args):
-    """Train a group of seeds as one batch, then tune and score each seed."""
-    (model, parts, configs, z, delta, beta_specs, k_specs, window, eval_data) = args
-    records = trainer.dp_sgd_practical_runs(
-        model, parts["train"], configs, z, delta=delta, eval_data=eval_data
-    )
-    return [_pds_scores(record, model, parts, beta_specs, k_specs, window) for record in records]
-
-
-def _pds_scores(record, model, parts, beta_specs, k_specs, window) -> dict:
+def _pds_scores(model, parts, beta_specs, k_specs, window, record) -> dict:
+    """Tune EMA and UPA on validation, then the test accuracy series of the
+    raw checkpoints and of both winners over the trailing window."""
     params, steps = record.params, record.steps
 
     def spec_window_accuracy(spec: AggregationSpec, part: DatasetHandle) -> float:
@@ -819,7 +816,6 @@ def _pds_scores(record, model, parts, beta_specs, k_specs, window) -> dict:
         params, steps, model, parts["test"], [best_ema, best_upa], window
     )
     return {
-        "record": record,
         "best_ema": best_ema,
         "best_upa": best_upa,
         "steps": ema_rep.steps,
@@ -835,8 +831,8 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int 
     # actually show up at this scale.
     cfg = read_keys(view, KEY_TABLES["pds_eval"])
     workers = cfg["workers"] if workers is None else workers
-    model, parts, configs, z, delta = _practical_setup(cfg, master_seed)
-    num_ckpts = _num_checkpoints(configs[0])
+    model, parts, config, z, delta = _practical_setup(cfg)
+    num_ckpts = _num_checkpoints(config)
     window = max(2, int(round(cfg["stability.window_fraction"] * num_ckpts)))
     if window > num_ckpts:
         raise ConfigError(
@@ -851,19 +847,20 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int 
 
     period = cfg["pds.period"]
     if period is None:
-        period = max(2, configs[0].num_steps // 8)
+        period = max(2, config.num_steps // 8)
     labels = parts["train"].labels
     even = np.flatnonzero(labels % 2 == 0)
     odd = np.flatnonzero(labels % 2 == 1)
     with _config_errors("diurnal schedule", "pds.period"):
         schedule = DiurnalSchedule(period, even, odd)
-    eval_data = parts["test"] if cfg["save_runs"] else None
-    configs = [replace(c, diurnal=schedule) for c in configs]
-    args = [
-        (model, parts, group, z, delta, beta_specs, k_specs, window, eval_data)
-        for group in _contiguous_groups(configs, workers)
-    ]
-    results = [r for group in _run_parallel(_pds_group_worker, args, workers) for r in group]
+    train = functools.partial(
+        trainer.dp_sgd_practical_runs, model, parts["train"], replace(config, diurnal=schedule),
+        noise_multiplier=z, delta=delta, eval_data=parts["test"] if cfg["save_runs"] else None,
+    )
+    results = _train_and_score(
+        train, functools.partial(_pds_scores, model, parts, beta_specs, k_specs, window),
+        _resolve_seeds(cfg, master_seed), workers, out_dir if cfg["save_runs"] else None,
+    )
 
     methods = ("baseline", "ema", "upa")
     rows = [
@@ -886,8 +883,6 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int 
             for method in methods:
                 for step, acc in zip(r["steps"], r[method]):
                     fh.write(f"{i},{method},{step},{float(acc)!r}\n")
-    if cfg["save_runs"]:
-        _save_runs([r["record"] for r in results], out_dir)
     return ResultTable(rows)
 
 
@@ -895,15 +890,17 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int 
 # task: single-run uncertainty vs independent runs
 
 
-def _uq_seed_worker(args):
-    model, data, test_inputs, outer_seed, eps_list, k_list, level, mode, pool, delta, radius = args
+def _uq_widths(model, data, test_inputs, cfg: dict, delta: float, outer_seed: int) -> dict:
+    """(eps, k) -> (per-input checkpoint widths, mean independent width)
+    for one outer seed, whose pool trains as one batch per epsilon."""
+    k_list, level, mode = cfg["uq.k_values"], cfg["uq.level"], cfg["uq.statistic"]
     out = {}
-    pool_seeds = [derive_run_seed(outer_seed, j) for j in range(pool)]
+    pool_seeds = [derive_run_seed(outer_seed, j) for j in range(cfg["uq.pool_runs"])]
     chosen = {k: uncertainty.independent_rows(pool_seeds, k, outer_seed) for k in k_list}
-    for eps in eps_list:
+    for eps in cfg["uq.epsilons"]:
         rho = privacy.epsilon_to_zcdp(eps, delta)
-        configs = _theoretical_configs(model, data.n, rho, radius, pool_seeds, every=1)
-        runs = trainer.dp_sgd_theoretical_runs(model, data, configs, rho=rho, delta=delta)
+        config = _theoretical_config(model, data.n, rho, cfg["train.radius"], every=1)
+        runs = trainer.dp_sgd_theoretical_runs(model, data, config, pool_seeds, rho, delta)
         # statistics of the first run's last max(k) checkpoints and of every
         # run's final checkpoint; each (eps, k) cell selects rows of these
         last = uncertainty.statistic_matrix(
@@ -925,11 +922,10 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
     cfg = read_keys(view, KEY_TABLES["uq_compare"])
     workers = cfg["workers"] if workers is None else workers
     eps_list, k_list = cfg["uq.epsilons"], cfg["uq.k_values"]
-    level, mode, pool = cfg["uq.level"], cfg["uq.statistic"], cfg["uq.pool_runs"]
     delta = _checked_delta(cfg)
     seeds = _resolve_seeds(cfg, master_seed)
     data = _dataset(cfg, tag="train")
-    if pool < max(k_list):
+    if cfg["uq.pool_runs"] < max(k_list):
         raise ConfigError("pool must hold at least max(k) runs", key="uq.pool_runs")
     with _config_errors("privacy setting", "uq.epsilons"):
         rhos = [privacy.epsilon_to_zcdp(e, delta) for e in eps_list]
@@ -940,17 +936,14 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
             key="uq.k_values",
         )
 
-    radius = cfg["train.radius"]
-    model = _logistic_model(data, cfg["train.l2_reg"], radius)
+    model = _logistic_model(data, cfg["train.l2_reg"], cfg["train.radius"])
     test_inputs = synth_classification(
         cfg["uq.num_test_inputs"], data.p, data.num_classes, separation=2.0, seed=99
     ).features
 
-    args = [
-        (model, data, test_inputs, s, eps_list, k_list, level, mode, pool, delta, radius)
-        for s in seeds
-    ]
-    results = _run_parallel(_uq_seed_worker, args, workers)
+    results = _run_parallel(
+        functools.partial(_uq_widths, model, data, test_inputs, cfg, delta), seeds, workers
+    )
 
     rows = []
     for eps in eps_list:
@@ -970,7 +963,8 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
     # seed's first run at the first (epsilon, k) cell
     widths = results[0][(eps_list[0], k_list[0])][0]
     uncertainty.write_uq_report(
-        os.path.join(out_dir, "uq_report.json"), k_list[0], level, mode, widths
+        os.path.join(out_dir, "uq_report.json"), k_list[0], cfg["uq.level"], cfg["uq.statistic"],
+        widths,
     )
     return ResultTable(rows)
 
@@ -979,8 +973,10 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
 # task: variance-estimator bias on the Langevin simulator
 
 
-def _dpld_point_worker(args):
-    config, times, stat_name, trials, seed, oracle = args
+def _dpld_point(config, stat_name: str, trials: int, oracle, point) -> "dpld.VarianceBiasReport":
+    """The bias experiment at one (times, seed) point; the statistic is
+    rebuilt here because its closure does not pickle."""
+    times, seed = point
     stat = _STATISTICS[stat_name](config.model.center)
     return dpld.variance_bias_experiment(config, times, stat, trials, seed, oracle)
 
@@ -1009,11 +1005,10 @@ def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int
         *dpld.stationary_law(config), stat, cfg["dpld.oracle_samples"],
         seed=derive_run_seed(master_seed, 0),
     )
-    args = [
-        (config, times, stat_name, trials, derive_run_seed(master_seed, i), oracle)
-        for i, times in enumerate(all_times)
-    ]
-    reports = _run_parallel(_dpld_point_worker, args, workers)
+    points = [(times, derive_run_seed(master_seed, i)) for i, times in enumerate(all_times)]
+    reports = _run_parallel(
+        functools.partial(_dpld_point, config, stat_name, trials, oracle), points, workers
+    )
 
     dpld.write_dpld_report(reports, os.path.join(out_dir, "dpld_report.csv"))
     rows = [

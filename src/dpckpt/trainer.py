@@ -1,29 +1,30 @@
 """DP-SGD trainers emitting checkpoint streams.
 
-Two modes share the checkpoint/metrics plumbing:
+A TrainerConfig holds everything about a run but its seed. Each trainer
+takes one config and a list of S seeds, and returns one RunRecord per
+seed. Two modes share the checkpoint/metrics plumbing:
 
   theoretical  full-gradient projected DP-SGD started at the origin,
                with per-step Gaussian noise calibrated so the whole
-               T-step run is rho-zCDP. S runs that differ only in their
-               seed train as one loop over an (S, p) iterate matrix:
-               each step makes one model.loss_and_grad call on the S
-               projected rows, one logits pass that gives the step's
-               recorded loss and the next step's gradient (T + 1 passes
-               in all, the first at the origin), and the noise for a
-               chunk of steps of all S seeds comes from one
-               rng.gaussian_steps draw. Every row equals the run trained
-               alone bit for bit, so a one-run call is the S = 1 case of
-               the same loop.
+               T-step run is rho-zCDP. The S seeds train as one loop
+               over an (S, p) iterate matrix: each step makes one
+               model.loss_and_grad call on the S projected rows, one
+               logits pass that gives the step's recorded loss and the
+               next step's gradient (T + 1 passes in all, the first at
+               the origin), and the noise for a chunk of steps of all S
+               seeds comes from one rng.gaussian_steps draw. Every row
+               equals the run trained alone bit for bit, so one run is
+               the seed list [seed].
   practical    minibatch DP-SGD with per-example clipping, noise on the
                summed clipped gradient, and plain T-fold composition
                accounting (no subsampling amplification claimed).
-               S runs that differ only in their seed train as one loop
-               over an (S, p) iterate matrix too. Each seed draws its
-               step's minibatch from its own (seed, step) generator, as
-               row indices into the training data, uniformly without
-               replacement or by the diurnal schedule; the S index
-               vectors gather one (S, B, d) batch, and each step makes
-               one model.clipped_grad_mean call (the clipped per-example
+               The S seeds train as one loop over an (S, p) iterate
+               matrix too. Each seed draws its step's minibatch from its
+               own (seed, step) generator, as row indices into the
+               training data, uniformly without replacement or by the
+               diurnal schedule; the S index vectors gather one
+               (S, B, d) batch, and each step makes one
+               model.clipped_grad_mean call (the clipped per-example
                mean, without forming per-example gradients) and one
                model.batch_loss call on it. Every row equals the run
                trained alone bit for bit.
@@ -36,7 +37,7 @@ A run is its checkpoints: RunRecord holds the (K, p) float64 checkpoint
 matrix and its (K,) step vector, the (params, steps) pair the aggregators
 read, and save_run/load_run write and read that matrix as it is.
 
-Runs are deterministic functions of (model, data, config): all noise,
+Runs are deterministic functions of (model, data, config, seed): all noise,
 batch selection, and initialization draws are addressed by
 (seed, stream, step) through the counter-based generator in rng.py, so
 concurrent runs can never perturb each other.
@@ -45,7 +46,7 @@ concurrent runs can never perturb each other.
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +57,9 @@ from .privacy import PrivacyBudget, calibrate_practical, calibrate_theoretical, 
 
 # ---------------------------------------------------------------------------
 # configuration
+
+# the largest step count, the bound dpld.MAX_TRIALS puts on trials
+MAX_STEPS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -100,14 +104,13 @@ class TrainerConfig:
     clip_norm: float = 1.0
     batch_size: int = 32
     checkpoint_every: int | None = None  # None = resolve by default cadence
-    seed: int = 0
     diurnal: DiurnalSchedule | None = None
 
     def __post_init__(self):
         if self.mode not in ("theoretical", "practical"):
             raise ValueError(f"unknown trainer mode {self.mode!r}")
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be at least 1")
+        if not 1 <= self.num_steps <= MAX_STEPS:
+            raise ValueError("num_steps must be at least 1 and below 2**31")
         if not self.projection_radius > 0:
             raise ValueError("projection_radius must be positive")
         if not 0 < self.clip_norm < math.inf:
@@ -135,20 +138,17 @@ class Checkpoint:
 
 @dataclass
 class RunRecord:
-    """One run: the (K, p) checkpoint matrix, its (K,) steps, and metrics.
+    """One run: its seed, the (K, p) checkpoint matrix, its (K,) steps, and metrics.
 
     Row i of params is theta after step steps[i]; metrics has one row per step.
     """
 
     config: TrainerConfig
+    seed: int
     budget: PrivacyBudget
     params: np.ndarray  # (K, p) float64, one row per checkpoint
     steps: np.ndarray  # (K,) checkpoint steps
     metrics: np.ndarray  # (num_steps, 2): train_loss, eval_acc (nan if unset)
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
 
     # Kept because the benchmark's reload check and AC9 read them; the
     # package itself reads params and steps directly.
@@ -174,6 +174,8 @@ def choose_T(n: int, rho: float) -> int:
         raise ValueError("need n >= 1 and rho > 0")
     if not math.isfinite(rho):
         raise ValueError("an infinite rho (no noise) needs an explicit step count")
+    if n * rho > MAX_STEPS:
+        raise ValueError(f"ceil(n * rho) = {n * rho:.3g} steps is not below 2**31")
     return max(1, math.ceil(n * rho))
 
 
@@ -209,54 +211,36 @@ def checkpoint_steps(num_steps: int, every: int) -> list[int]:
     return steps
 
 
-def dp_sgd_theoretical(
-    model: LossModel,
-    data: DatasetHandle,
-    config: TrainerConfig,
-    rho: float,
-    delta: float = 1e-5,
-    eval_data: DatasetHandle | None = None,
-) -> RunRecord:
-    """Projected full-gradient DP-SGD under a total budget of rho-zCDP.
-
-    theta_0 = 0; at each step the exact gradient plus calibrated Gaussian
-    noise is applied and the iterate is projected back onto the radius-R
-    ball. rho = inf runs the zero-noise limit. Pass eval_data to record
-    per-step accuracy (otherwise that metric column is NaN).
-    """
-    return dp_sgd_theoretical_runs(model, data, [config], rho, delta, eval_data)[0]
-
-
-def _shared_config(configs: list[TrainerConfig], mode: str) -> TrainerConfig:
-    """The config of a batch of runs, which must differ only in their seed."""
-    if not configs:
-        raise ValueError("need at least one config")
-    config = configs[0]
-    if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError(f"batched {mode} runs must differ only in their seed")
+def _check_runs(config: TrainerConfig, seeds: list[int], mode: str) -> None:
     if config.mode != mode:
         raise ValueError(f"config.mode must be {mode!r}")
-    return config
+    if not seeds:
+        raise ValueError("need at least one seed")
 
 
 def dp_sgd_theoretical_runs(
     model: LossModel,
     data: DatasetHandle,
-    configs: list[TrainerConfig],
+    config: TrainerConfig,
+    seeds: list[int],
     rho: float,
     delta: float = 1e-5,
     eval_data: DatasetHandle | None = None,
 ) -> list[RunRecord]:
-    """dp_sgd_theoretical for configs that differ only in their seed.
+    """Projected full-gradient DP-SGD under a total budget of rho-zCDP, one run per seed.
+
+    theta_0 = 0; at each step the exact gradient plus calibrated Gaussian
+    noise is applied and the iterate is projected back onto the radius-R
+    ball. rho = inf runs the zero-noise limit. Pass eval_data to record
+    per-step accuracy (otherwise that metric column is NaN).
 
     The S runs advance together as the rows of one (S, p) iterate
-    matrix; record s is bit-identical to dp_sgd_theoretical(configs[s]).
+    matrix; record s is bit-identical to the call with seeds [seeds[s]].
     A non-finite loss in any row stops all of them at that step.
     """
-    config = _shared_config(configs, "theoretical")
+    _check_runs(config, seeds, "theoretical")
     if model.lipschitz is None or not math.isfinite(model.lipschitz):
         raise ValueError("theoretical mode needs a model with a finite Lipschitz bound")
-    seeds = [c.seed for c in configs]
     dim = model.param_dim()
     T = config.num_steps
     noise_std = calibrate_theoretical(model.lipschitz, T, data.n, rho).std
@@ -283,7 +267,7 @@ def dp_sgd_theoretical_runs(
             ckpts[:, ckpt_index[t]] = theta
     budget = PrivacyBudget.from_rho(rho, delta)
     steps = np.array(ckpt_steps)
-    return [RunRecord(c, budget, ckpts[s], steps, metrics[s]) for s, c in enumerate(configs)]
+    return [RunRecord(config, s, budget, ckpts[i], steps, metrics[i]) for i, s in enumerate(seeds)]
 
 
 def practical_noise(config: TrainerConfig, noise_multiplier: float) -> tuple[float, float]:
@@ -300,41 +284,29 @@ def practical_noise(config: TrainerConfig, noise_multiplier: float) -> tuple[flo
     raise ValueError("noise_multiplier must be nonnegative")
 
 
-def dp_sgd_practical(
+def dp_sgd_practical_runs(
     model: LossModel,
     data: DatasetHandle,
     config: TrainerConfig,
+    seeds: list[int],
     noise_multiplier: float,
     delta: float = 1e-5,
     eval_data: DatasetHandle | None = None,
-) -> RunRecord:
-    """Minibatch DP-SGD with per-example clipping.
+) -> list[RunRecord]:
+    """Minibatch DP-SGD with per-example clipping, one run per seed.
 
     Initialization is uniform in [-0.01, 0.01]^p from the run seed. Each
     step clips example gradients to clip_norm, averages, and perturbs the
     mean by N(0, (z*clip_norm / batch)^2) per coordinate. The reported
     budget is plain composition: rho = T / (2 z^2). noise_multiplier = 0
     degrades to non-private SGD and reports an infinite budget.
-    """
-    return dp_sgd_practical_runs(model, data, [config], noise_multiplier, delta, eval_data)[0]
-
-
-def dp_sgd_practical_runs(
-    model: LossModel,
-    data: DatasetHandle,
-    configs: list[TrainerConfig],
-    noise_multiplier: float,
-    delta: float = 1e-5,
-    eval_data: DatasetHandle | None = None,
-) -> list[RunRecord]:
-    """dp_sgd_practical for configs that differ only in their seed.
 
     The S runs advance together as the rows of one (S, p) iterate matrix;
     each seed draws its own batches and noise, so record s is bit-identical
-    to dp_sgd_practical(configs[s]). A non-finite loss or iterate in any
+    to the call with seeds [seeds[s]]. A non-finite loss or iterate in any
     row stops all of them at that step.
     """
-    config = _shared_config(configs, "practical")
+    _check_runs(config, seeds, "practical")
     diurnal = config.diurnal
     if diurnal is None and config.batch_size > data.n:
         raise ValueError("batch_size exceeds dataset size")
@@ -342,7 +314,6 @@ def dp_sgd_practical_runs(
         rows.min() < 0 or rows.max() >= data.n for rows in (diurnal.rows_a, diurnal.rows_b)
     ):
         raise ValueError(f"diurnal rows must index the {data.n} training rows")
-    seeds = [c.seed for c in configs]
     dim = model.param_dim()
     T = config.num_steps
     mean_noise_std, rho_total = practical_noise(config, noise_multiplier)
@@ -384,7 +355,7 @@ def dp_sgd_practical_runs(
             ckpts[:, ckpt_index[t]] = theta
     budget = PrivacyBudget.from_rho(rho_total, delta)
     steps = np.array(ckpt_steps)
-    return [RunRecord(c, budget, ckpts[s], steps, metrics[s]) for s, c in enumerate(configs)]
+    return [RunRecord(config, s, budget, ckpts[i], steps, metrics[i]) for i, s in enumerate(seeds)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +453,6 @@ def load_run(run_dir: str) -> RunRecord:
         clip_norm=c["clip_norm"],
         batch_size=c["batch_size"],
         checkpoint_every=c["checkpoint_every"],
-        seed=manifest["seed"],
     )
     budget = PrivacyBudget(
         rho=float(manifest["budget"]["rho"]),
@@ -515,4 +485,4 @@ def load_run(run_dir: str) -> RunRecord:
             rows.append((float(loss_s), float(acc_s)))
     if len(rows) != config.num_steps:
         raise ValueError(f"{metrics_path} has {len(rows)} step rows, not {config.num_steps}")
-    return RunRecord(config, budget, params, steps, np.array(rows))
+    return RunRecord(config, manifest["seed"], budget, params, steps, np.array(rows))

@@ -414,9 +414,10 @@ def test_ac9_determinism_and_postprocessing(tmp_path):
         eta=trainer.EtaSchedule("constant", 0.1),
         batch_size=25,
         checkpoint_every=1,
-        seed=3,
     )
-    record = trainer.dp_sgd_practical(model, data, config, noise_multiplier=1.0, delta=1e-5)
+    (record,) = trainer.dp_sgd_practical_runs(
+        model, data, config, [3], noise_multiplier=1.0, delta=1e-5
+    )
     before = (record.budget.rho, record.budget.epsilon, record.budget.delta)
     params_before = [p.copy() for p in record.checkpoint_params()]
 

@@ -28,7 +28,7 @@ from dpckpt.harness.experiments import (
     tune_on_validation,
 )
 from dpckpt.model import DatasetHandle, LossModel, QuadraticLoss, synth_classification
-from dpckpt import aggregate
+from dpckpt import aggregate, trainer
 
 # ---------------------------------------------------------------------------
 # config file format
@@ -448,7 +448,7 @@ train.rho = 0.05
 num_seeds = 3
 data.n = 200
 data.p = 4
-save_runs = false
+save_runs = true
 """
 
 
@@ -471,7 +471,7 @@ train.batch_size = 32
 agg.beta_grid = 0.9, 0.99
 agg.k_grid = 3, 5
 num_seeds = 2
-save_runs = false
+save_runs = true
 data.n = 400
 data.p = 4
 data.classes = 4
@@ -502,16 +502,16 @@ def test_worker_count_does_not_change_results(tmp_path):
     """The same experiment with 1 and 2 workers writes identical artifacts.
 
     risk_compare, aggregate_eval and pds_eval train each worker's seeds as
-    one batch and uq_compare each pool as one batch, so this also pins
-    batch composition; dpld_bias hands its one oracle to every worker, and
-    pds_eval its pickled diurnal schedule.
+    one batch and save every run in seed order, and uq_compare trains each
+    pool as one batch, so this also pins batch composition; dpld_bias hands
+    its one oracle to every worker, and pds_eval its pickled diurnal schedule.
     """
-    for name, text, files in (
-        ("risk", RISK_CFG, ["table.csv"]),
-        ("uq", UQ_CFG, ["table.csv", "uq_report.json"]),
-        ("dpld", DPLD_CFG, ["dpld_report.csv", "table.csv"]),
-        ("pds", PDS_CFG, ["table.csv", "aggregates.json", "plot_data.csv"]),
-        ("agg", AGG_SAVED_CFG, ["table.csv", "aggregates.json"]),
+    for name, text, files, num_runs in (
+        ("risk", RISK_CFG, ["table.csv"], 3),
+        ("uq", UQ_CFG, ["table.csv", "uq_report.json"], 0),
+        ("dpld", DPLD_CFG, ["dpld_report.csv", "table.csv"], 0),
+        ("pds", PDS_CFG, ["table.csv", "aggregates.json", "plot_data.csv"], 2),
+        ("agg", AGG_SAVED_CFG, ["table.csv", "aggregates.json"], 3),
     ):
         outs = []
         for workers in (1, 2):
@@ -520,12 +520,41 @@ def test_worker_count_does_not_change_results(tmp_path):
             run_experiment(view, str(out), master_seed=0, workers=workers)
             run_files = sorted(
                 str(path.relative_to(out))
-                for pattern in ("runs/*/checkpoints.bin", "runs/*/metrics.csv")
+                for pattern in ("runs/*/manifest.json", "runs/*/checkpoints.bin",
+                                "runs/*/metrics.csv")
                 for path in out.glob(pattern)
             )
+            assert len(run_files) == 3 * num_runs
+            for i in range(num_runs):
+                run = trainer.load_run(out / "runs" / f"seed_{i:03d}")
+                assert run.seed == derive_run_seed(0, i)
             outs.append([(f, (out / f).read_bytes()) for f in files + run_files])
         assert outs[0] == outs[1]
-    assert sum(f.startswith("runs/") for f, _ in outs[0]) == 2 * 3
+
+
+def test_run_parallel_never_starts_more_processes_than_items(monkeypatch):
+    """A forked pool starts all of its processes at once, so a workers value
+    above the item count must not reach it."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    assert experiments._run_parallel(abs, [-1, -2, 3], 10**20) == [1, 2, 3]
+    assert experiments._run_parallel(abs, [-1, -2, 3], 2) == [1, 2, 3]
+    assert experiments._run_parallel(abs, [-4], 10**20) == [4]
+    assert sizes == [3, 2]
 
 
 def test_dpld_bias_draws_one_oracle_for_every_point(tmp_path, monkeypatch):
@@ -807,6 +836,17 @@ _BAD_KEY_IDS = [
         ("train", "train.noise_multiplier = 1e200\n", "out of float range"),
         ("train", "train.noise_multiplier = 1e-200\n", "out of float range"),
         ("train", "train.mode = theoretical\ntrain.l2_reg = 1e300\n", "overflows"),
+        ("train", "train.mode = theoretical\ntrain.rho = 1e300\n", "below 2**31"),
+        ("report", "task = risk_compare\ntrain.rho = 1e300\n", "below 2**31"),
+        ("uq", "task = uq_compare\nuq.epsilons = 1e300\n", "below 2**31"),
+        ("train", "train.steps = 99999999999999999999\n", "below 2**31"),
+        ("report", "task = risk_compare\nnum_seeds = 99999999999999999999\n", "num_seeds"),
+        ("uq", "task = uq_compare\nuq.pool_runs = 99999999999999999999\n", "uq.pool_runs"),
+        ("uq", "task = uq_compare\nuq.num_test_inputs = 99999999999999999999\n",
+         "uq.num_test_inputs"),
+        ("dpld-bias", "task = dpld_bias\ndpld.dim = 99999999999999999999\n", "dpld.dim"),
+        ("dpld-bias", "task = dpld_bias\ndpld.oracle_samples = 99999999999999999999\n",
+         "dpld.oracle_samples"),
     ] + _BAD_KEY_PARAMS,
     ids=[
         "risk_compare-every", "aggregate_eval-batch", "k_sweep-eta", "pds_eval-clip",
@@ -823,15 +863,16 @@ _BAD_KEY_IDS = [
         "dpld_bias-k-2**32", "uq_compare-no-inputs", "dpld_bias-c-inf",
         "dpld_bias-start-negative", "risk_compare-seeds-and-num_seeds",
         "train-practical-noise-1e200", "train-practical-noise-1e-200",
-        "train-theoretical-l2-1e300",
+        "train-theoretical-l2-1e300", "train-theoretical-rho-1e300", "risk_compare-rho-1e300",
+        "uq_compare-eps-1e300", "train-practical-steps-1e20", "risk_compare-num_seeds-1e20",
+        "uq_compare-pool-1e20", "uq_compare-inputs-1e20", "dpld_bias-dim-1e20",
+        "dpld_bias-oracle-1e20",
     ] + _BAD_KEY_IDS,
 )
 def test_cli_unfinishable_config_exits_2_before_training(
     tmp_path, capsys, monkeypatch, command, lines, needle
 ):
-    for name in (
-        "dp_sgd_practical", "dp_sgd_practical_runs", "dp_sgd_theoretical", "dp_sgd_theoretical_runs"
-    ):
+    for name in ("dp_sgd_practical_runs", "dp_sgd_theoretical_runs"):
         monkeypatch.setattr(experiments.trainer, name, _no_training)
     for fn in ("stationary_oracle_V", "variance_bias_experiment"):
         monkeypatch.setattr(experiments.dpld, fn, _no_training)
@@ -857,7 +898,7 @@ def test_cli_config_workers_is_checked_under_the_workers_flag(tmp_path, capsys):
 def test_cli_bad_csv_row_exits_2_naming_file_and_row(
     tmp_path, capsys, monkeypatch, bad_row, needle
 ):
-    monkeypatch.setattr(experiments.trainer, "dp_sgd_practical", _no_training)
+    monkeypatch.setattr(experiments.trainer, "dp_sgd_practical_runs", _no_training)
     data_path = tmp_path / "rows.csv"
     data_path.write_text("f0,f1,label\n0.5,1.0,1\n" + bad_row + "\n2.0,-1.0,0\n")
     cfg = _write_cfg(tmp_path, f"task = train\ntrain.steps = 5\ndata.csv = {data_path}\n")
@@ -890,9 +931,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg")))
 def test_stock_configs_pass_their_checks(tmp_path, monkeypatch, name):
     """Every shipped config passes validation and reaches its first compute call."""
-    for fn in (
-        "dp_sgd_practical", "dp_sgd_practical_runs", "dp_sgd_theoretical", "dp_sgd_theoretical_runs"
-    ):
+    for fn in ("dp_sgd_practical_runs", "dp_sgd_theoretical_runs"):
         monkeypatch.setattr(experiments.trainer, fn, _no_training)
     for fn in ("stationary_oracle_V", "variance_bias_experiment"):
         monkeypatch.setattr(experiments.dpld, fn, _no_training)
@@ -965,17 +1004,14 @@ _TABLE_HEADS = {
 def test_every_table_key_fails_before_compute_or_not_at_all(tmp_path, monkeypatch):
     """Every key of every table, set to each probe value, is either rejected
     as a config error or reaches the first trainer or Langevin call."""
-    for fn in (
-        "dp_sgd_practical", "dp_sgd_practical_runs", "dp_sgd_theoretical",
-        "dp_sgd_theoretical_runs", "min_loss_in_ball",
-    ):
+    for fn in ("dp_sgd_practical_runs", "dp_sgd_theoretical_runs", "min_loss_in_ball"):
         monkeypatch.setattr(experiments.trainer, fn, _no_training)
     for fn in ("stationary_oracle_V", "variance_bias_experiment"):
         monkeypatch.setattr(experiments.dpld, fn, _no_training)
     outcomes = {"config error": 0, "reached compute": 0}
     for name, keys in experiments.KEY_TABLES.items():
         for key in keys:
-            for probe in ("nan", "inf", "-1", "0", ""):
+            for probe in ("nan", "inf", "-1", "0", "", "99999999999999999999", "1e300"):
                 view = ConfigView({**_TABLE_HEADS[name], key.name: probe})
                 try:
                     run_experiment(view, str(tmp_path / "out"), workers=1)

@@ -26,7 +26,7 @@ from dpckpt.model import (
     synth_classification,
 )
 from dpckpt.rng import step_generator
-from dpckpt.trainer import EtaSchedule, TrainerConfig, dp_sgd_practical
+from dpckpt.trainer import EtaSchedule, TrainerConfig, dp_sgd_practical_runs
 from per_example import clip_rows, per_example_grads
 
 # ---------------------------------------------------------------------------
@@ -455,7 +455,9 @@ def test_label_scoring_never_builds_probabilities(monkeypatch, multi_data):
     assert omv_batch_labels(params, model, multi_data.features).shape == (multi_data.n,)
     stability_report(params, steps, model, multi_data, [AggregationSpec("ema", beta=0.5)], 3)
     config = TrainerConfig("practical", 4, EtaSchedule("constant", 0.1), batch_size=8)
-    run = dp_sgd_practical(model, multi_data, config, noise_multiplier=1.0, eval_data=multi_data)
+    (run,) = dp_sgd_practical_runs(
+        model, multi_data, config, [0], noise_multiplier=1.0, eval_data=multi_data
+    )
     assert np.all(np.isfinite(run.metrics[:, 1]))
 
 
@@ -561,5 +563,5 @@ def test_diurnal_validation_errors():
             diurnal=DiurnalSchedule(period=4, rows_a=a, rows_b=rows),
         )
         with pytest.raises(ValueError, match="diurnal rows"):
-            dp_sgd_practical(model, data, config, noise_multiplier=0.0)
+            dp_sgd_practical_runs(model, data, config, [0], noise_multiplier=0.0)
     assert steps_taken == []

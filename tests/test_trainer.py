@@ -3,7 +3,6 @@
 import math
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +27,7 @@ from dpckpt.trainer import (
     TrainerConfig,
     checkpoint_steps,
     choose_T,
-    dp_sgd_practical,
     dp_sgd_practical_runs,
-    dp_sgd_theoretical,
     dp_sgd_theoretical_runs,
     load_run,
     min_loss_in_ball,
@@ -89,6 +86,11 @@ def test_choose_T():
         choose_T(10, 0.0)
     with pytest.raises(ValueError, match="explicit step count"):
         choose_T(10, math.inf)
+    # a step count must stay below 2**31, also where n * rho overflows to inf
+    assert choose_T(1, 2**31 - 1.5) == 2**31 - 1
+    for n, rho in ((1, 2**31 - 0.5), (1000, 1e300), (1000, 1e308)):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            choose_T(n, rho)
 
 
 def test_project_l2():
@@ -159,6 +161,10 @@ def test_trainer_config_validation():
             TrainerConfig("practical", 10, eta, clip_norm=bad)
     with pytest.raises(ValueError, match="clip_norm must be positive and finite"):
         TrainerConfig("practical", 10, eta, clip_norm=math.inf)
+    assert TrainerConfig("practical", 2**31 - 1, eta).num_steps == 2**31 - 1
+    for steps in (2**31, 99999999999999999999):
+        with pytest.raises(ValueError, match="below 2\\*\\*31"):
+            TrainerConfig("practical", steps, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +177,7 @@ def test_zero_noise_theoretical_converges_to_minimizer():
     config = TrainerConfig(
         "theoretical", 300, EtaSchedule("inverse_sqrt", 0.5), projection_radius=2.0
     )
-    record = dp_sgd_theoretical(model, _dummy_data(100), config, rho=math.inf)
+    (record,) = dp_sgd_theoretical_runs(model, _dummy_data(100), config, [0], rho=math.inf)
     assert np.allclose(record.final_params(), center, atol=1e-2)
     assert record.budget.rho == math.inf
     assert record.budget.epsilon == math.inf
@@ -185,7 +191,7 @@ def test_theoretical_starts_at_origin():
     config = TrainerConfig(
         "theoretical", 1, EtaSchedule("constant", 0.25), projection_radius=10.0
     )
-    record = dp_sgd_theoretical(model, _dummy_data(50), config, rho=math.inf)
+    (record,) = dp_sgd_theoretical_runs(model, _dummy_data(50), config, [0], rho=math.inf)
     # one step from 0: theta = -eta * grad(0) = -0.25 * (0 - 5, 0) = (1.25, 0)
     assert np.allclose(record.final_params(), [1.25, 0.0], atol=1e-12)
 
@@ -196,7 +202,7 @@ def test_theoretical_iterates_respect_projection_radius():
         "theoretical", 50, EtaSchedule("constant", 0.4), projection_radius=1.5,
         checkpoint_every=1,
     )
-    record = dp_sgd_theoretical(model, _dummy_data(50), config, rho=1.0)
+    (record,) = dp_sgd_theoretical_runs(model, _dummy_data(50), config, [0], rho=1.0)
     norms = [np.linalg.norm(c.params) for c in record.checkpoints]
     assert max(norms) <= 1.5 + 1e-12
     # pull toward a far center keeps the iterate pinned to the boundary
@@ -205,19 +211,14 @@ def test_theoretical_iterates_respect_projection_radius():
 
 def test_theoretical_rerun_bit_identical():
     model = QuadraticLoss(center=np.zeros(4), curvature=1.0, lipschitz=2.0)
-    config = TrainerConfig("theoretical", 60, EtaSchedule("inverse_sqrt", 0.3), seed=9)
-    a = dp_sgd_theoretical(model, _dummy_data(200), config, rho=0.5)
-    b = dp_sgd_theoretical(model, _dummy_data(200), config, rho=0.5)
+    config = TrainerConfig("theoretical", 60, EtaSchedule("inverse_sqrt", 0.3))
+    (a,) = dp_sgd_theoretical_runs(model, _dummy_data(200), config, [9], rho=0.5)
+    (b,) = dp_sgd_theoretical_runs(model, _dummy_data(200), config, [9], rho=0.5)
     for ca, cb in zip(a.checkpoints, b.checkpoints):
         assert ca.step == cb.step
         assert np.array_equal(ca.params, cb.params)
     assert np.array_equal(a.metrics, b.metrics, equal_nan=True)
-    other = dp_sgd_theoretical(
-        model,
-        _dummy_data(200),
-        TrainerConfig("theoretical", 60, EtaSchedule("inverse_sqrt", 0.3), seed=10),
-        rho=0.5,
-    )
+    (other,) = dp_sgd_theoretical_runs(model, _dummy_data(200), config, [10], rho=0.5)
     assert not np.array_equal(a.final_params(), other.final_params())
 
 
@@ -233,9 +234,9 @@ def test_theoretical_noise_variance_end_to_end():
     model = QuadraticLoss(center=np.zeros(8), curvature=1.0, lipschitz=1.0)
     config = TrainerConfig(
         "theoretical", T, EtaSchedule("constant", eta),
-        projection_radius=50.0, checkpoint_every=1, seed=21,
+        projection_radius=50.0, checkpoint_every=1,
     )
-    record = dp_sgd_theoretical(model, _dummy_data(n), config, rho=rho)
+    (record,) = dp_sgd_theoretical_runs(model, _dummy_data(n), config, [21], rho=rho)
     s2 = calibrate_theoretical(1.0, T, n, rho).variance_per_step
     expected = eta**2 * s2 / (1.0 - (1.0 - eta) ** 2)
     tail = np.stack([c.params for c in record.checkpoints[1000:]])
@@ -247,12 +248,13 @@ def test_theoretical_requires_lipschitz():
     model = QuadraticLoss(center=np.zeros(2))  # no Lipschitz bound set
     config = TrainerConfig("theoretical", 5, EtaSchedule("constant", 0.1))
     with pytest.raises(ValueError):
-        dp_sgd_theoretical(model, _dummy_data(10), config, rho=0.5)
+        dp_sgd_theoretical_runs(model, _dummy_data(10), config, [0], rho=0.5)
     with pytest.raises(ValueError):
-        dp_sgd_theoretical(
+        dp_sgd_theoretical_runs(
             QuadraticLoss(center=np.zeros(2), lipschitz=1.0),
             _dummy_data(10),
             TrainerConfig("practical", 5, EtaSchedule("constant", 0.1)),
+            [0],
             rho=0.5,
         )
 
@@ -275,25 +277,22 @@ def _batch_setup(family: str):
 )
 def test_batched_runs_equal_separate_runs(family, rho, seeds, steps, every):
     model, data = _batch_setup(family)
-    configs = [
-        TrainerConfig(
-            "theoretical", steps, EtaSchedule("inverse_sqrt", 0.4), projection_radius=0.8,
-            checkpoint_every=min(every, steps), seed=s,
-        )
-        for s in seeds
-    ]
-    batched = dp_sgd_theoretical_runs(model, data, configs, rho=rho)
-    assert len(batched) == len(configs)
-    for config, got in zip(configs, batched):
-        alone = dp_sgd_theoretical(model, data, config, rho=rho)
-        assert got.config == config and got.seed == config.seed
+    config = TrainerConfig(
+        "theoretical", steps, EtaSchedule("inverse_sqrt", 0.4), projection_radius=0.8,
+        checkpoint_every=min(every, steps),
+    )
+    batched = dp_sgd_theoretical_runs(model, data, config, seeds, rho=rho)
+    assert len(batched) == len(seeds)
+    for s, got in zip(seeds, batched):
+        (alone,) = dp_sgd_theoretical_runs(model, data, config, [s], rho=rho)
+        assert got.config == config and got.seed == s
         assert [c.step for c in got.checkpoints] == [c.step for c in alone.checkpoints]
         assert np.array_equal(got.checkpoint_params(), alone.checkpoint_params())
         assert np.array_equal(got.metrics, alone.metrics, equal_nan=True)
         assert got.budget == alone.budget
 
 
-def _scalar_reference(model, data, config, rho):
+def _scalar_reference(model, data, config, seed, rho):
     """The one-vector trainer loop, step by step, as an independent oracle."""
     noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho).std
     theta = np.zeros(model.param_dim())
@@ -301,7 +300,7 @@ def _scalar_reference(model, data, config, rho):
     for t in range(1, config.num_steps + 1):
         g = model.grad_full(theta, data)
         if noise_std > 0:
-            g = g + noise_std * rng.gaussian_vector(config.seed, rng.STREAM_NOISE, t, len(theta))
+            g = g + noise_std * rng.gaussian_vector(seed, rng.STREAM_NOISE, t, len(theta))
         theta = theta - config.eta.at(t) * g
         norm = float(np.linalg.norm(theta))
         if norm > config.projection_radius:
@@ -314,24 +313,21 @@ def _scalar_reference(model, data, config, rho):
 @pytest.mark.parametrize("family", ["binary", "softmax", "quadratic"])
 def test_batched_rows_match_the_scalar_loop(family):
     model, data = _batch_setup(family)
-    configs = [
-        TrainerConfig(
-            "theoretical", 30, EtaSchedule("inverse_sqrt", 0.6), projection_radius=0.5,
-            checkpoint_every=1, seed=s,
-        )
-        for s in (4, 2**64 - 3, -7)
-    ]
-    for config, record in zip(configs, dp_sgd_theoretical_runs(model, data, configs, rho=0.3)):
-        params, losses = _scalar_reference(model, data, config, 0.3)
+    config = TrainerConfig(
+        "theoretical", 30, EtaSchedule("inverse_sqrt", 0.6), projection_radius=0.5,
+        checkpoint_every=1,
+    )
+    seeds = [4, 2**64 - 3, -7]
+    for s, record in zip(seeds, dp_sgd_theoretical_runs(model, data, config, seeds, rho=0.3)):
+        params, losses = _scalar_reference(model, data, config, s, 0.3)
         assert np.array_equal(record.checkpoint_params(), params)
         assert np.array_equal(record.metrics[:, 0], losses)
 
 
-def _two_call_reference(model, data, configs, rho):
+def _two_call_reference(model, data, config, seeds, rho):
     """The step before the fused kernel, over all S rows: grad_full at the
     current iterate, per-step gaussian_vector noise, project_l2, then
     loss_full and accuracy at the new iterate."""
-    config, seeds = configs[0], [c.seed for c in configs]
     noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho).std
     theta = np.zeros((len(seeds), model.param_dim()))
     params, metrics = [], []
@@ -352,13 +348,12 @@ def _two_call_reference(model, data, configs, rho):
 @pytest.mark.parametrize("rho", [0.3, math.inf], ids=["noisy", "noiseless"])
 def test_fused_steps_replay_the_two_call_step(family, seeds, rho):
     model, data = _batch_setup(family)
-    configs = [
-        TrainerConfig("theoretical", 25, EtaSchedule("inverse_sqrt", 0.7), projection_radius=0.6,
-                      checkpoint_every=1, seed=s)
-        for s in seeds
-    ]
-    params, metrics = _two_call_reference(model, data, configs, rho)
-    records = dp_sgd_theoretical_runs(model, data, configs, rho=rho, eval_data=data)
+    config = TrainerConfig(
+        "theoretical", 25, EtaSchedule("inverse_sqrt", 0.7), projection_radius=0.6,
+        checkpoint_every=1,
+    )
+    params, metrics = _two_call_reference(model, data, config, seeds, rho)
+    records = dp_sgd_theoretical_runs(model, data, config, seeds, rho=rho, eval_data=data)
     for s, record in enumerate(records):
         assert np.array_equal(record.params, params[s])
         assert np.array_equal(record.metrics, metrics[s])
@@ -374,21 +369,23 @@ def test_theoretical_run_forms_the_logits_once_per_step(family, monkeypatch):
         return real(self, rows, features)
 
     monkeypatch.setattr(LogisticLoss, "_logits", counting)
-    configs = [
-        TrainerConfig("theoretical", 9, EtaSchedule("constant", 0.1), seed=s) for s in (1, 2)
-    ]
-    dp_sgd_theoretical_runs(model, data, configs, rho=0.5)
+    config = TrainerConfig("theoretical", 9, EtaSchedule("constant", 0.1))
+    dp_sgd_theoretical_runs(model, data, config, [1, 2], rho=0.5)
     assert calls == [2] * (9 + 1)
 
 
-def test_batched_runs_must_differ_only_in_seed():
+def test_runs_need_their_mode_and_at_least_one_seed():
     model, data = _batch_setup("quadratic")
-    base = TrainerConfig("theoretical", 5, EtaSchedule("constant", 0.1), seed=1)
-    with pytest.raises(ValueError):
-        dp_sgd_theoretical_runs(model, data, [base, TrainerConfig(
-            "theoretical", 6, EtaSchedule("constant", 0.1), seed=2)], rho=0.5)
-    with pytest.raises(ValueError):
-        dp_sgd_theoretical_runs(model, data, [], rho=0.5)
+    theoretical = TrainerConfig("theoretical", 5, EtaSchedule("constant", 0.1), batch_size=8)
+    practical = TrainerConfig("practical", 5, EtaSchedule("constant", 0.1), batch_size=8)
+    with pytest.raises(ValueError, match="config.mode"):
+        dp_sgd_practical_runs(model, data, theoretical, [1], 1.0)
+    with pytest.raises(ValueError, match="config.mode"):
+        dp_sgd_theoretical_runs(model, data, practical, [1], rho=0.5)
+    with pytest.raises(ValueError, match="at least one seed"):
+        dp_sgd_practical_runs(model, data, practical, [], 1.0)
+    with pytest.raises(ValueError, match="at least one seed"):
+        dp_sgd_theoretical_runs(model, data, theoretical, [], rho=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +403,9 @@ def test_practical_z0_equals_plain_sgd(practical_setup):
     model, data = practical_setup
     config = TrainerConfig(
         "practical", 40, EtaSchedule("constant", 0.2),
-        clip_norm=0.5, batch_size=32, seed=6, checkpoint_every=1,
+        clip_norm=0.5, batch_size=32, checkpoint_every=1,
     )
-    record = dp_sgd_practical(model, data, config, noise_multiplier=0.0, delta=1e-5)
+    (record,) = dp_sgd_practical_runs(model, data, config, [6], noise_multiplier=0.0, delta=1e-5)
     assert record.budget.rho == math.inf
 
     # replay the loop with explicit per-example gradients, clipped and
@@ -423,32 +420,22 @@ def test_practical_z0_equals_plain_sgd(practical_setup):
 
 def test_practical_noise_changes_trajectory_but_not_batches(practical_setup):
     model, data = practical_setup
-    config = TrainerConfig(
-        "practical", 30, EtaSchedule("constant", 0.1), batch_size=16, seed=3
-    )
-    quiet = dp_sgd_practical(model, data, config, noise_multiplier=0.0, delta=1e-5)
-    noisy = dp_sgd_practical(model, data, config, noise_multiplier=1.0, delta=1e-5)
+    config = TrainerConfig("practical", 30, EtaSchedule("constant", 0.1), batch_size=16)
+    (quiet,) = dp_sgd_practical_runs(model, data, config, [3], noise_multiplier=0.0, delta=1e-5)
+    (noisy,) = dp_sgd_practical_runs(model, data, config, [3], noise_multiplier=1.0, delta=1e-5)
     assert not np.array_equal(quiet.final_params(), noisy.final_params())
     # rho = T / (2 z^2)
     assert noisy.budget.rho == pytest.approx(30 / 2.0)
-    again = dp_sgd_practical(model, data, config, noise_multiplier=1.0, delta=1e-5)
+    (again,) = dp_sgd_practical_runs(model, data, config, [3], noise_multiplier=1.0, delta=1e-5)
     assert np.array_equal(noisy.final_params(), again.final_params())
 
 
 def test_practical_init_is_small_uniform(practical_setup):
     model, data = practical_setup
-    config = TrainerConfig(
-        "practical", 1, EtaSchedule("constant", 1e-12), batch_size=8, seed=14
-    )
-    record = dp_sgd_practical(model, data, config, noise_multiplier=0.0, delta=1e-5)
+    config = TrainerConfig("practical", 1, EtaSchedule("constant", 1e-12), batch_size=8)
+    (record,) = dp_sgd_practical_runs(model, data, config, [14], noise_multiplier=0.0, delta=1e-5)
     assert np.all(np.abs(record.final_params()) <= 0.01 + 1e-9)
-    other = dp_sgd_practical(
-        model,
-        data,
-        TrainerConfig("practical", 1, EtaSchedule("constant", 1e-12), batch_size=8, seed=15),
-        noise_multiplier=0.0,
-        delta=1e-5,
-    )
+    (other,) = dp_sgd_practical_runs(model, data, config, [15], noise_multiplier=0.0, delta=1e-5)
     assert not np.array_equal(record.final_params(), other.final_params())
 
 
@@ -456,35 +443,35 @@ def test_practical_learns_separable_data(practical_setup):
     model, data = practical_setup
     from dpckpt.model import accuracy
 
-    config = TrainerConfig(
-        "practical", 150, EtaSchedule("constant", 0.5), batch_size=64, seed=1
+    config = TrainerConfig("practical", 150, EtaSchedule("constant", 0.5), batch_size=64)
+    (record,) = dp_sgd_practical_runs(
+        model, data, config, [1], noise_multiplier=0.0, delta=1e-5, eval_data=data
     )
-    record = dp_sgd_practical(model, data, config, noise_multiplier=0.0, delta=1e-5, eval_data=data)
     assert accuracy(model, record.final_params(), data) > 0.9
     assert record.metrics[-1, 1] > 0.9  # eval column populated
 
 
-def _practical_reference(model, data, config, z, eval_data):
+def _practical_reference(model, data, config, seed, z, eval_data):
     """The practical loop with one gaussian_vector draw per step, as an
     independent oracle for the trainer's block-drawn noise. It takes the
     same clipped_grad_mean kernel on each step's batch, so it matches bit
     for bit."""
     std = z * config.clip_norm / config.batch_size
-    theta = 0.02 * rng.uniform_vector(config.seed, rng.STREAM_INIT, 0, model.param_dim()) - 0.01
+    theta = 0.02 * rng.uniform_vector(seed, rng.STREAM_INIT, 0, model.param_dim()) - 0.01
     sq_norms = np.einsum("ij,ij->i", data.features, data.features)  # the trainer's form
     params, metrics = [], []
     for t in range(1, config.num_steps + 1):
         if config.diurnal is not None:
-            gen = rng.step_generator(config.seed, rng.STREAM_BATCH, t)
+            gen = rng.step_generator(seed, rng.STREAM_BATCH, t)
             idx = diurnal_draw(config.diurnal, t - 1, config.batch_size, gen)
         else:
-            idx = minibatch_indices(config.seed, t, data.n, config.batch_size)
+            idx = minibatch_indices(seed, t, data.n, config.batch_size)
         batch = data.subset(idx)
         g = model.clipped_grad_mean(
             theta[None], batch.features[None], batch.labels[None], sq_norms[None, idx],
             config.clip_norm,
         )[0]
-        g = g + std * rng.gaussian_vector(config.seed, rng.STREAM_NOISE, t, len(theta))
+        g = g + std * rng.gaussian_vector(seed, rng.STREAM_NOISE, t, len(theta))
         theta = theta - config.eta.at(t) * g
         params.append(theta)
         metrics.append((model.loss_full(theta, batch), accuracy(model, theta, eval_data)))
@@ -506,11 +493,13 @@ def test_practical_block_noise_matches_per_step_draws(diurnal):
         )
     config = TrainerConfig(
         "practical", 250, EtaSchedule("constant", 0.3), clip_norm=0.7, batch_size=16,
-        checkpoint_every=1, seed=9, diurnal=schedule,
+        checkpoint_every=1, diurnal=schedule,
     )
     assert rng.steps_per_draw(1, model.param_dim()) < config.num_steps
-    record = dp_sgd_practical(model, data, config, noise_multiplier=1.3, eval_data=data)
-    params, metrics = _practical_reference(model, data, config, 1.3, data)
+    (record,) = dp_sgd_practical_runs(
+        model, data, config, [9], noise_multiplier=1.3, eval_data=data
+    )
+    params, metrics = _practical_reference(model, data, config, 9, 1.3, data)
     assert np.array_equal(record.checkpoint_params(), params)
     assert np.array_equal(record.metrics, metrics)
 
@@ -521,12 +510,13 @@ def test_practical_batch_size_validation(practical_setup):
         "practical", 5, EtaSchedule("constant", 0.1), batch_size=data.n + 1
     )
     with pytest.raises(ValueError):
-        dp_sgd_practical(model, data, config, noise_multiplier=0.0, delta=1e-5)
+        dp_sgd_practical_runs(model, data, config, [0], noise_multiplier=0.0, delta=1e-5)
     with pytest.raises(ValueError):
-        dp_sgd_practical(
+        dp_sgd_practical_runs(
             model,
             data,
             TrainerConfig("practical", 5, EtaSchedule("constant", 0.1)),
+            [0],
             noise_multiplier=-0.5,
             delta=1e-5,
         )
@@ -546,35 +536,20 @@ def test_practical_batched_runs_equal_separate_runs(family, diurnal, z, seeds, s
     if diurnal:
         rows = np.arange(data.n)
         schedule = DiurnalSchedule(period=5, rows_a=rows[rows % 3 == 0], rows_b=rows[rows % 3 != 0])
-    configs = [
-        TrainerConfig(
-            "practical", steps, EtaSchedule("constant", 0.5), clip_norm=0.6, batch_size=8,
-            checkpoint_every=min(every, steps), seed=s, diurnal=schedule,
-        )
-        for s in seeds
-    ]
+    config = TrainerConfig(
+        "practical", steps, EtaSchedule("constant", 0.5), clip_norm=0.6, batch_size=8,
+        checkpoint_every=min(every, steps), diurnal=schedule,
+    )
     eval_data = None if family == "quadratic" else data
-    batched = dp_sgd_practical_runs(model, data, configs, z, eval_data=eval_data)
-    assert len(batched) == len(configs)
-    for config, got in zip(configs, batched):
-        alone = dp_sgd_practical(model, data, config, z, eval_data=eval_data)
-        assert got.config == config and got.seed == config.seed
+    batched = dp_sgd_practical_runs(model, data, config, seeds, z, eval_data=eval_data)
+    assert len(batched) == len(seeds)
+    for s, got in zip(seeds, batched):
+        (alone,) = dp_sgd_practical_runs(model, data, config, [s], z, eval_data=eval_data)
+        assert got.config == config and got.seed == s
         assert np.array_equal(got.steps, alone.steps)
         assert np.array_equal(got.params, alone.params)
         assert np.array_equal(got.metrics, alone.metrics, equal_nan=True)
         assert got.budget == alone.budget
-
-
-def test_practical_runs_must_differ_only_in_seed(practical_setup):
-    model, data = practical_setup
-    base = TrainerConfig("practical", 5, EtaSchedule("constant", 0.1), batch_size=8, seed=1)
-    for other in (replace(base, seed=2, batch_size=9), replace(base, seed=2, clip_norm=0.5)):
-        with pytest.raises(ValueError, match="differ only in their seed"):
-            dp_sgd_practical_runs(model, data, [base, other], 1.0)
-    with pytest.raises(ValueError, match="config.mode"):
-        dp_sgd_practical_runs(model, data, [replace(base, mode="theoretical")], 1.0)
-    with pytest.raises(ValueError):
-        dp_sgd_practical_runs(model, data, [], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -612,28 +587,23 @@ def test_practical_raises_at_the_step_whose_gradient_is_nan():
     model = _NaNGradientOnCall(nan_call=4)
     config = TrainerConfig("practical", 10, EtaSchedule("constant", 0.1), batch_size=4)
     with pytest.raises(NumericDivergenceError) as info:
-        dp_sgd_practical(model, _dummy_data(20, 2), config, noise_multiplier=1.0)
+        dp_sgd_practical_runs(model, _dummy_data(20, 2), config, [0], noise_multiplier=1.0)
     assert info.value.step == 4
 
 
 def test_batched_practical_raises_when_one_row_turns_nan():
     model = _NaNGradientOnCall(nan_call=5, rows=1)
-    configs = [
-        TrainerConfig("practical", 10, EtaSchedule("constant", 0.1), batch_size=4, seed=s)
-        for s in (1, 2, 3)
-    ]
+    config = TrainerConfig("practical", 10, EtaSchedule("constant", 0.1), batch_size=4)
     with pytest.raises(NumericDivergenceError) as info:
-        dp_sgd_practical_runs(model, _dummy_data(20, 2), configs, noise_multiplier=1.0)
+        dp_sgd_practical_runs(model, _dummy_data(20, 2), config, [1, 2, 3], noise_multiplier=1.0)
     assert info.value.step == 5
 
 
 def test_batched_theoretical_raises_when_one_row_turns_nan():
     model = _NaNGradientOnCall(nan_call=3, rows=1)
-    configs = [
-        TrainerConfig("theoretical", 10, EtaSchedule("inverse_sqrt", 0.4), seed=s) for s in (1, 2)
-    ]
+    config = TrainerConfig("theoretical", 10, EtaSchedule("inverse_sqrt", 0.4))
     with pytest.raises(NumericDivergenceError) as info:
-        dp_sgd_theoretical_runs(model, _dummy_data(20, 2), configs, rho=0.5)
+        dp_sgd_theoretical_runs(model, _dummy_data(20, 2), config, [1, 2], rho=0.5)
     assert info.value.step == 3
 
 
@@ -677,9 +647,9 @@ def test_save_load_round_trip(tmp_path, practical_setup):
     config = TrainerConfig(
         "practical", 25, EtaSchedule("inverse_sqrt", 0.4),
         projection_radius=1.5, clip_norm=0.8, batch_size=16,
-        checkpoint_every=5, seed=42,
+        checkpoint_every=5,
     )
-    record = dp_sgd_practical(model, data, config, noise_multiplier=1.2, delta=1e-6)
+    (record,) = dp_sgd_practical_runs(model, data, config, [42], noise_multiplier=1.2, delta=1e-6)
     run_dir = str(tmp_path / "run0")
     save_run(record, run_dir)
     back = load_run(run_dir)
@@ -705,7 +675,7 @@ def test_save_load_round_trip(tmp_path, practical_setup):
 def test_save_load_infinite_budget(tmp_path, practical_setup):
     model, data = practical_setup
     config = TrainerConfig("practical", 4, EtaSchedule("constant", 0.1), batch_size=8)
-    record = dp_sgd_practical(model, data, config, noise_multiplier=0.0, delta=1e-5)
+    (record,) = dp_sgd_practical_runs(model, data, config, [0], noise_multiplier=0.0, delta=1e-5)
     run_dir = str(tmp_path / "run_inf")
     save_run(record, run_dir)
     back = load_run(run_dir)
@@ -715,8 +685,8 @@ def test_save_load_infinite_budget(tmp_path, practical_setup):
 
 def test_save_run_ignores_the_clock(tmp_path, practical_setup, monkeypatch):
     model, data = practical_setup
-    config = TrainerConfig("practical", 6, EtaSchedule("constant", 0.1), batch_size=8, seed=3)
-    record = dp_sgd_practical(model, data, config, noise_multiplier=1.0)
+    config = TrainerConfig("practical", 6, EtaSchedule("constant", 0.1), batch_size=8)
+    (record,) = dp_sgd_practical_runs(model, data, config, [3], noise_multiplier=1.0)
     run_dirs = []
     for stamp in ("2001-01-01T00:00:00+0000", "2030-06-15T12:34:56+0200"):
         monkeypatch.setattr(time, "strftime", lambda *args, stamp=stamp: stamp)
@@ -763,7 +733,7 @@ def test_load_run_rejects_corrupt_run_dirs(tmp_path, practical_setup, corrupt, n
         "practical", 4, EtaSchedule("constant", 0.1), batch_size=8, checkpoint_every=2
     )
     run_dir = str(tmp_path / "run")
-    save_run(dp_sgd_practical(model, data, config, noise_multiplier=1.0), run_dir)
+    save_run(dp_sgd_practical_runs(model, data, config, [0], noise_multiplier=1.0)[0], run_dir)
     load_run(run_dir)  # intact before the corruption
     corrupt(run_dir)
     with pytest.raises(ValueError) as exc:
@@ -774,20 +744,18 @@ def test_load_run_rejects_corrupt_run_dirs(tmp_path, practical_setup, corrupt, n
 def test_kept_accessors_agree_with_the_checkpoint_matrix(tmp_path, practical_setup):
     """checkpoints, checkpoint_params() and final_params() read params/steps."""
     model, data = practical_setup
-    records = [
-        dp_sgd_theoretical(
-            model, data,
-            TrainerConfig("theoretical", 9, EtaSchedule("inverse_sqrt", 0.4),
-                          checkpoint_every=4, seed=3),
-            rho=0.5,
-        ),
-        dp_sgd_practical(
-            model, data,
-            TrainerConfig("practical", 9, EtaSchedule("constant", 0.2), batch_size=16,
-                          checkpoint_every=4, seed=3),
-            noise_multiplier=1.0,
-        ),
-    ]
+    records = dp_sgd_theoretical_runs(
+        model, data,
+        TrainerConfig("theoretical", 9, EtaSchedule("inverse_sqrt", 0.4), checkpoint_every=4),
+        [3],
+        rho=0.5,
+    ) + dp_sgd_practical_runs(
+        model, data,
+        TrainerConfig("practical", 9, EtaSchedule("constant", 0.2), batch_size=16,
+                      checkpoint_every=4),
+        [3],
+        noise_multiplier=1.0,
+    )
     for i, record in enumerate(list(records)):
         save_run(record, str(tmp_path / f"run{i}"))
         back = load_run(str(tmp_path / f"run{i}"))
@@ -810,6 +778,7 @@ def test_kept_accessors_agree_with_the_checkpoint_matrix(tmp_path, practical_set
 def test_run_record_accessors():
     record = RunRecord(
         TrainerConfig("theoretical", 4, EtaSchedule("constant", 0.1), checkpoint_every=2),
+        seed=0,
         budget=None,
         params=np.array([[1.0], [2.0]]),
         steps=np.array([2, 4]),
