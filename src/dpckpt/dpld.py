@@ -22,12 +22,14 @@ Every checkpoint schedule of one configuration shares the stationary law
 N(theta*, sigma_eff^2 I) (stationary_law), so the Monte-Carlo oracle of
 the statistic's stationary variance (stationary_oracle_V) is drawn once
 and handed to each variance_bias_experiment as a (V, SE) pair.
+
+The module computes and opens no file; the harness writes the dpld_bias
+task's dpld_report.csv from the VarianceBiasReports.
 """
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -389,39 +391,3 @@ def subgaussian_tail_check(
     se = math.sqrt(empirical * (1.0 - empirical) / samples)
     return empirical, bound, se
 
-
-# ---------------------------------------------------------------------------
-# report output
-
-
-def write_dpld_report(reports: Sequence[VarianceBiasReport], path: str) -> None:
-    """One CSV row per experiment setting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "t1",
-                "gap",
-                "k",
-                "trials",
-                "mean_S",
-                "oracle_V",
-                "abs_bias",
-                "oracle_SE",
-                "burn_in_bound",
-            ]
-        )
-        for r in reports:
-            writer.writerow(
-                [
-                    repr(r.times.t1),
-                    repr(r.times.gap),
-                    r.times.k,
-                    r.trials,
-                    repr(r.mean_s),
-                    repr(r.oracle_v),
-                    repr(r.abs_bias),
-                    repr(r.oracle_se),
-                    repr(r.burn_in_bound),
-                ]
-            )

@@ -1,19 +1,21 @@
 """Seeded multi-run experiment tasks.
 
-Each task declares its config keys as one table in KEY_TABLES, and its
-driver opens with one read_keys call that parses and checks every value
-and rejects a key the table does not list. The cross-key checks and the
-library objects that own the other value rules come next, so a config
-that cannot finish fails before any training or simulation starts.
+run_experiment owns the life of a run: its one read_keys call parses and
+checks every value of the task's KEY_TABLES entry and rejects a key the
+table does not list; then it applies the workers override and resolves
+the seed list. The driver run_<task>(cfg, out_dir, master_seed) only
+computes; its cross-key checks and the library objects that own the other
+value rules come first, so a config that cannot finish fails before any
+training or simulation starts.
 
 A training task builds one TrainerConfig for all of its seeds. One
 _train_and_score call cuts the seed list into contiguous groups, trains
 each group as one batched trainer call, scores every record and returns
 the scores in seed order; _run_parallel fans the groups (or uq_compare's
-seeds, or dpld_bias's points) out to a process pool when workers > 1, and
-every artifact write stays in the parent process. Results are
-deterministic functions of the config plus the master seed, independent
-of worker count.
+seeds, or dpld_bias's points) out to a process pool when workers > 1.
+Results are deterministic functions of the config plus the master seed,
+independent of worker count. The harness writes every artifact, in the
+parent process, through _write_json and _write_csv.
 """
 
 import csv
@@ -23,7 +25,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,11 +75,7 @@ class ResultTable:
     rows: list[ResultRow]
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["setting", "mean", "std", "n_seeds"])
-            for row in self.rows:
-                writer.writerow([row.setting, repr(row.mean), repr(row.std), row.n_seeds])
+        _write_csv(path, [f.name for f in fields(ResultRow)], map(astuple, self.rows))
 
     def lookup(self, setting: str) -> ResultRow:
         for row in self.rows:
@@ -292,6 +290,7 @@ def _one_of(names: Sequence[str]) -> tuple:
 
 
 _NONEMPTY = (bool, "must not be empty")
+_DELTA = Key("train.delta", "float", 1e-5, lambda d: 0 < d < 1, "must be in (0, 1)")
 _RUN_KEYS = (
     Key("task", "str", None),
     Key("out_dir", "str", None),
@@ -331,7 +330,7 @@ def _practical_keys(steps: int, eta: float, batch: int, every: int | None) -> tu
         Key("train.batch_size", "int", batch),
         Key("train.checkpoint_every", "int", every),
         Key("train.noise_multiplier", "float", 1.0),
-        Key("train.delta", "float", 1e-5),
+        _DELTA,
         Key("train.l2_reg", "float", 0.0),
     )
 
@@ -344,7 +343,7 @@ def _theoretical_keys(radius: float, l2: float, every: int | None) -> tuple[Key,
         Key("train.checkpoint_every", "int", every),
         Key("train.radius", "float", radius),
         Key("train.l2_reg", "float", l2),
-        Key("train.delta", "float", 1e-5),
+        _DELTA,
     )
 
 
@@ -401,7 +400,7 @@ KEY_TABLES: dict[str, tuple[Key, ...]] = {
     "uq_compare": _training_keys(20, 1000, 10, 2, 2.0, 7) + (
         Key("train.radius", "float", 2.0),
         Key("train.l2_reg", "float", 0.05),
-        Key("train.delta", "float", 1e-5),
+        _DELTA,
         Key("uq.epsilons", "float_list", (1.0, 8.0), *_NONEMPTY),
         Key("uq.k_values", "int_list", (3, 5, 10), lambda ks: bool(ks) and min(ks) >= 2,
             "must list one or more k, and k must be at least 2"),
@@ -443,12 +442,6 @@ def _run_parallel(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _resolve_seeds(cfg: dict, master_seed: int) -> list[int]:
-    if cfg["seeds"] is not None:
-        return cfg["seeds"]
-    return [derive_run_seed(master_seed, i) for i in range(cfg["num_seeds"])]
-
-
 @contextmanager
 def _config_errors(what: str, key: str | None = None):
     """Turn a ValueError raised in the block (a library object rejecting a
@@ -458,11 +451,6 @@ def _config_errors(what: str, key: str | None = None):
         yield
     except ValueError as exc:
         raise ConfigError(f"bad {what}: {exc}", key=key) from None
-
-
-def _checked_delta(cfg: dict) -> float:
-    with _config_errors("privacy setting", "train.delta"):
-        return privacy.check_delta(cfg["train.delta"])
 
 
 def _dataset(cfg: dict, tag: str = "") -> DatasetHandle:
@@ -496,6 +484,15 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: str, header: Sequence[str], rows) -> None:
+    """A header line, then one line per row; a float is its repr, which reads back exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
 def _spec_entry(spec: AggregationSpec, acc: float, n_seeds: int) -> dict:
     params = {name: getattr(spec, name) for name in aggregate.KIND_PARAMS[spec.kind]}
     return {
@@ -510,14 +507,14 @@ def _num_checkpoints(config: "trainer.TrainerConfig") -> int:
     return len(trainer.checkpoint_steps(config.num_steps, config.resolved_checkpoint_every()))
 
 
-def _check_k_fits(specs: Sequence[AggregationSpec], config: "trainer.TrainerConfig", key: str):
-    """Reject, before any training, a k larger than the run's checkpoint count."""
+def _check_k_fits(ks: Sequence[int | None], config: "trainer.TrainerConfig", key: str):
+    """Reject, before any training, a k larger than the run's checkpoint count;
+    a None k (a spec without one) always fits."""
     count = _num_checkpoints(config)
-    for spec in specs:
-        if spec.k is not None and spec.k > count:
+    for k in ks:
+        if k is not None and k > count:
             raise ConfigError(
-                f"k={spec.k} exceeds the {count} checkpoints of a {config.num_steps}-step run",
-                key=key,
+                f"k={k} exceeds the {count} checkpoints of a {config.num_steps}-step run", key=key
             )
 
 
@@ -592,19 +589,20 @@ def _train_group(train, score, seeds: list[int]) -> list[tuple]:
     return [(record, score(record)) for record in train(seeds)]
 
 
-def _train_and_score(train, score, seeds: list[int], workers: int, save_dir: str | None) -> list:
+def _train_and_score(cfg: dict, out_dir: str, train, score) -> list:
     """score(record) for each seed's run, in seed order.
 
     train(group) is one batched trainer call. The seeds are cut into at
     most `workers` contiguous groups, one call each; a run is bit-identical
     whatever batch it trains in, so the scores do not depend on workers.
-    With save_dir set, the runs are saved under save_dir/runs.
+    When save_runs holds, the runs are saved under out_dir/runs.
     """
+    workers = cfg["workers"]
     train_group = functools.partial(_train_group, train, score)
-    groups = _run_parallel(train_group, _contiguous_groups(seeds, workers), workers)
+    groups = _run_parallel(train_group, _contiguous_groups(cfg["seeds"], workers), workers)
     results = [pair for group in groups for pair in group]
-    if save_dir is not None:
-        _save_runs([record for record, _ in results], save_dir)
+    if cfg["save_runs"]:
+        _save_runs([record for record, _ in results], out_dir)
     return [scores for _, scores in results]
 
 
@@ -612,23 +610,19 @@ def _train_and_score(train, score, seeds: list[int], workers: int, save_dir: str
 # task: single training run
 
 
-def run_single_training(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
-    mode = view.raw("train.mode", "practical")
-    if mode not in ("practical", "theoretical"):
-        raise ConfigError(f"unknown trainer mode {mode!r}", key="train.mode")
-    cfg = read_keys(view, KEY_TABLES[f"train-{mode}"])
-    delta = _checked_delta(cfg)
-    seeds = _resolve_seeds(cfg, master_seed)
+def run_single_training(cfg: dict, out_dir: str, master_seed: int):
+    seeds, delta = cfg["seeds"], cfg["train.delta"]
     if len(seeds) > 1:
+        # the train table's num_seeds defaults to 1, and seeds excludes it
         raise ConfigError(
             f"the train task writes one run; got {len(seeds)} seeds",
-            key="num_seeds" if cfg["seeds"] is None else "seeds",
+            key="num_seeds" if cfg["num_seeds"] > 1 else "seeds",
         )
     data = _dataset(cfg, tag="train")
     radius = cfg["train.radius"]
     model = _logistic_model(data, cfg["train.l2_reg"], radius)
 
-    if mode == "theoretical":
+    if cfg["train.mode"] == "theoretical":
         rho = cfg["train.rho"]
         config = _theoretical_config(
             model, data.n, rho, radius, cfg["train.steps"], cfg["train.checkpoint_every"]
@@ -659,12 +653,8 @@ def _excess_risks(model, data, min_loss, specs, record) -> dict:
     return dict(zip(["last"] + [spec.label() for spec in specs], excess.tolist()))
 
 
-def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
-    cfg = read_keys(view, KEY_TABLES["risk_compare"])
-    workers = cfg["workers"] if workers is None else workers
+def run_risk_compare(cfg: dict, out_dir: str, master_seed: int):
     rho, radius = cfg["train.rho"], cfg["train.radius"]
-    delta = _checked_delta(cfg)
-    seeds = _resolve_seeds(cfg, master_seed)
     data = _dataset(cfg)
     feats = data.features
     if cfg["data.unit_norm"]:
@@ -685,15 +675,14 @@ def run_risk_compare(view: ConfigView, out_dir: str, master_seed: int, workers: 
     config = _theoretical_config(
         model, data.n, rho, radius, cfg["train.steps"], cfg["train.checkpoint_every"]
     )
-    _check_k_fits(specs, config, "agg.list")
+    _check_k_fits([spec.k for spec in specs], config, "agg.list")
     min_loss = trainer.min_loss_in_ball(model, data, radius)
 
     train = functools.partial(
-        trainer.dp_sgd_theoretical_runs, model, data, config, rho=rho, delta=delta
+        trainer.dp_sgd_theoretical_runs, model, data, config, rho=rho, delta=cfg["train.delta"]
     )
     results = _train_and_score(
-        train, functools.partial(_excess_risks, model, data, min_loss, specs),
-        seeds, workers, out_dir if cfg["save_runs"] else None,
+        cfg, out_dir, train, functools.partial(_excess_risks, model, data, min_loss, specs)
     )
     rows = [summarize("excess_last", [r["last"] for r in results])]
     for spec in specs:
@@ -723,8 +712,7 @@ def _accuracies(model, parts, specs, eval_part, record) -> dict:
 
 def _practical_setup(cfg: dict):
     """Shared data/model/config values of the practical-trainer tasks:
-    (model, partitions, config, noise multiplier, delta)."""
-    delta = _checked_delta(cfg)
+    (model, partitions, config, noise multiplier)."""
     config, z = _practical_config(cfg)
     parts = split_dataset(
         _dataset(cfg),
@@ -734,29 +722,26 @@ def _practical_setup(cfg: dict):
         test_fraction=cfg["data.test_fraction"],
     )
     model = _logistic_model(parts["train"], cfg["train.l2_reg"], 1.0)
-    return model, parts, config, z, delta
+    return model, parts, config, z
 
 
 def _run_scored(
-    cfg: dict, out_dir: str, master_seed: int, workers: int | None,
-    specs: Sequence[AggregationSpec], specs_key: str, eval_part: str,
+    cfg: dict, out_dir: str, specs: Sequence[AggregationSpec], specs_key: str, eval_part: str
 ) -> tuple[list[ResultRow], list[float]]:
     """Train the seeds on the practical trainer and score every spec on the
     eval_part partition: one row per spec, also written to aggregates.json,
     and the last iterate's accuracy per seed. When save_runs holds, the runs
     are saved with their per-step test accuracy."""
-    workers = cfg["workers"] if workers is None else workers
-    model, parts, config, z, delta = _practical_setup(cfg)
-    _check_k_fits(specs, config, specs_key)
+    model, parts, config, z = _practical_setup(cfg)
+    _check_k_fits([spec.k for spec in specs], config, specs_key)
     _check_batch_fits(config, parts["train"])
 
     train = functools.partial(
         trainer.dp_sgd_practical_runs, model, parts["train"], config, noise_multiplier=z,
-        delta=delta, eval_data=parts["test"] if cfg["save_runs"] else None,
+        delta=cfg["train.delta"], eval_data=parts["test"] if cfg["save_runs"] else None,
     )
     results = _train_and_score(
-        train, functools.partial(_accuracies, model, parts, specs, eval_part),
-        _resolve_seeds(cfg, master_seed), workers, out_dir if cfg["save_runs"] else None,
+        cfg, out_dir, train, functools.partial(_accuracies, model, parts, specs, eval_part)
     )
     rows = [summarize(spec.label(), [r[spec.label()] for r in results]) for spec in specs]
     entries = [_spec_entry(spec, row.mean, row.n_seeds) for spec, row in zip(specs, rows)]
@@ -764,34 +749,28 @@ def _run_scored(
     return rows, [r["last"] for r in results]
 
 
-def run_aggregate_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
-    cfg = read_keys(view, KEY_TABLES["aggregate_eval"])
+def run_aggregate_eval(cfg: dict, out_dir: str, master_seed: int):
     specs = parse_aggregation_list(cfg["agg.list"])
-    rows, last = _run_scored(cfg, out_dir, master_seed, workers, specs, "agg.list", "test")
+    rows, last = _run_scored(cfg, out_dir, specs, "agg.list", "test")
     return ResultTable([summarize("last", last)] + rows)
 
 
-def _run_sweep(
-    cfg: dict, out_dir: str, master_seed: int, workers: int | None,
-    specs: list[AggregationSpec], key: str,
-) -> ResultTable:
+def _run_sweep(cfg: dict, out_dir: str, specs: list[AggregationSpec], key: str) -> ResultTable:
     """Validation rows of one spec grid, then the winner's row."""
-    rows, _ = _run_scored(cfg, out_dir, master_seed, workers, specs, key, "validation")
+    rows, _ = _run_scored(cfg, out_dir, specs, key, "validation")
     best = rows[_best_index(specs, [row.mean for row in rows])]
     rows.append(ResultRow(f"best={best.setting}", best.mean, best.std, best.n_seeds))
     return ResultTable(rows)
 
 
-def run_ema_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
-    cfg = read_keys(view, KEY_TABLES["ema_sweep"])
+def run_ema_sweep(cfg: dict, out_dir: str, master_seed: int):
     specs = _grid_specs("ema", "beta", cfg["sweep.betas"], "sweep.betas")
-    return _run_sweep(cfg, out_dir, master_seed, workers, specs, "sweep.betas")
+    return _run_sweep(cfg, out_dir, specs, "sweep.betas")
 
 
-def run_k_sweep(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
-    cfg = read_keys(view, KEY_TABLES["k_sweep"])
+def run_k_sweep(cfg: dict, out_dir: str, master_seed: int):
     specs = _grid_specs("upa_k", "k", cfg["sweep.ks"], "sweep.ks")
-    return _run_sweep(cfg, out_dir, master_seed, workers, specs, "sweep.ks")
+    return _run_sweep(cfg, out_dir, specs, "sweep.ks")
 
 
 # ---------------------------------------------------------------------------
@@ -825,13 +804,11 @@ def _pds_scores(model, parts, beta_specs, k_specs, window, record) -> dict:
     }
 
 
-def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
+def run_pds_eval(cfg: dict, out_dir: str, master_seed: int):
     # Large steps and nearer clusters make each oscillation phase reshape the
     # model, so the per-step accuracy swings the aggregates are meant to tame
     # actually show up at this scale.
-    cfg = read_keys(view, KEY_TABLES["pds_eval"])
-    workers = cfg["workers"] if workers is None else workers
-    model, parts, config, z, delta = _practical_setup(cfg)
+    model, parts, config, z = _practical_setup(cfg)
     num_ckpts = _num_checkpoints(config)
     window = max(2, int(round(cfg["stability.window_fraction"] * num_ckpts)))
     if window > num_ckpts:
@@ -855,11 +832,12 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int 
         schedule = DiurnalSchedule(period, even, odd)
     train = functools.partial(
         trainer.dp_sgd_practical_runs, model, parts["train"], replace(config, diurnal=schedule),
-        noise_multiplier=z, delta=delta, eval_data=parts["test"] if cfg["save_runs"] else None,
+        noise_multiplier=z, delta=cfg["train.delta"],
+        eval_data=parts["test"] if cfg["save_runs"] else None,
     )
     results = _train_and_score(
-        train, functools.partial(_pds_scores, model, parts, beta_specs, k_specs, window),
-        _resolve_seeds(cfg, master_seed), workers, out_dir if cfg["save_runs"] else None,
+        cfg, out_dir, train,
+        functools.partial(_pds_scores, model, parts, beta_specs, k_specs, window),
     )
 
     methods = ("baseline", "ema", "upa")
@@ -877,12 +855,15 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int 
             entries.append(_spec_entry(spec, float(np.mean(accs)), len(accs)))
     _write_json(os.path.join(out_dir, "aggregates.json"), entries)
 
-    with open(os.path.join(out_dir, "plot_data.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("seed_index,method,step,accuracy\n")
-        for i, r in enumerate(results):
-            for method in methods:
-                for step, acc in zip(r["steps"], r[method]):
-                    fh.write(f"{i},{method},{step},{float(acc)!r}\n")
+    _write_csv(
+        os.path.join(out_dir, "plot_data.csv"), ["seed_index", "method", "step", "accuracy"],
+        [
+            [i, method, step, acc]
+            for i, r in enumerate(results)
+            for method in methods
+            for step, acc in zip(r["steps"], r[method])
+        ],
+    )
     return ResultTable(rows)
 
 
@@ -890,17 +871,18 @@ def run_pds_eval(view: ConfigView, out_dir: str, master_seed: int, workers: int 
 # task: single-run uncertainty vs independent runs
 
 
-def _uq_widths(model, data, test_inputs, cfg: dict, delta: float, outer_seed: int) -> dict:
+def _uq_widths(model, data, test_inputs, cfg: dict, budgets: list, outer_seed: int) -> dict:
     """(eps, k) -> (per-input checkpoint widths, mean independent width)
-    for one outer seed, whose pool trains as one batch per epsilon."""
+    for one outer seed, whose pool trains as one batch per epsilon.
+    budgets holds each epsilon's (rho, TrainerConfig)."""
     k_list, level, mode = cfg["uq.k_values"], cfg["uq.level"], cfg["uq.statistic"]
     out = {}
     pool_seeds = [derive_run_seed(outer_seed, j) for j in range(cfg["uq.pool_runs"])]
     chosen = {k: uncertainty.independent_rows(pool_seeds, k, outer_seed) for k in k_list}
-    for eps in cfg["uq.epsilons"]:
-        rho = privacy.epsilon_to_zcdp(eps, delta)
-        config = _theoretical_config(model, data.n, rho, cfg["train.radius"], every=1)
-        runs = trainer.dp_sgd_theoretical_runs(model, data, config, pool_seeds, rho, delta)
+    for eps, (rho, config) in zip(cfg["uq.epsilons"], budgets):
+        runs = trainer.dp_sgd_theoretical_runs(
+            model, data, config, pool_seeds, rho, cfg["train.delta"]
+        )
         # statistics of the first run's last max(k) checkpoints and of every
         # run's final checkpoint; each (eps, k) cell selects rows of these
         last = uncertainty.statistic_matrix(
@@ -918,31 +900,29 @@ def _uq_widths(model, data, test_inputs, cfg: dict, delta: float, outer_seed: in
     return out
 
 
-def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
-    cfg = read_keys(view, KEY_TABLES["uq_compare"])
-    workers = cfg["workers"] if workers is None else workers
+def run_uq_compare(cfg: dict, out_dir: str, master_seed: int):
     eps_list, k_list = cfg["uq.epsilons"], cfg["uq.k_values"]
-    delta = _checked_delta(cfg)
-    seeds = _resolve_seeds(cfg, master_seed)
     data = _dataset(cfg, tag="train")
     if cfg["uq.pool_runs"] < max(k_list):
         raise ConfigError("pool must hold at least max(k) runs", key="uq.pool_runs")
     with _config_errors("privacy setting", "uq.epsilons"):
-        rhos = [privacy.epsilon_to_zcdp(e, delta) for e in eps_list]
-        shortest = min(trainer.choose_T(data.n, rho) for rho in rhos)
-    if shortest < max(k_list):
-        raise ConfigError(
-            f"k={max(k_list)} exceeds the {shortest} checkpoints of the shortest run",
-            key="uq.k_values",
-        )
+        rhos = [privacy.epsilon_to_zcdp(e, cfg["train.delta"]) for e in eps_list]
+        steps = [trainer.choose_T(data.n, rho) for rho in rhos]
 
     model = _logistic_model(data, cfg["train.l2_reg"], cfg["train.radius"])
+    budgets = [
+        (rho, _theoretical_config(model, data.n, rho, cfg["train.radius"], T, every=1))
+        for rho, T in zip(rhos, steps)
+    ]
+    shortest = min((config for _, config in budgets), key=_num_checkpoints)
+    _check_k_fits(k_list, shortest, "uq.k_values")
     test_inputs = synth_classification(
         cfg["uq.num_test_inputs"], data.p, data.num_classes, separation=2.0, seed=99
     ).features
 
     results = _run_parallel(
-        functools.partial(_uq_widths, model, data, test_inputs, cfg, delta), seeds, workers
+        functools.partial(_uq_widths, model, data, test_inputs, cfg, budgets),
+        cfg["seeds"], cfg["workers"],
     )
 
     rows = []
@@ -952,20 +932,20 @@ def run_uq_compare(view: ConfigView, out_dir: str, master_seed: int, workers: in
             ind = [r[(eps, k)][1] for r in results]
             rows.append(summarize(f"width_checkpoints(eps={eps},k={k})", ck))
             rows.append(summarize(f"width_independent(eps={eps},k={k})", ind))
-            rows.append(
-                summarize(
-                    f"frac_checkpoints_narrower(eps={eps},k={k})",
-                    [1.0 if c <= i else 0.0 for c, i in zip(ck, ind)],
-                )
-            )
+            wins = [1.0 if c <= i else 0.0 for c, i in zip(ck, ind)]
+            rows.append(summarize(f"frac_checkpoints_narrower(eps={eps},k={k})", wins))
 
     # one canonical per-input report for the checkpoint method: the first
     # seed's first run at the first (epsilon, k) cell
     widths = results[0][(eps_list[0], k_list[0])][0]
-    uncertainty.write_uq_report(
-        os.path.join(out_dir, "uq_report.json"), k_list[0], cfg["uq.level"], cfg["uq.statistic"],
-        widths,
-    )
+    _write_json(os.path.join(out_dir, "uq_report.json"), {
+        "method": "last_k_checkpoints",
+        "k": k_list[0],
+        "level": cfg["uq.level"],
+        "statisticMode": cfg["uq.statistic"],
+        "averageWidth": float(widths.mean()),
+        "perInputWidths": [float(w) for w in widths],
+    })
     return ResultTable(rows)
 
 
@@ -981,9 +961,7 @@ def _dpld_point(config, stat_name: str, trials: int, oracle, point) -> "dpld.Var
     return dpld.variance_bias_experiment(config, times, stat, trials, seed, oracle)
 
 
-def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int | None):
-    cfg = read_keys(view, KEY_TABLES["dpld_bias"])
-    workers = cfg["workers"] if workers is None else workers
+def run_dpld_bias(cfg: dict, out_dir: str, master_seed: int):
     dim, stat_name, trials = cfg["dpld.dim"], cfg["dpld.statistic"], cfg["dpld.trials"]
     model = QuadraticLoss(np.zeros(dim))
     theta_start = np.full(dim, cfg["dpld.start_distance"] / math.sqrt(dim))
@@ -1007,10 +985,19 @@ def run_dpld_bias(view: ConfigView, out_dir: str, master_seed: int, workers: int
     )
     points = [(times, derive_run_seed(master_seed, i)) for i, times in enumerate(all_times)]
     reports = _run_parallel(
-        functools.partial(_dpld_point, config, stat_name, trials, oracle), points, workers
+        functools.partial(_dpld_point, config, stat_name, trials, oracle), points, cfg["workers"]
     )
 
-    dpld.write_dpld_report(reports, os.path.join(out_dir, "dpld_report.csv"))
+    _write_csv(
+        os.path.join(out_dir, "dpld_report.csv"),
+        ["t1", "gap", "k", "trials", "mean_S", "oracle_V", "abs_bias", "oracle_SE",
+         "burn_in_bound"],
+        [
+            [r.times.t1, r.times.gap, r.times.k, r.trials, r.mean_s, r.oracle_v, r.abs_bias,
+             r.oracle_se, r.burn_in_bound]
+            for r in reports
+        ],
+    )
     rows = [
         ResultRow(
             f"abs_bias(t1={r.times.t1},gap={r.times.gap})",
@@ -1064,7 +1051,7 @@ def run_experiment(
 ) -> ResultTable:
     """Run one configured task and write its artifacts under out_dir.
 
-    The task's key table is read and checked before compute starts;
+    The task's key table is read and checked before its driver starts;
     workers, when given, overrides the config's. A numeric divergence
     mid-run leaves a status.json flagging the partial output, then
     propagates (the CLI maps it to exit code 3).
@@ -1076,9 +1063,18 @@ def run_experiment(
     if workers is not None and workers < 1:
         raise ConfigError("workers must be at least 1", key="workers")
     os.makedirs(out_dir, exist_ok=True)
+    # the train task's table follows train.mode
+    table_name = "train-" + view.raw("train.mode", "practical") if task == "train" else task
+    if table_name not in KEY_TABLES:
+        raise ConfigError(f"unknown trainer mode {view.raw('train.mode')!r}", key="train.mode")
+    cfg = read_keys(view, KEY_TABLES[table_name])
+    if workers is not None:
+        cfg["workers"] = workers
+    if "seeds" in cfg and cfg["seeds"] is None:
+        cfg["seeds"] = [derive_run_seed(master_seed, i) for i in range(cfg["num_seeds"])]
 
     try:
-        table = _TASK_FUNCS[task](view, out_dir, master_seed, workers)
+        table = _TASK_FUNCS[task](cfg, out_dir, master_seed)
     except NumericDivergenceError as exc:
         _write_status(out_dir, "partial", str(exc))
         raise

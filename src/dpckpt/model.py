@@ -396,12 +396,15 @@ class LogisticLoss(LossModel):
         """Build the model and its curvature constants from a dataset.
 
         The per-example gradient norm bound is max_i ||x_i|| + l2_reg * radius,
-        valid as long as iterates stay in the radius ball.
+        valid as long as iterates stay in the radius ball. The smoothness
+        bound squares max_i ||x_i||, so that must be finite and below 1e154.
         """
         if not radius > 0:
             raise ValueError("radius must be positive")
         norms = np.linalg.norm(data.features, axis=1)
         max_norm = float(norms.max())
+        if not max_norm < 1e154:
+            raise ValueError(f"the feature norm bound {max_norm} is not below 1e154")
         hess = 0.25 if data.num_classes == 2 else 0.5
         model = cls(
             n_features=data.p,

@@ -53,7 +53,7 @@ import numpy as np
 from . import rng
 from .errors import NumericDivergenceError
 from .model import DatasetHandle, DiurnalSchedule, LossModel, accuracy, diurnal_draw
-from .privacy import PrivacyBudget, calibrate_practical, calibrate_theoretical, compose_zcdp
+from .privacy import PrivacyBudget, calibrate_practical, calibrate_theoretical
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -273,12 +273,18 @@ def dp_sgd_theoretical_runs(
 def practical_noise(config: TrainerConfig, noise_multiplier: float) -> tuple[float, float]:
     """(std of the noise on the mean clipped gradient, total rho) of a practical run.
 
-    rho is plain T-fold composition; noise_multiplier = 0 is noiseless SGD
-    with an infinite budget.
+    rho is T-fold composition in closed form, T * rho_step (the correctly
+    rounded sum); noise_multiplier = 0 is noiseless SGD with an infinite budget.
     """
     if noise_multiplier > 0:
         scale, rho_step = calibrate_practical(config.clip_norm, noise_multiplier)
-        return scale.std / config.batch_size, compose_zcdp([rho_step] * config.num_steps)
+        rho = config.num_steps * rho_step
+        if not math.isfinite(rho):
+            raise ValueError(
+                f"noise_multiplier {noise_multiplier} over {config.num_steps} steps puts the"
+                " total rho out of float range"
+            )
+        return scale.std / config.batch_size, rho
     if noise_multiplier == 0:
         return 0.0, math.inf
     raise ValueError("noise_multiplier must be nonnegative")

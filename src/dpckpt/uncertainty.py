@@ -12,9 +12,11 @@ The t quantile is computed from scratch. Every interval has k - 1
 degrees of freedom, an integer, so the CDF is the closed-form finite
 series in cos^2(atan(|x| / sqrt(dof))) for integer dof (Abramowitz &
 Stegun 26.7.3-26.7.4), and the quantile inverts the CDF by bisection.
+
+The module computes and opens no file; the harness writes the uq_compare
+task's uq_report.json from the widths t_widths returns.
 """
 
-import json
 import math
 import numbers
 from functools import lru_cache
@@ -138,21 +140,3 @@ def independent_rows(seeds: Sequence[int], k: int, selection_seed: int) -> np.nd
         raise ValueError("independent runs must carry distinct seeds")
     gen = rng.step_generator(selection_seed, rng.STREAM_SELECT, 0)
     return np.sort(gen.choice(len(seeds), size=k, replace=False))
-
-
-def write_uq_report(
-    path: str, k: int, level: float, statistic_mode: str, widths: Sequence[float]
-) -> None:
-    """JSON report of the last-k-checkpoints interval widths, one per input."""
-    widths = np.asarray(widths, dtype=np.float64)
-    payload = {
-        "method": "last_k_checkpoints",
-        "k": k,
-        "level": level,
-        "statisticMode": statistic_mode,
-        "averageWidth": float(widths.mean()),
-        "perInputWidths": [float(w) for w in widths],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

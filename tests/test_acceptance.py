@@ -19,13 +19,7 @@ import pytest
 from dpckpt import aggregate, dpld, privacy, rng, trainer, uncertainty
 from dpckpt.aggregate import AggregationSpec
 from dpckpt.harness.config import ConfigView
-from dpckpt.harness.experiments import (
-    run_dpld_bias,
-    run_experiment,
-    run_pds_eval,
-    run_risk_compare,
-    run_uq_compare,
-)
+from dpckpt.harness.experiments import run_experiment
 from dpckpt.model import LogisticLoss, QuadraticLoss, synth_classification
 
 from test_uncertainty import simpson_t_cdf
@@ -134,7 +128,9 @@ def test_ac1_aggregator_exactness():
 
 def test_ac2_averages_beat_last_iterate(tmp_path):
     start = time.monotonic()
-    table = run_risk_compare(ConfigView({}), str(tmp_path), master_seed=0, workers=1)
+    table = run_experiment(
+        ConfigView({}), str(tmp_path), master_seed=0, workers=1, task="risk_compare"
+    )
     elapsed = time.monotonic() - start
 
     last = table.lookup("excess_last").mean
@@ -157,7 +153,9 @@ def test_ac2_averages_beat_last_iterate(tmp_path):
 
 def test_ac3_variance_estimator_bias_decay(tmp_path):
     start = time.monotonic()
-    table = run_dpld_bias(ConfigView({}), str(tmp_path), master_seed=0, workers=1)
+    table = run_experiment(
+        ConfigView({}), str(tmp_path), master_seed=0, workers=1, task="dpld_bias"
+    )
     elapsed = time.monotonic() - start
 
     def bias(t1, gap):
@@ -201,7 +199,9 @@ def test_ac3_variance_estimator_bias_decay(tmp_path):
 
 def test_ac4_checkpoint_intervals_competitive(tmp_path):
     start = time.monotonic()
-    table = run_uq_compare(ConfigView({}), str(tmp_path), master_seed=0, workers=1)
+    table = run_experiment(
+        ConfigView({}), str(tmp_path), master_seed=0, workers=1, task="uq_compare"
+    )
     elapsed = time.monotonic() - start
 
     fracs = {
@@ -221,7 +221,9 @@ def test_ac4_checkpoint_intervals_competitive(tmp_path):
 
 def test_ac5_aggregation_stabilizes_drift(tmp_path):
     start = time.monotonic()
-    table = run_pds_eval(ConfigView({}), str(tmp_path), master_seed=0, workers=1)
+    table = run_experiment(
+        ConfigView({}), str(tmp_path), master_seed=0, workers=1, task="pds_eval"
+    )
     elapsed = time.monotonic() - start
 
     std_base = table.lookup("window_std_baseline").mean

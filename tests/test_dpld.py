@@ -1,6 +1,5 @@
 """Langevin simulation: transition kernels, oracles, and analytic bounds."""
 
-import csv
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from dpckpt.dpld import (
     stationary_oracle_V,
     subgaussian_tail_check,
     variance_bias_experiment,
-    write_dpld_report,
 )
 from dpckpt.model import LogisticLoss, QuadraticLoss, synth_classification
 from dpckpt.rng import STREAM_ORACLE, STREAM_TRIAL, gaussian_vector, step_generator
@@ -415,21 +413,3 @@ def test_subgaussian_tail_bound_holds():
     assert empirical <= bound + 3 * se
     with pytest.raises(ValueError):
         subgaussian_tail_check(dim=4, x=1.0, samples=1000)
-
-
-def test_write_dpld_report(tmp_path):
-    config = LDConfig(model=QuadraticLoss(center=np.zeros(2)), theta_start=np.ones(2))
-    times = CheckpointTimes(t1=1.0, gap=1.0, k=3)
-    stat = make_clamped_coordinate(np.zeros(2))
-    report = variance_bias_experiment(
-        config, times, stat, trials=200, experiment_seed=0,
-        oracle=_oracle(config, stat, 100_000, seed=0),
-    )
-    path = str(tmp_path / "dpld.csv")
-    write_dpld_report([report], path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][:3] == ["t1", "gap", "k"]
-    assert len(rows) == 2
-    assert float(rows[1][0]) == 1.0
-    assert int(rows[1][2]) == 3

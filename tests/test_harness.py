@@ -428,7 +428,7 @@ def test_run_experiment_rejects_unknown_keys(tmp_path):
 
 
 def test_run_experiment_flags_partial_output_on_divergence(tmp_path, monkeypatch):
-    def exploding_task(view, out_dir, master_seed, workers):
+    def exploding_task(cfg, out_dir, master_seed):
         raise NumericDivergenceError("training loss became non-finite", step=7)
 
     monkeypatch.setitem(experiments._TASK_FUNCS, "train", exploding_task)
@@ -530,6 +530,42 @@ def test_worker_count_does_not_change_results(tmp_path):
                 assert run.seed == derive_run_seed(0, i)
             outs.append([(f, (out / f).read_bytes()) for f in files + run_files])
         assert outs[0] == outs[1]
+
+
+def test_uq_compare_writes_uq_report_format(tmp_path):
+    """The harness writes uq_report.json: sorted keys, indent 2, a final
+    newline, and the first seed's widths at the first (epsilon, k) cell."""
+    run_experiment(ConfigView(parse_config_text(UQ_CFG)), str(tmp_path), workers=1)
+    text = (tmp_path / "uq_report.json").read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert list(payload) == [
+        "averageWidth", "k", "level", "method", "perInputWidths", "statisticMode"
+    ]
+    assert payload["method"] == "last_k_checkpoints"
+    assert payload["k"] == 3
+    assert payload["level"] == 0.95
+    assert payload["statisticMode"] == "modal_class_probability"
+    widths = payload["perInputWidths"]
+    assert len(widths) == 5 and all(w >= 0.0 for w in widths)
+    assert payload["averageWidth"] == float(np.mean(widths))
+
+
+def test_dpld_bias_writes_dpld_report_format(tmp_path):
+    """The harness writes dpld_report.csv: one header line, one "\\n"-ended
+    row per point in config order, and every float as its repr."""
+    table = run_experiment(ConfigView(parse_config_text(DPLD_CFG)), str(tmp_path), workers=1)
+    text = (tmp_path / "dpld_report.csv").read_bytes().decode("utf-8")
+    lines = text.split("\n")
+    assert lines[0] == "t1,gap,k,trials,mean_S,oracle_V,abs_bias,oracle_SE,burn_in_bound"
+    assert lines[-1] == "" and "\r" not in text
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [row[:4] for row in rows] == [
+        ["20.0", "20.0", "5", "100"], ["0.1", "10.0", "5", "100"], ["10.0", "0.1", "5", "100"]
+    ]
+    for row, table_row in zip(rows, table.rows):
+        assert all(repr(float(cell)) == cell for cell in row[4:])
+        assert float(row[6]) == table_row.mean
 
 
 def test_run_parallel_never_starts_more_processes_than_items(monkeypatch):
@@ -765,6 +801,9 @@ _BAD_KEY_CASES = [
      "noise_multiplier must be positive and finite"),
     (["aggregate_eval", "pds_eval", "ema_sweep", "k_sweep"], "data.split_seed = -1",
      "data.split_seed"),
+    # risk_compare scales its rows to unit norm before building the model
+    ([t for t in _TASK_HEADS if t != "risk_compare"], "data.separation = 1e300",
+     "feature norm bound"),
 ]
 _BAD_KEY_PARAMS = [
     (_TASK_HEADS[task][0], _TASK_HEADS[task][1] + line + "\n", needle)
@@ -835,6 +874,8 @@ _BAD_KEY_IDS = [
          "only one of 'seeds' and 'num_seeds'"),
         ("train", "train.noise_multiplier = 1e200\n", "out of float range"),
         ("train", "train.noise_multiplier = 1e-200\n", "out of float range"),
+        ("train", "train.noise_multiplier = 1e-154\ntrain.steps = 4\n",
+         "total rho out of float range"),
         ("train", "train.mode = theoretical\ntrain.l2_reg = 1e300\n", "overflows"),
         ("train", "train.mode = theoretical\ntrain.rho = 1e300\n", "below 2**31"),
         ("report", "task = risk_compare\ntrain.rho = 1e300\n", "below 2**31"),
@@ -863,6 +904,7 @@ _BAD_KEY_IDS = [
         "dpld_bias-k-2**32", "uq_compare-no-inputs", "dpld_bias-c-inf",
         "dpld_bias-start-negative", "risk_compare-seeds-and-num_seeds",
         "train-practical-noise-1e200", "train-practical-noise-1e-200",
+        "train-practical-noise-1e-154-steps-4",
         "train-theoretical-l2-1e300", "train-theoretical-rho-1e300", "risk_compare-rho-1e300",
         "uq_compare-eps-1e300", "train-practical-steps-1e20", "risk_compare-num_seeds-1e20",
         "uq_compare-pool-1e20", "uq_compare-inputs-1e20", "dpld_bias-dim-1e20",

@@ -168,6 +168,14 @@ def test_for_data_constants(binary_data):
     assert model.strong_convexity == 0.1
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e160])
+def test_for_data_rejects_a_feature_norm_bound_whose_square_overflows(binary_data, scale):
+    big = DatasetHandle(binary_data.features * scale, binary_data.labels, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="feature norm bound"):
+            LogisticLoss.for_data(big)
+
+
 def test_per_example_grad_norms_within_lipschitz(binary_model, binary_data):
     radius = 2.0
     gen = np.random.default_rng(2)

@@ -19,8 +19,14 @@ from dpckpt.model import (
     diurnal_draw,
     synth_classification,
 )
-from dpckpt.privacy import calibrate_theoretical, epsilon_to_zcdp
+from dpckpt.privacy import (
+    calibrate_practical,
+    calibrate_theoretical,
+    compose_zcdp,
+    epsilon_to_zcdp,
+)
 from dpckpt.trainer import (
+    MAX_STEPS,
     Checkpoint,
     EtaSchedule,
     RunRecord,
@@ -33,6 +39,7 @@ from dpckpt.trainer import (
     min_loss_in_ball,
     minibatch_indices,
     minimize_loss,
+    practical_noise,
     project_l2,
     save_run,
     theorem_step_size,
@@ -428,6 +435,24 @@ def test_practical_noise_changes_trajectory_but_not_batches(practical_setup):
     assert noisy.budget.rho == pytest.approx(30 / 2.0)
     (again,) = dp_sgd_practical_runs(model, data, config, [3], noise_multiplier=1.0, delta=1e-5)
     assert np.array_equal(noisy.final_params(), again.final_params())
+
+
+@pytest.mark.parametrize("z", [0.3, 1.0, 1.7, 12.5])
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 30, 999])
+def test_practical_noise_composes_equal_steps_like_compose_zcdp(z, steps):
+    config = TrainerConfig("practical", steps, EtaSchedule("constant", 0.1), batch_size=4)
+    _, rho_step = calibrate_practical(1.0, z)
+    assert practical_noise(config, z)[1] == compose_zcdp([rho_step] * steps)
+
+
+def test_practical_noise_total_rho_in_closed_form():
+    # a T-element list here would hold 2**31 - 1 floats
+    config = TrainerConfig("practical", MAX_STEPS, EtaSchedule("constant", 0.1))
+    assert practical_noise(config, 1.0)[1] == MAX_STEPS * 0.5
+    short = TrainerConfig("practical", 4, EtaSchedule("constant", 0.1))
+    with pytest.raises(ValueError, match="total rho out of float range"):
+        practical_noise(short, 1e-154)
+    assert practical_noise(short, 0.0) == (0.0, math.inf)
 
 
 def test_practical_init_is_small_uniform(practical_setup):

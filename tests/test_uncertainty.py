@@ -4,7 +4,6 @@ scipy appears here only as a reference implementation; the package
 itself never imports it.
 """
 
-import json
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from dpckpt.uncertainty import (
     t_cdf,
     t_quantile,
     t_widths,
-    write_uq_report,
 )
 
 # independently computed with scipy.stats.t.ppf(0.975, 4) and frozen
@@ -280,16 +278,3 @@ def test_uq_config_validation(tmp_path):
         with pytest.raises(ConfigError) as exc:
             run_experiment(view, str(tmp_path / "out"), workers=1)
         assert exc.value.key == key
-
-
-def test_write_uq_report(tmp_path):
-    path = str(tmp_path / "uq_report.json")
-    write_uq_report(path, 5, 0.95, "modal_class_probability", np.array([0.1, 0.15]))
-    with open(path) as fh:
-        payload = json.load(fh)
-    assert payload["method"] == "last_k_checkpoints"
-    assert payload["k"] == 5
-    assert payload["level"] == 0.95
-    assert payload["statisticMode"] == "modal_class_probability"
-    assert payload["averageWidth"] == 0.125
-    assert payload["perInputWidths"] == [0.1, 0.15]
