@@ -543,12 +543,20 @@ def _theoretical_config(
 
     T is choose_T(n, rho) unless steps is given; the step size is the
     theorem schedule for the noise that rho calibrates over T steps. A
-    rho or steps that the calibration rejects is a config error.
+    rho or steps that the calibration rejects is a config error, and so
+    is a radius outside the trainer's precondition
+    radius * max(1, lipschitz) < 1e150.
     """
     with _config_errors("trainer setting"):
         steps = trainer.choose_T(n, rho) if steps is None else steps
         noise = privacy.calibrate_theoretical(model.lipschitz, steps, n, rho)
         eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
+    if not radius * max(1.0, model.lipschitz) < 1e150:
+        raise ConfigError(
+            f"radius {radius} times max(1, Lipschitz bound {model.lipschitz})"
+            " is not below 1e150",
+            key="train.radius",
+        )
     return _trainer_config(
         (eta.kind, eta.value),
         mode="theoretical",
@@ -660,7 +668,15 @@ def run_risk_compare(cfg: dict, out_dir: str, master_seed: int):
     if cfg["data.unit_norm"]:
         # Unit-norm rows keep the per-example gradient bound at 1 + l2*radius,
         # the usual setup when a Lipschitz constant replaces gradient clipping.
-        feats = feats / np.maximum(np.linalg.norm(feats, axis=1, keepdims=True), 1e-12)
+        norms = np.linalg.norm(feats, axis=1, keepdims=True)
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            # a row divided by its overflowed norm would be all zeros
+            raise ConfigError(
+                f"the norm of feature row {bad[0]} overflows, so it cannot be scaled to unit norm",
+                key="data.unit_norm",
+            )
+        feats = feats / np.maximum(norms, 1e-12)
     data = DatasetHandle(feats, data.labels, data.num_classes, tag="train")
     specs = parse_aggregation_list(cfg["agg.list"])
     output_space = [spec.label() for spec in specs if spec.kind in ("opa", "omv", "best_k")]
@@ -678,8 +694,10 @@ def run_risk_compare(cfg: dict, out_dir: str, master_seed: int):
     _check_k_fits([spec.k for spec in specs], config, "agg.list")
     min_loss = trainer.min_loss_in_ball(model, data, radius)
 
+    # the per-step loss is read only by the saved runs' metrics.csv
     train = functools.partial(
-        trainer.dp_sgd_theoretical_runs, model, data, config, rho=rho, delta=cfg["train.delta"]
+        trainer.dp_sgd_theoretical_runs, model, data, config, rho=rho, delta=cfg["train.delta"],
+        record_loss=cfg["save_runs"],
     )
     results = _train_and_score(
         cfg, out_dir, train, functools.partial(_excess_risks, model, data, min_loss, specs)
@@ -881,7 +899,7 @@ def _uq_widths(model, data, test_inputs, cfg: dict, budgets: list, outer_seed: i
     chosen = {k: uncertainty.independent_rows(pool_seeds, k, outer_seed) for k in k_list}
     for eps, (rho, config) in zip(cfg["uq.epsilons"], budgets):
         runs = trainer.dp_sgd_theoretical_runs(
-            model, data, config, pool_seeds, rho, cfg["train.delta"]
+            model, data, config, pool_seeds, rho, cfg["train.delta"], record_loss=False
         )
         # statistics of the first run's last max(k) checkpoints and of every
         # run's final checkpoint; each (eps, k) cell selects rows of these

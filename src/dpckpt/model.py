@@ -15,7 +15,10 @@ loss_and_grad gives both at once from one logits block: the binary head
 shares z = y * margin and exp(-|z|) between the cross-entropy and its
 slope, the softmax head shares exp(logits - max) and its row sum between
 the log-sum-exp and the probabilities. loss_full and grad_full read the
-same helpers, so the fused pair equals the separate calls bit for bit.
+same helpers, so the fused pair equals the separate calls bit for bit; a
+caller that reads only the gradient calls grad_full and pays for no loss
+term. The binary slope is branch-free: sigmoid takes its numerator as
+max(exp(-|x|), x >= 0), which equals the np.where form bit for bit.
 predict_proba, predict_labels and accuracy take rows the same way: (S, p)
 rows give (S, n, c) probabilities, (S, n) labels and (S,) accuracies.
 predict_labels reads the argmax straight off the logits, with no softmax,
@@ -179,8 +182,10 @@ def load_csv(path: str, num_classes: int | None = None, tag: str = "") -> Datase
 
 def _sigmoid_from(nonneg: np.ndarray, e: np.ndarray) -> np.ndarray:
     """sigmoid(x) from nonneg = (x >= 0) and e = exp(-|x|): 1/(1+e) where x >= 0
-    and e/(1+e) elsewhere, the form that keeps precision on each side."""
-    return np.where(nonneg, 1.0, e) / (1.0 + e)
+    and e/(1+e) elsewhere, the form that keeps precision on each side. As e is
+    in [0, 1] or NaN, max(e, nonneg) is that numerator without a branch, and
+    bit-equal to np.where(nonneg, 1.0, e)."""
+    return np.maximum(e, nonneg) / (1.0 + e)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -8,13 +8,16 @@ seed. Two modes share the checkpoint/metrics plumbing:
                with per-step Gaussian noise calibrated so the whole
                T-step run is rho-zCDP. The S seeds train as one loop
                over an (S, p) iterate matrix: each step makes one
-               model.loss_and_grad call on the S projected rows, one
-               logits pass that gives the step's recorded loss and the
-               next step's gradient (T + 1 passes in all, the first at
-               the origin), and the noise for a chunk of steps of all S
-               seeds comes from one rng.gaussian_steps draw. Every row
-               equals the run trained alone bit for bit, so one run is
-               the seed list [seed].
+               logits pass on the S projected rows that gives the next
+               step's gradient (T + 1 passes in all, the first at the
+               origin). That pass is one model.loss_and_grad call when
+               the step's loss is recorded, and one model.grad_full
+               call, with no loss term, when record_loss is off and the
+               train_loss column stays NaN. A non-finite iterate stops
+               the run. The noise for a chunk of steps of all S seeds
+               comes from one rng.gaussian_steps draw. Every row equals
+               the run trained alone bit for bit, so one run is the
+               seed list [seed].
   practical    minibatch DP-SGD with per-example clipping, noise on the
                summed clipped gradient, and plain T-fold composition
                accounting (no subsampling amplification claimed).
@@ -226,17 +229,25 @@ def dp_sgd_theoretical_runs(
     rho: float,
     delta: float = 1e-5,
     eval_data: DatasetHandle | None = None,
+    record_loss: bool = True,
 ) -> list[RunRecord]:
     """Projected full-gradient DP-SGD under a total budget of rho-zCDP, one run per seed.
 
     theta_0 = 0; at each step the exact gradient plus calibrated Gaussian
     noise is applied and the iterate is projected back onto the radius-R
     ball. rho = inf runs the zero-noise limit. Pass eval_data to record
-    per-step accuracy (otherwise that metric column is NaN).
+    per-step accuracy, and record_loss=False to skip the per-step training
+    loss; each skipped metric column is NaN. The iterates do not depend on
+    either.
 
     The S runs advance together as the rows of one (S, p) iterate
     matrix; record s is bit-identical to the call with seeds [seeds[s]].
-    A non-finite loss in any row stops all of them at that step.
+    A non-finite iterate in any row stops all of them at that step.
+    Precondition: R * max(1, model.lipschitz) < 1e150. Then every point
+    of the ball has finite logits and a finite loss (the Lipschitz bound
+    is at least the largest feature norm and at least l2_reg * R), so an
+    iterate is finite exactly when its loss is, and the squared norm that
+    the projection takes does not overflow.
     """
     _check_runs(config, seeds, "theoretical")
     if model.lipschitz is None or not math.isfinite(model.lipschitz):
@@ -251,16 +262,18 @@ def dp_sgd_theoretical_runs(
     ckpts = np.empty((len(seeds), len(ckpt_steps), dim))
     metrics = np.full((len(seeds), T, 2), math.nan)
     noise = rng.gaussian_steps(seeds, rng.STREAM_NOISE, T, dim) if noise_std > 0 else None
-    g = model.loss_and_grad(theta, data)[1]
+    g = model.grad_full(theta, data)
     for t in range(1, T + 1):
         if noise is not None:
             g = g + noise_std * next(noise)
         theta = project_l2(theta - config.eta.at(t) * g, config.projection_radius)
+        if not np.all(np.isfinite(theta)):
+            raise NumericDivergenceError("iterate became non-finite", step=t)
         # theta_t's loss is step t's metric and its gradient drives step t + 1
-        loss, g = model.loss_and_grad(theta, data)
-        if not np.all(np.isfinite(loss)):
-            raise NumericDivergenceError("training loss became non-finite", step=t)
-        metrics[:, t - 1, 0] = loss
+        if record_loss:
+            metrics[:, t - 1, 0], g = model.loss_and_grad(theta, data)
+        else:
+            g = model.grad_full(theta, data)
         if eval_data is not None:
             metrics[:, t - 1, 1] = accuracy(model, theta, eval_data)
         if t in ckpt_index:

@@ -27,7 +27,13 @@ from dpckpt.harness.experiments import (
     summarize,
     tune_on_validation,
 )
-from dpckpt.model import DatasetHandle, LossModel, QuadraticLoss, synth_classification
+from dpckpt.model import (
+    DatasetHandle,
+    LogisticLoss,
+    LossModel,
+    QuadraticLoss,
+    synth_classification,
+)
 from dpckpt import aggregate, trainer
 
 # ---------------------------------------------------------------------------
@@ -551,6 +557,46 @@ def test_uq_compare_writes_uq_report_format(tmp_path):
     assert payload["averageWidth"] == float(np.mean(widths))
 
 
+def test_uq_compare_never_computes_a_training_loss(tmp_path, monkeypatch):
+    def no_loss(*args, **kwargs):
+        raise AssertionError("a training loss was computed")
+
+    for name in ("loss_and_grad", "loss_full"):
+        monkeypatch.setattr(LogisticLoss, name, no_loss)
+    table = run_experiment(ConfigView(parse_config_text(UQ_CFG)), str(tmp_path), workers=1)
+    # three rows for each of the two (epsilon, k) cells
+    assert len(table.rows) == 6
+    assert (tmp_path / "uq_report.json").exists()
+
+
+@pytest.mark.parametrize("save_runs", [False, True])
+def test_risk_compare_records_the_loss_only_for_saved_runs(tmp_path, monkeypatch, save_runs):
+    real = experiments.trainer.dp_sgd_theoretical_runs
+    seen = []
+
+    def recording(*args, record_loss=True, **kwargs):
+        seen.append(record_loss)
+        return real(*args, record_loss=record_loss, **kwargs)
+
+    monkeypatch.setattr(experiments.trainer, "dp_sgd_theoretical_runs", recording)
+    text = RISK_CFG.replace("save_runs = true", f"save_runs = {str(save_runs).lower()}")
+    run_experiment(ConfigView(parse_config_text(text)), str(tmp_path), workers=1)
+    assert seen == [save_runs]
+    if save_runs:
+        with open(tmp_path / "runs" / "seed_000" / "metrics.csv") as fh:
+            losses = [float(row["train_loss"]) for row in csv.DictReader(fh)]
+        assert losses and all(math.isfinite(v) for v in losses)
+
+
+def test_theoretical_radius_under_the_bound_trains_to_the_boundary(tmp_path):
+    lines = "train.mode = theoretical\ntrain.radius = 1e140\ntrain.steps = 20\ndata.n = 50\n"
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", _write_cfg(tmp_path, lines), "--out", str(out)]) == 0
+    params = trainer.load_run(str(out)).params
+    # the noisy steps reach the ball's edge instead of being zeroed by the projection
+    assert np.linalg.norm(params[-1]) == pytest.approx(1e140)
+
+
 def test_dpld_bias_writes_dpld_report_format(tmp_path):
     """The harness writes dpld_report.csv: one header line, one "\\n"-ended
     row per point in config order, and every float as its repr."""
@@ -801,9 +847,15 @@ _BAD_KEY_CASES = [
      "noise_multiplier must be positive and finite"),
     (["aggregate_eval", "pds_eval", "ema_sweep", "k_sweep"], "data.split_seed = -1",
      "data.split_seed"),
-    # risk_compare scales its rows to unit norm before building the model
+    # risk_compare scales its rows to unit norm before building the model, so
+    # there the row norm that overflows is the error
     ([t for t in _TASK_HEADS if t != "risk_compare"], "data.separation = 1e300",
      "feature norm bound"),
+    (["risk_compare"], "data.separation = 1e300", "cannot be scaled to unit norm"),
+    # radius * max(1, lipschitz) must stay below 1e150: at l2_reg = 0 the
+    # radius alone breaks it, and with l2_reg > 0 so does its l2_reg * radius term
+    (["train-theoretical"], "train.radius = 1e200", "is not below 1e150"),
+    (["risk_compare", "uq_compare"], "train.radius = 1e100", "is not below 1e150"),
 ]
 _BAD_KEY_PARAMS = [
     (_TASK_HEADS[task][0], _TASK_HEADS[task][1] + line + "\n", needle)

@@ -22,6 +22,8 @@ from dpckpt.model import (
     diurnal_prob,
     load_csv,
     save_csv,
+    _binary_slope,
+    _margin_terms,
     _sigmoid,
     synth_classification,
 )
@@ -306,6 +308,29 @@ def test_sigmoid_is_bit_identical_to_the_masked_form():
     assert np.array_equal(np.signbit(got), np.signbit(want))
     grid = z[14:].reshape(100, 10)
     assert np.array_equal(_sigmoid(grid), _masked_sigmoid(grid.ravel()).reshape(100, 10))
+
+
+def _where_sigmoid_from(nonneg: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The np.where numerator the branch-free np.maximum one replaced."""
+    return np.where(nonneg, 1.0, e) / (1.0 + e)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    # NaNs compare by their bit pattern too, sign and payload included
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_branch_free_slope_is_bit_equal_to_the_where_form():
+    mags = np.array([0.0, 5e-324, 1e-300, 1.0, 36.7, 700.0, 1e308, np.inf])
+    x = np.concatenate([mags, -mags, [np.nan]])
+    want = _where_sigmoid_from(x >= 0, np.exp(-np.abs(x)))
+    assert np.array_equal(_bits(_sigmoid(x)), _bits(want))
+    # the slope, for every x as a margin of either label
+    for label in (0, 1):
+        labels = np.full(x.shape, label)
+        signs, z, e = _margin_terms(x, labels)
+        want = -signs * _where_sigmoid_from(z <= 0, e)
+        assert np.array_equal(_bits(_binary_slope(signs, z, e)), _bits(want))
 
 
 def _every_family(binary_data, multi_data):

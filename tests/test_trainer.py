@@ -381,6 +381,41 @@ def test_theoretical_run_forms_the_logits_once_per_step(family, monkeypatch):
     assert calls == [2] * (9 + 1)
 
 
+@pytest.mark.parametrize("family", ["binary", "softmax", "quadratic"])
+def test_unrecorded_loss_leaves_the_runs_unchanged(family, monkeypatch):
+    model, data = _batch_setup(family)
+    # the quadratic model has no prediction head to score
+    eval_data = None if family == "quadratic" else data
+    config = TrainerConfig(
+        "theoretical", 20, EtaSchedule("inverse_sqrt", 0.5), projection_radius=0.7,
+        checkpoint_every=3,
+    )
+    seeds = [1, 2, 3]
+    recorded = dp_sgd_theoretical_runs(model, data, config, seeds, rho=0.3, eval_data=eval_data)
+
+    def no_loss(*args, **kwargs):
+        raise AssertionError("a loss was computed")
+
+    for name in ("loss_and_grad", "loss_full"):
+        monkeypatch.setattr(type(model), name, no_loss)
+    skipped = dp_sgd_theoretical_runs(
+        model, data, config, seeds, rho=0.3, eval_data=eval_data, record_loss=False
+    )
+    for s, full, lean in zip(seeds, recorded, skipped):
+        assert np.array_equal(lean.params, full.params)
+        assert np.array_equal(lean.steps, full.steps)
+        assert np.all(np.isnan(lean.metrics[:, 0]))
+        assert np.array_equal(lean.metrics[:, 1], full.metrics[:, 1], equal_nan=True)
+        if eval_data is not None:
+            assert not np.any(np.isnan(lean.metrics[:, 1]))
+        (alone,) = dp_sgd_theoretical_runs(
+            model, data, config, [s], rho=0.3, eval_data=eval_data, record_loss=False
+        )
+        assert np.array_equal(alone.params, lean.params)
+        assert np.array_equal(alone.steps, lean.steps)
+        assert np.array_equal(alone.metrics, lean.metrics, equal_nan=True)
+
+
 def test_runs_need_their_mode_and_at_least_one_seed():
     model, data = _batch_setup("quadratic")
     theoretical = TrainerConfig("theoretical", 5, EtaSchedule("constant", 0.1), batch_size=8)
@@ -585,9 +620,10 @@ class _NaNGradientOnCall(QuadraticLoss):
     """Quadratic loss whose gradient turns NaN in `rows` on its nan_call-th call.
 
     QuadraticLoss.clipped_grad_mean calls grad_full once per practical step;
-    the theoretical trainer's t-th loss_and_grad call (the first is at the
-    origin) gives the gradient of step t. So either trainer's nan_call-th
-    counted call feeds step nan_call.
+    the theoretical trainer's t-th gradient call (grad_full at the origin,
+    then loss_and_grad, or grad_full when the loss is not recorded) gives
+    the gradient of step t. So either trainer's nan_call-th counted call
+    feeds step nan_call.
     """
 
     def __init__(self, nan_call: int, rows=..., **kwargs):
@@ -624,11 +660,14 @@ def test_batched_practical_raises_when_one_row_turns_nan():
     assert info.value.step == 5
 
 
-def test_batched_theoretical_raises_when_one_row_turns_nan():
+@pytest.mark.parametrize("record_loss", [True, False])
+def test_batched_theoretical_raises_when_one_row_turns_nan(record_loss):
     model = _NaNGradientOnCall(nan_call=3, rows=1)
     config = TrainerConfig("theoretical", 10, EtaSchedule("inverse_sqrt", 0.4))
     with pytest.raises(NumericDivergenceError) as info:
-        dp_sgd_theoretical_runs(model, _dummy_data(20, 2), config, [1, 2], rho=0.5)
+        dp_sgd_theoretical_runs(
+            model, _dummy_data(20, 2), config, [1, 2], rho=0.5, record_loss=record_loss
+        )
     assert info.value.step == 3
 
 

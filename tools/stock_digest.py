@@ -1,13 +1,16 @@
 """Hash every artifact the stock configs write.
 
     PYTHONPATH=src python tools/stock_digest.py > after.txt
+    PYTHONPATH=src python tools/stock_digest.py uq_compare risk_compare > after.txt
 
 Runs each configs/*.cfg through dpckpt.harness.run_experiment at master
 seed 0 and workers 1, then runs aggregate_eval, pds_eval and risk_compare
 once more with save_runs set to true, so their run directories are hashed
-too. Prints "sha256  relative/path" for every file written, sorted by path,
-to stdout, and "<seconds>  <config name>[+save_runs]" for each run, the
-wall time of its run_experiment call, to stderr.
+too. Config stems given as arguments (the file names without .cfg) limit
+the runs to those configs and their save_runs reruns; no argument runs
+all. Prints "sha256  relative/path" for every file written, sorted by
+path, to stdout, and "<seconds>  <config name>[+save_runs]" for each run,
+the wall time of its run_experiment call, to stderr.
 
 dpckpt is imported from PYTHONPATH, so one copy of this script hashes any
 checkout; a refactor that claims byte-identical artifacts shows it with
@@ -21,6 +24,7 @@ import os
 import sys
 import tempfile
 import time
+from typing import Sequence
 
 from dpckpt.harness.config import ConfigView, load_config
 from dpckpt.harness.experiments import run_experiment
@@ -29,12 +33,19 @@ CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 SAVE_RUNS_TASKS = ("aggregate_eval", "pds_eval", "risk_compare")
 
 
-def write_stock_artifacts(config_dir: str, out_root: str) -> None:
-    """Every stock run, each under out_root/<config name>[+save_runs]; each
-    run's wall time goes to stderr."""
-    for name in sorted(f for f in os.listdir(config_dir) if f.endswith(".cfg")):
-        values = load_config(os.path.join(config_dir, name))
-        stem = name[: -len(".cfg")]
+def write_stock_artifacts(config_dir: str, out_root: str, stems: Sequence[str] = ()) -> None:
+    """Every stock run, or those of the named config stems, each under
+    out_root/<config name>[+save_runs]; each run's wall time goes to stderr."""
+    available = sorted(f[: -len(".cfg")] for f in os.listdir(config_dir) if f.endswith(".cfg"))
+    unknown = sorted(set(stems) - set(available))
+    if unknown:
+        raise SystemExit(
+            f"no config {', '.join(unknown)}; the stock configs are {', '.join(available)}"
+        )
+    for stem in available:
+        if stems and stem not in stems:
+            continue
+        values = load_config(os.path.join(config_dir, f"{stem}.cfg"))
         runs = [(stem, values)]
         if values["task"] in SAVE_RUNS_TASKS:
             # the stock files assign save_runs, so override the parsed value
@@ -59,7 +70,7 @@ def digest_lines(out_root: str) -> list[str]:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as out_root:
-        write_stock_artifacts(CONFIG_DIR, out_root)
+        write_stock_artifacts(CONFIG_DIR, out_root, sys.argv[1:])
         print("\n".join(digest_lines(out_root)))
 
 
