@@ -18,10 +18,10 @@ uses the normals rng.gaussian_vector(seed, STREAM_TRIAL, (j << 32) + s, p),
 so each trial is a pure function of (seed, j) whatever the trial count or
 worker count.
 
-Every checkpoint schedule of one configuration shares the stationary law
-N(theta*, sigma_eff^2 I) (stationary_law), so the Monte-Carlo oracle of
-the statistic's stationary variance (stationary_oracle_V) is drawn once
-and handed to each variance_bias_experiment as a (V, SE) pair.
+The comparison target is exact: each statistic, centred on theta*, has a
+closed-form variance under the stationary law N(theta*, sigma_eff^2 I)
+(stationary_law) that every checkpoint schedule shares, read from
+chi-square CDFs, since its distance from theta* is sigma_eff * chi_p.
 
 The module computes and opens no file; the harness writes the dpld_bias
 task's dpld_report.csv from the VarianceBiasReports.
@@ -38,7 +38,8 @@ from .model import QuadraticLoss
 
 _ORACLE_CHUNK = 100_000
 MIN_TRIALS = 100
-MIN_ORACLE_SAMPLES = 100_000
+# the norm excess's exact variance is off by up to 1e-7 at p = 1e4, more above
+MAX_NORM_EXCESS_DIM = 10_000
 # trial j and event s share one 63-bit counter step, (j << 32) + s
 MAX_TRIALS = 2**31
 MAX_EVENTS = 2**32
@@ -52,14 +53,56 @@ MAX_EVENTS = 2**32
 class Statistic:
     """Named map from a parameter vector to a scalar in [-1, 1].
 
-    The callable must accept a (n, p) batch and return (n,) values.
+    batch_fn maps a (n, p) batch to (n,) values; variance(sigma) is the
+    exact variance under N(center, sigma^2 I), center as built.
     """
 
     name: str
     batch_fn: Callable[[np.ndarray], np.ndarray]
+    variance: Callable[[float], float]
 
     def evaluate_batch(self, thetas: np.ndarray) -> np.ndarray:
         return np.asarray(self.batch_fn(thetas), dtype=np.float64)
+
+
+def _chi_cdf(dof: int, r: float) -> float:
+    """P(R <= r) for R ~ chi_dof and r >= 0: the series sum_{n >= 0}
+    x^(s+n) e^-x / Gamma(s+n+1), s = dof/2, x = r^2/2 (Abramowitz & Stegun
+    6.5.29), so a small P keeps its digits. P(R > sqrt(dof) + t) <=
+    exp(-t^2/2), so from t = 9 on P is 1 to 3e-18."""
+    if r >= math.sqrt(dof) + 9.0:
+        return 1.0
+    s, x = 0.5 * dof, 0.5 * r * r
+    if x == 0.0:
+        return 0.0
+    t = s
+    term = total = math.exp(s * math.log(x) - x - math.lgamma(s + 1.0))
+    while term > total * 1e-17:
+        t += 1.0
+        term *= x / t
+        total += term
+    return total
+
+
+def _clip_moments(dof: int, sigma: float, c: float) -> tuple[float, float]:
+    """(E[g], E[g^2]) for g = clip(sigma R - c, -1, 1) with R ~ chi_dof.
+
+    g is -1 for R <= a = (c - 1)/sigma, +1 for R > b = (c + 1)/sigma and
+    sigma R - c between, where E[R^j; a < R <= b] is E[R^j] times the
+    chi_{dof+j} mass of (a, b], by r f_dof = E[R] f_{dof+1} and r^2 f_dof =
+    dof f_{dof+2}. sigma^2 may overflow, so sigma scales a mass twice.
+    """
+    a, b = max(0.0, (c - 1.0) / sigma), (c + 1.0) / sigma
+    below, lo1, lo2 = (_chi_cdf(d, a) for d in (dof, dof + 1, dof + 2))
+    hi0, hi1, hi2 = (_chi_cdf(d, b) for d in (dof, dof + 1, dof + 2))
+    mean_r = math.sqrt(2.0) * math.exp(math.lgamma(0.5 * (dof + 1)) - math.lgamma(0.5 * dof))
+    first = mean_r * (sigma * (hi1 - lo1))  # sigma E[R; a < R <= b]
+    second = dof * (sigma * (sigma * (hi2 - lo2)))  # sigma^2 E[R^2; a < R <= b]
+    above, mass = 1.0 - hi0, hi0 - below
+    return (
+        above - below + first - c * mass,
+        above + below + second - 2.0 * c * first + c * c * mass,
+    )
 
 
 def make_clamped_coordinate(theta_star: np.ndarray, coord: int = 0) -> Statistic:
@@ -68,7 +111,11 @@ def make_clamped_coordinate(theta_star: np.ndarray, coord: int = 0) -> Statistic
     def fn(batch: np.ndarray) -> np.ndarray:
         return np.clip(batch[:, coord] - center, -1.0, 1.0)
 
-    return Statistic(name=f"clamped_coord{coord}", batch_fn=fn)
+    # |theta_c - center| is sigma chi_1 and the clip is odd: mean 0, so the
+    # variance is E[min(sigma chi_1, 1)^2]
+    return Statistic(
+        name=f"clamped_coord{coord}", batch_fn=fn, variance=lambda s: _clip_moments(1, s, 0.0)[1]
+    )
 
 
 def make_sign_coordinate(theta_star: np.ndarray, coord: int = 0) -> Statistic:
@@ -77,18 +124,36 @@ def make_sign_coordinate(theta_star: np.ndarray, coord: int = 0) -> Statistic:
     def fn(batch: np.ndarray) -> np.ndarray:
         return np.sign(batch[:, coord] - center)
 
-    return Statistic(name=f"sign_coord{coord}", batch_fn=fn)
+    # +-1 with probability 1/2 each
+    return Statistic(name=f"sign_coord{coord}", batch_fn=fn, variance=lambda sigma: 1.0)
 
 
 def make_clamped_norm_excess(theta_star: np.ndarray) -> Statistic:
     center = np.asarray(theta_star, dtype=np.float64)
+    if center.size > MAX_NORM_EXCESS_DIM:
+        raise ValueError(
+            f"norm_excess takes a dimension of at most {MAX_NORM_EXCESS_DIM}, got {center.size}"
+        )
     root_p = math.sqrt(center.size)
 
     def fn(batch: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(batch - center, axis=1)
         return np.clip(norms - root_p, -1.0, 1.0)
 
-    return Statistic(name="clamped_norm_excess", batch_fn=fn)
+    # ||theta - center|| is sigma chi_p; rounding can take a near-0 variance below 0
+    def variance(sigma: float) -> float:
+        mean, second = _clip_moments(center.size, sigma, root_p)
+        return max(0.0, second - mean * mean)
+
+    return Statistic(name="clamped_norm_excess", batch_fn=fn, variance=variance)
+
+
+# the statistics a dpld_bias run can name, each built at the stationary center
+STATISTICS = {
+    "clamped_coord": make_clamped_coordinate,
+    "sign_coord": make_sign_coordinate,
+    "norm_excess": make_clamped_norm_excess,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -176,46 +241,6 @@ def ou_exact_sample(
 
 
 # ---------------------------------------------------------------------------
-# stationary oracle
-
-
-def stationary_oracle_V(
-    theta_star: np.ndarray,
-    sigma: float,
-    statistic: Statistic,
-    samples: int,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte-Carlo Var[f(theta)] under the stationary law N(theta*, sigma^2 I).
-
-    Returns (estimate, standard error); the SE comes from the large-sample
-    variance of a sample variance, (m4 - v^2) / n.
-    """
-    if samples < MIN_ORACLE_SAMPLES:
-        raise ValueError("oracle needs at least 1e5 samples")
-    center = np.asarray(theta_star, dtype=np.float64)
-    gen = rng.step_generator(seed, rng.STREAM_ORACLE, 0)
-    values = np.empty(samples, dtype=np.float64)
-    chunk = np.empty((min(_ORACLE_CHUNK, samples), center.size), dtype=np.float64)
-    done = 0
-    while done < samples:
-        draws = chunk[: min(_ORACLE_CHUNK, samples - done)]
-        gen.standard_normal(out=draws)
-        draws *= sigma
-        draws += center
-        values[done : done + len(draws)] = statistic.evaluate_batch(draws)
-        done += len(draws)
-    v = float(np.var(values, ddof=1))
-    fourth = values - values.mean()
-    # squaring twice in place skips the libm pow that centered**4 goes through
-    fourth *= fourth
-    fourth *= fourth
-    m4 = float(np.mean(fourth))
-    se = math.sqrt(max(0.0, m4 - v * v) / samples)
-    return v, se
-
-
-# ---------------------------------------------------------------------------
 # the bias experiment
 
 
@@ -227,16 +252,11 @@ class VarianceBiasReport:
     mean_s: float
     se_mean_s: float
     oracle_v: float
-    oracle_se: float
     burn_in_bound: float
 
     @property
     def abs_bias(self) -> float:
         return abs(self.mean_s - self.oracle_v)
-
-    @property
-    def combined_se(self) -> float:
-        return math.sqrt(self.se_mean_s**2 + self.oracle_se**2)
 
 
 def _trial_normals(seed: int, trials: int, dim: int, event: int) -> np.ndarray:
@@ -258,10 +278,9 @@ def stationary_law(config: LDConfig) -> tuple[np.ndarray, float]:
 def variance_bias_experiment(
     config: LDConfig,
     times: CheckpointTimes,
-    statistic: Statistic,
+    statistic: str,
     trials: int,
     experiment_seed: int,
-    oracle: tuple[float, float],
 ) -> VarianceBiasReport:
     """Bias of the checkpoint sample-variance estimator vs the true variance.
 
@@ -274,16 +293,16 @@ def variance_bias_experiment(
     trials are independent, trial j does not depend on the trial count,
     and the whole experiment replays bit-for-bit.
 
-    oracle is the (variance, SE) pair of the statistic under the
-    stationary law, usually stationary_oracle_V(*stationary_law(config),
-    statistic, samples, seed); experiments that share the law and the
-    statistic share one oracle.
+    statistic names an entry of STATISTICS; it is built at the stationary
+    center theta*, so its exact variance under the stationary law
+    N(theta*, sigma_eff^2 I) is the report's oracle_v.
     """
     if trials < MIN_TRIALS:
         raise ValueError("need at least 100 trials")
     if trials >= MAX_TRIALS:
         raise ValueError(f"trials must be below 2**31, got {trials}")
     center, sigma_eff = stationary_law(config)
+    stat = STATISTICS[statistic](center)
     m = config.model.curvature
     segments = [m * s for s in times.elapsed_segments()]
 
@@ -293,12 +312,11 @@ def variance_bias_experiment(
     for i, seg in enumerate(segments):
         normals = _trial_normals(experiment_seed, trials, dim, i)
         theta = ou_exact_sample(center, sigma_eff, theta, seg, normals)
-        vals[:, i] = statistic.evaluate_batch(theta)
+        vals[:, i] = stat.evaluate_batch(theta)
     s_values = np.var(vals, axis=1, ddof=1)
 
     mean_s = float(s_values.mean())
     se_mean_s = float(s_values.std(ddof=1) / math.sqrt(trials))
-    oracle_v, oracle_se = oracle
     dist0sq = float(np.sum((config.theta_start - center) ** 2))
     # smoothness / strong convexity of the normalized quadratic is exactly 1
     bound = burn_in_gamma(
@@ -310,12 +328,11 @@ def variance_bias_experiment(
     )
     return VarianceBiasReport(
         times=times,
-        statistic=statistic.name,
+        statistic=stat.name,
         trials=trials,
         mean_s=mean_s,
         se_mean_s=se_mean_s,
-        oracle_v=oracle_v,
-        oracle_se=oracle_se,
+        oracle_v=stat.variance(sigma_eff),
         burn_in_bound=bound,
     )
 

@@ -355,11 +355,6 @@ def _scored_keys(steps: int, eta: float, separation: float) -> tuple[Key, ...]:
     )
 
 
-_STATISTICS = {
-    "clamped_coord": dpld.make_clamped_coordinate,
-    "sign_coord": dpld.make_sign_coordinate,
-    "norm_excess": dpld.make_clamped_norm_excess,
-}
 _TRAIN_MODE = Key("train.mode", "str", "practical")
 
 # train-practical and train-theoretical are the train task under each
@@ -421,8 +416,7 @@ KEY_TABLES: dict[str, tuple[Key, ...]] = {
         ), *_NONEMPTY),
         # NaN and inf are left to LDConfig, whose theta_start must be finite
         Key("dpld.start_distance", "float", 10.0, lambda d: not d < 0, "must be nonnegative"),
-        Key("dpld.statistic", "str", "clamped_coord", *_one_of(tuple(_STATISTICS))),
-        Key("dpld.oracle_samples", "int", 1_000_000, *_count(dpld.MIN_ORACLE_SAMPLES)),
+        Key("dpld.statistic", "str", "clamped_coord", *_one_of(tuple(dpld.STATISTICS))),
         Key("dpld.c_constant", "float", 4.0),
         Key("dpld.delta_target", "float", 1e-2),
     ),
@@ -971,17 +965,17 @@ def run_uq_compare(cfg: dict, out_dir: str, master_seed: int):
 # task: variance-estimator bias on the Langevin simulator
 
 
-def _dpld_point(config, stat_name: str, trials: int, oracle, point) -> "dpld.VarianceBiasReport":
-    """The bias experiment at one (times, seed) point; the statistic is
-    rebuilt here because its closure does not pickle."""
+def _dpld_point(config, stat_name: str, trials: int, point) -> "dpld.VarianceBiasReport":
+    """The bias experiment at one (times, seed) point."""
     times, seed = point
-    stat = _STATISTICS[stat_name](config.model.center)
-    return dpld.variance_bias_experiment(config, times, stat, trials, seed, oracle)
+    return dpld.variance_bias_experiment(config, times, stat_name, trials, seed)
 
 
 def run_dpld_bias(cfg: dict, out_dir: str, master_seed: int):
     dim, stat_name, trials = cfg["dpld.dim"], cfg["dpld.statistic"], cfg["dpld.trials"]
     model = QuadraticLoss(np.zeros(dim))
+    with _config_errors("dpld setting", key="dpld.dim"):
+        dpld.STATISTICS[stat_name](model.center)  # norm_excess caps the dimension
     theta_start = np.full(dim, cfg["dpld.start_distance"] / math.sqrt(dim))
     with _config_errors("dpld setting"):
         config = dpld.LDConfig(
@@ -994,38 +988,24 @@ def run_dpld_bias(cfg: dict, out_dir: str, master_seed: int):
         all_times = [
             dpld.CheckpointTimes(t1=t1, gap=gap, k=cfg["dpld.k"]) for t1, gap in cfg["dpld.points"]
         ]
-    # every point shares the stationary law and the statistic, so one oracle
-    # serves them all; it takes the first point's seed
-    stat = _STATISTICS[stat_name](model.center)
-    oracle = dpld.stationary_oracle_V(
-        *dpld.stationary_law(config), stat, cfg["dpld.oracle_samples"],
-        seed=derive_run_seed(master_seed, 0),
-    )
     points = [(times, derive_run_seed(master_seed, i)) for i, times in enumerate(all_times)]
     reports = _run_parallel(
-        functools.partial(_dpld_point, config, stat_name, trials, oracle), points, cfg["workers"]
+        functools.partial(_dpld_point, config, stat_name, trials), points, cfg["workers"]
     )
 
     _write_csv(
         os.path.join(out_dir, "dpld_report.csv"),
-        ["t1", "gap", "k", "trials", "mean_S", "oracle_V", "abs_bias", "oracle_SE",
-         "burn_in_bound"],
+        ["t1", "gap", "k", "trials", "mean_S", "oracle_V", "abs_bias", "burn_in_bound"],
         [
             [r.times.t1, r.times.gap, r.times.k, r.trials, r.mean_s, r.oracle_v, r.abs_bias,
-             r.oracle_se, r.burn_in_bound]
+             r.burn_in_bound]
             for r in reports
         ],
     )
-    rows = [
-        ResultRow(
-            f"abs_bias(t1={r.times.t1},gap={r.times.gap})",
-            r.abs_bias,
-            r.combined_se,
-            r.trials,
-        )
+    return ResultTable([
+        ResultRow(f"abs_bias(t1={r.times.t1},gap={r.times.gap})", r.abs_bias, r.se_mean_s, r.trials)
         for r in reports
-    ]
-    return ResultTable(rows)
+    ])
 
 
 # ---------------------------------------------------------------------------

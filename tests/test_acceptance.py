@@ -160,7 +160,7 @@ def test_ac3_variance_estimator_bias_decay(tmp_path):
 
     def bias(t1, gap):
         row = table.lookup(f"abs_bias(t1={t1},gap={gap})")
-        return row.mean, row.std  # std column carries the combined SE
+        return row.mean, row.std  # std column carries the SE of mean_S
 
     b_far, se_far = bias(20.0, 20.0)
     b_near, _ = bias(0.01, 0.01)

@@ -1,9 +1,16 @@
-"""Langevin simulation: transition kernels, oracles, and analytic bounds."""
+"""Langevin simulation: transition kernels, exact stationary variances, and
+analytic bounds.
+
+scipy appears here only as a reference implementation of the chi law; the
+package computes its variances from the standard library alone.
+"""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.stats
 
 from dpckpt import dpld
 from dpckpt.dpld import (
@@ -17,7 +24,6 @@ from dpckpt.dpld import (
     ou_exact_sample,
     renyi_gaussians_shared_cov,
     stationary_law,
-    stationary_oracle_V,
     subgaussian_tail_check,
     variance_bias_experiment,
 )
@@ -133,24 +139,6 @@ def test_ou_markov_chaining():
 # variance estimation
 
 
-def test_stationary_oracle_matches_analytic_value():
-    stat = make_clamped_coordinate(np.zeros(2))
-    v, se = stationary_oracle_V(np.zeros(2), 1.0, stat, samples=1_000_000)
-    assert se < 1e-3
-    assert abs(v - CLAMPED_COORD_VAR) <= 4 * se
-    with pytest.raises(ValueError):
-        stationary_oracle_V(np.zeros(2), 1.0, stat, samples=50_000)
-
-
-def test_stationary_oracle_deterministic():
-    stat = make_sign_coordinate(np.zeros(1))
-    a = stationary_oracle_V(np.zeros(1), 2.0, stat, samples=100_000, seed=4)
-    b = stationary_oracle_V(np.zeros(1), 2.0, stat, samples=100_000, seed=4)
-    assert a == b
-    # sign statistic has variance 1 - E[sign]^2 = 1 at a symmetric center
-    assert a[0] == pytest.approx(1.0, abs=0.01)
-
-
 def test_checkpoint_times():
     times = CheckpointTimes(t1=2.0, gap=0.5, k=4)
     assert times.times() == [2.0, 2.5, 3.0, 3.5]
@@ -163,11 +151,6 @@ def test_checkpoint_times():
         CheckpointTimes(t1=1.0, gap=1.0, k=1)
 
 
-def _oracle(config, stat, samples, seed):
-    """The (V, SE) oracle of stat under config's stationary law."""
-    return stationary_oracle_V(*stationary_law(config), stat, samples, seed=seed)
-
-
 def test_variance_bias_experiment_well_mixed_quadratic():
     """With long burn-in and wide gaps, E[S] matches the stationary variance."""
     config = LDConfig(
@@ -176,14 +159,13 @@ def test_variance_bias_experiment_well_mixed_quadratic():
         sigma=1.0,
     )
     times = CheckpointTimes(t1=20.0, gap=20.0, k=5)
-    stat = make_clamped_coordinate(np.zeros(4))
     report = variance_bias_experiment(
-        config, times, stat, trials=3000, experiment_seed=1,
-        oracle=_oracle(config, stat, 200_000, seed=1),
+        config, times, "clamped_coord", trials=3000, experiment_seed=1
     )
     assert report.trials == 3000
-    assert report.abs_bias <= 3 * report.combined_se
-    assert report.oracle_v == pytest.approx(CLAMPED_COORD_VAR, abs=0.01)
+    assert report.statistic == "clamped_coord0"
+    assert report.abs_bias <= 3 * report.se_mean_s
+    assert report.oracle_v == pytest.approx(CLAMPED_COORD_VAR, abs=1e-15)
     assert math.isfinite(report.burn_in_bound)
 
 
@@ -195,10 +177,8 @@ def test_variance_bias_experiment_detects_correlation_bias():
         sigma=1.0,
     )
     times = CheckpointTimes(t1=0.01, gap=0.01, k=5)
-    stat = make_clamped_coordinate(np.zeros(4))
     report = variance_bias_experiment(
-        config, times, stat, trials=2000, experiment_seed=2,
-        oracle=_oracle(config, stat, 200_000, seed=2),
+        config, times, "clamped_coord", trials=2000, experiment_seed=2
     )
     # nearly coincident checkpoints share their noise, so S collapses
     assert report.mean_s < 0.2 * report.oracle_v
@@ -211,18 +191,12 @@ def test_variance_bias_experiment_deterministic():
         sigma=1.0,
     )
     times = CheckpointTimes(t1=1.0, gap=1.0, k=3)
-    stat = make_clamped_coordinate(np.zeros(2))
-    kwargs = dict(trials=500, experiment_seed=9, oracle=_oracle(config, stat, 100_000, seed=9))
-    a = variance_bias_experiment(config, times, stat, **kwargs)
-    b = variance_bias_experiment(config, times, stat, **kwargs)
-    assert (a.mean_s, a.se_mean_s, a.oracle_v, a.oracle_se) == (
-        b.mean_s,
-        b.se_mean_s,
-        b.oracle_v,
-        b.oracle_se,
-    )
+    kwargs = dict(trials=500, experiment_seed=9)
+    a = variance_bias_experiment(config, times, "clamped_coord", **kwargs)
+    b = variance_bias_experiment(config, times, "clamped_coord", **kwargs)
+    assert (a.mean_s, a.se_mean_s, a.oracle_v) == (b.mean_s, b.se_mean_s, b.oracle_v)
     with pytest.raises(ValueError):
-        variance_bias_experiment(config, times, stat, **{**kwargs, "trials": 50})
+        variance_bias_experiment(config, times, "clamped_coord", **{**kwargs, "trials": 50})
 
 
 def _per_trial_reference(config, times, statistic, trials, seed):
@@ -257,8 +231,7 @@ def test_variance_bias_experiment_matches_per_trial_reference_ou(seed, trials, k
     times = CheckpointTimes(t1=0.4, gap=0.3, k=k)
     stat = make_clamped_norm_excess(np.full(p, 0.5))
     report = variance_bias_experiment(
-        config, times, stat, trials=trials, experiment_seed=seed,
-        oracle=_oracle(config, stat, 100_000, seed=seed),
+        config, times, "norm_excess", trials=trials, experiment_seed=seed
     )
     ref = _per_trial_reference(config, times, stat, trials, seed)
     assert np.array_equal((report.mean_s, report.se_mean_s), ref)
@@ -268,19 +241,15 @@ def test_variance_bias_experiment_address_limits(monkeypatch):
     """Trial j and segment s share one counter step, so both are bounded."""
     quad = LDConfig(model=QuadraticLoss(center=np.zeros(2)), theta_start=np.ones(2))
     times = CheckpointTimes(t1=1.0, gap=1.0, k=3)
-    stat = make_clamped_coordinate(np.zeros(2))
-    oracle = _oracle(quad, stat, 100_000, seed=0)
     with pytest.raises(ValueError, match="2\\*\\*31"):
-        variance_bias_experiment(
-            quad, times, stat, trials=2**31, experiment_seed=0, oracle=oracle
-        )
+        variance_bias_experiment(quad, times, "clamped_coord", trials=2**31, experiment_seed=0)
     # one noise event per checkpoint; a lowered bound stands in for 2**32
     monkeypatch.setattr(dpld, "MAX_EVENTS", 5)
     with pytest.raises(ValueError, match="fewer than 5 noise events"):
         CheckpointTimes(t1=1.0, gap=1.0, k=5)
     report = variance_bias_experiment(
-        quad, CheckpointTimes(t1=1.0, gap=1.0, k=4), stat, trials=100,
-        experiment_seed=0, oracle=oracle,
+        quad, CheckpointTimes(t1=1.0, gap=1.0, k=4), "clamped_coord", trials=100,
+        experiment_seed=0,
     )
     assert report.times.k == 4
 
@@ -313,8 +282,13 @@ def test_stationary_law_normalizes_curvature():
         stationary_law(wrong_dim)
 
 
+# ---------------------------------------------------------------------------
+# exact stationary variances
+
+
 def _chunked_oracle_reference(theta_star, sigma, statistic, samples, seed):
-    """stationary_oracle_V as a fresh (chunk, p) draw per chunk and centered**4."""
+    """Monte-Carlo Var[f(theta)] under N(theta*, sigma^2 I) and its SE
+    sqrt((m4 - v^2) / n), from a fresh (chunk, p) draw per chunk."""
     center = np.asarray(theta_star, dtype=np.float64)
     gen = step_generator(seed, STREAM_ORACLE, 0)
     values = np.empty(samples)
@@ -330,17 +304,91 @@ def _chunked_oracle_reference(theta_star, sigma, statistic, samples, seed):
     return v, math.sqrt(max(0.0, m4 - v * v) / samples)
 
 
-@pytest.mark.parametrize(
-    "make_stat", [make_clamped_coordinate, make_sign_coordinate, make_clamped_norm_excess]
-)
-def test_stationary_oracle_matches_chunked_reference(make_stat):
+def _clip_moments_reference(p, sigma, c):
+    """(E[g], E[g^2]) for g = clip(sigma R - c, -1, 1), R ~ chi_p: scipy's chi
+    tails beyond the clip points, quad between them. quad runs only where the
+    law holds all but 2e-25 of its mass; since |g| <= 1, the rest is negligible."""
+    chi = scipy.stats.chi(p)
+    a, b = max(0.0, (c - 1.0) / sigma), (c + 1.0) / sigma
+    lo, hi = max(a, chi.ppf(1e-25)), min(b, chi.isf(1e-25))
+    window = [0.0, 0.0]
+    for power in (1, 2) if lo < hi else ():
+        window[power - 1] = scipy.integrate.quad(
+            lambda r: (sigma * r - c) ** power * chi.pdf(r),
+            lo, hi, epsabs=1e-15, epsrel=1e-13, limit=500,
+        )[0]
+    with np.errstate(over="ignore"):  # b^2 overflows for the smallest sigma
+        below, above = float(chi.cdf(a)), float(chi.sf(b))
+    return above - below + window[0], above + below + window[1]
+
+
+def _reference_variance(name, p, sigma):
+    if name == "clamped_coord":
+        return _clip_moments_reference(1, sigma, 0.0)[1]
+    mean, second = _clip_moments_reference(p, sigma, math.sqrt(p))
+    return second - mean * mean
+
+
+EXTREME_SIGMAS = (1e-300, 1e-5, 0.3, 1.0, 3.0, 1e3, 1e8, 1e154, 1e300)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 16, 100])
+@pytest.mark.parametrize("name", ["clamped_coord", "norm_excess"])
+def test_exact_variance_matches_scipy_reference(name, p):
+    """Neither sigma^2 nor a near-1 CDF difference cancels: at sigma = 1e8
+    the textbook clamped form is 0.24 off, and at 1e200 it is -inf."""
+    stat = dpld.STATISTICS[name](np.full(p, 0.25))
+    for sigma in EXTREME_SIGMAS:
+        v = stat.variance(sigma)
+        assert 0.0 <= v <= 1.0
+        assert v == pytest.approx(_reference_variance(name, p, sigma), abs=1e-10), sigma
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("p", [1000, dpld.MAX_NORM_EXCESS_DIM])
+def test_norm_excess_variance_in_high_dimension(p):
+    """The window moments cancel to O(1) from O(p) terms, so the error grows
+    with p; at the largest dimension accepted it stays within 1e-6."""
+    stat = make_clamped_norm_excess(np.zeros(p))
+    for sigma in (0.3, 1.0, 3.0):
+        v = stat.variance(sigma)
+        assert 0.0 <= v <= 1.0
+        assert v == pytest.approx(_reference_variance("norm_excess", p, sigma), abs=1e-6)
+    with pytest.raises(ValueError, match="at most 10000"):
+        make_clamped_norm_excess(np.zeros(dpld.MAX_NORM_EXCESS_DIM + 1))
+
+
+def test_exact_variance_pinned_values():
+    assert make_clamped_coordinate(np.zeros(4)).variance(1.0) == pytest.approx(
+        CLAMPED_COORD_VAR, abs=1e-15
+    )
+    sign = make_sign_coordinate(np.zeros(2))
+    assert all(sign.variance(sigma) == 1.0 for sigma in EXTREME_SIGMAS)
+    for p in (1, 3, 100):
+        for make in (make_clamped_coordinate, make_clamped_norm_excess):
+            stat = make(np.zeros(p))
+            # any finite positive sigma_eff, the denormals and the largest double included
+            for sigma in (5e-324, 1e-200, 0.05, 0.7, 1.3, 20.0, 1e200, 1.7976931348623157e308):
+                assert 0.0 <= stat.variance(sigma) <= 1.0
+
+
+@pytest.mark.parametrize("name", sorted(dpld.STATISTICS))
+def test_exact_variance_matches_monte_carlo_reference(name):
+    """The experiment's oracle_v is its statistic's variance under the
+    curvature-normalized stationary law, off the origin."""
     center = np.array([0.3, -1.0, 2.0])
-    stat = make_stat(center)
+    config = LDConfig(
+        model=QuadraticLoss(center=center, curvature=1.5), theta_start=np.zeros(3), sigma=1.3
+    )
+    report = variance_bias_experiment(
+        config, CheckpointTimes(t1=1.0, gap=1.0, k=2), name, trials=100, experiment_seed=0
+    )
+    law_center, sigma_eff = stationary_law(config)
+    stat = dpld.STATISTICS[name](law_center)
     # 250_000 ends on a partial chunk
-    v, se = stationary_oracle_V(center, 1.3, stat, samples=250_000, seed=6)
-    ref_v, ref_se = _chunked_oracle_reference(center, 1.3, stat, 250_000, 6)
-    assert v == ref_v
-    assert se == pytest.approx(ref_se, rel=1e-12, abs=0.0)
+    ref_v, ref_se = _chunked_oracle_reference(law_center, sigma_eff, stat, 250_000, 6)
+    assert abs(report.oracle_v - ref_v) <= 4 * ref_se
 
 
 # ---------------------------------------------------------------------------

@@ -499,7 +499,6 @@ data.p = 4
 DPLD_CFG = """
 task = dpld_bias
 dpld.trials = 100
-dpld.oracle_samples = 100000
 dpld.points = 20:20, 0.1:10, 10:0.1
 """
 
@@ -509,8 +508,8 @@ def test_worker_count_does_not_change_results(tmp_path):
 
     risk_compare, aggregate_eval and pds_eval train each worker's seeds as
     one batch and save every run in seed order, and uq_compare trains each
-    pool as one batch, so this also pins batch composition; dpld_bias hands
-    its one oracle to every worker, and pds_eval its pickled diurnal schedule.
+    pool as one batch, so this also pins batch composition; dpld_bias sends
+    its statistic by name, and pds_eval its pickled diurnal schedule.
     """
     for name, text, files, num_runs in (
         ("risk", RISK_CFG, ["table.csv"], 3),
@@ -603,7 +602,7 @@ def test_dpld_bias_writes_dpld_report_format(tmp_path):
     table = run_experiment(ConfigView(parse_config_text(DPLD_CFG)), str(tmp_path), workers=1)
     text = (tmp_path / "dpld_report.csv").read_bytes().decode("utf-8")
     lines = text.split("\n")
-    assert lines[0] == "t1,gap,k,trials,mean_S,oracle_V,abs_bias,oracle_SE,burn_in_bound"
+    assert lines[0] == "t1,gap,k,trials,mean_S,oracle_V,abs_bias,burn_in_bound"
     assert lines[-1] == "" and "\r" not in text
     rows = [line.split(",") for line in lines[1:-1]]
     assert [row[:4] for row in rows] == [
@@ -639,39 +638,30 @@ def test_run_parallel_never_starts_more_processes_than_items(monkeypatch):
     assert sizes == [3, 2]
 
 
-def test_dpld_bias_draws_one_oracle_for_every_point(tmp_path, monkeypatch):
-    """One stationary_oracle_V call at the first point's seed serves every
-    row, and each row's trials are the standalone experiment at its seed."""
-    calls = []
-    real_oracle = experiments.dpld.stationary_oracle_V
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["seed"])
-        return real_oracle(*args, **kwargs)
-
-    monkeypatch.setattr(experiments.dpld, "stationary_oracle_V", counted)
+def test_dpld_bias_rows_are_standalone_experiments_with_exact_oracle(tmp_path):
+    """Each row is the standalone experiment at its point's seed, its
+    oracle_V is the statistic's exact stationary variance, and table.csv's
+    std is the row's se_mean_s."""
     master_seed = 3
     table = run_experiment(
         ConfigView(parse_config_text(DPLD_CFG)), str(tmp_path), master_seed=master_seed, workers=1
     )
-    assert calls == [derive_run_seed(master_seed, 0)]
     with open(tmp_path / "dpld_report.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
 
     dpld = experiments.dpld
     config = dpld.LDConfig(model=QuadraticLoss(np.zeros(4)), theta_start=np.full(4, 5.0))
-    stat = dpld.make_clamped_coordinate(np.zeros(4))
-    oracle = real_oracle(*dpld.stationary_law(config), stat, 100_000, seed=calls[0])
+    exact = dpld.make_clamped_coordinate(np.zeros(4)).variance(1.0)
     for i, (row, (t1, gap)) in enumerate(zip(rows, [(20.0, 20.0), (0.1, 10.0), (10.0, 0.1)])):
-        assert (float(row["oracle_V"]), float(row["oracle_SE"])) == oracle
+        assert float(row["oracle_V"]) == exact
         times = dpld.CheckpointTimes(t1=t1, gap=gap, k=5)
         alone = dpld.variance_bias_experiment(
-            config, times, stat, 100, derive_run_seed(master_seed, i), oracle
+            config, times, "clamped_coord", 100, derive_run_seed(master_seed, i)
         )
         assert float(row["mean_S"]) == alone.mean_s
-        # table.csv's std is hypot(se_mean_s, oracle_SE) with oracle_SE shared
-        assert table.lookup(f"abs_bias(t1={t1},gap={gap})").std == alone.combined_se
+        assert float(row["abs_bias"]) == alone.abs_bias
+        assert table.lookup(f"abs_bias(t1={t1},gap={gap})").std == alone.se_mean_s
 
 
 def test_uq_compare_pool_validation(tmp_path):
@@ -804,6 +794,13 @@ def _no_training(*args, **kwargs):
     raise AssertionError("a trainer or simulation ran before the config was rejected")
 
 
+def _forbid_compute(monkeypatch):
+    """Make every compute entry point of the tasks raise _no_training's error."""
+    for name in ("dp_sgd_practical_runs", "dp_sgd_theoretical_runs", "min_loss_in_ball"):
+        monkeypatch.setattr(experiments.trainer, name, _no_training)
+    monkeypatch.setattr(experiments.dpld, "variance_bias_experiment", _no_training)
+
+
 # (subcommand, config head) of each task, for the one-bad-key cases below
 _TASK_HEADS = {
     "train-practical": ("train", ""),
@@ -907,8 +904,8 @@ _BAD_KEY_IDS = [
         ("dpld-bias", "task = dpld_bias\ndpld.dim = 0\n", "dpld.dim"),
         ("dpld-bias", "task = dpld_bias\ndpld.c_constant = 0\n", "c_constant must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.delta_target = 1\n", "delta_target must be in"),
-        ("dpld-bias", "task = dpld_bias\ndpld.oracle_samples = 99999\n",
-         "dpld.oracle_samples"),
+        ("dpld-bias", "task = dpld_bias\ndpld.oracle_samples = 1000000\n",
+         "'dpld.oracle_samples': unknown key"),
         ("dpld-bias", "task = dpld_bias\ndpld.trials = 2147483648\n", "dpld.trials"),
         ("dpld-bias", "task = dpld_bias\ndpld.sigma = nan\n", "sigma must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.eta = nan\n", "'dpld.eta': unknown key"),
@@ -938,8 +935,8 @@ _BAD_KEY_IDS = [
         ("uq", "task = uq_compare\nuq.num_test_inputs = 99999999999999999999\n",
          "uq.num_test_inputs"),
         ("dpld-bias", "task = dpld_bias\ndpld.dim = 99999999999999999999\n", "dpld.dim"),
-        ("dpld-bias", "task = dpld_bias\ndpld.oracle_samples = 99999999999999999999\n",
-         "dpld.oracle_samples"),
+        ("dpld-bias", "task = dpld_bias\ndpld.statistic = norm_excess\ndpld.dim = 10001\n",
+         "config key 'dpld.dim': bad dpld setting: norm_excess takes a dimension of at most"),
     ] + _BAD_KEY_PARAMS,
     ids=[
         "risk_compare-every", "aggregate_eval-batch", "k_sweep-eta", "pds_eval-clip",
@@ -960,16 +957,13 @@ _BAD_KEY_IDS = [
         "train-theoretical-l2-1e300", "train-theoretical-rho-1e300", "risk_compare-rho-1e300",
         "uq_compare-eps-1e300", "train-practical-steps-1e20", "risk_compare-num_seeds-1e20",
         "uq_compare-pool-1e20", "uq_compare-inputs-1e20", "dpld_bias-dim-1e20",
-        "dpld_bias-oracle-1e20",
+        "dpld_bias-norm_excess-dim",
     ] + _BAD_KEY_IDS,
 )
 def test_cli_unfinishable_config_exits_2_before_training(
     tmp_path, capsys, monkeypatch, command, lines, needle
 ):
-    for name in ("dp_sgd_practical_runs", "dp_sgd_theoretical_runs"):
-        monkeypatch.setattr(experiments.trainer, name, _no_training)
-    for fn in ("stationary_oracle_V", "variance_bias_experiment"):
-        monkeypatch.setattr(experiments.dpld, fn, _no_training)
+    _forbid_compute(monkeypatch)
     cfg = _write_cfg(tmp_path, lines)
     out = str(tmp_path / "out")
     assert cli.main([command, "--config", cfg, "--out", out]) == 2
@@ -1025,10 +1019,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".cfg")))
 def test_stock_configs_pass_their_checks(tmp_path, monkeypatch, name):
     """Every shipped config passes validation and reaches its first compute call."""
-    for fn in ("dp_sgd_practical_runs", "dp_sgd_theoretical_runs"):
-        monkeypatch.setattr(experiments.trainer, fn, _no_training)
-    for fn in ("stationary_oracle_V", "variance_bias_experiment"):
-        monkeypatch.setattr(experiments.dpld, fn, _no_training)
+    _forbid_compute(monkeypatch)
     path = os.path.join(CONFIG_DIR, name)
     command = cli._subcommand_for(normalize_task(load_config(path)["task"]))
     out = str(tmp_path / "out")
@@ -1098,10 +1089,7 @@ _TABLE_HEADS = {
 def test_every_table_key_fails_before_compute_or_not_at_all(tmp_path, monkeypatch):
     """Every key of every table, set to each probe value, is either rejected
     as a config error or reaches the first trainer or Langevin call."""
-    for fn in ("dp_sgd_practical_runs", "dp_sgd_theoretical_runs", "min_loss_in_ball"):
-        monkeypatch.setattr(experiments.trainer, fn, _no_training)
-    for fn in ("stationary_oracle_V", "variance_bias_experiment"):
-        monkeypatch.setattr(experiments.dpld, fn, _no_training)
+    _forbid_compute(monkeypatch)
     outcomes = {"config error": 0, "reached compute": 0}
     for name, keys in experiments.KEY_TABLES.items():
         for key in keys:
