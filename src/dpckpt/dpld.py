@@ -36,7 +36,6 @@ import numpy as np
 from . import rng
 from .model import QuadraticLoss
 
-_ORACLE_CHUNK = 100_000
 MIN_TRIALS = 100
 # the norm excess's exact variance is off by up to 1e-7 at p = 1e4, more above
 MAX_NORM_EXCESS_DIM = 10_000
@@ -361,7 +360,7 @@ def burn_in_gamma(
 
 
 # ---------------------------------------------------------------------------
-# closed-form lemma checks
+# closed forms of the lemmas: exact values, which the tests audit by sampling
 
 
 def renyi_gaussians_shared_cov(
@@ -383,28 +382,11 @@ def expectation_gap_bound(d2: float) -> float:
     return math.sqrt(math.expm1(d2))
 
 
-def subgaussian_tail_check(
-    dim: int, x: float, samples: int, seed: int = 0
-) -> tuple[float, float, float]:
-    """Empirical P(|theta| > sqrt(p) + x) under N(0, I_p) vs exp(-x^2/2).
-
-    Returns (empirical frequency, analytic bound, frequency SE).
-    """
-    if samples < 100_000:
-        raise ValueError("need at least 1e5 samples")
+def subgaussian_tail(dim: int, x: float) -> tuple[float, float]:
+    """(P(|Z| > sqrt(p) + x), exp(-x^2/2)) for Z ~ N(0, I_p) and x >= 0:
+    the exact chi_p tail and the subgaussian bound on it."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    gen = rng.step_generator(seed, rng.STREAM_ORACLE, 1)
-    threshold = math.sqrt(dim) + x
-    exceed = 0
-    done = 0
-    while done < samples:
-        count = min(_ORACLE_CHUNK, samples - done)
-        draws = gen.standard_normal((count, dim))
-        exceed += int(np.count_nonzero(np.linalg.norm(draws, axis=1) > threshold))
-        done += count
-    empirical = exceed / samples
-    bound = math.exp(-0.5 * x * x)
-    se = math.sqrt(empirical * (1.0 - empirical) / samples)
-    return empirical, bound, se
-
+    if not x >= 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
+    return 1.0 - _chi_cdf(dim, math.sqrt(dim) + x), math.exp(-0.5 * x * x)

@@ -83,7 +83,7 @@ def _parse_pairs(key: str, text: str) -> list[tuple[float, float]]:
 
 
 class ConfigView:
-    """Typed access to parsed config values with used-key tracking.
+    """Typed access to parsed config values.
 
     A getter returns the default unparsed when the key is unset; a value
     that does not parse is a config error naming the key.
@@ -91,11 +91,10 @@ class ConfigView:
 
     def __init__(self, values: dict[str, str]):
         self._values = dict(values)
-        self._used: set[str] = set()
 
     def raw(self, key: str, default=_MISSING):
-        """The unparsed value of key, without marking it read: for choosing
-        which key table reads the config."""
+        """The unparsed value of key: for choosing which key table reads
+        the config."""
         if key in self._values:
             return self._values[key]
         if default is _MISSING:
@@ -103,7 +102,6 @@ class ConfigView:
         return default
 
     def _get(self, key: str, default, parse):
-        self._used.add(key)
         value = self.raw(key, default)
         return parse(key, value) if isinstance(value, str) else value
 
@@ -139,14 +137,6 @@ class ConfigView:
         """Comma-separated colon pairs, e.g. "20:20, 0.01:0.01"."""
         return self._get(key, default, _parse_pairs)
 
-    def unused_keys(self) -> list[str]:
-        return sorted(set(self._values) - self._used)
-
-    def ensure_all_used(self) -> None:
-        leftover = self.unused_keys()
-        if leftover:
-            raise ConfigError("unknown key for this task", key=leftover[0])
-
 
 @dataclass(frozen=True)
 class Key:
@@ -175,5 +165,7 @@ def read_keys(view: ConfigView, keys: tuple[Key, ...]) -> dict:
                 if view.has(other):
                     raise ConfigError(f"set only one of '{key.name}' and '{other}'", key=key.name)
         values[key.name] = value
-    view.ensure_all_used()
+    unknown = sorted(set(view._values) - set(values))
+    if unknown:
+        raise ConfigError("unknown key for this task", key=unknown[0])
     return values

@@ -96,14 +96,6 @@ def summarize(setting: str, values: Sequence[float]) -> ResultRow:
 # partitions and tuning
 
 
-def ensure_distinct_tags(handles: Sequence[DatasetHandle]) -> None:
-    seen: set[str] = set()
-    for h in handles:
-        if h.tag in seen:
-            raise ConfigError(f"partitions share the tag {h.tag!r}; they must be disjoint")
-        seen.add(h.tag)
-
-
 def split_dataset(
     data: DatasetHandle,
     seed: int,
@@ -125,14 +117,12 @@ def split_dataset(
     if n_train < 1:
         raise ConfigError("dataset too small for the requested partitions")
     bounds = np.cumsum([n_train, n_val, n_held, n_test])
-    parts = {
+    return {
         "train": data.subset(perm[: bounds[0]], tag="train"),
         "validation": data.subset(perm[bounds[0] : bounds[1]], tag="validation"),
         "heldout": data.subset(perm[bounds[1] : bounds[2]], tag="heldout"),
         "test": data.subset(perm[bounds[2] : bounds[3]], tag="test"),
     }
-    ensure_distinct_tags(list(parts.values()))
-    return parts
 
 
 def _best_index(specs: Sequence[AggregationSpec], accs: Sequence[float]) -> int:

@@ -4,12 +4,12 @@ All noise in the toolkit is Gaussian, so budgets compose additively in
 rho and convert to an (epsilon, delta) report via the standard
 rho + 2*sqrt(rho*ln(1/delta)) bound. No subsampling amplification is
 claimed anywhere: minibatch steps are accounted as if full-batch.
+gaussian_hockey_stick gives the exact delta(epsilon) curve of a Gaussian
+sum, against which that bound can be checked. The module draws no noise.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -114,22 +114,33 @@ def calibrate_practical(clip_norm: float, noise_multiplier: float) -> tuple[Nois
         ) from None
 
 
-def gaussian_hockey_stick_mc(
-    sigma: float, epsilon: float, n_samples: int, seed: int = 0
-) -> tuple[float, float]:
-    """Monte-Carlo hockey-stick divergence for a sensitivity-1 Gaussian sum.
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
-    Estimates E_{x~N(0,sigma^2)}[(1 - e^{epsilon - l(x)})^+] where l is
-    the privacy-loss log-ratio against N(1, sigma^2); an (epsilon, delta)
-    guarantee requires this to be <= delta. Returns (estimate, std error).
+
+def gaussian_hockey_stick(sigma: float, epsilon: float) -> float:
+    """Exact hockey-stick divergence of a sensitivity-1 Gaussian sum.
+
+    delta(epsilon) = Phi(a) - e^epsilon Phi(b), a = 1/(2 sigma) - epsilon sigma,
+    b = -1/(2 sigma) - epsilon sigma (Balle & Wang 2018): the smallest delta
+    for which noise sigma gives an (epsilon, delta) guarantee. Above
+    b = -37, Phi(b) is a normal float and e^epsilon <= e^(b^2/2) is finite.
+    Below, e^epsilon phi(b) = phi(a) turns the second term into phi(a) times
+    the Mills ratio Phi(b)/phi(b), summed from its asymptotic series
+    1/|b| sum_k (-1)^k (2k-1)!!/b^2k.
     """
-    if sigma <= 0 or n_samples < 2:
-        raise ValueError("need sigma > 0 and n_samples >= 2")
-    rng = np.random.default_rng(seed)
-    x = rng.normal(0.0, sigma, n_samples)
-    # log density ratio of N(0, s^2) vs N(1, s^2) at x
-    loss = (1.0 - 2.0 * x) / (2.0 * sigma**2)
-    contrib = np.maximum(0.0, 1.0 - np.exp(epsilon - loss))
-    est = float(contrib.mean())
-    se = float(contrib.std(ddof=1) / math.sqrt(n_samples))
-    return est, se
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
+    a = 0.5 / sigma - epsilon * sigma
+    b = -0.5 / sigma - epsilon * sigma
+    if b > -37.0:
+        return max(0.0, _norm_cdf(a) - math.exp(epsilon) * _norm_cdf(b))
+    term = total = 1.0 / -b
+    k = 1
+    while abs(term) > 1e-17 * total:
+        term *= -(2 * k - 1) / (b * b)
+        total += term
+        k += 1
+    return max(0.0, _norm_cdf(a) - math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi) * total)

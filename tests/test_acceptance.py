@@ -22,6 +22,7 @@ from dpckpt.harness.config import ConfigView
 from dpckpt.harness.experiments import run_experiment
 from dpckpt.model import LogisticLoss, QuadraticLoss, synth_classification
 
+from monte_carlo import gaussian_hockey_stick_mc, subgaussian_tail_mc
 from test_uncertainty import simpson_t_cdf
 
 
@@ -247,7 +248,8 @@ def test_ac5_aggregation_stabilizes_drift(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# AC6: privacy accounting closed forms and an empirical guarantee check
+# AC6: privacy accounting closed forms, the exact hockey-stick divergence,
+# and its Monte-Carlo audit
 
 
 def test_ac6_privacy_accounting():
@@ -269,7 +271,8 @@ def test_ac6_privacy_accounting():
     rho, delta = 0.5, 1e-5
     eps = privacy.zcdp_to_epsilon(rho, delta)
     sigma = math.sqrt(1.0 / (2.0 * rho))
-    est, se = privacy.gaussian_hockey_stick_mc(sigma, eps, n_samples=2_000_000, seed=5)
+    exact = privacy.gaussian_hockey_stick(sigma, eps)
+    est, se = gaussian_hockey_stick_mc(sigma, eps, n_samples=2_000_000, seed=5)
     guarantee_ok = est <= delta + 3.0 * se
 
     ok = eps_err < 1e-9 and worst_round_trip < 1e-9 and worst_calib < 1e-9 and guarantee_ok
@@ -277,7 +280,7 @@ def test_ac6_privacy_accounting():
         "AC6 privacy-accounting",
         ok,
         f"closed-form errors {max(eps_err, worst_round_trip, worst_calib):.2e}, "
-        f"hockey-stick {est:.2e} vs delta+3se {delta + 3.0 * se:.2e}",
+        f"hockey-stick {est:.2e} vs delta+3se {delta + 3.0 * se:.2e}, exact {exact:.4e}",
     )
 
 
@@ -324,16 +327,19 @@ def test_ac7_interval_machinery():
 
 
 # ---------------------------------------------------------------------------
-# AC8: concentration bounds hold empirically with Monte-Carlo slack
+# AC8: concentration bounds hold exactly and empirically with Monte-Carlo slack
 
 
 def test_ac8_concentration_bounds():
     start = time.monotonic()
     tail_violations = 0
     worst_tail_margin = -math.inf
+    worst_exact_margin = -math.inf
     for dim in (1, 4, 16):
         for x in (1.0, 2.0, 3.0):
-            emp, bound, se = dpld.subgaussian_tail_check(dim, x, samples=1_000_000, seed=dim)
+            tail, bound = dpld.subgaussian_tail(dim, x)
+            worst_exact_margin = max(worst_exact_margin, tail - bound)
+            emp, se = subgaussian_tail_mc(dim, x, samples=1_000_000, seed=dim)
             margin = emp - (bound + 3.0 * se)
             worst_tail_margin = max(worst_tail_margin, margin)
             if margin > 0:
@@ -362,8 +368,9 @@ def test_ac8_concentration_bounds():
     _gate(
         "AC8 concentration-bounds",
         ok,
-        f"tail violations 0/9 (worst margin {worst_tail_margin:.2e}), "
-        f"gap violations 0/9 (worst margin {worst_gap_margin:.2e}), {elapsed:.0f}s",
+        f"tail violations {tail_violations}/9 (worst margin {worst_tail_margin:.2e}, "
+        f"exact {worst_exact_margin:.2e}), "
+        f"gap violations {gap_violations}/9 (worst margin {worst_gap_margin:.2e}), {elapsed:.0f}s",
     )
 
 

@@ -24,11 +24,13 @@ from dpckpt.dpld import (
     ou_exact_sample,
     renyi_gaussians_shared_cov,
     stationary_law,
-    subgaussian_tail_check,
+    subgaussian_tail,
     variance_bias_experiment,
 )
 from dpckpt.model import LogisticLoss, QuadraticLoss, synth_classification
 from dpckpt.rng import STREAM_ORACLE, STREAM_TRIAL, gaussian_vector, step_generator
+
+from monte_carlo import subgaussian_tail_mc
 
 # Var[clip(Z, -1, 1)] for Z ~ N(0,1): (2 Phi(1) - 1 - 2 phi(1)) + 2 (1 - Phi(1)),
 # evaluated with scipy.stats.norm and frozen
@@ -455,9 +457,20 @@ def test_expectation_gap_bound_holds_empirically():
         assert gap_hat <= bound + 3 * se
 
 
+@pytest.mark.parametrize("dim", [1, 4, 16])
+@pytest.mark.parametrize("x", [1.0, 2.0, 3.0])
+def test_subgaussian_tail_is_the_chi_tail(dim, x):
+    tail, bound = subgaussian_tail(dim, x)
+    assert tail == pytest.approx(scipy.stats.chi.sf(math.sqrt(dim) + x, dim), rel=0.0, abs=1e-12)
+    assert bound == pytest.approx(math.exp(-0.5 * x * x), abs=1e-15)
+    assert tail <= bound
+
+
 def test_subgaussian_tail_bound_holds():
-    empirical, bound, se = subgaussian_tail_check(dim=4, x=2.0, samples=400_000, seed=1)
-    assert bound == pytest.approx(math.exp(-2.0), abs=1e-15)
+    tail, bound = subgaussian_tail(dim=4, x=2.0)
+    empirical, se = subgaussian_tail_mc(dim=4, x=2.0, samples=400_000, seed=1)
+    assert abs(empirical - tail) <= 4 * se
     assert empirical <= bound + 3 * se
-    with pytest.raises(ValueError):
-        subgaussian_tail_check(dim=4, x=1.0, samples=1000)
+    for dim, x in ((0, 1.0), (4, -1.0), (4, math.nan)):
+        with pytest.raises(ValueError):
+            subgaussian_tail(dim, x)

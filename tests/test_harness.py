@@ -12,13 +12,12 @@ import pytest
 from dpckpt.aggregate import AggregationSpec
 from dpckpt.errors import ConfigError, NumericDivergenceError
 from dpckpt.harness import cli, experiments
-from dpckpt.harness.config import ConfigView, load_config, parse_config_text
+from dpckpt.harness.config import ConfigView, Key, load_config, parse_config_text, read_keys
 from dpckpt.harness.experiments import (
     ResultRow,
     ResultTable,
     aggregation_accuracy,
     derive_run_seed,
-    ensure_distinct_tags,
     normalize_task,
     parse_aggregation_list,
     run_experiment,
@@ -97,7 +96,19 @@ def test_config_view_typed_getters():
     assert view.get_float_list("floats") == [0.85, 0.9]
     assert view.get_str_list("words") == ["ema:0.9", "pda:1.0"]
     assert view.get_int("missing", 4) == 4
-    view.ensure_all_used()
+    kinds = {
+        "i": "int",
+        "f": "float",
+        "inf": "float",
+        "b1": "bool",
+        "b0": "bool",
+        "ints": "int_list",
+        "floats": "float_list",
+        "words": "str_list",
+        "missing": "int",
+    }
+    values = read_keys(view, tuple(Key(name, kind, 4) for name, kind in kinds.items()))
+    assert values["ints"] == [3, 5, 10] and values["b0"] is False and values["missing"] == 4
 
 
 def test_config_view_errors_carry_the_key():
@@ -117,11 +128,11 @@ def test_config_view_errors_carry_the_key():
 
 
 def test_config_view_rejects_unknown_keys():
-    view = ConfigView({"known": "1", "typo_key": "2"})
-    view.get_int("known")
-    with pytest.raises(ConfigError) as exc:
-        view.ensure_all_used()
-    assert "typo_key" in str(exc.value)
+    view = ConfigView({"known": "1", "typo_key": "2", "also_typo": "3"})
+    with pytest.raises(ConfigError, match="unknown key for this task") as exc:
+        read_keys(view, (Key("known", "int", 0),))
+    assert exc.value.key == "also_typo"
+    assert read_keys(ConfigView({"known": "1"}), (Key("known", "int", 0),)) == {"known": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +208,6 @@ def test_split_dataset_validation():
         split_dataset(data, 0, val_fraction=0.5, heldout_fraction=0.4, test_fraction=0.2)
     with pytest.raises(ConfigError):
         split_dataset(data, 0, val_fraction=-0.1)
-    with pytest.raises(ConfigError):
-        ensure_distinct_tags([data.subset(np.arange(3), "a"), data.subset(np.arange(3), "a")])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Budget conversions, composition, noise calibration, and an MC audit."""
+"""Budget conversions, composition, noise calibration, and the exact
+hockey-stick divergence against mpmath and a Monte-Carlo audit."""
 
 import math
 
@@ -12,13 +13,27 @@ from dpckpt.privacy import (
     calibrate_theoretical,
     compose_zcdp,
     epsilon_to_zcdp,
-    gaussian_hockey_stick_mc,
+    gaussian_hockey_stick,
     zcdp_to_epsilon,
 )
+
+from monte_carlo import gaussian_hockey_stick_mc
 
 # rho + 2 sqrt(rho ln(1/delta)) evaluated independently with mpmath at
 # 50 digits, rounded to float64
 EPS_HALF_1E5 = 5.298525912188081
+# (sigma, epsilon) -> ncdf(1/(2 sigma) - epsilon sigma)
+# - exp(epsilon) ncdf(-1/(2 sigma) - epsilon sigma), evaluated with mpmath
+# at 50 digits on the float64 inputs and rounded to float64
+HOCKEY_STICK_MPMATH = {
+    (1.0, EPS_HALF_1E5): 1.3004495688801192e-07,
+    (math.sqrt(2.0), 8.0): 1.77362462438025e-29,
+    (0.5, 1.0): 0.5098616600546702,
+    (2.0, 1.0): 0.0068295949831145755,
+    (1.0, 3.0): 0.0015371853694009549,
+    # below b = -37, where the Mills-ratio series replaces Phi(b)
+    (0.01, 5000.0): 0.49601097601864236,
+}
 
 
 def test_epsilon_closed_form_pinned_value():
@@ -129,23 +144,56 @@ def test_calibrate_practical_pinned():
             calibrate_practical(1.0, z)
 
 
+@pytest.mark.parametrize("point", sorted(HOCKEY_STICK_MPMATH))
+def test_hockey_stick_matches_mpmath(point):
+    sigma, epsilon = point
+    want = HOCKEY_STICK_MPMATH[point]
+    assert gaussian_hockey_stick(sigma, epsilon) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("sigma,epsilon", [(0.5, 1.0), (1.0, 0.5), (2.0, 1.0), (1.0, 3.0)])
+def test_hockey_stick_matches_monte_carlo(sigma, epsilon):
+    """Where 2e6 draws resolve delta, the sampled divergence sits within 4 SE."""
+    est, se = gaussian_hockey_stick_mc(sigma, epsilon, n_samples=2_000_000, seed=17)
+    assert abs(est - gaussian_hockey_stick(sigma, epsilon)) <= 4.0 * se
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 4.0])
+def test_hockey_stick_at_zero_epsilon_is_total_variation(sigma):
+    # TV(N(0, s^2), N(1, s^2)) = 2 Phi(1/(2 s)) - 1 = erf(1/(2 sqrt(2) s))
+    tv = math.erf(0.5 / (sigma * math.sqrt(2.0)))
+    assert gaussian_hockey_stick(sigma, 0.0) == pytest.approx(tv, rel=1e-14)
+
+
+def test_hockey_stick_is_finite_at_huge_epsilon():
+    assert gaussian_hockey_stick(1.0, 1000.0) == 0.0
+    for sigma in (1e-3, 0.05, 1.0, 30.0):
+        for epsilon in (0.0, 1.0, 700.0, 1000.0, 1e6):
+            assert 0.0 <= gaussian_hockey_stick(sigma, epsilon) <= 1.0
+    for sigma, epsilon in ((0.0, 1.0), (math.inf, 1.0), (1.0, -0.5), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            gaussian_hockey_stick(sigma, epsilon)
+
+
 @pytest.mark.parametrize("rho,delta", [(0.5, 1e-5), (0.125, 1e-2), (2.0, 1e-3)])
 def test_hockey_stick_audit_respects_delta(rho, delta):
-    """The MC hockey-stick divergence at the converted epsilon stays under delta.
+    """The hockey-stick divergence at the converted epsilon stays under delta.
 
     A unit-sensitivity Gaussian sum with noise sigma satisfies
     rho = 1/(2 sigma^2), so the closed-form epsilon must upper bound the
-    actual (epsilon, delta) curve of the mechanism.
+    actual (epsilon, delta) curve of the mechanism: exactly, and as sampled.
     """
     sigma = math.sqrt(1.0 / (2.0 * rho))
     eps = zcdp_to_epsilon(rho, delta)
+    assert gaussian_hockey_stick(sigma, eps) <= delta
     est, se = gaussian_hockey_stick_mc(sigma, eps, n_samples=2_000_000, seed=17)
     assert est <= delta + 3.0 * se
 
 
 def test_hockey_stick_detects_underreported_epsilon():
-    # sanity check the auditor has power: a much smaller epsilon claim fails
+    # the exact curve falls with epsilon, and a much smaller epsilon claim fails
     sigma = 1.0
     eps_true = zcdp_to_epsilon(0.5, 1e-5)
-    est, se = gaussian_hockey_stick_mc(sigma, eps_true / 4.0, n_samples=500_000, seed=3)
-    assert est > 1e-5 + 3.0 * se
+    curve = [gaussian_hockey_stick(sigma, eps_true * f) for f in (0.25, 0.5, 0.75, 1.0)]
+    assert curve == sorted(curve, reverse=True)
+    assert curve[0] > 1e-5
