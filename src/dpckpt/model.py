@@ -38,6 +38,7 @@ data, as the uniform sampler does, so a batch is a gather of those rows.
 """
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,23 @@ class DatasetHandle:
             raise ValueError("num_classes must be at least 2")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError("labels must lie in [0, num_classes)")
+
+    @functools.cached_property
+    def signed_features(self) -> np.ndarray:
+        """(n, p) read-only sign-folded design matrix diag(2y - 1) X: its rows
+        are the binary head's examples times their +-1 labels, so its product
+        with theta is the signed margin z. Built on first use from this
+        handle's own features and labels."""
+        folded = (2.0 * self.labels - 1.0)[:, None] * self.features
+        folded.flags.writeable = False
+        return folded
+
+    def __getstate__(self):
+        # a copy (as a worker process gets) rebuilds the folded matrix on first
+        # use: it is derived data, and numpy unpickles arrays writeable
+        state = self.__dict__.copy()
+        state.pop("signed_features", None)
+        return state
 
     @property
     def n(self) -> int:
@@ -434,13 +452,24 @@ class LogisticLoss(LossModel):
         weights = rows.reshape(len(rows), self.num_classes, self.n_features)
         return np.matmul(features, weights.transpose(0, 2, 1))
 
-    def _terms(self, logits: np.ndarray, labels: np.ndarray):
-        """What the loss and the gradient both read off the logits."""
-        return _margin_terms(logits, labels) if self.binary else _softmax_terms(logits)
+    def _data_logits(self, rows: np.ndarray, data: DatasetHandle) -> np.ndarray:
+        """Logits of the rows on the whole dataset; the binary head's are the
+        signed margins z, one product with the sign-folded design matrix."""
+        return self._logits(rows, data.signed_features if self.binary else data.features)
+
+    def _terms(self, logits: np.ndarray, batch_labels: np.ndarray | None = None):
+        """What the loss and the gradient both read off the logits. The binary
+        head's are (z, exp(-|z|)) of the signed margins z: full-data logits are
+        z already, and a gathered batch's margins are signed by batch_labels."""
+        if not self.binary:
+            return _softmax_terms(logits)
+        if batch_labels is not None:
+            return _margin_terms(logits, batch_labels)[1:]
+        return logits, np.exp(-np.abs(logits))
 
     def _loss_from(self, rows, logits, terms, labels) -> np.ndarray:
         if self.binary:
-            ce = _binary_ce(*terms[1:])
+            ce = _binary_ce(*terms)
         else:
             zmax, _, total = terms
             lse = (zmax + np.log(total))[:, :, 0]
@@ -450,32 +479,31 @@ class LogisticLoss(LossModel):
 
     def _grad_from(self, rows, terms, data) -> np.ndarray:
         if self.binary:
-            coeff = _binary_slope(*terms)
-            grad = np.matmul(data.features.T, coeff[:, :, None])[:, :, 0] / data.n
-        else:
-            _, ex, total = terms
-            probs = ex / total
-            probs[_label_index(probs, data.labels)] -= 1.0
-            grad_w = np.matmul(probs.transpose(0, 2, 1), data.features) / data.n
-            grad = grad_w.reshape(len(rows), -1)
-        return grad + self.l2_reg * rows
+            # d/dz ln(1 + exp(-z)) = -sigmoid(-z), and -z >= 0 exactly where z <= 0
+            z, e = terms
+            slope = np.matmul(data.signed_features.T, _sigmoid_from(z <= 0, e)[:, :, None])
+            return self.l2_reg * rows - slope[:, :, 0] / data.n
+        _, ex, total = terms
+        probs = ex / total
+        probs[_label_index(probs, data.labels)] -= 1.0
+        grad_w = np.matmul(probs.transpose(0, 2, 1), data.features) / data.n
+        return grad_w.reshape(len(rows), -1) + self.l2_reg * rows
 
     def loss_full(self, theta, data):
         rows, single = self._check_rows(theta)
-        logits = self._logits(rows, data.features)
-        loss = self._loss_from(rows, logits, self._terms(logits, data.labels), data.labels)
+        logits = self._data_logits(rows, data)
+        loss = self._loss_from(rows, logits, self._terms(logits), data.labels)
         return float(loss[0]) if single else loss
 
     def grad_full(self, theta, data) -> np.ndarray:
         rows, single = self._check_rows(theta)
-        logits = self._logits(rows, data.features)
-        grad = self._grad_from(rows, self._terms(logits, data.labels), data)
+        grad = self._grad_from(rows, self._terms(self._data_logits(rows, data)), data)
         return grad[0] if single else grad
 
     def loss_and_grad(self, rows, data):
         rows = self._check_rows(rows)[0]
-        logits = self._logits(rows, data.features)
-        terms = self._terms(logits, data.labels)
+        logits = self._data_logits(rows, data)
+        terms = self._terms(logits)
         loss = self._loss_from(rows, logits, terms, data.labels)
         return loss, self._grad_from(rows, terms, data)
 

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tools/stock_digest.py > after.txt
     PYTHONPATH=src python tools/stock_digest.py uq_compare risk_compare > after.txt
+    PYTHONPATH=src python tools/stock_digest.py --out after_tree > after.txt
 
 Runs each configs/*.cfg through dpckpt.harness.run_experiment at master
 seed 0 and workers 1, then runs aggregate_eval, pds_eval and risk_compare
@@ -10,15 +11,22 @@ too. Config stems given as arguments (the file names without .cfg) limit
 the runs to those configs and their save_runs reruns; no argument runs
 all. Prints "sha256  relative/path" for every file written, sorted by
 path, to stdout, and "<seconds>  <config name>[+save_runs]" for each run,
-the wall time of its run_experiment call, to stderr.
+the wall time of its run_experiment call, to stderr. The artifacts are written
+to a temporary directory that is removed afterwards, unless --out DIR names
+a directory to keep them in (it must be empty or not yet exist).
 
 dpckpt is imported from PYTHONPATH, so one copy of this script hashes any
 checkout; a refactor that claims byte-identical artifacts shows it with
 
     PYTHONPATH=/path/to/parent/src python tools/stock_digest.py > before.txt
     diff before.txt after.txt
+
+and a change that moves results within a tolerance shows its drift by
+keeping both trees and comparing them with tools/artifact_drift.py.
 """
 
+import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -69,8 +77,15 @@ def digest_lines(out_root: str) -> list[str]:
 
 
 def main() -> None:
-    with tempfile.TemporaryDirectory() as out_root:
-        write_stock_artifacts(CONFIG_DIR, out_root, sys.argv[1:])
+    parser = argparse.ArgumentParser(description="Hash every artifact the stock configs write.")
+    parser.add_argument("stems", nargs="*", help="config stems to run (default: all)")
+    parser.add_argument("--out", metavar="DIR", help="keep the artifact tree in DIR")
+    args = parser.parse_args()
+    if args.out and os.path.isdir(args.out) and os.listdir(args.out):
+        parser.error(f"--out {args.out} is not empty")
+    keep = contextlib.nullcontext(args.out) if args.out else tempfile.TemporaryDirectory()
+    with keep as out_root:
+        write_stock_artifacts(CONFIG_DIR, out_root, args.stems)
         print("\n".join(digest_lines(out_root)))
 
 
