@@ -11,10 +11,20 @@ loss_full and grad_full also take an (S, p) matrix of S parameter rows
 through stacked np.matmul, which makes the same BLAS call per row as an
 unbatched product, so a batched row equals the unbatched result bit for
 bit (a plain X @ Theta.T would be one larger product, rounded differently).
+The binary head reads the whole dataset through its sign-folded design
+matrix X~ = diag(2y - 1) X (DatasetHandle.signed_features: built once per
+handle, read-only, and stored transposed as a C-contiguous (p, n) array).
+X~ theta is the signed margin z itself, and the mean gradient is
+l2 * theta - X~^T sigmoid(-z) / n, so no pass applies the labels' signs and
+both per-row products read one contiguous buffer. The fold alone is exact
+(+-1 products and negated sums round exactly); the transposed store sums
+in another order, so against the unfolded kernel results move by at most
+1e-12 relative, the tolerance tools/artifact_drift.py checks. The gathered
+batches of clipped_grad_mean and batch_loss still sign their margins.
 loss_and_grad gives both at once from one logits block: the binary head
-shares z = y * margin and exp(-|z|) between the cross-entropy and its
-slope, the softmax head shares exp(logits - max) and its row sum between
-the log-sum-exp and the probabilities. loss_full and grad_full read the
+shares z and exp(-|z|) between the cross-entropy and its slope, the
+softmax head shares exp(logits - max) and its row sum between the
+log-sum-exp and the probabilities. loss_full and grad_full read the
 same helpers, so the fused pair equals the separate calls bit for bit; a
 caller that reads only the gradient calls grad_full and pays for no loss
 term. The binary slope is branch-free: sigmoid takes its numerator as
@@ -79,13 +89,12 @@ class DatasetHandle:
 
     @functools.cached_property
     def signed_features(self) -> np.ndarray:
-        """(n, p) read-only sign-folded design matrix diag(2y - 1) X: its rows
-        are the binary head's examples times their +-1 labels, so its product
-        with theta is the signed margin z. Built on first use from this
-        handle's own features and labels."""
-        folded = (2.0 * self.labels - 1.0)[:, None] * self.features
-        folded.flags.writeable = False
-        return folded
+        """(n, p) view of the read-only sign-folded design matrix diag(2y - 1) X,
+        which is built on first use from this handle's own features and labels
+        and stored transposed, as a C-contiguous (p, n) array."""
+        store = np.ascontiguousarray((self.features * (2.0 * self.labels - 1.0)[:, None]).T)
+        store.flags.writeable = False
+        return store.T
 
     def __getstate__(self):
         # a copy (as a worker process gets) rebuilds the folded matrix on first

@@ -1,6 +1,7 @@
 """Datasets, loss gradients, prediction heads, and the diurnal sampler."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -398,6 +399,91 @@ def test_loss_and_grad_cases_reach_underflow_and_signed_zeros(binary_data, multi
     assert np.all(z0 == 0.0) and np.any(np.signbit(z0)) and not np.all(np.signbit(z0))
     logits = multi._logits(gen.normal(scale=1e3, size=(3, multi.param_dim())), multi_data.features)
     assert np.any(np.exp(logits - logits.max(axis=-1, keepdims=True)) == 0.0)
+
+
+def _binary_case(case):
+    """(model, data, (S, p) rows) of one case of the sign-folded binary kernel."""
+    base = synth_classification(60, 4, num_classes=2, separation=3.0, seed=5)
+    features, labels = base.features.copy(), base.labels.copy()
+    rows = np.random.default_rng(11).normal(size=(4, 4))
+    if case == "underflow":
+        rows *= 1e3  # most |z| are far above 745, where exp(-|z|) is 0.0
+    elif case == "zero_rows":
+        features[::3] = 0.0  # zero logits for every row
+        rows[0] = 0.0  # zero logits on every example
+    elif case == "all_zero_labels":
+        labels[:] = 0
+    elif case == "all_one_labels":
+        labels[:] = 1
+    data = DatasetHandle(features, labels, 2)
+    return LogisticLoss.for_data(data, l2_reg=0.05), data, rows
+
+
+@pytest.mark.parametrize(
+    "case", ["plain", "underflow", "zero_rows", "all_zero_labels", "all_one_labels"]
+)
+def test_binary_full_kernel_matches_unfolded_references(case):
+    """loss_full, grad_full and loss_and_grad read the folded store; the
+    references never fold: a log-add-exp loss of the plain margins and the
+    mean of the per-example oracle's gradients, both within 1e-12."""
+    model, data, rows = _binary_case(case)
+    z = model._logits(rows, data.signed_features)
+    if case == "underflow":
+        assert np.any(np.exp(-np.abs(z)) == 0.0)
+    if case == "zero_rows":
+        assert np.all(z[0] == 0.0) and np.all(z[:, ::3] == 0.0)
+    signs = 2.0 * data.labels - 1.0
+    losses, grads = model.loss_and_grad(rows, data)
+    assert np.array_equal(losses, model.loss_full(rows, data))
+    assert np.array_equal(grads, model.grad_full(rows, data))
+    for theta, loss, grad in zip(rows, losses, grads):
+        # a (p,) vector is the one-row case, bit for bit
+        assert model.loss_full(theta, data) == loss
+        assert np.array_equal(model.grad_full(theta, data), grad)
+        ce = np.logaddexp(0.0, -signs * (data.features @ theta))
+        want_loss = ce.mean() + 0.5 * model.l2_reg * (theta @ theta)
+        want_grad = per_example_grads(model, theta, data).mean(axis=0)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+
+def _fresh(data):
+    return DatasetHandle(data.features, data.labels, data.num_classes, data.tag)
+
+
+def test_signed_features_is_one_read_only_transposed_store(binary_data):
+    data = _fresh(binary_data)
+    folded = data.signed_features
+    assert data.signed_features is folded
+    assert folded.shape == (data.n, data.p) and folded.T.flags.c_contiguous
+    assert np.array_equal(folded, (2.0 * data.labels - 1.0)[:, None] * data.features)
+    for write in (lambda: folded.__setitem__((0, 0), 1.0), lambda: folded.T.__imul__(-1.0)):
+        with pytest.raises(ValueError):
+            write()
+    assert np.array_equal(data.features, binary_data.features)
+
+
+def test_a_subset_folds_its_own_labels(binary_data):
+    data = _fresh(binary_data)
+    data.signed_features  # the parent's store exists before the subset is taken
+    sub = data.subset(np.arange(1, data.n, 3), tag="part")
+    assert np.array_equal(sub.signed_features, (2.0 * sub.labels - 1.0)[:, None] * sub.features)
+    assert not np.shares_memory(sub.signed_features, data.signed_features)
+    model = LogisticLoss.for_data(data, l2_reg=0.05)
+    rows = np.random.default_rng(2).normal(size=(3, data.p))
+    assert np.array_equal(model.grad_full(rows, sub), model.grad_full(rows, _fresh(sub)))
+
+
+def test_a_pickled_handle_rebuilds_its_store_with_equal_gradients(binary_data):
+    data = _fresh(binary_data)
+    data.signed_features
+    copy = pickle.loads(pickle.dumps(data))
+    assert not copy.signed_features.flags.writeable
+    assert np.array_equal(copy.signed_features, data.signed_features)
+    model = LogisticLoss.for_data(data, l2_reg=0.05)
+    rows = np.random.default_rng(3).normal(size=(3, data.p))
+    for got, want in zip(model.loss_and_grad(rows, copy), model.loss_and_grad(rows, data)):
+        assert np.array_equal(got, want)
 
 
 def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):

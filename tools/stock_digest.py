@@ -11,9 +11,9 @@ too. Config stems given as arguments (the file names without .cfg) limit
 the runs to those configs and their save_runs reruns; no argument runs
 all. Prints "sha256  relative/path" for every file written, sorted by
 path, to stdout, and "<seconds>  <config name>[+save_runs]" for each run,
-the wall time of its run_experiment call, to stderr. The artifacts are written
-to a temporary directory that is removed afterwards, unless --out DIR names
-a directory to keep them in (it must be empty or not yet exist).
+the wall time of its run_experiment call, to stderr. The artifacts go to
+a temporary directory that is removed afterwards, unless --out DIR names a
+directory to keep them in (it must be empty or not yet exist).
 
 dpckpt is imported from PYTHONPATH, so one copy of this script hashes any
 checkout; a refactor that claims byte-identical artifacts shows it with
