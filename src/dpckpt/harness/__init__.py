@@ -6,8 +6,6 @@ from .experiments import (
     ResultTable,
     derive_run_seed,
     run_experiment,
-    stability_report,
-    tune_on_validation,
 )
 
 __all__ = [
@@ -18,6 +16,4 @@ __all__ = [
     "ResultTable",
     "derive_run_seed",
     "run_experiment",
-    "stability_report",
-    "tune_on_validation",
 ]

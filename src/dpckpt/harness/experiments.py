@@ -26,7 +26,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,7 +127,8 @@ def split_dataset(
 
 def _best_index(specs: Sequence[AggregationSpec], accs: Sequence[float]) -> int:
     """Index of the best accuracy; the one tie-break policy of tuning and
-    the sweeps."""
+    the sweeps. Ties break toward the smaller k, then the smaller scalar
+    coefficient (beta, alpha or gamma), then listing order."""
 
     def key(i: int) -> tuple:
         spec = specs[i]
@@ -138,28 +139,6 @@ def _best_index(specs: Sequence[AggregationSpec], accs: Sequence[float]) -> int:
         return (-accs[i], k, scalar, i)
 
     return min(range(len(specs)), key=key)
-
-
-def tune_on_validation(
-    candidates: Sequence[AggregationSpec],
-    evaluate: Callable[[AggregationSpec, DatasetHandle], float],
-    validation: DatasetHandle,
-) -> tuple[AggregationSpec, float]:
-    """Candidate with the best validation accuracy.
-
-    Ties break toward smaller k, then the smaller scalar coefficient
-    (beta, alpha or gamma), then listing order. The validation partition
-    must not carry a training or heldout tag.
-    """
-    if not candidates:
-        raise ValueError("no candidates to tune over")
-    if validation.tag in ("train", "heldout"):
-        raise ConfigError(
-            f"validation partition is tagged {validation.tag!r}; tuning data must be disjoint"
-        )
-    accs = [float(evaluate(cand, validation)) for cand in candidates]
-    best = _best_index(candidates, accs)
-    return candidates[best], accs[best]
 
 
 # ---------------------------------------------------------------------------
@@ -212,51 +191,6 @@ def parse_aggregation_list(items: Sequence[str], key: str = "agg.list") -> list[
     if not specs:
         raise ConfigError("aggregation list is empty", key=key)
     return specs
-
-
-# ---------------------------------------------------------------------------
-# stability over a trailing window
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    steps: list[int]
-    baseline_accuracy: np.ndarray
-    aggregate_accuracy: np.ndarray
-
-    @property
-    def baseline_std(self) -> float:
-        return float(self.baseline_accuracy.std(ddof=1))
-
-    @property
-    def aggregate_std(self) -> float:
-        return float(self.aggregate_accuracy.std(ddof=1))
-
-
-def stability_report(
-    params: np.ndarray,
-    steps: Sequence[int],
-    model,
-    eval_data: DatasetHandle,
-    specs: Sequence[AggregationSpec],
-    last_n: int,
-) -> list[StabilityReport]:
-    """Accuracy series of raw checkpoints vs each spec's rolling aggregate.
-
-    params is a run's (K, p) checkpoint matrix and steps its K checkpoint
-    steps. Covers the trailing last_n checkpoints; the window must hold
-    at least two points for the stds to exist. The raw checkpoints are
-    scored once, and every report shares that baseline.
-    """
-    if last_n < 2:
-        raise ValueError("window must cover at least two checkpoints")
-    steps = list(steps)
-    base = accuracy(model, params[-last_n:], eval_data)
-    reports = []
-    for spec in specs:
-        rolled = aggregate.rolling(spec, params, steps, last_n)
-        reports.append(StabilityReport(steps[-last_n:], base, accuracy(model, rolled, eval_data)))
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +284,8 @@ _TRAIN_MODE = Key("train.mode", "str", "practical")
 # train-practical and train-theoretical are the train task under each
 # train.mode; the other tables are named after their task.
 KEY_TABLES: dict[str, tuple[Key, ...]] = {
-    "train-practical": _training_keys(1, 1000, 10, 2, 2.0, 7) + (
-        _TRAIN_MODE, Key("train.radius", "float", 1.0),
-    ) + _practical_keys(200, 0.1, 32, None),
+    "train-practical": _training_keys(1, 1000, 10, 2, 2.0, 7) + (_TRAIN_MODE,)
+    + _practical_keys(200, 0.1, 32, None),
     "train-theoretical": _training_keys(1, 1000, 10, 2, 2.0, 7) + (_TRAIN_MODE,)
     + _theoretical_keys(1.0, 0.0, None),
     "risk_compare": _training_keys(20, 1000, 10, 2, 2.0, 7) + _theoretical_keys(2.0, 1.0, 1) + (
@@ -533,8 +466,8 @@ def _theoretical_config(
     """
     with _config_errors("trainer setting"):
         steps = trainer.choose_T(n, rho) if steps is None else steps
-        noise = privacy.calibrate_theoretical(model.lipschitz, steps, n, rho)
-        eta = trainer.theorem_step_size(radius, model.lipschitz, noise.std, model.param_dim())
+        noise_std = privacy.calibrate_theoretical(model.lipschitz, steps, n, rho)
+        eta = trainer.theorem_step_size(radius, model.lipschitz, noise_std, model.param_dim())
     if not radius * max(1.0, model.lipschitz) < 1e150:
         raise ConfigError(
             f"radius {radius} times max(1, Lipschitz bound {model.lipschitz})"
@@ -562,7 +495,7 @@ def _practical_config(cfg: dict) -> tuple["trainer.TrainerConfig", float]:
     )
     z = cfg["train.noise_multiplier"]
     with _config_errors("trainer setting", "train.noise_multiplier"):
-        trainer.practical_noise(config, z)
+        privacy.calibrate_practical(config.clip_norm, z, config.num_steps, config.batch_size)
     return config, z
 
 
@@ -611,17 +544,17 @@ def run_single_training(cfg: dict, out_dir: str, master_seed: int):
             key="num_seeds" if cfg["num_seeds"] > 1 else "seeds",
         )
     data = _dataset(cfg, tag="train")
-    radius = cfg["train.radius"]
-    model = _logistic_model(data, cfg["train.l2_reg"], radius)
 
     if cfg["train.mode"] == "theoretical":
-        rho = cfg["train.rho"]
+        rho, radius = cfg["train.rho"], cfg["train.radius"]
+        model = _logistic_model(data, cfg["train.l2_reg"], radius)
         config = _theoretical_config(
             model, data.n, rho, radius, cfg["train.steps"], cfg["train.checkpoint_every"]
         )
         (record,) = trainer.dp_sgd_theoretical_runs(model, data, config, seeds, rho, delta)
     else:
         config, z = _practical_config(cfg)
+        model = _logistic_model(data, cfg["train.l2_reg"], 1.0)
         _check_batch_fits(config, data)
         (record,) = trainer.dp_sgd_practical_runs(model, data, config, seeds, z, delta)
 
@@ -781,29 +714,23 @@ def run_k_sweep(cfg: dict, out_dir: str, master_seed: int):
 
 def _pds_scores(model, parts, beta_specs, k_specs, window, record) -> dict:
     """Tune EMA and UPA on validation, then the test accuracy series of the
-    raw checkpoints and of both winners over the trailing window."""
+    raw checkpoints and of both winners over the trailing window.
+
+    A spec's validation score is the mean accuracy of its rolling aggregate
+    over the window, not its final value: under a shifting distribution the
+    endpoint rewards phase luck. _best_index breaks the ties."""
     params, steps = record.params, record.steps
+    test = parts["test"]
 
-    def spec_window_accuracy(spec: AggregationSpec, part: DatasetHandle) -> float:
-        # Score by the trailing-window mean, not the final value: under a
-        # shifting distribution the endpoint rewards phase luck.
-        rolled = aggregate.rolling(spec, params, steps, window)
-        return float(np.mean(accuracy(model, rolled, part)))
+    def window_accuracy(spec: AggregationSpec, part: DatasetHandle) -> np.ndarray:
+        return accuracy(model, aggregate.rolling(spec, params, steps, window), part)
 
-    best_ema, _ = tune_on_validation(beta_specs, spec_window_accuracy, parts["validation"])
-    best_upa, _ = tune_on_validation(k_specs, spec_window_accuracy, parts["validation"])
-
-    ema_rep, upa_rep = stability_report(
-        params, steps, model, parts["test"], [best_ema, best_upa], window
-    )
-    return {
-        "best_ema": best_ema,
-        "best_upa": best_upa,
-        "steps": ema_rep.steps,
-        "baseline": ema_rep.baseline_accuracy,
-        "ema": ema_rep.aggregate_accuracy,
-        "upa": upa_rep.aggregate_accuracy,
-    }
+    scores = {"steps": steps[-window:], "baseline": accuracy(model, params[-window:], test)}
+    for name, specs in (("ema", beta_specs), ("upa", k_specs)):
+        accs = [float(np.mean(window_accuracy(spec, parts["validation"]))) for spec in specs]
+        best = specs[_best_index(specs, accs)]
+        scores["best_" + name], scores[name] = best, window_accuracy(best, test)
+    return scores
 
 
 def run_pds_eval(cfg: dict, out_dir: str, master_seed: int):

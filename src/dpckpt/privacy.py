@@ -4,6 +4,9 @@ All noise in the toolkit is Gaussian, so budgets compose additively in
 rho and convert to an (epsilon, delta) report via the standard
 rho + 2*sqrt(rho*ln(1/delta)) bound. No subsampling amplification is
 claimed anywhere: minibatch steps are accounted as if full-batch.
+Each trainer mode has one calibration call: calibrate_theoretical gives
+the noise std that a total rho buys, and calibrate_practical gives the
+noise std and the total rho of a noise multiplier over a run.
 gaussian_hockey_stick gives the exact delta(epsilon) curve of a Gaussian
 sum, against which that bound can be checked. The module draws no noise.
 """
@@ -23,17 +26,6 @@ class PrivacyBudget:
     @classmethod
     def from_rho(cls, rho: float, delta: float) -> "PrivacyBudget":
         return cls(rho=rho, delta=delta, epsilon=zcdp_to_epsilon(rho, delta))
-
-
-@dataclass(frozen=True)
-class NoiseScale:
-    """Per-coordinate variance of the Gaussian noise added at one step."""
-
-    variance_per_step: float
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance_per_step)
 
 
 def check_delta(delta: float) -> float:
@@ -73,45 +65,59 @@ def compose_zcdp(rhos) -> float:
     return math.fsum(rhos)
 
 
-def calibrate_theoretical(
-    lipschitz: float, num_steps: int, n: int, rho: float
-) -> NoiseScale:
-    """Per-step noise for the full-gradient trainer at total budget rho.
+def calibrate_theoretical(lipschitz: float, num_steps: int, n: int, rho: float) -> float:
+    """Per-coordinate noise std for the full-gradient trainer at total budget rho.
 
-    Per-coordinate variance lipschitz^2 * num_steps / (2 * n * rho),
-    added to the full gradient at every one of the num_steps updates.
-    rho = inf requests the zero-noise limit.
+    The variance lipschitz^2 * num_steps / (2 * n * rho) is added to the
+    full gradient at every one of the num_steps updates, which compose to
+    rho. rho = inf requests the zero-noise limit.
     """
     if lipschitz <= 0 or num_steps < 1 or n < 1:
         raise ValueError("lipschitz, num_steps, n must be positive")
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if math.isinf(rho):
-        return NoiseScale(0.0)
+        return 0.0
     try:
-        return NoiseScale(lipschitz**2 * num_steps / (2.0 * n * rho))
+        return math.sqrt(lipschitz**2 * num_steps / (2.0 * n * rho))
     except OverflowError:
         raise ValueError(f"the noise variance of lipschitz {lipschitz} overflows") from None
 
 
-def calibrate_practical(clip_norm: float, noise_multiplier: float) -> tuple[NoiseScale, float]:
-    """Noise scale and per-step rho for the clipped minibatch trainer.
+def calibrate_practical(
+    clip_norm: float, noise_multiplier: float, num_steps: int, batch_size: int
+) -> tuple[float, float]:
+    """(std of the noise on the mean clipped gradient, total rho) of a practical run.
 
-    The noise has std noise_multiplier * clip_norm on the *summed*
-    clipped gradient; each step costs rho_step = 1 / (2 * noise_multiplier^2).
+    The noise has std noise_multiplier * clip_norm on the *summed* clipped
+    gradient, so std / batch_size on its mean; each step costs rho_step =
+    1 / (2 * noise_multiplier^2), and the run's rho is T-fold composition
+    in closed form, num_steps * rho_step (the correctly rounded sum).
+    noise_multiplier = 0 is noiseless SGD with an infinite budget.
     """
+    if noise_multiplier == 0:
+        return 0.0, math.inf
+    if not noise_multiplier > 0:
+        raise ValueError("noise_multiplier must be nonnegative")
     if not 0 < clip_norm < math.inf:
         raise ValueError(f"clip_norm must be positive and finite, got {clip_norm}")
-    if not 0 < noise_multiplier < math.inf:
+    if not noise_multiplier < math.inf:
         raise ValueError(f"noise_multiplier must be positive and finite, got {noise_multiplier}")
     try:
-        scale = NoiseScale((noise_multiplier * clip_norm) ** 2)
-        return scale, 1.0 / (2.0 * noise_multiplier**2)
+        std = math.sqrt((noise_multiplier * clip_norm) ** 2)
+        rho_step = 1.0 / (2.0 * noise_multiplier**2)
     except (OverflowError, ZeroDivisionError):
         raise ValueError(
             f"noise_multiplier {noise_multiplier} with clip_norm {clip_norm} puts the noise"
             " variance or rho_step out of float range"
         ) from None
+    rho = num_steps * rho_step
+    if not math.isfinite(rho):
+        raise ValueError(
+            f"noise_multiplier {noise_multiplier} over {num_steps} steps puts the"
+            " total rho out of float range"
+        )
+    return std / batch_size, rho
 
 
 def _norm_cdf(x: float) -> float:

@@ -20,7 +20,9 @@ seed. Two modes share the checkpoint/metrics plumbing:
                seed list [seed].
   practical    minibatch DP-SGD with per-example clipping, noise on the
                summed clipped gradient, and plain T-fold composition
-               accounting (no subsampling amplification claimed).
+               accounting (no subsampling amplification claimed): one
+               privacy.calibrate_practical call gives the noise std on
+               the mean clipped gradient and the total rho T * rho_step.
                The S seeds train as one loop over an (S, p) iterate
                matrix too. Each seed draws its step's minibatch from its
                own (seed, step) generator, as row indices into the
@@ -254,7 +256,7 @@ def dp_sgd_theoretical_runs(
         raise ValueError("theoretical mode needs a model with a finite Lipschitz bound")
     dim = model.param_dim()
     T = config.num_steps
-    noise_std = calibrate_theoretical(model.lipschitz, T, data.n, rho).std
+    noise_std = calibrate_theoretical(model.lipschitz, T, data.n, rho)
     ckpt_steps = checkpoint_steps(T, config.resolved_checkpoint_every())
     ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
 
@@ -281,26 +283,6 @@ def dp_sgd_theoretical_runs(
     budget = PrivacyBudget.from_rho(rho, delta)
     steps = np.array(ckpt_steps)
     return [RunRecord(config, s, budget, ckpts[i], steps, metrics[i]) for i, s in enumerate(seeds)]
-
-
-def practical_noise(config: TrainerConfig, noise_multiplier: float) -> tuple[float, float]:
-    """(std of the noise on the mean clipped gradient, total rho) of a practical run.
-
-    rho is T-fold composition in closed form, T * rho_step (the correctly
-    rounded sum); noise_multiplier = 0 is noiseless SGD with an infinite budget.
-    """
-    if noise_multiplier > 0:
-        scale, rho_step = calibrate_practical(config.clip_norm, noise_multiplier)
-        rho = config.num_steps * rho_step
-        if not math.isfinite(rho):
-            raise ValueError(
-                f"noise_multiplier {noise_multiplier} over {config.num_steps} steps puts the"
-                " total rho out of float range"
-            )
-        return scale.std / config.batch_size, rho
-    if noise_multiplier == 0:
-        return 0.0, math.inf
-    raise ValueError("noise_multiplier must be nonnegative")
 
 
 def dp_sgd_practical_runs(
@@ -335,7 +317,9 @@ def dp_sgd_practical_runs(
         raise ValueError(f"diurnal rows must index the {data.n} training rows")
     dim = model.param_dim()
     T = config.num_steps
-    mean_noise_std, rho_total = practical_noise(config, noise_multiplier)
+    mean_noise_std, rho_total = calibrate_practical(
+        config.clip_norm, noise_multiplier, T, config.batch_size
+    )
     ckpt_steps = checkpoint_steps(T, config.resolved_checkpoint_every())
     ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
     feature_sq_norms = np.einsum("ij,ij->i", data.features, data.features)

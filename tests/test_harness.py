@@ -5,6 +5,7 @@ import json
 import math
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +23,7 @@ from dpckpt.harness.experiments import (
     parse_aggregation_list,
     run_experiment,
     split_dataset,
-    stability_report,
     summarize,
-    tune_on_validation,
 )
 from dpckpt.model import (
     DatasetHandle,
@@ -214,27 +213,21 @@ def test_split_dataset_validation():
 # tuning
 
 
-def test_tune_on_validation_prefers_smaller_k_on_ties():
-    validation = synth_classification(10, 2, seed=0).subset(np.arange(10), tag="validation")
-    accs = {3: 0.7, 5: 0.9, 10: 0.9}
-    candidates = [AggregationSpec("upa_k", k=k) for k in (3, 5, 10)]
-    best, acc = tune_on_validation(
-        candidates, lambda spec, part: accs[spec.k], validation
-    )
-    assert best.k == 5
-    assert acc == 0.9
+def test_best_index_prefers_smaller_k_on_ties():
+    specs = [AggregationSpec("upa_k", k=k) for k in (3, 5, 10)]
+    assert experiments._best_index(specs, [0.7, 0.9, 0.9]) == 1
+    # a spec with k beats a tied spec without one
+    mixed = [AggregationSpec("ema", beta=0.5), AggregationSpec("upa_k", k=3)]
+    assert experiments._best_index(mixed, [0.8, 0.8]) == 1
 
 
-def test_tune_on_validation_scalar_tiebreak_and_errors():
-    validation = synth_classification(10, 2, seed=0).subset(np.arange(10), tag="validation")
-    candidates = [AggregationSpec("ema", beta=b) for b in (0.99, 0.9, 0.95)]
-    best, _ = tune_on_validation(candidates, lambda spec, part: 0.8, validation)
-    assert best.beta == 0.9  # all tied, smallest coefficient wins
-    train_like = validation.subset(np.arange(validation.n), tag="train")
-    with pytest.raises(ConfigError):
-        tune_on_validation(candidates, lambda spec, part: 0.8, train_like)
+def test_best_index_scalar_then_listing_order_tiebreak():
+    specs = [AggregationSpec("ema", beta=b) for b in (0.99, 0.9, 0.95)]
+    assert experiments._best_index(specs, [0.8, 0.8, 0.8]) == 1  # smallest coefficient wins
+    twins = [AggregationSpec("ema", beta=0.9)] * 2
+    assert experiments._best_index(twins, [0.8, 0.8]) == 0  # then listing order
     with pytest.raises(ValueError):
-        tune_on_validation([], lambda spec, part: 0.8, validation)
+        experiments._best_index([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +315,7 @@ def test_rolling_aggregate_with_coarse_steps():
 
 
 # ---------------------------------------------------------------------------
-# stability report
+# pds_eval scoring
 
 
 class _ProbModel2(LossModel):
@@ -338,42 +331,53 @@ class _ProbModel2(LossModel):
 
 
 def _oscillating_run(qs):
-    """(K, 2) checkpoint matrix and steps 1..K of a hand-built run."""
+    """A hand-built run: its (K, 2) checkpoint matrix and steps 1..K."""
     params = np.array([[1.0 - q, q] for q in qs])
-    return params, list(range(1, len(qs) + 1))
+    return SimpleNamespace(params=params, steps=np.arange(1, len(qs) + 1))
 
 
-def test_stability_report_smooths_oscillation():
-    params, steps = _oscillating_run([0.2, 0.8, 0.2, 0.8, 0.2, 0.8])
-    eval_data = DatasetHandle(np.zeros((4, 2)), np.ones(4, dtype=int), 2, tag="test")
-    model = _ProbModel2()
-    (report,) = stability_report(
-        params, steps, model, eval_data, [AggregationSpec("upa_k", k=6)], last_n=4
+def _pds_parts(val_labels, test_labels):
+    """Validation and test partitions for _ProbModel2, whose features are unread."""
+    return {
+        name: DatasetHandle(np.zeros((len(labels), 2)), np.array(labels), 2, tag=name)
+        for name, labels in (("validation", val_labels), ("test", test_labels))
+    }
+
+
+def test_pds_scores_smooths_oscillation():
+    run = _oscillating_run([0.2, 0.8, 0.2, 0.8, 0.2, 0.8])
+    parts = _pds_parts([1, 1], [1, 1, 1, 1])
+    upa = AggregationSpec("upa_k", k=6)
+    scores = experiments._pds_scores(
+        _ProbModel2(), parts, [AggregationSpec("ema", beta=0.5)], [upa], 4, run
     )
-    assert report.steps == [3, 4, 5, 6]
+    assert scores["best_upa"] == upa
+    assert scores["steps"].tolist() == [3, 4, 5, 6]
     # raw checkpoints alternate between wrong and right
-    assert report.baseline_accuracy.tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert scores["baseline"].tolist() == [0.0, 1.0, 0.0, 1.0]
     # the running mean never crosses 0.5, so the aggregate never flips
-    assert report.aggregate_accuracy.tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert report.aggregate_std == 0.0
-    assert report.baseline_std > 0.5
+    assert scores["upa"].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert scores["upa"].std(ddof=1) == 0.0
+    assert scores["baseline"].std(ddof=1) > 0.5
 
 
-def test_stability_report_window_validation():
-    params, steps = _oscillating_run([0.2, 0.8, 0.2])
-    eval_data = DatasetHandle(np.zeros((2, 2)), np.ones(2, dtype=int), 2, tag="test")
-    spec = AggregationSpec("upa_k", k=3)
-    with pytest.raises(ValueError):
-        stability_report(params, steps, _ProbModel2(), eval_data, [spec], last_n=1)
-    with pytest.raises(ValueError):
-        stability_report(params, steps, _ProbModel2(), eval_data, [spec], last_n=4)
+def test_pds_scores_rejects_a_window_past_the_run():
+    run = _oscillating_run([0.2, 0.8, 0.2])
+    with pytest.raises(ValueError, match="window of 4 exceeds the 3 checkpoints"):
+        experiments._pds_scores(
+            _ProbModel2(), _pds_parts([1], [1]), [AggregationSpec("ema", beta=0.5)],
+            [AggregationSpec("upa_k", k=3)], 4, run,
+        )
 
 
-def test_stability_report_scores_the_baseline_once(monkeypatch):
-    params, steps = _oscillating_run([0.2, 0.8, 0.2, 0.8, 0.2, 0.8])
-    eval_data = DatasetHandle(np.zeros((4, 2)), np.ones(4, dtype=int), 2, tag="test")
-    specs = [AggregationSpec("upa_k", k=6), AggregationSpec("ema", beta=0.5)]
-    alone = [stability_report(params, steps, _ProbModel2(), eval_data, [s], 4)[0] for s in specs]
+def test_pds_scores_match_an_independent_reference(monkeypatch):
+    # this run ties beta = 0.6 with 0.9 on validation and has one best k
+    run = _oscillating_run(np.random.default_rng(11).uniform(size=12))
+    params = run.params
+    parts = _pds_parts([0, 1, 1], [1, 0, 1, 1, 0])
+    beta_specs = [AggregationSpec("ema", beta=b) for b in (0.3, 0.6, 0.9)]
+    k_specs = [AggregationSpec("upa_k", k=k) for k in (2, 4, 8)]
+    model, window = _ProbModel2(), 5
     calls = []
     real_accuracy = experiments.accuracy
 
@@ -382,14 +386,22 @@ def test_stability_report_scores_the_baseline_once(monkeypatch):
         return real_accuracy(*args)
 
     monkeypatch.setattr(experiments, "accuracy", counted)
-    reports = stability_report(params, steps, _ProbModel2(), eval_data, specs, 4)
-    # one call on the last 4 raw rows, then one per spec on its rolled rows
-    assert len(calls) == 1 + len(specs)
-    assert np.array_equal(calls[0][1], params[-4:])
-    for got, want in zip(reports, alone):
-        assert got.steps == want.steps
-        assert np.array_equal(got.baseline_accuracy, want.baseline_accuracy)
-        assert np.array_equal(got.aggregate_accuracy, want.aggregate_accuracy)
+    scores = experiments._pds_scores(model, parts, beta_specs, k_specs, window, run)
+    # the raw window is one call; every other test call scores a winner
+    test_calls = [c for c in calls if c[2] is parts["test"]]
+    assert len(test_calls) == 3
+    assert sum(np.array_equal(c[1], params[-window:]) for c in test_calls) == 1
+
+    def window_acc(spec, part):
+        return real_accuracy(model, aggregate.rolling(spec, params, run.steps, window), part)
+
+    assert np.array_equal(scores["baseline"], real_accuracy(model, params[-window:], parts["test"]))
+    for name, specs in (("ema", beta_specs), ("upa", k_specs)):
+        means = [np.mean(window_acc(spec, parts["validation"])) for spec in specs]
+        best = scores["best_" + name]
+        assert np.mean(window_acc(best, parts["validation"])) == max(means)
+        assert np.array_equal(scores[name], window_acc(best, parts["test"]))
+    assert scores["best_ema"] == beta_specs[1] and scores["best_upa"] == k_specs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +902,9 @@ _BAD_KEY_IDS = [
         ("train", TRAIN_CFG.replace("batch_size = 16", "batch_size = 151"), "exceeds the 150"),
         ("train", TRAIN_CFG + "train.checkpoint_every = 21\n", "checkpoint_every"),
         ("train", TRAIN_CFG + "num_seeds = 2\n", "num_seeds"),
+        # the practical trainer never projects, so its train task has no radius
+        ("train", TRAIN_CFG + "train.radius = 2.0\n",
+         "config key 'train.radius': unknown key for this task"),
         ("train", "train.mode = theoretical\ntrain.steps = 5\ntrain.checkpoint_every = 10\n",
          "checkpoint_every"),
         ("train", "train.mode = theoretical\ntrain.steps = 5\nseeds = 1, 2, 3\n", "seeds"),
@@ -950,7 +965,8 @@ _BAD_KEY_IDS = [
     ids=[
         "risk_compare-every", "aggregate_eval-batch", "k_sweep-eta", "pds_eval-clip",
         "pds_eval-no-beta", "pds_eval-no-k", "pds_eval-one-checkpoint", "train-practical-batch",
-        "train-practical-every", "train-practical-num_seeds", "train-theoretical-every",
+        "train-practical-every", "train-practical-num_seeds", "train-practical-radius",
+        "train-theoretical-every",
         "train-theoretical-seeds", "uq_compare-k1", "uq_compare-no-k", "uq_compare-no-eps",
         "uq_compare-eps0", "train-theoretical-rho0", "train-theoretical-rho-nan",
         "uq_compare-eps-nan", "risk_compare-rho0", "train-theoretical-rho-inf",

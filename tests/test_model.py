@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from dpckpt.aggregate import AggregationSpec, omv_batch_labels, select_best_k
 from dpckpt.errors import NumericOverflowError
-from dpckpt.harness.experiments import stability_report
+from dpckpt.harness.experiments import _pds_scores
 from dpckpt.model import (
     ACCURACY_BLOCK,
     DatasetHandle,
@@ -380,7 +381,7 @@ def test_loss_and_grad_equals_the_separate_calls(
     model, data = _every_family(binary_data, multi_data)[family]
     rows = np.random.default_rng(seed).normal(scale=scale, size=(num_rows, model.param_dim()))
     if zero_row:
-        rows[0] = 0.0  # every logit is exactly 0, so z = signs * 0 holds both +0.0 and -0.0
+        rows[0] = 0.0  # every folded margin z is exactly 0, the edge of the z <= 0 branch
     losses, grads = model.loss_and_grad(rows, data)
     assert losses.shape == (num_rows,) and grads.shape == rows.shape
     assert np.array_equal(losses, model.loss_full(rows, data))
@@ -388,14 +389,20 @@ def test_loss_and_grad_equals_the_separate_calls(
 
 
 def test_loss_and_grad_cases_reach_underflow_and_signed_zeros(binary_data, multi_data):
-    """The rows the bit-identity test draws do reach the edge cases it names."""
+    """The rows the bit-identity test draws do reach the edge cases it names,
+    in the folded margins the full-data kernel reads; and the zero row gives
+    the margins that clipped_grad_mean and batch_loss sign themselves both
+    signs of zero."""
     binary, multi = (m for m, _ in _every_family(binary_data, multi_data)[1:])
     gen = np.random.default_rng(0)
     big = gen.normal(scale=1e3, size=(3, binary.param_dim()))
-    z = (2.0 * binary_data.labels - 1.0) * binary._logits(big, binary_data.features)
+    z = binary._logits(big, binary_data.signed_features)
     assert np.any(np.exp(-np.abs(z)) == 0.0)
-    z0 = (2.0 * binary_data.labels - 1.0) * binary._logits(np.zeros((1, binary.param_dim())),
-                                                           binary_data.features)
+    zero = np.zeros((1, binary.param_dim()))
+    # a matmul sum of zeros starts from +0.0, so the folded z of the zero row
+    # is +0.0 on every example, even for a -0.0 row or a -0.0 folded feature row
+    assert np.all(binary._logits(zero, binary_data.signed_features) == 0.0)
+    _, z0, _ = _margin_terms(binary._logits(zero, binary_data.features), binary_data.labels)
     assert np.all(z0 == 0.0) and np.any(np.signbit(z0)) and not np.all(np.signbit(z0))
     logits = multi._logits(gen.normal(scale=1e3, size=(3, multi.param_dim())), multi_data.features)
     assert np.any(np.exp(logits - logits.max(axis=-1, keepdims=True)) == 0.0)
@@ -559,8 +566,8 @@ def test_predict_labels_rejects_non_finite_logits_and_quadratic_models(binary_da
 
 
 def test_label_scoring_never_builds_probabilities(monkeypatch, multi_data):
-    """accuracy, best-k, OMV, the stability report and the trainer's per-step
-    eval all score a LogisticLoss from its logits alone."""
+    """accuracy, best-k, OMV, pds_eval's window scoring and the trainer's
+    per-step eval all score a LogisticLoss from its logits alone."""
     model = LogisticLoss.for_data(multi_data, l2_reg=0.01)
 
     def no_probs(self, theta, features):
@@ -572,7 +579,10 @@ def test_label_scoring_never_builds_probabilities(monkeypatch, multi_data):
     assert accuracy(model, params, multi_data).shape == (6,)
     assert len(select_best_k(params, steps, model, multi_data, 2)) == 2
     assert omv_batch_labels(params, model, multi_data.features).shape == (multi_data.n,)
-    stability_report(params, steps, model, multi_data, [AggregationSpec("ema", beta=0.5)], 3)
+    run = SimpleNamespace(params=params, steps=np.array(steps))
+    parts = {"validation": multi_data, "test": multi_data}
+    beta_specs, k_specs = [AggregationSpec("ema", beta=0.5)], [AggregationSpec("upa_k", k=2)]
+    _pds_scores(model, parts, beta_specs, k_specs, 3, run)
     config = TrainerConfig("practical", 4, EtaSchedule("constant", 0.1), batch_size=8)
     (run,) = dp_sgd_practical_runs(
         model, multi_data, config, [0], noise_multiplier=1.0, eval_data=multi_data

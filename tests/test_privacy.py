@@ -107,41 +107,49 @@ def test_budget_from_rho():
 
 def test_calibrate_theoretical_pinned():
     # L=1, T=100, n=1000, rho=0.5: variance L^2 T / (2 n rho) = 0.1
-    scale = calibrate_theoretical(lipschitz=1.0, num_steps=100, n=1000, rho=0.5)
-    assert scale.variance_per_step == pytest.approx(0.1, abs=1e-15)
-    assert scale.std == pytest.approx(math.sqrt(0.1), abs=1e-15)
+    std = calibrate_theoretical(lipschitz=1.0, num_steps=100, n=1000, rho=0.5)
+    assert std == pytest.approx(math.sqrt(0.1), abs=1e-15)
+    assert std**2 == pytest.approx(0.1, abs=1e-15)
 
 
 def test_calibrate_theoretical_scalings():
-    base = calibrate_theoretical(1.0, 100, 1000, 0.5).variance_per_step
-    assert calibrate_theoretical(2.0, 100, 1000, 0.5).variance_per_step == pytest.approx(4 * base)
-    assert calibrate_theoretical(1.0, 200, 1000, 0.5).variance_per_step == pytest.approx(2 * base)
-    assert calibrate_theoretical(1.0, 100, 2000, 0.5).variance_per_step == pytest.approx(base / 2)
-    assert calibrate_theoretical(1.0, 100, 1000, 1.0).variance_per_step == pytest.approx(base / 2)
+    base = calibrate_theoretical(1.0, 100, 1000, 0.5)
+    assert calibrate_theoretical(2.0, 100, 1000, 0.5) == pytest.approx(2 * base)
+    assert calibrate_theoretical(1.0, 200, 1000, 0.5) == pytest.approx(math.sqrt(2) * base)
+    assert calibrate_theoretical(1.0, 100, 2000, 0.5) == pytest.approx(base / math.sqrt(2))
+    assert calibrate_theoretical(1.0, 100, 1000, 1.0) == pytest.approx(base / math.sqrt(2))
     # infinite budget degrades to zero noise
-    assert calibrate_theoretical(1.0, 100, 1000, math.inf).variance_per_step == 0.0
+    assert calibrate_theoretical(1.0, 100, 1000, math.inf) == 0.0
     with pytest.raises(ValueError, match="overflows"):
         calibrate_theoretical(1e200, 100, 1000, 0.5)
 
 
 def test_calibrate_practical_pinned():
-    scale, rho_step = calibrate_practical(clip_norm=1.0, noise_multiplier=1.0)
-    assert scale.variance_per_step == 1.0
+    # one step of batch 1 is the summed-gradient noise and rho_step itself
+    std, rho_step = calibrate_practical(clip_norm=1.0, noise_multiplier=1.0, num_steps=1,
+                                        batch_size=1)
+    assert std == 1.0
     assert rho_step == 0.5
-    scale2, rho2 = calibrate_practical(clip_norm=0.5, noise_multiplier=2.0)
-    assert scale2.std == pytest.approx(1.0)
+    std2, rho2 = calibrate_practical(clip_norm=0.5, noise_multiplier=2.0, num_steps=1,
+                                     batch_size=1)
+    assert std2 == pytest.approx(1.0)
     assert rho2 == pytest.approx(0.125)
-    with pytest.raises(ValueError):
-        calibrate_practical(0.0, 1.0)
-    with pytest.raises(ValueError):
-        calibrate_practical(1.0, -1.0)
+    # the std is on the mean over the batch; rho composes over the steps
+    std3, rho3 = calibrate_practical(0.5, 2.0, num_steps=10, batch_size=4)
+    assert std3 == std2 / 4
+    assert rho3 == 10 * rho2
+    with pytest.raises(ValueError, match="clip_norm"):
+        calibrate_practical(0.0, 1.0, 1, 1)
+    for z in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            calibrate_practical(1.0, z, 1, 1)
     # an infinite multiplier would charge rho_step = 0 for a noiseless step
-    with pytest.raises(ValueError, match="finite"):
-        calibrate_practical(1.0, math.inf)
+    with pytest.raises(ValueError, match="noise_multiplier must be positive and finite"):
+        calibrate_practical(1.0, math.inf, 1, 1)
     # finite multipliers whose square overflows or underflows a float
     for z in (1e200, 1e-200):
         with pytest.raises(ValueError, match="out of float range"):
-            calibrate_practical(1.0, z)
+            calibrate_practical(1.0, z, 1, 1)
 
 
 @pytest.mark.parametrize("point", sorted(HOCKEY_STICK_MPMATH))

@@ -39,7 +39,6 @@ from dpckpt.trainer import (
     min_loss_in_ball,
     minibatch_indices,
     minimize_loss,
-    practical_noise,
     project_l2,
     save_run,
     theorem_step_size,
@@ -244,7 +243,7 @@ def test_theoretical_noise_variance_end_to_end():
         projection_radius=50.0, checkpoint_every=1,
     )
     (record,) = dp_sgd_theoretical_runs(model, _dummy_data(n), config, [21], rho=rho)
-    s2 = calibrate_theoretical(1.0, T, n, rho).variance_per_step
+    s2 = calibrate_theoretical(1.0, T, n, rho) ** 2
     expected = eta**2 * s2 / (1.0 - (1.0 - eta) ** 2)
     tail = np.stack([c.params for c in record.checkpoints[1000:]])
     observed = tail.var(axis=0, ddof=1).mean()
@@ -301,7 +300,7 @@ def test_batched_runs_equal_separate_runs(family, rho, seeds, steps, every):
 
 def _scalar_reference(model, data, config, seed, rho):
     """The one-vector trainer loop, step by step, as an independent oracle."""
-    noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho).std
+    noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho)
     theta = np.zeros(model.param_dim())
     params, losses = [], []
     for t in range(1, config.num_steps + 1):
@@ -335,7 +334,7 @@ def _two_call_reference(model, data, config, seeds, rho):
     """The step before the fused kernel, over all S rows: grad_full at the
     current iterate, per-step gaussian_vector noise, project_l2, then
     loss_full and accuracy at the new iterate."""
-    noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho).std
+    noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho)
     theta = np.zeros((len(seeds), model.param_dim()))
     params, metrics = [], []
     for t in range(1, config.num_steps + 1):
@@ -474,20 +473,17 @@ def test_practical_noise_changes_trajectory_but_not_batches(practical_setup):
 
 @pytest.mark.parametrize("z", [0.3, 1.0, 1.7, 12.5])
 @pytest.mark.parametrize("steps", [1, 2, 3, 7, 30, 999])
-def test_practical_noise_composes_equal_steps_like_compose_zcdp(z, steps):
-    config = TrainerConfig("practical", steps, EtaSchedule("constant", 0.1), batch_size=4)
-    _, rho_step = calibrate_practical(1.0, z)
-    assert practical_noise(config, z)[1] == compose_zcdp([rho_step] * steps)
+def test_calibrate_practical_composes_equal_steps_like_compose_zcdp(z, steps):
+    _, rho_step = calibrate_practical(1.0, z, 1, 4)
+    assert calibrate_practical(1.0, z, steps, 4)[1] == compose_zcdp([rho_step] * steps)
 
 
-def test_practical_noise_total_rho_in_closed_form():
+def test_calibrate_practical_total_rho_in_closed_form():
     # a T-element list here would hold 2**31 - 1 floats
-    config = TrainerConfig("practical", MAX_STEPS, EtaSchedule("constant", 0.1))
-    assert practical_noise(config, 1.0)[1] == MAX_STEPS * 0.5
-    short = TrainerConfig("practical", 4, EtaSchedule("constant", 0.1))
+    assert calibrate_practical(1.0, 1.0, MAX_STEPS, 1)[1] == MAX_STEPS * 0.5
     with pytest.raises(ValueError, match="total rho out of float range"):
-        practical_noise(short, 1e-154)
-    assert practical_noise(short, 0.0) == (0.0, math.inf)
+        calibrate_practical(1.0, 1e-154, 4, 1)
+    assert calibrate_practical(1.0, 0.0, 4, 1) == (0.0, math.inf)
 
 
 def test_practical_init_is_small_uniform(practical_setup):
