@@ -238,17 +238,13 @@ def select_best_k(
     model: LossModel,
     heldout: DatasetHandle,
     k: int,
-    train_tag: str | None = None,
 ) -> np.ndarray:
     """Row indices of the k checkpoints scoring best on heldout data, best first.
 
-    Accuracy ties resolve toward the earlier step. heldout must not be
-    the training partition; when the caller passes the training tag this
-    is asserted against the heldout tag.
+    Accuracy ties resolve toward the earlier step. heldout must be disjoint
+    from the training data, as split_dataset's "heldout" part is.
     """
     if not 1 <= k <= len(params):
         raise ValueError(f"k={k} outside [1, {len(params)}]")
-    if train_tag is not None and train_tag == heldout.tag:
-        raise ValueError("heldout partition carries the training tag; must be disjoint")
     # lexsort is stable, so rows tied on accuracy and step keep their order
     return np.lexsort((np.asarray(steps), -accuracy(model, params, heldout)))[:k]

@@ -42,6 +42,8 @@ MAX_NORM_EXCESS_DIM = 10_000
 # trial j and event s share one 63-bit counter step, (j << 32) + s
 MAX_TRIALS = 2**31
 MAX_EVENTS = 2**32
+# c and delta of the burn-in bound on reports, an annotation that gates nothing
+BURN_IN_C, BURN_IN_DELTA = 4.0, 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +166,12 @@ class LDConfig:
     model: QuadraticLoss
     theta_start: np.ndarray
     sigma: float = 1.0
-    # annotation-only knobs for the burn-in formula on reports
-    c_constant: float = 4.0
-    delta_target: float = 1e-2
 
     def __post_init__(self):
         if not isinstance(self.model, QuadraticLoss):
             raise ValueError(f"model must be a QuadraticLoss, got {type(self.model).__name__}")
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
-        if not 0 < self.c_constant < math.inf:
-            raise ValueError("c_constant must be positive and finite")
-        if not 0.0 < self.delta_target < 1.0:
-            raise ValueError("delta_target must be in (0, 1)")
         theta = np.asarray(self.theta_start, dtype=np.float64)
         if theta.ndim != 1 or theta.size == 0:
             raise ValueError("theta_start must be a nonempty 1-d vector")
@@ -322,8 +317,8 @@ def variance_bias_experiment(
         smoothness=1.0,
         dim=center.size,
         dist0sq=dist0sq,
-        delta=config.delta_target,
-        c=config.c_constant,
+        delta=BURN_IN_DELTA,
+        c=BURN_IN_C,
     )
     return VarianceBiasReport(
         times=times,

@@ -103,7 +103,7 @@ def split_dataset(
     heldout_fraction: float = 0.1,
     test_fraction: float = 0.1,
 ) -> dict[str, DatasetHandle]:
-    """Shuffle and cut into tagged train/validation/heldout/test parts."""
+    """Shuffle and cut into train/validation/heldout/test parts."""
     if not all(f >= 0 for f in (val_fraction, heldout_fraction, test_fraction)):
         raise ConfigError("partition fractions must be nonnegative numbers")
     held_total = val_fraction + heldout_fraction + test_fraction
@@ -118,10 +118,10 @@ def split_dataset(
         raise ConfigError("dataset too small for the requested partitions")
     bounds = np.cumsum([n_train, n_val, n_held, n_test])
     return {
-        "train": data.subset(perm[: bounds[0]], tag="train"),
-        "validation": data.subset(perm[bounds[0] : bounds[1]], tag="validation"),
-        "heldout": data.subset(perm[bounds[1] : bounds[2]], tag="heldout"),
-        "test": data.subset(perm[bounds[2] : bounds[3]], tag="test"),
+        "train": data.subset(perm[: bounds[0]]),
+        "validation": data.subset(perm[bounds[0] : bounds[1]]),
+        "heldout": data.subset(perm[bounds[1] : bounds[2]]),
+        "test": data.subset(perm[bounds[2] : bounds[3]]),
     }
 
 
@@ -151,7 +151,6 @@ def aggregation_accuracy(
     model,
     eval_data: DatasetHandle,
     heldout: DatasetHandle | None = None,
-    train_tag: str | None = None,
 ) -> float:
     """Accuracy on eval_data after applying one aggregation to a run."""
     params, steps = record.params, record.steps
@@ -164,7 +163,7 @@ def aggregation_accuracy(
     if spec.kind == "best_k":
         if heldout is None:
             raise ValueError("best_k aggregation needs a heldout partition")
-        rows = aggregate.select_best_k(params, steps, model, heldout, spec.k, train_tag=train_tag)
+        rows = aggregate.select_best_k(params, steps, model, heldout, spec.k)
         params, steps = params[rows], steps[rows]
     return accuracy(model, aggregate.combine(spec, params, steps), eval_data)
 
@@ -340,8 +339,6 @@ KEY_TABLES: dict[str, tuple[Key, ...]] = {
         # NaN and inf are left to LDConfig, whose theta_start must be finite
         Key("dpld.start_distance", "float", 10.0, lambda d: not d < 0, "must be nonnegative"),
         Key("dpld.statistic", "str", "clamped_coord", *_one_of(tuple(dpld.STATISTICS))),
-        Key("dpld.c_constant", "float", 4.0),
-        Key("dpld.delta_target", "float", 1e-2),
     ),
 }
 
@@ -370,9 +367,9 @@ def _config_errors(what: str, key: str | None = None):
         raise ConfigError(f"bad {what}: {exc}", key=key) from None
 
 
-def _dataset(cfg: dict, tag: str = "") -> DatasetHandle:
+def _dataset(cfg: dict) -> DatasetHandle:
     if cfg["data.csv"] is not None:
-        return load_csv(cfg["data.csv"], tag=tag)
+        return load_csv(cfg["data.csv"])
     with _config_errors("data setting (data.n, data.p, data.classes, data.separation)"):
         return synth_classification(
             n=cfg["data.n"],
@@ -380,7 +377,6 @@ def _dataset(cfg: dict, tag: str = "") -> DatasetHandle:
             num_classes=cfg["data.classes"],
             separation=cfg["data.separation"],
             seed=cfg["data.seed"],
-            tag=tag,
         )
 
 
@@ -543,7 +539,7 @@ def run_single_training(cfg: dict, out_dir: str, master_seed: int):
             f"the train task writes one run; got {len(seeds)} seeds",
             key="num_seeds" if cfg["num_seeds"] > 1 else "seeds",
         )
-    data = _dataset(cfg, tag="train")
+    data = _dataset(cfg)
 
     if cfg["train.mode"] == "theoretical":
         rho, radius = cfg["train.rho"], cfg["train.radius"]
@@ -594,7 +590,7 @@ def run_risk_compare(cfg: dict, out_dir: str, master_seed: int):
                 key="data.unit_norm",
             )
         feats = feats / np.maximum(norms, 1e-12)
-    data = DatasetHandle(feats, data.labels, data.num_classes, tag="train")
+    data = DatasetHandle(feats, data.labels, data.num_classes)
     specs = parse_aggregation_list(cfg["agg.list"])
     output_space = [spec.label() for spec in specs if spec.kind in ("opa", "omv", "best_k")]
     if output_space:
@@ -639,9 +635,7 @@ def _accuracies(model, parts, specs, eval_part, record) -> dict:
     target = parts[eval_part]
     scores = {"last": accuracy(model, record.params[-1], target)}
     for spec in specs:
-        scores[spec.label()] = aggregation_accuracy(
-            spec, record, model, target, heldout=parts["heldout"], train_tag="train"
-        )
+        scores[spec.label()] = aggregation_accuracy(spec, record, model, target, parts["heldout"])
     return scores
 
 
@@ -831,7 +825,7 @@ def _uq_widths(model, data, test_inputs, cfg: dict, budgets: list, outer_seed: i
 
 def run_uq_compare(cfg: dict, out_dir: str, master_seed: int):
     eps_list, k_list = cfg["uq.epsilons"], cfg["uq.k_values"]
-    data = _dataset(cfg, tag="train")
+    data = _dataset(cfg)
     if cfg["uq.pool_runs"] < max(k_list):
         raise ConfigError("pool must hold at least max(k) runs", key="uq.pool_runs")
     with _config_errors("privacy setting", "uq.epsilons"):
@@ -899,8 +893,6 @@ def run_dpld_bias(cfg: dict, out_dir: str, master_seed: int):
             model=model,
             theta_start=theta_start,
             sigma=cfg["dpld.sigma"],
-            c_constant=cfg["dpld.c_constant"],
-            delta_target=cfg["dpld.delta_target"],
         )
         all_times = [
             dpld.CheckpointTimes(t1=t1, gap=gap, k=cfg["dpld.k"]) for t1, gap in cfg["dpld.points"]

@@ -11,7 +11,7 @@ loss_full and grad_full also take an (S, p) matrix of S parameter rows
 through stacked np.matmul, which makes the same BLAS call per row as an
 unbatched product, so a batched row equals the unbatched result bit for
 bit (a plain X @ Theta.T would be one larger product, rounded differently).
-The binary head reads the whole dataset through its sign-folded design
+The binary head reads labelled data only through its sign-folded design
 matrix X~ = diag(2y - 1) X (DatasetHandle.signed_features: built once per
 handle, read-only, and stored transposed as a C-contiguous (p, n) array).
 X~ theta is the signed margin z itself, and the mean gradient is
@@ -20,7 +20,7 @@ both per-row products read one contiguous buffer. The fold alone is exact
 (+-1 products and negated sums round exactly); the transposed store sums
 in another order, so against the unfolded kernel results move by at most
 1e-12 relative, the tolerance tools/artifact_drift.py checks. The gathered
-batches of clipped_grad_mean and batch_loss still sign their margins.
+batches of clipped_grad_mean and batch_loss are rows of that store too.
 loss_and_grad gives both at once from one logits block: the binary head
 shares z and exp(-|z|) between the cross-entropy and its slope, the
 softmax head shares exp(logits - max) and its row sum between the
@@ -34,12 +34,13 @@ rows give (S, n, c) probabilities, (S, n) labels and (S,) accuracies.
 predict_labels reads the argmax straight off the logits, with no softmax,
 and accuracy scores the rows in chunks of at most ~40k logits.
 clipped_grad_mean is the practical trainer's step: for S rows, each with
-its own (B, d) minibatch, the mean of the per-example gradients after each
-is scaled to norm at most clip_norm. It never forms the (B, p) per-example
-gradients. A logistic per-example gradient is R_i (x) x_i + l2 * theta,
-with R_i the softmax residual (probabilities minus one-hot) or the binary
-slope, so its squared norm is |R_i|^2 |x_i|^2 + 2 l2 <R_i, logits_i> +
-l2^2 |theta|^2, read off one logits pass, and the clipped mean is one
+its own batch, the rows idx[s] of an (S, B) index matrix into the dataset,
+the mean of the per-example gradients after each is scaled to norm at most
+clip_norm. It never forms the (B, p) per-example gradients. A logistic
+per-example gradient is R_i (x) x_i + l2 * theta, with R_i the residual
+in the logits (softmax probabilities minus one-hot, or -sigmoid(-z) for a
+signed row), so its squared norm is |R_i|^2 |x_i|^2 + 2 l2 <R_i, logits_i>
++ l2^2 |theta|^2, read off one logits pass, and the clipped mean is one
 matmul of the factor-scaled residuals with the batch (ghost clipping: Li
 et al., arXiv 2110.05679). batch_loss gives each row's loss on its own
 batch the same way.
@@ -61,17 +62,13 @@ from .errors import ConfigError, NumericOverflowError
 
 @dataclass(eq=False)
 class DatasetHandle:
-    """A fixed design matrix with integer class labels.
-
-    The tag names the partition an instance came from ("train", "test",
-    ...); operators that require disjoint partitions compare tags rather
-    than contents.
-    """
+    """A fixed design matrix with integer class labels, and the arrays derived
+    from them (the sign-folded matrix, the squared row norms) built on first use.
+    The loss models read labelled data only through a handle."""
 
     features: np.ndarray  # (n, p) float64
     labels: np.ndarray  # (n,) integer class ids
     num_classes: int
-    tag: str = ""
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -96,11 +93,17 @@ class DatasetHandle:
         store.flags.writeable = False
         return store.T
 
+    @functools.cached_property
+    def sq_norms(self) -> np.ndarray:
+        """(n,) squared norm of each feature row, built on first use."""
+        return np.einsum("ij,ij->i", self.features, self.features)
+
     def __getstate__(self):
-        # a copy (as a worker process gets) rebuilds the folded matrix on first
-        # use: it is derived data, and numpy unpickles arrays writeable
+        # a copy (as a worker process gets) rebuilds the derived arrays on
+        # first use: numpy unpickles arrays writeable
         state = self.__dict__.copy()
         state.pop("signed_features", None)
+        state.pop("sq_norms", None)
         return state
 
     @property
@@ -111,12 +114,12 @@ class DatasetHandle:
     def p(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray, tag: str | None = None) -> "DatasetHandle":
+    def subset(self, indices: np.ndarray) -> "DatasetHandle":
         """The selected rows, without re-running the __post_init__ scans on rows
         of this validated dataset; an empty selection still fails."""
         sub = object.__new__(type(self))
         sub.features, sub.labels = self.features[indices], self.labels[indices]
-        sub.num_classes, sub.tag = self.num_classes, self.tag if tag is None else tag
+        sub.num_classes = self.num_classes
         if sub.features.ndim != 2 or sub.n < 1:
             raise ValueError("subset must select a non-empty 1-d set of rows")
         return sub
@@ -128,7 +131,6 @@ def synth_classification(
     num_classes: int = 2,
     separation: float = 2.0,
     seed: int = 0,
-    tag: str = "",
 ) -> DatasetHandle:
     """Gaussian class clusters with unit within-class covariance.
 
@@ -146,9 +148,7 @@ def synth_classification(
     means = separation * dirs
     labels = rng.permutation(np.arange(n) % num_classes)
     features = means[labels] + rng.standard_normal((n, p))
-    if not tag:
-        tag = f"synth(n={n},p={p},c={num_classes},sep={separation},seed={seed})"
-    return DatasetHandle(features, labels, num_classes, tag)
+    return DatasetHandle(features, labels, num_classes)
 
 
 def csv_header(p: int) -> list[str]:
@@ -164,7 +164,7 @@ def save_csv(data: DatasetHandle, path: str) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-def load_csv(path: str, num_classes: int | None = None, tag: str = "") -> DatasetHandle:
+def load_csv(path: str, num_classes: int | None = None) -> DatasetHandle:
     """Read a dataset written by save_csv (or any file matching its header)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -200,7 +200,7 @@ def load_csv(path: str, num_classes: int | None = None, tag: str = "") -> Datase
             f"dataset file {path} row {bad[0]} has label {label_arr[bad[0]]},"
             f" outside [0, {num_classes})"
         )
-    return DatasetHandle(feat_arr, label_arr, num_classes, tag or path)
+    return DatasetHandle(feat_arr, label_arr, num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -220,22 +220,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return _sigmoid_from(x >= 0, np.exp(-np.abs(x)))
 
 
-def _margin_terms(margins: np.ndarray, labels: np.ndarray):
-    """(signs, z, e): the labels as +-1 signs, z = signs * margins and
-    e = exp(-|z|), which the binary cross-entropy and its slope both read."""
-    signs = 2.0 * labels - 1.0
-    z = signs * margins
-    return signs, z, np.exp(-np.abs(z))
-
-
 def _binary_ce(z: np.ndarray, e: np.ndarray) -> np.ndarray:
     # ln(1 + exp(-z)) evaluated stably
     return np.maximum(-z, 0.0) + np.log1p(e)
-
-
-def _binary_slope(signs: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # d/dm ln(1+exp(-y m)) = -y * sigmoid(-z), and -z >= 0 exactly where z <= 0
-    return -signs * _sigmoid_from(z <= 0, e)
 
 
 def _softmax_terms(logits: np.ndarray):
@@ -307,16 +294,15 @@ class LossModel:
         loss_full and grad_full but read off one pass over the data."""
         raise NotImplementedError
 
-    def clipped_grad_mean(self, rows, features, labels, feature_sq_norms, clip_norm):
+    def clipped_grad_mean(self, rows, data: DatasetHandle, idx: np.ndarray, clip_norm):
         """(S, p): for each of the (S, p) rows, the mean over its batch of the
         per-example gradients, each first scaled to norm at most clip_norm.
-        Row s's batch is features[s] (B, d) with labels[s] (B,), and
-        feature_sq_norms[s] (B,) holds the squared norms of those feature rows."""
+        Row s's batch is the B rows idx[s] of data, for an (S, B) index matrix."""
         raise NotImplementedError
 
-    def batch_loss(self, rows: np.ndarray, features: np.ndarray, labels: np.ndarray):
+    def batch_loss(self, rows: np.ndarray, data: DatasetHandle, idx: np.ndarray):
         """(S,) mean loss of each of the (S, p) rows on its own batch, the
-        (S, B, d) features and (S, B) labels of clipped_grad_mean."""
+        rows idx[s] of data as in clipped_grad_mean."""
         raise NotImplementedError
 
     def predict_proba(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -385,13 +371,13 @@ class QuadraticLoss(LossModel):
         diff = self._check_rows(rows)[0] - self.center
         return 0.5 * self.curvature * _row_sq_norms(diff), self.curvature * diff
 
-    def clipped_grad_mean(self, rows, features, labels, feature_sq_norms, clip_norm):
+    def clipped_grad_mean(self, rows, data, idx, clip_norm):
         # every example has the same gradient, so the clipped mean is that
         # gradient, clipped
         grad = self.grad_full(self._check_rows(rows)[0])
         return grad * _clip_factors(_row_sq_norms(grad), clip_norm)[:, None]
 
-    def batch_loss(self, rows, features, labels):
+    def batch_loss(self, rows, data, idx):
         return self.loss_full(self._check_rows(rows)[0])
 
     def predict_proba(self, theta, features):
@@ -461,20 +447,30 @@ class LogisticLoss(LossModel):
         weights = rows.reshape(len(rows), self.num_classes, self.n_features)
         return np.matmul(features, weights.transpose(0, 2, 1))
 
-    def _data_logits(self, rows: np.ndarray, data: DatasetHandle) -> np.ndarray:
-        """Logits of the rows on the whole dataset; the binary head's are the
-        signed margins z, one product with the sign-folded design matrix."""
-        return self._logits(rows, data.signed_features if self.binary else data.features)
+    def _design(self, data: DatasetHandle, idx: np.ndarray | None = None) -> np.ndarray:
+        """The design matrix (sign-folded for the binary head, whose logits are
+        then the margins z), or its (S, B, d) rows for an (S, B) index matrix."""
+        design = data.signed_features if self.binary else data.features
+        return design if idx is None else design[idx]
 
-    def _terms(self, logits: np.ndarray, batch_labels: np.ndarray | None = None):
-        """What the loss and the gradient both read off the logits. The binary
-        head's are (z, exp(-|z|)) of the signed margins z: full-data logits are
-        z already, and a gathered batch's margins are signed by batch_labels."""
-        if not self.binary:
-            return _softmax_terms(logits)
-        if batch_labels is not None:
-            return _margin_terms(logits, batch_labels)[1:]
-        return logits, np.exp(-np.abs(logits))
+    def _terms(self, logits: np.ndarray):
+        """What the loss and the gradient both read off the logits: the binary
+        head's (z, exp(-|z|)) of the signed margins z, or the softmax terms."""
+        if self.binary:
+            return logits, np.exp(-np.abs(logits))
+        return _softmax_terms(logits)
+
+    def _residual(self, terms, labels: np.ndarray) -> np.ndarray:
+        """Each example's loss slope in its logits: -sigmoid(-z) for the binary
+        head (-z >= 0 exactly where z <= 0), else probabilities minus one-hot."""
+        if self.binary:
+            z, e = terms
+            # _sigmoid_from(z <= 0, e) negated on its denominator, where it rounds exactly
+            return np.maximum(e, z <= 0) / (-1.0 - e)
+        _, ex, total = terms
+        probs = ex / total
+        probs[_label_index(probs, labels)] -= 1.0
+        return probs
 
     def _loss_from(self, rows, logits, terms, labels) -> np.ndarray:
         if self.binary:
@@ -487,66 +483,55 @@ class LogisticLoss(LossModel):
         return ce.sum(axis=1) / labels.shape[-1] + 0.5 * self.l2_reg * _row_sq_norms(rows)
 
     def _grad_from(self, rows, terms, data) -> np.ndarray:
+        resid = self._residual(terms, data.labels)
         if self.binary:
-            # d/dz ln(1 + exp(-z)) = -sigmoid(-z), and -z >= 0 exactly where z <= 0
-            z, e = terms
-            slope = np.matmul(data.signed_features.T, _sigmoid_from(z <= 0, e)[:, :, None])
-            return self.l2_reg * rows - slope[:, :, 0] / data.n
-        _, ex, total = terms
-        probs = ex / total
-        probs[_label_index(probs, data.labels)] -= 1.0
-        grad_w = np.matmul(probs.transpose(0, 2, 1), data.features) / data.n
+            slope = np.matmul(data.signed_features.T, resid[:, :, None])
+            return self.l2_reg * rows + slope[:, :, 0] / data.n
+        grad_w = np.matmul(resid.transpose(0, 2, 1), data.features) / data.n
         return grad_w.reshape(len(rows), -1) + self.l2_reg * rows
 
     def loss_full(self, theta, data):
         rows, single = self._check_rows(theta)
-        logits = self._data_logits(rows, data)
+        logits = self._logits(rows, self._design(data))
         loss = self._loss_from(rows, logits, self._terms(logits), data.labels)
         return float(loss[0]) if single else loss
 
     def grad_full(self, theta, data) -> np.ndarray:
         rows, single = self._check_rows(theta)
-        grad = self._grad_from(rows, self._terms(self._data_logits(rows, data)), data)
+        grad = self._grad_from(rows, self._terms(self._logits(rows, self._design(data))), data)
         return grad[0] if single else grad
 
     def loss_and_grad(self, rows, data):
         rows = self._check_rows(rows)[0]
-        logits = self._data_logits(rows, data)
+        logits = self._logits(rows, self._design(data))
         terms = self._terms(logits)
         loss = self._loss_from(rows, logits, terms, data.labels)
         return loss, self._grad_from(rows, terms, data)
 
-    def clipped_grad_mean(self, rows, features, labels, feature_sq_norms, clip_norm):
+    def clipped_grad_mean(self, rows, data, idx, clip_norm):
         rows = self._check_rows(rows)[0]
-        logits = self._logits(rows, features)
+        design = self._design(data, idx)  # (S, B, d)
+        logits = self._logits(rows, design)
+        resid = self._residual(self._terms(logits), data.labels[idx])
         if self.binary:
-            resid = _binary_slope(*_margin_terms(logits, labels))  # (S, B)
-            resid_sq, resid_logits = resid * resid, resid * logits
-        else:
-            resid = _softmax(logits)  # (S, B, c)
-            resid[_label_index(logits, labels)] -= 1.0
-            resid_sq = (resid * resid).sum(axis=-1)
-            resid_logits = (resid * logits).sum(axis=-1)
+            # one logit per example: (S, B) -> (S, B, 1), as the softmax head's
+            logits, resid = logits[:, :, None], resid[:, :, None]
         lam = self.l2_reg
         sq_norms = (
-            resid_sq * feature_sq_norms
-            + 2.0 * lam * resid_logits
+            (resid * resid).sum(axis=-1) * data.sq_norms[idx]
+            + 2.0 * lam * (resid * logits).sum(axis=-1)
             + lam * lam * _row_sq_norms(rows)[:, None]
         )
         factors = _clip_factors(sq_norms, clip_norm)  # (S, B)
-        batch = labels.shape[-1]
-        if self.binary:
-            coeff = (factors * resid)[:, None, :]
-            grad = np.matmul(coeff, features)[:, 0, :] / batch
-        else:
-            coeff = (factors[:, :, None] * resid).transpose(0, 2, 1)
-            grad = (np.matmul(coeff, features) / batch).reshape(len(rows), -1)
+        batch = idx.shape[-1]
+        coeff = (factors[:, :, None] * resid).transpose(0, 2, 1)
+        grad = (np.matmul(coeff, design) / batch).reshape(len(rows), -1)
         return grad + lam * rows * (factors.sum(axis=1) / batch)[:, None]
 
-    def batch_loss(self, rows, features, labels):
+    def batch_loss(self, rows, data, idx):
         rows = self._check_rows(rows)[0]
-        logits = self._logits(rows, features)
-        return self._loss_from(rows, logits, self._terms(logits, labels), labels)
+        logits = self._logits(rows, self._design(data, idx))
+        return self._loss_from(rows, logits, self._terms(logits), data.labels[idx])
 
     def _checked_logits(self, theta, features):
         """Finite logits of the rows on the features, and whether one (p,)

@@ -27,12 +27,13 @@ seed. Two modes share the checkpoint/metrics plumbing:
                matrix too. Each seed draws its step's minibatch from its
                own (seed, step) generator, as row indices into the
                training data, uniformly without replacement or by the
-               diurnal schedule; the S index vectors gather one
-               (S, B, d) batch, and each step makes one
-               model.clipped_grad_mean call (the clipped per-example
-               mean, without forming per-example gradients) and one
-               model.batch_loss call on it. Every row equals the run
-               trained alone bit for bit.
+               diurnal schedule. The S index vectors form one (S, B)
+               index matrix, and each step passes it with the dataset
+               to one model.clipped_grad_mean call (the clipped
+               per-example mean, without forming per-example gradients)
+               and one model.batch_loss call, which gather the batch
+               rows themselves. Every row equals the run trained alone
+               bit for bit.
 
 Both modes take their noise from the one path: rng.gaussian_steps,
 which draws a chunk of steps at a time and equals the per-step
@@ -322,7 +323,6 @@ def dp_sgd_practical_runs(
     )
     ckpt_steps = checkpoint_steps(T, config.resolved_checkpoint_every())
     ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
-    feature_sq_norms = np.einsum("ij,ij->i", data.features, data.features)
 
     theta = np.stack([0.02 * rng.uniform_vector(s, rng.STREAM_INIT, 0, dim) - 0.01 for s in seeds])
     ckpts = np.empty((len(seeds), len(ckpt_steps), dim))
@@ -341,14 +341,11 @@ def dp_sgd_practical_runs(
             ])
         else:
             idx = np.stack([minibatch_indices(s, t, data.n, config.batch_size) for s in seeds])
-        features, labels = data.features[idx], data.labels[idx]
-        g = model.clipped_grad_mean(
-            theta, features, labels, feature_sq_norms[idx], config.clip_norm
-        )
+        g = model.clipped_grad_mean(theta, data, idx, config.clip_norm)
         if noise is not None:
             g = g + mean_noise_std * next(noise)
         theta = theta - config.eta.at(t) * g
-        loss = model.batch_loss(theta, features, labels)
+        loss = model.batch_loss(theta, data, idx)
         if not (np.all(np.isfinite(loss)) and np.all(np.isfinite(theta))):
             raise NumericDivergenceError("training loss became non-finite", step=t)
         metrics[:, t - 1, 0] = loss

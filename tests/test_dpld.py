@@ -171,6 +171,20 @@ def test_variance_bias_experiment_well_mixed_quadratic():
     assert math.isfinite(report.burn_in_bound)
 
 
+@pytest.mark.parametrize("start", [0.0, 3.0, -7.5])
+def test_report_burn_in_bound_uses_the_fixed_constants(start):
+    """The reported bound is burn_in_gamma at c = 4, delta = 1e-2 from the start distance."""
+    assert (dpld.BURN_IN_C, dpld.BURN_IN_DELTA) == (4.0, 1e-2)
+    config = LDConfig(
+        model=QuadraticLoss(center=np.zeros(3)), theta_start=np.full(3, start), sigma=1.0
+    )
+    times = CheckpointTimes(t1=1.0, gap=1.0, k=2)
+    report = variance_bias_experiment(config, times, "clamped_coord", trials=100, experiment_seed=2)
+    center, _ = stationary_law(config)
+    dist0sq = float(np.sum((config.theta_start - center) ** 2))
+    assert report.burn_in_bound == burn_in_gamma(1.0, 3, dist0sq, 1e-2, 4.0)
+
+
 def test_variance_bias_experiment_detects_correlation_bias():
     """Checkpoints taken immediately and close together underestimate V."""
     config = LDConfig(
@@ -261,12 +275,6 @@ def test_ld_config_rejects_a_model_that_is_not_quadratic():
     model = LogisticLoss.for_data(data, l2_reg=0.5, radius=1.0)
     with pytest.raises(ValueError, match="LogisticLoss"):
         LDConfig(model=model, theta_start=np.zeros(2))
-
-
-@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
-def test_ld_config_rejects_a_c_constant_that_is_not_positive_and_finite(bad):
-    with pytest.raises(ValueError, match="c_constant must be positive and finite"):
-        LDConfig(model=QuadraticLoss(center=np.zeros(2)), theta_start=np.ones(2), c_constant=bad)
 
 
 def test_stationary_law_normalizes_curvature():

@@ -184,13 +184,11 @@ def test_result_table_round_trip_with_commas(tmp_path):
 
 
 def test_split_dataset_partitions():
-    data = synth_classification(200, 4, num_classes=2, seed=1, tag="all")
+    data = synth_classification(200, 4, num_classes=2, seed=1)
     parts = split_dataset(data, seed=3)
     assert set(parts) == {"train", "validation", "heldout", "test"}
     assert parts["validation"].n == 20 and parts["heldout"].n == 20 and parts["test"].n == 20
     assert parts["train"].n == 140
-    for name, part in parts.items():
-        assert part.tag == name
     # the split covers every example exactly once
     all_rows = np.concatenate([p.features for p in parts.values()])
     assert all_rows.shape == data.features.shape
@@ -339,7 +337,7 @@ def _oscillating_run(qs):
 def _pds_parts(val_labels, test_labels):
     """Validation and test partitions for _ProbModel2, whose features are unread."""
     return {
-        name: DatasetHandle(np.zeros((len(labels), 2)), np.array(labels), 2, tag=name)
+        name: DatasetHandle(np.zeros((len(labels), 2)), np.array(labels), 2)
         for name, labels in (("validation", val_labels), ("test", test_labels))
     }
 
@@ -926,22 +924,21 @@ _BAD_KEY_IDS = [
         ("dpld-bias", "task = dpld_bias\ndpld.sigma = 0\n", "sigma must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.eta = 0\n", "'dpld.eta': unknown key"),
         ("dpld-bias", "task = dpld_bias\ndpld.dim = 0\n", "dpld.dim"),
-        ("dpld-bias", "task = dpld_bias\ndpld.c_constant = 0\n", "c_constant must be positive"),
-        ("dpld-bias", "task = dpld_bias\ndpld.delta_target = 1\n", "delta_target must be in"),
+        ("dpld-bias", "task = dpld_bias\ndpld.c_constant = 4\n",
+         "'dpld.c_constant': unknown key"),
+        ("dpld-bias", "task = dpld_bias\ndpld.delta_target = 0.01\n",
+         "'dpld.delta_target': unknown key"),
         ("dpld-bias", "task = dpld_bias\ndpld.oracle_samples = 1000000\n",
          "'dpld.oracle_samples': unknown key"),
         ("dpld-bias", "task = dpld_bias\ndpld.trials = 2147483648\n", "dpld.trials"),
         ("dpld-bias", "task = dpld_bias\ndpld.sigma = nan\n", "sigma must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.eta = nan\n", "'dpld.eta': unknown key"),
         ("dpld-bias", "task = dpld_bias\ndpld.sigma = inf\n", "sigma must be positive"),
-        ("dpld-bias", "task = dpld_bias\ndpld.c_constant = nan\n", "c_constant must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.start_distance = nan\n",
          "theta_start must be finite"),
         ("dpld-bias", "task = dpld_bias\ndpld.points = nan:1\n", "t1 must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.k = 4294967296\n", "fewer than 4294967296"),
         ("uq", "task = uq_compare\nuq.num_test_inputs = 0\n", "uq.num_test_inputs"),
-        ("dpld-bias", "task = dpld_bias\ndpld.c_constant = inf\n",
-         "c_constant must be positive and finite"),
         ("dpld-bias", "task = dpld_bias\ndpld.start_distance = -1\n", "dpld.start_distance"),
         ("report", "task = risk_compare\nseeds = 1, 2\nnum_seeds = 2\n",
          "only one of 'seeds' and 'num_seeds'"),
@@ -972,10 +969,11 @@ _BAD_KEY_IDS = [
         "uq_compare-eps-nan", "risk_compare-rho0", "train-theoretical-rho-inf",
         "risk_compare-rho-inf", "uq_compare-eps-inf",
         "train-theoretical-steps0", "dpld_bias-t1", "dpld_bias-gap", "dpld_bias-k1",
-        "dpld_bias-sigma", "dpld_bias-eta", "dpld_bias-dim", "dpld_bias-c", "dpld_bias-delta",
+        "dpld_bias-sigma", "dpld_bias-eta", "dpld_bias-dim", "dpld_bias-c-unknown",
+        "dpld_bias-delta-unknown",
         "dpld_bias-oracle", "dpld_bias-trials", "dpld_bias-sigma-nan", "dpld_bias-eta-nan",
-        "dpld_bias-sigma-inf", "dpld_bias-c-nan", "dpld_bias-start-nan", "dpld_bias-t1-nan",
-        "dpld_bias-k-2**32", "uq_compare-no-inputs", "dpld_bias-c-inf",
+        "dpld_bias-sigma-inf", "dpld_bias-start-nan", "dpld_bias-t1-nan",
+        "dpld_bias-k-2**32", "uq_compare-no-inputs",
         "dpld_bias-start-negative", "risk_compare-seeds-and-num_seeds",
         "train-practical-noise-1e200", "train-practical-noise-1e-200",
         "train-practical-noise-1e-154-steps-4",
@@ -1065,14 +1063,19 @@ SCORED_TINY = "train.steps = 12\ntrain.batch_size = 16\nnum_seeds = 2\ndata.n = 
 )
 @pytest.mark.parametrize("save_runs", [False, True])
 def test_per_step_accuracy_only_for_saved_runs(tmp_path, monkeypatch, lines, save_runs):
-    real = experiments.trainer.dp_sgd_practical_runs
-    seen = []
+    real, real_split = experiments.trainer.dp_sgd_practical_runs, experiments.split_dataset
+    seen, splits = [], []
 
     def recording(*args, eval_data=None, **kwargs):
         seen.append(eval_data)
         return real(*args, eval_data=eval_data, **kwargs)
 
+    def recording_split(*args, **kwargs):
+        splits.append(real_split(*args, **kwargs))
+        return splits[-1]
+
     monkeypatch.setattr(experiments.trainer, "dp_sgd_practical_runs", recording)
+    monkeypatch.setattr(experiments, "split_dataset", recording_split)
     out = tmp_path / "out"
     text = lines + SCORED_TINY + f"save_runs = {str(save_runs).lower()}\n"
     run_experiment(ConfigView(parse_config_text(text)), str(out), workers=1)
@@ -1081,7 +1084,8 @@ def test_per_step_accuracy_only_for_saved_runs(tmp_path, monkeypatch, lines, sav
         assert seen == [None]
         assert not (out / "runs").exists()
         return
-    assert [h.tag for h in seen] == ["test"]
+    # the test split, not one of the three splits of its size
+    assert len(splits) == 1 and np.array_equal(seen[0].features, splits[0]["test"].features)
     for run in ("seed_000", "seed_001"):
         with open(out / "runs" / run / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))

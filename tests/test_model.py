@@ -24,14 +24,12 @@ from dpckpt.model import (
     diurnal_prob,
     load_csv,
     save_csv,
-    _binary_slope,
-    _margin_terms,
     _sigmoid,
     synth_classification,
 )
 from dpckpt.rng import step_generator
 from dpckpt.trainer import EtaSchedule, TrainerConfig, dp_sgd_practical_runs
-from per_example import clip_rows, per_example_grads
+from per_example import clip_rows, clipped_mean, per_example_grads
 
 # ---------------------------------------------------------------------------
 # datasets
@@ -44,7 +42,6 @@ def test_synth_shapes_and_balance():
     assert data.num_classes == 3
     # labels are a permutation of 0..n-1 mod C, so classes are balanced
     assert np.bincount(data.labels, minlength=3).tolist() == [30, 30, 30]
-    assert "n=90" in data.tag
 
 
 def test_synth_deterministic_and_seed_sensitive():
@@ -69,30 +66,26 @@ def test_separation_scales_cluster_distance():
     assert 5.0 < ratio < 7.0
 
 
-def test_subset_tags_and_contents():
-    data = synth_classification(20, 3, seed=0, tag="train")
-    sub = data.subset(np.array([3, 1, 7]), tag="validation")
+def test_subset_contents():
+    data = synth_classification(20, 3, seed=0)
+    sub = data.subset(np.array([3, 1, 7]))
     assert sub.n == 3 and sub.p == 3
-    assert sub.tag == "validation"
     assert np.array_equal(sub.features, data.features[[3, 1, 7]])
     assert np.array_equal(sub.labels, data.labels[[3, 1, 7]]) and sub.num_classes == 2
-    inherit = data.subset(np.array([0, 2]))
-    assert inherit.tag == "train"
     for empty in (np.array([], dtype=np.int64), np.zeros(20, dtype=bool)):
         with pytest.raises(ValueError):
             data.subset(empty)
 
 
 def test_csv_round_trip_exact(tmp_path):
-    data = synth_classification(25, 4, num_classes=3, seed=13, tag="orig")
+    data = synth_classification(25, 4, num_classes=3, seed=13)
     path = tmp_path / "data.csv"
     save_csv(data, str(path))
-    back = load_csv(str(path), tag="copy")
+    back = load_csv(str(path))
     assert np.array_equal(back.features, data.features)
     assert np.array_equal(back.labels, data.labels)
     # num_classes inferred from the labels when not given
     assert back.num_classes == 3
-    assert back.tag == "copy"
     assert csv_header(4) == ["f0", "f1", "f2", "f3", "label"]
 
 
@@ -219,24 +212,20 @@ def test_clipped_grad_mean_matches_the_per_example_oracle(kind, l2, clipped):
     above = (norms > clip_norm).sum()
     assert {"none": above == 0, "all": above == norms.size}.get(clipped, 0 < above < norms.size)
 
-    features, labels = data.features[idx], data.labels[idx]
-    sq_norms = np.einsum("ij,ij->i", data.features, data.features)[idx]
-    got = model.clipped_grad_mean(rows, features, labels, sq_norms, clip_norm)
+    got = model.clipped_grad_mean(rows, data, idx, clip_norm)
     oracle = np.stack([clip_rows(per[s], clip_norm).mean(axis=0) for s in range(S)])
     assert got.shape == rows.shape
     assert np.max(np.abs(got - oracle)) <= 1e-12
-    losses = model.batch_loss(rows, features, labels)
+    losses = model.batch_loss(rows, data, idx)
     for s in range(S):
-        one = model.clipped_grad_mean(rows[s : s + 1], features[s : s + 1], labels[s : s + 1],
-                                      sq_norms[s : s + 1], clip_norm)
+        one = model.clipped_grad_mean(rows[s : s + 1], data, idx[s : s + 1], clip_norm)
         assert np.array_equal(one[0], got[s])
         assert losses[s] == model.loss_full(rows[s], batches[s])
 
     # a one-example batch's clipped mean is that example's clipped gradient:
     # its norm is the sensitivity the privacy ledger charges
     each = model.clipped_grad_mean(
-        np.repeat(rows, B, axis=0), features.reshape(S * B, 1, -1), labels.reshape(S * B, 1),
-        sq_norms.reshape(S * B, 1), clip_norm,
+        np.repeat(rows, B, axis=0), data, idx.reshape(S * B, 1), clip_norm
     )
     assert np.linalg.norm(each, axis=1).max() <= clip_norm * (1 + 1e-12)
     assert np.max(np.abs(each - clip_rows(np.concatenate(per), clip_norm))) <= 1e-12
@@ -273,7 +262,7 @@ def test_non_finite_logits_rejected():
 def test_accuracy_against_hand_labels():
     features = np.array([[1.0], [-1.0], [2.0], [-2.0]])
     labels = np.array([1, 0, 0, 1])  # half disagree with sign(x)
-    data = DatasetHandle(features, labels, 2, tag="t")
+    data = DatasetHandle(features, labels, 2)
     model = LogisticLoss(n_features=1)
     assert accuracy(model, np.array([1.0]), data) == 0.5
     assert accuracy(model, np.array([-1.0]), data) == 0.5
@@ -327,12 +316,13 @@ def test_branch_free_slope_is_bit_equal_to_the_where_form():
     x = np.concatenate([mags, -mags, [np.nan]])
     want = _where_sigmoid_from(x >= 0, np.exp(-np.abs(x)))
     assert np.array_equal(_bits(_sigmoid(x)), _bits(want))
-    # the slope, for every x as a margin of either label
-    for label in (0, 1):
-        labels = np.full(x.shape, label)
-        signs, z, e = _margin_terms(x, labels)
-        want = -signs * _where_sigmoid_from(z <= 0, e)
-        assert np.array_equal(_bits(_binary_slope(signs, z, e)), _bits(want))
+    # the binary residual -sigmoid(-z), for every x as a signed margin z; it
+    # negates the denominator, so a NaN keeps the sign of exp(-|z|)
+    binary = LogisticLoss(n_features=1)
+    e = np.exp(-np.abs(x))
+    got = binary._residual(binary._terms(x), None)
+    assert np.array_equal(_bits(got), _bits(np.where(x <= 0, 1.0, e) / (-1.0 - e)))
+    assert np.array_equal(_bits(got[:-1]), _bits(-_where_sigmoid_from(x <= 0, e)[:-1]))
 
 
 def _every_family(binary_data, multi_data):
@@ -390,9 +380,7 @@ def test_loss_and_grad_equals_the_separate_calls(
 
 def test_loss_and_grad_cases_reach_underflow_and_signed_zeros(binary_data, multi_data):
     """The rows the bit-identity test draws do reach the edge cases it names,
-    in the folded margins the full-data kernel reads; and the zero row gives
-    the margins that clipped_grad_mean and batch_loss sign themselves both
-    signs of zero."""
+    in the folded margins every binary kernel reads."""
     binary, multi = (m for m, _ in _every_family(binary_data, multi_data)[1:])
     gen = np.random.default_rng(0)
     big = gen.normal(scale=1e3, size=(3, binary.param_dim()))
@@ -402,8 +390,6 @@ def test_loss_and_grad_cases_reach_underflow_and_signed_zeros(binary_data, multi
     # a matmul sum of zeros starts from +0.0, so the folded z of the zero row
     # is +0.0 on every example, even for a -0.0 row or a -0.0 folded feature row
     assert np.all(binary._logits(zero, binary_data.signed_features) == 0.0)
-    _, z0, _ = _margin_terms(binary._logits(zero, binary_data.features), binary_data.labels)
-    assert np.all(z0 == 0.0) and np.any(np.signbit(z0)) and not np.all(np.signbit(z0))
     logits = multi._logits(gen.normal(scale=1e3, size=(3, multi.param_dim())), multi_data.features)
     assert np.any(np.exp(logits - logits.max(axis=-1, keepdims=True)) == 0.0)
 
@@ -430,9 +416,10 @@ def _binary_case(case):
     "case", ["plain", "underflow", "zero_rows", "all_zero_labels", "all_one_labels"]
 )
 def test_binary_full_kernel_matches_unfolded_references(case):
-    """loss_full, grad_full and loss_and_grad read the folded store; the
+    """loss_full, grad_full and loss_and_grad read the folded store, and so do
+    clipped_grad_mean and batch_loss on the batches of an index matrix; the
     references never fold: a log-add-exp loss of the plain margins and the
-    mean of the per-example oracle's gradients, both within 1e-12."""
+    mean of the per-example oracle's (clipped) gradients, all within 1e-12."""
     model, data, rows = _binary_case(case)
     z = model._logits(rows, data.signed_features)
     if case == "underflow":
@@ -452,10 +439,21 @@ def test_binary_full_kernel_matches_unfolded_references(case):
         want_grad = per_example_grads(model, theta, data).mean(axis=0)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+    # the batch kernels, on one 20-row batch per row
+    gen = np.random.default_rng(13)
+    idx = np.stack([gen.choice(data.n, 20, replace=False) for _ in rows])
+    clipped = model.clipped_grad_mean(rows, data, idx, 1.0)
+    for theta, batch_rows, grad, loss in zip(rows, idx, clipped, model.batch_loss(rows, data, idx)):
+        batch = data.subset(batch_rows)
+        ce = np.logaddexp(0.0, -(2.0 * batch.labels - 1.0) * (batch.features @ theta))
+        want_loss = ce.mean() + 0.5 * model.l2_reg * (theta @ theta)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+        want_grad = clipped_mean(model, theta, batch, 1.0)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
 
 
 def _fresh(data):
-    return DatasetHandle(data.features, data.labels, data.num_classes, data.tag)
+    return DatasetHandle(data.features, data.labels, data.num_classes)
 
 
 def test_signed_features_is_one_read_only_transposed_store(binary_data):
@@ -470,10 +468,31 @@ def test_signed_features_is_one_read_only_transposed_store(binary_data):
     assert np.array_equal(data.features, binary_data.features)
 
 
+@pytest.mark.parametrize("which", ["binary", "multi"])
+def test_design_gathers_the_store_its_head_reads(which, binary_data, multi_data):
+    data = binary_data if which == "binary" else multi_data
+    model = LogisticLoss.for_data(data)
+    store = data.signed_features if which == "binary" else data.features
+    assert model._design(data) is store
+    idx = np.random.default_rng(4).integers(0, data.n, size=(3, 7))
+    rows = model._design(data, idx)
+    assert rows.shape == (3, 7, data.p)
+    for s in range(3):
+        assert np.array_equal(rows[s], store[idx[s]])
+
+
+def test_sq_norms_is_built_once_from_the_row_dots(binary_data):
+    data = _fresh(binary_data)
+    norms = data.sq_norms
+    assert data.sq_norms is norms
+    assert np.array_equal(norms, np.einsum("ij,ij->i", data.features, data.features))
+    assert np.allclose(norms, [row @ row for row in data.features], rtol=1e-14, atol=0.0)
+
+
 def test_a_subset_folds_its_own_labels(binary_data):
     data = _fresh(binary_data)
     data.signed_features  # the parent's store exists before the subset is taken
-    sub = data.subset(np.arange(1, data.n, 3), tag="part")
+    sub = data.subset(np.arange(1, data.n, 3))
     assert np.array_equal(sub.signed_features, (2.0 * sub.labels - 1.0)[:, None] * sub.features)
     assert not np.shares_memory(sub.signed_features, data.signed_features)
     model = LogisticLoss.for_data(data, l2_reg=0.05)
@@ -483,8 +502,10 @@ def test_a_subset_folds_its_own_labels(binary_data):
 
 def test_a_pickled_handle_rebuilds_its_store_with_equal_gradients(binary_data):
     data = _fresh(binary_data)
-    data.signed_features
+    data.signed_features, data.sq_norms
     copy = pickle.loads(pickle.dumps(data))
+    assert "sq_norms" not in vars(copy)  # derived data, rebuilt on first use
+    assert np.array_equal(copy.sq_norms, data.sq_norms)
     assert not copy.signed_features.flags.writeable
     assert np.array_equal(copy.signed_features, data.signed_features)
     model = LogisticLoss.for_data(data, l2_reg=0.05)
@@ -598,7 +619,7 @@ def _two_row_sets(n=60, p=3):
     """A dataset whose first n rows are class 0 and last n rows class 1,
     and those two row sets."""
     features = np.random.default_rng(0).normal(size=(2 * n, p))
-    data = DatasetHandle(features, np.repeat([0, 1], n), 2, tag="train")
+    data = DatasetHandle(features, np.repeat([0, 1], n), 2)
     return data, np.arange(n), np.arange(n, 2 * n)
 
 

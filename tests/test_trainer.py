@@ -49,7 +49,7 @@ from per_example import clip_rows, clipped_mean
 
 def _dummy_data(n: int, p: int = 1) -> DatasetHandle:
     # the quadratic loss never reads features; only n matters for calibration
-    return DatasetHandle(np.zeros((n, p)), np.zeros(n, dtype=int), 2, tag="dummy")
+    return DatasetHandle(np.zeros((n, p)), np.zeros(n, dtype=int), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +514,6 @@ def _practical_reference(model, data, config, seed, z, eval_data):
     for bit."""
     std = z * config.clip_norm / config.batch_size
     theta = 0.02 * rng.uniform_vector(seed, rng.STREAM_INIT, 0, model.param_dim()) - 0.01
-    sq_norms = np.einsum("ij,ij->i", data.features, data.features)  # the trainer's form
     params, metrics = [], []
     for t in range(1, config.num_steps + 1):
         if config.diurnal is not None:
@@ -523,10 +522,7 @@ def _practical_reference(model, data, config, seed, z, eval_data):
         else:
             idx = minibatch_indices(seed, t, data.n, config.batch_size)
         batch = data.subset(idx)
-        g = model.clipped_grad_mean(
-            theta[None], batch.features[None], batch.labels[None], sq_norms[None, idx],
-            config.clip_norm,
-        )[0]
+        g = model.clipped_grad_mean(theta[None], data, idx[None], config.clip_norm)[0]
         g = g + std * rng.gaussian_vector(seed, rng.STREAM_NOISE, t, len(theta))
         theta = theta - config.eta.at(t) * g
         params.append(theta)
@@ -615,7 +611,8 @@ def test_practical_batched_runs_equal_separate_runs(family, diurnal, z, seeds, s
 class _NaNGradientOnCall(QuadraticLoss):
     """Quadratic loss whose gradient turns NaN in `rows` on its nan_call-th call.
 
-    QuadraticLoss.clipped_grad_mean calls grad_full once per practical step;
+    QuadraticLoss.clipped_grad_mean(rows, data, idx, clip_norm) reads neither
+    data nor idx and calls grad_full once per practical step;
     the theoretical trainer's t-th gradient call (grad_full at the origin,
     then loss_and_grad, or grad_full when the loss is not recorded) gives
     the gradient of step t. So either trainer's nan_call-th counted call
