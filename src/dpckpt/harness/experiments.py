@@ -665,9 +665,11 @@ def _run_scored(
     _check_k_fits([spec.k for spec in specs], config, specs_key)
     _check_batch_fits(config, parts["train"])
 
+    # the per-step loss and accuracy are read only by the saved runs' metrics.csv
     train = functools.partial(
         trainer.dp_sgd_practical_runs, model, parts["train"], config, noise_multiplier=z,
         delta=cfg["train.delta"], eval_data=parts["test"] if cfg["save_runs"] else None,
+        record_loss=cfg["save_runs"],
     )
     results = _train_and_score(
         cfg, out_dir, train, functools.partial(_accuracies, model, parts, specs, eval_part)
@@ -756,7 +758,7 @@ def run_pds_eval(cfg: dict, out_dir: str, master_seed: int):
     train = functools.partial(
         trainer.dp_sgd_practical_runs, model, parts["train"], replace(config, diurnal=schedule),
         noise_multiplier=z, delta=cfg["train.delta"],
-        eval_data=parts["test"] if cfg["save_runs"] else None,
+        eval_data=parts["test"] if cfg["save_runs"] else None, record_loss=cfg["save_runs"],
     )
     results = _train_and_score(
         cfg, out_dir, train,

@@ -43,13 +43,17 @@ signed row), so its squared norm is |R_i|^2 |x_i|^2 + 2 l2 <R_i, logits_i>
 + l2^2 |theta|^2, read off one logits pass, and the clipped mean is one
 matmul of the factor-scaled residuals with the batch (ghost clipping: Li
 et al., arXiv 2110.05679). batch_loss gives each row's loss on its own
-batch the same way.
+batch the same way. finite_loss_radius bounds the rows whose batch loss
+is certainly finite, so the practical trainer can check its iterates
+without computing a loss it does not record. Only the softmax head
+gathers a batch's labels; the binary head's are folded into its store.
 The diurnal sampler draws a minibatch as row indices into the training
 data, as the uniform sampler does, so a batch is a gather of those rows.
 """
 
 import csv
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,7 +242,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return ex / total
 
 
-def _row_sq_norms(rows: np.ndarray) -> np.ndarray:
+def row_sq_norms(rows: np.ndarray) -> np.ndarray:
     """theta @ theta for every row of an (S, p) matrix, bit-equal to the 1-d dot."""
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
@@ -305,6 +309,12 @@ class LossModel:
         rows idx[s] of data as in clipped_grad_mean."""
         raise NotImplementedError
 
+    def finite_loss_radius(self, data: DatasetHandle, batch_size: int) -> float:
+        """A radius R such that batch_loss is finite for every row whose squared
+        norm, as row_sq_norms computes it, is at most R**2, on every batch of
+        batch_size rows of data."""
+        raise NotImplementedError
+
     def predict_proba(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
         """Class probabilities: (n, c) for a (p,) vector, (S, n, c) for (S, p) rows."""
         raise NotImplementedError
@@ -359,7 +369,7 @@ class QuadraticLoss(LossModel):
 
     def loss_full(self, theta, data=None):
         rows, single = self._check_rows(theta)
-        loss = 0.5 * self.curvature * _row_sq_norms(rows - self.center)
+        loss = 0.5 * self.curvature * row_sq_norms(rows - self.center)
         return float(loss[0]) if single else loss
 
     def grad_full(self, theta, data=None) -> np.ndarray:
@@ -369,16 +379,25 @@ class QuadraticLoss(LossModel):
 
     def loss_and_grad(self, rows, data=None):
         diff = self._check_rows(rows)[0] - self.center
-        return 0.5 * self.curvature * _row_sq_norms(diff), self.curvature * diff
+        return 0.5 * self.curvature * row_sq_norms(diff), self.curvature * diff
 
     def clipped_grad_mean(self, rows, data, idx, clip_norm):
         # every example has the same gradient, so the clipped mean is that
         # gradient, clipped
         grad = self.grad_full(self._check_rows(rows)[0])
-        return grad * _clip_factors(_row_sq_norms(grad), clip_norm)[:, None]
+        return grad * _clip_factors(row_sq_norms(grad), clip_norm)[:, None]
 
     def batch_loss(self, rows, data, idx):
         return self.loss_full(self._check_rows(rows)[0])
+
+    def finite_loss_radius(self, data, batch_size):
+        """R = sqrt(min(1, 2 / curvature) * 1e307) - ||center||, at least 0.
+
+        Proof: a row of norm at most R (the computed square's rounding is
+        far inside the margins) has ||theta - center||^2 <= (R + ||center||)^2
+        <= 1e307, which is finite, and curvature / 2 times it is at most 1e307."""
+        reach = math.sqrt(min(1.0, 2.0 / self.curvature) * 1e307)
+        return max(0.0, reach - float(np.linalg.norm(self.center)))
 
     def predict_proba(self, theta, features):
         raise ValueError("quadratic model has no prediction head")
@@ -453,6 +472,11 @@ class LogisticLoss(LossModel):
         design = data.signed_features if self.binary else data.features
         return design if idx is None else design[idx]
 
+    def _labels(self, data: DatasetHandle, idx: np.ndarray) -> np.ndarray | None:
+        """The (S, B) labels of a batch, which only the softmax head reads: the
+        binary head's labels are folded into its design matrix."""
+        return None if self.binary else data.labels[idx]
+
     def _terms(self, logits: np.ndarray):
         """What the loss and the gradient both read off the logits: the binary
         head's (z, exp(-|z|)) of the signed margins z, or the softmax terms."""
@@ -460,7 +484,7 @@ class LogisticLoss(LossModel):
             return logits, np.exp(-np.abs(logits))
         return _softmax_terms(logits)
 
-    def _residual(self, terms, labels: np.ndarray) -> np.ndarray:
+    def _residual(self, terms, labels: np.ndarray | None) -> np.ndarray:
         """Each example's loss slope in its logits: -sigmoid(-z) for the binary
         head (-z >= 0 exactly where z <= 0), else probabilities minus one-hot."""
         if self.binary:
@@ -480,7 +504,7 @@ class LogisticLoss(LossModel):
             lse = (zmax + np.log(total))[:, :, 0]
             ce = lse - logits[_label_index(logits, labels)]
         # np.mean's own arithmetic (sum, then divide by n) minus its wrapper cost
-        return ce.sum(axis=1) / labels.shape[-1] + 0.5 * self.l2_reg * _row_sq_norms(rows)
+        return ce.sum(axis=1) / logits.shape[1] + 0.5 * self.l2_reg * row_sq_norms(rows)
 
     def _grad_from(self, rows, terms, data) -> np.ndarray:
         resid = self._residual(terms, data.labels)
@@ -512,7 +536,7 @@ class LogisticLoss(LossModel):
         rows = self._check_rows(rows)[0]
         design = self._design(data, idx)  # (S, B, d)
         logits = self._logits(rows, design)
-        resid = self._residual(self._terms(logits), data.labels[idx])
+        resid = self._residual(self._terms(logits), self._labels(data, idx))
         if self.binary:
             # one logit per example: (S, B) -> (S, B, 1), as the softmax head's
             logits, resid = logits[:, :, None], resid[:, :, None]
@@ -520,7 +544,7 @@ class LogisticLoss(LossModel):
         sq_norms = (
             (resid * resid).sum(axis=-1) * data.sq_norms[idx]
             + 2.0 * lam * (resid * logits).sum(axis=-1)
-            + lam * lam * _row_sq_norms(rows)[:, None]
+            + lam * lam * row_sq_norms(rows)[:, None]
         )
         factors = _clip_factors(sq_norms, clip_norm)  # (S, B)
         batch = idx.shape[-1]
@@ -531,7 +555,32 @@ class LogisticLoss(LossModel):
     def batch_loss(self, rows, data, idx):
         rows = self._check_rows(rows)[0]
         logits = self._logits(rows, self._design(data, idx))
-        return self._loss_from(rows, logits, self._terms(logits), data.labels[idx])
+        return self._loss_from(rows, logits, self._terms(logits), self._labels(data, idx))
+
+    def finite_loss_radius(self, data, batch_size):
+        """R = min(sqrt(1e307), (1e307 / B - ln c) / (2 M), sqrt(2e307 / l2_reg)),
+        with B the batch size, c the classes and M = max_i ||x_i||; a term
+        whose divisor is 0 drops out.
+
+        Proof: let every row have norm at most R (the computed square's
+        rounding is far inside the margins below). A logit is x_i . w with w
+        the row, or one class block of it, so |logit| <= M R by
+        Cauchy-Schwarz; so is each product in it, and the logits pass is
+        finite. An example's cross-entropy is at most 2 M R + ln c: the
+        binary max(-z, 0) + log1p(exp(-|z|)) is at most |z| + ln 2, and the
+        softmax max logit - true logit + ln(sum of c exps, each at most 1)
+        is at most 2 M R + ln c. Their sum over the B batch examples is then
+        at most 1e307, and so is its mean. The squared norm is at most 1e307
+        and (l2_reg / 2) times it too, so the loss is at most 2e307, a
+        ninth of the largest float: far more room than the relative
+        rounding of these sums needs."""
+        max_norm = math.sqrt(float(data.sq_norms.max()))
+        limits = [math.sqrt(1e307)]
+        if max_norm > 0:
+            limits.append((1e307 / batch_size - math.log(self.num_classes)) / (2.0 * max_norm))
+        if self.l2_reg > 0:
+            limits.append(math.sqrt(2e307 / self.l2_reg))
+        return min(limits)
 
     def _checked_logits(self, theta, features):
         """Finite logits of the rows on the features, and whether one (p,)
@@ -618,7 +667,12 @@ def diurnal_prob(schedule: DiurnalSchedule, t: int) -> float:
 def diurnal_draw(
     schedule: DiurnalSchedule, t: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Row indices of a batch of `count` examples for step t (independent per example)."""
+    """Row indices of a batch of `count` examples for step t (independent per
+    example): `count` uniforms pick each example's row set, then one
+    integers call per set picks the rows. The draws depend only on rng's
+    state, so the practical trainer's repositioned generator gives the rows
+    a fresh step generator would, even though an odd integers count leaves
+    half of a 64-bit word buffered in it."""
     if count < 1:
         raise ValueError("count must be at least 1")
     p = diurnal_prob(schedule, t)

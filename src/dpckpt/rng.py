@@ -18,9 +18,11 @@ would, so it agrees bit for bit with gaussian_vector at every
 (seed, step). gaussian_steps feeds a trainer its per-step noise from
 such draws, cutting the steps into chunks so that one draw evaluates at
 most MAX_BLOCKS counter blocks (or one step's blocks, if that is more).
+step_generators gives a trainer each step's generators by resetting one
+generator per seed to that step's counter instead of building new ones.
 """
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,6 +61,30 @@ def _philox(seed: int, stream: int, step: int) -> np.random.Philox:
 def step_generator(seed: int, stream: int, step: int) -> np.random.Generator:
     """Generator whose output depends only on (seed, stream, step)."""
     return np.random.Generator(_philox(seed, stream, step))
+
+
+def step_generators(seeds: Sequence[int], stream: int, steps: Iterable[int]):
+    """For each t in steps, yield the list of step_generator(seed, stream, t)
+    over the seeds, made by repositioning one generator per seed.
+
+    Each seed's Philox and Generator are built once. At step t its state is
+    set from a dict made at build time with only the counter word 3 changed
+    to t; that state has an empty buffer (buffer_pos 4) and no buffered
+    uint32 (has_uint32 0), as a freshly built generator does, so whatever
+    the previous step drew, the yielded generators equal fresh ones bit for
+    bit. The same Generator objects come back every step: a caller draws
+    step t from them before asking for step t + 1.
+    """
+    bits = [_philox(seed, stream, 0) for seed in seeds]
+    states = [bit.state for bit in bits]
+    gens = [np.random.Generator(bit) for bit in bits]
+    for t in steps:
+        if t < 0:
+            raise ValueError(f"step must be nonnegative, got {t}")
+        for bit, state in zip(bits, states):
+            state["state"]["counter"][3] = t
+            bit.state = state
+        yield gens
 
 
 def uniform_vector(seed: int, stream: int, step: int, dim: int) -> np.ndarray:

@@ -24,16 +24,23 @@ seed. Two modes share the checkpoint/metrics plumbing:
                privacy.calibrate_practical call gives the noise std on
                the mean clipped gradient and the total rho T * rho_step.
                The S seeds train as one loop over an (S, p) iterate
-               matrix too. Each seed draws its step's minibatch from its
-               own (seed, step) generator, as row indices into the
-               training data, uniformly without replacement or by the
-               diurnal schedule. The S index vectors form one (S, B)
-               index matrix, and each step passes it with the dataset
-               to one model.clipped_grad_mean call (the clipped
-               per-example mean, without forming per-example gradients)
-               and one model.batch_loss call, which gather the batch
-               rows themselves. Every row equals the run trained alone
-               bit for bit.
+               matrix too. Each seed draws its step's minibatch, as row
+               indices into the training data, uniformly without
+               replacement or by the diurnal schedule, from one
+               generator built per seed and repositioned to each step
+               by rng.step_generators, which equals its own
+               (seed, step) generator bit for bit. The S index vectors
+               fill one preallocated (S, B) index matrix, and each step
+               passes it with the dataset to one
+               model.clipped_grad_mean call (the clipped per-example
+               mean, without forming per-example gradients), which
+               gathers the batch rows itself, and, when record_loss
+               holds, one model.batch_loss call; with record_loss off
+               the train_loss column stays NaN. Either way an iterate
+               row that is non-finite or outside the ball of
+               model.finite_loss_radius, inside which every batch loss
+               is finite, stops the run. Every row equals the run
+               trained alone bit for bit.
 
 Both modes take their noise from the one path: rng.gaussian_steps,
 which draws a chunk of steps at a time and equals the per-step
@@ -58,7 +65,14 @@ import numpy as np
 
 from . import rng
 from .errors import NumericDivergenceError
-from .model import DatasetHandle, DiurnalSchedule, LossModel, accuracy, diurnal_draw
+from .model import (
+    DatasetHandle,
+    DiurnalSchedule,
+    LossModel,
+    accuracy,
+    diurnal_draw,
+    row_sq_norms,
+)
 from .privacy import PrivacyBudget, calibrate_practical, calibrate_theoretical
 
 # ---------------------------------------------------------------------------
@@ -195,14 +209,17 @@ def project_l2(v: np.ndarray, radius: float) -> np.ndarray:
     rows = np.atleast_2d(v)
     # the stacked row dot equals np.linalg.norm's dot bit for bit, and a
     # factor of exactly 1.0 leaves rows inside the ball untouched
-    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    norms = np.sqrt(row_sq_norms(rows))
     factors = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
     out = rows * factors[:, None]
     return out if np.ndim(v) == 2 else out[0]
 
 
 def minibatch_indices(seed: int, step: int, n: int, batch_size: int) -> np.ndarray:
-    """The batch drawn at a given step; pure function of its arguments."""
+    """The uniform batch a seed draws at a given step: batch_size of the n rows
+    without replacement, from step_generator(seed, STREAM_BATCH, step); a
+    pure function of its arguments. The practical trainer draws the same rows
+    with the same choice call on rng.step_generators' repositioned generator."""
     if batch_size > n:
         raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
     gen = rng.step_generator(seed, rng.STREAM_BATCH, step)
@@ -294,6 +311,7 @@ def dp_sgd_practical_runs(
     noise_multiplier: float,
     delta: float = 1e-5,
     eval_data: DatasetHandle | None = None,
+    record_loss: bool = True,
 ) -> list[RunRecord]:
     """Minibatch DP-SGD with per-example clipping, one run per seed.
 
@@ -301,12 +319,17 @@ def dp_sgd_practical_runs(
     step clips example gradients to clip_norm, averages, and perturbs the
     mean by N(0, (z*clip_norm / batch)^2) per coordinate. The reported
     budget is plain composition: rho = T / (2 z^2). noise_multiplier = 0
-    degrades to non-private SGD and reports an infinite budget.
+    degrades to non-private SGD and reports an infinite budget. Pass
+    eval_data to record per-step accuracy, and record_loss=False to skip
+    the per-step batch loss; each skipped metric column is NaN. The
+    iterates do not depend on either.
 
     The S runs advance together as the rows of one (S, p) iterate matrix;
     each seed draws its own batches and noise, so record s is bit-identical
-    to the call with seeds [seeds[s]]. A non-finite loss or iterate in any
-    row stops all of them at that step.
+    to the call with seeds [seeds[s]]. An iterate row outside the ball of
+    model.finite_loss_radius, or non-finite, stops all of them at that
+    step; every row inside it has a finite batch loss, so the check is the
+    same whether or not the loss is recorded.
     """
     _check_runs(config, seeds, "practical")
     diurnal = config.diurnal
@@ -324,31 +347,34 @@ def dp_sgd_practical_runs(
     ckpt_steps = checkpoint_steps(T, config.resolved_checkpoint_every())
     ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
 
+    batch = config.batch_size
+    finite_loss_sq = model.finite_loss_radius(data, batch) ** 2
+
     theta = np.stack([0.02 * rng.uniform_vector(s, rng.STREAM_INIT, 0, dim) - 0.01 for s in seeds])
     ckpts = np.empty((len(seeds), len(ckpt_steps), dim))
     metrics = np.full((len(seeds), T, 2), math.nan)
     noise = None
     if mean_noise_std > 0:
         noise = rng.gaussian_steps(seeds, rng.STREAM_NOISE, T, dim)
-    for t in range(1, T + 1):
-        if diurnal is not None:
-            # diurnal phase starts at 0 so the first batch is all rows_a
-            idx = np.stack([
-                diurnal_draw(
-                    diurnal, t - 1, config.batch_size, rng.step_generator(s, rng.STREAM_BATCH, t)
-                )
-                for s in seeds
-            ])
-        else:
-            idx = np.stack([minibatch_indices(s, t, data.n, config.batch_size) for s in seeds])
+    idx = np.empty((len(seeds), batch), dtype=np.int64)
+    batch_gens = rng.step_generators(seeds, rng.STREAM_BATCH, range(1, T + 1))
+    for t, gens in enumerate(batch_gens, start=1):
+        for s, gen in enumerate(gens):
+            if diurnal is not None:
+                # diurnal phase starts at 0 so the first batch is all rows_a
+                idx[s] = diurnal_draw(diurnal, t - 1, batch, gen)
+            else:
+                idx[s] = gen.choice(data.n, size=batch, replace=False)
         g = model.clipped_grad_mean(theta, data, idx, config.clip_norm)
         if noise is not None:
             g = g + mean_noise_std * next(noise)
         theta = theta - config.eta.at(t) * g
-        loss = model.batch_loss(theta, data, idx)
-        if not (np.all(np.isfinite(loss)) and np.all(np.isfinite(theta))):
-            raise NumericDivergenceError("training loss became non-finite", step=t)
-        metrics[:, t - 1, 0] = loss
+        # a NaN or infinite coordinate makes a row's squared norm NaN or inf,
+        # which fails the comparison too
+        if not np.all(row_sq_norms(theta) <= finite_loss_sq):
+            raise NumericDivergenceError("iterate left the finite-loss ball", step=t)
+        if record_loss:
+            metrics[:, t - 1, 0] = model.batch_loss(theta, data, idx)
         if eval_data is not None:
             metrics[:, t - 1, 1] = accuracy(model, theta, eval_data)
         if t in ckpt_index:

@@ -606,6 +606,28 @@ def test_risk_compare_records_the_loss_only_for_saved_runs(tmp_path, monkeypatch
         assert losses and all(math.isfinite(v) for v in losses)
 
 
+@pytest.mark.parametrize("save_runs", [False, True])
+@pytest.mark.parametrize("text", [AGG_SAVED_CFG, PDS_CFG], ids=["aggregate_eval", "pds_eval"])
+def test_practical_tasks_record_the_loss_only_for_saved_runs(
+    tmp_path, monkeypatch, text, save_runs
+):
+    real = experiments.trainer.dp_sgd_practical_runs
+    seen = []
+
+    def recording(*args, record_loss=True, **kwargs):
+        seen.append(record_loss)
+        return real(*args, record_loss=record_loss, **kwargs)
+
+    monkeypatch.setattr(experiments.trainer, "dp_sgd_practical_runs", recording)
+    text = text.replace("save_runs = true", f"save_runs = {str(save_runs).lower()}")
+    run_experiment(ConfigView(parse_config_text(text)), str(tmp_path), workers=1)
+    assert seen == [save_runs]
+    if save_runs:
+        with open(tmp_path / "runs" / "seed_000" / "metrics.csv") as fh:
+            losses = [float(row["train_loss"]) for row in csv.DictReader(fh)]
+        assert losses and all(math.isfinite(v) for v in losses)
+
+
 def test_theoretical_radius_under_the_bound_trains_to_the_boundary(tmp_path):
     lines = "train.mode = theoretical\ntrain.radius = 1e140\ntrain.steps = 20\ndata.n = 50\n"
     out = tmp_path / "out"

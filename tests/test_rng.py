@@ -108,3 +108,40 @@ def test_gaussian_steps_across_chunk_boundaries(monkeypatch):
 def test_philox_blocks_reject_negative_steps():
     with pytest.raises(ValueError):
         rng.philox_blocks([0], rng.STREAM_NOISE, [3, -1], 1)
+
+
+# several seeds, wrapped ones included, over consecutive steps that start
+# at 1 or straddle 2**32
+_SEEDS = [3, -1, 2**64 - 1, 2**63 + 5]
+_STEP_RUNS = pytest.mark.parametrize(
+    "steps", [range(1, 7), range(2**32 - 2, 2**32 + 4)], ids=["from-1", "across-2**32"]
+)
+
+
+@_STEP_RUNS
+def test_step_generators_choose_like_fresh_generators(steps):
+    # strict: one list of generators per step, one generator per seed
+    for t, gens in zip(steps, rng.step_generators(_SEEDS, rng.STREAM_BATCH, steps), strict=True):
+        for seed, gen in zip(_SEEDS, gens, strict=True):
+            fresh = rng.step_generator(seed, rng.STREAM_BATCH, t)
+            got = gen.choice(3500, 128, replace=False)
+            assert np.array_equal(got, fresh.choice(3500, 128, replace=False))
+
+
+@_STEP_RUNS
+def test_step_generators_drop_a_buffered_uint32_at_the_next_step(steps):
+    for t, gens in zip(steps, rng.step_generators(_SEEDS, rng.STREAM_BATCH, steps)):
+        for seed, gen in zip(_SEEDS, gens):
+            fresh = rng.step_generator(seed, rng.STREAM_BATCH, t)
+            # diurnal_draw's shape: uniforms, then an odd count of bounded ints
+            assert np.array_equal(gen.random(5), fresh.random(5))
+            assert np.array_equal(gen.integers(0, 17, 3), fresh.integers(0, 17, 3))
+            # half of a 64-bit word is left for the next step to drop
+            assert gen.bit_generator.state["has_uint32"] == 1
+
+
+def test_step_generators_reject_a_negative_step():
+    gens = rng.step_generators([0], rng.STREAM_BATCH, [2, -1])
+    next(gens)
+    with pytest.raises(ValueError):
+        next(gens)

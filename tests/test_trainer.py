@@ -604,6 +604,36 @@ def test_practical_batched_runs_equal_separate_runs(family, diurnal, z, seeds, s
         assert got.budget == alone.budget
 
 
+@pytest.mark.parametrize("family", ["binary", "softmax"])
+@pytest.mark.parametrize("diurnal", [False, True], ids=["uniform", "diurnal"])
+def test_practical_unrecorded_loss_leaves_the_runs_unchanged(family, diurnal, monkeypatch):
+    model, data = _batch_setup(family)
+    schedule = None
+    if diurnal:
+        rows = np.arange(data.n)
+        schedule = DiurnalSchedule(period=5, rows_a=rows[rows % 3 == 0], rows_b=rows[rows % 3 != 0])
+    config = TrainerConfig(
+        "practical", 25, EtaSchedule("constant", 0.5), clip_norm=0.6, batch_size=8,
+        checkpoint_every=4, diurnal=schedule,
+    )
+    seeds = [1, 2, 3]
+    recorded = dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=data)
+
+    def no_loss(*args, **kwargs):
+        raise AssertionError("a batch loss was computed")
+
+    monkeypatch.setattr(type(model), "batch_loss", no_loss)
+    skipped = dp_sgd_practical_runs(
+        model, data, config, seeds, 1.3, eval_data=data, record_loss=False
+    )
+    for full, lean in zip(recorded, skipped):
+        assert np.array_equal(lean.params, full.params)
+        assert np.array_equal(lean.steps, full.steps)
+        assert np.all(np.isnan(lean.metrics[:, 0]))
+        assert not np.any(np.isnan(full.metrics[:, 0]))
+        assert np.array_equal(lean.metrics[:, 1], full.metrics[:, 1])
+
+
 # ---------------------------------------------------------------------------
 # divergence
 
@@ -637,20 +667,106 @@ class _NaNGradientOnCall(QuadraticLoss):
         return loss, self._count(grad)
 
 
-def test_practical_raises_at_the_step_whose_gradient_is_nan():
+@pytest.mark.parametrize("record_loss", [True, False])
+def test_practical_raises_at_the_step_whose_gradient_is_nan(record_loss):
     model = _NaNGradientOnCall(nan_call=4)
     config = TrainerConfig("practical", 10, EtaSchedule("constant", 0.1), batch_size=4)
     with pytest.raises(NumericDivergenceError) as info:
-        dp_sgd_practical_runs(model, _dummy_data(20, 2), config, [0], noise_multiplier=1.0)
+        dp_sgd_practical_runs(
+            model, _dummy_data(20, 2), config, [0], noise_multiplier=1.0, record_loss=record_loss
+        )
     assert info.value.step == 4
 
 
-def test_batched_practical_raises_when_one_row_turns_nan():
+@pytest.mark.parametrize("record_loss", [True, False])
+def test_batched_practical_raises_when_one_row_turns_nan(record_loss):
     model = _NaNGradientOnCall(nan_call=5, rows=1)
     config = TrainerConfig("practical", 10, EtaSchedule("constant", 0.1), batch_size=4)
     with pytest.raises(NumericDivergenceError) as info:
-        dp_sgd_practical_runs(model, _dummy_data(20, 2), config, [1, 2, 3], noise_multiplier=1.0)
+        dp_sgd_practical_runs(
+            model, _dummy_data(20, 2), config, [1, 2, 3], noise_multiplier=1.0,
+            record_loss=record_loss,
+        )
     assert info.value.step == 5
+
+
+def _worst_rows(model, data, radius):
+    """Three rows of norm just under radius: one along which the largest
+    feature row's loss grows fastest (its negated signed row for the binary
+    head, the row itself in a wrong class's block for the softmax head), its
+    negation, and an axis."""
+    i = np.argmax(data.sq_norms)
+    rows = np.zeros((3, model.param_dim()))
+    if model.binary:
+        rows[0] = -data.signed_features[i]
+    else:
+        wrong = (data.labels[i] + 1) % model.num_classes
+        rows[0, wrong * model.n_features : (wrong + 1) * model.n_features] = data.features[i]
+    rows[1] = -rows[0]
+    rows[2, 0] = 1.0
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows * radius * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("family", ["binary", "softmax"])
+@pytest.mark.parametrize(
+    "feature_scale, l2_reg, binding", [(1e153, 0.5, "logit"), (1.0, 1e10, "l2"), (1.0, 0.5, "norm")]
+)
+def test_rows_just_inside_the_finite_loss_radius_have_a_finite_batch_loss(
+    family, feature_scale, l2_reg, binding
+):
+    classes = 2 if family == "binary" else 3
+    data = synth_classification(40, 4, num_classes=classes, separation=2.0, seed=3)
+    data = DatasetHandle(data.features * feature_scale, data.labels, classes)
+    model = LogisticLoss(4, classes, l2_reg=l2_reg)
+    batch = 16
+    radius = model.finite_loss_radius(data, batch)
+    max_norm = math.sqrt(data.sq_norms.max())
+    assert radius == {
+        "logit": (1e307 / batch - math.log(classes)) / (2.0 * max_norm),
+        "l2": math.sqrt(2e307 / l2_reg),
+        "norm": math.sqrt(1e307),
+    }[binding]
+    rows = _worst_rows(model, data, radius)
+    idx = np.tile(np.argsort(-data.sq_norms)[:batch], (len(rows), 1))
+    with np.errstate(over="raise"):
+        loss = model.batch_loss(rows, data, idx)
+    assert np.all(np.isfinite(loss))
+    # the bound is not vacuous: rows 1e4 times past it overflow
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(model.batch_loss(1e4 * rows, data, idx)))
+
+
+class _SetRadius(LogisticLoss):
+    """A logistic model whose finite-loss radius is set by hand."""
+
+    radius = math.inf
+
+    def finite_loss_radius(self, data, batch_size):
+        return self.radius
+
+
+@pytest.mark.parametrize("record_loss", [True, False])
+def test_practical_raises_at_the_step_whose_row_leaves_the_finite_loss_ball(record_loss):
+    data = synth_classification(60, 4, num_classes=2, separation=2.0, seed=5)
+    model = _SetRadius(4, 2, l2_reg=0.05)
+    config = TrainerConfig(
+        "practical", 12, EtaSchedule("constant", 0.5), clip_norm=0.6, batch_size=8,
+        checkpoint_every=1,
+    )
+    seeds = [1, 2, 3]
+    runs = dp_sgd_practical_runs(model, data, config, seeds, 1.3, record_loss=record_loss)
+    norms = np.linalg.norm(np.stack([run.params for run in runs]), axis=2).max(axis=0)
+    # the first step whose largest row norm beats every earlier step's
+    step = 1 + next(t for t in range(6, 12) if norms[t] > norms[:t].max())
+    model.radius = norms[step - 1] * (1.0 - 1e-12)  # that step's row is just outside
+    assert norms[: step - 1].max() < model.radius
+    with pytest.raises(NumericDivergenceError) as info:
+        dp_sgd_practical_runs(model, data, config, seeds, 1.3, record_loss=record_loss)
+    assert info.value.step == step
+    model.radius = norms.max() * (1.0 + 1e-12)  # every row just inside
+    again = dp_sgd_practical_runs(model, data, config, seeds, 1.3, record_loss=record_loss)
+    assert all(np.array_equal(a.params, b.params) for a, b in zip(again, runs))
 
 
 @pytest.mark.parametrize("record_loss", [True, False])
