@@ -21,14 +21,18 @@ both per-row products read one contiguous buffer. The fold alone is exact
 in another order, so against the unfolded kernel results move by at most
 1e-12 relative, the tolerance tools/artifact_drift.py checks. The gathered
 batches of clipped_grad_mean and batch_loss are rows of that store too.
-loss_and_grad gives both at once from one logits block: the binary head
-shares z and exp(-|z|) between the cross-entropy and its slope, the
-softmax head shares exp(logits - max) and its row sum between the
-log-sum-exp and the probabilities. loss_full and grad_full read the
-same helpers, so the fused pair equals the separate calls bit for bit; a
-caller that reads only the gradient calls grad_full and pays for no loss
-term. The binary slope is branch-free: sigmoid takes its numerator as
-max(exp(-|x|), x >= 0), which equals the np.where form bit for bit.
+loss_and_grad gives both at once from one logits block: the binary head's
+cross-entropy and slope both read the signed margins z, the softmax head
+shares exp(logits - max) and its row sum between the log-sum-exp and the
+probabilities. loss_full and grad_full read the same helpers, so the
+fused pair equals the separate calls bit for bit; a caller that reads
+only the gradient calls grad_full and pays for no loss term. The binary
+slope -sigmoid(-z), which every binary kernel reads, is the gradient-only
+-1/(1 + exp(z)): three passes, against the seven of a slope built from
+the loss's exp(-|z|). Where exp(z) overflows (z above 709.78) it is
+-0.0, its limit; where z <= 0 it equals the two-sided stable form bit for
+bit. The sigmoid of predict_proba is branch-free: it takes its numerator
+as max(exp(-|x|), x >= 0), which equals the np.where form bit for bit.
 predict_proba, predict_labels and accuracy take rows the same way: (S, p)
 rows give (S, n, c) probabilities, (S, n) labels and (S,) accuracies.
 predict_labels reads the argmax straight off the logits, with no softmax,
@@ -211,22 +215,18 @@ def load_csv(path: str, num_classes: int | None = None) -> DatasetHandle:
 # loss models
 
 
-def _sigmoid_from(nonneg: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """sigmoid(x) from nonneg = (x >= 0) and e = exp(-|x|): 1/(1+e) where x >= 0
-    and e/(1+e) elsewhere, the form that keeps precision on each side. As e is
-    in [0, 1] or NaN, max(e, nonneg) is that numerator without a branch, and
-    bit-equal to np.where(nonneg, 1.0, e)."""
-    return np.maximum(e, nonneg) / (1.0 + e)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows
-    return _sigmoid_from(x >= 0, np.exp(-np.abs(x)))
+    """1/(1+e) where x >= 0 and e/(1+e) elsewhere, with e = exp(-|x|) (which
+    never overflows), the form that keeps precision on each side. As e is in
+    [0, 1] or NaN, max(e, x >= 0) is that numerator without a branch, and
+    bit-equal to np.where(x >= 0, 1.0, e)."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
-def _binary_ce(z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # ln(1 + exp(-z)) evaluated stably
-    return np.maximum(-z, 0.0) + np.log1p(e)
+def _binary_ce(z: np.ndarray) -> np.ndarray:
+    # ln(1 + exp(-z)) evaluated stably: exp(-|z|) never overflows
+    return np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _softmax_terms(logits: np.ndarray):
@@ -479,18 +479,21 @@ class LogisticLoss(LossModel):
 
     def _terms(self, logits: np.ndarray):
         """What the loss and the gradient both read off the logits: the binary
-        head's (z, exp(-|z|)) of the signed margins z, or the softmax terms."""
-        if self.binary:
-            return logits, np.exp(-np.abs(logits))
-        return _softmax_terms(logits)
+        head's signed margins z themselves, or the softmax terms."""
+        return logits if self.binary else _softmax_terms(logits)
 
     def _residual(self, terms, labels: np.ndarray | None) -> np.ndarray:
-        """Each example's loss slope in its logits: -sigmoid(-z) for the binary
-        head (-z >= 0 exactly where z <= 0), else probabilities minus one-hot."""
+        """Each example's loss slope in its logits: probabilities minus one-hot
+        for the softmax head, and for the binary head -sigmoid(-z) of the
+        signed margins z, taken as -1/(1 + exp(z)) in three passes over one
+        buffer. Where exp(z) overflows that is -0.0, its limit; where z <= 0,
+        exp(z) is the exp(-|z|) of the two-sided stable form, so the two agree
+        bit for bit there, and within a few ulp where z > 0."""
         if self.binary:
-            z, e = terms
-            # _sigmoid_from(z <= 0, e) negated on its denominator, where it rounds exactly
-            return np.maximum(e, z <= 0) / (-1.0 - e)
+            with np.errstate(over="ignore"):
+                e = np.exp(terms)
+            e += 1.0
+            return np.divide(-1.0, e, out=e)
         _, ex, total = terms
         probs = ex / total
         probs[_label_index(probs, labels)] -= 1.0
@@ -498,7 +501,7 @@ class LogisticLoss(LossModel):
 
     def _loss_from(self, rows, logits, terms, labels) -> np.ndarray:
         if self.binary:
-            ce = _binary_ce(*terms)
+            ce = _binary_ce(terms)
         else:
             zmax, _, total = terms
             lse = (zmax + np.log(total))[:, :, 0]

@@ -203,15 +203,24 @@ def project_l2(v: np.ndarray, radius: float) -> np.ndarray:
     """Project onto the origin-centered l2 ball of the given radius.
 
     A (p,) vector is projected as one point, an (S, p) matrix row by row.
+    A finite row whose squared norm overflows is projected through its
+    direction u = x / max_j |x_j|, whose norm lies in [1, sqrt(p)], as
+    u * min(max_j |x_j|, radius / ||u||).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     rows = np.atleast_2d(v)
     # the stacked row dot equals np.linalg.norm's dot bit for bit, and a
     # factor of exactly 1.0 leaves rows inside the ball untouched
-    norms = np.sqrt(row_sq_norms(rows))
-    factors = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+    with np.errstate(over="ignore"):
+        sq_norms = row_sq_norms(rows)
+    factors = np.minimum(1.0, radius / np.maximum(np.sqrt(sq_norms), 1e-300))
     out = rows * factors[:, None]
+    huge = np.isinf(sq_norms)
+    if huge.any():
+        scale = np.abs(rows[huge]).max(axis=1)
+        unit = rows[huge] / scale[:, None]
+        out[huge] = unit * np.minimum(scale, radius / np.sqrt(row_sq_norms(unit)))[:, None]
     return out if np.ndim(v) == 2 else out[0]
 
 

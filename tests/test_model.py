@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -316,13 +317,50 @@ def test_branch_free_slope_is_bit_equal_to_the_where_form():
     x = np.concatenate([mags, -mags, [np.nan]])
     want = _where_sigmoid_from(x >= 0, np.exp(-np.abs(x)))
     assert np.array_equal(_bits(_sigmoid(x)), _bits(want))
-    # the binary residual -sigmoid(-z), for every x as a signed margin z; it
-    # negates the denominator, so a NaN keeps the sign of exp(-|z|)
+    # the binary residual -sigmoid(-z) = -1/(1 + exp(z)), for every x as a
+    # signed margin z: where z <= 0, exp(z) is exp(-|z|), so it equals the
+    # negated where form bit for bit
     binary = LogisticLoss(n_features=1)
-    e = np.exp(-np.abs(x))
-    got = binary._residual(binary._terms(x), None)
-    assert np.array_equal(_bits(got), _bits(np.where(x <= 0, 1.0, e) / (-1.0 - e)))
-    assert np.array_equal(_bits(got[:-1]), _bits(-_where_sigmoid_from(x <= 0, e)[:-1]))
+    gen = np.random.default_rng(21)
+    neg = np.concatenate([-mags, [0.0, -745.2, -709.8]])
+    neg = np.concatenate([neg, -gen.uniform(0.0, 800.0, 2000), -gen.exponential(1.0, 2000)])
+    got = binary._residual(binary._terms(neg), None)
+    e = np.exp(-np.abs(neg))
+    assert np.array_equal(_bits(got), _bits(-_where_sigmoid_from(neg <= 0, e)))
+    # where 0 < z < ln(max float) it is within a few ulp of that form, which
+    # takes e/(1 + e) there; the bit patterns of same-signed floats, read as
+    # integers, are ordered, so their difference counts ulps
+    top = math.log(np.finfo(np.float64).max)  # 709.78...: exp overflows above
+    pos = np.concatenate([mags[1:6], [np.nextafter(top, 0.0)]])
+    pos = np.concatenate([pos, gen.uniform(0.0, top, 2000), gen.exponential(1.0, 2000)])
+    got = binary._residual(binary._terms(pos), None)
+    e = np.exp(-pos)
+    old = _bits(-_where_sigmoid_from(pos <= 0, e)).astype(np.int64)
+    assert np.all(np.signbit(got))
+    assert np.abs(_bits(got).astype(np.int64) - old).max() <= 4
+    # where exp(z) overflows, and at +inf, the slope is its limit -0.0; NaN stays NaN
+    big = np.array([np.nextafter(top, np.inf), 709.79, 710.0, 1e4, 1e308, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = binary._residual(binary._terms(big), None)
+        assert np.isnan(binary._residual(binary._terms(np.array([np.nan])), None)).all()
+    assert np.array_equal(_bits(got), _bits(np.full(len(big), -0.0)))
+
+
+def test_binary_kernels_raise_no_warning_where_the_slope_saturates():
+    """The "underflow" rows' margins reach |z| far above 745, where exp(-|z|)
+    underflows and exp(z) overflows; no kernel warns on either."""
+    model, data, rows = _binary_case("underflow")
+    z = model._logits(rows, data.signed_features)
+    assert z.max() > 710.0 and z.min() < -746.0
+    idx = np.tile(np.arange(20), (len(rows), 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        grads = model.grad_full(rows, data)
+        losses, fused = model.loss_and_grad(rows, data)
+        clipped = model.clipped_grad_mean(rows, data, idx, 1.0)
+    assert np.all(np.isfinite(grads)) and np.all(np.isfinite(losses))
+    assert np.array_equal(fused, grads) and np.all(np.isfinite(clipped))
 
 
 def _every_family(binary_data, multi_data):

@@ -1,4 +1,5 @@
-"""The repository tools: tools/artifact_drift.py and tools/stock_digest.py --out."""
+"""The repository tools: tools/artifact_drift.py, tools/stock_digest.py --out,
+tools/bench_pairs.py, and the stock artifacts checked against their reference."""
 
 import importlib.util
 import json
@@ -96,6 +97,25 @@ def test_stock_digest_out_keeps_the_tree_it_hashes(tmp_path, capsys, monkeypatch
     with pytest.raises(SystemExit):
         digest.main()
     assert "is not empty" in capsys.readouterr().err
+
+
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "stock_reference")
+
+
+def test_stock_artifacts_match_the_reference(tmp_path):
+    """The stock configs, run at master seed 0 and workers 1 without the
+    save_runs reruns, write the reference tree (regenerated by
+    tools/stock_reference.py) to within artifact_drift's fixed bound."""
+    drift, digest = _tool("artifact_drift"), _tool("stock_digest")
+    digest.write_stock_artifacts(digest.CONFIG_DIR, str(tmp_path), save_runs=False)
+    drifts = drift.tree_drift(REFERENCE, str(tmp_path))
+    changed = {path: d for path, d in drifts.items() if d is not None}
+    moved = sorted(path for path, d in changed.items() if not d <= drift.TOLERANCE)
+    print(f"stock artifacts: {len(changed)} of {len(drifts)} files changed,"
+          f" max drift {max(changed.values(), default=0.0):.3e}")
+    assert not moved, "moved beyond 1e-12: " + ", ".join(
+        f"{path} ({changed[path]:.3e})" for path in moved
+    )
 
 
 # A stand-in for bench/run.py: the i-th run of a checkout reports the i-th

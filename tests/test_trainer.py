@@ -3,6 +3,7 @@
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,28 @@ def test_project_l2():
     assert np.array_equal(project_l2(np.zeros(3), 0.5), np.zeros(3))
     with pytest.raises(ValueError):
         project_l2(inside, 0.0)
+
+
+def test_project_l2_puts_a_row_whose_squared_norm_overflows_on_the_sphere():
+    gen = np.random.default_rng(3)
+    rows = gen.normal(scale=2.0, size=(6, 3))
+    rows[1] = [-1e200, 3e199, 1e-300]
+    rows[4] = [1.7e308, -1.7e308, 1e308]  # its norm itself overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(project_l2(np.array([1e200, 0.0, 0.0]), 2.0), [2.0, 0.0, 0.0])
+        out = project_l2(rows, 2.0)
+        ones = [project_l2(row, 2.0) for row in rows]
+    for i in (0, 2, 3, 5):
+        # an ordinary row is the one-row call and the plain norm's projection, bit for bit
+        norm = np.linalg.norm(rows[i])
+        assert np.array_equal(out[i], rows[i] * min(1.0, 2.0 / max(norm, 1e-300)))
+        assert np.array_equal(out[i], ones[i])
+    for i in (1, 4):
+        assert np.array_equal(out[i], ones[i])
+        assert np.linalg.norm(out[i]) == pytest.approx(2.0, rel=1e-15)
+        direction = rows[i] / np.abs(rows[i]).max()
+        np.testing.assert_allclose(out[i], 2.0 * direction / np.linalg.norm(direction), rtol=1e-15)
 
 
 def test_clip_rows():

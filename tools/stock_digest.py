@@ -41,9 +41,12 @@ CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 SAVE_RUNS_TASKS = ("aggregate_eval", "pds_eval", "risk_compare")
 
 
-def write_stock_artifacts(config_dir: str, out_root: str, stems: Sequence[str] = ()) -> None:
+def write_stock_artifacts(
+    config_dir: str, out_root: str, stems: Sequence[str] = (), save_runs: bool = True
+) -> None:
     """Every stock run, or those of the named config stems, each under
-    out_root/<config name>[+save_runs]; each run's wall time goes to stderr."""
+    out_root/<config name>[+save_runs]; each run's wall time goes to stderr.
+    With save_runs false the save_runs reruns are left out."""
     available = sorted(f[: -len(".cfg")] for f in os.listdir(config_dir) if f.endswith(".cfg"))
     unknown = sorted(set(stems) - set(available))
     if unknown:
@@ -55,7 +58,7 @@ def write_stock_artifacts(config_dir: str, out_root: str, stems: Sequence[str] =
             continue
         values = load_config(os.path.join(config_dir, f"{stem}.cfg"))
         runs = [(stem, values)]
-        if values["task"] in SAVE_RUNS_TASKS:
+        if save_runs and values["task"] in SAVE_RUNS_TASKS:
             # the stock files assign save_runs, so override the parsed value
             runs.append((f"{stem}+save_runs", {**values, "save_runs": "true"}))
         for label, run_values in runs:
