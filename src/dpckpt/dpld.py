@@ -14,9 +14,9 @@ same law.
 
 All trials of an experiment run together as one (trials, p) iterate
 matrix. Their noise is counter-addressed: the s-th OU segment of trial j
-uses the normals rng.gaussian_vector(seed, STREAM_TRIAL, (j << 32) + s, p),
-so each trial is a pure function of (seed, j) whatever the trial count or
-worker count.
+uses row j of lane s of rng.gaussian_rows(seed, STREAM_TRIAL, ...), and
+each segment draws all its trials' rows in one call, so each trial is a
+pure function of (seed, j) whatever the trial count or worker count.
 
 The comparison target is exact: each statistic, centred on theta*, has a
 closed-form variance under the stationary law N(theta*, sigma_eff^2 I)
@@ -39,9 +39,8 @@ from .model import QuadraticLoss
 MIN_TRIALS = 100
 # the norm excess's exact variance is off by up to 1e-7 at p = 1e4, more above
 MAX_NORM_EXCESS_DIM = 10_000
-# trial j and event s share one 63-bit counter step, (j << 32) + s
+# trials are counter rows of a lane, bounded like a trainer's steps
 MAX_TRIALS = 2**31
-MAX_EVENTS = 2**32
 # c and delta of the burn-in bound on reports, an annotation that gates nothing
 BURN_IN_C, BURN_IN_DELTA = 4.0, 1e-2
 
@@ -193,11 +192,6 @@ class CheckpointTimes:
             raise ValueError("gap must be positive")
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        # one noise event per checkpoint, and a trial's events share a counter
-        if self.k >= MAX_EVENTS:
-            raise ValueError(
-                f"a trajectory must have fewer than {MAX_EVENTS} noise events, got k = {self.k}"
-            )
 
     def times(self) -> list[float]:
         return [self.t1 + i * self.gap for i in range(self.k)]
@@ -253,13 +247,6 @@ class VarianceBiasReport:
         return abs(self.mean_s - self.oracle_v)
 
 
-def _trial_normals(seed: int, trials: int, dim: int, event: int) -> np.ndarray:
-    """(trials, dim) standard normals of one event; row j is
-    gaussian_vector(seed, STREAM_TRIAL, (j << 32) + event, dim)."""
-    steps = (np.arange(trials, dtype=np.int64) << 32) + event
-    return rng.gaussian_block([seed], rng.STREAM_TRIAL, steps, dim)[:, 0]
-
-
 def stationary_law(config: LDConfig) -> tuple[np.ndarray, float]:
     """(theta*, sigma_eff) of the stationary law N(theta*, sigma_eff^2 I) of
     the curvature-normalized dynamics, sigma_eff = sigma / sqrt(m)."""
@@ -282,8 +269,8 @@ def variance_bias_experiment(
     statistic at the k checkpoint times, and takes the sample variance S.
     The trials advance together as one (trials, p) matrix through exact OU
     transitions on the curvature-normalized clock. The s-th segment of
-    trial j draws the normals
-    gaussian_vector(experiment_seed, STREAM_TRIAL, (j << 32) + s, p), so
+    trial j draws row j of
+    gaussian_rows(experiment_seed, STREAM_TRIAL, lane=s, first=0, ...), so
     trials are independent, trial j does not depend on the trial count,
     and the whole experiment replays bit-for-bit.
 
@@ -300,11 +287,10 @@ def variance_bias_experiment(
     m = config.model.curvature
     segments = [m * s for s in times.elapsed_segments()]
 
-    dim = center.size
     theta = np.tile(config.theta_start, (trials, 1))
     vals = np.empty((trials, times.k), dtype=np.float64)
     for i, seg in enumerate(segments):
-        normals = _trial_normals(experiment_seed, trials, dim, i)
+        normals = rng.gaussian_rows(experiment_seed, rng.STREAM_TRIAL, i, 0, trials, center.size)
         theta = ou_exact_sample(center, sigma_eff, theta, seg, normals)
         vals[:, i] = stat.evaluate_batch(theta)
     s_values = np.var(vals, axis=1, ddof=1)
@@ -352,36 +338,3 @@ def burn_in_gamma(
     log_inv_delta = math.log(1.0 / delta)
     inner = c * smoothness * (dim + log_inv_delta + dist0sq)
     return 1.0 / (2.0 * smoothness) + math.log(inner) + c * log_inv_delta
-
-
-# ---------------------------------------------------------------------------
-# closed forms of the lemmas: exact values, which the tests audit by sampling
-
-
-def renyi_gaussians_shared_cov(
-    mu1: np.ndarray, mu2: np.ndarray, var_scalar: float, alpha: float
-) -> float:
-    """Renyi divergence of order alpha between N(mu1, v I) and N(mu2, v I)."""
-    if var_scalar <= 0:
-        raise ValueError("variance must be positive")
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    gap_sq = float(np.sum((np.asarray(mu1) - np.asarray(mu2)) ** 2))
-    return alpha * gap_sq / (2.0 * var_scalar)
-
-
-def expectation_gap_bound(d2: float) -> float:
-    """Bound |E_P g - E_Q g| for |g| <= 1 given the order-2 divergence."""
-    if d2 < 0:
-        raise ValueError("d2 must be nonnegative")
-    return math.sqrt(math.expm1(d2))
-
-
-def subgaussian_tail(dim: int, x: float) -> tuple[float, float]:
-    """(P(|Z| > sqrt(p) + x), exp(-x^2/2)) for Z ~ N(0, I_p) and x >= 0:
-    the exact chi_p tail and the subgaussian bound on it."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if not x >= 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return 1.0 - _chi_cdf(dim, math.sqrt(dim) + x), math.exp(-0.5 * x * x)

@@ -77,12 +77,6 @@ class ResultTable:
     def write_csv(self, path: str) -> None:
         _write_csv(path, [f.name for f in fields(ResultRow)], map(astuple, self.rows))
 
-    def lookup(self, setting: str) -> ResultRow:
-        for row in self.rows:
-            if row.setting == setting:
-                return row
-        raise KeyError(setting)
-
 
 def summarize(setting: str, values: Sequence[float]) -> ResultRow:
     arr = np.asarray(values, dtype=np.float64)

@@ -14,8 +14,8 @@ seed. Two modes share the checkpoint/metrics plumbing:
                the step's loss is recorded, and one model.grad_full
                call, with no loss term, when record_loss is off and the
                train_loss column stays NaN. A non-finite iterate stops
-               the run. The noise for a chunk of steps of all S seeds
-               comes from one rng.gaussian_steps draw. Every row equals
+               the run. The noise for a chunk of steps comes from
+               one rng.gaussian_steps draw per seed. Every row equals
                the run trained alone bit for bit, so one run is the
                seed list [seed].
   practical    minibatch DP-SGD with per-example clipping, noise on the
@@ -43,8 +43,9 @@ seed. Two modes share the checkpoint/metrics plumbing:
                trained alone bit for bit.
 
 Both modes take their noise from the one path: rng.gaussian_steps,
-which draws a chunk of steps at a time and equals the per-step
-rng.gaussian_vector(seed, STREAM_NOISE, t, dim) bit for bit.
+which draws a chunk of steps at a time, one rng.gaussian_rows call per
+seed; step t's noise is row t - 1 of the seed's lane 0 of STREAM_NOISE,
+whatever the chunking or the other seeds.
 
 A run is its checkpoints: RunRecord holds the (K, p) float64 checkpoint
 matrix and its (K,) step vector, the (params, steps) pair the aggregators
@@ -222,17 +223,6 @@ def project_l2(v: np.ndarray, radius: float) -> np.ndarray:
         unit = rows[huge] / scale[:, None]
         out[huge] = unit * np.minimum(scale, radius / np.sqrt(row_sq_norms(unit)))[:, None]
     return out if np.ndim(v) == 2 else out[0]
-
-
-def minibatch_indices(seed: int, step: int, n: int, batch_size: int) -> np.ndarray:
-    """The uniform batch a seed draws at a given step: batch_size of the n rows
-    without replacement, from step_generator(seed, STREAM_BATCH, step); a
-    pure function of its arguments. The practical trainer draws the same rows
-    with the same choice call on rng.step_generators' repositioned generator."""
-    if batch_size > n:
-        raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
-    gen = rng.step_generator(seed, rng.STREAM_BATCH, step)
-    return gen.choice(n, size=batch_size, replace=False)
 
 
 def checkpoint_steps(num_steps: int, every: int) -> list[int]:

@@ -1,7 +1,7 @@
 """Monte-Carlo estimates of the package's closed-form privacy and tail values.
 
-privacy.gaussian_hockey_stick and dpld.subgaussian_tail compute exact
-values. These samplers share no formula with them, so the tests use them
+privacy.gaussian_hockey_stick and references.subgaussian_tail compute
+exact values. These samplers share no formula with them, so the tests use them
 as independent references: a closed form that drifts from the sampled
 value by more than a few standard errors is wrong.
 """

@@ -16,13 +16,14 @@ import time
 import numpy as np
 import pytest
 
-from dpckpt import aggregate, dpld, privacy, rng, trainer, uncertainty
+from dpckpt import aggregate, privacy, rng, trainer, uncertainty
 from dpckpt.aggregate import AggregationSpec
 from dpckpt.harness.config import ConfigView
 from dpckpt.harness.experiments import run_experiment
 from dpckpt.model import LogisticLoss, QuadraticLoss, synth_classification
 
 from monte_carlo import gaussian_hockey_stick_mc, subgaussian_tail_mc
+from references import expectation_gap_bound, lookup, renyi_gaussians_shared_cov, subgaussian_tail
 from test_uncertainty import simpson_t_cdf
 
 
@@ -134,10 +135,10 @@ def test_ac2_averages_beat_last_iterate(tmp_path):
     )
     elapsed = time.monotonic() - start
 
-    last = table.lookup("excess_last").mean
-    tail = table.lookup("excess_upa_tail(alpha=0.5)").mean
-    pda = table.lookup("excess_pda(gamma=1.0)").mean
-    frac = table.lookup("frac_upa_tail(alpha=0.5)_beats_last").mean
+    last = lookup(table, "excess_last").mean
+    tail = lookup(table, "excess_upa_tail(alpha=0.5)").mean
+    pda = lookup(table, "excess_pda(gamma=1.0)").mean
+    frac = lookup(table, "frac_upa_tail(alpha=0.5)_beats_last").mean
 
     ok = tail <= last and pda <= last and frac >= 0.8 and elapsed < 600
     _gate(
@@ -160,7 +161,7 @@ def test_ac3_variance_estimator_bias_decay(tmp_path):
     elapsed = time.monotonic() - start
 
     def bias(t1, gap):
-        row = table.lookup(f"abs_bias(t1={t1},gap={gap})")
+        row = lookup(table, f"abs_bias(t1={t1},gap={gap})")
         return row.mean, row.std  # std column carries the SE of mean_S
 
     b_far, se_far = bias(20.0, 20.0)
@@ -206,7 +207,7 @@ def test_ac4_checkpoint_intervals_competitive(tmp_path):
     elapsed = time.monotonic() - start
 
     fracs = {
-        (eps, k): table.lookup(f"frac_checkpoints_narrower(eps={eps},k={k})").mean
+        (eps, k): lookup(table, f"frac_checkpoints_narrower(eps={eps},k={k})").mean
         for eps in (1.0, 8.0)
         for k in (3, 5, 10)
     }
@@ -227,11 +228,11 @@ def test_ac5_aggregation_stabilizes_drift(tmp_path):
     )
     elapsed = time.monotonic() - start
 
-    std_base = table.lookup("window_std_baseline").mean
-    std_ema = table.lookup("window_std_ema").mean
-    std_upa = table.lookup("window_std_upa").mean
-    mean_base = table.lookup("window_mean_baseline").mean
-    best_mean = max(table.lookup("window_mean_ema").mean, table.lookup("window_mean_upa").mean)
+    std_base = lookup(table, "window_std_baseline").mean
+    std_ema = lookup(table, "window_std_ema").mean
+    std_upa = lookup(table, "window_std_upa").mean
+    mean_base = lookup(table, "window_mean_baseline").mean
+    best_mean = max(lookup(table, "window_mean_ema").mean, lookup(table, "window_mean_upa").mean)
 
     ok = (
         std_ema <= 0.5 * std_base
@@ -340,7 +341,7 @@ def test_ac8_concentration_bounds():
     worst_exact_margin = -math.inf
     for dim in (1, 4, 16):
         for x in (1.0, 2.0, 3.0):
-            tail, bound = dpld.subgaussian_tail(dim, x)
+            tail, bound = subgaussian_tail(dim, x)
             worst_exact_margin = max(worst_exact_margin, tail - bound)
             emp, se = subgaussian_tail_mc(dim, x, samples=1_000_000, seed=dim)
             margin = emp - (bound + 3.0 * se)
@@ -359,8 +360,8 @@ def test_ac8_concentration_bounds():
             f_q = np.clip(gen.normal(gap, sd, n), -1.0, 1.0)
             emp_gap = abs(float(f_p.mean()) - float(f_q.mean()))
             se = math.hypot(f_p.std(ddof=1), f_q.std(ddof=1)) / math.sqrt(n)
-            d2 = dpld.renyi_gaussians_shared_cov(np.zeros(1), np.array([gap]), var, 2.0)
-            bound = dpld.expectation_gap_bound(d2)
+            d2 = renyi_gaussians_shared_cov(np.zeros(1), np.array([gap]), var, 2.0)
+            bound = expectation_gap_bound(d2)
             margin = emp_gap - (bound + 3.0 * se)
             worst_gap_margin = max(worst_gap_margin, margin)
             if margin > 0:

@@ -17,20 +17,23 @@ from dpckpt.dpld import (
     CheckpointTimes,
     LDConfig,
     burn_in_gamma,
-    expectation_gap_bound,
     make_clamped_coordinate,
     make_clamped_norm_excess,
     make_sign_coordinate,
     ou_exact_sample,
-    renyi_gaussians_shared_cov,
     stationary_law,
-    subgaussian_tail,
     variance_bias_experiment,
 )
 from dpckpt.model import LogisticLoss, QuadraticLoss, synth_classification
-from dpckpt.rng import STREAM_ORACLE, STREAM_TRIAL, gaussian_vector, step_generator
+from dpckpt.rng import STREAM_ORACLE, STREAM_TRIAL, step_generator
 
 from monte_carlo import subgaussian_tail_mc
+from references import (
+    expectation_gap_bound,
+    gaussian_row,
+    renyi_gaussians_shared_cov,
+    subgaussian_tail,
+)
 
 # Var[clip(Z, -1, 1)] for Z ~ N(0,1): (2 Phi(1) - 1 - 2 phi(1)) + 2 (1 - Phi(1)),
 # evaluated with scipy.stats.norm and frozen
@@ -216,8 +219,9 @@ def test_variance_bias_experiment_deterministic():
 
 
 def _per_trial_reference(config, times, statistic, trials, seed):
-    """(mean_s, se_mean_s) from one trajectory at a time: gaussian_vector
-    per segment, then the OU chain, then np.var per trial."""
+    """(mean_s, se_mean_s) from one trajectory at a time: a per-row
+    gaussian_row draw per segment (lane i, row j), then the OU chain, then
+    np.var per trial."""
     model = config.model
     m = model.strong_convexity
     center = model.center
@@ -227,7 +231,7 @@ def _per_trial_reference(config, times, statistic, trials, seed):
         theta = config.theta_start
         vals = np.empty(times.k)
         for i, seg in enumerate(times.elapsed_segments()):
-            normals = gaussian_vector(seed, STREAM_TRIAL, (j << 32) + i, center.size)
+            normals = gaussian_row(seed, STREAM_TRIAL, i, j, center.size)
             theta = ou_exact_sample(center, sigma_eff, theta, m * seg, normals)
             vals[i] = statistic.evaluate_batch(theta[None])[0]
         s_values[j] = np.var(vals, ddof=1)
@@ -253,21 +257,12 @@ def test_variance_bias_experiment_matches_per_trial_reference_ou(seed, trials, k
     assert np.array_equal((report.mean_s, report.se_mean_s), ref)
 
 
-def test_variance_bias_experiment_address_limits(monkeypatch):
-    """Trial j and segment s share one counter step, so both are bounded."""
+def test_variance_bias_experiment_address_limits():
+    """Trials are counter rows, bounded below 2**31 like a trainer's steps."""
     quad = LDConfig(model=QuadraticLoss(center=np.zeros(2)), theta_start=np.ones(2))
     times = CheckpointTimes(t1=1.0, gap=1.0, k=3)
     with pytest.raises(ValueError, match="2\\*\\*31"):
         variance_bias_experiment(quad, times, "clamped_coord", trials=2**31, experiment_seed=0)
-    # one noise event per checkpoint; a lowered bound stands in for 2**32
-    monkeypatch.setattr(dpld, "MAX_EVENTS", 5)
-    with pytest.raises(ValueError, match="fewer than 5 noise events"):
-        CheckpointTimes(t1=1.0, gap=1.0, k=5)
-    report = variance_bias_experiment(
-        quad, CheckpointTimes(t1=1.0, gap=1.0, k=4), "clamped_coord", trials=100,
-        experiment_seed=0,
-    )
-    assert report.times.k == 4
 
 
 def test_ld_config_rejects_a_model_that_is_not_quadratic():

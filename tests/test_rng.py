@@ -5,6 +5,8 @@ import pytest
 
 from dpckpt import rng
 
+from references import gaussian_row
+
 
 def test_step_generator_replays():
     a = rng.step_generator(3, rng.STREAM_NOISE, 17).standard_normal(8)
@@ -34,9 +36,9 @@ def test_stream_ids_are_distinct():
     assert len(set(ids)) == len(ids)
 
 
-def test_gaussian_vector_deterministic_and_standard():
-    a = rng.gaussian_vector(5, rng.STREAM_NOISE, 2, 200_000)
-    b = rng.gaussian_vector(5, rng.STREAM_NOISE, 2, 200_000)
+def test_gaussian_rows_deterministic_and_standard():
+    a = rng.gaussian_rows(5, rng.STREAM_NOISE, 0, 2, 1, 200_000)[0]
+    b = rng.gaussian_rows(5, rng.STREAM_NOISE, 0, 2, 1, 200_000)[0]
     assert np.array_equal(a, b)
     assert abs(a.mean()) < 0.01
     assert a.std() == pytest.approx(1.0, abs=0.01)
@@ -60,35 +62,24 @@ def test_negative_step_rejected_but_seed_wraps():
     assert np.array_equal(a, b)
 
 
-def _numpy_raw(seed: int, stream: int, step: int, count: int) -> np.ndarray:
-    key = [np.uint64(seed & (2**64 - 1)), np.uint64(stream)]
-    return np.random.Philox(counter=[0, 0, 0, np.uint64(step)], key=key).random_raw(count)
-
-
-@pytest.mark.parametrize("num_blocks", [1, 2, 5])
-def test_philox_blocks_reproduce_numpy_random_raw(num_blocks):
-    seeds = [-1, 0, 2**64 - 1, 3, 2**63 + 5]
-    steps = [0, 1, 2, 39, 2**40]
-    words = rng.philox_blocks(seeds, rng.STREAM_NOISE, steps, num_blocks)
-    assert words.shape == (len(steps), len(seeds), 4 * num_blocks)
-    assert words.dtype == np.uint64
-    for i, t in enumerate(steps):
-        for s, seed in enumerate(seeds):
-            assert np.array_equal(
-                words[i, s], _numpy_raw(seed, rng.STREAM_NOISE, t, 4 * num_blocks)
-            )
-
-
 @pytest.mark.parametrize("dim", [1, 3, 10, 21, 200])
-def test_gaussian_block_matches_gaussian_vector(dim):
-    # odd dims leave half of the last counter block unused
-    seeds = [-1, 0, 2**64 - 1]
-    steps = [0, 1, 7, 2**40]
-    block = rng.gaussian_block(seeds, rng.STREAM_NOISE, steps, dim)
-    assert block.shape == (len(steps), len(seeds), dim)
-    for i, t in enumerate(steps):
-        for s, seed in enumerate(seeds):
-            assert np.array_equal(block[i, s], rng.gaussian_vector(seed, rng.STREAM_NOISE, t, dim))
+def test_gaussian_rows_match_the_per_row_reference(dim):
+    # odd dims leave half of each row's last counter block unused
+    for seed in (-1, 0, 2**64 - 1):
+        for lane, first in ((0, 0), (0, 7), (5, 2**40)):
+            rows = rng.gaussian_rows(seed, rng.STREAM_NOISE, lane, first, 3, dim)
+            assert rows.shape == (3, dim)
+            for i, row in enumerate(rows):
+                want = gaussian_row(seed, rng.STREAM_NOISE, lane, first + i, dim)
+                assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 21])
+@pytest.mark.parametrize("lane", [0, 3])
+def test_gaussian_rows_prefix_equals_the_shorter_draw(lane, dim):
+    long = rng.gaussian_rows(9, rng.STREAM_TRIAL, lane, 0, 150, dim)
+    short = rng.gaussian_rows(9, rng.STREAM_TRIAL, lane, 0, 100, dim)
+    assert np.array_equal(long[:100], short)
 
 
 def test_gaussian_steps_across_chunk_boundaries(monkeypatch):
@@ -99,15 +90,17 @@ def test_gaussian_steps_across_chunk_boundaries(monkeypatch):
     drawn = list(rng.gaussian_steps(seeds, rng.STREAM_NOISE, 7, 3))
     assert len(drawn) == 7
     for t, noise in enumerate(drawn, start=1):
-        want = [rng.gaussian_vector(s, rng.STREAM_NOISE, t, 3) for s in seeds]
+        want = [gaussian_row(s, rng.STREAM_NOISE, 0, t - 1, 3) for s in seeds]
         assert np.array_equal(noise, want)
     # a single step larger than the bound is still drawn whole
     assert rng.steps_per_draw(3, 200) == 1
 
 
-def test_philox_blocks_reject_negative_steps():
+def test_gaussian_rows_reject_a_negative_first_row_or_lane():
     with pytest.raises(ValueError):
-        rng.philox_blocks([0], rng.STREAM_NOISE, [3, -1], 1)
+        rng.gaussian_rows(0, rng.STREAM_NOISE, 0, -1, 2, 3)
+    with pytest.raises(ValueError):
+        rng.gaussian_rows(0, rng.STREAM_NOISE, -1, 0, 2, 3)
 
 
 # several seeds, wrapped ones included, over consecutive steps that start

@@ -38,7 +38,6 @@ from dpckpt.trainer import (
     dp_sgd_theoretical_runs,
     load_run,
     min_loss_in_ball,
-    minibatch_indices,
     minimize_loss,
     project_l2,
     save_run,
@@ -46,6 +45,7 @@ from dpckpt.trainer import (
 )
 from dpckpt import rng
 from per_example import clip_rows, clipped_mean
+from references import gaussian_row, minibatch_indices
 
 
 def _dummy_data(n: int, p: int = 1) -> DatasetHandle:
@@ -329,7 +329,7 @@ def _scalar_reference(model, data, config, seed, rho):
     for t in range(1, config.num_steps + 1):
         g = model.grad_full(theta, data)
         if noise_std > 0:
-            g = g + noise_std * rng.gaussian_vector(seed, rng.STREAM_NOISE, t, len(theta))
+            g = g + noise_std * gaussian_row(seed, rng.STREAM_NOISE, 0, t - 1, len(theta))
         theta = theta - config.eta.at(t) * g
         norm = float(np.linalg.norm(theta))
         if norm > config.projection_radius:
@@ -355,7 +355,7 @@ def test_batched_rows_match_the_scalar_loop(family):
 
 def _two_call_reference(model, data, config, seeds, rho):
     """The step before the fused kernel, over all S rows: grad_full at the
-    current iterate, per-step gaussian_vector noise, project_l2, then
+    current iterate, per-step gaussian_row noise, project_l2, then
     loss_full and accuracy at the new iterate."""
     noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho)
     theta = np.zeros((len(seeds), model.param_dim()))
@@ -364,7 +364,7 @@ def _two_call_reference(model, data, config, seeds, rho):
         g = model.grad_full(theta, data)
         if noise_std > 0:
             g = g + noise_std * np.stack(
-                [rng.gaussian_vector(s, rng.STREAM_NOISE, t, theta.shape[1]) for s in seeds]
+                [gaussian_row(s, rng.STREAM_NOISE, 0, t - 1, theta.shape[1]) for s in seeds]
             )
         theta = project_l2(theta - config.eta.at(t) * g, config.projection_radius)
         params.append(theta)
@@ -531,8 +531,8 @@ def test_practical_learns_separable_data(practical_setup):
 
 
 def _practical_reference(model, data, config, seed, z, eval_data):
-    """The practical loop with one gaussian_vector draw per step, as an
-    independent oracle for the trainer's block-drawn noise. It takes the
+    """The practical loop with one gaussian_row draw per step, as an
+    independent oracle for the trainer's chunked noise. It takes the
     same clipped_grad_mean kernel on each step's batch, so it matches bit
     for bit."""
     std = z * config.clip_norm / config.batch_size
@@ -546,7 +546,7 @@ def _practical_reference(model, data, config, seed, z, eval_data):
             idx = minibatch_indices(seed, t, data.n, config.batch_size)
         batch = data.subset(idx)
         g = model.clipped_grad_mean(theta[None], data, idx[None], config.clip_norm)[0]
-        g = g + std * rng.gaussian_vector(seed, rng.STREAM_NOISE, t, len(theta))
+        g = g + std * gaussian_row(seed, rng.STREAM_NOISE, 0, t - 1, len(theta))
         theta = theta - config.eta.at(t) * g
         params.append(theta)
         metrics.append((model.loss_full(theta, batch), accuracy(model, theta, eval_data)))
