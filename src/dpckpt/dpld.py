@@ -39,7 +39,8 @@ from .model import QuadraticLoss
 MIN_TRIALS = 100
 # the norm excess's exact variance is off by up to 1e-7 at p = 1e4, more above
 MAX_NORM_EXCESS_DIM = 10_000
-# trials are counter rows of a lane, bounded like a trainer's steps
+# a limit on input, the count bound of trainer.MAX_STEPS and the config's
+# count keys; numpy's counter carries a lane's trial rows far past it
 MAX_TRIALS = 2**31
 # c and delta of the burn-in bound on reports, an annotation that gates nothing
 BURN_IN_C, BURN_IN_DELTA = 4.0, 1e-2

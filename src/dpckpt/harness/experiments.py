@@ -324,7 +324,7 @@ KEY_TABLES: dict[str, tuple[Key, ...]] = {
     "dpld_bias": _RUN_KEYS + (
         Key("dpld.dim", "int", 4, *_count(1)),
         Key("dpld.sigma", "float", 1.0),
-        Key("dpld.k", "int", 5),
+        Key("dpld.k", "int", 5, *_count(2)),
         Key("dpld.trials", "int", 10_000, *_count(dpld.MIN_TRIALS)),
         Key("dpld.points", "float_pairs", (
             (20.0, 20.0), (0.01, 0.01), (0.1, 10.0), (1.0, 10.0), (10.0, 10.0), (10.0, 0.1),

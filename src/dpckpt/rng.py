@@ -45,16 +45,19 @@ _TWO64 = 2.0**64
 MAX_BLOCKS = 4096
 
 
-def _philox(seed: int, stream: int, step: int) -> np.random.Philox:
-    if step < 0:
-        raise ValueError(f"step must be nonnegative, got {step}")
+def _philox(seed: int, stream: int, low: int, word3: int) -> np.random.Philox:
+    """Philox of key (seed, stream) at the counter low + (word3 << 192): low
+    fills the low counter words, carrying upward as numpy's own walk does,
+    and word3 is the top word."""
+    if low < 0 or word3 < 0:
+        raise ValueError(f"counter address must be nonnegative, got {low} and {word3}")
     key = [_U64(seed & _MASK64), _U64(stream & _MASK64)]
-    return np.random.Philox(counter=[0, 0, 0, _U64(step)], key=key)
+    return np.random.Philox(counter=low + (word3 << 192), key=key)
 
 
 def step_generator(seed: int, stream: int, step: int) -> np.random.Generator:
     """Generator whose output depends only on (seed, stream, step)."""
-    return np.random.Generator(_philox(seed, stream, step))
+    return np.random.Generator(_philox(seed, stream, 0, step))
 
 
 def step_generators(seeds: Sequence[int], stream: int, steps: Iterable[int]):
@@ -69,7 +72,7 @@ def step_generators(seeds: Sequence[int], stream: int, steps: Iterable[int]):
     bit. The same Generator objects come back every step: a caller draws
     step t from them before asking for step t + 1.
     """
-    bits = [_philox(seed, stream, 0) for seed in seeds]
+    bits = [_philox(seed, stream, 0, 0) for seed in seeds]
     states = [bit.state for bit in bits]
     gens = [np.random.Generator(bit) for bit in bits]
     for t in steps:
@@ -83,7 +86,7 @@ def step_generators(seeds: Sequence[int], stream: int, steps: Iterable[int]):
 
 def uniform_vector(seed: int, stream: int, step: int, dim: int) -> np.ndarray:
     """dim uniforms in (0, 1], one fixed counter slot per coordinate."""
-    raw = _philox(seed, stream, step).random_raw(dim)
+    raw = _philox(seed, stream, 0, step).random_raw(dim)
     return (raw.astype(np.float64) + 1.0) / _TWO64
 
 
@@ -101,12 +104,9 @@ def gaussian_rows(
     of key (seed, stream); the rows come from one random_raw call, so any
     run of rows equals the same rows of a longer draw bit for bit.
     """
-    if first < 0 or lane < 0:
-        raise ValueError(f"first row and lane must be nonnegative, got {first} and {lane}")
     nb = _row_blocks(dim)
-    key = [_U64(seed & _MASK64), _U64(stream & _MASK64)]
-    bits = np.random.Philox(counter=first * nb + (lane << 192), key=key)
-    raw = bits.random_raw(count * 4 * nb).reshape(count, 4 * nb)[:, : 2 * dim]
+    raw = _philox(seed, stream, first * nb, lane).random_raw(count * 4 * nb)
+    raw = raw.reshape(count, 4 * nb)[:, : 2 * dim]
     u1 = (raw[:, 0::2].astype(np.float64) + 1.0) / _TWO64  # in (0, 1]
     u2 = raw[:, 1::2].astype(np.float64) / _TWO64  # in [0, 1)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

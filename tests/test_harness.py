@@ -944,7 +944,7 @@ _BAD_KEY_IDS = [
         ("train", "train.mode = theoretical\ntrain.steps = 0\n", "num_steps"),
         ("dpld-bias", "task = dpld_bias\ndpld.points = 20:20, 0:1\n", "t1 must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.points = 1:-1\n", "gap must be positive"),
-        ("dpld-bias", "task = dpld_bias\ndpld.k = 1\n", "k must be at least 2"),
+        ("dpld-bias", "task = dpld_bias\ndpld.k = 1\n", "'dpld.k': must be at least 2"),
         ("dpld-bias", "task = dpld_bias\ndpld.sigma = 0\n", "sigma must be positive"),
         ("dpld-bias", "task = dpld_bias\ndpld.eta = 0\n", "'dpld.eta': unknown key"),
         ("dpld-bias", "task = dpld_bias\ndpld.dim = 0\n", "dpld.dim"),
@@ -961,6 +961,8 @@ _BAD_KEY_IDS = [
         ("dpld-bias", "task = dpld_bias\ndpld.start_distance = nan\n",
          "theta_start must be finite"),
         ("dpld-bias", "task = dpld_bias\ndpld.points = nan:1\n", "t1 must be positive"),
+        ("dpld-bias", "task = dpld_bias\ndpld.k = 4294967296\n",
+         "'dpld.k': must be at least 2 and below 2**31"),
         ("uq", "task = uq_compare\nuq.num_test_inputs = 0\n", "uq.num_test_inputs"),
         ("dpld-bias", "task = dpld_bias\ndpld.start_distance = -1\n", "dpld.start_distance"),
         ("report", "task = risk_compare\nseeds = 1, 2\nnum_seeds = 2\n",
@@ -996,7 +998,7 @@ _BAD_KEY_IDS = [
         "dpld_bias-delta-unknown",
         "dpld_bias-oracle", "dpld_bias-trials", "dpld_bias-sigma-nan", "dpld_bias-eta-nan",
         "dpld_bias-sigma-inf", "dpld_bias-start-nan", "dpld_bias-t1-nan",
-        "uq_compare-no-inputs",
+        "dpld_bias-k-2**32", "uq_compare-no-inputs",
         "dpld_bias-start-negative", "risk_compare-seeds-and-num_seeds",
         "train-practical-noise-1e200", "train-practical-noise-1e-200",
         "train-practical-noise-1e-154-steps-4",
