@@ -194,9 +194,6 @@ class CheckpointTimes:
         if self.k < 2:
             raise ValueError("k must be at least 2")
 
-    def times(self) -> list[float]:
-        return [self.t1 + i * self.gap for i in range(self.k)]
-
     def elapsed_segments(self) -> list[float]:
         """Waiting times between consecutive checkpoints, first from t=0."""
         return [self.t1] + [self.gap] * (self.k - 1)

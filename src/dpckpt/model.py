@@ -5,12 +5,13 @@ experiments and as an analytically tractable trainer target) and
 l2-regularized logistic regression (binary sigmoid or multiclass
 softmax). All parameters are flat float64 vectors so the trainer and
 the aggregation operators never need to know the model structure.
-loss_full and grad_full also take an (S, p) matrix of S parameter rows
-(the seed-batched trainer's iterates) and return one value per row; a
-(p,) vector is the one-row case of the same code. Row products go
-through stacked np.matmul, which makes the same BLAS call per row as an
-unbatched product, so a batched row equals the unbatched result bit for
-bit (a plain X @ Theta.T would be one larger product, rounded differently).
+Every LossModel method takes an (S, p) matrix of S parameter rows (the
+seed-batched trainer's iterates, or a run's checkpoints) and returns one
+value per row; any other shape, a (p,) vector included, is a ValueError.
+Row products go through stacked np.matmul, which makes the same BLAS call
+per row as an unbatched product, so a row of a batch equals the one-row
+call bit for bit (a plain X @ Theta.T would be one larger product,
+rounded differently).
 The binary head reads labelled data only through its sign-folded design
 matrix X~ = diag(2y - 1) X (DatasetHandle.signed_features: built once per
 handle, read-only, and stored transposed as a C-contiguous (p, n) array).
@@ -20,7 +21,7 @@ both per-row products read one contiguous buffer. The fold alone is exact
 (+-1 products and negated sums round exactly); the transposed store sums
 in another order, so against the unfolded kernel results move by at most
 1e-12 relative, the tolerance tools/artifact_drift.py checks. The gathered
-batches of clipped_grad_mean and batch_loss are rows of that store too.
+batches of clipped_grad_mean and loss_full are rows of that store too.
 loss_and_grad gives both at once from one logits block: the binary head's
 cross-entropy and slope both read the signed margins z, the softmax head
 shares exp(logits - max) and its row sum between the log-sum-exp and the
@@ -33,24 +34,24 @@ the loss's exp(-|z|). Where exp(z) overflows (z above 709.78) it is
 -0.0, its limit; where z <= 0 it equals the two-sided stable form bit for
 bit. The sigmoid of predict_proba is branch-free: it takes its numerator
 as max(exp(-|x|), x >= 0), which equals the np.where form bit for bit.
-predict_proba, predict_labels and accuracy take rows the same way: (S, p)
-rows give (S, n, c) probabilities, (S, n) labels and (S,) accuracies.
-predict_labels reads the argmax straight off the logits, with no softmax,
-and accuracy scores the rows in chunks of at most ~40k logits.
-clipped_grad_mean is the practical trainer's step: for S rows, each with
-its own batch, the rows idx[s] of an (S, B) index matrix into the dataset,
-the mean of the per-example gradients after each is scaled to norm at most
-clip_norm. It never forms the (B, p) per-example gradients. A logistic
-per-example gradient is R_i (x) x_i + l2 * theta, with R_i the residual
-in the logits (softmax probabilities minus one-hot, or -sigmoid(-z) for a
-signed row), so its squared norm is |R_i|^2 |x_i|^2 + 2 l2 <R_i, logits_i>
-+ l2^2 |theta|^2, read off one logits pass, and the clipped mean is one
-matmul of the factor-scaled residuals with the batch (ghost clipping: Li
-et al., arXiv 2110.05679). batch_loss gives each row's loss on its own
-batch the same way. finite_loss_radius bounds the rows whose batch loss
-is certainly finite, so the practical trainer can check its iterates
-without computing a loss it does not record. Only the softmax head
-gathers a batch's labels; the binary head's are folded into its store.
+predict_proba and predict_labels give (S, n, c) probabilities and (S, n)
+labels; predict_labels reads the argmax straight off the logits, with no
+softmax. accuracy, the one scoring entry that also takes a (p,) vector,
+gives (S,) accuracies for rows, scored in chunks of at most ~40k logits.
+A batch is an (S, B) index matrix, row s's batch the rows idx[s] of the
+dataset: loss_full(rows, data, idx) is each row's loss on its own batch,
+and clipped_grad_mean, the practical trainer's step, is the mean of its
+per-example gradients after each is scaled to norm at most clip_norm,
+without forming them. A logistic per-example gradient is R_i (x) x_i +
+l2 * theta, with R_i the residual in the logits (softmax probabilities
+minus one-hot, or -sigmoid(-z) for a signed row), so its squared norm is
+|R_i|^2 |x_i|^2 + 2 l2 <R_i, logits_i> + l2^2 |theta|^2, read off one
+logits pass, and the clipped mean is one matmul of the factor-scaled
+residuals with the batch (ghost clipping: Li et al., arXiv 2110.05679).
+finite_loss_radius bounds the rows whose batch loss is certainly finite,
+so the practical trainer can check its iterates without computing a loss
+it does not record. Only the softmax head gathers a batch's labels; the
+binary head's are folded into its store.
 The diurnal sampler draws a minibatch as row indices into the training
 data, as the uniform sampler does, so a batch is a gather of those rows.
 """
@@ -123,14 +124,8 @@ class DatasetHandle:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "DatasetHandle":
-        """The selected rows, without re-running the __post_init__ scans on rows
-        of this validated dataset; an empty selection still fails."""
-        sub = object.__new__(type(self))
-        sub.features, sub.labels = self.features[indices], self.labels[indices]
-        sub.num_classes = self.num_classes
-        if sub.features.ndim != 2 or sub.n < 1:
-            raise ValueError("subset must select a non-empty 1-d set of rows")
-        return sub
+        """The selected rows, as a new handle; an empty selection fails."""
+        return DatasetHandle(self.features[indices], self.labels[indices], self.num_classes)
 
 
 def synth_classification(
@@ -163,17 +158,8 @@ def csv_header(p: int) -> list[str]:
     return [f"f{j}" for j in range(p)] + ["label"]
 
 
-def save_csv(data: DatasetHandle, path: str) -> None:
-    """Write `f0,...,f{p-1},label` rows; floats use repr for round-trip."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(csv_header(data.p))
-        for row, label in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-
-
 def load_csv(path: str, num_classes: int | None = None) -> DatasetHandle:
-    """Read a dataset written by save_csv (or any file matching its header)."""
+    """Read a dataset of `f0,...,f{p-1},label` rows under a csv_header line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -237,11 +223,6 @@ def _softmax_terms(logits: np.ndarray):
     return zmax, ex, ex.sum(axis=-1, keepdims=True)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    _, ex, total = _softmax_terms(logits)
-    return ex / total
-
-
 def row_sq_norms(rows: np.ndarray) -> np.ndarray:
     """theta @ theta for every row of an (S, p) matrix, bit-equal to the 1-d dot."""
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
@@ -253,25 +234,21 @@ def _label_index(logits: np.ndarray, labels: np.ndarray) -> tuple:
     return np.arange(len(logits))[:, None], np.arange(labels.shape[-1]), labels
 
 
-def _clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
+def clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
     """min(1, clip_norm / norm) from squared norms, which are clamped at 0
     against rounding; a norm at or under clip_norm gives exactly 1.0."""
     norms = np.sqrt(np.maximum(sq_norms, 0.0))
     return np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
 
 
-def _check_finite_logits(logits: np.ndarray) -> None:
-    if not np.all(np.isfinite(logits)):
-        raise NumericOverflowError("non-finite logits in prediction")
-
-
 class LossModel:
     """Common surface for the loss families.
 
     Subclasses define param_dim, loss_full, grad_full, loss_and_grad,
-    clipped_grad_mean, batch_loss and (for classifiers) predict_proba, and
-    may override predict_labels with a cheaper argmax than the probability
-    one. The curvature attributes drive step-size rules and noise calibration:
+    clipped_grad_mean and (for classifiers) predict_proba, and may override
+    predict_labels with a cheaper argmax than the probability one. Each
+    method takes (S, p) parameter rows and gives one result per row. The
+    curvature attributes drive step-size rules and noise calibration:
 
       lipschitz        bound on a per-example gradient norm (None if unset)
       smoothness       gradient Lipschitz constant
@@ -285,12 +262,13 @@ class LossModel:
     def param_dim(self) -> int:
         raise NotImplementedError
 
-    def loss_full(self, theta: np.ndarray, data: DatasetHandle | None):
-        """Mean loss: a float for a (p,) vector, an (S,) array for (S, p) rows."""
+    def loss_full(self, rows: np.ndarray, data: DatasetHandle | None, idx=None) -> np.ndarray:
+        """(S,) mean loss of each row on data, or, given an (S, B) index
+        matrix, on its own batch: row s's batch is the B rows idx[s] of data."""
         raise NotImplementedError
 
-    def grad_full(self, theta: np.ndarray, data: DatasetHandle | None) -> np.ndarray:
-        """Mean gradient: (p,) for a (p,) vector, (S, p) for (S, p) rows."""
+    def grad_full(self, rows: np.ndarray, data: DatasetHandle | None) -> np.ndarray:
+        """(S, p) mean gradient of each row."""
         raise NotImplementedError
 
     def loss_and_grad(self, rows: np.ndarray, data: DatasetHandle | None):
@@ -304,43 +282,28 @@ class LossModel:
         Row s's batch is the B rows idx[s] of data, for an (S, B) index matrix."""
         raise NotImplementedError
 
-    def batch_loss(self, rows: np.ndarray, data: DatasetHandle, idx: np.ndarray):
-        """(S,) mean loss of each of the (S, p) rows on its own batch, the
-        rows idx[s] of data as in clipped_grad_mean."""
-        raise NotImplementedError
-
     def finite_loss_radius(self, data: DatasetHandle, batch_size: int) -> float:
-        """A radius R such that batch_loss is finite for every row whose squared
+        """A radius R such that the batch loss is finite for every row whose squared
         norm, as row_sq_norms computes it, is at most R**2, on every batch of
         batch_size rows of data."""
         raise NotImplementedError
 
-    def predict_proba(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """Class probabilities: (n, c) for a (p,) vector, (S, n, c) for (S, p) rows."""
+    def predict_proba(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """(S, n, c) class probabilities of each row on the (n, d) features."""
         raise NotImplementedError
 
-    def predict_labels(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """Argmax classes: (n,) for a (p,) vector, (S, n) for (S, p) rows."""
-        return self.predict_proba(theta, features).argmax(axis=-1)
+    def predict_labels(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """(S, n) argmax classes of each row on the (n, d) features."""
+        return self.predict_proba(rows, features).argmax(axis=-1)
 
-    def _check_theta(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.param_dim(),):
+    def _check_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The (S, p) parameter rows as float64; any other shape is a ValueError."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self.param_dim():
             raise ValueError(
-                f"parameter vector has shape {theta.shape}, expected ({self.param_dim()},)"
+                f"parameter rows have shape {rows.shape}, expected (S, p) = (S, {self.param_dim()})"
             )
-        return theta
-
-    def _check_rows(self, theta: np.ndarray) -> tuple[np.ndarray, bool]:
-        """(S, p) parameter rows, and whether a single (p,) vector was passed."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.ndim == 1:
-            return self._check_theta(theta)[None, :], True
-        if theta.ndim != 2 or theta.shape[1] != self.param_dim():
-            raise ValueError(
-                f"parameter rows have shape {theta.shape}, expected (S, {self.param_dim()})"
-            )
-        return theta, False
+        return rows
 
 
 @dataclass(eq=False)
@@ -367,28 +330,22 @@ class QuadraticLoss(LossModel):
     def param_dim(self) -> int:
         return self.center.shape[0]
 
-    def loss_full(self, theta, data=None):
-        rows, single = self._check_rows(theta)
-        loss = 0.5 * self.curvature * row_sq_norms(rows - self.center)
-        return float(loss[0]) if single else loss
+    def loss_full(self, rows, data=None, idx=None):
+        # every example has the same loss, so a batch's mean is that loss
+        return 0.5 * self.curvature * row_sq_norms(self._check_rows(rows) - self.center)
 
-    def grad_full(self, theta, data=None) -> np.ndarray:
-        rows, single = self._check_rows(theta)
-        grad = self.curvature * (rows - self.center)
-        return grad[0] if single else grad
+    def grad_full(self, rows, data=None) -> np.ndarray:
+        return self.curvature * (self._check_rows(rows) - self.center)
 
     def loss_and_grad(self, rows, data=None):
-        diff = self._check_rows(rows)[0] - self.center
+        diff = self._check_rows(rows) - self.center
         return 0.5 * self.curvature * row_sq_norms(diff), self.curvature * diff
 
     def clipped_grad_mean(self, rows, data, idx, clip_norm):
         # every example has the same gradient, so the clipped mean is that
         # gradient, clipped
-        grad = self.grad_full(self._check_rows(rows)[0])
-        return grad * _clip_factors(row_sq_norms(grad), clip_norm)[:, None]
-
-    def batch_loss(self, rows, data, idx):
-        return self.loss_full(self._check_rows(rows)[0])
+        grad = self.grad_full(rows)
+        return grad * clip_factors(row_sq_norms(grad), clip_norm)[:, None]
 
     def finite_loss_radius(self, data, batch_size):
         """R = sqrt(min(1, 2 / curvature) * 1e307) - ||center||, at least 0.
@@ -399,7 +356,8 @@ class QuadraticLoss(LossModel):
         reach = math.sqrt(min(1.0, 2.0 / self.curvature) * 1e307)
         return max(0.0, reach - float(np.linalg.norm(self.center)))
 
-    def predict_proba(self, theta, features):
+    def predict_proba(self, rows, features):
+        self._check_rows(rows)
         raise ValueError("quadratic model has no prediction head")
 
 
@@ -472,10 +430,12 @@ class LogisticLoss(LossModel):
         design = data.signed_features if self.binary else data.features
         return design if idx is None else design[idx]
 
-    def _labels(self, data: DatasetHandle, idx: np.ndarray) -> np.ndarray | None:
-        """The (S, B) labels of a batch, which only the softmax head reads: the
-        binary head's labels are folded into its design matrix."""
-        return None if self.binary else data.labels[idx]
+    def _labels(self, data: DatasetHandle, idx: np.ndarray | None = None) -> np.ndarray | None:
+        """The labels, or their (S, B) rows for an (S, B) index matrix; only the
+        softmax head reads them, as the binary head's are folded into its design."""
+        if self.binary:
+            return None
+        return data.labels if idx is None else data.labels[idx]
 
     def _terms(self, logits: np.ndarray):
         """What the loss and the gradient both read off the logits: the binary
@@ -510,33 +470,31 @@ class LogisticLoss(LossModel):
         return ce.sum(axis=1) / logits.shape[1] + 0.5 * self.l2_reg * row_sq_norms(rows)
 
     def _grad_from(self, rows, terms, data) -> np.ndarray:
-        resid = self._residual(terms, data.labels)
+        resid = self._residual(terms, self._labels(data))
         if self.binary:
             slope = np.matmul(data.signed_features.T, resid[:, :, None])
             return self.l2_reg * rows + slope[:, :, 0] / data.n
         grad_w = np.matmul(resid.transpose(0, 2, 1), data.features) / data.n
         return grad_w.reshape(len(rows), -1) + self.l2_reg * rows
 
-    def loss_full(self, theta, data):
-        rows, single = self._check_rows(theta)
-        logits = self._logits(rows, self._design(data))
-        loss = self._loss_from(rows, logits, self._terms(logits), data.labels)
-        return float(loss[0]) if single else loss
+    def loss_full(self, rows, data, idx=None):
+        rows = self._check_rows(rows)
+        logits = self._logits(rows, self._design(data, idx))
+        return self._loss_from(rows, logits, self._terms(logits), self._labels(data, idx))
 
-    def grad_full(self, theta, data) -> np.ndarray:
-        rows, single = self._check_rows(theta)
-        grad = self._grad_from(rows, self._terms(self._logits(rows, self._design(data))), data)
-        return grad[0] if single else grad
+    def grad_full(self, rows, data) -> np.ndarray:
+        rows = self._check_rows(rows)
+        return self._grad_from(rows, self._terms(self._logits(rows, self._design(data))), data)
 
     def loss_and_grad(self, rows, data):
-        rows = self._check_rows(rows)[0]
+        rows = self._check_rows(rows)
         logits = self._logits(rows, self._design(data))
         terms = self._terms(logits)
-        loss = self._loss_from(rows, logits, terms, data.labels)
+        loss = self._loss_from(rows, logits, terms, self._labels(data))
         return loss, self._grad_from(rows, terms, data)
 
     def clipped_grad_mean(self, rows, data, idx, clip_norm):
-        rows = self._check_rows(rows)[0]
+        rows = self._check_rows(rows)
         design = self._design(data, idx)  # (S, B, d)
         logits = self._logits(rows, design)
         resid = self._residual(self._terms(logits), self._labels(data, idx))
@@ -549,16 +507,11 @@ class LogisticLoss(LossModel):
             + 2.0 * lam * (resid * logits).sum(axis=-1)
             + lam * lam * row_sq_norms(rows)[:, None]
         )
-        factors = _clip_factors(sq_norms, clip_norm)  # (S, B)
+        factors = clip_factors(sq_norms, clip_norm)  # (S, B)
         batch = idx.shape[-1]
         coeff = (factors[:, :, None] * resid).transpose(0, 2, 1)
         grad = (np.matmul(coeff, design) / batch).reshape(len(rows), -1)
         return grad + lam * rows * (factors.sum(axis=1) / batch)[:, None]
-
-    def batch_loss(self, rows, data, idx):
-        rows = self._check_rows(rows)[0]
-        logits = self._logits(rows, self._design(data, idx))
-        return self._loss_from(rows, logits, self._terms(logits), self._labels(data, idx))
 
     def finite_loss_radius(self, data, batch_size):
         """R = min(sqrt(1e307), (1e307 / B - ln c) / (2 M), sqrt(2e307 / l2_reg)),
@@ -585,31 +538,30 @@ class LogisticLoss(LossModel):
             limits.append(math.sqrt(2e307 / self.l2_reg))
         return min(limits)
 
-    def _checked_logits(self, theta, features):
-        """Finite logits of the rows on the features, and whether one (p,)
-        vector was passed; what both prediction heads read."""
-        rows, single = self._check_rows(theta)
-        logits = self._logits(rows, np.atleast_2d(np.asarray(features, dtype=np.float64)))
-        _check_finite_logits(logits)
-        return logits, single
+    def _checked_logits(self, rows, features):
+        """Finite logits of the rows on the features; what both prediction heads read."""
+        logits = self._logits(
+            self._check_rows(rows), np.atleast_2d(np.asarray(features, dtype=np.float64))
+        )
+        if not np.all(np.isfinite(logits)):
+            raise NumericOverflowError("non-finite logits in prediction")
+        return logits
 
-    def predict_proba(self, theta, features) -> np.ndarray:
-        logits, single = self._checked_logits(theta, features)
+    def predict_proba(self, rows, features) -> np.ndarray:
+        logits = self._checked_logits(rows, features)
         if self.binary:
             pos = _sigmoid(logits)
-            probs = np.stack([1.0 - pos, pos], axis=-1)
-        else:
-            probs = _softmax(logits)
-        return probs[0] if single else probs
+            return np.stack([1.0 - pos, pos], axis=-1)
+        _, ex, total = _softmax_terms(logits)
+        return ex / total
 
-    def predict_labels(self, theta, features) -> np.ndarray:
+    def predict_labels(self, rows, features) -> np.ndarray:
         """The argmax of the logits, which softmax and sigmoid preserve; a zero
         margin or a logit tie gives the lowest class, as the probability argmax
         does. The two differ only where distinct logits round to equal
         probabilities: there the probability argmax gives the lower class."""
-        logits, single = self._checked_logits(theta, features)
-        labels = (logits > 0).astype(np.int64) if self.binary else logits.argmax(axis=-1)
-        return labels[0] if single else labels
+        logits = self._checked_logits(rows, features)
+        return (logits > 0).astype(np.int64) if self.binary else logits.argmax(axis=-1)
 
 
 # elements of one (rows, n, c) logits block that accuracy scores at once

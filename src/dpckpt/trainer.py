@@ -35,12 +35,12 @@ seed. Two modes share the checkpoint/metrics plumbing:
                model.clipped_grad_mean call (the clipped per-example
                mean, without forming per-example gradients), which
                gathers the batch rows itself, and, when record_loss
-               holds, one model.batch_loss call; with record_loss off
-               the train_loss column stays NaN. Either way an iterate
-               row that is non-finite or outside the ball of
-               model.finite_loss_radius, inside which every batch loss
-               is finite, stops the run. Every row equals the run
-               trained alone bit for bit.
+               holds, one model.loss_full call on the same index
+               matrix; with record_loss off the train_loss column stays
+               NaN. Either way an iterate row that is non-finite or
+               outside the ball of model.finite_loss_radius, inside
+               which every batch loss is finite, stops the run. Every
+               row equals the run trained alone bit for bit.
 
 Both modes take their noise from the one path: rng.gaussian_steps,
 which draws a chunk of steps at a time, one rng.gaussian_rows call per
@@ -71,6 +71,7 @@ from .model import (
     DiurnalSchedule,
     LossModel,
     accuracy,
+    clip_factors,
     diurnal_draw,
     row_sq_norms,
 )
@@ -200,29 +201,29 @@ def choose_T(n: int, rho: float) -> int:
     return max(1, math.ceil(n * rho))
 
 
-def project_l2(v: np.ndarray, radius: float) -> np.ndarray:
-    """Project onto the origin-centered l2 ball of the given radius.
+def project_l2(rows: np.ndarray, radius: float) -> np.ndarray:
+    """Project each row of an (S, p) matrix onto the origin-centered l2 ball
+    of the given radius.
 
-    A (p,) vector is projected as one point, an (S, p) matrix row by row.
     A finite row whose squared norm overflows is projected through its
     direction u = x / max_j |x_j|, whose norm lies in [1, sqrt(p)], as
     u * min(max_j |x_j|, radius / ||u||).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    rows = np.atleast_2d(v)
+    if np.ndim(rows) != 2:
+        raise ValueError(f"project_l2 takes (S, p) rows, not shape {np.shape(rows)}")
     # the stacked row dot equals np.linalg.norm's dot bit for bit, and a
     # factor of exactly 1.0 leaves rows inside the ball untouched
     with np.errstate(over="ignore"):
         sq_norms = row_sq_norms(rows)
-    factors = np.minimum(1.0, radius / np.maximum(np.sqrt(sq_norms), 1e-300))
-    out = rows * factors[:, None]
+    out = rows * clip_factors(sq_norms, radius)[:, None]
     huge = np.isinf(sq_norms)
     if huge.any():
         scale = np.abs(rows[huge]).max(axis=1)
         unit = rows[huge] / scale[:, None]
         out[huge] = unit * np.minimum(scale, radius / np.sqrt(row_sq_norms(unit)))[:, None]
-    return out if np.ndim(v) == 2 else out[0]
+    return out
 
 
 def checkpoint_steps(num_steps: int, every: int) -> list[int]:
@@ -373,7 +374,7 @@ def dp_sgd_practical_runs(
         if not np.all(row_sq_norms(theta) <= finite_loss_sq):
             raise NumericDivergenceError("iterate left the finite-loss ball", step=t)
         if record_loss:
-            metrics[:, t - 1, 0] = model.batch_loss(theta, data, idx)
+            metrics[:, t - 1, 0] = model.loss_full(theta, data, idx)
         if eval_data is not None:
             metrics[:, t - 1, 1] = accuracy(model, theta, eval_data)
         if t in ckpt_index:
@@ -388,7 +389,7 @@ def dp_sgd_practical_runs(
 
 
 def minimize_loss(model: LossModel, data: DatasetHandle | None, radius: float) -> np.ndarray:
-    """Noiseless projected gradient descent to the constrained minimizer.
+    """Noiseless projected gradient descent to the constrained (p,) minimizer.
 
     Runs at step size 1/M until the projected-gradient norm drops below
     1e-9. Raises if the model has no positive smoothness constant or the
@@ -398,11 +399,11 @@ def minimize_loss(model: LossModel, data: DatasetHandle | None, radius: float) -
         raise ValueError("minimize_loss needs a model with positive smoothness")
     max_steps, tol = 100_000, 1e-9
     eta = 1.0 / model.smoothness
-    theta = np.zeros(model.param_dim())
+    theta = np.zeros((1, model.param_dim()))
     for _ in range(max_steps):
         nxt = project_l2(theta - eta * model.grad_full(theta, data), radius)
         if np.linalg.norm(theta - nxt) / eta < tol:
-            return nxt
+            return nxt[0]
         theta = nxt
     raise RuntimeError(
         f"projected GD did not reach gradient tolerance {tol} in {max_steps} steps"
@@ -411,7 +412,7 @@ def minimize_loss(model: LossModel, data: DatasetHandle | None, radius: float) -
 
 def min_loss_in_ball(model: LossModel, data: DatasetHandle | None, radius: float) -> float:
     """Minimum loss over the radius ball."""
-    return model.loss_full(minimize_loss(model, data, radius), data)
+    return float(model.loss_full(minimize_loss(model, data, radius)[None], data)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -466,26 +467,37 @@ def save_run(record: RunRecord, run_dir: str) -> None:
 
 
 def load_run(run_dir: str) -> RunRecord:
-    """Rebuild a RunRecord from a run directory (diurnal schedule excluded)."""
-    with open(os.path.join(run_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    c = manifest["config"]
-    config = TrainerConfig(
-        mode=c["mode"],
-        num_steps=c["num_steps"],
-        eta=EtaSchedule(c["eta_kind"], c["eta_value"]),
-        projection_radius=c["projection_radius"],
-        clip_norm=c["clip_norm"],
-        batch_size=c["batch_size"],
-        checkpoint_every=c["checkpoint_every"],
-    )
-    budget = PrivacyBudget(
-        rho=float(manifest["budget"]["rho"]),
-        delta=float(manifest["budget"]["delta"]),
-        epsilon=float(manifest["budget"]["epsilon"]),
-    )
-    steps = np.array(manifest["checkpoint_steps"])
-    dim = manifest["dim"]
+    """Rebuild a RunRecord from a run directory (diurnal schedule excluded).
+
+    A file that save_run could not have written (a missing or malformed
+    manifest field, checkpoint steps off the config's cadence, a checkpoint
+    file of the wrong size, a metrics row that is not the next step's three
+    numbers) is a ValueError naming the file."""
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        c = manifest["config"]
+        config = TrainerConfig(
+            mode=c["mode"],
+            num_steps=c["num_steps"],
+            eta=EtaSchedule(c["eta_kind"], c["eta_value"]),
+            projection_radius=c["projection_radius"],
+            clip_norm=c["clip_norm"],
+            batch_size=c["batch_size"],
+            checkpoint_every=c["checkpoint_every"],
+        )
+        budget = PrivacyBudget(**{k: float(v) for k, v in manifest["budget"].items()})
+        steps = np.array(manifest["checkpoint_steps"])
+        dim, seed = manifest["dim"], manifest["seed"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path} is malformed: {type(exc).__name__}: {exc}") from None
+    every = config.resolved_checkpoint_every()
+    if steps.tolist() != checkpoint_steps(config.num_steps, every):
+        raise ValueError(
+            f"{manifest_path} lists checkpoint steps other than every {every}th of "
+            f"{config.num_steps} steps and the last"
+        )
     bin_path = os.path.join(run_dir, "checkpoints.bin")
     size, expected = os.path.getsize(bin_path), len(steps) * dim * 8
     if size != expected:
@@ -501,13 +513,19 @@ def load_run(run_dir: str) -> RunRecord:
         if header != "step,train_loss,eval_acc":
             raise ValueError(f"unexpected header {header!r} in {metrics_path}")
         for line in fh:
-            step_s, loss_s, acc_s = line.strip().split(",")
-            if int(step_s) != len(rows) + 1:
+            try:
+                step_s, loss_s, acc_s = line.strip().split(",")
+                step, row = int(step_s), (float(loss_s), float(acc_s))
+            except ValueError as exc:
+                raise ValueError(
+                    f"{metrics_path} row {len(rows) + 1} is not step,train_loss,eval_acc: {exc}"
+                ) from None
+            if step != len(rows) + 1:
                 raise ValueError(
                     f"{metrics_path} has step {step_s} where step {len(rows) + 1} "
                     f"belongs; rows must be steps 1..{config.num_steps} in order"
                 )
-            rows.append((float(loss_s), float(acc_s)))
+            rows.append(row)
     if len(rows) != config.num_steps:
         raise ValueError(f"{metrics_path} has {len(rows)} step rows, not {config.num_steps}")
-    return RunRecord(config, manifest["seed"], budget, params, steps, np.array(rows))
+    return RunRecord(config, seed, budget, params, steps, np.array(rows))

@@ -59,11 +59,11 @@ class ProbVectorModel(LossModel):
     def param_dim(self) -> int:
         return self.num_classes
 
-    def predict_proba(self, theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """(n, c) for a (p,) vector, (S, n, c) for (S, p) rows."""
-        theta = np.asarray(theta, dtype=np.float64)
-        probs = theta / theta.sum(axis=-1, keepdims=True)
-        return np.repeat(probs[..., None, :], len(features), axis=-2)
+    def predict_proba(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """(S, n, c) for (S, p) rows."""
+        rows = self._check_rows(rows)
+        probs = rows / rows.sum(axis=1, keepdims=True)
+        return np.repeat(probs[:, None, :], len(features), axis=1)
 
 
 @pytest.fixture(scope="session")

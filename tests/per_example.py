@@ -20,8 +20,9 @@ def per_example_grads(model: LossModel, theta: np.ndarray, data: DatasetHandle) 
     reads no data, so every example has the full gradient.
     """
     if isinstance(model, QuadraticLoss):
-        return np.tile(model.grad_full(theta), (data.n, 1))
-    resid = model.predict_proba(theta, data.features) - np.eye(model.num_classes)[data.labels]
+        return np.tile(model.grad_full(theta[None])[0], (data.n, 1))
+    probs = model.predict_proba(theta[None], data.features)[0]
+    resid = probs - np.eye(model.num_classes)[data.labels]
     if model.binary:
         resid = resid[:, 1:]
     grads = resid[:, :, None] * data.features[:, None, :]

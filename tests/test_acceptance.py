@@ -89,10 +89,10 @@ def test_ac1_aggregator_exactness():
     omv_labels = aggregate.omv_batch_labels(params, model, data.features)
     opa_mismatch = omv_mismatch = 0
     for x, opa_label, omv_label in zip(data.features, opa_labels, omv_labels):
-        probs = np.mean([model.predict_proba(t, x[None, :])[0] for t in params], axis=0)
+        probs = np.mean([model.predict_proba(t[None], x[None, :])[0, 0] for t in params], axis=0)
         if opa_label != int(np.argmax(probs)):
             opa_mismatch += 1
-        votes = [int(np.argmax(model.predict_proba(t, x[None, :])[0])) for t in params]
+        votes = [int(np.argmax(model.predict_proba(t[None], x[None, :])[0, 0])) for t in params]
         if omv_label != int(np.argmax(np.bincount(votes))):
             omv_mismatch += 1
 

@@ -325,7 +325,8 @@ def test_batch_label_helpers_match_scalar_ops(prob_model):
     opa_batch = opa_batch_labels(thetas, prob_model, features)
     omv_batch = omv_batch_labels(thetas, prob_model, features)
     for i in range(4):
-        probs = [prob_model.predict_proba(theta, features[i : i + 1])[0] for theta in thetas]
+        row = features[i : i + 1]
+        probs = [prob_model.predict_proba(theta[None], row)[0, 0] for theta in thetas]
         assert opa_batch[i] == int(np.argmax(np.mean(probs, axis=0)))
         votes = [int(np.argmax(p)) for p in probs]
         assert omv_batch[i] == int(np.argmax(np.bincount(votes)))

@@ -146,7 +146,8 @@ def test_ou_markov_chaining():
 
 def test_checkpoint_times():
     times = CheckpointTimes(t1=2.0, gap=0.5, k=4)
-    assert times.times() == [2.0, 2.5, 3.0, 3.5]
+    # the checkpoint times are the running sums of the waiting times
+    assert np.cumsum(times.elapsed_segments()).tolist() == [2.0, 2.5, 3.0, 3.5]
     assert times.elapsed_segments() == [2.0, 0.5, 0.5, 0.5]
     with pytest.raises(ValueError):
         CheckpointTimes(t1=0.0, gap=1.0, k=3)

@@ -324,10 +324,10 @@ class _ProbModel2(LossModel):
     def param_dim(self) -> int:
         return 2
 
-    def predict_proba(self, theta, features):
-        """(n, 2) for a (2,) vector, (S, n, 2) for (S, 2) rows."""
-        theta = np.asarray(theta, dtype=np.float64)
-        return np.repeat(theta[..., None, :], len(features), axis=-2)
+    def predict_proba(self, rows, features):
+        """(S, n, 2) for (S, 2) rows."""
+        rows = self._check_rows(rows)
+        return np.repeat(rows[:, None, :], len(features), axis=1)
 
 
 def _oscillating_run(qs):

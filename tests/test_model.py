@@ -1,7 +1,9 @@
 """Datasets, loss gradients, prediction heads, and the diurnal sampler."""
 
+import csv
 import math
 import pickle
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -24,12 +26,11 @@ from dpckpt.model import (
     diurnal_draw,
     diurnal_prob,
     load_csv,
-    save_csv,
     _sigmoid,
     synth_classification,
 )
 from dpckpt.rng import step_generator
-from dpckpt.trainer import EtaSchedule, TrainerConfig, dp_sgd_practical_runs
+from dpckpt.trainer import EtaSchedule, TrainerConfig, dp_sgd_practical_runs, project_l2
 from per_example import clip_rows, clipped_mean, per_example_grads
 
 # ---------------------------------------------------------------------------
@@ -78,10 +79,19 @@ def test_subset_contents():
             data.subset(empty)
 
 
+def _save_csv(data: DatasetHandle, path: str) -> None:
+    """Write `f0,...,f{p-1},label` rows; floats use repr for round-trip."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(csv_header(data.p))
+        for row, label in zip(data.features, data.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
 def test_csv_round_trip_exact(tmp_path):
     data = synth_classification(25, 4, num_classes=3, seed=13)
     path = tmp_path / "data.csv"
-    save_csv(data, str(path))
+    _save_csv(data, str(path))
     back = load_csv(str(path))
     assert np.array_equal(back.features, data.features)
     assert np.array_equal(back.labels, data.labels)
@@ -96,17 +106,17 @@ def test_csv_round_trip_exact(tmp_path):
 
 def test_quadratic_loss_value():
     model = QuadraticLoss(center=np.zeros(2))
-    assert model.loss_full(np.array([3.0, 4.0]), None) == pytest.approx(12.5, abs=1e-15)
+    assert model.loss_full(np.array([[3.0, 4.0]]), None)[0] == pytest.approx(12.5, abs=1e-15)
     shifted = QuadraticLoss(center=np.array([1.0, 1.0]), curvature=2.0)
     # 2/2 * ||(3,4)-(1,1)||^2 = 13
-    assert shifted.loss_full(np.array([3.0, 4.0]), None) == pytest.approx(13.0)
+    assert shifted.loss_full(np.array([[3.0, 4.0]]), None)[0] == pytest.approx(13.0)
 
 
 def test_quadratic_grad_matches_fd(fd_grad):
     model = QuadraticLoss(center=np.array([0.5, -1.0, 2.0]), curvature=3.0)
     theta = np.array([1.0, 0.2, -0.7])
-    fd = fd_grad(lambda th: model.loss_full(th, None), theta)
-    assert np.allclose(model.grad_full(theta, None), fd, atol=1e-6)
+    fd = fd_grad(lambda th: model.loss_full(th[None], None)[0], theta)
+    assert np.allclose(model.grad_full(theta[None], None)[0], fd, atol=1e-6)
     assert model.strong_convexity == 3.0
     assert model.smoothness == 3.0
 
@@ -114,7 +124,7 @@ def test_quadratic_grad_matches_fd(fd_grad):
 def test_quadratic_has_no_prediction_head():
     model = QuadraticLoss(center=np.zeros(2))
     with pytest.raises(Exception):
-        model.predict_proba(np.zeros(2), np.zeros((1, 2)))
+        model.predict_proba(np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,17 +132,17 @@ def test_quadratic_has_no_prediction_head():
 
 
 def test_binary_loss_at_origin_is_ln2(binary_model, binary_data):
-    theta = np.zeros(binary_model.param_dim())
-    assert binary_model.loss_full(theta, binary_data) == pytest.approx(
+    theta = np.zeros((1, binary_model.param_dim()))
+    assert binary_model.loss_full(theta, binary_data)[0] == pytest.approx(
         math.log(2.0), abs=1e-12
     )
 
 
 def test_binary_grad_at_origin_closed_form(binary_model, binary_data):
-    theta = np.zeros(binary_model.param_dim())
+    theta = np.zeros((1, binary_model.param_dim()))
     signs = 2.0 * binary_data.labels - 1.0
     expected = -(signs[:, None] * binary_data.features).mean(axis=0) / 2.0
-    assert np.allclose(binary_model.grad_full(theta, binary_data), expected, atol=1e-12)
+    assert np.allclose(binary_model.grad_full(theta, binary_data)[0], expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("which", ["binary", "multi"])
@@ -142,8 +152,8 @@ def test_logistic_grad_matches_fd(which, binary_model, binary_data, multi_model,
     )
     gen = np.random.default_rng(4)
     theta = gen.normal(0.0, 0.3, model.param_dim())
-    fd = fd_grad(lambda th: model.loss_full(th, data), theta)
-    assert np.allclose(model.grad_full(theta, data), fd, atol=1e-5)
+    fd = fd_grad(lambda th: model.loss_full(th[None], data)[0], theta)
+    assert np.allclose(model.grad_full(theta[None], data)[0], fd, atol=1e-5)
 
 
 @pytest.mark.parametrize("which", ["binary", "multi"])
@@ -155,7 +165,7 @@ def test_per_example_grads_average_to_full(which, binary_model, binary_data, mul
     theta = gen.normal(0.0, 0.5, model.param_dim())
     per = per_example_grads(model, theta, data)
     assert per.shape == (data.n, model.param_dim())
-    assert np.allclose(per.mean(axis=0), model.grad_full(theta, data), atol=1e-12)
+    assert np.allclose(per.mean(axis=0), model.grad_full(theta[None], data)[0], atol=1e-12)
 
 
 def test_for_data_constants(binary_data):
@@ -217,11 +227,11 @@ def test_clipped_grad_mean_matches_the_per_example_oracle(kind, l2, clipped):
     oracle = np.stack([clip_rows(per[s], clip_norm).mean(axis=0) for s in range(S)])
     assert got.shape == rows.shape
     assert np.max(np.abs(got - oracle)) <= 1e-12
-    losses = model.batch_loss(rows, data, idx)
+    losses = model.loss_full(rows, data, idx)
     for s in range(S):
         one = model.clipped_grad_mean(rows[s : s + 1], data, idx[s : s + 1], clip_norm)
         assert np.array_equal(one[0], got[s])
-        assert losses[s] == model.loss_full(rows[s], batches[s])
+        assert losses[s] == model.loss_full(rows[s : s + 1], batches[s])[0]
 
     # a one-example batch's clipped mean is that example's clipped gradient:
     # its norm is the sensitivity the privacy ledger charges
@@ -234,30 +244,30 @@ def test_clipped_grad_mean_matches_the_per_example_oracle(kind, l2, clipped):
 
 def test_predict_proba_rows_sum_to_one(multi_model, multi_data):
     gen = np.random.default_rng(3)
-    theta = gen.normal(0.0, 0.4, multi_model.param_dim())
+    theta = gen.normal(0.0, 0.4, (1, multi_model.param_dim()))
     probs = multi_model.predict_proba(theta, multi_data.features)
-    assert probs.shape == (multi_data.n, 3)
-    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    assert probs.shape == (1, multi_data.n, 3)
+    assert np.allclose(probs.sum(axis=2), 1.0, atol=1e-12)
     assert probs.min() >= 0.0
 
 
 def test_binary_predict_saturates_at_large_margin():
     model = LogisticLoss(n_features=1)
-    probs = model.predict_proba(np.array([50.0]), np.array([[1.0]]))
-    assert probs[0, 1] == pytest.approx(1.0, abs=1e-20)
-    assert probs[0, 0] == pytest.approx(0.0, abs=1e-20)
+    probs = model.predict_proba(np.array([[50.0]]), np.array([[1.0]]))
+    assert probs[0, 0, 1] == pytest.approx(1.0, abs=1e-20)
+    assert probs[0, 0, 0] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_loss_stays_finite_at_extreme_margins(binary_data):
     model = LogisticLoss.for_data(binary_data)
-    theta = np.full(model.param_dim(), 1e3)
-    assert math.isfinite(model.loss_full(theta, binary_data))
+    theta = np.full((1, model.param_dim()), 1e3)
+    assert math.isfinite(model.loss_full(theta, binary_data)[0])
 
 
 def test_non_finite_logits_rejected():
     model = LogisticLoss(n_features=1)
     with pytest.raises(NumericOverflowError):
-        model.predict_proba(np.array([np.inf]), np.array([[1.0]]))
+        model.predict_proba(np.array([[np.inf]]), np.array([[1.0]]))
 
 
 def test_accuracy_against_hand_labels():
@@ -277,7 +287,7 @@ def test_logistic_loss_rejects_an_l2_reg_that_is_not_nonnegative_and_finite(bad)
 
 def test_wrong_theta_shape_rejected(binary_model, binary_data):
     with pytest.raises(ValueError):
-        binary_model.loss_full(np.zeros(binary_model.param_dim() + 1), binary_data)
+        binary_model.loss_full(np.zeros((1, binary_model.param_dim() + 1)), binary_data)
 
 
 def _masked_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -378,9 +388,32 @@ def test_row_batched_loss_and_grad_equal_per_row_calls(binary_data, multi_data):
         losses, grads = model.loss_full(rows, data), model.grad_full(rows, data)
         assert losses.shape == (5,) and grads.shape == rows.shape
         for row, loss, grad in zip(rows, losses, grads):
-            one = model.loss_full(row, data)
-            assert isinstance(one, float) and loss == one
-            assert np.array_equal(grad, model.grad_full(row, data))
+            one = model.loss_full(row[None], data)
+            assert one.shape == (1,) and loss == one[0]
+            assert np.array_equal(grad, model.grad_full(row[None], data)[0])
+
+
+@pytest.mark.parametrize("kind", ["binary", "softmax", "quadratic"])
+def test_every_kernel_rejects_a_vector_and_names_the_row_shape(kind):
+    """Every LossModel method and project_l2 take (S, p) rows only; accuracy
+    is the one scoring entry that still takes a (p,) vector."""
+    model, data = _kernel_case(kind, 0.05)
+    vector = np.zeros(model.param_dim())
+    idx = np.zeros((1, 4), dtype=np.int64)
+    calls = {
+        "loss_full": lambda: model.loss_full(vector, data),
+        "loss_full on a batch": lambda: model.loss_full(vector, data, idx),
+        "grad_full": lambda: model.grad_full(vector, data),
+        "loss_and_grad": lambda: model.loss_and_grad(vector, data),
+        "clipped_grad_mean": lambda: model.clipped_grad_mean(vector, data, idx, 1.0),
+        "predict_proba": lambda: model.predict_proba(vector, data.features),
+        "predict_labels": lambda: model.predict_labels(vector, data.features),
+        "project_l2": lambda: project_l2(vector, 1.0),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=re.escape("(S, p)")):
+            call()
+            pytest.fail(f"{name} accepted a (p,) vector")
 
 
 def test_row_batched_calls_check_the_width(binary_data, multi_data):
@@ -455,7 +488,7 @@ def _binary_case(case):
 )
 def test_binary_full_kernel_matches_unfolded_references(case):
     """loss_full, grad_full and loss_and_grad read the folded store, and so do
-    clipped_grad_mean and batch_loss on the batches of an index matrix; the
+    clipped_grad_mean and loss_full on the batches of an index matrix; the
     references never fold: a log-add-exp loss of the plain margins and the
     mean of the per-example oracle's (clipped) gradients, all within 1e-12."""
     model, data, rows = _binary_case(case)
@@ -469,9 +502,9 @@ def test_binary_full_kernel_matches_unfolded_references(case):
     assert np.array_equal(losses, model.loss_full(rows, data))
     assert np.array_equal(grads, model.grad_full(rows, data))
     for theta, loss, grad in zip(rows, losses, grads):
-        # a (p,) vector is the one-row case, bit for bit
-        assert model.loss_full(theta, data) == loss
-        assert np.array_equal(model.grad_full(theta, data), grad)
+        # a row of the batch equals the one-row call, bit for bit
+        assert model.loss_full(theta[None], data)[0] == loss
+        assert np.array_equal(model.grad_full(theta[None], data)[0], grad)
         ce = np.logaddexp(0.0, -signs * (data.features @ theta))
         want_loss = ce.mean() + 0.5 * model.l2_reg * (theta @ theta)
         want_grad = per_example_grads(model, theta, data).mean(axis=0)
@@ -481,7 +514,7 @@ def test_binary_full_kernel_matches_unfolded_references(case):
     gen = np.random.default_rng(13)
     idx = np.stack([gen.choice(data.n, 20, replace=False) for _ in rows])
     clipped = model.clipped_grad_mean(rows, data, idx, 1.0)
-    for theta, batch_rows, grad, loss in zip(rows, idx, clipped, model.batch_loss(rows, data, idx)):
+    for theta, batch_rows, grad, loss in zip(rows, idx, clipped, model.loss_full(rows, data, idx)):
         batch = data.subset(batch_rows)
         ce = np.logaddexp(0.0, -(2.0 * batch.labels - 1.0) * (batch.features @ theta))
         want_loss = ce.mean() + 0.5 * model.l2_reg * (theta @ theta)
@@ -561,7 +594,7 @@ def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):
         assert probs.shape == (len(rows), data.n, data.num_classes)
         assert accs.shape == (len(rows),) and len(set(accs.tolist())) > 1
         for s, row in enumerate(rows):
-            assert np.array_equal(probs[s], model.predict_proba(row, data.features))
+            assert np.array_equal(probs[s], model.predict_proba(row[None], data.features)[0])
             one = accuracy(model, row, data)
             assert type(one) is float and accs[s] == one
 
@@ -572,30 +605,30 @@ def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):
 
 @given(
     binary=st.booleans(),
-    single=st.booleans(),
+    num_rows=st.sampled_from([1, 3]),
     scale=st.sampled_from([0.1, 1.0, 10.0, 1e3]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_predict_labels_equals_the_probability_argmax(
-    binary_data, multi_data, binary, single, scale, seed
+    binary_data, multi_data, binary, num_rows, scale, seed
 ):
     data = binary_data if binary else multi_data
     model = LogisticLoss.for_data(data)
     gen = np.random.default_rng(seed)
-    theta = gen.normal(scale=scale, size=model.param_dim() if single else (3, model.param_dim()))
+    theta = gen.normal(scale=scale, size=(num_rows, model.param_dim()))
     labels = model.predict_labels(theta, data.features)
-    assert labels.shape == ((data.n,) if single else (3, data.n))
+    assert labels.shape == (num_rows, data.n)
     assert np.array_equal(labels, model.predict_proba(theta, data.features).argmax(-1))
 
 
 def test_predict_labels_exact_ties_give_class_zero(monkeypatch):
     binary = LogisticLoss(n_features=1)
     features = np.array([[1.0], [-1.0]])
-    assert binary.predict_labels(np.zeros(1), features).tolist() == [0, 0]
+    assert binary.predict_labels(np.zeros((1, 1)), features).tolist() == [[0, 0]]
     # a BLAS sum starting from +0.0 never yields -0.0, so feed both signed zeros
     monkeypatch.setattr(binary, "_logits", lambda rows, feats: np.array([[0.0, -0.0]]))
-    assert binary.predict_labels(np.zeros(1), features).tolist() == [0, 0]
-    assert binary.predict_proba(np.zeros(1), features).argmax(-1).tolist() == [0, 0]
+    assert binary.predict_labels(np.zeros((1, 1)), features).tolist() == [[0, 0]]
+    assert binary.predict_proba(np.zeros((1, 1)), features).argmax(-1).tolist() == [[0, 0]]
     multi = LogisticLoss(n_features=2, num_classes=3)
     labels = multi.predict_labels(np.zeros((2, 6)), features.repeat(2, axis=1))
     assert labels.tolist() == [[0, 0], [0, 0]]
@@ -607,9 +640,9 @@ def test_predict_labels_splits_logits_that_round_to_equal_probabilities():
     model = LogisticLoss(n_features=1, num_classes=3)
     # exp(-ulp(0.1)) rounds to 1.0, so the two top probabilities round equal
     theta, features = np.array([0.1, np.nextafter(0.1, 1.0), -5.0]), np.array([[1.0]])
-    probs = model.predict_proba(theta, features)
+    probs = model.predict_proba(theta[None], features)[0]
     assert probs[0, 0] == probs[0, 1] and probs.argmax(-1).tolist() == [0]
-    assert model.predict_labels(theta, features).tolist() == [1]
+    assert model.predict_labels(theta[None], features).tolist() == [[1]]
     assert accuracy(model, theta, DatasetHandle(features, np.array([1]), 3)) == 1.0
 
 
@@ -617,11 +650,11 @@ def test_predict_labels_rejects_non_finite_logits_and_quadratic_models(binary_da
     model = LogisticLoss(n_features=1)
     data = DatasetHandle(np.array([[1.0]]), np.array([1]), 2)
     with pytest.raises(NumericOverflowError):
-        model.predict_labels(np.array([np.inf]), data.features)
+        model.predict_labels(np.array([[np.inf]]), data.features)
     with pytest.raises(NumericOverflowError):
         accuracy(model, np.array([np.inf]), data)
     with pytest.raises(ValueError, match="no prediction head"):
-        QuadraticLoss(center=np.zeros(5)).predict_labels(np.zeros(5), binary_data.features)
+        QuadraticLoss(center=np.zeros(5)).predict_labels(np.zeros((1, 5)), binary_data.features)
 
 
 def test_label_scoring_never_builds_probabilities(monkeypatch, multi_data):

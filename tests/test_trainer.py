@@ -1,5 +1,6 @@
 """Both trainers, step schedules, projection, clipping, and run IO."""
 
+import json
 import math
 import os
 import time
@@ -101,12 +102,12 @@ def test_choose_T():
 
 
 def test_project_l2():
-    inside = np.array([0.3, 0.4])
+    inside = np.array([[0.3, 0.4]])
     assert np.array_equal(project_l2(inside, 1.0), inside)
-    out = project_l2(np.array([3.0, 4.0]), 1.0)
-    assert np.allclose(out, [0.6, 0.8])
+    out = project_l2(np.array([[3.0, 4.0]]), 1.0)
+    assert np.allclose(out, [[0.6, 0.8]])
     assert np.linalg.norm(out) == pytest.approx(1.0)
-    assert np.array_equal(project_l2(np.zeros(3), 0.5), np.zeros(3))
+    assert np.array_equal(project_l2(np.zeros((1, 3)), 0.5), np.zeros((1, 3)))
     with pytest.raises(ValueError):
         project_l2(inside, 0.0)
 
@@ -118,9 +119,9 @@ def test_project_l2_puts_a_row_whose_squared_norm_overflows_on_the_sphere():
     rows[4] = [1.7e308, -1.7e308, 1e308]  # its norm itself overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert np.array_equal(project_l2(np.array([1e200, 0.0, 0.0]), 2.0), [2.0, 0.0, 0.0])
+        assert np.array_equal(project_l2(np.array([[1e200, 0.0, 0.0]]), 2.0), [[2.0, 0.0, 0.0]])
         out = project_l2(rows, 2.0)
-        ones = [project_l2(row, 2.0) for row in rows]
+        ones = [project_l2(row[None], 2.0)[0] for row in rows]
     for i in (0, 2, 3, 5):
         # an ordinary row is the one-row call and the plain norm's projection, bit for bit
         norm = np.linalg.norm(rows[i])
@@ -322,12 +323,12 @@ def test_batched_runs_equal_separate_runs(family, rho, seeds, steps, every):
 
 
 def _scalar_reference(model, data, config, seed, rho):
-    """The one-vector trainer loop, step by step, as an independent oracle."""
+    """The one-row trainer loop, step by step, as an independent oracle."""
     noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho)
     theta = np.zeros(model.param_dim())
     params, losses = [], []
     for t in range(1, config.num_steps + 1):
-        g = model.grad_full(theta, data)
+        g = model.grad_full(theta[None], data)[0]
         if noise_std > 0:
             g = g + noise_std * gaussian_row(seed, rng.STREAM_NOISE, 0, t - 1, len(theta))
         theta = theta - config.eta.at(t) * g
@@ -335,7 +336,7 @@ def _scalar_reference(model, data, config, seed, rho):
         if norm > config.projection_radius:
             theta = theta * (config.projection_radius / norm)
         params.append(theta)
-        losses.append(model.loss_full(theta, data))
+        losses.append(model.loss_full(theta[None], data)[0])
     return np.array(params), np.array(losses)
 
 
@@ -549,7 +550,7 @@ def _practical_reference(model, data, config, seed, z, eval_data):
         g = g + std * gaussian_row(seed, rng.STREAM_NOISE, 0, t - 1, len(theta))
         theta = theta - config.eta.at(t) * g
         params.append(theta)
-        metrics.append((model.loss_full(theta, batch), accuracy(model, theta, eval_data)))
+        metrics.append((model.loss_full(theta[None], batch)[0], accuracy(model, theta, eval_data)))
     return np.array(params), np.array(metrics)
 
 
@@ -645,7 +646,7 @@ def test_practical_unrecorded_loss_leaves_the_runs_unchanged(family, diurnal, mo
     def no_loss(*args, **kwargs):
         raise AssertionError("a batch loss was computed")
 
-    monkeypatch.setattr(type(model), "batch_loss", no_loss)
+    monkeypatch.setattr(type(model), "loss_full", no_loss)
     skipped = dp_sgd_practical_runs(
         model, data, config, seeds, 1.3, eval_data=data, record_loss=False
     )
@@ -753,11 +754,11 @@ def test_rows_just_inside_the_finite_loss_radius_have_a_finite_batch_loss(
     rows = _worst_rows(model, data, radius)
     idx = np.tile(np.argsort(-data.sq_norms)[:batch], (len(rows), 1))
     with np.errstate(over="raise"):
-        loss = model.batch_loss(rows, data, idx)
+        loss = model.loss_full(rows, data, idx)
     assert np.all(np.isfinite(loss))
     # the bound is not vacuous: rows 1e4 times past it overflow
     with np.errstate(all="ignore"):
-        assert not np.all(np.isfinite(model.batch_loss(1e4 * rows, data, idx)))
+        assert not np.all(np.isfinite(model.loss_full(1e4 * rows, data, idx)))
 
 
 class _SetRadius(LogisticLoss):
@@ -827,11 +828,11 @@ def test_excess_risk_properties(practical_setup):
     model, data = practical_setup
     theta_star = minimize_loss(model, data, radius=1.0)
     min_loss = min_loss_in_ball(model, data, 1.0)
-    assert model.loss_full(theta_star, data) - min_loss == pytest.approx(0.0, abs=1e-8)
+    assert model.loss_full(theta_star[None], data)[0] - min_loss == pytest.approx(0.0, abs=1e-8)
     gen = np.random.default_rng(0)
     for _ in range(3):
-        theta = project_l2(gen.normal(size=model.param_dim()), 1.0)
-        assert model.loss_full(theta, data) - min_loss >= 0.0
+        theta = project_l2(gen.normal(size=(1, model.param_dim())), 1.0)
+        assert model.loss_full(theta, data)[0] - min_loss >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +904,18 @@ def _rewrite_metrics(edit):
     return corrupt
 
 
+def _rewrite_manifest(edit):
+    def corrupt(run_dir):
+        path = os.path.join(run_dir, "manifest.json")
+        with open(path) as fh:
+            manifest = json.load(fh)
+        edit(manifest)
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+
+    return corrupt
+
+
 def _resize_bin(delta_bytes):
     def corrupt(run_dir):
         path = os.path.join(run_dir, "checkpoints.bin")
@@ -920,8 +933,15 @@ def _resize_bin(delta_bytes):
         (_rewrite_metrics(lambda rows: ["0" + rows[0][1:]] + rows[1:]), "metrics.csv"),
         (_rewrite_metrics(lambda rows: rows[:2] + rows[3:]), "metrics.csv"),
         (_rewrite_metrics(lambda rows: rows[:2] + rows[1:]), "metrics.csv"),
+        (_rewrite_metrics(lambda rows: rows[:1] + ["2,0.5"] + rows[2:]), "metrics.csv"),
+        (_rewrite_metrics(lambda rows: rows[:1] + ["2,abc,0.5"] + rows[2:]), "metrics.csv"),
+        (_rewrite_manifest(lambda m: m.pop("dim")), "manifest.json"),
+        (_rewrite_manifest(lambda m: m["checkpoint_steps"].reverse()), "manifest.json"),
     ],
-    ids=["truncated-bin", "extended-bin", "step-0-row", "missing-row", "duplicate-row"],
+    ids=[
+        "truncated-bin", "extended-bin", "step-0-row", "missing-row", "duplicate-row",
+        "two-field-row", "text-cell", "no-dim", "reversed-steps",
+    ],
 )
 def test_load_run_rejects_corrupt_run_dirs(tmp_path, practical_setup, corrupt, name):
     model, data = practical_setup
