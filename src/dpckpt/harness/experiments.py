@@ -575,7 +575,8 @@ def run_risk_compare(cfg: dict, out_dir: str, master_seed: int):
     if cfg["data.unit_norm"]:
         # Unit-norm rows keep the per-example gradient bound at 1 + l2*radius,
         # the usual setup when a Lipschitz constant replaces gradient clipping.
-        norms = np.linalg.norm(feats, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):  # an overflowed norm is caught below
+            norms = np.linalg.norm(feats, axis=1, keepdims=True)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             # a row divided by its overflowed norm would be all zeros

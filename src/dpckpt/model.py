@@ -52,8 +52,12 @@ finite_loss_radius bounds the rows whose batch loss is certainly finite,
 so the practical trainer can check its iterates without computing a loss
 it does not record. Only the softmax head gathers a batch's labels; the
 binary head's are folded into its store.
-The diurnal sampler draws a minibatch as row indices into the training
+The diurnal sampler draws minibatches as row indices into the training
 data, as the uniform sampler does, so a batch is a gather of those rows.
+diurnal_draw maps a block of raw uint64 words (the trainer's chunk of
+steps of one seed, 2B words a step) to the block's (count, B) indices in
+one call: a 53-bit uniform from each membership word picks the row set,
+and an exact integer multiply-shift of each row word picks the row.
 """
 
 import csv
@@ -396,8 +400,9 @@ class LogisticLoss(LossModel):
         """
         if not radius > 0:
             raise ValueError("radius must be positive")
-        norms = np.linalg.norm(data.features, axis=1)
-        max_norm = float(norms.max())
+        # an overflowed norm is inf, which the bound below rejects
+        with np.errstate(over="ignore"):
+            max_norm = float(np.linalg.norm(data.features, axis=1).max())
         if not max_norm < 1e154:
             raise ValueError(f"the feature norm bound {max_norm} is not below 1e154")
         hess = 0.25 if data.num_classes == 2 else 0.5
@@ -591,8 +596,9 @@ def accuracy(model: LossModel, theta: np.ndarray, data: DatasetHandle):
 class DiurnalSchedule:
     """Two row sets of the training data mixed with a triangle-wave probability.
 
-    rows_a and rows_b index rows of the data the trainer trains on. At
-    step t an example is a row of rows_a with probability
+    rows_a and rows_b index rows of the data the trainer trains on, each
+    with fewer than 2**32 entries (the bound of diurnal_draw's exact row
+    map). At step t an example is a row of rows_a with probability
     |2 (t mod period) / period - 1|, else a row of rows_b, so the batch
     distribution sweeps a -> b -> a over each period.
     """
@@ -609,6 +615,8 @@ class DiurnalSchedule:
         for name, rows in (("rows_a", self.rows_a), ("rows_b", self.rows_b)):
             if rows.ndim != 1 or rows.size < 1:
                 raise ValueError(f"{name} must be a non-empty 1-d index vector")
+            if rows.size >= 2**32:
+                raise ValueError(f"{name} must have fewer than 2**32 rows")
 
 
 def diurnal_prob(schedule: DiurnalSchedule, t: int) -> float:
@@ -619,23 +627,37 @@ def diurnal_prob(schedule: DiurnalSchedule, t: int) -> float:
     return abs(2.0 * phase - 1.0)
 
 
-def diurnal_draw(
-    schedule: DiurnalSchedule, t: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Row indices of a batch of `count` examples for step t (independent per
-    example): `count` uniforms pick each example's row set, then one
-    integers call per set picks the rows. The draws depend only on rng's
-    state, so the practical trainer's repositioned generator gives the rows
-    a fresh step generator would, even though an odd integers count leaves
-    half of a 64-bit word buffered in it."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    p = diurnal_prob(schedule, t)
-    from_a = rng.random(count) < p
-    rows = np.empty(count, dtype=np.int64)
-    n_a = int(from_a.sum())
-    if n_a:
-        rows[from_a] = schedule.rows_a[rng.integers(0, len(schedule.rows_a), n_a)]
-    if count - n_a:
-        rows[~from_a] = schedule.rows_b[rng.integers(0, len(schedule.rows_b), count - n_a)]
-    return rows
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _scale_words(words: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """floor(w * n / 2**64) for uint64 words w and sizes n below 2**32,
+    exact in uint64: with w = hi * 2**32 + lo, it is
+    (hi * n + (lo * n >> 32)) >> 32, and no term reaches 2**64."""
+    hi, lo = words >> _SHIFT32, words & _LOW32
+    return (hi * sizes + ((lo * sizes) >> _SHIFT32)) >> _SHIFT32
+
+
+def diurnal_draw(schedule: DiurnalSchedule, first: int, raw: np.ndarray) -> np.ndarray:
+    """(count, B) row indices of the batches of phases first..first + count
+    - 1 from a (count, 2B) block of uint64 words, one row per phase.
+
+    Each example is independent: its membership word w becomes the
+    uniform (w >> 11) * 2**-53 in [0, 1), and the example comes from
+    rows_a when that is below diurnal_prob of its phase (so a phase of
+    probability 1 takes rows_a only, and one of 0 rows_b only); its row
+    word w, B words further on, picks entry floor(w * n / 2**64) of its
+    set of n rows. Row r of the result depends only on row r of raw.
+    """
+    if raw.ndim != 2 or raw.shape[0] < 1 or raw.shape[1] < 2 or raw.shape[1] % 2:
+        raise ValueError(f"need a (count, 2B) block of words, not shape {raw.shape}")
+    count, batch = raw.shape[0], raw.shape[1] // 2
+    # per-phase probabilities from diurnal_prob, which takes any int phase
+    probs = np.array([diurnal_prob(schedule, first + r) for r in range(count)])
+    from_a = (raw[:, :batch] >> np.uint64(11)) * 2.0**-53 < probs[:, None]
+    n_a, n_b = len(schedule.rows_a), len(schedule.rows_b)
+    sizes = np.where(from_a, np.uint64(n_a), np.uint64(n_b))
+    picks = _scale_words(raw[:, batch:], sizes).astype(np.int64)
+    rows = np.concatenate([schedule.rows_a, schedule.rows_b])
+    return rows[np.where(from_a, picks, picks + n_a)]

@@ -8,23 +8,26 @@ counter before producing the first block, so a generator started at
 counter c emits the blocks at c + 1, c + 2, ...; each block is four
 64-bit words.
 
-Normals come in rows. Row r of lane l holds dim normals, Box-Muller on
-the nb = ceil(dim / 2) blocks at counters [r * nb + b, 0, 0, l] for
-b = 1..nb, coordinate j taking words (2j, 2j + 1) of those blocks, so
-that consecutive rows of a lane are one contiguous walk of the counter
-and gaussian_rows draws any run of them with one native random_raw
-call. A trainer's noise is lane 0, step t being row t - 1: gaussian_steps
-feeds it, one draw per seed for a chunk of steps, each draw covering at
-most MAX_BLOCKS counter blocks (or one step's blocks, if that is more).
-The dpld trials use lane = noise event and row = trial.
+Draws come in rows of raw words. Row r of lane l holds the first `words`
+words of the nb = ceil(words / 4) blocks at counters [r * nb + b, 0, 0, l]
+for b = 1..nb, so that consecutive rows of a lane are one contiguous walk
+of the counter and raw_rows draws any run of them with one native
+random_raw call. A row of dim normals is Box-Muller on 2 * dim words,
+coordinate j taking words (2j, 2j + 1). A trainer's per-step draws are
+lane 0, step t being row t - 1: step_rows yields them, one draw per seed
+for a chunk of steps, each draw covering at most MAX_BLOCKS counter
+blocks (or one step's blocks, if that is more). The noise rows of
+gaussian_steps are dim normals of STREAM_NOISE; the practical trainer's
+diurnal batch rows are 2B raw words of STREAM_BATCH, the same size as a
+row of B normals. The dpld trials use lane = noise event and row = trial.
 
-The batch and init streams address a step through counter word 3
-instead: step_generator starts at [0, 0, 0, t], and step_generators
-gives a trainer each step's generators by resetting one generator per
-seed to that step's counter instead of building new ones.
+The init stream and the uniform minibatch sampler address a step through
+counter word 3 instead: step_generator starts at [0, 0, 0, t], and
+step_generators gives a trainer each step's generators by resetting one
+generator per seed to that step's counter instead of building new ones.
 """
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,8 +43,8 @@ _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _TWO64 = 2.0**64
 
-# Upper bound on the counter blocks of one gaussian_steps draw, over all
-# its seeds; each block is four uint64 words.
+# Upper bound on the counter blocks of one step_rows draw, over all its
+# seeds; each block is four uint64 words.
 MAX_BLOCKS = 4096
 
 
@@ -90,41 +93,58 @@ def uniform_vector(seed: int, stream: int, step: int, dim: int) -> np.ndarray:
     return (raw.astype(np.float64) + 1.0) / _TWO64
 
 
-def _row_blocks(dim: int) -> int:
-    """Counter blocks of one row of dim normals: two words per normal."""
-    return -(-2 * dim // 4)
+def _row_blocks(words: int) -> int:
+    """Counter blocks of one row of `words` words."""
+    return -(-words // 4)
+
+
+def raw_rows(
+    seed: int, stream: int, lane: int, first: int, count: int, words: int
+) -> np.ndarray:
+    """(count, words) uint64 words: rows first..first + count - 1 of lane.
+
+    Row r is the first `words` words of the blocks [r * nb + b, 0, 0, lane],
+    b = 1..nb with nb = ceil(words / 4), of key (seed, stream); the rows
+    come from one random_raw call, so any run of rows equals the same rows
+    of a longer draw bit for bit.
+    """
+    nb = _row_blocks(words)
+    raw = _philox(seed, stream, first * nb, lane).random_raw(count * 4 * nb)
+    return raw.reshape(count, 4 * nb)[:, :words]
 
 
 def gaussian_rows(
     seed: int, stream: int, lane: int, first: int, count: int, dim: int
 ) -> np.ndarray:
-    """(count, dim) standard normals: rows first..first + count - 1 of lane.
-
-    Row r is Box-Muller on the blocks [r * nb + b, 0, 0, lane], b = 1..nb,
-    of key (seed, stream); the rows come from one random_raw call, so any
-    run of rows equals the same rows of a longer draw bit for bit.
-    """
-    nb = _row_blocks(dim)
-    raw = _philox(seed, stream, first * nb, lane).random_raw(count * 4 * nb)
-    raw = raw.reshape(count, 4 * nb)[:, : 2 * dim]
+    """(count, dim) standard normals: Box-Muller on the raw_rows of 2 * dim
+    words, coordinate j on words (2j, 2j + 1) of its row."""
+    raw = raw_rows(seed, stream, lane, first, count, 2 * dim)
     u1 = (raw[:, 0::2].astype(np.float64) + 1.0) / _TWO64  # in (0, 1]
     u2 = raw[:, 1::2].astype(np.float64) / _TWO64  # in [0, 1)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def steps_per_draw(num_seeds: int, dim: int) -> int:
-    """Steps one gaussian_steps chunk may cover while its draws stay within
-    MAX_BLOCKS (always at least one step)."""
-    return max(1, MAX_BLOCKS // (num_seeds * max(1, _row_blocks(dim))))
+    """Steps one step_rows chunk of rows the size of dim normals may cover
+    while its draws stay within MAX_BLOCKS (always at least one step)."""
+    return max(1, MAX_BLOCKS // (num_seeds * max(1, _row_blocks(2 * dim))))
 
 
-def gaussian_steps(seeds: Sequence[int], stream: int, num_steps: int, dim: int):
-    """Yield the (len(seeds), dim) noise of steps 1..num_steps in order,
-    drawn steps_per_draw steps at a time; step t of a seed is row t - 1 of
-    its lane 0."""
+def step_rows(seeds: Sequence[int], num_steps: int, dim: int, draw: Callable):
+    """Yield the rows of steps 1..num_steps in order, stacked over the
+    seeds: draw(seed, first, count) gives a seed's rows first..first +
+    count - 1, each the size of dim normals, and is called once per seed
+    for every steps_per_draw steps."""
     chunk = steps_per_draw(len(seeds), dim)
     for first in range(0, num_steps, chunk):
         count = min(chunk, num_steps - first)
-        yield from np.stack(
-            [gaussian_rows(seed, stream, 0, first, count, dim) for seed in seeds], axis=1
-        )
+        yield from np.stack([draw(seed, first, count) for seed in seeds], axis=1)
+
+
+def gaussian_steps(seeds: Sequence[int], stream: int, num_steps: int, dim: int):
+    """Yield the (len(seeds), dim) noise of steps 1..num_steps in order;
+    step t of a seed is row t - 1 of its lane 0."""
+    return step_rows(
+        seeds, num_steps, dim,
+        lambda seed, first, count: gaussian_rows(seed, stream, 0, first, count, dim),
+    )

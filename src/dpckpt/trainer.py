@@ -24,28 +24,32 @@ seed. Two modes share the checkpoint/metrics plumbing:
                privacy.calibrate_practical call gives the noise std on
                the mean clipped gradient and the total rho T * rho_step.
                The S seeds train as one loop over an (S, p) iterate
-               matrix too. Each seed draws its step's minibatch, as row
-               indices into the training data, uniformly without
-               replacement or by the diurnal schedule, from one
-               generator built per seed and repositioned to each step
-               by rng.step_generators, which equals its own
-               (seed, step) generator bit for bit. The S index vectors
-               fill one preallocated (S, B) index matrix, and each step
-               passes it with the dataset to one
+               matrix too. Each seed draws its step's minibatch as row
+               indices into the training data. Uniform batches (without
+               replacement) come from one generator built per seed and
+               repositioned to each step by rng.step_generators, which
+               equals its own (seed, step) generator bit for bit.
+               Diurnal batches come a chunk of steps at a time: one
+               rng.raw_rows draw of STREAM_BATCH per seed, step t at row
+               t - 1 of lane 0, and one diurnal_draw call that maps the
+               chunk's words to its batches. Either way each step has
+               one (S, B) index matrix, passed with the dataset to one
                model.clipped_grad_mean call (the clipped per-example
                mean, without forming per-example gradients), which
                gathers the batch rows itself, and, when record_loss
                holds, one model.loss_full call on the same index
                matrix; with record_loss off the train_loss column stays
-               NaN. Either way an iterate row that is non-finite or
-               outside the ball of model.finite_loss_radius, inside
-               which every batch loss is finite, stops the run. Every
-               row equals the run trained alone bit for bit.
+               NaN. An iterate row that is non-finite or outside the
+               ball of model.finite_loss_radius, inside which every
+               batch loss is finite, stops the run. Every row equals
+               the run trained alone bit for bit.
 
 Both modes take their noise from the one path: rng.gaussian_steps,
 which draws a chunk of steps at a time, one rng.gaussian_rows call per
 seed; step t's noise is row t - 1 of the seed's lane 0 of STREAM_NOISE,
-whatever the chunking or the other seeds.
+whatever the chunking or the other seeds. The diurnal batches chunk
+through the same rng.step_rows, so step t's batch is likewise a function
+of row t - 1 of lane 0 of STREAM_BATCH alone.
 
 A run is its checkpoints: RunRecord holds the (K, p) float64 checkpoint
 matrix and its (K,) step vector, the (params, steps) pair the aggregators
@@ -303,6 +307,31 @@ def dp_sgd_theoretical_runs(
     return [RunRecord(config, s, budget, ckpts[i], steps, metrics[i]) for i, s in enumerate(seeds)]
 
 
+def _uniform_batches(seeds: list[int], num_steps: int, n: int, batch: int):
+    """Yield the (S, B) index matrix of steps 1..num_steps: each seed's
+    step-t batch is B of the n rows without replacement, from its
+    step generator repositioned by rng.step_generators. The same matrix
+    comes back every step, refilled."""
+    idx = np.empty((len(seeds), batch), dtype=np.int64)
+    for gens in rng.step_generators(seeds, rng.STREAM_BATCH, range(1, num_steps + 1)):
+        for s, gen in enumerate(gens):
+            idx[s] = gen.choice(n, size=batch, replace=False)
+        yield idx
+
+
+def _diurnal_batches(schedule: DiurnalSchedule, seeds: list[int], num_steps: int, batch: int):
+    """Yield the (S, B) index matrix of steps 1..num_steps: a seed's step-t
+    batch is diurnal_draw on row t - 1 of lane 0 of its STREAM_BATCH, 2B
+    words, at phase t - 1 (so the first batch is all rows_a), one
+    rng.raw_rows draw and one diurnal_draw call per seed per chunk."""
+    return rng.step_rows(
+        seeds, num_steps, batch,
+        lambda seed, first, count: diurnal_draw(
+            schedule, first, rng.raw_rows(seed, rng.STREAM_BATCH, 0, first, count, 2 * batch)
+        ),
+    )
+
+
 def dp_sgd_practical_runs(
     model: LossModel,
     data: DatasetHandle,
@@ -356,15 +385,11 @@ def dp_sgd_practical_runs(
     noise = None
     if mean_noise_std > 0:
         noise = rng.gaussian_steps(seeds, rng.STREAM_NOISE, T, dim)
-    idx = np.empty((len(seeds), batch), dtype=np.int64)
-    batch_gens = rng.step_generators(seeds, rng.STREAM_BATCH, range(1, T + 1))
-    for t, gens in enumerate(batch_gens, start=1):
-        for s, gen in enumerate(gens):
-            if diurnal is not None:
-                # diurnal phase starts at 0 so the first batch is all rows_a
-                idx[s] = diurnal_draw(diurnal, t - 1, batch, gen)
-            else:
-                idx[s] = gen.choice(data.n, size=batch, replace=False)
+    if diurnal is not None:
+        batches = _diurnal_batches(diurnal, seeds, T, batch)
+    else:
+        batches = _uniform_batches(seeds, T, data.n, batch)
+    for t, idx in enumerate(batches, start=1):
         g = model.clipped_grad_mean(theta, data, idx, config.clip_norm)
         if noise is not None:
             g = g + mean_noise_std * next(noise)

@@ -5,7 +5,10 @@ row's own counter, where rng.gaussian_rows draws a whole run of rows in
 one call and the trainers take their noise a chunk of steps at a time.
 minibatch_indices draws one seed's uniform batch from a freshly built
 step generator, where the practical trainer repositions one generator per
-seed. The closed forms of the Langevin lemmas (renyi_gaussians_shared_cov,
+seed. diurnal_row builds one step's diurnal batch from a fresh Philox
+placed at the step's row and maps its words with Python integers, where
+the trainer maps a chunk of steps per seed in uint64 arithmetic. The
+closed forms of the Langevin lemmas (renyi_gaussians_shared_cov,
 expectation_gap_bound, subgaussian_tail) are what the acceptance checks
 hold the Monte-Carlo samplers of monte_carlo.py to. lookup reads one row
 of a task's ResultTable by its setting.
@@ -18,6 +21,7 @@ import numpy as np
 from dpckpt import rng
 from dpckpt.dpld import _chi_cdf
 from dpckpt.harness.experiments import ResultRow, ResultTable
+from dpckpt.model import DiurnalSchedule, diurnal_prob
 
 
 def gaussian_row(seed: int, stream: int, lane: int, row: int, dim: int) -> np.ndarray:
@@ -40,6 +44,24 @@ def minibatch_indices(seed: int, step: int, n: int, batch_size: int) -> np.ndarr
         raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
     gen = rng.step_generator(seed, rng.STREAM_BATCH, step)
     return gen.choice(n, size=batch_size, replace=False)
+
+
+def diurnal_row(seed: int, schedule: DiurnalSchedule, step: int, batch: int) -> np.ndarray:
+    """The diurnal batch a seed draws at a step: the 2 * batch words after
+    counter [(step - 1) * nb, 0, 0, 0] of key (seed mod 2**64,
+    STREAM_BATCH), nb = ceil(2 * batch / 4). Example i comes from rows_a
+    when (w_i >> 11) / 2**53 is below diurnal_prob at phase step - 1, and
+    takes entry (w * n) >> 64 of its set of n rows, w = word batch + i."""
+    nb = -(-2 * batch // 4)
+    key = [np.uint64(seed & (2**64 - 1)), np.uint64(rng.STREAM_BATCH)]
+    counter = [np.uint64((step - 1) * nb), 0, 0, 0]
+    words = [int(w) for w in np.random.Philox(counter=counter, key=key).random_raw(2 * batch)]
+    p = diurnal_prob(schedule, step - 1)
+    out = []
+    for member, pick in zip(words[:batch], words[batch:]):
+        rows = schedule.rows_a if (member >> 11) / 2.0**53 < p else schedule.rows_b
+        out.append(int(rows[(pick * len(rows)) >> 64]))
+    return np.array(out, dtype=np.int64)
 
 
 def renyi_gaussians_shared_cov(

@@ -630,6 +630,17 @@ def test_practical_tasks_record_the_loss_only_for_saved_runs(
         assert losses and all(math.isfinite(v) for v in losses)
 
 
+def test_cli_pds_eval_runs_with_a_period_past_int64(tmp_path):
+    # the diurnal phase is taken in Python ints, so any accepted period works
+    lines = (
+        "task = pds_eval\ntrain.steps = 20\nnum_seeds = 2\ndata.n = 600\n"
+        "pds.period = 99999999999999999999\n"
+    )
+    out = tmp_path / "out"
+    assert cli.main(["aggregate", "--config", _write_cfg(tmp_path, lines), "--out", str(out)]) == 0
+    assert (out / "table.csv").exists()
+
+
 def test_theoretical_radius_under_the_bound_trains_to_the_boundary(tmp_path):
     lines = "train.mode = theoretical\ntrain.radius = 1e140\ntrain.steps = 20\ndata.n = 50\n"
     out = tmp_path / "out"
@@ -1009,13 +1020,17 @@ _BAD_KEY_IDS = [
     ] + _BAD_KEY_IDS,
 )
 def test_cli_unfinishable_config_exits_2_before_training(
-    tmp_path, capsys, monkeypatch, command, lines, needle
+    tmp_path, capsys, monkeypatch, recwarn, command, lines, needle
 ):
     _forbid_compute(monkeypatch)
     cfg = _write_cfg(tmp_path, lines)
     out = str(tmp_path / "out")
     assert cli.main([command, "--config", cfg, "--out", out]) == 2
-    assert needle in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle in err
+    # the config error is all the user sees: no numpy warning comes before it
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
     assert not os.path.exists(os.path.join(out, "status.json"))
 
 

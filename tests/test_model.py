@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpckpt import rng
 from dpckpt.aggregate import AggregationSpec, omv_batch_labels, select_best_k
 from dpckpt.errors import NumericOverflowError
 from dpckpt.harness.experiments import _pds_scores
@@ -26,12 +27,13 @@ from dpckpt.model import (
     diurnal_draw,
     diurnal_prob,
     load_csv,
+    _scale_words,
     _sigmoid,
     synth_classification,
 )
-from dpckpt.rng import step_generator
 from dpckpt.trainer import EtaSchedule, TrainerConfig, dp_sgd_practical_runs, project_l2
 from per_example import clip_rows, clipped_mean, per_example_grads
+from references import diurnal_row
 
 # ---------------------------------------------------------------------------
 # datasets
@@ -694,26 +696,12 @@ def _two_row_sets(n=60, p=3):
     return data, np.arange(n), np.arange(n, 2 * n)
 
 
-def _mask_and_gather(sched, data, t, count, gen):
-    """Reference batch assembly: copy each row set out as its own source,
-    then fill the batch from them through the from-a mask."""
-    source_a, source_b = data.subset(sched.rows_a), data.subset(sched.rows_b)
-    from_a = gen.random(count) < diurnal_prob(sched, t)
-    feats = np.empty((count, data.p))
-    labels = np.empty(count, dtype=np.int64)
-    n_a = int(from_a.sum())
-    if n_a:
-        idx = gen.integers(0, source_a.n, n_a)
-        feats[from_a] = source_a.features[idx]
-        labels[from_a] = source_a.labels[idx]
-    if count - n_a:
-        idx = gen.integers(0, source_b.n, count - n_a)
-        feats[~from_a] = source_b.features[idx]
-        labels[~from_a] = source_b.labels[idx]
-    return feats, labels
+def _batch_words(seed, first, count, batch):
+    """A seed's STREAM_BATCH words of rows first..first + count - 1, 2B a row."""
+    return rng.raw_rows(seed, rng.STREAM_BATCH, 0, first, count, 2 * batch)
 
 
-def test_diurnal_rows_match_mask_and_gather_assembly():
+def test_diurnal_draw_rows_match_the_per_step_reference():
     # interleaved, unequal row sets of a shuffled dataset
     data = synth_classification(150, 4, num_classes=3, seed=2)
     sched = DiurnalSchedule(
@@ -721,13 +709,31 @@ def test_diurnal_rows_match_mask_and_gather_assembly():
         rows_a=np.flatnonzero(data.labels == 1),
         rows_b=np.flatnonzero(data.labels != 1),
     )
-    for seed in range(6):
-        # t = 0, 8, 16 draw only rows_a and t = 4, 12 only rows_b
-        for t in range(17):
-            batch = data.subset(diurnal_draw(sched, t, 24, step_generator(seed, 7, t)))
-            feats, labels = _mask_and_gather(sched, data, t, 24, step_generator(seed, 7, t))
-            assert np.array_equal(batch.features, feats)
-            assert np.array_equal(batch.labels, labels)
+    # phases 0, 8, 16 draw only rows_a and 4, 12 only rows_b; an odd batch
+    # leaves half of each row's last counter block unused
+    for seed in (0, 5, -1, 2**64 - 1):
+        for first, count, batch in ((0, 17, 24), (5, 3, 7), (2**32 - 1, 2, 1)):
+            got = diurnal_draw(sched, first, _batch_words(seed, first, count, batch))
+            assert got.shape == (count, batch) and got.dtype == np.int64
+            for r, row in enumerate(got):
+                assert np.array_equal(row, diurnal_row(seed, sched, first + r + 1, batch))
+
+
+_EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+_EDGE_SIZES = [1, 2, 3, 1749, 2**32 - 1]
+
+
+def test_diurnal_row_map_is_the_exact_integer_product():
+    words = np.array(_EDGE_WORDS, dtype=np.uint64)[:, None]
+    sizes = np.array(_EDGE_SIZES, dtype=np.uint64)[None, :]
+    want = [[(w * n) >> 64 for n in _EDGE_SIZES] for w in _EDGE_WORDS]
+    assert _scale_words(words, sizes).tolist() == want
+
+
+@given(word=st.integers(0, 2**64 - 1), size=st.integers(1, 2**32 - 1))
+def test_diurnal_row_map_matches_big_integers(word, size):
+    got = _scale_words(np.array([word], dtype=np.uint64), np.array([size], dtype=np.uint64))
+    assert int(got[0]) == (word * size) >> 64 < size
 
 
 def test_diurnal_prob_triangle_wave():
@@ -745,22 +751,28 @@ def test_diurnal_prob_triangle_wave():
 def test_diurnal_draw_pure_phases():
     data, a, b = _two_row_sets()
     sched = DiurnalSchedule(period=8, rows_a=a, rows_b=b)
-    rows_a = diurnal_draw(sched, 0, 32, step_generator(0, 7, 1))
+    words = _batch_words(0, 0, 2, 32)
+    # the extreme membership words: 2**64 - 1 is the uniform 1 - 2**-53
+    words[:, :2] = [0, 2**64 - 1]
+    rows_a = diurnal_draw(sched, 0, words[:1])
     assert np.all(data.labels[rows_a] == 0)  # p=1, every row from rows_a
-    rows_b = diurnal_draw(sched, 4, 32, step_generator(0, 7, 2))
-    assert np.all(data.labels[rows_b] == 1)
-    assert rows_a.shape == (32,) and rows_a.dtype == np.int64
+    rows_b = diurnal_draw(sched, 4, words[1:])
+    assert np.all(data.labels[rows_b] == 1)  # p=0, every row from rows_b
+    assert rows_a.shape == (1, 32) and rows_a.dtype == np.int64
 
 
 def test_diurnal_draw_mixes_at_half_phase():
-    data, a, b = _two_row_sets(n=200)
-    sched = DiurnalSchedule(period=8, rows_a=a, rows_b=b)
-    counts = []
-    for rep in range(200):
-        rows = diurnal_draw(sched, 2, 16, step_generator(1, 7, rep))
-        counts.append(int((data.labels[rows] == 0).sum()))
-    # mean fraction from rows_a should be near p=0.5
-    assert abs(np.mean(counts) / 16.0 - 0.5) < 0.03
+    # 40,000 examples of one step at phase 2 of 8, where p = 1/2
+    sched = DiurnalSchedule(period=8, rows_a=[0, 1, 2], rows_b=[3, 4, 5])
+    assert diurnal_prob(sched, 2) == 0.5
+    rows = diurnal_draw(sched, 2, _batch_words(1, 2, 1, 40_000))[0]
+    counts = np.bincount(rows, minlength=6)
+    n_a = counts[:3].sum()
+    assert abs(n_a / rows.size - 0.5) < 4 * math.sqrt(0.25 / rows.size)
+    # each row of a 3-row set takes a third of that set's draws
+    for share, total in ((counts[:3], n_a), (counts[3:], rows.size - n_a)):
+        se = math.sqrt((1 / 3) * (2 / 3) / total)
+        assert np.all(np.abs(share / total - 1 / 3) < 4 * se)
 
 
 def test_diurnal_validation_errors():
@@ -770,9 +782,16 @@ def test_diurnal_validation_errors():
     for rows in (np.array([], dtype=np.int64), np.zeros((2, 2), dtype=np.int64)):
         with pytest.raises(ValueError):
             DiurnalSchedule(period=4, rows_a=a, rows_b=rows)
+    # a zero-stride vector of 2**32 rows takes no memory
+    with pytest.raises(ValueError, match="fewer than 2"):
+        DiurnalSchedule(period=4, rows_a=np.broadcast_to(np.int64(0), (2**32,)), rows_b=b)
     sched = DiurnalSchedule(period=4, rows_a=a, rows_b=b)
+    words = _batch_words(0, 0, 2, 3)
+    for bad in (words[:0], words[:, :5], words[0], words[:, :0]):
+        with pytest.raises(ValueError, match="block of words"):
+            diurnal_draw(sched, 0, bad)
     with pytest.raises(ValueError):
-        diurnal_draw(sched, 0, 0, step_generator(0, 7, 0))
+        diurnal_draw(sched, -1, words)
 
     # rows outside the training data fail before the first step
     model = LogisticLoss.for_data(data)

@@ -126,7 +126,7 @@ def test_step_generators_drop_a_buffered_uint32_at_the_next_step(steps):
     for t, gens in zip(steps, rng.step_generators(_SEEDS, rng.STREAM_BATCH, steps)):
         for seed, gen in zip(_SEEDS, gens):
             fresh = rng.step_generator(seed, rng.STREAM_BATCH, t)
-            # diurnal_draw's shape: uniforms, then an odd count of bounded ints
+            # uniforms, then an odd count of bounded ints
             assert np.array_equal(gen.random(5), fresh.random(5))
             assert np.array_equal(gen.integers(0, 17, 3), fresh.integers(0, 17, 3))
             # half of a 64-bit word is left for the next step to drop

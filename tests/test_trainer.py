@@ -18,7 +18,6 @@ from dpckpt.model import (
     LogisticLoss,
     QuadraticLoss,
     accuracy,
-    diurnal_draw,
     synth_classification,
 )
 from dpckpt.privacy import (
@@ -46,7 +45,7 @@ from dpckpt.trainer import (
 )
 from dpckpt import rng
 from per_example import clip_rows, clipped_mean
-from references import gaussian_row, minibatch_indices
+from references import diurnal_row, gaussian_row, minibatch_indices
 
 
 def _dummy_data(n: int, p: int = 1) -> DatasetHandle:
@@ -532,17 +531,17 @@ def test_practical_learns_separable_data(practical_setup):
 
 
 def _practical_reference(model, data, config, seed, z, eval_data):
-    """The practical loop with one gaussian_row draw per step, as an
-    independent oracle for the trainer's chunked noise. It takes the
-    same clipped_grad_mean kernel on each step's batch, so it matches bit
-    for bit."""
+    """The practical loop with one gaussian_row draw per step, and one
+    diurnal_row draw per step for a diurnal schedule, as an independent
+    oracle for the trainer's chunked noise and batches. It takes the same
+    clipped_grad_mean kernel on each step's batch, so it matches bit for
+    bit."""
     std = z * config.clip_norm / config.batch_size
     theta = 0.02 * rng.uniform_vector(seed, rng.STREAM_INIT, 0, model.param_dim()) - 0.01
     params, metrics = [], []
     for t in range(1, config.num_steps + 1):
         if config.diurnal is not None:
-            gen = rng.step_generator(seed, rng.STREAM_BATCH, t)
-            idx = diurnal_draw(config.diurnal, t - 1, config.batch_size, gen)
+            idx = diurnal_row(seed, config.diurnal, t, config.batch_size)
         else:
             idx = minibatch_indices(seed, t, data.n, config.batch_size)
         batch = data.subset(idx)
@@ -578,6 +577,28 @@ def test_practical_block_noise_matches_per_step_draws(diurnal):
     params, metrics = _practical_reference(model, data, config, 9, 1.3, data)
     assert np.array_equal(record.checkpoint_params(), params)
     assert np.array_equal(record.metrics, metrics)
+
+
+def test_practical_diurnal_runs_do_not_depend_on_the_chunk_size(monkeypatch):
+    model, data = _batch_setup("softmax")
+    rows = np.arange(data.n)
+    config = TrainerConfig(
+        "practical", 23, EtaSchedule("constant", 0.5), clip_norm=0.6, batch_size=8,
+        checkpoint_every=3,
+        diurnal=DiurnalSchedule(period=5, rows_a=rows[rows % 3 == 0], rows_b=rows[rows % 3 != 0]),
+    )
+    seeds = [4, -1, 2**64 - 1]
+    whole = dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=data)
+    assert rng.steps_per_draw(len(seeds), config.batch_size) >= config.num_steps
+    # 3 seeds x 4 batch blocks a step: a bound of 30 blocks allows 2 steps
+    # per draw, a bound of 1 block one step
+    for blocks, per_draw in ((30, 2), (1, 1)):
+        monkeypatch.setattr(rng, "MAX_BLOCKS", blocks)
+        assert rng.steps_per_draw(len(seeds), config.batch_size) == per_draw
+        chunked = dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=data)
+        for got, want in zip(chunked, whole, strict=True):
+            assert np.array_equal(got.params, want.params)
+            assert np.array_equal(got.metrics, want.metrics)
 
 
 def test_practical_batch_size_validation(practical_setup):
