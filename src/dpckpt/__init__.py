@@ -11,7 +11,7 @@ uncertainty routine touches data, noise, or the privacy ledger.
 
 from . import aggregate, dpld, harness, model, privacy, rng, trainer, uncertainty
 from .aggregate import AggregationSpec
-from .errors import ConfigError, NumericDivergenceError, NumericOverflowError
+from .errors import ConfigError, NumericDivergenceError
 from .model import (
     DatasetHandle,
     DiurnalSchedule,
@@ -53,7 +53,6 @@ __all__ = [
     "AggregationSpec",
     "ConfigError",
     "NumericDivergenceError",
-    "NumericOverflowError",
     "DatasetHandle",
     "DiurnalSchedule",
     "LogisticLoss",

@@ -67,10 +67,7 @@ class AggregationSpec:
             raise ValueError("beta must be in (0, 1]")
 
     def label(self) -> str:
-        params = KIND_PARAMS[self.kind]
-        if not params:
-            return self.kind
-        inner = ",".join(f"{name}={getattr(self, name)}" for name in params)
+        inner = ",".join(f"{name}={getattr(self, name)}" for name in KIND_PARAMS[self.kind])
         return f"{self.kind}({inner})"
 
 

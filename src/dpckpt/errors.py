@@ -2,7 +2,8 @@
 
 Plain ValueError is used for bad arguments; the classes here mark the
 failure modes that callers (and the CLI exit-code mapping) need to tell
-apart.
+apart. Every numeric failure, in training or in scoring, is a
+NumericDivergenceError: the task leaves a partial status and exits 3.
 """
 
 
@@ -17,7 +18,7 @@ class ConfigError(Exception):
 
 
 class NumericDivergenceError(RuntimeError):
-    """Raised when an iterate or simulated path stops being finite."""
+    """Raised when an iterate, a simulated path or a prediction's logits stop being finite."""
 
     def __init__(self, message: str, step: int | None = None):
         if step is not None:
@@ -25,6 +26,3 @@ class NumericDivergenceError(RuntimeError):
         super().__init__(message)
         self.step = step
 
-
-class NumericOverflowError(ArithmeticError):
-    """Raised when a forward computation produces non-finite values."""

@@ -20,13 +20,16 @@ from ..errors import ConfigError, NumericDivergenceError
 from .config import ConfigView, load_config
 from .experiments import normalize_task, run_experiment
 
-_SUBCOMMAND_TASKS = {
-    "train": ("train",),
-    "aggregate": ("aggregate_eval", "pds_eval"),
-    "uq": ("uq_compare",),
-    "dpld-bias": ("dpld_bias",),
-    "sweep": ("ema_sweep", "k_sweep"),
-    "report": ("risk_compare",),
+# the subcommand that runs each task
+_SUBCOMMAND = {
+    "train": "train",
+    "aggregate_eval": "aggregate",
+    "pds_eval": "aggregate",
+    "uq_compare": "uq",
+    "dpld_bias": "dpld-bias",
+    "ema_sweep": "sweep",
+    "k_sweep": "sweep",
+    "risk_compare": "report",
 }
 
 
@@ -37,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and uncertainty experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, tasks in _SUBCOMMAND_TASKS.items():
+    for name in dict.fromkeys(_SUBCOMMAND.values()):
+        tasks = [task for task, command in _SUBCOMMAND.items() if command == name]
         p = sub.add_parser(name, help=f"run a {' or '.join(tasks)} task")
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default=None, help="output directory (overrides out_dir)")
@@ -55,10 +59,10 @@ def main(argv=None) -> int:
         task = normalize_task(raw_task)
         if task is None:
             raise ConfigError(f"unknown task {raw_task!r}", key="task")
-        if task not in _SUBCOMMAND_TASKS[args.command]:
+        command = _SUBCOMMAND[task]
+        if command != args.command:
             raise ConfigError(
-                f"task {task!r} belongs to subcommand "
-                f"{_subcommand_for(task)!r}, not {args.command!r}",
+                f"task {task!r} belongs to subcommand {command!r}, not {args.command!r}",
                 key="task",
             )
         out_dir = args.out or view.get_str("out_dir", None)
@@ -78,13 +82,6 @@ def main(argv=None) -> int:
         return 4
     print(f"wrote {len(table.rows)} rows to {os.path.join(out_dir, 'table.csv')}")
     return 0
-
-
-def _subcommand_for(task: str) -> str:
-    for command, tasks in _SUBCOMMAND_TASKS.items():
-        if task in tasks:
-            return command
-    return "?"
 
 
 if __name__ == "__main__":

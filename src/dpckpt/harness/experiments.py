@@ -144,9 +144,10 @@ def aggregation_accuracy(
     record: "trainer.RunRecord",
     model,
     eval_data: DatasetHandle,
-    heldout: DatasetHandle | None = None,
+    heldout: DatasetHandle,
 ) -> float:
-    """Accuracy on eval_data after applying one aggregation to a run."""
+    """Accuracy on eval_data after applying one aggregation to a run; best_k
+    ranks the checkpoints on heldout."""
     params, steps = record.params, record.steps
     if spec.kind in ("opa", "omv"):
         if spec.k > len(params):
@@ -155,15 +156,13 @@ def aggregation_accuracy(
         labels = vote(params[len(params) - spec.k :], model, eval_data.features)
         return float(np.mean(labels == eval_data.labels))
     if spec.kind == "best_k":
-        if heldout is None:
-            raise ValueError("best_k aggregation needs a heldout partition")
         rows = aggregate.select_best_k(params, steps, model, heldout, spec.k)
         params, steps = params[rows], steps[rows]
     return accuracy(model, aggregate.combine(spec, params, steps), eval_data)
 
 
-def parse_aggregation_list(items: Sequence[str], key: str = "agg.list") -> list[AggregationSpec]:
-    """Entries like "ema:0.9", "upa_k:5", "best_k:5:0.9" -> specs.
+def parse_aggregation_list(items: Sequence[str]) -> list[AggregationSpec]:
+    """agg.list entries like "ema:0.9", "upa_k:5", "best_k:5:0.9" -> specs.
 
     The fields after the kind are its aggregate.KIND_PARAMS, in order and
     all of them: k is an int, every other parameter a float.
@@ -172,7 +171,7 @@ def parse_aggregation_list(items: Sequence[str], key: str = "agg.list") -> list[
     for item in items:
         kind, *fields = [p.strip() for p in item.split(":")]
         if kind not in aggregate.KIND_PARAMS:
-            raise ConfigError(f"unknown aggregation kind {kind!r}", key=key)
+            raise ConfigError(f"unknown aggregation kind {kind!r}", key="agg.list")
         names = aggregate.KIND_PARAMS[kind]
         try:
             if len(fields) != len(names):
@@ -180,9 +179,9 @@ def parse_aggregation_list(items: Sequence[str], key: str = "agg.list") -> list[
             values = {n: int(v) if n == "k" else float(v) for n, v in zip(names, fields)}
             specs.append(AggregationSpec(kind, **values))
         except ValueError as exc:
-            raise ConfigError(f"bad aggregation entry {item!r}: {exc}", key=key) from None
+            raise ConfigError(f"bad aggregation entry {item!r}: {exc}", key="agg.list") from None
     if not specs:
-        raise ConfigError("aggregation list is empty", key=key)
+        raise ConfigError("aggregation list is empty", key="agg.list")
     return specs
 
 
@@ -316,7 +315,8 @@ KEY_TABLES: dict[str, tuple[Key, ...]] = {
         Key("uq.k_values", "int_list", (3, 5, 10), lambda ks: bool(ks) and min(ks) >= 2,
             "must list one or more k, and k must be at least 2"),
         Key("uq.pool_runs", "int", 10, *_count(1)),
-        Key("uq.level", "float", 0.95, lambda a: 0 < a < 1, "level must be in (0, 1)"),
+        Key("uq.level", "float", 0.95, lambda a: 0 < a and 1 - (1 - a) / 2 < 1,
+            "level must be in (0, 1), and the t quantile's 1 - (1 - level)/2 below 1"),
         Key("uq.statistic", "str", "modal_class_probability",
             *_one_of(uncertainty.STATISTIC_MODES)),
         Key("uq.num_test_inputs", "int", 50, *_count(1)),
@@ -411,7 +411,7 @@ def _spec_entry(spec: AggregationSpec, acc: float, n_seeds: int) -> dict:
 
 
 def _num_checkpoints(config: "trainer.TrainerConfig") -> int:
-    return len(trainer.checkpoint_steps(config.num_steps, config.resolved_checkpoint_every()))
+    return len(trainer.checkpoint_steps(config.num_steps, config.checkpoint_every))
 
 
 def _check_k_fits(ks: Sequence[int | None], config: "trainer.TrainerConfig", key: str):

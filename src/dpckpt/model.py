@@ -36,8 +36,9 @@ bit. The sigmoid of predict_proba is branch-free: it takes its numerator
 as max(exp(-|x|), x >= 0), which equals the np.where form bit for bit.
 predict_proba and predict_labels give (S, n, c) probabilities and (S, n)
 labels; predict_labels reads the argmax straight off the logits, with no
-softmax. accuracy, the one scoring entry that also takes a (p,) vector,
-gives (S,) accuracies for rows, scored in chunks of at most ~40k logits.
+softmax; a non-finite logit in either is a NumericDivergenceError. accuracy,
+the one scoring entry that also takes a (p,) vector, gives (S,) accuracies
+for rows, scored in chunks of at most ~40k logits.
 A batch is an (S, B) index matrix, row s's batch the rows idx[s] of the
 dataset: loss_full(rows, data, idx) is each row's loss on its own batch,
 and clipped_grad_mean, the practical trainer's step, is the mean of its
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericOverflowError
+from .errors import ConfigError, NumericDivergenceError
 
 # ---------------------------------------------------------------------------
 # datasets
@@ -162,7 +163,7 @@ def csv_header(p: int) -> list[str]:
     return [f"f{j}" for j in range(p)] + ["label"]
 
 
-def load_csv(path: str, num_classes: int | None = None) -> DatasetHandle:
+def load_csv(path: str) -> DatasetHandle:
     """Read a dataset of `f0,...,f{p-1},label` rows under a csv_header line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -190,15 +191,10 @@ def load_csv(path: str, num_classes: int | None = None) -> DatasetHandle:
     bad = np.flatnonzero(~np.isfinite(feat_arr).all(axis=1))
     if bad.size:
         raise ConfigError(f"dataset file {path} row {bad[0]} has a non-finite feature")
-    if num_classes is None:
-        num_classes = max(2, int(label_arr.max()) + 1)
-    bad = np.flatnonzero((label_arr < 0) | (label_arr >= num_classes))
+    bad = np.flatnonzero(label_arr < 0)
     if bad.size:
-        raise ConfigError(
-            f"dataset file {path} row {bad[0]} has label {label_arr[bad[0]]},"
-            f" outside [0, {num_classes})"
-        )
-    return DatasetHandle(feat_arr, label_arr, num_classes)
+        raise ConfigError(f"dataset file {path} row {bad[0]} has label {label_arr[bad[0]]} below 0")
+    return DatasetHandle(feat_arr, label_arr, max(2, int(label_arr.max()) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +250,12 @@ class LossModel:
     method takes (S, p) parameter rows and gives one result per row. The
     curvature attributes drive step-size rules and noise calibration:
 
-      lipschitz        bound on a per-example gradient norm (None if unset)
-      smoothness       gradient Lipschitz constant
-      strong_convexity lower curvature bound (0 for non-convex models)
+      lipschitz   bound on a per-example gradient norm (None if unset)
+      smoothness  gradient Lipschitz constant
     """
 
     lipschitz: float | None = None
     smoothness: float = 0.0
-    strong_convexity: float = 0.0
 
     def param_dim(self) -> int:
         raise NotImplementedError
@@ -329,7 +323,6 @@ class QuadraticLoss(LossModel):
         if self.curvature <= 0:
             raise ValueError("curvature must be positive")
         self.smoothness = self.curvature
-        self.strong_convexity = self.curvature
 
     def param_dim(self) -> int:
         return self.center.shape[0]
@@ -386,7 +379,6 @@ class LogisticLoss(LossModel):
             raise ValueError("need n_features >= 1 and num_classes >= 2")
         if not 0 <= self.l2_reg < np.inf:
             raise ValueError("l2_reg must be nonnegative and finite")
-        self.strong_convexity = self.l2_reg
 
     @classmethod
     def for_data(
@@ -549,7 +541,7 @@ class LogisticLoss(LossModel):
             self._check_rows(rows), np.atleast_2d(np.asarray(features, dtype=np.float64))
         )
         if not np.all(np.isfinite(logits)):
-            raise NumericOverflowError("non-finite logits in prediction")
+            raise NumericDivergenceError("non-finite logits in prediction")
         return logits
 
     def predict_proba(self, rows, features) -> np.ndarray:

@@ -1,8 +1,9 @@
 """DP-SGD trainers emitting checkpoint streams.
 
-A TrainerConfig holds everything about a run but its seed. Each trainer
-takes one config and a list of S seeds, and returns one RunRecord per
-seed. Two modes share the checkpoint/metrics plumbing:
+A TrainerConfig holds everything about a run but its seed; an unset
+checkpoint_every becomes ceil(num_steps / 2048) when it is built. Each
+trainer takes one config and a list of S seeds, and returns one RunRecord
+per seed. Two modes share the checkpoint/metrics plumbing:
 
   theoretical  full-gradient projected DP-SGD started at the origin,
                with per-step Gaussian noise calibrated so the whole
@@ -129,7 +130,7 @@ class TrainerConfig:
     projection_radius: float = 1.0
     clip_norm: float = 1.0
     batch_size: int = 32
-    checkpoint_every: int | None = None  # None = resolve by default cadence
+    checkpoint_every: int | None = None  # None: ceil(num_steps / 2048), set at construction
     diurnal: DiurnalSchedule | None = None
 
     def __post_init__(self):
@@ -143,17 +144,10 @@ class TrainerConfig:
             raise ValueError("clip_norm must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.checkpoint_every is not None and not (
-            1 <= self.checkpoint_every <= self.num_steps
-        ):
+        if self.checkpoint_every is None:  # at most 2048 checkpoints
+            object.__setattr__(self, "checkpoint_every", math.ceil(self.num_steps / 2048))
+        elif not 1 <= self.checkpoint_every <= self.num_steps:
             raise ValueError("checkpoint_every must lie in [1, num_steps]")
-
-    def resolved_checkpoint_every(self) -> int:
-        if self.checkpoint_every is not None:
-            return self.checkpoint_every
-        if self.num_steps <= 2048:
-            return 1
-        return math.ceil(self.num_steps / 2048)
 
 
 @dataclass
@@ -279,7 +273,7 @@ def dp_sgd_theoretical_runs(
     dim = model.param_dim()
     T = config.num_steps
     noise_std = calibrate_theoretical(model.lipschitz, T, data.n, rho)
-    ckpt_steps = checkpoint_steps(T, config.resolved_checkpoint_every())
+    ckpt_steps = checkpoint_steps(T, config.checkpoint_every)
     ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
 
     theta = np.zeros((len(seeds), dim))
@@ -373,7 +367,7 @@ def dp_sgd_practical_runs(
     mean_noise_std, rho_total = calibrate_practical(
         config.clip_norm, noise_multiplier, T, config.batch_size
     )
-    ckpt_steps = checkpoint_steps(T, config.resolved_checkpoint_every())
+    ckpt_steps = checkpoint_steps(T, config.checkpoint_every)
     ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
 
     batch = config.batch_size
@@ -466,7 +460,7 @@ def save_run(record: RunRecord, run_dir: str) -> None:
             "projection_radius": cfg.projection_radius,
             "clip_norm": cfg.clip_norm,
             "batch_size": cfg.batch_size,
-            "checkpoint_every": cfg.resolved_checkpoint_every(),
+            "checkpoint_every": cfg.checkpoint_every,
             "diurnal_period": cfg.diurnal.period if cfg.diurnal else None,
         },
         "budget": {
@@ -517,7 +511,7 @@ def load_run(run_dir: str) -> RunRecord:
         dim, seed = manifest["dim"], manifest["seed"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path} is malformed: {type(exc).__name__}: {exc}") from None
-    every = config.resolved_checkpoint_every()
+    every = config.checkpoint_every
     if steps.tolist() != checkpoint_steps(config.num_steps, every):
         raise ValueError(
             f"{manifest_path} lists checkpoint steps other than every {every}th of "

@@ -224,7 +224,7 @@ def _per_trial_reference(config, times, statistic, trials, seed):
     gaussian_row draw per segment (lane i, row j), then the OU chain, then
     np.var per trial."""
     model = config.model
-    m = model.strong_convexity
+    m = model.curvature
     center = model.center
     sigma_eff = config.sigma / math.sqrt(m)
     s_values = np.empty(trials)

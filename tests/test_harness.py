@@ -450,6 +450,9 @@ def test_run_experiment_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError) as exc:
         run_experiment(view, str(tmp_path / "out"), workers=1)
     assert "train.typo" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(ConfigView({"task": "nosuch"}), str(tmp_path / "out"), workers=1)
+    assert exc.value.key == "task"
     # config errors fire before any compute, so no status.json appears
     assert not os.path.exists(os.path.join(str(tmp_path / "out"), "status.json"))
 
@@ -775,6 +778,40 @@ def test_cli_divergence_exits_3(tmp_path, capsys, monkeypatch):
     assert "numeric divergence" in capsys.readouterr().err
 
 
+def test_cli_scoring_overflow_exits_3_with_a_partial_status(tmp_path, capsys):
+    """Non-finite logits while a task scores its runs are a numeric divergence,
+    as a diverged iterate is: exit 3 and a partial status.json."""
+    n = 400
+    # split_dataset's test rows at the default split seed, read off the row tags
+    tagged = DatasetHandle(np.arange(n, dtype=np.float64)[:, None], np.arange(n) % 2, 2)
+    test_row = int(split_dataset(tagged, seed=1)["test"].features[0, 0])
+    features = synth_classification(n, 2, separation=2.0, seed=3).features
+    features[test_row] = 1e300
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("f0,f1,label\n" + "".join(
+        f"{float(a)!r},{float(b)!r},{i % 2}\n" for i, (a, b) in enumerate(features)
+    ))
+    cfg = _write_cfg(tmp_path, (
+        f"task = aggregate_eval\ntrain.eta = 1e12\ntrain.steps = 20\nnum_seeds = 2\n"
+        f"data.csv = {data_path}\n"
+    ))
+    out = str(tmp_path / "out")
+    # numpy reports the overflow of the logits product before the check does
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert cli.main(["aggregate", "--config", cfg, "--out", out]) == 3
+    assert "non-finite logits in prediction" in capsys.readouterr().err
+    with open(os.path.join(out, "status.json")) as fh:
+        assert json.load(fh) == {"status": "partial", "error": "non-finite logits in prediction"}
+
+
+def test_cli_workers_flag_below_one_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TRAIN_CFG)
+    out = str(tmp_path / "out")
+    assert cli.main(["train", "--config", cfg, "--out", out, "--workers", "0"]) == 2
+    assert "config key 'workers': workers must be at least 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_cli_out_dir_from_config(tmp_path):
     out = str(tmp_path / "from_config")
     cfg = _write_cfg(tmp_path, TRAIN_CFG + f"out_dir = {out}\n")
@@ -907,6 +944,10 @@ _BAD_KEY_CASES = [
     # radius alone breaks it, and with l2_reg > 0 so does its l2_reg * radius term
     (["train-theoretical"], "train.radius = 1e200", "is not below 1e150"),
     (["risk_compare", "uq_compare"], "train.radius = 1e100", "is not below 1e150"),
+    # in (0, 1), but the t quantile's 1 - (1 - level)/2 rounds to 1.0
+    (["uq_compare"], "uq.level = 0.9999999999999999", "uq.level"),
+    # three rows leave no training row once each held-out part takes one
+    (["aggregate_eval", "pds_eval", "ema_sweep", "k_sweep"], "data.n = 3", "dataset too small"),
 ]
 _BAD_KEY_PARAMS = [
     (_TASK_HEADS[task][0], _TASK_HEADS[task][1] + line + "\n", needle)
@@ -994,6 +1035,7 @@ _BAD_KEY_IDS = [
         ("dpld-bias", "task = dpld_bias\ndpld.dim = 99999999999999999999\n", "dpld.dim"),
         ("dpld-bias", "task = dpld_bias\ndpld.statistic = norm_excess\ndpld.dim = 10001\n",
          "config key 'dpld.dim': bad dpld setting: norm_excess takes a dimension of at most"),
+        ("aggregate", "task = nosuch\n", "config key 'task': unknown task 'nosuch'"),
     ] + _BAD_KEY_PARAMS,
     ids=[
         "risk_compare-every", "aggregate_eval-batch", "k_sweep-eta", "pds_eval-clip",
@@ -1016,7 +1058,7 @@ _BAD_KEY_IDS = [
         "train-theoretical-l2-1e300", "train-theoretical-rho-1e300", "risk_compare-rho-1e300",
         "uq_compare-eps-1e300", "train-practical-steps-1e20", "risk_compare-num_seeds-1e20",
         "uq_compare-pool-1e20", "uq_compare-inputs-1e20", "dpld_bias-dim-1e20",
-        "dpld_bias-norm_excess-dim",
+        "dpld_bias-norm_excess-dim", "unknown-task",
     ] + _BAD_KEY_IDS,
 )
 def test_cli_unfinishable_config_exits_2_before_training(
@@ -1041,17 +1083,28 @@ def test_cli_config_workers_is_checked_under_the_workers_flag(tmp_path, capsys):
     assert "'workers'" in capsys.readouterr().err
 
 
+# a data file whose second row (row 1) is the given line
+_CSV_ROWS = "f0,f1,label\n0.5,1.0,1\n{}\n2.0,-1.0,0\n"
+
+
 @pytest.mark.parametrize(
-    "bad_row, needle",
-    [("nan,0.0,0", "row 1 has a non-finite feature"), ("0.5,1.0,-1", "row 1 has label -1")],
-    ids=["nan-feature", "negative-label"],
+    "text, needle",
+    [
+        (_CSV_ROWS.format("nan,0.0,0"), "row 1 has a non-finite feature"),
+        (_CSV_ROWS.format("0.5,1.0,-1"), "row 1 has label -1"),
+        ("", "is empty"),
+        ("f0,f2,label\n0.5,1.0,1\n", "has a malformed header"),
+        (_CSV_ROWS.format("0.5,1.0"), "row 1 has 2 fields"),
+        (_CSV_ROWS.format("0.5,x,0"), "row 1 is not numeric"),
+        ("f0,f1,label\n", "has no data rows"),
+    ],
+    ids=["nan-feature", "negative-label", "empty", "bad-header", "field-count", "non-numeric",
+         "no-rows"],
 )
-def test_cli_bad_csv_row_exits_2_naming_file_and_row(
-    tmp_path, capsys, monkeypatch, bad_row, needle
-):
+def test_cli_bad_csv_row_exits_2_naming_file_and_row(tmp_path, capsys, monkeypatch, text, needle):
     monkeypatch.setattr(experiments.trainer, "dp_sgd_practical_runs", _no_training)
     data_path = tmp_path / "rows.csv"
-    data_path.write_text("f0,f1,label\n0.5,1.0,1\n" + bad_row + "\n2.0,-1.0,0\n")
+    data_path.write_text(text)
     cfg = _write_cfg(tmp_path, f"task = train\ntrain.steps = 5\ndata.csv = {data_path}\n")
     out = str(tmp_path / "out")
     assert cli.main(["train", "--config", cfg, "--out", out]) == 2
@@ -1084,7 +1137,7 @@ def test_stock_configs_pass_their_checks(tmp_path, monkeypatch, name):
     """Every shipped config passes validation and reaches its first compute call."""
     _forbid_compute(monkeypatch)
     path = os.path.join(CONFIG_DIR, name)
-    command = cli._subcommand_for(normalize_task(load_config(path)["task"]))
+    command = cli._SUBCOMMAND[normalize_task(load_config(path)["task"])]
     out = str(tmp_path / "out")
     with pytest.raises(AssertionError, match="ran before the config was rejected"):
         cli.main([command, "--config", path, "--out", out, "--workers", "1"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dpckpt import rng
 from dpckpt.aggregate import AggregationSpec, omv_batch_labels, select_best_k
-from dpckpt.errors import NumericOverflowError
+from dpckpt.errors import NumericDivergenceError
 from dpckpt.harness.experiments import _pds_scores
 from dpckpt.model import (
     ACCURACY_BLOCK,
@@ -97,7 +97,7 @@ def test_csv_round_trip_exact(tmp_path):
     back = load_csv(str(path))
     assert np.array_equal(back.features, data.features)
     assert np.array_equal(back.labels, data.labels)
-    # num_classes inferred from the labels when not given
+    # num_classes is inferred from the labels
     assert back.num_classes == 3
     assert csv_header(4) == ["f0", "f1", "f2", "f3", "label"]
 
@@ -119,7 +119,6 @@ def test_quadratic_grad_matches_fd(fd_grad):
     theta = np.array([1.0, 0.2, -0.7])
     fd = fd_grad(lambda th: model.loss_full(th[None], None)[0], theta)
     assert np.allclose(model.grad_full(theta[None], None)[0], fd, atol=1e-6)
-    assert model.strong_convexity == 3.0
     assert model.smoothness == 3.0
 
 
@@ -175,7 +174,6 @@ def test_for_data_constants(binary_data):
     max_norm = float(np.linalg.norm(binary_data.features, axis=1).max())
     assert model.lipschitz == pytest.approx(max_norm + 0.1 * 2.0)
     assert model.smoothness == pytest.approx(0.25 * max_norm**2 + 0.1)
-    assert model.strong_convexity == 0.1
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e160])
@@ -268,7 +266,7 @@ def test_loss_stays_finite_at_extreme_margins(binary_data):
 
 def test_non_finite_logits_rejected():
     model = LogisticLoss(n_features=1)
-    with pytest.raises(NumericOverflowError):
+    with pytest.raises(NumericDivergenceError):
         model.predict_proba(np.array([[np.inf]]), np.array([[1.0]]))
 
 
@@ -651,9 +649,9 @@ def test_predict_labels_splits_logits_that_round_to_equal_probabilities():
 def test_predict_labels_rejects_non_finite_logits_and_quadratic_models(binary_data):
     model = LogisticLoss(n_features=1)
     data = DatasetHandle(np.array([[1.0]]), np.array([1]), 2)
-    with pytest.raises(NumericOverflowError):
+    with pytest.raises(NumericDivergenceError):
         model.predict_labels(np.array([[np.inf]]), data.features)
-    with pytest.raises(NumericOverflowError):
+    with pytest.raises(NumericDivergenceError):
         accuracy(model, np.array([np.inf]), data)
     with pytest.raises(ValueError, match="no prediction head"):
         QuadraticLoss(center=np.zeros(5)).predict_labels(np.zeros((1, 5)), binary_data.features)

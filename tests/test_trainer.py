@@ -163,14 +163,14 @@ def test_checkpoint_steps():
 
 
 def test_resolved_checkpoint_cadence():
-    small = TrainerConfig("theoretical", 2048, EtaSchedule("constant", 0.1))
-    assert small.resolved_checkpoint_every() == 1
-    big = TrainerConfig("theoretical", 5000, EtaSchedule("constant", 0.1))
-    assert big.resolved_checkpoint_every() == 3  # ceil(5000/2048)
-    explicit = TrainerConfig(
-        "theoretical", 5000, EtaSchedule("constant", 0.1), checkpoint_every=100
-    )
-    assert explicit.resolved_checkpoint_every() == 100
+    eta = EtaSchedule("constant", 0.1)
+    for steps, every in ((1, 1), (2048, 1), (2049, 2), (5000, 3), (2**31 - 1, 2**20)):
+        # ceil(steps / 2048): every step up to 2048 steps, at most 2048 checkpoints
+        config = TrainerConfig("theoretical", steps, eta)
+        assert config.checkpoint_every == every
+        assert len(checkpoint_steps(steps, every)) <= 2048
+    explicit = TrainerConfig("theoretical", 5000, eta, checkpoint_every=100)
+    assert explicit.checkpoint_every == 100
 
 
 def test_trainer_config_validation():
@@ -925,6 +925,14 @@ def _rewrite_metrics(edit):
     return corrupt
 
 
+def _rename_metrics_column(run_dir):
+    path = os.path.join(run_dir, "metrics.csv")
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text.replace("eval_acc", "test_acc", 1))
+
+
 def _rewrite_manifest(edit):
     def corrupt(run_dir):
         path = os.path.join(run_dir, "manifest.json")
@@ -956,12 +964,15 @@ def _resize_bin(delta_bytes):
         (_rewrite_metrics(lambda rows: rows[:2] + rows[1:]), "metrics.csv"),
         (_rewrite_metrics(lambda rows: rows[:1] + ["2,0.5"] + rows[2:]), "metrics.csv"),
         (_rewrite_metrics(lambda rows: rows[:1] + ["2,abc,0.5"] + rows[2:]), "metrics.csv"),
+        (_rename_metrics_column, "metrics.csv"),
+        (_rewrite_metrics(lambda rows: rows[:-1]), "metrics.csv"),
         (_rewrite_manifest(lambda m: m.pop("dim")), "manifest.json"),
         (_rewrite_manifest(lambda m: m["checkpoint_steps"].reverse()), "manifest.json"),
     ],
     ids=[
         "truncated-bin", "extended-bin", "step-0-row", "missing-row", "duplicate-row",
-        "two-field-row", "text-cell", "no-dim", "reversed-steps",
+        "two-field-row", "text-cell", "changed-header", "last-row-dropped", "no-dim",
+        "reversed-steps",
     ],
 )
 def test_load_run_rejects_corrupt_run_dirs(tmp_path, practical_setup, corrupt, name):
