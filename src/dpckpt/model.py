@@ -38,7 +38,16 @@ predict_proba and predict_labels give (S, n, c) probabilities and (S, n)
 labels; predict_labels reads the argmax straight off the logits, with no
 softmax; a non-finite logit in either is a NumericDivergenceError. accuracy,
 the one scoring entry that also takes a (p,) vector, gives (S,) accuracies
-for rows, scored in chunks of at most ~40k logits.
+for rows, scored in chunks of at most ~40k logits: it counts hits(rows,
+data), the (S, n) bool predict_labels == labels. The softmax head's hits
+read class-major (S, c, n) logits, matmul(weights, features.T), still one
+stacked BLAS call per row (at the stock shapes bit-equal to the row-major
+block, which a test pins), so the max over classes runs along n instead
+of over a 10-wide last axis. A row is a hit when its classes at the top
+logit weigh 1 in DatasetHandle.label_weights ((c, n) int8: 1 at the label,
+2 at each lower class, 0 above), which is exactly when the label is the
+lowest top class, the one argmax picks; ties are counted as argmax counts
+them, and a non-finite logit still raises.
 A batch is an (S, B) index matrix, row s's batch the rows idx[s] of the
 dataset: loss_full(rows, data, idx) is each row's loss on its own batch,
 and clipped_grad_mean, the practical trainer's step, is the mean of its
@@ -48,7 +57,11 @@ l2 * theta, with R_i the residual in the logits (softmax probabilities
 minus one-hot, or -sigmoid(-z) for a signed row), so its squared norm is
 |R_i|^2 |x_i|^2 + 2 l2 <R_i, logits_i> + l2^2 |theta|^2, read off one
 logits pass, and the clipped mean is one matmul of the factor-scaled
-residuals with the batch (ghost clipping: Li et al., arXiv 2110.05679).
+residuals with the batch, plus l2 theta times the mean clip factor
+(ghost clipping: Li et al., arXiv 2110.05679). At l2_reg = 0 those two l2
+terms of the norm, that l2 part of the mean and the loss's (l2/2)|theta|^2
+are exact zeros, and the kernels skip them: none of the sums they would
+join is -0.0, so adding them changes no bit.
 finite_loss_radius bounds the rows whose batch loss is certainly finite,
 so the practical trainer can check its iterates without computing a loss
 it does not record. Only the softmax head gathers a batch's labels; the
@@ -77,7 +90,8 @@ from .errors import ConfigError, NumericDivergenceError
 @dataclass(eq=False)
 class DatasetHandle:
     """A fixed design matrix with integer class labels, and the arrays derived
-    from them (the sign-folded matrix, the squared row norms) built on first use.
+    from them (the sign-folded matrix, the squared row norms, the labels' tie
+    weights) built on first use.
     The loss models read labelled data only through a handle."""
 
     features: np.ndarray  # (n, p) float64
@@ -112,12 +126,21 @@ class DatasetHandle:
         """(n,) squared norm of each feature row, built on first use."""
         return np.einsum("ij,ij->i", self.features, self.features)
 
+    @functools.cached_property
+    def label_weights(self) -> np.ndarray:
+        """(c, n) int8 tie weights of the labels, built on first use: 1 at each
+        row's label, 2 at the classes below it and 0 above. A row's classes at
+        the top logit weigh 1 in total exactly when its label is the lowest
+        of them, which is the class argmax picks."""
+        classes = np.arange(self.num_classes)[:, None]
+        return (2 * (classes < self.labels) + (classes == self.labels)).astype(np.int8)
+
     def __getstate__(self):
         # a copy (as a worker process gets) rebuilds the derived arrays on
         # first use: numpy unpickles arrays writeable
         state = self.__dict__.copy()
-        state.pop("signed_features", None)
-        state.pop("sq_norms", None)
+        for derived in ("signed_features", "sq_norms", "label_weights"):
+            state.pop(derived, None)
         return state
 
     @property
@@ -164,7 +187,9 @@ def csv_header(p: int) -> list[str]:
 
 
 def load_csv(path: str) -> DatasetHandle:
-    """Read a dataset of `f0,...,f{p-1},label` rows under a csv_header line."""
+    """Read a dataset of `f0,...,f{p-1},label` rows under a csv_header line.
+    The classes are 0 up to the largest label (at least two), and every one
+    of them must have a row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -187,14 +212,20 @@ def load_csv(path: str) -> DatasetHandle:
     if not feats:
         raise ConfigError(f"dataset file {path} has no data rows")
     feat_arr = np.array(feats)
-    label_arr = np.array(labels, dtype=np.int64)
     bad = np.flatnonzero(~np.isfinite(feat_arr).all(axis=1))
     if bad.size:
         raise ConfigError(f"dataset file {path} row {bad[0]} has a non-finite feature")
-    bad = np.flatnonzero(label_arr < 0)
-    if bad.size:
-        raise ConfigError(f"dataset file {path} row {bad[0]} has label {label_arr[bad[0]]} below 0")
-    return DatasetHandle(feat_arr, label_arr, max(2, int(label_arr.max()) + 1))
+    for i, label in enumerate(labels):
+        if label < 0:
+            raise ConfigError(f"dataset file {path} row {i} has label {label} below 0")
+    # a stray large label would otherwise widen the model by its empty classes
+    classes = sorted(set(labels))
+    for k, label in enumerate(classes):
+        if label != k:
+            raise ConfigError(
+                f"dataset file {path} has no row of class {k} below its largest label {classes[-1]}"
+            )
+    return DatasetHandle(feat_arr, np.array(labels, dtype=np.int64), max(2, len(classes)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +265,13 @@ def _label_index(logits: np.ndarray, labels: np.ndarray) -> tuple:
     return np.arange(len(logits))[:, None], np.arange(labels.shape[-1]), labels
 
 
+def _finite(logits: np.ndarray) -> np.ndarray:
+    """The logits, if every one is finite; else a NumericDivergenceError."""
+    if not np.all(np.isfinite(logits)):
+        raise NumericDivergenceError("non-finite logits in prediction")
+    return logits
+
+
 def clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
     """min(1, clip_norm / norm) from squared norms, which are clamped at 0
     against rounding; a norm at or under clip_norm gives exactly 1.0."""
@@ -246,9 +284,12 @@ class LossModel:
 
     Subclasses define param_dim, loss_full, grad_full, loss_and_grad,
     clipped_grad_mean and (for classifiers) predict_proba, and may override
-    predict_labels with a cheaper argmax than the probability one. Each
-    method takes (S, p) parameter rows and gives one result per row. The
-    curvature attributes drive step-size rules and noise calibration:
+    predict_labels with a cheaper argmax than the probability one, and
+    hits, the (S, n) bool predict_labels == labels that accuracy counts,
+    with a cheaper test (the softmax head reads class-major logits and the
+    handle's tie weights). Each method takes (S, p) parameter rows and
+    gives one result per row. The curvature attributes drive step-size
+    rules and noise calibration:
 
       lipschitz   bound on a per-example gradient norm (None if unset)
       smoothness  gradient Lipschitz constant
@@ -293,6 +334,10 @@ class LossModel:
     def predict_labels(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
         """(S, n) argmax classes of each row on the (n, d) features."""
         return self.predict_proba(rows, features).argmax(axis=-1)
+
+    def hits(self, rows: np.ndarray, data: DatasetHandle) -> np.ndarray:
+        """(S, n) bool: whether each row's predict_labels class is the label."""
+        return self.predict_labels(rows, data.features) == data.labels
 
     def _check_rows(self, rows: np.ndarray) -> np.ndarray:
         """The (S, p) parameter rows as float64; any other shape is a ValueError."""
@@ -464,7 +509,10 @@ class LogisticLoss(LossModel):
             lse = (zmax + np.log(total))[:, :, 0]
             ce = lse - logits[_label_index(logits, labels)]
         # np.mean's own arithmetic (sum, then divide by n) minus its wrapper cost
-        return ce.sum(axis=1) / logits.shape[1] + 0.5 * self.l2_reg * row_sq_norms(rows)
+        loss = ce.sum(axis=1) / logits.shape[1]
+        if self.l2_reg > 0:
+            loss = loss + 0.5 * self.l2_reg * row_sq_norms(rows)
+        return loss
 
     def _grad_from(self, rows, terms, data) -> np.ndarray:
         resid = self._residual(terms, self._labels(data))
@@ -499,16 +547,20 @@ class LogisticLoss(LossModel):
             # one logit per example: (S, B) -> (S, B, 1), as the softmax head's
             logits, resid = logits[:, :, None], resid[:, :, None]
         lam = self.l2_reg
-        sq_norms = (
-            (resid * resid).sum(axis=-1) * data.sq_norms[idx]
-            + 2.0 * lam * (resid * logits).sum(axis=-1)
-            + lam * lam * row_sq_norms(rows)[:, None]
-        )
+        sq_norms = (resid * resid).sum(axis=-1) * data.sq_norms[idx]
+        if lam > 0:
+            sq_norms = (
+                sq_norms
+                + 2.0 * lam * (resid * logits).sum(axis=-1)
+                + lam * lam * row_sq_norms(rows)[:, None]
+            )
         factors = clip_factors(sq_norms, clip_norm)  # (S, B)
         batch = idx.shape[-1]
         coeff = (factors[:, :, None] * resid).transpose(0, 2, 1)
         grad = (np.matmul(coeff, design) / batch).reshape(len(rows), -1)
-        return grad + lam * rows * (factors.sum(axis=1) / batch)[:, None]
+        if lam > 0:
+            grad = grad + lam * rows * (factors.sum(axis=1) / batch)[:, None]
+        return grad
 
     def finite_loss_radius(self, data, batch_size):
         """R = min(sqrt(1e307), (1e307 / B - ln c) / (2 M), sqrt(2e307 / l2_reg)),
@@ -537,12 +589,8 @@ class LogisticLoss(LossModel):
 
     def _checked_logits(self, rows, features):
         """Finite logits of the rows on the features; what both prediction heads read."""
-        logits = self._logits(
-            self._check_rows(rows), np.atleast_2d(np.asarray(features, dtype=np.float64))
-        )
-        if not np.all(np.isfinite(logits)):
-            raise NumericDivergenceError("non-finite logits in prediction")
-        return logits
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        return _finite(self._logits(self._check_rows(rows), features))
 
     def predict_proba(self, rows, features) -> np.ndarray:
         logits = self._checked_logits(rows, features)
@@ -560,23 +608,37 @@ class LogisticLoss(LossModel):
         logits = self._checked_logits(rows, features)
         return (logits > 0).astype(np.int64) if self.binary else logits.argmax(axis=-1)
 
+    def hits(self, rows, data) -> np.ndarray:
+        """The binary head's hits are its predict_labels that match. The
+        softmax head scores (S, c, n) class-major logits, one stacked BLAS
+        call per row as _logits makes, whose class maxima run along n: an
+        example's classes at the top logit weigh 1 in data.label_weights
+        exactly when its label is the lowest of them, the class
+        predict_labels gives."""
+        if self.binary:
+            return super().hits(rows, data)
+        weights = self._check_rows(rows).reshape(len(rows), self.num_classes, self.n_features)
+        logits = _finite(np.matmul(weights, data.features.T))
+        top = logits.max(axis=1, keepdims=True)
+        return ((logits == top) * data.label_weights).sum(axis=1) == 1
+
 
 # elements of one (rows, n, c) logits block that accuracy scores at once
 ACCURACY_BLOCK = 40_000
 
 
 def accuracy(model: LossModel, theta: np.ndarray, data: DatasetHandle):
-    """Fraction of examples whose predict_labels class matches the label: a
-    float for a (p,) vector, an (S,) array for (S, p) rows. Rows are scored a
-    chunk at a time, as many as fit ACCURACY_BLOCK (row, example, class) logits."""
+    """Fraction of examples whose predict_labels class matches the label (the
+    model's hits): a float for a (p,) vector, an (S,) array for (S, p) rows.
+    Rows are scored a chunk at a time, as many as fit ACCURACY_BLOCK (row,
+    example, class) logits."""
     theta = np.asarray(theta, dtype=np.float64)
     rows = np.atleast_2d(theta)
     chunk = max(1, ACCURACY_BLOCK // (data.n * data.num_classes))
     acc = np.empty(len(rows))
     for lo in range(0, len(rows), chunk):
-        labels = model.predict_labels(rows[lo : lo + chunk], data.features)
         # a count over n is np.mean's own arithmetic on the boolean hits
-        acc[lo : lo + chunk] = (labels == data.labels).sum(axis=1) / data.n
+        acc[lo : lo + chunk] = model.hits(rows[lo : lo + chunk], data).sum(axis=1) / data.n
     return float(acc[0]) if theta.ndim == 1 else acc
 
 

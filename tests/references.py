@@ -7,11 +7,14 @@ minibatch_indices draws one seed's uniform batch from a freshly built
 step generator, where the practical trainer repositions one generator per
 seed. diurnal_row builds one step's diurnal batch from a fresh Philox
 placed at the step's row and maps its words with Python integers, where
-the trainer maps a chunk of steps per seed in uint64 arithmetic. The
-closed forms of the Langevin lemmas (renyi_gaussians_shared_cov,
-expectation_gap_bound, subgaussian_tail) are what the acceptance checks
-hold the Monte-Carlo samplers of monte_carlo.py to. lookup reads one row
-of a task's ResultTable by its setting.
+the trainer maps a chunk of steps per seed in uint64 arithmetic.
+clipped_grad_mean_l2 and batch_loss_l2 are the practical kernels with
+every l2 term computed, whatever l2_reg is, where the loss models skip
+the terms that are exact zeros at l2_reg = 0. The closed forms of the
+Langevin lemmas (renyi_gaussians_shared_cov, expectation_gap_bound,
+subgaussian_tail) are what the acceptance checks hold the Monte-Carlo
+samplers of monte_carlo.py to. lookup reads one row of a task's
+ResultTable by its setting.
 """
 
 import math
@@ -21,7 +24,15 @@ import numpy as np
 from dpckpt import rng
 from dpckpt.dpld import _chi_cdf
 from dpckpt.harness.experiments import ResultRow, ResultTable
-from dpckpt.model import DiurnalSchedule, diurnal_prob
+from dpckpt.model import (
+    DiurnalSchedule,
+    QuadraticLoss,
+    _binary_ce,
+    _label_index,
+    clip_factors,
+    diurnal_prob,
+    row_sq_norms,
+)
 
 
 def gaussian_row(seed: int, stream: int, lane: int, row: int, dim: int) -> np.ndarray:
@@ -62,6 +73,48 @@ def diurnal_row(seed: int, schedule: DiurnalSchedule, step: int, batch: int) -> 
         rows = schedule.rows_a if (member >> 11) / 2.0**53 < p else schedule.rows_b
         out.append(int(rows[(pick * len(rows)) >> 64]))
     return np.array(out, dtype=np.int64)
+
+
+def clipped_grad_mean_l2(model, rows, data, idx, clip_norm) -> np.ndarray:
+    """model.clipped_grad_mean with each per-example squared norm taken as
+    |R_i|^2 |x_i|^2 + 2 l2 <R_i, logits_i> + l2^2 |theta|^2 and the clipped
+    mean's l2 part, l2 theta times the mean clip factor, always added. A
+    quadratic model's examples share one gradient, which is clipped."""
+    if isinstance(model, QuadraticLoss):
+        grad = model.curvature * (rows - model.center)
+        return grad * clip_factors(row_sq_norms(grad), clip_norm)[:, None]
+    design = model._design(data, idx)
+    logits = model._logits(rows, design)
+    resid = model._residual(model._terms(logits), model._labels(data, idx))
+    if model.binary:
+        logits, resid = logits[:, :, None], resid[:, :, None]
+    lam = model.l2_reg
+    sq_norms = (
+        (resid * resid).sum(axis=-1) * data.sq_norms[idx]
+        + 2.0 * lam * (resid * logits).sum(axis=-1)
+        + lam * lam * row_sq_norms(rows)[:, None]
+    )
+    factors = clip_factors(sq_norms, clip_norm)
+    batch = idx.shape[-1]
+    coeff = (factors[:, :, None] * resid).transpose(0, 2, 1)
+    grad = (np.matmul(coeff, design) / batch).reshape(len(rows), -1)
+    return grad + lam * rows * (factors.sum(axis=1) / batch)[:, None]
+
+
+def batch_loss_l2(model, rows, data, idx) -> np.ndarray:
+    """model.loss_full on the (S, B) index matrix idx with the l2 term
+    (l2 / 2) |theta|^2 always added to the mean cross-entropy."""
+    if isinstance(model, QuadraticLoss):
+        return 0.5 * model.curvature * row_sq_norms(rows - model.center)
+    logits = model._logits(rows, model._design(data, idx))
+    terms = model._terms(logits)
+    if model.binary:
+        ce = _binary_ce(terms)
+    else:
+        zmax, _, total = terms
+        labels = model._labels(data, idx)
+        ce = (zmax + np.log(total))[:, :, 0] - logits[_label_index(logits, labels)]
+    return ce.sum(axis=1) / logits.shape[1] + 0.5 * model.l2_reg * row_sq_norms(rows)
 
 
 def renyi_gaussians_shared_cov(

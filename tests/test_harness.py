@@ -1097,9 +1097,12 @@ _CSV_ROWS = "f0,f1,label\n0.5,1.0,1\n{}\n2.0,-1.0,0\n"
         (_CSV_ROWS.format("0.5,1.0"), "row 1 has 2 fields"),
         (_CSV_ROWS.format("0.5,x,0"), "row 1 is not numeric"),
         ("f0,f1,label\n", "has no data rows"),
+        # one stray label would make a binary file train a 1001-class model
+        (_CSV_ROWS.format("0.5,1.0,1000"), "has no row of class 2 below its largest label 1000"),
+        (_CSV_ROWS.format("0.5,1.0,99999999999999999999"), "has no row of class 2"),
     ],
     ids=["nan-feature", "negative-label", "empty", "bad-header", "field-count", "non-numeric",
-         "no-rows"],
+         "no-rows", "stray-label", "label-past-int64"],
 )
 def test_cli_bad_csv_row_exits_2_naming_file_and_row(tmp_path, capsys, monkeypatch, text, needle):
     monkeypatch.setattr(experiments.trainer, "dp_sgd_practical_runs", _no_training)

@@ -33,7 +33,7 @@ from dpckpt.model import (
 )
 from dpckpt.trainer import EtaSchedule, TrainerConfig, dp_sgd_practical_runs, project_l2
 from per_example import clip_rows, clipped_mean, per_example_grads
-from references import diurnal_row
+from references import batch_loss_l2, clipped_grad_mean_l2, diurnal_row
 
 # ---------------------------------------------------------------------------
 # datasets
@@ -100,6 +100,15 @@ def test_csv_round_trip_exact(tmp_path):
     # num_classes is inferred from the labels
     assert back.num_classes == 3
     assert csv_header(4) == ["f0", "f1", "f2", "f3", "label"]
+
+
+@pytest.mark.parametrize("labels, classes", [([3, 0, 2, 1, 0], 4), ([0, 0, 0], 2)])
+def test_a_file_using_every_class_up_to_its_largest_label_loads(tmp_path, labels, classes):
+    path = tmp_path / "data.csv"
+    path.write_text("f0,label\n" + "".join(f"{i}.5,{y}\n" for i, y in enumerate(labels)))
+    data = load_csv(str(path))
+    assert data.labels.tolist() == labels and data.num_classes == classes
+    assert data.features[:, 0].tolist() == [i + 0.5 for i in range(len(labels))]
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +249,27 @@ def test_clipped_grad_mean_matches_the_per_example_oracle(kind, l2, clipped):
     )
     assert np.linalg.norm(each, axis=1).max() <= clip_norm * (1 + 1e-12)
     assert np.max(np.abs(each - clip_rows(np.concatenate(per), clip_norm))) <= 1e-12
+
+
+def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bytes, so also equal signs of zero, which np.array_equal ignores."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["binary", "softmax", "quadratic"])
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+def test_practical_kernels_equal_the_full_l2_formulas(kind, l2):
+    """The kernels skip their l2 terms at l2_reg = 0, where each is an exact
+    zero, and compute them in the same order otherwise."""
+    model, data = _kernel_case(kind, l2)
+    gen = np.random.default_rng(14)
+    S, B = 4, 16
+    rows = gen.normal(0.0, 0.8, (S, model.param_dim()))
+    idx = np.stack([gen.choice(data.n, B, replace=False) for _ in range(S)])
+    for clip_norm in (1e-3, 0.5, 1e3):  # every, some and no example clipped
+        got = model.clipped_grad_mean(rows, data, idx, clip_norm)
+        assert _bit_equal(got, clipped_grad_mean_l2(model, rows, data, idx, clip_norm))
+    assert _bit_equal(model.loss_full(rows, data, idx), batch_loss_l2(model, rows, data, idx))
 
 
 def test_predict_proba_rows_sum_to_one(multi_model, multi_data):
@@ -571,7 +601,7 @@ def test_a_subset_folds_its_own_labels(binary_data):
     assert np.array_equal(model.grad_full(rows, sub), model.grad_full(rows, _fresh(sub)))
 
 
-def test_a_pickled_handle_rebuilds_its_store_with_equal_gradients(binary_data):
+def test_a_pickled_handle_rebuilds_its_store_with_equal_gradients(binary_data, multi_data):
     data = _fresh(binary_data)
     data.signed_features, data.sq_norms
     copy = pickle.loads(pickle.dumps(data))
@@ -583,6 +613,15 @@ def test_a_pickled_handle_rebuilds_its_store_with_equal_gradients(binary_data):
     rows = np.random.default_rng(3).normal(size=(3, data.p))
     for got, want in zip(model.loss_and_grad(rows, copy), model.loss_and_grad(rows, data)):
         assert np.array_equal(got, want)
+    # the softmax head's tie weights are rebuilt too, so a worker scores alike
+    multi = _fresh(multi_data)
+    model = LogisticLoss.for_data(multi)
+    rows = np.random.default_rng(4).normal(size=(5, model.param_dim()))
+    accs = accuracy(model, rows, multi)
+    copy = pickle.loads(pickle.dumps(multi))
+    assert "label_weights" in vars(multi) and "label_weights" not in vars(copy)
+    assert np.array_equal(accuracy(model, rows, copy), accs)
+    assert _bit_equal(copy.label_weights, multi.label_weights)
 
 
 def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):
@@ -591,12 +630,19 @@ def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):
         chunk = max(1, ACCURACY_BLOCK // (data.n * data.num_classes))
         rows = gen.normal(scale=2.0, size=(2 * chunk + 1, model.param_dim()))
         probs, accs = model.predict_proba(rows, data.features), accuracy(model, rows, data)
+        hits = model.hits(rows, data)
         assert probs.shape == (len(rows), data.n, data.num_classes)
         assert accs.shape == (len(rows),) and len(set(accs.tolist())) > 1
+        assert hits.shape == (len(rows), data.n) and hits.dtype == bool
+        # accuracy scores a chunk at a time: rows on either side of its
+        # boundaries score as they do alone
         for s, row in enumerate(rows):
             assert np.array_equal(probs[s], model.predict_proba(row[None], data.features)[0])
+            assert np.array_equal(hits[s], model.hits(row[None], data)[0])
             one = accuracy(model, row, data)
             assert type(one) is float and accs[s] == one
+        assert np.array_equal(accs, hits.sum(axis=1) / data.n)
+        assert np.array_equal(hits, model.predict_labels(rows, data.features) == data.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +699,62 @@ def test_predict_labels_rejects_non_finite_logits_and_quadratic_models(binary_da
         model.predict_labels(np.array([[np.inf]]), data.features)
     with pytest.raises(NumericDivergenceError):
         accuracy(model, np.array([np.inf]), data)
+    softmax, three = LogisticLoss(n_features=1, num_classes=3), DatasetHandle([[1.0]], [2], 3)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NumericDivergenceError, match="non-finite logits"):
+            accuracy(softmax, np.array([[0.5, bad, -1.0]]), three)
     with pytest.raises(ValueError, match="no prediction head"):
         QuadraticLoss(center=np.zeros(5)).predict_labels(np.zeros((1, 5)), binary_data.features)
+
+
+@given(
+    num_classes=st.sampled_from([2, 3, 10]),
+    num_rows=st.integers(1, 4),
+    integral=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hits_are_the_predicted_labels_that_match(num_classes, num_rows, integral, seed):
+    gen = np.random.default_rng(seed)
+    n, d = 60, 3
+    model = LogisticLoss(n_features=d, num_classes=num_classes)
+    if integral:
+        # small integer features and weights give exact logit ties, a label
+        # tied with a lower class among them
+        features = gen.integers(-2, 3, (n, d)).astype(np.float64)
+        rows = gen.integers(-1, 2, (num_rows, model.param_dim())).astype(np.float64)
+    else:
+        features = gen.normal(size=(n, d))
+        rows = gen.normal(scale=2.0, size=(num_rows, model.param_dim()))
+    data = DatasetHandle(features, gen.integers(0, num_classes, n), num_classes)
+    want = model.predict_labels(rows, features) == data.labels
+    assert np.array_equal(model.hits(rows, data), want)
+
+
+def test_hits_give_a_logit_tie_to_its_lowest_class():
+    model = LogisticLoss(n_features=1, num_classes=4)
+    rows = np.array([[1.0, 2.0, 2.0, 2.0], [2.0, 1.0, 2.0, 1.0]])
+    data = DatasetHandle(np.ones((4, 1)), np.arange(4), 4)
+    # row 0 ties classes 1, 2, 3 at the top; row 1 ties classes 0 and 2
+    assert model.hits(rows, data).tolist() == [
+        [False, True, False, False],
+        [True, False, False, False],
+    ]
+    assert model.predict_labels(rows, data.features).tolist() == [[1] * 4, [0] * 4]
+
+
+@pytest.mark.parametrize("num_rows", [1, 2, 80])
+def test_class_major_logits_equal_the_row_major_block(num_rows):
+    """The softmax head's hits read (S, c, n) logits, matmul(weights,
+    features.T), and its predict_labels the (S, n, c) block of _logits. At
+    the stock shapes the two layouts must round alike, or the scores could
+    part on a near tie."""
+    data = synth_classification(500, 20, num_classes=10, seed=4)
+    model = LogisticLoss.for_data(data)
+    rows = np.random.default_rng(num_rows).normal(size=(num_rows, model.param_dim()))
+    class_major = np.matmul(rows.reshape(num_rows, 10, 20), data.features.T)
+    assert _bit_equal(class_major, model._logits(rows, data.features).transpose(0, 2, 1).copy())
+    want = model.predict_labels(rows, data.features) == data.labels
+    assert np.array_equal(model.hits(rows, data), want)
 
 
 def test_label_scoring_never_builds_probabilities(monkeypatch, multi_data):

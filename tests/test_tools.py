@@ -207,3 +207,23 @@ def test_bench_pairs_refuses_checkout_paths_of_unequal_length(tmp_path, capsys):
     assert _tool("bench_pairs").main(argv) == 2
     assert "differ in length" in capsys.readouterr().err
     assert not (tmp_path / "log").exists()
+
+
+def test_bench_pairs_prints_one_table_per_workload(tmp_path, capsys):
+    parent = _stub_checkout(tmp_path / "pa", [1.0, 1.2, 2.0, 2.2])
+    change = _stub_checkout(tmp_path / "ch", [0.9, 1.0, 1.5, None])
+    argv = [parent, change, "--workload", "w1", "--workload", "w2", "--pairs", "2",
+            "--seconds", "1"]
+    assert _tool("bench_pairs").main(argv) == 1  # the change's last w2 run failed
+    log = [line.split()[:3] for line in (tmp_path / "log").read_text().splitlines()]
+    assert log == [
+        [side, "--workload", workload]
+        for workload in ("w1", "w2")
+        for side in ("pa", "ch", "ch", "pa")
+    ]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "workload w1, 2 pairs of 1 s runs, ABBA order"
+    assert printed[2].split() == ["wall_s", "1.1", "0.95", "0.866667", "2/2", "0.1", "0/0"]
+    assert printed[4:6] == ["", "workload w2, 2 pairs of 1 s runs, ABBA order"]
+    assert printed[7].split() == ["wall_s", "2.1", "1.5", "0.75", "1/2", "0.1", "0/1"]
+    assert len(printed) == 9

@@ -1,6 +1,8 @@
-"""Compare two checkouts on one bench workload, in alternating fresh processes.
+"""Compare two checkouts on bench workloads, in alternating fresh processes.
 
     python tools/bench_pairs.py PARENT CHANGE --workload pds_drift --pairs 6 --seconds 8
+    python tools/bench_pairs.py PARENT CHANGE --workload uq_theory --workload pds_drift \
+        --workload dpld_bias --workload agg_persist --pairs 10 --seconds 25
 
 PARENT and CHANGE are source checkouts, each with its own BENCHMARK.json,
 bench/run.py and src/. A pair runs each checkout's benchmark command (the
@@ -9,15 +11,17 @@ bench/run.py and src/. A pair runs each checkout's benchmark command (the
 fresh process. The pairs go in ABBA order: the parent runs first in the
 even pairs and second in the odd ones, so a drift in the host's speed
 weighs on both sides alike. A run's result is the JSON object on the
-last line it prints.
+last line it prints. --workload may be given more than once; the
+workloads run one after another, each with all its pairs, in the order
+given.
 
-For every end-to-end metric of PARENT's BENCHMARK.json it prints the
-parent and change medians, the median over complete pairs of
-change / parent, the pairs the change wins by the metric's better
-direction (a pair with a failed run is no win), the interquartile range
-of the parent's values, and the failed runs of each side. A run fails
-when its process exits non-zero, prints no JSON result, or reports a
-failed workload run.
+It prints one table per workload, with a row for every end-to-end
+metric of PARENT's BENCHMARK.json: the parent and change medians, the
+median over complete pairs of change / parent, the pairs the change wins
+by the metric's better direction (a pair with a failed run is no win),
+the interquartile range of the parent's values, and the failed runs of
+each side. A run fails when its process exits non-zero, prints no JSON
+result, or reports a failed workload run.
 
 The two checkout paths must be equally long: the benchmark imports the
 package from its own checkout and writes its work files there, and path
@@ -132,7 +136,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=1)
@@ -150,19 +154,22 @@ def main(argv=None) -> int:
     with open(os.path.join(checkouts["parent"], "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
 
-    results = {}
-    for pair, side in run_order(args.pairs):
-        metrics = run_bench(checkouts[side], args.workload, args.seconds, args.seed)
-        results[pair, side] = metrics
-        shown = "failed" if metrics is None else " ".join(
-            f"{name}={value:.6g}" for name, value in metrics.items()
-        )
-        print(f"pair {pair + 1} {side}: {shown}", file=sys.stderr)
-
-    print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, ABBA order")
-    rows = summarize(results, args.pairs, end_to_end)
-    print("\n".join(format_rows(rows)))
-    return 1 if any(metrics is None for metrics in results.values()) else 0
+    failed = False
+    for number, workload in enumerate(args.workload):
+        results = {}
+        for pair, side in run_order(args.pairs):
+            metrics = run_bench(checkouts[side], workload, args.seconds, args.seed)
+            results[pair, side] = metrics
+            shown = "failed" if metrics is None else " ".join(
+                f"{name}={value:.6g}" for name, value in metrics.items()
+            )
+            print(f"{workload} pair {pair + 1} {side}: {shown}", file=sys.stderr)
+        failed = failed or any(metrics is None for metrics in results.values())
+        if number:
+            print()
+        print(f"workload {workload}, {args.pairs} pairs of {args.seconds:g} s runs, ABBA order")
+        print("\n".join(format_rows(summarize(results, args.pairs, end_to_end))))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
