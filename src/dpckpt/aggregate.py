@@ -16,7 +16,7 @@ data, noise state, or the privacy ledger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -183,19 +183,23 @@ def rolling(
         raise ValueError("best_k ranks its rows, so it has no per-step rolling form")
     if not 1 <= last_n <= K:
         raise ValueError(f"window of {last_n} exceeds the {K} checkpoints")
+    ends = np.arange(K - last_n + 1, K + 1)[:, None]
     t = np.arange(1, K)
     keep = _fold_keep(spec, t)
     if keep is not None:
-        ends = np.arange(K - last_n + 1, K + 1)
         # A fold's keeps do not depend on where its prefix ends. Each window
         # row keeps exact 1.0s past its prefix: they leave the backward
         # products of its own keeps unchanged and give its later rows a
         # share of 0, so every row equals weights() on its prefix bit for bit.
-        return _fold_weights(np.where(t < ends[:, None], keep, 1.0)) @ params
+        return _fold_weights(np.where(t < ends, keep, 1.0)) @ params
+    if spec.kind == "upa_k":
+        # weights() of each prefix: 1/k' on its last k' = min(k, end) rows
+        k = np.minimum(spec.k, ends)
+        cols = np.arange(K)
+        return np.where((cols >= ends - k) & (cols < ends), 1.0 / k, 0.0) @ params
     W = np.zeros((last_n, K))
-    for row, end in enumerate(range(K - last_n + 1, K + 1)):
-        prefix = spec if spec.k is None or spec.k <= end else replace(spec, k=end)
-        W[row, :end] = weights(prefix, steps[:end])
+    for row, end in enumerate(ends[:, 0]):
+        W[row, :end] = weights(spec, steps[:end])
     return W @ params
 
 

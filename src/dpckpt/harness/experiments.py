@@ -20,6 +20,7 @@ parent process, through _write_json and _write_csv.
 
 import csv
 import functools
+import hashlib
 import json
 import math
 import os
@@ -709,18 +710,27 @@ def _pds_scores(model, parts, beta_specs, k_specs, window, record) -> dict:
 
     A spec's validation score is the mean accuracy of its rolling aggregate
     over the window, not its final value: under a shifting distribution the
-    endpoint rewards phase luck. _best_index breaks the ties."""
+    endpoint rewards phase luck. _best_index breaks the ties. Specs whose
+    windows are equal byte for byte (EMA caps that never bind) share one
+    validation score, found by the digest of the window's rows."""
     params, steps = record.params, record.steps
     test = parts["test"]
+    scored: dict[bytes, float] = {}
 
-    def window_accuracy(spec: AggregationSpec, part: DatasetHandle) -> np.ndarray:
-        return accuracy(model, aggregate.rolling(spec, params, steps, window), part)
+    def rolled(spec: AggregationSpec) -> np.ndarray:
+        return aggregate.rolling(spec, params, steps, window)
+
+    def validation_score(spec: AggregationSpec) -> float:
+        rows = rolled(spec)
+        key = hashlib.sha256(rows.tobytes()).digest()
+        if key not in scored:
+            scored[key] = float(np.mean(accuracy(model, rows, parts["validation"])))
+        return scored[key]
 
     scores = {"steps": steps[-window:], "baseline": accuracy(model, params[-window:], test)}
     for name, specs in (("ema", beta_specs), ("upa", k_specs)):
-        accs = [float(np.mean(window_accuracy(spec, parts["validation"]))) for spec in specs]
-        best = specs[_best_index(specs, accs)]
-        scores["best_" + name], scores[name] = best, window_accuracy(best, test)
+        best = specs[_best_index(specs, [validation_score(spec) for spec in specs])]
+        scores["best_" + name], scores[name] = best, accuracy(model, rolled(best), test)
     return scores
 
 

@@ -47,7 +47,9 @@ of over a 10-wide last axis. A row is a hit when its classes at the top
 logit weigh 1 in DatasetHandle.label_weights ((c, n) int8: 1 at the label,
 2 at each lower class, 0 above), which is exactly when the label is the
 lowest top class, the one argmax picks; ties are counted as argmax counts
-them, and a non-finite logit still raises.
+them, and a non-finite logit still raises. The weights are summed in the
+narrowest signed integer type that holds their largest total, 2c - 1
+(int8 up to 64 classes), not in numpy's default int64.
 A batch is an (S, B) index matrix, row s's batch the rows idx[s] of the
 dataset: loss_full(rows, data, idx) is each row's loss on its own batch,
 and clipped_grad_mean, the practical trainer's step, is the mean of its
@@ -620,7 +622,9 @@ class LogisticLoss(LossModel):
         weights = self._check_rows(rows).reshape(len(rows), self.num_classes, self.n_features)
         logits = _finite(np.matmul(weights, data.features.T))
         top = logits.max(axis=1, keepdims=True)
-        return ((logits == top) * data.label_weights).sum(axis=1) == 1
+        # the narrowest signed type that holds the largest total, 2c - 1
+        width = np.min_scalar_type(1 - 2 * self.num_classes)
+        return ((logits == top) * data.label_weights).sum(axis=1, dtype=width) == 1
 
 
 # elements of one (rows, n, c) logits block that accuracy scores at once

@@ -14,7 +14,8 @@ per seed. Two modes share the checkpoint/metrics plumbing:
                origin). That pass is one model.loss_and_grad call when
                the step's loss is recorded, and one model.grad_full
                call, with no loss term, when record_loss is off and the
-               train_loss column stays NaN. A non-finite iterate stops
+               train_loss column stays NaN; it records no accuracy, so
+               its eval_acc column is NaN. A non-finite iterate stops
                the run. The noise for a chunk of steps comes from
                one rng.gaussian_steps draw per seed. Every row equals
                the run trained alone bit for bit, so one run is the
@@ -37,13 +38,22 @@ per seed. Two modes share the checkpoint/metrics plumbing:
                one (S, B) index matrix, passed with the dataset to one
                model.clipped_grad_mean call (the clipped per-example
                mean, without forming per-example gradients), which
-               gathers the batch rows itself, and, when record_loss
-               holds, one model.loss_full call on the same index
-               matrix; with record_loss off the train_loss column stays
-               NaN. An iterate row that is non-finite or outside the
-               ball of model.finite_loss_radius, inside which every
-               batch loss is finite, stops the run. Every row equals
-               the run trained alone bit for bit.
+               gathers the batch rows itself. The per-step metrics are
+               scored a block of steps at a time, the steps one noise
+               draw of rows max(p, B) wide covers: when record_loss
+               holds or eval_data is given, each step's (S, p) iterate
+               and (S, B) index matrix are copied into a block buffer,
+               and at the end of each block one model.loss_full call
+               scores the block's rows on their own batches and one
+               accuracy call scores them on eval_data. Each kernel
+               scores a row alone, so the metrics equal per-step calls
+               bit for bit; an unscored column stays NaN. An iterate
+               row that is non-finite or outside the ball of
+               model.finite_loss_radius, inside which every batch loss
+               is finite, stops the run, after the buffered steps before
+               it are scored, so an earlier step's scoring error is
+               raised first. Every row equals the run trained alone bit
+               for bit.
 
 Both modes take their noise from the one path: rng.gaussian_steps,
 which draws a chunk of steps at a time, one rng.gaussian_rows call per
@@ -246,17 +256,16 @@ def dp_sgd_theoretical_runs(
     seeds: list[int],
     rho: float,
     delta: float = 1e-5,
-    eval_data: DatasetHandle | None = None,
     record_loss: bool = True,
 ) -> list[RunRecord]:
     """Projected full-gradient DP-SGD under a total budget of rho-zCDP, one run per seed.
 
     theta_0 = 0; at each step the exact gradient plus calibrated Gaussian
     noise is applied and the iterate is projected back onto the radius-R
-    ball. rho = inf runs the zero-noise limit. Pass eval_data to record
-    per-step accuracy, and record_loss=False to skip the per-step training
-    loss; each skipped metric column is NaN. The iterates do not depend on
-    either.
+    ball. rho = inf runs the zero-noise limit. Pass record_loss=False to
+    skip the per-step training loss; the eval_acc column is always NaN, and
+    so is the train_loss column when the loss is skipped. The iterates do
+    not depend on it.
 
     The S runs advance together as the rows of one (S, p) iterate
     matrix; record s is bit-identical to the call with seeds [seeds[s]].
@@ -292,8 +301,6 @@ def dp_sgd_theoretical_runs(
             metrics[:, t - 1, 0], g = model.loss_and_grad(theta, data)
         else:
             g = model.grad_full(theta, data)
-        if eval_data is not None:
-            metrics[:, t - 1, 1] = accuracy(model, theta, eval_data)
         if t in ckpt_index:
             ckpts[:, ckpt_index[t]] = theta
     budget = PrivacyBudget.from_rho(rho, delta)
@@ -383,6 +390,30 @@ def dp_sgd_practical_runs(
         batches = _diurnal_batches(diurnal, seeds, T, batch)
     else:
         batches = _uniform_batches(seeds, T, data.n, batch)
+
+    # The metrics are scored a block of steps at a time, from copies of each
+    # step's iterate and index matrix (the uniform sampler refills one). A
+    # block is as many steps as one noise draw of rows max(p, B) wide covers,
+    # so each buffer holds at most about 2 * rng.MAX_BLOCKS values.
+    S = len(seeds)
+    scoring = record_loss or eval_data is not None
+    block = rng.steps_per_draw(S, max(dim, batch)) if scoring else 0
+    block_rows = np.empty((block, S, dim))
+    block_idx = np.empty((block, S, batch), dtype=np.int64)
+
+    def score(lo: int, hi: int) -> None:
+        """Fill the metrics of steps lo + 1..hi from the first hi - lo buffered steps."""
+        if block == 0 or hi == lo:
+            return
+        m = hi - lo
+        rows = block_rows[:m].reshape(m * S, dim)
+        if record_loss:
+            loss = model.loss_full(rows, data, block_idx[:m].reshape(m * S, batch))
+            metrics[:, lo:hi, 0] = loss.reshape(m, S).T
+        if eval_data is not None:
+            metrics[:, lo:hi, 1] = accuracy(model, rows, eval_data).reshape(m, S).T
+
+    scored = 0  # steps 1..scored have their metrics
     for t, idx in enumerate(batches, start=1):
         g = model.clipped_grad_mean(theta, data, idx, config.clip_norm)
         if noise is not None:
@@ -391,11 +422,16 @@ def dp_sgd_practical_runs(
         # a NaN or infinite coordinate makes a row's squared norm NaN or inf,
         # which fails the comparison too
         if not np.all(row_sq_norms(theta) <= finite_loss_sq):
+            # the buffered steps are scored first, so that a scoring error of
+            # an earlier step is the one raised
+            score(scored, t - 1)
             raise NumericDivergenceError("iterate left the finite-loss ball", step=t)
-        if record_loss:
-            metrics[:, t - 1, 0] = model.loss_full(theta, data, idx)
-        if eval_data is not None:
-            metrics[:, t - 1, 1] = accuracy(model, theta, eval_data)
+        if block:
+            block_rows[t - 1 - scored] = theta
+            block_idx[t - 1 - scored] = idx
+            if t - scored == block or t == T:
+                score(scored, t)
+                scored = t
         if t in ckpt_index:
             ckpts[:, ckpt_index[t]] = theta
     budget = PrivacyBudget.from_rho(rho_total, delta)

@@ -138,6 +138,21 @@ def test_rolling_folds_equal_the_per_row_weights(spec, K, last_n):
     assert np.array_equal(rolling(spec, params, steps, last_n), per_row @ params)
 
 
+@pytest.mark.parametrize("k", [1, 3, 9, 40])
+@pytest.mark.parametrize("K, last_n", [(1, 1), (9, 4), (30, 30), (40, 1)])
+def test_rolling_upa_k_equals_the_per_row_weights(k, K, last_n):
+    """upa_k's rolling matrix equals weights() on each prefix, with k cut to
+    the prefix's length where it is longer, bit for bit."""
+    steps = np.arange(1, K + 1)
+    per_row = np.zeros((last_n, K))
+    for row, end in enumerate(range(K - last_n + 1, K + 1)):
+        per_row[row, :end] = weights(AggregationSpec("upa_k", k=min(k, end)), steps[:end])
+    spec = AggregationSpec("upa_k", k=k)
+    assert np.array_equal(rolling(spec, np.eye(K), steps, last_n), per_row)
+    params = np.array(_stream(K, 5, seed=K))
+    assert np.array_equal(rolling(spec, params, steps, last_n), per_row @ params)
+
+
 def test_ema_single_element_stream_identity():
     theta = np.array([3.0, 1.0])
     assert np.array_equal(combine(_ema(0.99), [theta]), theta)

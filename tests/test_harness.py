@@ -404,6 +404,29 @@ def test_pds_scores_match_an_independent_reference(monkeypatch):
     assert scores["best_ema"] == beta_specs[1] and scores["best_upa"] == k_specs[1]
 
 
+def test_pds_scores_score_each_distinct_validation_window_once(monkeypatch):
+    # over 12 checkpoints the warm-up coefficient (1+t)/(10+t) stays below
+    # 0.6, so the caps 0.6, 0.9 and 0.99 never bind and give one window
+    run = _oscillating_run(np.random.default_rng(11).uniform(size=12))
+    parts = _pds_parts([0, 1, 1], [1, 0, 1, 1, 0])
+    beta_specs = [AggregationSpec("ema", beta=b) for b in (0.3, 0.6, 0.9, 0.99)]
+    k_specs = [AggregationSpec("upa_k", k=k) for k in (2, 4, 8)]
+    windows = [aggregate.rolling(spec, run.params, run.steps, 5) for spec in beta_specs]
+    assert all(np.array_equal(w, windows[1]) for w in windows[2:])
+    assert not np.array_equal(windows[0], windows[1])
+    scored, real_accuracy = [], experiments.accuracy
+
+    def counted(model, rows, part):
+        if part is parts["validation"]:
+            scored.append(rows)
+        return real_accuracy(model, rows, part)
+
+    monkeypatch.setattr(experiments, "accuracy", counted)
+    scores = experiments._pds_scores(_ProbModel2(), parts, beta_specs, k_specs, 5, run)
+    assert len(scored) == 2 + len(k_specs)
+    assert scores["best_ema"] in beta_specs[:2]
+
+
 # ---------------------------------------------------------------------------
 # task orchestration
 

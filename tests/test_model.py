@@ -742,6 +742,25 @@ def test_hits_give_a_logit_tie_to_its_lowest_class():
     assert model.predict_labels(rows, data.features).tolist() == [[1] * 4, [0] * 4]
 
 
+@pytest.mark.parametrize("num_classes", [64, 65, 128, 129])
+def test_hits_count_top_class_weights_without_wrapping(num_classes):
+    """hits sums an example's top-class tie weights, at most 2c - 1, in the
+    narrowest integer type that holds that total (int8 up to 64 classes).
+    A zero row ties every class, so a label L weighs 2L + 1 in all, more
+    than int8 holds from 65 classes on; the integer rows tie some classes."""
+    gen = np.random.default_rng(num_classes)
+    d = 2
+    model = LogisticLoss(n_features=d, num_classes=num_classes)
+    labels = np.concatenate([np.arange(num_classes), gen.integers(0, num_classes, 40)])
+    features = gen.integers(-1, 2, (len(labels), d)).astype(np.float64)
+    rows = gen.integers(-1, 2, (3, model.param_dim())).astype(np.float64)
+    rows[0] = 0.0
+    data = DatasetHandle(features, labels, num_classes)
+    want = model.predict_labels(rows, features) == data.labels
+    assert np.array_equal(model.hits(rows, data), want)
+    assert want[0].sum() == np.sum(labels == 0)
+
+
 @pytest.mark.parametrize("num_rows", [1, 2, 80])
 def test_class_major_logits_equal_the_row_major_block(num_rows):
     """The softmax head's hits read (S, c, n) logits, matmul(weights,

@@ -5,6 +5,7 @@ import math
 import os
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from dpckpt.trainer import (
     theorem_step_size,
 )
 from dpckpt import rng
+from dpckpt import trainer as trainer_module
 from per_example import clip_rows, clipped_mean
 from references import diurnal_row, gaussian_row, minibatch_indices
 
@@ -356,10 +358,10 @@ def test_batched_rows_match_the_scalar_loop(family):
 def _two_call_reference(model, data, config, seeds, rho):
     """The step before the fused kernel, over all S rows: grad_full at the
     current iterate, per-step gaussian_row noise, project_l2, then
-    loss_full and accuracy at the new iterate."""
+    loss_full at the new iterate."""
     noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho)
     theta = np.zeros((len(seeds), model.param_dim()))
-    params, metrics = [], []
+    params, losses = [], []
     for t in range(1, config.num_steps + 1):
         g = model.grad_full(theta, data)
         if noise_std > 0:
@@ -368,8 +370,8 @@ def _two_call_reference(model, data, config, seeds, rho):
             )
         theta = project_l2(theta - config.eta.at(t) * g, config.projection_radius)
         params.append(theta)
-        metrics.append(np.stack([model.loss_full(theta, data), accuracy(model, theta, data)], 1))
-    return np.stack(params, axis=1), np.stack(metrics, axis=1)
+        losses.append(model.loss_full(theta, data))
+    return np.stack(params, axis=1), np.stack(losses, axis=1)
 
 
 @pytest.mark.parametrize("family", ["binary", "softmax"])
@@ -381,11 +383,12 @@ def test_fused_steps_replay_the_two_call_step(family, seeds, rho):
         "theoretical", 25, EtaSchedule("inverse_sqrt", 0.7), projection_radius=0.6,
         checkpoint_every=1,
     )
-    params, metrics = _two_call_reference(model, data, config, seeds, rho)
-    records = dp_sgd_theoretical_runs(model, data, config, seeds, rho=rho, eval_data=data)
+    params, losses = _two_call_reference(model, data, config, seeds, rho)
+    records = dp_sgd_theoretical_runs(model, data, config, seeds, rho=rho)
     for s, record in enumerate(records):
         assert np.array_equal(record.params, params[s])
-        assert np.array_equal(record.metrics, metrics[s])
+        assert np.array_equal(record.metrics[:, 0], losses[s])
+        assert np.all(np.isnan(record.metrics[:, 1]))
 
 
 @pytest.mark.parametrize("family", ["binary", "softmax"])
@@ -406,33 +409,25 @@ def test_theoretical_run_forms_the_logits_once_per_step(family, monkeypatch):
 @pytest.mark.parametrize("family", ["binary", "softmax", "quadratic"])
 def test_unrecorded_loss_leaves_the_runs_unchanged(family, monkeypatch):
     model, data = _batch_setup(family)
-    # the quadratic model has no prediction head to score
-    eval_data = None if family == "quadratic" else data
     config = TrainerConfig(
         "theoretical", 20, EtaSchedule("inverse_sqrt", 0.5), projection_radius=0.7,
         checkpoint_every=3,
     )
     seeds = [1, 2, 3]
-    recorded = dp_sgd_theoretical_runs(model, data, config, seeds, rho=0.3, eval_data=eval_data)
+    recorded = dp_sgd_theoretical_runs(model, data, config, seeds, rho=0.3)
 
     def no_loss(*args, **kwargs):
         raise AssertionError("a loss was computed")
 
     for name in ("loss_and_grad", "loss_full"):
         monkeypatch.setattr(type(model), name, no_loss)
-    skipped = dp_sgd_theoretical_runs(
-        model, data, config, seeds, rho=0.3, eval_data=eval_data, record_loss=False
-    )
+    skipped = dp_sgd_theoretical_runs(model, data, config, seeds, rho=0.3, record_loss=False)
     for s, full, lean in zip(seeds, recorded, skipped):
         assert np.array_equal(lean.params, full.params)
         assert np.array_equal(lean.steps, full.steps)
-        assert np.all(np.isnan(lean.metrics[:, 0]))
-        assert np.array_equal(lean.metrics[:, 1], full.metrics[:, 1], equal_nan=True)
-        if eval_data is not None:
-            assert not np.any(np.isnan(lean.metrics[:, 1]))
-        (alone,) = dp_sgd_theoretical_runs(
-            model, data, config, [s], rho=0.3, eval_data=eval_data, record_loss=False
-        )
+        assert np.all(np.isnan(lean.metrics))
+        assert not np.any(np.isnan(full.metrics[:, 0]))
+        (alone,) = dp_sgd_theoretical_runs(model, data, config, [s], rho=0.3, record_loss=False)
         assert np.array_equal(alone.params, lean.params)
         assert np.array_equal(alone.steps, lean.steps)
         assert np.array_equal(alone.metrics, lean.metrics, equal_nan=True)
@@ -599,6 +594,73 @@ def test_practical_diurnal_runs_do_not_depend_on_the_chunk_size(monkeypatch):
         for got, want in zip(chunked, whole, strict=True):
             assert np.array_equal(got.params, want.params)
             assert np.array_equal(got.metrics, want.metrics)
+
+
+def _scoring_block(model, config, num_seeds: int) -> int:
+    """The practical trainer's scoring block: the steps of one noise draw
+    of rows max(p, B) wide."""
+    return rng.steps_per_draw(num_seeds, max(model.param_dim(), config.batch_size))
+
+
+def _blocks_of(monkeypatch, steps: int, model, config, num_seeds: int) -> None:
+    """Patch rng.MAX_BLOCKS so that the scoring block is the given number of steps."""
+    width = max(model.param_dim(), config.batch_size)
+    monkeypatch.setattr(rng, "MAX_BLOCKS", steps * num_seeds * -(-2 * width // 4))
+    assert _scoring_block(model, config, num_seeds) == steps
+
+
+@pytest.mark.parametrize("diurnal", [False, True], ids=["uniform", "diurnal"])
+@pytest.mark.parametrize("block", [1, 2])
+def test_practical_metrics_do_not_depend_on_the_scoring_block(diurnal, block, monkeypatch):
+    """Seven steps of three seeds, scored one or two steps at a time, equal
+    the run scored in one block and the per-step reference bit for bit."""
+    model, data = _batch_setup("softmax")
+    schedule = None
+    if diurnal:
+        rows = np.arange(data.n)
+        schedule = DiurnalSchedule(period=5, rows_a=rows[rows % 3 == 0], rows_b=rows[rows % 3 != 0])
+    config = TrainerConfig(
+        "practical", 7, EtaSchedule("constant", 0.5), clip_norm=0.6, batch_size=8,
+        checkpoint_every=2, diurnal=schedule,
+    )
+    seeds = [4, -1, 2**64 - 1]
+    assert _scoring_block(model, config, len(seeds)) >= config.num_steps
+    whole = dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=data)
+    _blocks_of(monkeypatch, block, model, config, len(seeds))
+    blocked = dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=data)
+    for s, got, want in zip(seeds, blocked, whole, strict=True):
+        assert np.array_equal(got.params, want.params)
+        assert np.array_equal(got.metrics, want.metrics)
+        params, metrics = _practical_reference(model, data, config, s, 1.3, data)
+        assert np.array_equal(got.params, params[got.steps - 1])
+        assert np.array_equal(got.metrics, metrics)
+
+
+@pytest.mark.parametrize("batch", [8, 40], ids=["B<p", "B>p"])
+@pytest.mark.parametrize("block", [None, 2, 3])
+@pytest.mark.parametrize("steps", [1, 6, 7])
+def test_practical_scores_each_block_with_one_call(block, steps, batch, monkeypatch):
+    model, data = _batch_setup("softmax")  # p = 12
+    seeds = [1, 2, 3]
+    config = TrainerConfig("practical", steps, EtaSchedule("constant", 0.5), batch_size=batch)
+    if block is not None:
+        _blocks_of(monkeypatch, block, model, config, len(seeds))
+    per_block = _scoring_block(model, config, len(seeds))
+    calls = []
+    real_loss, real_accuracy = LogisticLoss.loss_full, trainer_module.accuracy
+
+    def loss_full(self, rows, data, idx=None):
+        calls.append("loss_full")
+        return real_loss(self, rows, data, idx)
+
+    def accuracy_counted(model, rows, data):
+        calls.append("accuracy")
+        return real_accuracy(model, rows, data)
+
+    monkeypatch.setattr(LogisticLoss, "loss_full", loss_full)
+    monkeypatch.setattr(trainer_module, "accuracy", accuracy_counted)
+    dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=data)
+    assert calls == ["loss_full", "accuracy"] * math.ceil(steps / per_block)
 
 
 def test_practical_batch_size_validation(practical_setup):
@@ -791,27 +853,80 @@ class _SetRadius(LogisticLoss):
         return self.radius
 
 
-@pytest.mark.parametrize("record_loss", [True, False])
-def test_practical_raises_at_the_step_whose_row_leaves_the_finite_loss_ball(record_loss):
+def _finite_loss_setup():
+    """A binary model with a settable finite-loss radius, its data, a
+    12-step config and three seeds, for the divergence tests."""
     data = synth_classification(60, 4, num_classes=2, separation=2.0, seed=5)
-    model = _SetRadius(4, 2, l2_reg=0.05)
     config = TrainerConfig(
         "practical", 12, EtaSchedule("constant", 0.5), clip_norm=0.6, batch_size=8,
         checkpoint_every=1,
     )
-    seeds = [1, 2, 3]
-    runs = dp_sgd_practical_runs(model, data, config, seeds, 1.3, record_loss=record_loss)
+    return _SetRadius(4, 2, l2_reg=0.05), data, config, [1, 2, 3]
+
+
+def _first_record(values: np.ndarray, start: int, floor: float = -math.inf) -> int:
+    """The first step from start + 1 on whose value beats floor and every
+    earlier step's."""
+    return 1 + next(t for t in range(start, len(values)) if values[t] > values[:t].max(initial=floor))
+
+
+@pytest.mark.parametrize("block", [None, 1, 2], ids=["whole", "block1", "block2"])
+@pytest.mark.parametrize("record_loss", [True, False])
+def test_practical_raises_at_the_step_whose_row_leaves_the_finite_loss_ball(
+    record_loss, block, monkeypatch
+):
+    model, data, config, seeds = _finite_loss_setup()
+    if block is not None:
+        _blocks_of(monkeypatch, block, model, config, len(seeds))
+    kwargs = dict(record_loss=record_loss, eval_data=data)
+    runs = dp_sgd_practical_runs(model, data, config, seeds, 1.3, **kwargs)
     norms = np.linalg.norm(np.stack([run.params for run in runs]), axis=2).max(axis=0)
-    # the first step whose largest row norm beats every earlier step's
-    step = 1 + next(t for t in range(6, 12) if norms[t] > norms[:t].max())
+    # inside the one block of the whole run, first in a two-step block
+    step = _first_record(norms, 6)
+    assert step == 7
     model.radius = norms[step - 1] * (1.0 - 1e-12)  # that step's row is just outside
     assert norms[: step - 1].max() < model.radius
     with pytest.raises(NumericDivergenceError) as info:
-        dp_sgd_practical_runs(model, data, config, seeds, 1.3, record_loss=record_loss)
+        dp_sgd_practical_runs(model, data, config, seeds, 1.3, **kwargs)
     assert info.value.step == step
+    assert str(info.value) == f"iterate left the finite-loss ball (step {step})"
     model.radius = norms.max() * (1.0 + 1e-12)  # every row just inside
-    again = dp_sgd_practical_runs(model, data, config, seeds, 1.3, record_loss=record_loss)
+    again = dp_sgd_practical_runs(model, data, config, seeds, 1.3, **kwargs)
     assert all(np.array_equal(a.params, b.params) for a, b in zip(again, runs))
+    assert all(np.array_equal(a.metrics, b.metrics, equal_nan=True) for a, b in zip(again, runs))
+
+
+@pytest.mark.parametrize("block", [None, 1, 2], ids=["whole", "block1", "block2"])
+def test_an_earlier_eval_overflow_is_raised_before_a_later_divergence(block, monkeypatch):
+    """Eval logits that overflow at step t0 raise their error, not the
+    divergence of a later step t1 of the same block, as a loop that scores
+    every step before the next does."""
+    model, data, config, seeds = _finite_loss_setup()
+    if block is not None:
+        _blocks_of(monkeypatch, block, model, config, len(seeds))
+    runs = dp_sgd_practical_runs(model, data, config, seeds, 1.3, record_loss=False)
+    params = np.stack([run.params for run in runs])
+    # one eval example, c e_0, whose logit c w_0 overflows first at step t0
+    first = np.abs(params[:, :, 0]).max(axis=0)
+    t0 = _first_record(first, 1, floor=1.0)
+    cap = (first[t0 - 1] + max(1.0, first[: t0 - 1].max())) / 2
+    features = np.zeros((1, 4))
+    features[0, 0] = np.finfo(np.float64).max / cap
+    eval_data = DatasetHandle(features, np.array([1]), 2)
+    norms = np.linalg.norm(params, axis=2).max(axis=0)
+    t1 = _first_record(norms, t0)
+    assert (t0 - 1) // 2 == (t1 - 1) // 2  # one two-step block holds both
+    model.radius = norms[t1 - 1] * (1.0 - 1e-12)
+    # numpy reports the overflow of the logits product before the check does
+    with np.errstate(over="ignore"):
+        before = replace(config, num_steps=t0 - 1)
+        dp_sgd_practical_runs(model, data, before, seeds, 1.3, eval_data=eval_data)
+        with pytest.raises(NumericDivergenceError) as info:
+            dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=eval_data)
+    assert str(info.value) == "non-finite logits in prediction"
+    with pytest.raises(NumericDivergenceError) as info:
+        dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=data)
+    assert info.value.step == t1
 
 
 @pytest.mark.parametrize("record_loss", [True, False])
