@@ -100,6 +100,7 @@ def test_stock_digest_out_keeps_the_tree_it_hashes(tmp_path, capsys, monkeypatch
 
 
 REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "stock_reference")
+SAVE_RUNS_DIGEST = "save_runs.sha256"
 
 
 def test_stock_artifacts_match_the_reference(tmp_path):
@@ -109,6 +110,7 @@ def test_stock_artifacts_match_the_reference(tmp_path):
     drift, digest = _tool("artifact_drift"), _tool("stock_digest")
     digest.write_stock_artifacts(digest.CONFIG_DIR, str(tmp_path), save_runs=False)
     drifts = drift.tree_drift(REFERENCE, str(tmp_path))
+    del drifts[SAVE_RUNS_DIGEST]  # the save_runs reruns' digest, checked below
     changed = {path: d for path, d in drifts.items() if d is not None}
     moved = sorted(path for path, d in changed.items() if not d <= drift.TOLERANCE)
     print(f"stock artifacts: {len(changed)} of {len(drifts)} files changed,"
@@ -116,6 +118,22 @@ def test_stock_artifacts_match_the_reference(tmp_path):
     assert not moved, "moved beyond 1e-12: " + ", ".join(
         f"{path} ({changed[path]:.3e})" for path in moved
     )
+
+
+def test_stock_save_runs_match_the_reference_digest(tmp_path):
+    """The save_runs reruns of aggregate_eval, pds_eval and risk_compare,
+    whose run directories hold the per-step metrics.csv of batched runs,
+    hash to the digest lines tools/stock_reference.py wrote, line for line:
+    a file that moves by one bit fails."""
+    digest = _tool("stock_digest")
+    digest.write_stock_artifacts(digest.CONFIG_DIR, str(tmp_path), plain=False)
+    with open(os.path.join(REFERENCE, SAVE_RUNS_DIGEST), encoding="utf-8") as fh:
+        expected = fh.read().splitlines()
+    got = digest.digest_lines(str(tmp_path))
+    assert {line.split("  ")[1].split(os.sep)[0] for line in got} == {
+        f"{task}+save_runs" for task in digest.SAVE_RUNS_TASKS
+    }
+    assert got == expected
 
 
 # A stand-in for bench/run.py: the i-th run of a checkout reports the i-th

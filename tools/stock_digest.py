@@ -42,11 +42,16 @@ SAVE_RUNS_TASKS = ("aggregate_eval", "pds_eval", "risk_compare")
 
 
 def write_stock_artifacts(
-    config_dir: str, out_root: str, stems: Sequence[str] = (), save_runs: bool = True
+    config_dir: str,
+    out_root: str,
+    stems: Sequence[str] = (),
+    save_runs: bool = True,
+    plain: bool = True,
 ) -> None:
     """Every stock run, or those of the named config stems, each under
     out_root/<config name>[+save_runs]; each run's wall time goes to stderr.
-    With save_runs false the save_runs reruns are left out."""
+    With save_runs false the save_runs reruns are left out, and with plain
+    false the runs of the stock files as they stand."""
     available = sorted(f[: -len(".cfg")] for f in os.listdir(config_dir) if f.endswith(".cfg"))
     unknown = sorted(set(stems) - set(available))
     if unknown:
@@ -57,7 +62,7 @@ def write_stock_artifacts(
         if stems and stem not in stems:
             continue
         values = load_config(os.path.join(config_dir, f"{stem}.cfg"))
-        runs = [(stem, values)]
+        runs = [(stem, values)] if plain else []
         if save_runs and values["task"] in SAVE_RUNS_TASKS:
             # the stock files assign save_runs, so override the parsed value
             runs.append((f"{stem}+save_runs", {**values, "save_runs": "true"}))
