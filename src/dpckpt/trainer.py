@@ -1,66 +1,48 @@
 """DP-SGD trainers emitting checkpoint streams.
 
 A TrainerConfig holds everything about a run but its seed; an unset
-checkpoint_every becomes ceil(num_steps / 2048) when it is built. Each
-trainer takes one config and a list of S seeds, and returns one RunRecord
-per seed. Two modes share the checkpoint/metrics plumbing:
+checkpoint_every becomes ceil(num_steps / 2048) when it is built. Both
+trainers take one config and a list of S seeds and run one loop,
+_dp_sgd_runs, over an (S, p) iterate matrix whose rows are the seeds'
+runs; each gives one RunRecord per seed, bit-equal to the run trained
+alone, so one run is the seed list [seed]. Step t takes the mode's
+gradient g at theta_{t-1}, adds the seed's noise times the calibrated
+std, sets theta_t = theta_{t-1} - eta_t g, projects it if the mode does,
+and stops every run at the first step with a row outside the ball of
+model.finite_loss_radius(data, B), inside which every loss on B rows is
+finite. What each mode supplies:
 
-  theoretical  full-gradient projected DP-SGD started at the origin,
-               with per-step Gaussian noise calibrated so the whole
-               T-step run is rho-zCDP. The S seeds train as one loop
-               over an (S, p) iterate matrix: each step makes one
-               logits pass on the S projected rows that gives the next
-               step's gradient (T + 1 passes in all, the first at the
-               origin). That pass is one model.loss_and_grad call when
-               the step's loss is recorded, and one model.grad_full
-               call, with no loss term, when record_loss is off and the
-               train_loss column stays NaN; it records no accuracy, so
-               its eval_acc column is NaN. A non-finite iterate stops
-               the run. The noise for a chunk of steps comes from
-               one rng.gaussian_steps draw per seed. Every row equals
-               the run trained alone bit for bit, so one run is the
-               seed list [seed].
-  practical    minibatch DP-SGD with per-example clipping, noise on the
-               summed clipped gradient, and plain T-fold composition
-               accounting (no subsampling amplification claimed): one
-               privacy.calibrate_practical call gives the noise std on
-               the mean clipped gradient and the total rho T * rho_step.
-               The S seeds train as one loop over an (S, p) iterate
-               matrix too. Each seed draws its step's minibatch as row
-               indices into the training data. Uniform batches (without
-               replacement) come from one generator built per seed and
-               repositioned to each step by rng.step_generators, which
-               equals its own (seed, step) generator bit for bit.
-               Diurnal batches come a chunk of steps at a time: one
-               rng.raw_rows draw of STREAM_BATCH per seed, step t at row
-               t - 1 of lane 0, and one diurnal_draw call that maps the
-               chunk's words to its batches. Either way each step has
-               one (S, B) index matrix, passed with the dataset to one
-               model.clipped_grad_mean call (the clipped per-example
-               mean, without forming per-example gradients), which
-               gathers the batch rows itself. The per-step metrics are
-               scored a block of steps at a time, the steps one noise
-               draw of rows max(p, B) wide covers: when record_loss
-               holds or eval_data is given, each step's (S, p) iterate
-               and (S, B) index matrix are copied into a block buffer,
-               and at the end of each block one model.loss_full call
-               scores the block's rows on their own batches and one
-               accuracy call scores them on eval_data. Each kernel
-               scores a row alone, so the metrics equal per-step calls
-               bit for bit; an unscored column stays NaN. An iterate
-               row that is non-finite or outside the ball of
-               model.finite_loss_radius, inside which every batch loss
-               is finite, stops the run, after the buffered steps before
-               it are scored, so an earlier step's scoring error is
-               raised first. Every row equals the run trained alone bit
-               for bit.
+               theoretical                        practical
+  start        the origin                         uniform in [-0.01, 0.01]^p
+  gradient     full: model.loss_and_grad, or      model.clipped_grad_mean on
+               grad_full with record_loss off     the step's (S, B) minibatch
+  projection   project_l2 onto radius R           none
+  noise std    calibrate_theoretical: the whole   calibrate_practical: plain
+               T-step run is rho-zCDP             T-fold composition
+  B            n: the data is the batch           batch_size
+  train_loss   off the gradient's pass, and one   the batch loss, scored a
+               loss_full call for theta_T         block of steps at a time
+  eval_acc     NaN                                accuracy on eval_data, too
 
-Both modes take their noise from the one path: rng.gaussian_steps,
-which draws a chunk of steps at a time, one rng.gaussian_rows call per
-seed; step t's noise is row t - 1 of the seed's lane 0 of STREAM_NOISE,
-whatever the chunking or the other seeds. The diurnal batches chunk
-through the same rng.step_rows, so step t's batch is likewise a function
-of row t - 1 of lane 0 of STREAM_BATCH alone.
+A theoretical gradient pass at theta_{t-1} gives step t - 1's loss too,
+so a run makes T logits passes, T + 1 with its loss recorded. A practical
+minibatch is row indices into the training data. Uniform batches
+(without replacement) come from one generator per seed, repositioned to
+each step by rng.step_generators, which equals its own (seed, step)
+generator bit for bit. Diurnal batches come a chunk of steps at a time:
+one rng.raw_rows draw of STREAM_BATCH per seed, step t at row t - 1 of
+lane 0, and one diurnal_draw call that maps the chunk's words to its
+batches. The practical metrics are scored a block of steps at a time,
+the steps one noise draw of rows max(p, B) wide covers: each step's
+iterate and index matrix are copied into a block buffer, and one
+model.loss_full call and one accuracy call score the block. Each kernel
+scores a row alone, so the metrics equal per-step calls bit for bit. A
+run that diverges scores its buffered steps first, so an earlier step's
+scoring error is the one raised.
+
+The noise comes from rng.gaussian_steps, a chunk of steps at a time, one
+rng.gaussian_rows call per seed; step t's noise is row t - 1 of the
+seed's lane 0 of STREAM_NOISE, whatever the chunking or the other seeds.
 
 A run is its checkpoints: RunRecord holds the (K, p) float64 checkpoint
 matrix and its (K,) step vector, the (params, steps) pair the aggregators
@@ -154,6 +136,8 @@ class TrainerConfig:
             raise ValueError("clip_norm must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.diurnal is not None and self.mode != "practical":
+            raise ValueError("a diurnal schedule needs practical mode")
         if self.checkpoint_every is None:  # at most 2048 checkpoints
             object.__setattr__(self, "checkpoint_every", math.ceil(self.num_steps / 2048))
         elif not 1 <= self.checkpoint_every <= self.num_steps:
@@ -242,11 +226,76 @@ def checkpoint_steps(num_steps: int, every: int) -> list[int]:
     return steps
 
 
-def _check_runs(config: TrainerConfig, seeds: list[int], mode: str) -> None:
-    if config.mode != mode:
-        raise ValueError(f"config.mode must be {mode!r}")
+def _dp_sgd_runs(model, data, config, seeds, start, step, noise_std, budget, batch,
+                 radius=None, record_loss=False, eval_data=None) -> list[RunRecord]:
+    """The one DP-SGD loop (see the module docstring); row s starts at start(seeds[s]).
+
+    step(theta) is the mode's part of a step: it returns (g, idx, loss), the
+    (S, p) gradient at theta_{t-1}, the (S, B) index matrix of the batch it
+    read (None: the whole data) and theta_{t-1}'s (S,) loss off the same
+    pass (None: not formed), which is step t - 1's train_loss. record_loss
+    and eval_data block-score the batch loss of idx and the accuracy.
+    """
     if not seeds:
         raise ValueError("need at least one seed")
+    S, T, dim = len(seeds), config.num_steps, model.param_dim()
+    ckpt_steps = checkpoint_steps(T, config.checkpoint_every)
+    ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
+    finite_loss_sq = model.finite_loss_radius(data, batch) ** 2
+
+    theta = np.stack([start(s) for s in seeds])
+    ckpts = np.empty((S, len(ckpt_steps), dim))
+    metrics = np.full((S, T, 2), math.nan)
+    noise = rng.gaussian_steps(seeds, rng.STREAM_NOISE, T, dim) if noise_std > 0 else None
+
+    # copies of each step's iterate and index matrix (the uniform sampler
+    # refills one); each buffer holds at most about 2 * rng.MAX_BLOCKS values
+    scoring = record_loss or eval_data is not None
+    block = rng.steps_per_draw(S, max(dim, batch)) if scoring else 0
+    block_rows = np.empty((block, S, dim))
+    block_idx = np.empty((block, S, batch), dtype=np.int64)
+
+    def score(lo: int, hi: int) -> None:
+        """Fill the metrics of steps lo + 1..hi from the first hi - lo buffered steps."""
+        if block == 0 or hi == lo:
+            return
+        m = hi - lo
+        rows = block_rows[:m].reshape(m * S, dim)
+        if record_loss:
+            loss = model.loss_full(rows, data, block_idx[:m].reshape(m * S, batch))
+            metrics[:, lo:hi, 0] = loss.reshape(m, S).T
+        if eval_data is not None:
+            metrics[:, lo:hi, 1] = accuracy(model, rows, eval_data).reshape(m, S).T
+
+    scored = 0  # steps 1..scored have their block-scored metrics
+    for t in range(1, T + 1):
+        g, idx, loss = step(theta)
+        if loss is not None and t > 1:
+            metrics[:, t - 2, 0] = loss
+        if noise is not None:
+            g = g + noise_std * next(noise)
+        theta = theta - config.eta.at(t) * g
+        if radius is not None:
+            theta = project_l2(theta, radius)
+        # a NaN or infinite coordinate makes a row's squared norm NaN or inf,
+        # which fails the comparison too
+        if not np.all(row_sq_norms(theta) <= finite_loss_sq):
+            # the buffered steps are scored first, so that a scoring error of
+            # an earlier step is the one raised
+            score(scored, t - 1)
+            raise NumericDivergenceError("iterate left the finite-loss ball", step=t)
+        if block:
+            block_rows[t - 1 - scored] = theta
+            block_idx[t - 1 - scored] = idx
+            if t - scored == block or t == T:
+                score(scored, t)
+                scored = t
+        if t in ckpt_index:
+            ckpts[:, ckpt_index[t]] = theta
+    if loss is not None:  # theta_T's loss, which no step forms
+        metrics[:, T - 1, 0] = model.loss_full(theta, data)
+    steps = np.array(ckpt_steps)
+    return [RunRecord(config, s, budget, ckpts[i], steps, metrics[i]) for i, s in enumerate(seeds)]
 
 
 def dp_sgd_theoretical_runs(
@@ -269,43 +318,31 @@ def dp_sgd_theoretical_runs(
 
     The S runs advance together as the rows of one (S, p) iterate
     matrix; record s is bit-identical to the call with seeds [seeds[s]].
-    A non-finite iterate in any row stops all of them at that step.
-    Precondition: R * max(1, model.lipschitz) < 1e150. Then every point
-    of the ball has finite logits and a finite loss (the Lipschitz bound
-    is at least the largest feature norm and at least l2_reg * R), so an
-    iterate is finite exactly when its loss is, and the squared norm that
-    the projection takes does not overflow.
+    An iterate row outside the ball of model.finite_loss_radius(data, n)
+    stops all of them at that step. Precondition: R * (1 + 1e-12) is at
+    most that radius, which R * max(1, model.lipschitz) < 1e150 ensures for
+    a logistic model (its Lipschitz bound is at least the largest feature
+    norm and at least l2_reg * R). Then every point of the radius-R ball
+    has a finite loss, and the check fires exactly when an iterate is
+    non-finite.
     """
-    _check_runs(config, seeds, "theoretical")
+    if config.mode != "theoretical":
+        raise ValueError("config.mode must be 'theoretical'")
     if model.lipschitz is None or not math.isfinite(model.lipschitz):
         raise ValueError("theoretical mode needs a model with a finite Lipschitz bound")
+    noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho)
     dim = model.param_dim()
-    T = config.num_steps
-    noise_std = calibrate_theoretical(model.lipschitz, T, data.n, rho)
-    ckpt_steps = checkpoint_steps(T, config.checkpoint_every)
-    ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
 
-    theta = np.zeros((len(seeds), dim))
-    ckpts = np.empty((len(seeds), len(ckpt_steps), dim))
-    metrics = np.full((len(seeds), T, 2), math.nan)
-    noise = rng.gaussian_steps(seeds, rng.STREAM_NOISE, T, dim) if noise_std > 0 else None
-    g = model.grad_full(theta, data)
-    for t in range(1, T + 1):
-        if noise is not None:
-            g = g + noise_std * next(noise)
-        theta = project_l2(theta - config.eta.at(t) * g, config.projection_radius)
-        if not np.all(np.isfinite(theta)):
-            raise NumericDivergenceError("iterate became non-finite", step=t)
-        # theta_t's loss is step t's metric and its gradient drives step t + 1
+    def step(theta):
         if record_loss:
-            metrics[:, t - 1, 0], g = model.loss_and_grad(theta, data)
-        else:
-            g = model.grad_full(theta, data)
-        if t in ckpt_index:
-            ckpts[:, ckpt_index[t]] = theta
-    budget = PrivacyBudget.from_rho(rho, delta)
-    steps = np.array(ckpt_steps)
-    return [RunRecord(config, s, budget, ckpts[i], steps, metrics[i]) for i, s in enumerate(seeds)]
+            loss, g = model.loss_and_grad(theta, data)
+            return g, None, loss
+        return model.grad_full(theta, data), None, None
+
+    return _dp_sgd_runs(
+        model, data, config, seeds, lambda seed: np.zeros(dim), step, noise_std,
+        PrivacyBudget.from_rho(rho, delta), data.n, radius=config.projection_radius,
+    )
 
 
 def _uniform_batches(seeds: list[int], num_steps: int, n: int, batch: int):
@@ -361,82 +398,32 @@ def dp_sgd_practical_runs(
     step; every row inside it has a finite batch loss, so the check is the
     same whether or not the loss is recorded.
     """
-    _check_runs(config, seeds, "practical")
-    diurnal = config.diurnal
-    if diurnal is None and config.batch_size > data.n:
+    if config.mode != "practical":
+        raise ValueError("config.mode must be 'practical'")
+    diurnal, batch = config.diurnal, config.batch_size
+    if diurnal is None and batch > data.n:
         raise ValueError("batch_size exceeds dataset size")
     if diurnal is not None and any(
         rows.min() < 0 or rows.max() >= data.n for rows in (diurnal.rows_a, diurnal.rows_b)
     ):
         raise ValueError(f"diurnal rows must index the {data.n} training rows")
-    dim = model.param_dim()
-    T = config.num_steps
-    mean_noise_std, rho_total = calibrate_practical(
-        config.clip_norm, noise_multiplier, T, config.batch_size
-    )
-    ckpt_steps = checkpoint_steps(T, config.checkpoint_every)
-    ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
-
-    batch = config.batch_size
-    finite_loss_sq = model.finite_loss_radius(data, batch) ** 2
-
-    theta = np.stack([0.02 * rng.uniform_vector(s, rng.STREAM_INIT, 0, dim) - 0.01 for s in seeds])
-    ckpts = np.empty((len(seeds), len(ckpt_steps), dim))
-    metrics = np.full((len(seeds), T, 2), math.nan)
-    noise = None
-    if mean_noise_std > 0:
-        noise = rng.gaussian_steps(seeds, rng.STREAM_NOISE, T, dim)
+    T, dim = config.num_steps, model.param_dim()
+    mean_noise_std, rho_total = calibrate_practical(config.clip_norm, noise_multiplier, T, batch)
     if diurnal is not None:
         batches = _diurnal_batches(diurnal, seeds, T, batch)
     else:
         batches = _uniform_batches(seeds, T, data.n, batch)
 
-    # The metrics are scored a block of steps at a time, from copies of each
-    # step's iterate and index matrix (the uniform sampler refills one). A
-    # block is as many steps as one noise draw of rows max(p, B) wide covers,
-    # so each buffer holds at most about 2 * rng.MAX_BLOCKS values.
-    S = len(seeds)
-    scoring = record_loss or eval_data is not None
-    block = rng.steps_per_draw(S, max(dim, batch)) if scoring else 0
-    block_rows = np.empty((block, S, dim))
-    block_idx = np.empty((block, S, batch), dtype=np.int64)
+    def step(theta):
+        idx = next(batches)
+        return model.clipped_grad_mean(theta, data, idx, config.clip_norm), idx, None
 
-    def score(lo: int, hi: int) -> None:
-        """Fill the metrics of steps lo + 1..hi from the first hi - lo buffered steps."""
-        if block == 0 or hi == lo:
-            return
-        m = hi - lo
-        rows = block_rows[:m].reshape(m * S, dim)
-        if record_loss:
-            loss = model.loss_full(rows, data, block_idx[:m].reshape(m * S, batch))
-            metrics[:, lo:hi, 0] = loss.reshape(m, S).T
-        if eval_data is not None:
-            metrics[:, lo:hi, 1] = accuracy(model, rows, eval_data).reshape(m, S).T
-
-    scored = 0  # steps 1..scored have their metrics
-    for t, idx in enumerate(batches, start=1):
-        g = model.clipped_grad_mean(theta, data, idx, config.clip_norm)
-        if noise is not None:
-            g = g + mean_noise_std * next(noise)
-        theta = theta - config.eta.at(t) * g
-        # a NaN or infinite coordinate makes a row's squared norm NaN or inf,
-        # which fails the comparison too
-        if not np.all(row_sq_norms(theta) <= finite_loss_sq):
-            # the buffered steps are scored first, so that a scoring error of
-            # an earlier step is the one raised
-            score(scored, t - 1)
-            raise NumericDivergenceError("iterate left the finite-loss ball", step=t)
-        if block:
-            block_rows[t - 1 - scored] = theta
-            block_idx[t - 1 - scored] = idx
-            if t - scored == block or t == T:
-                score(scored, t)
-                scored = t
-        if t in ckpt_index:
-            ckpts[:, ckpt_index[t]] = theta
-    budget = PrivacyBudget.from_rho(rho_total, delta)
-    steps = np.array(ckpt_steps)
-    return [RunRecord(config, s, budget, ckpts[i], steps, metrics[i]) for i, s in enumerate(seeds)]
+    return _dp_sgd_runs(
+        model, data, config, seeds,
+        lambda seed: 0.02 * rng.uniform_vector(seed, rng.STREAM_INIT, 0, dim) - 0.01,
+        step, mean_noise_std, PrivacyBudget.from_rho(rho_total, delta), batch,
+        record_loss=record_loss, eval_data=eval_data,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,10 @@ def test_trainer_config_validation():
             TrainerConfig("practical", 10, eta, clip_norm=bad)
     with pytest.raises(ValueError, match="clip_norm must be positive and finite"):
         TrainerConfig("practical", 10, eta, clip_norm=math.inf)
+    diurnal = DiurnalSchedule(10, np.arange(5), np.arange(5, 10))
+    with pytest.raises(ValueError, match="diurnal schedule needs practical mode"):
+        TrainerConfig("theoretical", 10, eta, diurnal=diurnal)
+    assert TrainerConfig("practical", 10, eta, diurnal=diurnal).diurnal is diurnal
     assert TrainerConfig("practical", 2**31 - 1, eta).num_steps == 2**31 - 1
     for steps in (2**31, 99999999999999999999):
         with pytest.raises(ValueError, match="below 2\\*\\*31"):
@@ -392,7 +396,11 @@ def test_fused_steps_replay_the_two_call_step(family, seeds, rho):
 
 
 @pytest.mark.parametrize("family", ["binary", "softmax"])
-def test_theoretical_run_forms_the_logits_once_per_step(family, monkeypatch):
+@pytest.mark.parametrize("record_loss", [True, False])
+def test_theoretical_run_forms_the_logits_once_per_step(family, record_loss, monkeypatch):
+    """Step t's one logits pass, at theta_{t-1}, gives its gradient and step
+    t - 1's loss; theta_T's loss takes one more pass, and no pass forms a
+    gradient that no step reads."""
     model, data = _batch_setup(family)
     real, calls = LogisticLoss._logits, []
 
@@ -402,8 +410,8 @@ def test_theoretical_run_forms_the_logits_once_per_step(family, monkeypatch):
 
     monkeypatch.setattr(LogisticLoss, "_logits", counting)
     config = TrainerConfig("theoretical", 9, EtaSchedule("constant", 0.1))
-    dp_sgd_theoretical_runs(model, data, config, [1, 2], rho=0.5)
-    assert calls == [2] * (9 + 1)
+    dp_sgd_theoretical_runs(model, data, config, [1, 2], rho=0.5, record_loss=record_loss)
+    assert calls == [2] * (9 + record_loss)
 
 
 @pytest.mark.parametrize("family", ["binary", "softmax", "quadratic"])
@@ -750,9 +758,9 @@ class _NaNGradientOnCall(QuadraticLoss):
 
     QuadraticLoss.clipped_grad_mean(rows, data, idx, clip_norm) reads neither
     data nor idx and calls grad_full once per practical step;
-    the theoretical trainer's t-th gradient call (grad_full at the origin,
-    then loss_and_grad, or grad_full when the loss is not recorded) gives
-    the gradient of step t. So either trainer's nan_call-th counted call
+    the theoretical trainer's t-th gradient call (loss_and_grad at
+    theta_{t-1}, or grad_full when the loss is not recorded) gives the
+    gradient of step t. So either trainer's nan_call-th counted call
     feeds step nan_call.
     """
 
@@ -783,6 +791,7 @@ def test_practical_raises_at_the_step_whose_gradient_is_nan(record_loss):
             model, _dummy_data(20, 2), config, [0], noise_multiplier=1.0, record_loss=record_loss
         )
     assert info.value.step == 4
+    assert str(info.value) == "iterate left the finite-loss ball (step 4)"
 
 
 @pytest.mark.parametrize("record_loss", [True, False])
@@ -938,6 +947,41 @@ def test_batched_theoretical_raises_when_one_row_turns_nan(record_loss):
             model, _dummy_data(20, 2), config, [1, 2], rho=0.5, record_loss=record_loss
         )
     assert info.value.step == 3
+    assert str(info.value) == "iterate left the finite-loss ball (step 3)"
+
+
+class _RadiusOfBatch(QuadraticLoss):
+    """A quadratic loss whose finite-loss radius is set by hand, logging the
+    batch size each call asks it for."""
+
+    radius = math.inf
+
+    def finite_loss_radius(self, data, batch_size):
+        self.batch_sizes.append(batch_size)
+        return self.radius
+
+
+def test_theoretical_raises_at_the_step_whose_row_leaves_the_finite_loss_ball():
+    """The theoretical trainer checks the projected rows against the ball
+    of finite_loss_radius(data, n), the practical trainer's check with the
+    full data as the batch."""
+    model = _RadiusOfBatch(center=np.array([3.0, -2.0]), lipschitz=1.0)
+    model.batch_sizes = []
+    data = _dummy_data(30, 2)
+    config = TrainerConfig(
+        "theoretical", 12, EtaSchedule("constant", 0.2), projection_radius=5.0,
+        checkpoint_every=1,
+    )
+    runs = dp_sgd_theoretical_runs(model, data, config, [4, 5], rho=2.0)
+    assert model.batch_sizes == [30]
+    norms = np.linalg.norm(np.stack([run.params for run in runs]), axis=2).max(axis=0)
+    step = _first_record(norms, 4)
+    model.radius = norms[step - 1] * (1.0 - 1e-12)
+    assert norms[: step - 1].max() < model.radius
+    with pytest.raises(NumericDivergenceError) as info:
+        dp_sgd_theoretical_runs(model, data, config, [4, 5], rho=2.0)
+    assert info.value.step == step
+    assert str(info.value) == f"iterate left the finite-loss ball (step {step})"
 
 
 # ---------------------------------------------------------------------------
