@@ -277,9 +277,9 @@ def _dp_sgd_runs(model, data, config, seeds, start, step, noise_std, budget, bat
         theta = theta - config.eta.at(t) * g
         if radius is not None:
             theta = project_l2(theta, radius)
-        # a NaN or infinite coordinate makes a row's squared norm NaN or inf,
-        # which fails the comparison too
-        if not np.all(row_sq_norms(theta) <= finite_loss_sq):
+        # a NaN or infinite coordinate makes a row's squared norm, and so the
+        # max, NaN or inf, which fails the comparison too
+        if not row_sq_norms(theta).max() <= finite_loss_sq:
             # the buffered steps are scored first, so that a scoring error of
             # an earlier step is the one raised
             score(scored, t - 1)
