@@ -756,8 +756,14 @@ def run_pds_eval(cfg: dict, out_dir: str, master_seed: int):
     if period is None:
         period = max(2, config.num_steps // 8)
     labels = parts["train"].labels
-    even = np.flatnonzero(labels % 2 == 0)
-    odd = np.flatnonzero(labels % 2 == 1)
+    even, odd = np.flatnonzero(labels % 2 == 0), np.flatnonzero(labels % 2 == 1)
+    for parity, rows in (("even", even), ("odd", odd)):
+        if rows.size == 0:
+            data = cfg["data.csv"] or "the synthetic data"
+            raise ConfigError(
+                f"the training split of {data} has no {parity}-label row, and the "
+                "diurnal schedule mixes the even- and odd-label rows"
+            )
     with _config_errors("diurnal schedule", "pds.period"):
         schedule = DiurnalSchedule(period, even, odd)
     train = functools.partial(

@@ -22,13 +22,12 @@ both per-row products read one contiguous buffer. The fold alone is exact
 in another order, so against the unfolded kernel results move by at most
 1e-12 relative, the tolerance tools/artifact_drift.py checks. The gathered
 batches of clipped_grad_mean and loss_full are rows of that store too.
-loss_and_grad gives both at once from one logits block: the binary head's
-cross-entropy and slope both read the signed margins z, the softmax head
-shares exp(logits - max) and its row sum between the log-sum-exp and the
-probabilities. loss_full and grad_full read the same helpers, so the
-fused pair equals the separate calls bit for bit; a caller that reads
-only the gradient calls grad_full and pays for no loss term. The binary
-slope -sigmoid(-z), which every binary kernel reads, is the gradient-only
+loss_full and grad_full each make their own logits pass, and the
+trainer calls loss_full only for a loss it records, a chunk of steps'
+iterates per call. The binary head's cross-entropy and slope both read
+the signed margins z; the softmax head's log-sum-exp and probabilities
+both read exp(logits - max) and its row sum. The binary slope
+-sigmoid(-z), which every binary kernel reads, is the gradient-only
 -1/(1 + exp(z)): three passes, against the seven of a slope built from
 the loss's exp(-|z|). Where exp(z) overflows (z above 709.78) it is
 -0.0, its limit; where z <= 0 it equals the two-sided stable form bit for
@@ -284,8 +283,8 @@ def clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
 class LossModel:
     """Common surface for the loss families.
 
-    Subclasses define param_dim, loss_full, grad_full, loss_and_grad,
-    clipped_grad_mean and (for classifiers) predict_proba, and may override
+    Subclasses define param_dim, loss_full, grad_full, clipped_grad_mean
+    and (for classifiers) predict_proba, and may override
     predict_labels with a cheaper argmax than the probability one, and
     hits, the (S, n) bool predict_labels == labels that accuracy counts,
     with a cheaper test (the softmax head reads class-major logits and the
@@ -310,11 +309,6 @@ class LossModel:
 
     def grad_full(self, rows: np.ndarray, data: DatasetHandle | None) -> np.ndarray:
         """(S, p) mean gradient of each row."""
-        raise NotImplementedError
-
-    def loss_and_grad(self, rows: np.ndarray, data: DatasetHandle | None):
-        """((S,) losses, (S, p) gradients) of (S, p) rows, each bit-equal to
-        loss_full and grad_full but read off one pass over the data."""
         raise NotImplementedError
 
     def clipped_grad_mean(self, rows, data: DatasetHandle, idx: np.ndarray, clip_norm):
@@ -380,10 +374,6 @@ class QuadraticLoss(LossModel):
 
     def grad_full(self, rows, data=None) -> np.ndarray:
         return self.curvature * (self._check_rows(rows) - self.center)
-
-    def loss_and_grad(self, rows, data=None):
-        diff = self._check_rows(rows) - self.center
-        return 0.5 * self.curvature * row_sq_norms(diff), self.curvature * diff
 
     def clipped_grad_mean(self, rows, data, idx, clip_norm):
         # every example has the same gradient, so the clipped mean is that
@@ -481,12 +471,7 @@ class LogisticLoss(LossModel):
             return None
         return data.labels if idx is None else data.labels[idx]
 
-    def _terms(self, logits: np.ndarray):
-        """What the loss and the gradient both read off the logits: the binary
-        head's signed margins z themselves, or the softmax terms."""
-        return logits if self.binary else _softmax_terms(logits)
-
-    def _residual(self, terms, labels: np.ndarray | None) -> np.ndarray:
+    def _residual(self, logits, labels: np.ndarray | None) -> np.ndarray:
         """Each example's loss slope in its logits: probabilities minus one-hot
         for the softmax head, and for the binary head -sigmoid(-z) of the
         signed margins z, taken as -1/(1 + exp(z)) in three passes over one
@@ -495,56 +480,44 @@ class LogisticLoss(LossModel):
         bit for bit there, and within a few ulp where z > 0."""
         if self.binary:
             with np.errstate(over="ignore"):
-                e = np.exp(terms)
+                e = np.exp(logits)
             e += 1.0
             return np.divide(-1.0, e, out=e)
-        _, ex, total = terms
+        _, ex, total = _softmax_terms(logits)
         probs = ex / total
         probs[_label_index(probs, labels)] -= 1.0
         return probs
 
-    def _loss_from(self, rows, logits, terms, labels) -> np.ndarray:
+    def loss_full(self, rows, data, idx=None):
+        rows = self._check_rows(rows)
+        logits = self._logits(rows, self._design(data, idx))
         if self.binary:
-            ce = _binary_ce(terms)
+            ce = _binary_ce(logits)
         else:
-            zmax, _, total = terms
+            zmax, _, total = _softmax_terms(logits)
             lse = (zmax + np.log(total))[:, :, 0]
-            ce = lse - logits[_label_index(logits, labels)]
+            ce = lse - logits[_label_index(logits, self._labels(data, idx))]
         # np.mean's own arithmetic (sum, then divide by n) minus its wrapper cost
         loss = ce.sum(axis=1) / logits.shape[1]
         if self.l2_reg > 0:
             loss = loss + 0.5 * self.l2_reg * row_sq_norms(rows)
         return loss
 
-    def _grad_from(self, rows, terms, data) -> np.ndarray:
-        resid = self._residual(terms, self._labels(data))
+    def grad_full(self, rows, data) -> np.ndarray:
+        rows = self._check_rows(rows)
+        logits = self._logits(rows, self._design(data))
+        resid = self._residual(logits, self._labels(data))
         if self.binary:
             slope = np.matmul(data.signed_features.T, resid[:, :, None])
             return self.l2_reg * rows + slope[:, :, 0] / data.n
         grad_w = np.matmul(resid.transpose(0, 2, 1), data.features) / data.n
         return grad_w.reshape(len(rows), -1) + self.l2_reg * rows
 
-    def loss_full(self, rows, data, idx=None):
-        rows = self._check_rows(rows)
-        logits = self._logits(rows, self._design(data, idx))
-        return self._loss_from(rows, logits, self._terms(logits), self._labels(data, idx))
-
-    def grad_full(self, rows, data) -> np.ndarray:
-        rows = self._check_rows(rows)
-        return self._grad_from(rows, self._terms(self._logits(rows, self._design(data))), data)
-
-    def loss_and_grad(self, rows, data):
-        rows = self._check_rows(rows)
-        logits = self._logits(rows, self._design(data))
-        terms = self._terms(logits)
-        loss = self._loss_from(rows, logits, terms, self._labels(data))
-        return loss, self._grad_from(rows, terms, data)
-
     def clipped_grad_mean(self, rows, data, idx, clip_norm):
         rows = self._check_rows(rows)
         design = self._design(data, idx)  # (S, B, d)
         logits = self._logits(rows, design)
-        resid = self._residual(self._terms(logits), self._labels(data, idx))
+        resid = self._residual(logits, self._labels(data, idx))
         if self.binary:
             # one logit per example: (S, B) -> (S, B, 1), as the softmax head's
             logits, resid = logits[:, :, None], resid[:, :, None]

@@ -14,12 +14,13 @@ for b = 1..nb, so that consecutive rows of a lane are one contiguous walk
 of the counter and raw_rows draws any run of them with one native
 random_raw call. A row of dim normals is Box-Muller on 2 * dim words,
 coordinate j taking words (2j, 2j + 1). A trainer's per-step draws are
-lane 0, step t being row t - 1: step_rows yields them, one draw per seed
-for a chunk of steps, each draw covering at most MAX_BLOCKS counter
-blocks (or one step's blocks, if that is more). The noise rows of
-gaussian_steps are dim normals of STREAM_NOISE; the practical trainer's
-diurnal batch rows are 2B raw words of STREAM_BATCH, the same size as a
-row of B normals. The dpld trials use lane = noise event and row = trial.
+lane 0, step t being row t - 1, drawn a chunk of steps at a time: one
+draw per seed for steps_per_draw steps, each chunk covering at most
+MAX_BLOCKS counter blocks over its seeds (or one step's blocks, if that
+is more). The trainer's noise rows are dim normals of STREAM_NOISE; the
+practical trainer's diurnal batch rows are 2B raw words of STREAM_BATCH,
+the same size as a row of B normals. The dpld trials use lane = noise
+event and row = trial.
 
 The init stream and the uniform minibatch sampler address a step through
 counter word 3 instead: step_generator starts at [0, 0, 0, t], and
@@ -27,7 +28,7 @@ step_generators gives a trainer each step's generators by resetting one
 generator per seed to that step's counter instead of building new ones.
 """
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,8 +44,8 @@ _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _TWO64 = 2.0**64
 
-# Upper bound on the counter blocks of one step_rows draw, over all its
-# seeds; each block is four uint64 words.
+# Upper bound on the counter blocks of one trainer chunk's draws, over all
+# its seeds; each block is four uint64 words.
 MAX_BLOCKS = 4096
 
 
@@ -125,26 +126,6 @@ def gaussian_rows(
 
 
 def steps_per_draw(num_seeds: int, dim: int) -> int:
-    """Steps one step_rows chunk of rows the size of dim normals may cover
-    while its draws stay within MAX_BLOCKS (always at least one step)."""
+    """Steps one chunk of rows the size of dim normals may cover while its
+    draws, one per seed, stay within MAX_BLOCKS (always at least one step)."""
     return max(1, MAX_BLOCKS // (num_seeds * max(1, _row_blocks(2 * dim))))
-
-
-def step_rows(seeds: Sequence[int], num_steps: int, dim: int, draw: Callable):
-    """Yield the rows of steps 1..num_steps in order, stacked over the
-    seeds: draw(seed, first, count) gives a seed's rows first..first +
-    count - 1, each the size of dim normals, and is called once per seed
-    for every steps_per_draw steps."""
-    chunk = steps_per_draw(len(seeds), dim)
-    for first in range(0, num_steps, chunk):
-        count = min(chunk, num_steps - first)
-        yield from np.stack([draw(seed, first, count) for seed in seeds], axis=1)
-
-
-def gaussian_steps(seeds: Sequence[int], stream: int, num_steps: int, dim: int):
-    """Yield the (len(seeds), dim) noise of steps 1..num_steps in order;
-    step t of a seed is row t - 1 of its lane 0."""
-    return step_rows(
-        seeds, num_steps, dim,
-        lambda seed, first, count: gaussian_rows(seed, stream, 0, first, count, dim),
-    )

@@ -6,43 +6,45 @@ trainers take one config and a list of S seeds and run one loop,
 _dp_sgd_runs, over an (S, p) iterate matrix whose rows are the seeds'
 runs; each gives one RunRecord per seed, bit-equal to the run trained
 alone, so one run is the seed list [seed]. Step t takes the mode's
-gradient g at theta_{t-1}, adds the seed's noise times the calibrated
-std, sets theta_t = theta_{t-1} - eta_t g, projects it if the mode does,
-and stops every run at the first step with a row outside the ball of
-model.finite_loss_radius(data, B), inside which every loss on B rows is
-finite. What each mode supplies:
+gradient g at theta_{t-1} on its batch, adds the seed's noise times the
+calibrated std, sets theta_t = theta_{t-1} - eta_t g, projects it if the
+mode does, and stops every run at the first step with a row outside the
+ball of model.finite_loss_radius(data, B), inside which every loss on B
+rows is finite. What each mode supplies:
 
                theoretical                        practical
   start        the origin                         uniform in [-0.01, 0.01]^p
-  gradient     full: model.loss_and_grad, or      model.clipped_grad_mean on
-               grad_full with record_loss off     the step's (S, B) minibatch
+  batches      none: the data is the batch        uniform or diurnal (S, B)
+                                                  index matrices
+  gradient     model.grad_full                    model.clipped_grad_mean
   projection   project_l2 onto radius R           none
   noise std    calibrate_theoretical: the whole   calibrate_practical: plain
                T-step run is rho-zCDP             T-fold composition
-  B            n: the data is the batch           batch_size
-  train_loss   off the gradient's pass, and one   the batch loss, scored a
-               loss_full call for theta_T         block of steps at a time
+  B            n                                  batch_size
+  chunk        rng.steps_per_draw(S, p)           rng.steps_per_draw(S, max(p, B))
+  train_loss   model.loss_full on the data        model.loss_full on the batch
   eval_acc     NaN                                accuracy on eval_data, too
 
-A theoretical gradient pass at theta_{t-1} gives step t - 1's loss too,
-so a run makes T logits passes, T + 1 with its loss recorded. A practical
-minibatch is row indices into the training data. Uniform batches
-(without replacement) come from one generator per seed, repositioned to
-each step by rng.step_generators, which equals its own (seed, step)
-generator bit for bit. Diurnal batches come a chunk of steps at a time:
-one rng.raw_rows draw of STREAM_BATCH per seed, step t at row t - 1 of
-lane 0, and one diurnal_draw call that maps the chunk's words to its
-batches. The practical metrics are scored a block of steps at a time,
-the steps one noise draw of rows max(p, B) wide covers: each step's
-iterate and index matrix are copied into a block buffer, and one
-model.loss_full call and one accuracy call score the block. Each kernel
-scores a row alone, so the metrics equal per-step calls bit for bit. A
-run that diverges scores its buffered steps first, so an earlier step's
-scoring error is the one raised.
+The loop runs a chunk of steps at a time. A chunk draws each seed's
+noise with one rng.gaussian_rows call, step t's noise being row t - 1 of
+the seed's lane 0 of STREAM_NOISE, and asks the mode for the chunk's
+(count, S, B) index matrices with one call; it then takes its steps,
+each with one gradient call, and keeps their iterates. After the chunk,
+one loss_full call and one accuracy call score the iterates of every
+steps_per_draw(S, max(p, B)) of its steps, the metrics a run records
+(with B = n, a theoretical chunk can hold several such blocks). Each
+stream row is addressed by (seed, step) and each kernel scores a row
+alone, so neither the chunk nor the scoring block changes a bit. A run
+that diverges scores the chunk's earlier steps first, so an earlier
+step's scoring error is the one raised.
 
-The noise comes from rng.gaussian_steps, a chunk of steps at a time, one
-rng.gaussian_rows call per seed; step t's noise is row t - 1 of the
-seed's lane 0 of STREAM_NOISE, whatever the chunking or the other seeds.
+A practical minibatch is row indices into the training data. Uniform
+batches (without replacement) come from one generator per seed,
+repositioned to each step by the run's one rng.step_generators iterator,
+which equals its own (seed, step) generator bit for bit. Diurnal batches
+come from one rng.raw_rows draw of STREAM_BATCH per seed per chunk, step
+t at row t - 1 of lane 0, and one diurnal_draw call that maps the
+chunk's words to its batches.
 
 A run is its checkpoints: RunRecord holds the (K, p) float64 checkpoint
 matrix and its (K,) step vector, the (params, steps) pair the aggregators
@@ -54,6 +56,7 @@ batch selection, and initialization draws are addressed by
 concurrent runs can never perturb each other.
 """
 
+import itertools
 import json
 import math
 import os
@@ -226,15 +229,15 @@ def checkpoint_steps(num_steps: int, every: int) -> list[int]:
     return steps
 
 
-def _dp_sgd_runs(model, data, config, seeds, start, step, noise_std, budget, batch,
-                 radius=None, record_loss=False, eval_data=None) -> list[RunRecord]:
+def _dp_sgd_runs(model, data, config, seeds, start, grad, batches, width, noise_std, budget,
+                 batch, radius=None, record_loss=False, eval_data=None) -> list[RunRecord]:
     """The one DP-SGD loop (see the module docstring); row s starts at start(seeds[s]).
 
-    step(theta) is the mode's part of a step: it returns (g, idx, loss), the
-    (S, p) gradient at theta_{t-1}, the (S, B) index matrix of the batch it
-    read (None: the whole data) and theta_{t-1}'s (S,) loss off the same
-    pass (None: not formed), which is step t - 1's train_loss. record_loss
-    and eval_data block-score the batch loss of idx and the accuracy.
+    It runs rng.steps_per_draw(S, width) steps a chunk. batches(first, count)
+    gives the chunk's (count, S, B) index matrices (None: the whole data),
+    and grad(theta, idx) the (S, p) gradient at theta_{t-1} on a step's
+    (S, B) batch. record_loss and eval_data score the chunk's iterates after
+    it, rng.steps_per_draw(S, max(p, B)) steps a call.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -242,58 +245,52 @@ def _dp_sgd_runs(model, data, config, seeds, start, step, noise_std, budget, bat
     ckpt_steps = checkpoint_steps(T, config.checkpoint_every)
     ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
     finite_loss_sq = model.finite_loss_radius(data, batch) ** 2
+    chunk, block = rng.steps_per_draw(S, width), rng.steps_per_draw(S, max(dim, batch))
 
     theta = np.stack([start(s) for s in seeds])
     ckpts = np.empty((S, len(ckpt_steps), dim))
     metrics = np.full((S, T, 2), math.nan)
-    noise = rng.gaussian_steps(seeds, rng.STREAM_NOISE, T, dim) if noise_std > 0 else None
+    iterates = np.empty((chunk, S, dim))
 
-    # copies of each step's iterate and index matrix (the uniform sampler
-    # refills one); each buffer holds at most about 2 * rng.MAX_BLOCKS values
-    scoring = record_loss or eval_data is not None
-    block = rng.steps_per_draw(S, max(dim, batch)) if scoring else 0
-    block_rows = np.empty((block, S, dim))
-    block_idx = np.empty((block, S, batch), dtype=np.int64)
-
-    def score(lo: int, hi: int) -> None:
-        """Fill the metrics of steps lo + 1..hi from the first hi - lo buffered steps."""
-        if block == 0 or hi == lo:
+    def score(first: int, count: int, idx) -> None:
+        """Fill the metrics of steps first + 1..first + count from the chunk's iterates."""
+        if not (record_loss or eval_data is not None):
             return
-        m = hi - lo
-        rows = block_rows[:m].reshape(m * S, dim)
-        if record_loss:
-            loss = model.loss_full(rows, data, block_idx[:m].reshape(m * S, batch))
-            metrics[:, lo:hi, 0] = loss.reshape(m, S).T
-        if eval_data is not None:
-            metrics[:, lo:hi, 1] = accuracy(model, rows, eval_data).reshape(m, S).T
+        for lo in range(0, count, block):
+            m = min(block, count - lo)
+            rows, steps = iterates[lo : lo + m].reshape(m * S, dim), slice(first + lo, first + lo + m)
+            if record_loss:
+                at = None if idx is None else idx[lo : lo + m].reshape(m * S, batch)
+                metrics[:, steps, 0] = model.loss_full(rows, data, at).reshape(m, S).T
+            if eval_data is not None:
+                metrics[:, steps, 1] = accuracy(model, rows, eval_data).reshape(m, S).T
 
-    scored = 0  # steps 1..scored have their block-scored metrics
-    for t in range(1, T + 1):
-        g, idx, loss = step(theta)
-        if loss is not None and t > 1:
-            metrics[:, t - 2, 0] = loss
-        if noise is not None:
-            g = g + noise_std * next(noise)
-        theta = theta - config.eta.at(t) * g
-        if radius is not None:
-            theta = project_l2(theta, radius)
-        # a NaN or infinite coordinate makes a row's squared norm, and so the
-        # max, NaN or inf, which fails the comparison too
-        if not row_sq_norms(theta).max() <= finite_loss_sq:
-            # the buffered steps are scored first, so that a scoring error of
-            # an earlier step is the one raised
-            score(scored, t - 1)
-            raise NumericDivergenceError("iterate left the finite-loss ball", step=t)
-        if block:
-            block_rows[t - 1 - scored] = theta
-            block_idx[t - 1 - scored] = idx
-            if t - scored == block or t == T:
-                score(scored, t)
-                scored = t
-        if t in ckpt_index:
-            ckpts[:, ckpt_index[t]] = theta
-    if loss is not None:  # theta_T's loss, which no step forms
-        metrics[:, T - 1, 0] = model.loss_full(theta, data)
+    for first in range(0, T, chunk):
+        count = min(chunk, T - first)
+        idx = batches(first, count)
+        if noise_std > 0:
+            noise = noise_std * np.stack(
+                [rng.gaussian_rows(s, rng.STREAM_NOISE, 0, first, count, dim) for s in seeds], axis=1
+            )
+        for r in range(count):
+            t = first + r + 1
+            g = grad(theta, None if idx is None else idx[r])
+            if noise_std > 0:
+                g = g + noise[r]
+            theta = theta - config.eta.at(t) * g
+            if radius is not None:
+                theta = project_l2(theta, radius)
+            # a NaN or infinite coordinate makes a row's squared norm, and so the
+            # max, NaN or inf, which fails the comparison too
+            if not row_sq_norms(theta).max() <= finite_loss_sq:
+                # the chunk's earlier steps are scored first, so that a scoring
+                # error of an earlier step is the one raised
+                score(first, r, idx)
+                raise NumericDivergenceError("iterate left the finite-loss ball", step=t)
+            iterates[r] = theta
+            if t in ckpt_index:
+                ckpts[:, ckpt_index[t]] = theta
+        score(first, count, idx)
     steps = np.array(ckpt_steps)
     return [RunRecord(config, s, budget, ckpts[i], steps, metrics[i]) for i, s in enumerate(seeds)]
 
@@ -332,42 +329,41 @@ def dp_sgd_theoretical_runs(
         raise ValueError("theoretical mode needs a model with a finite Lipschitz bound")
     noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho)
     dim = model.param_dim()
-
-    def step(theta):
-        if record_loss:
-            loss, g = model.loss_and_grad(theta, data)
-            return g, None, loss
-        return model.grad_full(theta, data), None, None
-
     return _dp_sgd_runs(
-        model, data, config, seeds, lambda seed: np.zeros(dim), step, noise_std,
-        PrivacyBudget.from_rho(rho, delta), data.n, radius=config.projection_radius,
+        model, data, config, seeds, lambda seed: np.zeros(dim),
+        lambda theta, idx: model.grad_full(theta, data), lambda first, count: None, dim,
+        noise_std, PrivacyBudget.from_rho(rho, delta), data.n,
+        radius=config.projection_radius, record_loss=record_loss,
     )
 
 
 def _uniform_batches(seeds: list[int], num_steps: int, n: int, batch: int):
-    """Yield the (S, B) index matrix of steps 1..num_steps: each seed's
-    step-t batch is B of the n rows without replacement, from its
-    step generator repositioned by rng.step_generators. The same matrix
-    comes back every step, refilled."""
-    idx = np.empty((len(seeds), batch), dtype=np.int64)
-    for gens in rng.step_generators(seeds, rng.STREAM_BATCH, range(1, num_steps + 1)):
-        for s, gen in enumerate(gens):
-            idx[s] = gen.choice(n, size=batch, replace=False)
-        yield idx
+    """batches(first, count) for uniform batches: the (count, S, B) index
+    matrices of steps first + 1..first + count, each seed's step-t batch B
+    of the n rows without replacement from its step generator. The one
+    rng.step_generators iterator of the run repositions the generators, so
+    the chunks must be asked for in order."""
+    gens = rng.step_generators(seeds, rng.STREAM_BATCH, range(1, num_steps + 1))
+
+    def draw(first: int, count: int) -> np.ndarray:
+        idx = np.empty((count, len(seeds), batch), dtype=np.int64)
+        for rows, step_gens in zip(idx, itertools.islice(gens, count)):
+            for s, gen in enumerate(step_gens):
+                rows[s] = gen.choice(n, size=batch, replace=False)
+        return idx
+
+    return draw
 
 
-def _diurnal_batches(schedule: DiurnalSchedule, seeds: list[int], num_steps: int, batch: int):
-    """Yield the (S, B) index matrix of steps 1..num_steps: a seed's step-t
-    batch is diurnal_draw on row t - 1 of lane 0 of its STREAM_BATCH, 2B
-    words, at phase t - 1 (so the first batch is all rows_a), one
-    rng.raw_rows draw and one diurnal_draw call per seed per chunk."""
-    return rng.step_rows(
-        seeds, num_steps, batch,
-        lambda seed, first, count: diurnal_draw(
-            schedule, first, rng.raw_rows(seed, rng.STREAM_BATCH, 0, first, count, 2 * batch)
-        ),
-    )
+def _diurnal_batches(schedule: DiurnalSchedule, seeds: list[int], batch: int):
+    """batches(first, count) for diurnal batches: a seed's step-t batch is
+    diurnal_draw on row t - 1 of lane 0 of its STREAM_BATCH, 2B words, at
+    phase t - 1 (so the first batch is all rows_a), one rng.raw_rows draw
+    and one diurnal_draw call per seed per chunk."""
+    return lambda first, count: np.stack([
+        diurnal_draw(schedule, first, rng.raw_rows(seed, rng.STREAM_BATCH, 0, first, count, 2 * batch))
+        for seed in seeds
+    ], axis=1)
 
 
 def dp_sgd_practical_runs(
@@ -410,19 +406,15 @@ def dp_sgd_practical_runs(
     T, dim = config.num_steps, model.param_dim()
     mean_noise_std, rho_total = calibrate_practical(config.clip_norm, noise_multiplier, T, batch)
     if diurnal is not None:
-        batches = _diurnal_batches(diurnal, seeds, T, batch)
+        batches = _diurnal_batches(diurnal, seeds, batch)
     else:
         batches = _uniform_batches(seeds, T, data.n, batch)
-
-    def step(theta):
-        idx = next(batches)
-        return model.clipped_grad_mean(theta, data, idx, config.clip_norm), idx, None
-
     return _dp_sgd_runs(
         model, data, config, seeds,
         lambda seed: 0.02 * rng.uniform_vector(seed, rng.STREAM_INIT, 0, dim) - 0.01,
-        step, mean_noise_std, PrivacyBudget.from_rho(rho_total, delta), batch,
-        record_loss=record_loss, eval_data=eval_data,
+        lambda theta, idx: model.clipped_grad_mean(theta, data, idx, config.clip_norm),
+        batches, max(dim, batch), mean_noise_std, PrivacyBudget.from_rho(rho_total, delta),
+        batch, record_loss=record_loss, eval_data=eval_data,
     )
 
 
@@ -512,7 +504,8 @@ def load_run(run_dir: str) -> RunRecord:
     """Rebuild a RunRecord from a run directory (diurnal schedule excluded).
 
     A file that save_run could not have written (a missing or malformed
-    manifest field, checkpoint steps off the config's cadence, a checkpoint
+    manifest field, a count, seed or checkpoint step that is not an int,
+    a dim below 1, checkpoint steps off the config's cadence, a checkpoint
     file of the wrong size, a metrics row that is not the next step's three
     numbers) is a ValueError naming the file."""
     manifest_path = os.path.join(run_dir, "manifest.json")
@@ -520,6 +513,10 @@ def load_run(run_dir: str) -> RunRecord:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         c = manifest["config"]
+        steps, dim, seed = manifest["checkpoint_steps"], manifest["dim"], manifest["seed"]
+        counts = (c["num_steps"], c["batch_size"], c["checkpoint_every"], dim, seed, *steps)
+        if not all(type(v) is int for v in counts) or dim < 1:  # no bool, float or str
+            raise ValueError("step counts, seed and checkpoint steps must be integers, dim >= 1")
         config = TrainerConfig(
             mode=c["mode"],
             num_steps=c["num_steps"],
@@ -530,8 +527,7 @@ def load_run(run_dir: str) -> RunRecord:
             checkpoint_every=c["checkpoint_every"],
         )
         budget = PrivacyBudget(**{k: float(v) for k, v in manifest["budget"].items()})
-        steps = np.array(manifest["checkpoint_steps"])
-        dim, seed = manifest["dim"], manifest["seed"]
+        steps = np.array(steps)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path} is malformed: {type(exc).__name__}: {exc}") from None
     every = config.checkpoint_every

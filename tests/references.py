@@ -29,6 +29,7 @@ from dpckpt.model import (
     QuadraticLoss,
     _binary_ce,
     _label_index,
+    _softmax_terms,
     clip_factors,
     diurnal_prob,
     row_sq_norms,
@@ -85,7 +86,7 @@ def clipped_grad_mean_l2(model, rows, data, idx, clip_norm) -> np.ndarray:
         return grad * clip_factors(row_sq_norms(grad), clip_norm)[:, None]
     design = model._design(data, idx)
     logits = model._logits(rows, design)
-    resid = model._residual(model._terms(logits), model._labels(data, idx))
+    resid = model._residual(logits, model._labels(data, idx))
     if model.binary:
         logits, resid = logits[:, :, None], resid[:, :, None]
     lam = model.l2_reg
@@ -107,11 +108,10 @@ def batch_loss_l2(model, rows, data, idx) -> np.ndarray:
     if isinstance(model, QuadraticLoss):
         return 0.5 * model.curvature * row_sq_norms(rows - model.center)
     logits = model._logits(rows, model._design(data, idx))
-    terms = model._terms(logits)
     if model.binary:
-        ce = _binary_ce(terms)
+        ce = _binary_ce(logits)
     else:
-        zmax, _, total = terms
+        zmax, _, total = _softmax_terms(logits)
         labels = model._labels(data, idx)
         ce = (zmax + np.log(total))[:, :, 0] - logits[_label_index(logits, labels)]
     return ce.sum(axis=1) / logits.shape[1] + 0.5 * model.l2_reg * row_sq_norms(rows)

@@ -607,8 +607,7 @@ def test_uq_compare_never_computes_a_training_loss(tmp_path, monkeypatch):
     def no_loss(*args, **kwargs):
         raise AssertionError("a training loss was computed")
 
-    for name in ("loss_and_grad", "loss_full"):
-        monkeypatch.setattr(LogisticLoss, name, no_loss)
+    monkeypatch.setattr(LogisticLoss, "loss_full", no_loss)
     table = run_experiment(ConfigView(parse_config_text(UQ_CFG)), str(tmp_path), workers=1)
     # three rows for each of the two (epsilon, k) cells
     assert len(table.rows) == 6
@@ -665,6 +664,32 @@ def test_cli_pds_eval_runs_with_a_period_past_int64(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["aggregate", "--config", _write_cfg(tmp_path, lines), "--out", str(out)]) == 0
     assert (out / "table.csv").exists()
+
+
+@pytest.mark.parametrize("odd_rows", [1, 399], ids=["no-odd-row", "no-even-row"])
+def test_cli_pds_eval_names_the_data_when_a_label_parity_misses_the_train_split(
+    tmp_path, capsys, odd_rows
+):
+    n = 400
+    # split_dataset's test rows at split seed 5, read off the row tags
+    tagged = DatasetHandle(np.arange(n, dtype=np.float64)[:, None], np.zeros(n), 2)
+    test_row = int(split_dataset(tagged, seed=5)["test"].features[0, 0])
+    # one row of one parity, and it is the test row
+    labels = np.full(n, 1 if odd_rows == n - 1 else 0)
+    labels[test_row] = 1 - labels[0]
+    features = synth_classification(n, 2, separation=2.0, seed=3).features
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("f0,f1,label\n" + "".join(
+        f"{float(a)!r},{float(b)!r},{y}\n" for (a, b), y in zip(features, labels)
+    ))
+    cfg = _write_cfg(tmp_path, (
+        f"task = pds_eval\ntrain.steps = 20\nnum_seeds = 2\ndata.split_seed = 5\n"
+        f"data.csv = {data_path}\n"
+    ))
+    out = str(tmp_path / "out")
+    assert cli.main(["aggregate", "--config", cfg, "--out", out]) == 2
+    parity = "odd" if odd_rows == 1 else "even"
+    assert f"the training split of {data_path} has no {parity}-label row" in capsys.readouterr().err
 
 
 def test_theoretical_radius_under_the_bound_trains_to_the_boundary(tmp_path):

@@ -364,7 +364,7 @@ def test_branch_free_slope_is_bit_equal_to_the_where_form():
     gen = np.random.default_rng(21)
     neg = np.concatenate([-mags, [0.0, -745.2, -709.8]])
     neg = np.concatenate([neg, -gen.uniform(0.0, 800.0, 2000), -gen.exponential(1.0, 2000)])
-    got = binary._residual(binary._terms(neg), None)
+    got = binary._residual(neg, None)
     e = np.exp(-np.abs(neg))
     assert np.array_equal(_bits(got), _bits(-_where_sigmoid_from(neg <= 0, e)))
     # where 0 < z < ln(max float) it is within a few ulp of that form, which
@@ -373,7 +373,7 @@ def test_branch_free_slope_is_bit_equal_to_the_where_form():
     top = math.log(np.finfo(np.float64).max)  # 709.78...: exp overflows above
     pos = np.concatenate([mags[1:6], [np.nextafter(top, 0.0)]])
     pos = np.concatenate([pos, gen.uniform(0.0, top, 2000), gen.exponential(1.0, 2000)])
-    got = binary._residual(binary._terms(pos), None)
+    got = binary._residual(pos, None)
     e = np.exp(-pos)
     old = _bits(-_where_sigmoid_from(pos <= 0, e)).astype(np.int64)
     assert np.all(np.signbit(got))
@@ -382,8 +382,8 @@ def test_branch_free_slope_is_bit_equal_to_the_where_form():
     big = np.array([np.nextafter(top, np.inf), 709.79, 710.0, 1e4, 1e308, np.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = binary._residual(binary._terms(big), None)
-        assert np.isnan(binary._residual(binary._terms(np.array([np.nan])), None)).all()
+        got = binary._residual(big, None)
+        assert np.isnan(binary._residual(np.array([np.nan]), None)).all()
     assert np.array_equal(_bits(got), _bits(np.full(len(big), -0.0)))
 
 
@@ -397,10 +397,10 @@ def test_binary_kernels_raise_no_warning_where_the_slope_saturates():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         grads = model.grad_full(rows, data)
-        losses, fused = model.loss_and_grad(rows, data)
+        losses = model.loss_full(rows, data)
         clipped = model.clipped_grad_mean(rows, data, idx, 1.0)
     assert np.all(np.isfinite(grads)) and np.all(np.isfinite(losses))
-    assert np.array_equal(fused, grads) and np.all(np.isfinite(clipped))
+    assert np.all(np.isfinite(clipped))
 
 
 def _every_family(binary_data, multi_data):
@@ -409,18 +409,6 @@ def _every_family(binary_data, multi_data):
         (LogisticLoss.for_data(binary_data, l2_reg=0.1), binary_data),
         (LogisticLoss.for_data(multi_data, l2_reg=0.1), multi_data),
     ]
-
-
-def test_row_batched_loss_and_grad_equal_per_row_calls(binary_data, multi_data):
-    gen = np.random.default_rng(8)
-    for model, data in _every_family(binary_data, multi_data):
-        rows = gen.normal(scale=2.0, size=(5, model.param_dim()))
-        losses, grads = model.loss_full(rows, data), model.grad_full(rows, data)
-        assert losses.shape == (5,) and grads.shape == rows.shape
-        for row, loss, grad in zip(rows, losses, grads):
-            one = model.loss_full(row[None], data)
-            assert one.shape == (1,) and loss == one[0]
-            assert np.array_equal(grad, model.grad_full(row[None], data)[0])
 
 
 @pytest.mark.parametrize("kind", ["binary", "softmax", "quadratic"])
@@ -434,7 +422,6 @@ def test_every_kernel_rejects_a_vector_and_names_the_row_shape(kind):
         "loss_full": lambda: model.loss_full(vector, data),
         "loss_full on a batch": lambda: model.loss_full(vector, data, idx),
         "grad_full": lambda: model.grad_full(vector, data),
-        "loss_and_grad": lambda: model.loss_and_grad(vector, data),
         "clipped_grad_mean": lambda: model.clipped_grad_mean(vector, data, idx, 1.0),
         "predict_proba": lambda: model.predict_proba(vector, data.features),
         "predict_labels": lambda: model.predict_labels(vector, data.features),
@@ -466,22 +453,27 @@ def test_row_batched_calls_check_the_width(binary_data, multi_data):
     zero_row=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_loss_and_grad_equals_the_separate_calls(
+def test_row_batched_loss_and_grad_equal_per_row_calls(
     binary_data, multi_data, family, num_rows, scale, zero_row, seed
 ):
+    """loss_full and grad_full give one value per row, and a row of a batch
+    equals the one-row call bit for bit, also where exp underflows and at a
+    zero row."""
     model, data = _every_family(binary_data, multi_data)[family]
     rows = np.random.default_rng(seed).normal(scale=scale, size=(num_rows, model.param_dim()))
     if zero_row:
         rows[0] = 0.0  # every folded margin z is exactly 0, the edge of the z <= 0 branch
-    losses, grads = model.loss_and_grad(rows, data)
+    losses, grads = model.loss_full(rows, data), model.grad_full(rows, data)
     assert losses.shape == (num_rows,) and grads.shape == rows.shape
-    assert np.array_equal(losses, model.loss_full(rows, data))
-    assert np.array_equal(grads, model.grad_full(rows, data))
+    for row, loss, grad in zip(rows, losses, grads):
+        one = model.loss_full(row[None], data)
+        assert one.shape == (1,) and _bit_equal(one[0], loss)
+        assert _bit_equal(model.grad_full(row[None], data)[0], grad)
 
 
-def test_loss_and_grad_cases_reach_underflow_and_signed_zeros(binary_data, multi_data):
-    """The rows the bit-identity test draws do reach the edge cases it names,
-    in the folded margins every binary kernel reads."""
+def test_row_batch_cases_reach_underflow_and_signed_zeros(binary_data, multi_data):
+    """The rows the per-row identity test draws do reach the edge cases it
+    names, in the folded margins every binary kernel reads."""
     binary, multi = (m for m, _ in _every_family(binary_data, multi_data)[1:])
     gen = np.random.default_rng(0)
     big = gen.normal(scale=1e3, size=(3, binary.param_dim()))
@@ -517,7 +509,7 @@ def _binary_case(case):
     "case", ["plain", "underflow", "zero_rows", "all_zero_labels", "all_one_labels"]
 )
 def test_binary_full_kernel_matches_unfolded_references(case):
-    """loss_full, grad_full and loss_and_grad read the folded store, and so do
+    """loss_full and grad_full read the folded store, and so do
     clipped_grad_mean and loss_full on the batches of an index matrix; the
     references never fold: a log-add-exp loss of the plain margins and the
     mean of the per-example oracle's (clipped) gradients, all within 1e-12."""
@@ -528,9 +520,7 @@ def test_binary_full_kernel_matches_unfolded_references(case):
     if case == "zero_rows":
         assert np.all(z[0] == 0.0) and np.all(z[:, ::3] == 0.0)
     signs = 2.0 * data.labels - 1.0
-    losses, grads = model.loss_and_grad(rows, data)
-    assert np.array_equal(losses, model.loss_full(rows, data))
-    assert np.array_equal(grads, model.grad_full(rows, data))
+    losses, grads = model.loss_full(rows, data), model.grad_full(rows, data)
     for theta, loss, grad in zip(rows, losses, grads):
         # a row of the batch equals the one-row call, bit for bit
         assert model.loss_full(theta[None], data)[0] == loss
@@ -611,8 +601,8 @@ def test_a_pickled_handle_rebuilds_its_store_with_equal_gradients(binary_data, m
     assert np.array_equal(copy.signed_features, data.signed_features)
     model = LogisticLoss.for_data(data, l2_reg=0.05)
     rows = np.random.default_rng(3).normal(size=(3, data.p))
-    for got, want in zip(model.loss_and_grad(rows, copy), model.loss_and_grad(rows, data)):
-        assert np.array_equal(got, want)
+    assert np.array_equal(model.loss_full(rows, copy), model.loss_full(rows, data))
+    assert np.array_equal(model.grad_full(rows, copy), model.grad_full(rows, data))
     # the softmax head's tie weights are rebuilt too, so a worker scores alike
     multi = _fresh(multi_data)
     model = LogisticLoss.for_data(multi)

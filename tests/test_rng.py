@@ -82,16 +82,10 @@ def test_gaussian_rows_prefix_equals_the_shorter_draw(lane, dim):
     assert np.array_equal(long[:100], short)
 
 
-def test_gaussian_steps_across_chunk_boundaries(monkeypatch):
-    # 3 seeds x 2 blocks per draw: 12 blocks allow 2 steps per draw
+def test_steps_per_draw_keeps_a_chunk_within_max_blocks(monkeypatch):
+    # 3 seeds x 2 blocks a row: 12 blocks allow 2 steps a chunk
     monkeypatch.setattr(rng, "MAX_BLOCKS", 12)
     assert rng.steps_per_draw(3, 3) == 2
-    seeds = [5, -1, 2**64 - 1]
-    drawn = list(rng.gaussian_steps(seeds, rng.STREAM_NOISE, 7, 3))
-    assert len(drawn) == 7
-    for t, noise in enumerate(drawn, start=1):
-        want = [gaussian_row(s, rng.STREAM_NOISE, 0, t - 1, 3) for s in seeds]
-        assert np.array_equal(noise, want)
     # a single step larger than the bound is still drawn whole
     assert rng.steps_per_draw(3, 200) == 1
 

@@ -359,59 +359,72 @@ def test_batched_rows_match_the_scalar_loop(family):
         assert np.array_equal(record.metrics[:, 0], losses)
 
 
-def _two_call_reference(model, data, config, seeds, rho):
-    """The step before the fused kernel, over all S rows: grad_full at the
-    current iterate, per-step gaussian_row noise, project_l2, then
-    loss_full at the new iterate."""
-    noise_std = calibrate_theoretical(model.lipschitz, config.num_steps, data.n, rho)
-    theta = np.zeros((len(seeds), model.param_dim()))
-    params, losses = [], []
-    for t in range(1, config.num_steps + 1):
-        g = model.grad_full(theta, data)
-        if noise_std > 0:
-            g = g + noise_std * np.stack(
-                [gaussian_row(s, rng.STREAM_NOISE, 0, t - 1, theta.shape[1]) for s in seeds]
-            )
-        theta = project_l2(theta - config.eta.at(t) * g, config.projection_radius)
-        params.append(theta)
-        losses.append(model.loss_full(theta, data))
-    return np.stack(params, axis=1), np.stack(losses, axis=1)
+def _chunks_of(monkeypatch, steps: int, num_seeds: int, width: int) -> None:
+    """Patch rng.MAX_BLOCKS so that a chunk of rows width normals wide is the
+    given number of steps."""
+    monkeypatch.setattr(rng, "MAX_BLOCKS", steps * num_seeds * -(-2 * width // 4))
+    assert rng.steps_per_draw(num_seeds, width) == steps
 
 
-@pytest.mark.parametrize("family", ["binary", "softmax"])
-@pytest.mark.parametrize("seeds", [[3], [3, 2**64 - 1, -5]], ids=["S1", "S3"])
+@pytest.mark.parametrize("family", ["binary", "softmax", "quadratic"])
 @pytest.mark.parametrize("rho", [0.3, math.inf], ids=["noisy", "noiseless"])
-def test_fused_steps_replay_the_two_call_step(family, seeds, rho):
+@pytest.mark.parametrize("chunk", [None, 1, 2, 3])
+def test_theoretical_runs_do_not_depend_on_the_chunk_size(family, rho, chunk, monkeypatch):
+    """Seven steps of three seeds, drawn and scored one, two or three steps
+    a chunk (None: one chunk), equal the one-row loop with per-step noise
+    rows bit for bit, the recorded loss included."""
     model, data = _batch_setup(family)
     config = TrainerConfig(
-        "theoretical", 25, EtaSchedule("inverse_sqrt", 0.7), projection_radius=0.6,
+        "theoretical", 7, EtaSchedule("inverse_sqrt", 0.6), projection_radius=0.5,
         checkpoint_every=1,
     )
-    params, losses = _two_call_reference(model, data, config, seeds, rho)
-    records = dp_sgd_theoretical_runs(model, data, config, seeds, rho=rho)
-    for s, record in enumerate(records):
-        assert np.array_equal(record.params, params[s])
-        assert np.array_equal(record.metrics[:, 0], losses[s])
+    seeds = [4, 2**64 - 3, -7]
+    if chunk is None:
+        assert rng.steps_per_draw(len(seeds), model.param_dim()) >= config.num_steps
+    else:
+        _chunks_of(monkeypatch, chunk, len(seeds), model.param_dim())
+    for s, record in zip(seeds, dp_sgd_theoretical_runs(model, data, config, seeds, rho=rho)):
+        params, losses = _scalar_reference(model, data, config, s, rho)
+        assert np.array_equal(record.params, params)
+        assert np.array_equal(record.metrics[:, 0], losses)
         assert np.all(np.isnan(record.metrics[:, 1]))
 
 
 @pytest.mark.parametrize("family", ["binary", "softmax"])
 @pytest.mark.parametrize("record_loss", [True, False])
-def test_theoretical_run_forms_the_logits_once_per_step(family, record_loss, monkeypatch):
-    """Step t's one logits pass, at theta_{t-1}, gives its gradient and step
-    t - 1's loss; theta_T's loss takes one more pass, and no pass forms a
-    gradient that no step reads."""
+@pytest.mark.parametrize("block", [None, 1, 2])
+def test_theoretical_run_calls_grad_full_a_step_and_loss_full_a_block(
+    family, record_loss, block, monkeypatch
+):
+    """grad_full runs once a step on the S rows; with the loss recorded,
+    loss_full scores steps_per_draw(S, max(p, n)) steps of iterates a call,
+    and no other kernel runs."""
     model, data = _batch_setup(family)
-    real, calls = LogisticLoss._logits, []
+    seeds, steps = [1, 2], 9
+    width = max(model.param_dim(), data.n)
+    if block is not None:
+        _chunks_of(monkeypatch, block, len(seeds), width)
+    per_block = rng.steps_per_draw(len(seeds), width)
+    calls = []
 
-    def counting(self, rows, features):
-        calls.append(len(rows))
-        return real(self, rows, features)
+    def counted(name):
+        real = getattr(LogisticLoss, name)
 
-    monkeypatch.setattr(LogisticLoss, "_logits", counting)
-    config = TrainerConfig("theoretical", 9, EtaSchedule("constant", 0.1))
-    dp_sgd_theoretical_runs(model, data, config, [1, 2], rho=0.5, record_loss=record_loss)
-    assert calls == [2] * (9 + record_loss)
+        def call(self, rows, *args):
+            calls.append((name, len(rows)))
+            return real(self, rows, *args)
+
+        return call
+
+    for name in ("grad_full", "loss_full", "clipped_grad_mean"):
+        monkeypatch.setattr(LogisticLoss, name, counted(name))
+    config = TrainerConfig("theoretical", steps, EtaSchedule("constant", 0.1))
+    dp_sgd_theoretical_runs(model, data, config, seeds, rho=0.5, record_loss=record_loss)
+    assert [c for c in calls if c[0] == "grad_full"] == [("grad_full", 2)] * steps
+    losses = [rows for name, rows in calls if name == "loss_full"]
+    assert len(losses) == (math.ceil(steps / per_block) if record_loss else 0)
+    assert sum(losses) == (2 * steps if record_loss else 0)
+    assert len(calls) == steps + len(losses)
 
 
 @pytest.mark.parametrize("family", ["binary", "softmax", "quadratic"])
@@ -427,8 +440,7 @@ def test_unrecorded_loss_leaves_the_runs_unchanged(family, monkeypatch):
     def no_loss(*args, **kwargs):
         raise AssertionError("a loss was computed")
 
-    for name in ("loss_and_grad", "loss_full"):
-        monkeypatch.setattr(type(model), name, no_loss)
+    monkeypatch.setattr(type(model), "loss_full", no_loss)
     skipped = dp_sgd_theoretical_runs(model, data, config, seeds, rho=0.3, record_loss=False)
     for s, full, lean in zip(seeds, recorded, skipped):
         assert np.array_equal(lean.params, full.params)
@@ -582,6 +594,17 @@ def test_practical_block_noise_matches_per_step_draws(diurnal):
     assert np.array_equal(record.metrics, metrics)
 
 
+def _practical_chunk(model, config, num_seeds: int) -> int:
+    """The practical trainer's chunk, the steps it draws, trains and scores
+    at a time: those of one noise draw of rows max(p, B) wide."""
+    return rng.steps_per_draw(num_seeds, max(model.param_dim(), config.batch_size))
+
+
+def _blocks_of(monkeypatch, steps: int, model, config, num_seeds: int) -> None:
+    """Patch rng.MAX_BLOCKS so that the practical chunk is the given number of steps."""
+    _chunks_of(monkeypatch, steps, num_seeds, max(model.param_dim(), config.batch_size))
+
+
 def test_practical_diurnal_runs_do_not_depend_on_the_chunk_size(monkeypatch):
     model, data = _batch_setup("softmax")
     rows = np.arange(data.n)
@@ -592,29 +615,13 @@ def test_practical_diurnal_runs_do_not_depend_on_the_chunk_size(monkeypatch):
     )
     seeds = [4, -1, 2**64 - 1]
     whole = dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=data)
-    assert rng.steps_per_draw(len(seeds), config.batch_size) >= config.num_steps
-    # 3 seeds x 4 batch blocks a step: a bound of 30 blocks allows 2 steps
-    # per draw, a bound of 1 block one step
-    for blocks, per_draw in ((30, 2), (1, 1)):
-        monkeypatch.setattr(rng, "MAX_BLOCKS", blocks)
-        assert rng.steps_per_draw(len(seeds), config.batch_size) == per_draw
+    assert _practical_chunk(model, config, len(seeds)) >= config.num_steps
+    for per_draw in (2, 1):
+        _blocks_of(monkeypatch, per_draw, model, config, len(seeds))
         chunked = dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=data)
         for got, want in zip(chunked, whole, strict=True):
             assert np.array_equal(got.params, want.params)
             assert np.array_equal(got.metrics, want.metrics)
-
-
-def _scoring_block(model, config, num_seeds: int) -> int:
-    """The practical trainer's scoring block: the steps of one noise draw
-    of rows max(p, B) wide."""
-    return rng.steps_per_draw(num_seeds, max(model.param_dim(), config.batch_size))
-
-
-def _blocks_of(monkeypatch, steps: int, model, config, num_seeds: int) -> None:
-    """Patch rng.MAX_BLOCKS so that the scoring block is the given number of steps."""
-    width = max(model.param_dim(), config.batch_size)
-    monkeypatch.setattr(rng, "MAX_BLOCKS", steps * num_seeds * -(-2 * width // 4))
-    assert _scoring_block(model, config, num_seeds) == steps
 
 
 @pytest.mark.parametrize("diurnal", [False, True], ids=["uniform", "diurnal"])
@@ -632,7 +639,7 @@ def test_practical_metrics_do_not_depend_on_the_scoring_block(diurnal, block, mo
         checkpoint_every=2, diurnal=schedule,
     )
     seeds = [4, -1, 2**64 - 1]
-    assert _scoring_block(model, config, len(seeds)) >= config.num_steps
+    assert _practical_chunk(model, config, len(seeds)) >= config.num_steps
     whole = dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=data)
     _blocks_of(monkeypatch, block, model, config, len(seeds))
     blocked = dp_sgd_practical_runs(model, data, config, seeds, 1.3, eval_data=data)
@@ -653,7 +660,7 @@ def test_practical_scores_each_block_with_one_call(block, steps, batch, monkeypa
     config = TrainerConfig("practical", steps, EtaSchedule("constant", 0.5), batch_size=batch)
     if block is not None:
         _blocks_of(monkeypatch, block, model, config, len(seeds))
-    per_block = _scoring_block(model, config, len(seeds))
+    per_block = _practical_chunk(model, config, len(seeds))
     calls = []
     real_loss, real_accuracy = LogisticLoss.loss_full, trainer_module.accuracy
 
@@ -757,29 +764,21 @@ class _NaNGradientOnCall(QuadraticLoss):
     """Quadratic loss whose gradient turns NaN in `rows` on its nan_call-th call.
 
     QuadraticLoss.clipped_grad_mean(rows, data, idx, clip_norm) reads neither
-    data nor idx and calls grad_full once per practical step;
-    the theoretical trainer's t-th gradient call (loss_and_grad at
-    theta_{t-1}, or grad_full when the loss is not recorded) gives the
-    gradient of step t. So either trainer's nan_call-th counted call
-    feeds step nan_call.
+    data nor idx and calls grad_full once per practical step, and the
+    theoretical trainer calls grad_full once per step too. So either
+    trainer's nan_call-th grad_full call feeds step nan_call.
     """
 
     def __init__(self, nan_call: int, rows=..., **kwargs):
         super().__init__(center=np.array([0.5, -0.5]), lipschitz=1.0, **kwargs)
         self.nan_call, self.rows, self.calls = nan_call, rows, 0
 
-    def _count(self, grad):
+    def grad_full(self, theta, data=None):
         self.calls += 1
+        grad = super().grad_full(theta, data)
         if self.calls == self.nan_call:
             grad[self.rows] = math.nan
         return grad
-
-    def grad_full(self, theta, data=None):
-        return self._count(super().grad_full(theta, data))
-
-    def loss_and_grad(self, rows, data=None):
-        loss, grad = super().loss_and_grad(rows, data)
-        return loss, self._count(grad)
 
 
 @pytest.mark.parametrize("record_loss", [True, False])
@@ -1113,6 +1112,22 @@ def _resize_bin(delta_bytes):
     return corrupt
 
 
+def _empty_bin(run_dir):
+    open(os.path.join(run_dir, "checkpoints.bin"), "wb").close()
+
+
+def _both(first, second):
+    def corrupt(run_dir):
+        first(run_dir)
+        second(run_dir)
+
+    return corrupt
+
+
+def _float_steps(manifest):
+    manifest["checkpoint_steps"] = [float(t) for t in manifest["checkpoint_steps"]]
+
+
 @pytest.mark.parametrize(
     "corrupt, name",
     [
@@ -1127,11 +1142,17 @@ def _resize_bin(delta_bytes):
         (_rewrite_metrics(lambda rows: rows[:-1]), "metrics.csv"),
         (_rewrite_manifest(lambda m: m.pop("dim")), "manifest.json"),
         (_rewrite_manifest(lambda m: m["checkpoint_steps"].reverse()), "manifest.json"),
+        (_both(_rewrite_manifest(lambda m: m.update(dim=0)), _empty_bin), "manifest.json"),
+        (_rewrite_manifest(lambda m: m.update(dim=True)), "manifest.json"),
+        (_rewrite_manifest(lambda m: m.update(seed="x")), "manifest.json"),
+        (_rewrite_manifest(lambda m: m.update(seed=1.5)), "manifest.json"),
+        (_rewrite_manifest(_float_steps), "manifest.json"),
     ],
     ids=[
         "truncated-bin", "extended-bin", "step-0-row", "missing-row", "duplicate-row",
         "two-field-row", "text-cell", "changed-header", "last-row-dropped", "no-dim",
-        "reversed-steps",
+        "reversed-steps", "dim-0-empty-bin", "bool-dim", "text-seed", "float-seed",
+        "float-steps",
     ],
 )
 def test_load_run_rejects_corrupt_run_dirs(tmp_path, practical_setup, corrupt, name):
