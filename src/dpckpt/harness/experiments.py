@@ -712,25 +712,25 @@ def _pds_scores(model, parts, beta_specs, k_specs, window, record) -> dict:
     over the window, not its final value: under a shifting distribution the
     endpoint rewards phase luck. _best_index breaks the ties. Specs whose
     windows are equal byte for byte (EMA caps that never bind) share one
-    validation score, found by the digest of the window's rows."""
+    validation score, found by the digest of the window's rows. Each
+    window is rolled once: the scan keeps the rows of its family's best
+    spec so far, which the winner's test series reads."""
     params, steps = record.params, record.steps
     test = parts["test"]
     scored: dict[bytes, float] = {}
-
-    def rolled(spec: AggregationSpec) -> np.ndarray:
-        return aggregate.rolling(spec, params, steps, window)
-
-    def validation_score(spec: AggregationSpec) -> float:
-        rows = rolled(spec)
-        key = hashlib.sha256(rows.tobytes()).digest()
-        if key not in scored:
-            scored[key] = float(np.mean(accuracy(model, rows, parts["validation"])))
-        return scored[key]
-
     scores = {"steps": steps[-window:], "baseline": accuracy(model, params[-window:], test)}
     for name, specs in (("ema", beta_specs), ("upa", k_specs)):
-        best = specs[_best_index(specs, [validation_score(spec) for spec in specs])]
-        scores["best_" + name], scores[name] = best, accuracy(model, rolled(best), test)
+        accs: list[float] = []
+        for i, spec in enumerate(specs):
+            rows = aggregate.rolling(spec, params, steps, window)
+            key = hashlib.sha256(rows.tobytes()).digest()
+            if key not in scored:
+                scored[key] = float(np.mean(accuracy(model, rows, parts["validation"])))
+            accs.append(scored[key])
+            if _best_index(specs[: i + 1], accs) == i:
+                best, best_rows = spec, rows
+            del rows  # the next window rolls beside the best one only
+        scores["best_" + name], scores[name] = best, accuracy(model, best_rows, test)
     return scores
 
 

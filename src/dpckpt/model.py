@@ -22,33 +22,39 @@ both per-row products read one contiguous buffer. The fold alone is exact
 in another order, so against the unfolded kernel results move by at most
 1e-12 relative, the tolerance tools/artifact_drift.py checks. The gathered
 batches of clipped_grad_mean and loss_full are rows of that store too.
+The softmax head has one layout, class-major (S, c, n) logits: each row's
+(c, d) weights times a C-contiguous (d, n) factor, the handle's read-only
+DatasetHandle.transposed_features for full data or a batch's (S, d, B)
+gather, so every softmax logit is one BLAS layout (a transposed operand
+rounds differently at some shapes). Every reduction over the classes runs
+along axis 1, elementwise over the contiguous examples; a true-class logit
+is read at its flat offset (s c + y) n + i; and the gradient is one stacked
+matmul of the (S, c, n) residuals with the rows.
 loss_full and grad_full each make their own logits pass, and the
 trainer calls loss_full only for a loss it records, a chunk of steps'
 iterates per call. The binary head's cross-entropy and slope both read
 the signed margins z; the softmax head's log-sum-exp and probabilities
-both read exp(logits - max) and its row sum. The binary slope
+both read exp(logits - max) and its sum over the classes. The binary slope
 -sigmoid(-z), which every binary kernel reads, is the gradient-only
 -1/(1 + exp(z)): three passes, against the seven of a slope built from
 the loss's exp(-|z|). Where exp(z) overflows (z above 709.78) it is
 -0.0, its limit; where z <= 0 it equals the two-sided stable form bit for
 bit. The sigmoid of predict_proba is branch-free: it takes its numerator
 as max(exp(-|x|), x >= 0), which equals the np.where form bit for bit.
-predict_proba and predict_labels give (S, n, c) probabilities and (S, n)
-labels; predict_labels reads the argmax straight off the logits, with no
-softmax; a non-finite logit in either is a NumericDivergenceError. accuracy,
-the one scoring entry that also takes a (p,) vector, gives (S,) accuracies
-for rows, scored in chunks of at most ~40k logits: it counts hits(rows,
-data), the (S, n) bool predict_labels == labels. The softmax head's hits
-read class-major (S, c, n) logits, matmul(weights, features.T), still one
-stacked BLAS call per row (at the stock shapes bit-equal to the row-major
-block, which a test pins), so the max over classes runs along n instead
-of over a 10-wide last axis. A row is a hit when its classes at the top
-logit weigh 1 in DatasetHandle.label_weights ((c, n) int8: 1 at the label,
-2 at each lower class, 0 above), which is exactly when the label is the
-lowest top class, the one argmax picks; ties are counted as argmax counts
-them, and a non-finite logit still raises. The weights are summed in the
-narrowest signed integer type that holds their largest total, 2c - 1
-(int8 up to 64 classes), not in numpy's default int64.
+predict_proba and predict_labels give (S, n, c) probabilities (the softmax
+head's a transposed view of its class-major array) and (S, n) labels; the
+softmax head reads a C-contiguous copy of the transposed features, as it
+reads a store. predict_labels reads the argmax straight off the logits,
+with no softmax; a non-finite logit in either is a NumericDivergenceError.
+accuracy, the one scoring entry that also takes a (p,) vector, gives (S,)
+accuracies for rows, scored in chunks of at most ~40k logits: it counts
+hits(rows, data), the (S, n) bool predict_labels == labels. The softmax
+head's hits read the handle's store, and a row is a hit when its classes
+at the top logit weigh 1 in DatasetHandle.label_weights ((c, n) int8: 1 at
+the label, 2 at each lower class, 0 above), which is exactly when the
+label is the lowest top class, the one argmax picks; ties are counted as
+argmax counts them. The weights are summed in the narrowest signed integer
+type that holds their largest total, 2c - 1 (int8 up to 64 classes).
 A batch is an (S, B) index matrix, row s's batch the rows idx[s] of the
 dataset: loss_full(rows, data, idx) is each row's loss on its own batch,
 and clipped_grad_mean, the practical trainer's step, is the mean of its
@@ -88,11 +94,18 @@ from .errors import ConfigError, NumericDivergenceError
 # datasets
 
 
+def _transposed_store(matrix: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous (p, n) copy of the (n, p) matrix's transpose."""
+    store = np.ascontiguousarray(matrix.T)
+    store.flags.writeable = False
+    return store
+
+
 @dataclass(eq=False)
 class DatasetHandle:
     """A fixed design matrix with integer class labels, and the arrays derived
-    from them (the sign-folded matrix, the squared row norms, the labels' tie
-    weights) built on first use.
+    from them (the sign-folded matrix, the transposed features, the squared
+    row norms, the labels' tie weights) built on first use.
     The loss models read labelled data only through a handle."""
 
     features: np.ndarray  # (n, p) float64
@@ -118,9 +131,13 @@ class DatasetHandle:
         """(n, p) view of the read-only sign-folded design matrix diag(2y - 1) X,
         which is built on first use from this handle's own features and labels
         and stored transposed, as a C-contiguous (p, n) array."""
-        store = np.ascontiguousarray((self.features * (2.0 * self.labels - 1.0)[:, None]).T)
-        store.flags.writeable = False
-        return store.T
+        return _transposed_store(self.features * (2.0 * self.labels - 1.0)[:, None]).T
+
+    @functools.cached_property
+    def transposed_features(self) -> np.ndarray:
+        """The read-only C-contiguous (p, n) transpose of the features, built
+        on first use: the store the softmax head's class-major logits read."""
+        return _transposed_store(self.features)
 
     @functools.cached_property
     def sq_norms(self) -> np.ndarray:
@@ -140,7 +157,7 @@ class DatasetHandle:
         # a copy (as a worker process gets) rebuilds the derived arrays on
         # first use: numpy unpickles arrays writeable
         state = self.__dict__.copy()
-        for derived in ("signed_features", "sq_norms", "label_weights"):
+        for derived in ("signed_features", "transposed_features", "sq_norms", "label_weights"):
             state.pop(derived, None)
         return state
 
@@ -248,11 +265,13 @@ def _binary_ce(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax_terms(logits: np.ndarray):
-    """(max logit, exp(logits - max), the sum of those exps) over the last
-    axis, which the log-sum-exp and the softmax probabilities both read."""
-    zmax = logits.max(axis=-1, keepdims=True)
-    ex = np.exp(logits - zmax)
-    return zmax, ex, ex.sum(axis=-1, keepdims=True)
+    """(max logit, exp(logits - max), the sum of those exps) over the class
+    axis 1 of (S, c, n) logits, which the log-sum-exp and the softmax
+    probabilities both read; each reduction runs along the contiguous n."""
+    zmax = logits.max(axis=1, keepdims=True)
+    ex = logits - zmax
+    np.exp(ex, out=ex)
+    return zmax, ex, ex.sum(axis=1, keepdims=True)
 
 
 def row_sq_norms(rows: np.ndarray) -> np.ndarray:
@@ -260,10 +279,12 @@ def row_sq_norms(rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
-def _label_index(logits: np.ndarray, labels: np.ndarray) -> tuple:
-    """Index of each example's true-class logit in (S, n, c) logits, for labels
-    shared by every row, (n,), or one batch of labels per row, (S, n)."""
-    return np.arange(len(logits))[:, None], np.arange(labels.shape[-1]), labels
+def _label_offsets(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(S, n) flat offsets of each example's true-class logit in C-contiguous
+    (S, c, n) logits, for labels shared by every row, (n,), or one batch of
+    labels per row, (S, n)."""
+    num_rows, num_classes, n = logits.shape
+    return (np.arange(num_rows)[:, None] * num_classes + labels) * n + np.arange(n)
 
 
 def _finite(logits: np.ndarray) -> np.ndarray:
@@ -324,7 +345,8 @@ class LossModel:
         raise NotImplementedError
 
     def predict_proba(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """(S, n, c) class probabilities of each row on the (n, d) features."""
+        """(S, n, c) class probabilities of each row on the (n, d) features (the
+        softmax head's are a transposed view of its (S, c, n) array)."""
         raise NotImplementedError
 
     def predict_labels(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -451,18 +473,29 @@ class LogisticLoss(LossModel):
     def param_dim(self) -> int:
         return self.n_features if self.binary else self.num_classes * self.n_features
 
-    def _logits(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """(S, n) margins (binary) or (S, n, c) logits, one stacked BLAS call per row."""
+    def _logits(self, rows: np.ndarray, design: np.ndarray) -> np.ndarray:
+        """(S, n) margins of an (n, d) or (S, n, d) binary design, or (S, c, n)
+        logits of a C-contiguous (d, n) or (S, d, n) softmax one; one stacked
+        BLAS call per row."""
         if self.binary:
-            return np.matmul(features, rows[:, :, None])[:, :, 0]
+            return np.matmul(design, rows[:, :, None])[:, :, 0]
         weights = rows.reshape(len(rows), self.num_classes, self.n_features)
-        return np.matmul(features, weights.transpose(0, 2, 1))
+        return np.matmul(weights, design)
 
     def _design(self, data: DatasetHandle, idx: np.ndarray | None = None) -> np.ndarray:
-        """The design matrix (sign-folded for the binary head, whose logits are
-        then the margins z), or its (S, B, d) rows for an (S, B) index matrix."""
-        design = data.signed_features if self.binary else data.features
-        return design if idx is None else design[idx]
+        """The store the head's logits read, the binary head's sign-folded (n, d)
+        one (whose logits are the margins z) or the softmax head's (d, n); or
+        each batch's rows for an (S, B) index matrix, (S, B, d) or, gathered a
+        row at a time so no (S, B, d) copy is held, C-contiguous (S, d, B)."""
+        if self.binary:
+            design = data.signed_features
+            return design if idx is None else design[idx]
+        if idx is None:
+            return data.transposed_features
+        design = np.empty((len(idx), data.p, idx.shape[-1]))
+        for s, batch in enumerate(idx):
+            design[s] = data.features[batch].T
+        return design
 
     def _labels(self, data: DatasetHandle, idx: np.ndarray | None = None) -> np.ndarray | None:
         """The labels, or their (S, B) rows for an (S, B) index matrix; only the
@@ -472,8 +505,8 @@ class LogisticLoss(LossModel):
         return data.labels if idx is None else data.labels[idx]
 
     def _residual(self, logits, labels: np.ndarray | None) -> np.ndarray:
-        """Each example's loss slope in its logits: probabilities minus one-hot
-        for the softmax head, and for the binary head -sigmoid(-z) of the
+        """Each example's loss slope in its logits: (S, c, n) probabilities minus
+        one-hot for the softmax head, and for the binary head -sigmoid(-z) of the
         signed margins z, taken as -1/(1 + exp(z)) in three passes over one
         buffer. Where exp(z) overflows that is -0.0, its limit; where z <= 0,
         exp(z) is the exp(-|z|) of the two-sided stable form, so the two agree
@@ -484,8 +517,8 @@ class LogisticLoss(LossModel):
             e += 1.0
             return np.divide(-1.0, e, out=e)
         _, ex, total = _softmax_terms(logits)
-        probs = ex / total
-        probs[_label_index(probs, labels)] -= 1.0
+        probs = np.divide(ex, total, out=ex)
+        probs.reshape(-1)[_label_offsets(probs, labels)] -= 1.0
         return probs
 
     def loss_full(self, rows, data, idx=None):
@@ -495,10 +528,10 @@ class LogisticLoss(LossModel):
             ce = _binary_ce(logits)
         else:
             zmax, _, total = _softmax_terms(logits)
-            lse = (zmax + np.log(total))[:, :, 0]
-            ce = lse - logits[_label_index(logits, self._labels(data, idx))]
+            lse = (zmax + np.log(total))[:, 0]
+            ce = lse - logits.take(_label_offsets(logits, self._labels(data, idx)))
         # np.mean's own arithmetic (sum, then divide by n) minus its wrapper cost
-        loss = ce.sum(axis=1) / logits.shape[1]
+        loss = ce.sum(axis=1) / logits.shape[-1]
         if self.l2_reg > 0:
             loss = loss + 0.5 * self.l2_reg * row_sq_norms(rows)
         return loss
@@ -510,7 +543,7 @@ class LogisticLoss(LossModel):
         if self.binary:
             slope = np.matmul(data.signed_features.T, resid[:, :, None])
             return self.l2_reg * rows + slope[:, :, 0] / data.n
-        grad_w = np.matmul(resid.transpose(0, 2, 1), data.features) / data.n
+        grad_w = np.matmul(resid, data.features) / data.n
         return grad_w.reshape(len(rows), -1) + self.l2_reg * rows
 
     def clipped_grad_mean(self, rows, data, idx, clip_norm):
@@ -519,20 +552,20 @@ class LogisticLoss(LossModel):
         logits = self._logits(rows, design)
         resid = self._residual(logits, self._labels(data, idx))
         if self.binary:
-            # one logit per example: (S, B) -> (S, B, 1), as the softmax head's
-            logits, resid = logits[:, :, None], resid[:, :, None]
+            # one logit per example: (S, B) -> (S, 1, B), as the softmax head's
+            logits, resid = logits[:, None, :], resid[:, None, :]
         lam = self.l2_reg
-        sq_norms = (resid * resid).sum(axis=-1) * data.sq_norms[idx]
+        sq_norms = (resid * resid).sum(axis=1) * data.sq_norms[idx]
         if lam > 0:
             sq_norms = (
                 sq_norms
-                + 2.0 * lam * (resid * logits).sum(axis=-1)
+                + 2.0 * lam * (resid * logits).sum(axis=1)
                 + lam * lam * row_sq_norms(rows)[:, None]
             )
         factors = clip_factors(sq_norms, clip_norm)  # (S, B)
         batch = idx.shape[-1]
-        coeff = (factors[:, :, None] * resid).transpose(0, 2, 1)
-        grad = (np.matmul(coeff, design) / batch).reshape(len(rows), -1)
+        design = design if self.binary else np.swapaxes(design, 1, 2)  # (S, B, d)
+        grad = (np.matmul(factors[:, None, :] * resid, design) / batch).reshape(len(rows), -1)
         if lam > 0:
             grad = grad + lam * rows * (factors.sum(axis=1) / batch)[:, None]
         return grad
@@ -563,9 +596,11 @@ class LogisticLoss(LossModel):
         return min(limits)
 
     def _checked_logits(self, rows, features):
-        """Finite logits of the rows on the features; what both prediction heads read."""
+        """Finite logits of the rows on the (n, d) features, which the softmax
+        head transposes into a store's layout; what both prediction heads read."""
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return _finite(self._logits(self._check_rows(rows), features))
+        design = features if self.binary else np.ascontiguousarray(features.T)
+        return _finite(self._logits(self._check_rows(rows), design))
 
     def predict_proba(self, rows, features) -> np.ndarray:
         logits = self._checked_logits(rows, features)
@@ -573,7 +608,7 @@ class LogisticLoss(LossModel):
             pos = _sigmoid(logits)
             return np.stack([1.0 - pos, pos], axis=-1)
         _, ex, total = _softmax_terms(logits)
-        return ex / total
+        return np.divide(ex, total, out=ex).transpose(0, 2, 1)
 
     def predict_labels(self, rows, features) -> np.ndarray:
         """The argmax of the logits, which softmax and sigmoid preserve; a zero
@@ -581,26 +616,24 @@ class LogisticLoss(LossModel):
         does. The two differ only where distinct logits round to equal
         probabilities: there the probability argmax gives the lower class."""
         logits = self._checked_logits(rows, features)
-        return (logits > 0).astype(np.int64) if self.binary else logits.argmax(axis=-1)
+        return (logits > 0).astype(np.int64) if self.binary else logits.argmax(axis=1)
 
     def hits(self, rows, data) -> np.ndarray:
         """The binary head's hits are its predict_labels that match. The
-        softmax head scores (S, c, n) class-major logits, one stacked BLAS
-        call per row as _logits makes, whose class maxima run along n: an
-        example's classes at the top logit weigh 1 in data.label_weights
-        exactly when its label is the lowest of them, the class
-        predict_labels gives."""
+        softmax head scores the class-major logits of the handle's store,
+        whose class maxima run along n: an example's classes at the top
+        logit weigh 1 in data.label_weights exactly when its label is the
+        lowest of them, the class predict_labels gives."""
         if self.binary:
             return super().hits(rows, data)
-        weights = self._check_rows(rows).reshape(len(rows), self.num_classes, self.n_features)
-        logits = _finite(np.matmul(weights, data.features.T))
+        logits = _finite(self._logits(self._check_rows(rows), data.transposed_features))
         top = logits.max(axis=1, keepdims=True)
         # the narrowest signed type that holds the largest total, 2c - 1
         width = np.min_scalar_type(1 - 2 * self.num_classes)
         return ((logits == top) * data.label_weights).sum(axis=1, dtype=width) == 1
 
 
-# elements of one (rows, n, c) logits block that accuracy scores at once
+# elements of one (rows, c, n) logits block that accuracy scores at once
 ACCURACY_BLOCK = 40_000
 
 

@@ -505,9 +505,10 @@ def load_run(run_dir: str) -> RunRecord:
 
     A file that save_run could not have written (a missing or malformed
     manifest field, a count, seed or checkpoint step that is not an int,
-    a dim below 1, checkpoint steps off the config's cadence, a checkpoint
-    file of the wrong size, a metrics row that is not the next step's three
-    numbers) is a ValueError naming the file."""
+    a bool where a float belongs, a dim below 1, checkpoint steps off the
+    config's cadence, a checkpoint file of the wrong size, a metrics row
+    that is not the next step's three numbers) is a ValueError naming the
+    file."""
     manifest_path = os.path.join(run_dir, "manifest.json")
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -517,6 +518,10 @@ def load_run(run_dir: str) -> RunRecord:
         counts = (c["num_steps"], c["batch_size"], c["checkpoint_every"], dim, seed, *steps)
         if not all(type(v) is int for v in counts) or dim < 1:  # no bool, float or str
             raise ValueError("step counts, seed and checkpoint steps must be integers, dim >= 1")
+        reals = (c["eta_value"], c["projection_radius"], c["clip_norm"])
+        reals += tuple(manifest["budget"].values())
+        if any(type(v) is bool for v in reals):  # float(True) is 1.0
+            raise ValueError("eta_value, projection_radius, clip_norm and the budget are not bools")
         config = TrainerConfig(
             mode=c["mode"],
             num_steps=c["num_steps"],

@@ -28,7 +28,6 @@ from dpckpt.model import (
     DiurnalSchedule,
     QuadraticLoss,
     _binary_ce,
-    _label_index,
     _softmax_terms,
     clip_factors,
     diurnal_prob,
@@ -88,17 +87,18 @@ def clipped_grad_mean_l2(model, rows, data, idx, clip_norm) -> np.ndarray:
     logits = model._logits(rows, design)
     resid = model._residual(logits, model._labels(data, idx))
     if model.binary:
-        logits, resid = logits[:, :, None], resid[:, :, None]
+        logits, resid = logits[:, None, :], resid[:, None, :]
     lam = model.l2_reg
+    # class-major (S, c, B) terms: every sum over classes runs along axis 1
     sq_norms = (
-        (resid * resid).sum(axis=-1) * data.sq_norms[idx]
-        + 2.0 * lam * (resid * logits).sum(axis=-1)
+        (resid * resid).sum(axis=1) * data.sq_norms[idx]
+        + 2.0 * lam * (resid * logits).sum(axis=1)
         + lam * lam * row_sq_norms(rows)[:, None]
     )
     factors = clip_factors(sq_norms, clip_norm)
     batch = idx.shape[-1]
-    coeff = (factors[:, :, None] * resid).transpose(0, 2, 1)
-    grad = (np.matmul(coeff, design) / batch).reshape(len(rows), -1)
+    design = design if model.binary else np.swapaxes(design, 1, 2)  # (S, B, d)
+    grad = (np.matmul(factors[:, None, :] * resid, design) / batch).reshape(len(rows), -1)
     return grad + lam * rows * (factors.sum(axis=1) / batch)[:, None]
 
 
@@ -111,10 +111,11 @@ def batch_loss_l2(model, rows, data, idx) -> np.ndarray:
     if model.binary:
         ce = _binary_ce(logits)
     else:
-        zmax, _, total = _softmax_terms(logits)
+        zmax, _, total = _softmax_terms(logits)  # over the class axis of (S, c, B) logits
         labels = model._labels(data, idx)
-        ce = (zmax + np.log(total))[:, :, 0] - logits[_label_index(logits, labels)]
-    return ce.sum(axis=1) / logits.shape[1] + 0.5 * model.l2_reg * row_sq_norms(rows)
+        true = np.take_along_axis(logits, labels[:, None, :], axis=1)[:, 0]
+        ce = (zmax + np.log(total))[:, 0] - true
+    return ce.sum(axis=1) / logits.shape[-1] + 0.5 * model.l2_reg * row_sq_norms(rows)
 
 
 def renyi_gaussians_shared_cov(

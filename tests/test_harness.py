@@ -378,22 +378,29 @@ def test_pds_scores_match_an_independent_reference(monkeypatch):
     beta_specs = [AggregationSpec("ema", beta=b) for b in (0.3, 0.6, 0.9)]
     k_specs = [AggregationSpec("upa_k", k=k) for k in (2, 4, 8)]
     model, window = _ProbModel2(), 5
-    calls = []
-    real_accuracy = experiments.accuracy
+    calls, rolled = [], []
+    real_accuracy, real_rolling = experiments.accuracy, aggregate.rolling
 
     def counted(*args):
         calls.append(args)
         return real_accuracy(*args)
 
+    def counted_rolling(spec, *args):
+        rolled.append(spec)
+        return real_rolling(spec, *args)
+
     monkeypatch.setattr(experiments, "accuracy", counted)
+    monkeypatch.setattr(aggregate, "rolling", counted_rolling)
     scores = experiments._pds_scores(model, parts, beta_specs, k_specs, window, run)
     # the raw window is one call; every other test call scores a winner
     test_calls = [c for c in calls if c[2] is parts["test"]]
     assert len(test_calls) == 3
     assert sum(np.array_equal(c[1], params[-window:]) for c in test_calls) == 1
+    # each spec's window is rolled once, the winners' included
+    assert rolled == beta_specs + k_specs
 
     def window_acc(spec, part):
-        return real_accuracy(model, aggregate.rolling(spec, params, run.steps, window), part)
+        return real_accuracy(model, real_rolling(spec, params, run.steps, window), part)
 
     assert np.array_equal(scores["baseline"], real_accuracy(model, params[-window:], parts["test"]))
     for name, specs in (("ema", beta_specs), ("upa", k_specs)):

@@ -272,6 +272,51 @@ def test_practical_kernels_equal_the_full_l2_formulas(kind, l2):
     assert _bit_equal(model.loss_full(rows, data, idx), batch_loss_l2(model, rows, data, idx))
 
 
+def _fsum_example(model, theta, x, label):
+    """(loss, (p,) gradient, largest |logit|) of one example, every sum a
+    math.fsum: the binary head's as the softmax of the logits (0, z)."""
+    weights = theta.reshape(-1, model.n_features)
+    logits = [math.fsum(w * x) for w in weights]
+    if model.binary:
+        logits = [0.0] + logits
+    top = max(logits)
+    exps = [math.exp(v - top) for v in logits]
+    total = math.fsum(exps)
+    l2 = model.l2_reg
+    loss = math.fsum([top, math.log(total), -logits[label], 0.5 * l2 * math.fsum(theta * theta)])
+    resid = [e / total - (k == label) for k, e in enumerate(exps)][1 if model.binary else 0 :]
+    grad = np.concatenate([r * x for r in resid]) + l2 * theta
+    return loss, grad, max(abs(v) for v in logits)
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 8, 9, 10, 17])
+def test_softmax_kernels_match_an_fsum_reference(num_classes):
+    """loss_full, grad_full and clipped_grad_mean against per-example losses
+    and gradients summed by math.fsum, within 1e-12 relative. numpy sums
+    fewer than 8 contiguous terms one by one and more of them pairwise; the
+    class counts sit on both sides of that switch. A one-example
+    loss is a difference of terms as large as its largest logit, so it is
+    held to 1e-12 of that."""
+    data = synth_classification(40, 6, num_classes=num_classes, seed=num_classes)
+    model = LogisticLoss.for_data(data, l2_reg=0.05)
+    rows = np.random.default_rng(num_classes).normal(scale=0.7, size=(2, model.param_dim()))
+    one_each = np.arange(data.n)[:, None]
+    for theta, loss, grad in zip(rows, model.loss_full(rows, data), model.grad_full(rows, data)):
+        losses, grads, scales = zip(
+            *(_fsum_example(model, theta, x, y) for x, y in zip(data.features, data.labels))
+        )
+        grads = np.array(grads)
+        want = np.array([math.fsum(col) for col in grads.T]) / data.n
+        assert loss == pytest.approx(math.fsum(losses) / data.n, rel=1e-12)
+        assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+        # each example alone, as a one-example batch that no clip bound scales
+        repeated = np.repeat(theta[None], data.n, axis=0)
+        got = model.clipped_grad_mean(repeated, data, one_each, 1e300)
+        assert np.all(np.abs(got - grads).max(axis=1) <= 1e-12 * np.abs(grads).max(axis=1))
+        got = model.loss_full(repeated, data, one_each)
+        assert np.all(np.abs(got - losses) <= 1e-12 * np.maximum(1.0, scales))
+
+
 def test_predict_proba_rows_sum_to_one(multi_model, multi_data):
     gen = np.random.default_rng(3)
     theta = gen.normal(0.0, 0.4, (1, multi_model.param_dim()))
@@ -483,8 +528,10 @@ def test_row_batch_cases_reach_underflow_and_signed_zeros(binary_data, multi_dat
     # a matmul sum of zeros starts from +0.0, so the folded z of the zero row
     # is +0.0 on every example, even for a -0.0 row or a -0.0 folded feature row
     assert np.all(binary._logits(zero, binary_data.signed_features) == 0.0)
-    logits = multi._logits(gen.normal(scale=1e3, size=(3, multi.param_dim())), multi_data.features)
-    assert np.any(np.exp(logits - logits.max(axis=-1, keepdims=True)) == 0.0)
+    logits = multi._logits(
+        gen.normal(scale=1e3, size=(3, multi.param_dim())), multi_data.transposed_features
+    )
+    assert np.any(np.exp(logits - logits.max(axis=1, keepdims=True)) == 0.0)
 
 
 def _binary_case(case):
@@ -547,13 +594,21 @@ def _fresh(data):
     return DatasetHandle(data.features, data.labels, data.num_classes)
 
 
-def test_signed_features_is_one_read_only_transposed_store(binary_data):
+@pytest.mark.parametrize("name", ["signed_features", "transposed_features"])
+def test_each_store_is_one_read_only_transposed_copy(binary_data, name):
+    """signed_features is an (n, p) view of its (p, n) store, and
+    transposed_features is the (p, n) store itself."""
     data = _fresh(binary_data)
-    folded = data.signed_features
-    assert data.signed_features is folded
-    assert folded.shape == (data.n, data.p) and folded.T.flags.c_contiguous
-    assert np.array_equal(folded, (2.0 * data.labels - 1.0)[:, None] * data.features)
-    for write in (lambda: folded.__setitem__((0, 0), 1.0), lambda: folded.T.__imul__(-1.0)):
+    store = getattr(data, name)
+    assert getattr(data, name) is store
+    if name == "signed_features":
+        want, store = (2.0 * data.labels - 1.0)[:, None] * data.features, store.T
+    else:
+        want = data.features
+    assert store.shape == (data.p, data.n) and store.flags.c_contiguous
+    assert np.array_equal(store.T, want)
+    assert not np.shares_memory(store, data.features)
+    for write in (lambda: store.__setitem__((0, 0), 1.0), lambda: store.T.__imul__(-1.0)):
         with pytest.raises(ValueError):
             write()
     assert np.array_equal(data.features, binary_data.features)
@@ -563,10 +618,13 @@ def test_signed_features_is_one_read_only_transposed_store(binary_data):
 def test_design_gathers_the_store_its_head_reads(which, binary_data, multi_data):
     data = binary_data if which == "binary" else multi_data
     model = LogisticLoss.for_data(data)
-    store = data.signed_features if which == "binary" else data.features
+    store = data.signed_features if which == "binary" else data.transposed_features
     assert model._design(data) is store
     idx = np.random.default_rng(4).integers(0, data.n, size=(3, 7))
     rows = model._design(data, idx)
+    if which == "multi":  # the softmax head's batches are (S, d, B), as its store is (d, n)
+        rows, store = np.swapaxes(rows, 1, 2), store.T
+        assert np.swapaxes(rows, 1, 2).flags.c_contiguous
     assert rows.shape == (3, 7, data.p)
     for s in range(3):
         assert np.array_equal(rows[s], store[idx[s]])
@@ -609,9 +667,12 @@ def test_a_pickled_handle_rebuilds_its_store_with_equal_gradients(binary_data, m
     rows = np.random.default_rng(4).normal(size=(5, model.param_dim()))
     accs = accuracy(model, rows, multi)
     copy = pickle.loads(pickle.dumps(multi))
-    assert "label_weights" in vars(multi) and "label_weights" not in vars(copy)
+    for derived in ("label_weights", "transposed_features"):
+        assert derived in vars(multi) and derived not in vars(copy)
     assert np.array_equal(accuracy(model, rows, copy), accs)
     assert _bit_equal(copy.label_weights, multi.label_weights)
+    assert not copy.transposed_features.flags.writeable
+    assert _bit_equal(copy.transposed_features, multi.transposed_features)
 
 
 def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):
@@ -751,19 +812,70 @@ def test_hits_count_top_class_weights_without_wrapping(num_classes):
     assert want[0].sum() == np.sum(labels == 0)
 
 
+def _tie_rows(num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, the class each row's top logit picks) of a one-feature softmax
+    head, whose logits on the feature 1.0 are the row's class weights, exact.
+    Every pair of classes ties exactly at the top (argmax picks the lower),
+    then one is 2, 3 or 4 ulp of 3.0 above the other, in both orders: far
+    enough apart that exp(logit - max) stays apart too."""
+    rows, picks = [], []
+    for a in range(num_classes):
+        for b in range(a + 1, num_classes):
+            for gap in (0, 2, 3, 4):
+                for high in ((a, b) if gap else (a,)):
+                    row = np.full(num_classes, -1.0)
+                    row[a] = row[b] = 3.0
+                    row[high] += gap * np.spacing(3.0)
+                    rows.append(row)
+                    picks.append(high)
+    return np.array(rows), np.array(picks)
+
+
+@pytest.mark.parametrize("num_classes", [3, 10])
+def test_softmax_scores_agree_on_ties_near_ties_and_a_non_finite_logit(num_classes):
+    """hits, predict_labels == labels and the argmax of predict_proba give the
+    same class on exact and near logit ties; a non-finite logit makes each
+    of them raise."""
+    model = LogisticLoss(n_features=1, num_classes=num_classes)
+    rows, picks = _tie_rows(num_classes)
+    data = DatasetHandle(np.ones((num_classes, 1)), np.arange(num_classes), num_classes)
+    labels = model.predict_labels(rows, data.features)
+    assert np.array_equal(labels, np.repeat(picks[:, None], num_classes, axis=1))
+    assert np.array_equal(model.predict_proba(rows, data.features).argmax(-1), labels)
+    assert np.array_equal(model.hits(rows, data), labels == data.labels)
+    assert np.array_equal(accuracy(model, rows, data), np.full(len(rows), 1.0 / num_classes))
+    for bad in (np.inf, -np.inf, np.nan):
+        row = rows[:1].copy()
+        row[0, num_classes - 1] = bad
+        scores = {
+            "hits": lambda: model.hits(row, data),
+            "predict_labels": lambda: model.predict_labels(row, data.features),
+            "predict_proba": lambda: model.predict_proba(row, data.features),
+        }
+        for name, score in scores.items():
+            with pytest.raises(NumericDivergenceError, match="non-finite logits"):
+                score()
+                pytest.fail(f"{name} scored a non-finite logit")
+
+
 @pytest.mark.parametrize("num_rows", [1, 2, 80])
-def test_class_major_logits_equal_the_row_major_block(num_rows):
-    """The softmax head's hits read (S, c, n) logits, matmul(weights,
-    features.T), and its predict_labels the (S, n, c) block of _logits. At
-    the stock shapes the two layouts must round alike, or the scores could
-    part on a near tie."""
+def test_hits_equal_the_predicted_labels_on_near_ties_at_the_stock_shape(num_rows):
+    """hits read the handle's (p, n) store and predict_labels a C-contiguous
+    copy of the transposed features it is given, so both make the same BLAS
+    call. Classes 2k + 1 are classes 2k with each weight nudged by -1, 0 or
+    +1 in its last bit: their logits part by no more than rounding, where
+    a product with the transposed operand picks another class on some
+    examples at this shape."""
     data = synth_classification(500, 20, num_classes=10, seed=4)
     model = LogisticLoss.for_data(data)
-    rows = np.random.default_rng(num_rows).normal(size=(num_rows, model.param_dim()))
-    class_major = np.matmul(rows.reshape(num_rows, 10, 20), data.features.T)
-    assert _bit_equal(class_major, model._logits(rows, data.features).transpose(0, 2, 1).copy())
-    want = model.predict_labels(rows, data.features) == data.labels
-    assert np.array_equal(model.hits(rows, data), want)
+    gen = np.random.default_rng(num_rows)
+    weights = gen.normal(size=(num_rows, 10, 20))
+    nudge = gen.choice([-1.0, 0.0, 1.0], size=(num_rows, 5, 20)) * 2.0**-52
+    weights[:, 1::2] = weights[:, 0::2] * (1.0 + nudge)
+    rows = weights.reshape(num_rows, -1)
+    labels = model.predict_labels(rows, data.features)
+    assert np.array_equal(labels, np.matmul(weights, data.transposed_features).argmax(axis=1))
+    assert np.array_equal(model.hits(rows, data), labels == data.labels)
 
 
 def test_label_scoring_never_builds_probabilities(monkeypatch, multi_data):

@@ -1147,12 +1147,21 @@ def _float_steps(manifest):
         (_rewrite_manifest(lambda m: m.update(seed="x")), "manifest.json"),
         (_rewrite_manifest(lambda m: m.update(seed=1.5)), "manifest.json"),
         (_rewrite_manifest(_float_steps), "manifest.json"),
+        *[
+            (_rewrite_manifest(lambda m, key=key: m["config"].update({key: True})), "manifest.json")
+            for key in ("clip_norm", "eta_value", "projection_radius")
+        ],
+        *[
+            (_rewrite_manifest(lambda m, key=key: m["budget"].update({key: True})), "manifest.json")
+            for key in ("rho", "delta", "epsilon")
+        ],
     ],
     ids=[
         "truncated-bin", "extended-bin", "step-0-row", "missing-row", "duplicate-row",
         "two-field-row", "text-cell", "changed-header", "last-row-dropped", "no-dim",
         "reversed-steps", "dim-0-empty-bin", "bool-dim", "text-seed", "float-seed",
-        "float-steps",
+        "float-steps", "bool-clip-norm", "bool-eta-value", "bool-projection-radius",
+        "bool-rho", "bool-delta", "bool-epsilon",
     ],
 )
 def test_load_run_rejects_corrupt_run_dirs(tmp_path, practical_setup, corrupt, name):
