@@ -288,8 +288,8 @@ def variance_bias_experiment(
     theta = np.tile(config.theta_start, (trials, 1))
     vals = np.empty((trials, times.k), dtype=np.float64)
     for i, seg in enumerate(segments):
-        normals = rng.gaussian_rows(experiment_seed, rng.STREAM_TRIAL, i, 0, trials, center.size)
-        theta = ou_exact_sample(center, sigma_eff, theta, seg, normals)
+        lane = rng.gaussian_rows([experiment_seed], rng.STREAM_TRIAL, i, 0, trials, center.size)
+        theta = ou_exact_sample(center, sigma_eff, theta, seg, lane[0])
         vals[:, i] = stat.evaluate_batch(theta)
     s_values = np.var(vals, axis=1, ddof=1)
 

@@ -24,7 +24,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Sequence
@@ -346,6 +345,9 @@ def _run_parallel(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items], on a pool of at most `workers` processes."""
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here, so a one-worker run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # a forked pool starts all its processes at once, so never more than items
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))

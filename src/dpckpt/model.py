@@ -23,13 +23,15 @@ in another order, so against the unfolded kernel results move by at most
 1e-12 relative, the tolerance tools/artifact_drift.py checks. The gathered
 batches of clipped_grad_mean and loss_full are rows of that store too.
 The softmax head has one layout, class-major (S, c, n) logits: each row's
-(c, d) weights times a C-contiguous (d, n) factor, the handle's read-only
-DatasetHandle.transposed_features for full data or a batch's (S, d, B)
-gather, so every softmax logit is one BLAS layout (a transposed operand
-rounds differently at some shapes). Every reduction over the classes runs
-along axis 1, elementwise over the contiguous examples; a true-class logit
-is read at its flat offset (s c + y) n + i; and the gradient is one stacked
-matmul of the (S, c, n) residuals with the rows.
+(c, d) weights times a (d, n) factor whose examples are contiguous, the
+handle's read-only C-contiguous DatasetHandle.transposed_features for
+full data, or for an (L, B) index matrix the (L, d, B) view of one
+np.take of the store's columns (a C-contiguous (d, L, B) array), so every
+softmax logit is one BLAS layout (a transposed operand rounds differently
+at some shapes; a wider leading stride does not). Every reduction over
+the classes runs along axis 1, elementwise over the contiguous examples;
+a true-class logit is read at its flat offset (s c + y) n + i; and the
+gradient is one stacked matmul of the (S, c, n) residuals with the rows.
 loss_full and grad_full each make their own logits pass, and the
 trainer calls loss_full only for a loss it records, a chunk of steps'
 iterates per call. The binary head's cross-entropy and slope both read
@@ -55,6 +57,10 @@ the label, 2 at each lower class, 0 above), which is exactly when the
 label is the lowest top class, the one argmax picks; ties are counted as
 argmax counts them. The weights are summed in the narrowest signed integer
 type that holds their largest total, 2c - 1 (int8 up to 64 classes).
+Those hits skip the pass that checks every logit finite when the
+Cauchy-Schwarz bound sqrt(max row |theta|^2 * max_i |x_i|^2) is below
+1e300, which proves them finite; a NaN or infinite row fails the bound,
+so the check still raises for it.
 A batch is an (S, B) index matrix, row s's batch the rows idx[s] of the
 dataset: loss_full(rows, data, idx) is each row's loss on its own batch,
 and clipped_grad_mean, the practical trainer's step, is the mean of its
@@ -485,17 +491,16 @@ class LogisticLoss(LossModel):
     def _design(self, data: DatasetHandle, idx: np.ndarray | None = None) -> np.ndarray:
         """The store the head's logits read, the binary head's sign-folded (n, d)
         one (whose logits are the margins z) or the softmax head's (d, n); or
-        each batch's rows for an (S, B) index matrix, (S, B, d) or, gathered a
-        row at a time so no (S, B, d) copy is held, C-contiguous (S, d, B)."""
+        each batch's rows for an (S, B) index matrix: (S, B, d), or for the
+        softmax head (S, d, B), the view of one np.take of the store's columns,
+        a C-contiguous (d, S, B) array, so each row's (d, B) factor has a unit
+        inner stride, as the store has."""
         if self.binary:
             design = data.signed_features
             return design if idx is None else design[idx]
         if idx is None:
             return data.transposed_features
-        design = np.empty((len(idx), data.p, idx.shape[-1]))
-        for s, batch in enumerate(idx):
-            design[s] = data.features[batch].T
-        return design
+        return np.take(data.transposed_features, idx, axis=1).transpose(1, 0, 2)
 
     def _labels(self, data: DatasetHandle, idx: np.ndarray | None = None) -> np.ndarray | None:
         """The labels, or their (S, B) rows for an (S, B) index matrix; only the
@@ -623,10 +628,23 @@ class LogisticLoss(LossModel):
         softmax head scores the class-major logits of the handle's store,
         whose class maxima run along n: an example's classes at the top
         logit weigh 1 in data.label_weights exactly when its label is the
-        lowest of them, the class predict_labels gives."""
+        lowest of them, the class predict_labels gives.
+
+        Its logits are checked finite only when a bound does not prove them
+        so: a logit is a class block of a row dotted with a feature row, at
+        most sqrt(max row |theta|^2 * max_i |x_i|^2) in size by
+        Cauchy-Schwarz, and its computed value, like the computed squared
+        norms, is within a relative d * 2**-53 of a true one, so a computed
+        bound below 1e300 leaves every logit finite. A NaN or infinite row
+        makes the bound NaN or inf, and the full check runs."""
         if self.binary:
             return super().hits(rows, data)
-        logits = _finite(self._logits(self._check_rows(rows), data.transposed_features))
+        rows = self._check_rows(rows)
+        logits = self._logits(rows, data.transposed_features)
+        with np.errstate(over="ignore"):
+            bound = math.sqrt(float(row_sq_norms(rows).max()) * float(data.sq_norms.max()))
+        if not bound < 1e300:
+            _finite(logits)
         top = logits.max(axis=1, keepdims=True)
         # the narrowest signed type that holds the largest total, 2c - 1
         width = np.min_scalar_type(1 - 2 * self.num_classes)

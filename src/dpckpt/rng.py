@@ -12,15 +12,20 @@ Draws come in rows of raw words. Row r of lane l holds the first `words`
 words of the nb = ceil(words / 4) blocks at counters [r * nb + b, 0, 0, l]
 for b = 1..nb, so that consecutive rows of a lane are one contiguous walk
 of the counter and raw_rows draws any run of them with one native
-random_raw call. A row of dim normals is Box-Muller on 2 * dim words,
-coordinate j taking words (2j, 2j + 1). A trainer's per-step draws are
-lane 0, step t being row t - 1, drawn a chunk of steps at a time: one
-draw per seed for steps_per_draw steps, each chunk covering at most
-MAX_BLOCKS counter blocks over its seeds (or one step's blocks, if that
-is more). The trainer's noise rows are dim normals of STREAM_NOISE; the
-practical trainer's diurnal batch rows are 2B raw words of STREAM_BATCH,
-the same size as a row of B normals. The dpld trials use lane = noise
-event and row = trial.
+random_raw call. raw_rows builds no generator: it moves one Philox, kept
+per thread, to the run's first counter by setting its state (key, counter
+and an empty buffer, which is all a Philox built at that address holds),
+so a draw costs no SeedSequence. A row of dim normals is Box-Muller on
+2 * dim words, coordinate j taking words (2j, 2j + 1); gaussian_rows
+draws the same rows for a list of seeds and runs Box-Muller once over
+the stacked (S, count, 2 * dim) words. A trainer's per-step
+draws are lane 0, step t being row t - 1, drawn a chunk of steps at a
+time: one gaussian_rows call for all seeds' noise for steps_per_draw
+steps, each chunk covering at most MAX_BLOCKS counter blocks over its
+seeds (or one step's blocks, if that is more). The trainer's noise rows
+are dim normals of STREAM_NOISE; the practical trainer's diurnal batch
+rows are 2B raw words of STREAM_BATCH, the same size as a row of B
+normals. The dpld trials use lane = noise event and row = trial.
 
 The init stream and the uniform minibatch sampler address a step through
 counter word 3 instead: step_generator starts at [0, 0, 0, t], and
@@ -28,6 +33,7 @@ step_generators gives a trainer each step's generators by resetting one
 generator per seed to that step's counter instead of building new ones.
 """
 
+import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +46,6 @@ STREAM_TRIAL = 4
 STREAM_ORACLE = 5
 STREAM_SELECT = 6
 
-_U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _TWO64 = 2.0**64
 
@@ -49,14 +54,46 @@ _TWO64 = 2.0**64
 MAX_BLOCKS = 4096
 
 
+def _state(seed: int, stream: int, low: int, word3: int) -> dict:
+    """The state of a Philox of key (seed, stream) built at the counter
+    low + (word3 << 192), with its buffer empty: low fills the low counter
+    words, carrying upward as numpy's own walk does, and word3 is the top
+    word."""
+    counter = low + (word3 << 192)
+    if low < 0 or word3 < 0 or counter >> 256:
+        raise ValueError(f"counter address must be in [0, 2**256), got {low} and {word3}")
+    return {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": [(counter >> shift) & _MASK64 for shift in (0, 64, 128, 192)],
+            "key": [seed & _MASK64, stream & _MASK64],
+        },
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def _philox(seed: int, stream: int, low: int, word3: int) -> np.random.Philox:
-    """Philox of key (seed, stream) at the counter low + (word3 << 192): low
-    fills the low counter words, carrying upward as numpy's own walk does,
-    and word3 is the top word."""
-    if low < 0 or word3 < 0:
-        raise ValueError(f"counter address must be nonnegative, got {low} and {word3}")
-    key = [_U64(seed & _MASK64), _U64(stream & _MASK64)]
-    return np.random.Philox(counter=low + (word3 << 192), key=key)
+    """A new Philox in _state(seed, stream, low, word3)."""
+    bit = np.random.Philox()
+    bit.state = _state(seed, stream, low, word3)
+    return bit
+
+
+# the Philox raw_rows moves to each draw's address, one per thread
+_LOCAL = threading.local()
+
+
+def _shared_philox(seed: int, stream: int, low: int, word3: int) -> np.random.Philox:
+    """This thread's one raw_rows Philox, set to _state(seed, stream, low, word3)."""
+    try:
+        bit = _LOCAL.bit
+    except AttributeError:
+        bit = _LOCAL.bit = np.random.Philox()
+    bit.state = _state(seed, stream, low, word3)
+    return bit
 
 
 def step_generator(seed: int, stream: int, step: int) -> np.random.Generator:
@@ -106,23 +143,37 @@ def raw_rows(
 
     Row r is the first `words` words of the blocks [r * nb + b, 0, 0, lane],
     b = 1..nb with nb = ceil(words / 4), of key (seed, stream); the rows
-    come from one random_raw call, so any run of rows equals the same rows
-    of a longer draw bit for bit.
+    come from one random_raw call of the thread's shared Philox, so any run
+    of rows equals the same rows of a longer draw bit for bit.
     """
     nb = _row_blocks(words)
-    raw = _philox(seed, stream, first * nb, lane).random_raw(count * 4 * nb)
+    raw = _shared_philox(seed, stream, first * nb, lane).random_raw(count * 4 * nb)
     return raw.reshape(count, 4 * nb)[:, :words]
 
 
 def gaussian_rows(
-    seed: int, stream: int, lane: int, first: int, count: int, dim: int
+    seeds: Sequence[int], stream: int, lane: int, first: int, count: int, dim: int
 ) -> np.ndarray:
-    """(count, dim) standard normals: Box-Muller on the raw_rows of 2 * dim
-    words, coordinate j on words (2j, 2j + 1) of its row."""
-    raw = raw_rows(seed, stream, lane, first, count, 2 * dim)
-    u1 = (raw[:, 0::2].astype(np.float64) + 1.0) / _TWO64  # in (0, 1]
-    u2 = raw[:, 1::2].astype(np.float64) / _TWO64  # in [0, 1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    """(S, count, dim) standard normals, block s being rows first..first +
+    count - 1 of lane of seeds[s]: Box-Muller on each seed's raw_rows of
+    2 * dim words, coordinate j on words (2j, 2j + 1) of its row.
+
+    Box-Muller runs once over the stacked (S, count, 2 * dim) words: the
+    even words give u1 = (w + 1) / 2**64 in (0, 1] and the odd ones
+    u2 = w / 2**64 in [0, 1), each half in one contiguous array that
+    sqrt(-2 ln u1) and cos(2 pi u2) then overwrite; every element takes the
+    same operations, so the same rounding, as on its own row."""
+    words = np.stack([raw_rows(seed, stream, lane, first, count, 2 * dim) for seed in seeds])
+    u1 = words[..., 0::2] + 1.0
+    u1 /= _TWO64
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 = words[..., 1::2] / _TWO64
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 def steps_per_draw(num_seeds: int, dim: int) -> int:

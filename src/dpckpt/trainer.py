@@ -25,11 +25,17 @@ rows is finite. What each mode supplies:
   train_loss   model.loss_full on the data        model.loss_full on the batch
   eval_acc     NaN                                accuracy on eval_data, too
 
-The loop runs a chunk of steps at a time. A chunk draws each seed's
-noise with one rng.gaussian_rows call, step t's noise being row t - 1 of
-the seed's lane 0 of STREAM_NOISE, and asks the mode for the chunk's
-(count, S, B) index matrices with one call; it then takes its steps,
-each with one gradient call, and keeps their iterates. After the chunk,
+The loop runs a chunk of steps at a time. A chunk draws the noise of all
+its seeds with one rng.gaussian_rows call, an (S, count, p) array whose
+step-t rows are row t - 1 of each seed's lane 0 of STREAM_NOISE, and asks
+the mode for the chunk's (count, S, B) index matrices with one call; it
+then takes its steps, each with one gradient call, and keeps their
+iterates. A projected step takes the iterate's squared norms once, before
+project_l2, which reads them: a finite row ends within a few ulp of the
+ball, so when the finite-loss ball's squared radius is at least twice the
+ball's, finite norms pass the divergence check, and only a NaN or
+overflowed norm (or a smaller finite-loss ball) makes the check take the
+projected rows' norms. After the chunk,
 one loss_full call and one accuracy call score the iterates of every
 steps_per_draw(S, max(p, B)) of its steps, the metrics a run records
 (with B = n, a theoretical chunk can hold several such blocks). Each
@@ -196,9 +202,10 @@ def choose_T(n: int, rho: float) -> int:
     return max(1, math.ceil(n * rho))
 
 
-def project_l2(rows: np.ndarray, radius: float) -> np.ndarray:
+def project_l2(rows: np.ndarray, radius: float, sq_norms: np.ndarray | None = None) -> np.ndarray:
     """Project each row of an (S, p) matrix onto the origin-centered l2 ball
-    of the given radius.
+    of the given radius. sq_norms is row_sq_norms(rows), overflow ignored,
+    if the caller has it.
 
     A finite row whose squared norm overflows is projected through its
     direction u = x / max_j |x_j|, whose norm lies in [1, sqrt(p)], as
@@ -210,8 +217,9 @@ def project_l2(rows: np.ndarray, radius: float) -> np.ndarray:
         raise ValueError(f"project_l2 takes (S, p) rows, not shape {np.shape(rows)}")
     # the stacked row dot equals np.linalg.norm's dot bit for bit, and a
     # factor of exactly 1.0 leaves rows inside the ball untouched
-    with np.errstate(over="ignore"):
-        sq_norms = row_sq_norms(rows)
+    if sq_norms is None:
+        with np.errstate(over="ignore"):
+            sq_norms = row_sq_norms(rows)
     out = rows * clip_factors(sq_norms, radius)[:, None]
     huge = np.isinf(sq_norms)
     if huge.any():
@@ -245,6 +253,9 @@ def _dp_sgd_runs(model, data, config, seeds, start, grad, batches, width, noise_
     ckpt_steps = checkpoint_steps(T, config.checkpoint_every)
     ckpt_index = {t: i for i, t in enumerate(ckpt_steps)}
     finite_loss_sq = model.finite_loss_radius(data, batch) ** 2
+    # a row ends a projection at most a few ulp outside the ball, so with this
+    # much room every row finite before it ends inside the finite-loss ball
+    ball_inside = radius is not None and 2.0 * radius * radius <= finite_loss_sq
     chunk, block = rng.steps_per_draw(S, width), rng.steps_per_draw(S, max(dim, batch))
 
     theta = np.stack([start(s) for s in seeds])
@@ -269,20 +280,24 @@ def _dp_sgd_runs(model, data, config, seeds, start, grad, batches, width, noise_
         count = min(chunk, T - first)
         idx = batches(first, count)
         if noise_std > 0:
-            noise = noise_std * np.stack(
-                [rng.gaussian_rows(s, rng.STREAM_NOISE, 0, first, count, dim) for s in seeds], axis=1
-            )
+            noise = noise_std * rng.gaussian_rows(seeds, rng.STREAM_NOISE, 0, first, count, dim)
         for r in range(count):
             t = first + r + 1
             g = grad(theta, None if idx is None else idx[r])
             if noise_std > 0:
-                g = g + noise[r]
+                g = g + noise[:, r]
             theta = theta - config.eta.at(t) * g
             if radius is not None:
-                theta = project_l2(theta, radius)
+                with np.errstate(over="ignore"):
+                    sq_norms = row_sq_norms(theta)
+                theta = project_l2(theta, radius, sq_norms)
             # a NaN or infinite coordinate makes a row's squared norm, and so the
-            # max, NaN or inf, which fails the comparison too
-            if not row_sq_norms(theta).max() <= finite_loss_sq:
+            # max, NaN or inf, which fails the comparison too; the projected
+            # rows' norms are needed only if the ball has no room or a row's
+            # squared norm was NaN or overflowed before the projection
+            if not (ball_inside and sq_norms.max() < math.inf) and not (
+                row_sq_norms(theta).max() <= finite_loss_sq
+            ):
                 # the chunk's earlier steps are scored first, so that a scoring
                 # error of an earlier step is the one raised
                 score(first, r, idx)
@@ -488,16 +503,14 @@ def save_run(record: RunRecord, run_dir: str) -> None:
         "checkpoint_steps": record.steps.tolist(),
     }
     with open(os.path.join(run_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     with open(os.path.join(run_dir, "checkpoints.bin"), "wb") as fh:
         fh.write(np.ascontiguousarray(record.params, dtype="<f8").tobytes())
+    # tolist gives Python floats, whose repr is the shortest round-trip text
+    metrics = record.metrics.tolist()
+    rows = "".join(f"{t},{loss!r},{acc!r}\n" for t, (loss, acc) in enumerate(metrics, 1))
     with open(os.path.join(run_dir, "metrics.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,train_loss,eval_acc\n")
-        for t in range(cfg.num_steps):
-            loss = repr(float(record.metrics[t, 0]))
-            acc = repr(float(record.metrics[t, 1]))
-            fh.write(f"{t + 1},{loss},{acc}\n")
+        fh.write("step,train_loss,eval_acc\n" + rows)
 
 
 def load_run(run_dir: str) -> RunRecord:

@@ -8,9 +8,12 @@ step generator, where the practical trainer repositions one generator per
 seed. diurnal_row builds one step's diurnal batch from a fresh Philox
 placed at the step's row and maps its words with Python integers, where
 the trainer maps a chunk of steps per seed in uint64 arithmetic.
-clipped_grad_mean_l2 and batch_loss_l2 are the practical kernels with
-every l2 term computed, whatever l2_reg is, where the loss models skip
-the terms that are exact zeros at l2_reg = 0. The closed forms of the
+row_loop_batches gathers the softmax head's (S, d, B) batch factors a
+row at a time into a C-contiguous array, where the model takes one
+np.take of the store's columns. clipped_grad_mean_l2 and batch_loss_l2
+are the practical kernels with every l2 term computed, whatever l2_reg
+is, where the loss models skip the terms that are exact zeros at
+l2_reg = 0. The closed forms of the
 Langevin lemmas (renyi_gaussians_shared_cov, expectation_gap_bound,
 subgaussian_tail) are what the acceptance checks hold the Monte-Carlo
 samplers of monte_carlo.py to. lookup reads one row of a task's
@@ -73,6 +76,14 @@ def diurnal_row(seed: int, schedule: DiurnalSchedule, step: int, batch: int) -> 
         rows = schedule.rows_a if (member >> 11) / 2.0**53 < p else schedule.rows_b
         out.append(int(rows[(pick * len(rows)) >> 64]))
     return np.array(out, dtype=np.int64)
+
+
+def row_loop_batches(data, idx: np.ndarray) -> np.ndarray:
+    """(S, d, B) C-contiguous: row s holds the transposed features of its batch idx[s]."""
+    design = np.empty((len(idx), data.p, idx.shape[-1]))
+    for s, batch in enumerate(idx):
+        design[s] = data.features[batch].T
+    return design
 
 
 def clipped_grad_mean_l2(model, rows, data, idx, clip_norm) -> np.ndarray:

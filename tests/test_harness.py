@@ -1,15 +1,19 @@
 """Config parsing, experiment plumbing, task orchestration, and the CLI."""
 
+import concurrent.futures
 import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import dpckpt
 from dpckpt.aggregate import AggregationSpec
 from dpckpt.errors import ConfigError, NumericDivergenceError
 from dpckpt.harness import cli, experiments
@@ -743,11 +747,30 @@ def test_run_parallel_never_starts_more_processes_than_items(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert experiments._run_parallel(abs, [-1, -2, 3], 10**20) == [1, 2, 3]
     assert experiments._run_parallel(abs, [-1, -2, 3], 2) == [1, 2, 3]
     assert experiments._run_parallel(abs, [-4], 10**20) == [4]
     assert sizes == [3, 2]
+
+
+def test_loading_the_package_and_a_config_imports_no_process_pool():
+    """_run_parallel imports the pool only when it makes one, so a fresh
+    interpreter that loads numpy, the package and a config (the start of
+    every run) has not imported the process pool or multiprocessing."""
+    probe = (
+        "import sys, numpy, dpckpt\n"
+        "from dpckpt.harness import ConfigView, load_config\n"
+        "ConfigView(load_config(sys.argv[1]))\n"
+        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+        "print(sorted(m for m in pool if m in sys.modules))\n"
+    )
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "aggregate_eval.cfg")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dpckpt.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, config], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_dpld_bias_rows_are_standalone_experiments_with_exact_oracle(tmp_path):

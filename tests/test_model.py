@@ -33,7 +33,7 @@ from dpckpt.model import (
 )
 from dpckpt.trainer import EtaSchedule, TrainerConfig, dp_sgd_practical_runs, project_l2
 from per_example import clip_rows, clipped_mean, per_example_grads
-from references import batch_loss_l2, clipped_grad_mean_l2, diurnal_row
+from references import batch_loss_l2, clipped_grad_mean_l2, diurnal_row, row_loop_batches
 
 # ---------------------------------------------------------------------------
 # datasets
@@ -623,11 +623,57 @@ def test_design_gathers_the_store_its_head_reads(which, binary_data, multi_data)
     idx = np.random.default_rng(4).integers(0, data.n, size=(3, 7))
     rows = model._design(data, idx)
     if which == "multi":  # the softmax head's batches are (S, d, B), as its store is (d, n)
+        # what the stacked matmuls need: each row's (d, B) factor holds the
+        # store's columns and runs along B with a unit stride, as the store does
+        assert rows.shape == (3, data.p, 7) and rows.strides[2] == rows.itemsize
+        for s in range(3):
+            assert np.array_equal(rows[s], store[:, idx[s]])
         rows, store = np.swapaxes(rows, 1, 2), store.T
-        assert np.swapaxes(rows, 1, 2).flags.c_contiguous
     assert rows.shape == (3, 7, data.p)
     for s in range(3):
         assert np.array_equal(rows[s], store[idx[s]])
+
+
+@pytest.mark.parametrize("l2_reg", [0.0, 0.05])
+@pytest.mark.parametrize("num_classes", [3, 10])
+@pytest.mark.parametrize("num_rows", [1, 2, 40])
+def test_softmax_batch_kernels_equal_them_on_the_row_loop_gather(
+    num_rows, num_classes, l2_reg, monkeypatch
+):
+    """clipped_grad_mean and the batch loss_full give the same bits on the
+    one-take (S, d, B) view as on a C-contiguous row-at-a-time gather."""
+    data = synth_classification(300, 6, num_classes=num_classes, separation=2.0, seed=num_rows)
+    model = LogisticLoss.for_data(data, l2_reg=l2_reg)
+    gen = np.random.default_rng(num_classes)
+    rows = gen.normal(scale=0.5, size=(num_rows, model.param_dim()))
+    idx = gen.integers(0, data.n, size=(num_rows, 32))
+
+    def scores():
+        return model.clipped_grad_mean(rows, data, idx, 0.5), model.loss_full(rows, data, idx)
+
+    took = scores()
+    store = LogisticLoss._design
+
+    def row_loop_design(self, data, idx=None):
+        return store(self, data) if idx is None else row_loop_batches(data, idx)
+
+    monkeypatch.setattr(LogisticLoss, "_design", row_loop_design)
+    for got, want in zip(took, scores(), strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_softmax_hits_check_finite_rows_the_logit_bound_does_not_cover():
+    """Rows whose squared norm overflows fail the bound, and the full check
+    then tells a product that overflows from one that does not."""
+    model = LogisticLoss(n_features=2, num_classes=3)
+    data = DatasetHandle(np.array([[1e-160, 0.0], [0.0, 1e-160]]), np.array([0, 2]), 3)
+    fine = np.full((1, 6), 1e160)  # squared norm overflows, logits are 1
+    fine[0, 4:] = 2e160
+    assert model.hits(fine, data).tolist() == [[False, True]]
+    huge = DatasetHandle(np.eye(2) * 1e160, data.labels, 3)  # logits overflow
+    with pytest.raises(NumericDivergenceError, match="non-finite logits"):
+        with np.errstate(over="ignore"):
+            model.hits(fine, huge)
 
 
 def test_sq_norms_is_built_once_from_the_row_dots(binary_data):
@@ -845,12 +891,13 @@ def test_softmax_scores_agree_on_ties_near_ties_and_a_non_finite_logit(num_class
     assert np.array_equal(model.hits(rows, data), labels == data.labels)
     assert np.array_equal(accuracy(model, rows, data), np.full(len(rows), 1.0 / num_classes))
     for bad in (np.inf, -np.inf, np.nan):
-        row = rows[:1].copy()
-        row[0, num_classes - 1] = bad
+        row = rows[:2].copy()  # one finite row, one with the non-finite weight
+        row[1, num_classes - 1] = bad
         scores = {
             "hits": lambda: model.hits(row, data),
             "predict_labels": lambda: model.predict_labels(row, data.features),
             "predict_proba": lambda: model.predict_proba(row, data.features),
+            "accuracy": lambda: accuracy(model, row, data),
         }
         for name, score in scores.items():
             with pytest.raises(NumericDivergenceError, match="non-finite logits"):

@@ -37,8 +37,8 @@ def test_stream_ids_are_distinct():
 
 
 def test_gaussian_rows_deterministic_and_standard():
-    a = rng.gaussian_rows(5, rng.STREAM_NOISE, 0, 2, 1, 200_000)[0]
-    b = rng.gaussian_rows(5, rng.STREAM_NOISE, 0, 2, 1, 200_000)[0]
+    a = rng.gaussian_rows([5], rng.STREAM_NOISE, 0, 2, 1, 200_000)[0, 0]
+    b = rng.gaussian_rows([5], rng.STREAM_NOISE, 0, 2, 1, 200_000)[0, 0]
     assert np.array_equal(a, b)
     assert abs(a.mean()) < 0.01
     assert a.std() == pytest.approx(1.0, abs=0.01)
@@ -67,7 +67,7 @@ def test_gaussian_rows_match_the_per_row_reference(dim):
     # odd dims leave half of each row's last counter block unused
     for seed in (-1, 0, 2**64 - 1):
         for lane, first in ((0, 0), (0, 7), (5, 2**40)):
-            rows = rng.gaussian_rows(seed, rng.STREAM_NOISE, lane, first, 3, dim)
+            rows = rng.gaussian_rows([seed], rng.STREAM_NOISE, lane, first, 3, dim)[0]
             assert rows.shape == (3, dim)
             for i, row in enumerate(rows):
                 want = gaussian_row(seed, rng.STREAM_NOISE, lane, first + i, dim)
@@ -77,9 +77,40 @@ def test_gaussian_rows_match_the_per_row_reference(dim):
 @pytest.mark.parametrize("dim", [1, 3, 21])
 @pytest.mark.parametrize("lane", [0, 3])
 def test_gaussian_rows_prefix_equals_the_shorter_draw(lane, dim):
-    long = rng.gaussian_rows(9, rng.STREAM_TRIAL, lane, 0, 150, dim)
-    short = rng.gaussian_rows(9, rng.STREAM_TRIAL, lane, 0, 100, dim)
+    long = rng.gaussian_rows([9], rng.STREAM_TRIAL, lane, 0, 150, dim)[0]
+    short = rng.gaussian_rows([9], rng.STREAM_TRIAL, lane, 0, 100, dim)[0]
     assert np.array_equal(long[:100], short)
+
+
+@pytest.mark.parametrize("count", [1, 81])
+@pytest.mark.parametrize("dim", [1, 3, 200])
+def test_gaussian_rows_of_a_seed_list_equal_the_per_seed_draws_stacked(dim, count):
+    """One stacked Box-Muller pass gives each seed's own draw bit for bit,
+    at wrapped and top-bit seeds, far lanes and a first row past 0."""
+    seeds = [0, 2**63, 2**64 - 1]
+    for lane, first in ((0, 0), (3, 5), (2**62, 2**40 + 3)):
+        rows = rng.gaussian_rows(seeds, rng.STREAM_NOISE, lane, first, count, dim)
+        assert rows.shape == (len(seeds), count, dim)
+        for block, seed in zip(rows, seeds, strict=True):
+            alone = rng.gaussian_rows([seed], rng.STREAM_NOISE, lane, first, count, dim)[0]
+            assert np.array_equal(block, alone)
+            for i in (0, count - 1):
+                want = gaussian_row(seed, rng.STREAM_NOISE, lane, first + i, dim)
+                assert np.array_equal(block[i], want)
+
+
+def test_raw_rows_are_unchanged_by_a_step_generator_draw_in_between():
+    """raw_rows sets the whole state of its one shared Philox at each draw, so
+    neither a step_generator draw nor another raw_rows draw in between changes
+    its words, which equal those of a Philox built at the rows' counter."""
+    first = rng.raw_rows(7, rng.STREAM_BATCH, 2, 9, 4, 6).copy()
+    rng.step_generator(7, rng.STREAM_BATCH, 9).standard_normal(3)
+    rng.raw_rows(8, rng.STREAM_NOISE, 0, 0, 1, 3)
+    again = rng.raw_rows(7, rng.STREAM_BATCH, 2, 9, 4, 6)
+    assert np.array_equal(first, again)
+    key = [np.uint64(7), np.uint64(rng.STREAM_BATCH)]
+    fresh = np.random.Philox(counter=[np.uint64(9 * 2), 0, 0, np.uint64(2)], key=key)
+    assert np.array_equal(again, fresh.random_raw(4 * 8).reshape(4, 8)[:, :6])
 
 
 def test_steps_per_draw_keeps_a_chunk_within_max_blocks(monkeypatch):
@@ -92,9 +123,9 @@ def test_steps_per_draw_keeps_a_chunk_within_max_blocks(monkeypatch):
 
 def test_gaussian_rows_reject_a_negative_first_row_or_lane():
     with pytest.raises(ValueError):
-        rng.gaussian_rows(0, rng.STREAM_NOISE, 0, -1, 2, 3)
+        rng.gaussian_rows([0], rng.STREAM_NOISE, 0, -1, 2, 3)
     with pytest.raises(ValueError):
-        rng.gaussian_rows(0, rng.STREAM_NOISE, -1, 0, 2, 3)
+        rng.gaussian_rows([0], rng.STREAM_NOISE, -1, 0, 2, 3)
 
 
 # several seeds, wrapped ones included, over consecutive steps that start

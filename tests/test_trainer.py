@@ -761,7 +761,9 @@ def test_practical_unrecorded_loss_leaves_the_runs_unchanged(family, diurnal, mo
 
 
 class _NaNGradientOnCall(QuadraticLoss):
-    """Quadratic loss whose gradient turns NaN in `rows` on its nan_call-th call.
+    """Quadratic loss whose gradient turns `value` (NaN unless given) in
+    `rows` on its nan_call-th call; finite_radius, if given, is its
+    finite_loss_radius.
 
     QuadraticLoss.clipped_grad_mean(rows, data, idx, clip_norm) reads neither
     data nor idx and calls grad_full once per practical step, and the
@@ -769,16 +771,22 @@ class _NaNGradientOnCall(QuadraticLoss):
     trainer's nan_call-th grad_full call feeds step nan_call.
     """
 
-    def __init__(self, nan_call: int, rows=..., **kwargs):
+    def __init__(self, nan_call: int, rows=..., value=math.nan, finite_radius=None, **kwargs):
         super().__init__(center=np.array([0.5, -0.5]), lipschitz=1.0, **kwargs)
-        self.nan_call, self.rows, self.calls = nan_call, rows, 0
+        self.nan_call, self.rows, self.value, self.calls = nan_call, rows, value, 0
+        self.finite_radius = finite_radius
 
     def grad_full(self, theta, data=None):
         self.calls += 1
         grad = super().grad_full(theta, data)
         if self.calls == self.nan_call:
-            grad[self.rows] = math.nan
+            grad[self.rows] = self.value
         return grad
+
+    def finite_loss_radius(self, data, batch_size):
+        if self.finite_radius is None:
+            return super().finite_loss_radius(data, batch_size)
+        return self.finite_radius
 
 
 @pytest.mark.parametrize("record_loss", [True, False])
@@ -937,16 +945,42 @@ def test_an_earlier_eval_overflow_is_raised_before_a_later_divergence(block, mon
     assert info.value.step == t1
 
 
+# a finite-loss ball with room around the projection ball (the default),
+# where the trainer reads a finite row's check off its squared norm before
+# the projection, and one without, where it takes the projected rows' norms
+_FINITE_RADII = pytest.mark.parametrize("finite_radius", [None, 1.2], ids=["room", "no-room"])
+
+
+@_FINITE_RADII
+@pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("record_loss", [True, False])
-def test_batched_theoretical_raises_when_one_row_turns_nan(record_loss):
-    model = _NaNGradientOnCall(nan_call=3, rows=1)
+def test_batched_theoretical_raises_when_one_row_turns_nan(record_loss, value, finite_radius):
+    model = _NaNGradientOnCall(nan_call=3, rows=1, value=value, finite_radius=finite_radius)
     config = TrainerConfig("theoretical", 10, EtaSchedule("inverse_sqrt", 0.4))
-    with pytest.raises(NumericDivergenceError) as info:
+    # projecting an infinite row multiplies inf by 0, NaN, which the check then meets
+    with pytest.raises(NumericDivergenceError) as info, np.errstate(invalid="ignore"):
         dp_sgd_theoretical_runs(
             model, _dummy_data(20, 2), config, [1, 2], rho=0.5, record_loss=record_loss
         )
     assert info.value.step == 3
     assert str(info.value) == "iterate left the finite-loss ball (step 3)"
+
+
+def test_batched_theoretical_projects_a_huge_finite_gradient_step_onto_the_ball():
+    """A finite row whose squared norm overflows is projected onto the
+    sphere and checked by its projected norm, so the runs go on, equal
+    whether or not the finite-loss ball has room around the projection ball."""
+    config = TrainerConfig("theoretical", 10, EtaSchedule("inverse_sqrt", 0.4), checkpoint_every=1)
+    runs = [
+        dp_sgd_theoretical_runs(
+            _NaNGradientOnCall(nan_call=3, rows=1, value=1e300, finite_radius=radius),
+            _dummy_data(20, 2), config, [1, 2], rho=0.5,
+        )
+        for radius in (None, 1.2)
+    ]
+    for room, no_room in zip(*runs, strict=True):
+        assert np.array_equal(room.params, no_room.params)
+    assert np.linalg.norm(runs[0][1].params[2]) == pytest.approx(1.0, rel=1e-15)
 
 
 class _RadiusOfBatch(QuadraticLoss):
