@@ -193,14 +193,29 @@ def rolling(
         # share of 0, so every row equals weights() on its prefix bit for bit.
         return _fold_weights(np.where(t < ends, keep, 1.0)) @ params
     if spec.kind == "upa_k":
-        # weights() of each prefix: 1/k' on its last k' = min(k, end) rows
+        # weights() of each prefix: 1/k' on its last k' = min(k, end) rows,
+        # none of them before column lo; the product stays the full
+        # (last_n, K) @ (K, p) one, as a narrower product rounds differently
         k = np.minimum(spec.k, ends)
-        cols = np.arange(K)
-        return np.where((cols >= ends - k) & (cols < ends), 1.0 / k, 0.0) @ params
+        lo = max(0, K - last_n + 1 - spec.k)
+        cols = np.arange(lo, K)
+        W = np.zeros((last_n, K))
+        W[:, lo:] = np.where((cols >= ends - k) & (cols < ends), 1.0 / k, 0.0)
+        return W @ params
     W = np.zeros((last_n, K))
     for row, end in enumerate(ends[:, 0]):
         W[row, :end] = weights(spec, steps[:end])
     return W @ params
+
+
+def window_key(spec: AggregationSpec, num_checkpoints: int):
+    """A hashable key of rolling(spec, params, steps, last_n) over a run of
+    num_checkpoints: specs with equal keys give equal windows bit for bit,
+    for the same params, steps and last_n. A fold's (ema, pda) is its keep
+    vector, the one input of its window besides those (EMA caps that never
+    bind share one); any other spec's is the spec itself, upa_k's its k."""
+    keep = None if spec.kind == "best_k" else _fold_keep(spec, np.arange(1, num_checkpoints))
+    return spec if keep is None else keep.tobytes()
 
 
 def upa_past_k(thetas: np.ndarray, k: int) -> np.ndarray:

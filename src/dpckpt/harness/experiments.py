@@ -20,7 +20,6 @@ parent process, through _write_json and _write_csv.
 
 import csv
 import functools
-import hashlib
 import json
 import math
 import os
@@ -712,25 +711,31 @@ def _pds_scores(model, parts, beta_specs, k_specs, window, record) -> dict:
 
     A spec's validation score is the mean accuracy of its rolling aggregate
     over the window, not its final value: under a shifting distribution the
-    endpoint rewards phase luck. _best_index breaks the ties. Specs whose
-    windows are equal byte for byte (EMA caps that never bind) share one
-    validation score, found by the digest of the window's rows. Each
-    window is rolled once: the scan keeps the rows of its family's best
-    spec so far, which the winner's test series reads."""
+    endpoint rewards phase luck. _best_index breaks the ties. Specs with
+    one aggregate.window_key have equal windows bit for bit (EMA caps that
+    never bind share one), so each distinct key's window is rolled and
+    scored once. The scan keeps only the window of its family's best spec
+    so far, which the winner's test series reads; a spec whose key was
+    seen reads that window when it is the best one's, else rolls its own."""
     params, steps = record.params, record.steps
     test = parts["test"]
-    scored: dict[bytes, float] = {}
+    scored: dict[bytes | AggregationSpec, float] = {}
     scores = {"steps": steps[-window:], "baseline": accuracy(model, params[-window:], test)}
     for name, specs in (("ema", beta_specs), ("upa", k_specs)):
         accs: list[float] = []
+        best_key = None
         for i, spec in enumerate(specs):
-            rows = aggregate.rolling(spec, params, steps, window)
-            key = hashlib.sha256(rows.tobytes()).digest()
+            key, rows = aggregate.window_key(spec, len(params)), None
             if key not in scored:
+                rows = aggregate.rolling(spec, params, steps, window)
                 scored[key] = float(np.mean(accuracy(model, rows, parts["validation"])))
             accs.append(scored[key])
             if _best_index(specs[: i + 1], accs) == i:
-                best, best_rows = spec, rows
+                if rows is None:
+                    rows = best_rows if key == best_key else aggregate.rolling(
+                        spec, params, steps, window
+                    )
+                best, best_rows, best_key = spec, rows, key
             del rows  # the next window rolls beside the best one only
         scores["best_" + name], scores[name] = best, accuracy(model, best_rows, test)
     return scores

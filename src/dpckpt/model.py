@@ -65,7 +65,12 @@ A batch is an (S, B) index matrix, row s's batch the rows idx[s] of the
 dataset: loss_full(rows, data, idx) is each row's loss on its own batch,
 and clipped_grad_mean, the practical trainer's step, is the mean of its
 per-example gradients after each is scaled to norm at most clip_norm,
-without forming them. A logistic per-example gradient is R_i (x) x_i +
+without forming them. The step reads its batch as Batches, the index
+matrix with the per-example terms that depend on the indices alone (each
+example's squared feature norm and the softmax head's true-class logit
+offsets), which LossModel.batches builds for a whole chunk of steps'
+(count, S, B) index matrices at once; the step's design gather stays its
+own. A logistic per-example gradient is R_i (x) x_i +
 l2 * theta, with R_i the residual in the logits (softmax probabilities
 minus one-hot, or -sigmoid(-z) for a signed row), so its squared norm is
 |R_i|^2 |x_i|^2 + 2 l2 <R_i, logits_i> + l2^2 |theta|^2, read off one
@@ -74,7 +79,9 @@ residuals with the batch, plus l2 theta times the mean clip factor
 (ghost clipping: Li et al., arXiv 2110.05679). At l2_reg = 0 those two l2
 terms of the norm, that l2 part of the mean and the loss's (l2/2)|theta|^2
 are exact zeros, and the kernels skip them: none of the sums they would
-join is -0.0, so adding them changes no bit.
+join is -0.0, so adding them changes no bit. project_l2 clips rows onto
+an l2 ball: the theoretical trainer's projection, and the quadratic
+loss's clipped step, whose examples share one gradient.
 finite_loss_radius bounds the rows whose batch loss is certainly finite,
 so the practical trainer can check its iterates without computing a loss
 it does not record. Only the softmax head gathers a batch's labels; the
@@ -91,6 +98,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -285,11 +293,12 @@ def row_sq_norms(rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 
-def _label_offsets(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(S, n) flat offsets of each example's true-class logit in C-contiguous
-    (S, c, n) logits, for labels shared by every row, (n,), or one batch of
-    labels per row, (S, n)."""
-    num_rows, num_classes, n = logits.shape
+def _label_offsets(labels: np.ndarray, num_rows: int, num_classes: int) -> np.ndarray:
+    """Flat offsets (s c + y) n + i of each example's true-class logit in
+    C-contiguous (S, c, n) logits, S = num_rows: (S, n) for labels shared
+    by every row, (n,), and (..., S, n) for (..., S, n) labels, one batch of
+    them per row."""
+    n = labels.shape[-1]
     return (np.arange(num_rows)[:, None] * num_classes + labels) * n + np.arange(n)
 
 
@@ -305,6 +314,57 @@ def clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
     against rounding; a norm at or under clip_norm gives exactly 1.0."""
     norms = np.sqrt(np.maximum(sq_norms, 0.0))
     return np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
+
+
+def project_l2(rows: np.ndarray, radius: float, sq_norms: np.ndarray | None = None) -> np.ndarray:
+    """Project each row of an (S, p) matrix onto the origin-centered l2 ball
+    of the given radius, which clips it to norm at most radius. sq_norms is
+    row_sq_norms(rows), overflow ignored, if the caller has it.
+
+    A finite row whose squared norm overflows is projected through its
+    direction u = x / max_j |x_j|, whose norm lies in [1, sqrt(p)], as
+    u * min(max_j |x_j|, radius / ||u||). A row with an infinite coordinate
+    has no projection: it comes out NaN, without a numpy warning.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if np.ndim(rows) != 2:
+        raise ValueError(f"project_l2 takes (S, p) rows, not shape {np.shape(rows)}")
+    # the stacked row dot equals np.linalg.norm's dot bit for bit, and a
+    # factor of exactly 1.0 leaves rows inside the ball untouched
+    if sq_norms is None:
+        with np.errstate(over="ignore"):
+            sq_norms = row_sq_norms(rows)
+    huge = np.isinf(sq_norms)
+    if not huge.any():
+        return rows * clip_factors(sq_norms, radius)[:, None]
+    # an infinite coordinate times its factor 0, or over its row's largest
+    # magnitude, is NaN; finite coordinates raise no invalid operation
+    with np.errstate(invalid="ignore"):
+        out = rows * clip_factors(sq_norms, radius)[:, None]
+        scale = np.abs(rows[huge]).max(axis=1)
+        unit = rows[huge] / scale[:, None]
+        out[huge] = unit * np.minimum(scale, radius / np.sqrt(row_sq_norms(unit)))[:, None]
+    return out
+
+
+class Batches(NamedTuple):
+    """(..., S, B) index matrices, idx[..., s, :] the batch of parameter row
+    s, with the per-example terms clipped_grad_mean reads of them: each
+    example's squared feature norm, data.sq_norms[idx], and, for the softmax
+    head, the flat offset of its true-class logit in C-contiguous (S, c, B)
+    logits (None for the other heads). LossModel.batches builds them for a
+    trainer chunk's (count, S, B) index matrices at once; the chunk's r-th
+    step reads step(r)."""
+
+    idx: np.ndarray
+    sq_norms: np.ndarray
+    label_offsets: np.ndarray | None
+
+    def step(self, r: int) -> "Batches":
+        """The (S, B) batches of the chunk's r-th step."""
+        offsets = self.label_offsets
+        return Batches(self.idx[r], self.sq_norms[r], None if offsets is None else offsets[r])
 
 
 class LossModel:
@@ -338,10 +398,15 @@ class LossModel:
         """(S, p) mean gradient of each row."""
         raise NotImplementedError
 
-    def clipped_grad_mean(self, rows, data: DatasetHandle, idx: np.ndarray, clip_norm):
+    def batches(self, data: DatasetHandle, idx: np.ndarray) -> Batches:
+        """The Batches of (..., S, B) index matrices into data."""
+        return Batches(idx, data.sq_norms[idx], None)
+
+    def clipped_grad_mean(self, rows, data: DatasetHandle, batches: Batches, clip_norm):
         """(S, p): for each of the (S, p) rows, the mean over its batch of the
         per-example gradients, each first scaled to norm at most clip_norm.
-        Row s's batch is the B rows idx[s] of data, for an (S, B) index matrix."""
+        Row s's batch is the B rows batches.idx[s] of data, for (S, B)
+        batches(data, idx)."""
         raise NotImplementedError
 
     def finite_loss_radius(self, data: DatasetHandle, batch_size: int) -> float:
@@ -403,11 +468,10 @@ class QuadraticLoss(LossModel):
     def grad_full(self, rows, data=None) -> np.ndarray:
         return self.curvature * (self._check_rows(rows) - self.center)
 
-    def clipped_grad_mean(self, rows, data, idx, clip_norm):
+    def clipped_grad_mean(self, rows, data, batches, clip_norm):
         # every example has the same gradient, so the clipped mean is that
         # gradient, clipped
-        grad = self.grad_full(rows)
-        return grad * clip_factors(row_sq_norms(grad), clip_norm)[:, None]
+        return project_l2(self.grad_full(rows), clip_norm)
 
     def finite_loss_radius(self, data, batch_size):
         """R = sqrt(min(1, 2 / curvature) * 1e307) - ||center||, at least 0.
@@ -502,16 +566,25 @@ class LogisticLoss(LossModel):
             return data.transposed_features
         return np.take(data.transposed_features, idx, axis=1).transpose(1, 0, 2)
 
-    def _labels(self, data: DatasetHandle, idx: np.ndarray | None = None) -> np.ndarray | None:
-        """The labels, or their (S, B) rows for an (S, B) index matrix; only the
-        softmax head reads them, as the binary head's are folded into its design."""
+    def _true_class_offsets(
+        self, num_rows: int, data: DatasetHandle, idx: np.ndarray | None = None
+    ) -> np.ndarray | None:
+        """The flat offsets of the true-class logits of num_rows rows' (S, c, n)
+        logits on the data, or for (..., S, B) index matrices on their batches'
+        (S, c, B) logits; only the softmax head reads labels, as the binary
+        head's are folded into its design."""
         if self.binary:
             return None
-        return data.labels if idx is None else data.labels[idx]
+        labels = data.labels if idx is None else data.labels[idx]
+        return _label_offsets(labels, num_rows, self.num_classes)
 
-    def _residual(self, logits, labels: np.ndarray | None) -> np.ndarray:
+    def batches(self, data, idx):
+        return Batches(idx, data.sq_norms[idx], self._true_class_offsets(idx.shape[-2], data, idx))
+
+    def _residual(self, logits, label_offsets: np.ndarray | None) -> np.ndarray:
         """Each example's loss slope in its logits: (S, c, n) probabilities minus
-        one-hot for the softmax head, and for the binary head -sigmoid(-z) of the
+        one-hot (subtracted at the true-class label_offsets) for the softmax
+        head, and for the binary head -sigmoid(-z) of the
         signed margins z, taken as -1/(1 + exp(z)) in three passes over one
         buffer. Where exp(z) overflows that is -0.0, its limit; where z <= 0,
         exp(z) is the exp(-|z|) of the two-sided stable form, so the two agree
@@ -523,7 +596,7 @@ class LogisticLoss(LossModel):
             return np.divide(-1.0, e, out=e)
         _, ex, total = _softmax_terms(logits)
         probs = np.divide(ex, total, out=ex)
-        probs.reshape(-1)[_label_offsets(probs, labels)] -= 1.0
+        probs.reshape(-1)[label_offsets] -= 1.0
         return probs
 
     def loss_full(self, rows, data, idx=None):
@@ -534,7 +607,7 @@ class LogisticLoss(LossModel):
         else:
             zmax, _, total = _softmax_terms(logits)
             lse = (zmax + np.log(total))[:, 0]
-            ce = lse - logits.take(_label_offsets(logits, self._labels(data, idx)))
+            ce = lse - logits.take(self._true_class_offsets(len(rows), data, idx))
         # np.mean's own arithmetic (sum, then divide by n) minus its wrapper cost
         loss = ce.sum(axis=1) / logits.shape[-1]
         if self.l2_reg > 0:
@@ -544,23 +617,24 @@ class LogisticLoss(LossModel):
     def grad_full(self, rows, data) -> np.ndarray:
         rows = self._check_rows(rows)
         logits = self._logits(rows, self._design(data))
-        resid = self._residual(logits, self._labels(data))
+        resid = self._residual(logits, self._true_class_offsets(len(rows), data))
         if self.binary:
             slope = np.matmul(data.signed_features.T, resid[:, :, None])
             return self.l2_reg * rows + slope[:, :, 0] / data.n
         grad_w = np.matmul(resid, data.features) / data.n
         return grad_w.reshape(len(rows), -1) + self.l2_reg * rows
 
-    def clipped_grad_mean(self, rows, data, idx, clip_norm):
+    def clipped_grad_mean(self, rows, data, batches, clip_norm):
         rows = self._check_rows(rows)
+        idx = batches.idx
         design = self._design(data, idx)  # (S, B, d)
         logits = self._logits(rows, design)
-        resid = self._residual(logits, self._labels(data, idx))
+        resid = self._residual(logits, batches.label_offsets)
         if self.binary:
             # one logit per example: (S, B) -> (S, 1, B), as the softmax head's
             logits, resid = logits[:, None, :], resid[:, None, :]
         lam = self.l2_reg
-        sq_norms = (resid * resid).sum(axis=1) * data.sq_norms[idx]
+        sq_norms = (resid * resid).sum(axis=1) * batches.sq_norms
         if lam > 0:
             sq_norms = (
                 sq_norms

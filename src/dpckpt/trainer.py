@@ -28,8 +28,12 @@ rows is finite. What each mode supplies:
 The loop runs a chunk of steps at a time. A chunk draws the noise of all
 its seeds with one rng.gaussian_rows call, an (S, count, p) array whose
 step-t rows are row t - 1 of each seed's lane 0 of STREAM_NOISE, and asks
-the mode for the chunk's (count, S, B) index matrices with one call; it
-then takes its steps, each with one gradient call, and keeps their
+the mode for the chunk's batches with one call: in practical mode the
+(count, S, B) index matrices as model.Batches, whose per-example terms
+(squared feature norms, and the softmax head's true-class logit offsets)
+are gathered for the whole chunk at once. It then takes its steps, each
+with one gradient call, which reads row r of those terms at the chunk's
+r-th step and gathers its own batch design, and keeps their
 iterates. A projected step takes the iterate's squared norms once, before
 project_l2, which reads them: a finite row ends within a few ulp of the
 ball, so when the finite-loss ball's squared radius is at least twice the
@@ -77,8 +81,8 @@ from .model import (
     DiurnalSchedule,
     LossModel,
     accuracy,
-    clip_factors,
     diurnal_draw,
+    project_l2,
     row_sq_norms,
 )
 from .privacy import PrivacyBudget, calibrate_practical, calibrate_theoretical
@@ -202,33 +206,6 @@ def choose_T(n: int, rho: float) -> int:
     return max(1, math.ceil(n * rho))
 
 
-def project_l2(rows: np.ndarray, radius: float, sq_norms: np.ndarray | None = None) -> np.ndarray:
-    """Project each row of an (S, p) matrix onto the origin-centered l2 ball
-    of the given radius. sq_norms is row_sq_norms(rows), overflow ignored,
-    if the caller has it.
-
-    A finite row whose squared norm overflows is projected through its
-    direction u = x / max_j |x_j|, whose norm lies in [1, sqrt(p)], as
-    u * min(max_j |x_j|, radius / ||u||).
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if np.ndim(rows) != 2:
-        raise ValueError(f"project_l2 takes (S, p) rows, not shape {np.shape(rows)}")
-    # the stacked row dot equals np.linalg.norm's dot bit for bit, and a
-    # factor of exactly 1.0 leaves rows inside the ball untouched
-    if sq_norms is None:
-        with np.errstate(over="ignore"):
-            sq_norms = row_sq_norms(rows)
-    out = rows * clip_factors(sq_norms, radius)[:, None]
-    huge = np.isinf(sq_norms)
-    if huge.any():
-        scale = np.abs(rows[huge]).max(axis=1)
-        unit = rows[huge] / scale[:, None]
-        out[huge] = unit * np.minimum(scale, radius / np.sqrt(row_sq_norms(unit)))[:, None]
-    return out
-
-
 def checkpoint_steps(num_steps: int, every: int) -> list[int]:
     """Steps at which checkpoints are taken: every-th step plus the final one."""
     steps = list(range(every, num_steps + 1, every))
@@ -242,10 +219,11 @@ def _dp_sgd_runs(model, data, config, seeds, start, grad, batches, width, noise_
     """The one DP-SGD loop (see the module docstring); row s starts at start(seeds[s]).
 
     It runs rng.steps_per_draw(S, width) steps a chunk. batches(first, count)
-    gives the chunk's (count, S, B) index matrices (None: the whole data),
-    and grad(theta, idx) the (S, p) gradient at theta_{t-1} on a step's
-    (S, B) batch. record_loss and eval_data score the chunk's iterates after
-    it, rng.steps_per_draw(S, max(p, B)) steps a call.
+    gives the chunk's model.Batches of (count, S, B) index matrices (None:
+    the whole data), and grad(theta, step_batches) the (S, p) gradient at
+    theta_{t-1} on a step's (S, B) Batches. record_loss and eval_data score
+    the chunk's iterates after it, rng.steps_per_draw(S, max(p, B)) steps a
+    call.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -263,7 +241,7 @@ def _dp_sgd_runs(model, data, config, seeds, start, grad, batches, width, noise_
     metrics = np.full((S, T, 2), math.nan)
     iterates = np.empty((chunk, S, dim))
 
-    def score(first: int, count: int, idx) -> None:
+    def score(first: int, count: int, drawn) -> None:
         """Fill the metrics of steps first + 1..first + count from the chunk's iterates."""
         if not (record_loss or eval_data is not None):
             return
@@ -271,19 +249,19 @@ def _dp_sgd_runs(model, data, config, seeds, start, grad, batches, width, noise_
             m = min(block, count - lo)
             rows, steps = iterates[lo : lo + m].reshape(m * S, dim), slice(first + lo, first + lo + m)
             if record_loss:
-                at = None if idx is None else idx[lo : lo + m].reshape(m * S, batch)
+                at = None if drawn is None else drawn.idx[lo : lo + m].reshape(m * S, batch)
                 metrics[:, steps, 0] = model.loss_full(rows, data, at).reshape(m, S).T
             if eval_data is not None:
                 metrics[:, steps, 1] = accuracy(model, rows, eval_data).reshape(m, S).T
 
     for first in range(0, T, chunk):
         count = min(chunk, T - first)
-        idx = batches(first, count)
+        drawn = batches(first, count)
         if noise_std > 0:
             noise = noise_std * rng.gaussian_rows(seeds, rng.STREAM_NOISE, 0, first, count, dim)
         for r in range(count):
             t = first + r + 1
-            g = grad(theta, None if idx is None else idx[r])
+            g = grad(theta, None if drawn is None else drawn.step(r))
             if noise_std > 0:
                 g = g + noise[:, r]
             theta = theta - config.eta.at(t) * g
@@ -300,12 +278,12 @@ def _dp_sgd_runs(model, data, config, seeds, start, grad, batches, width, noise_
             ):
                 # the chunk's earlier steps are scored first, so that a scoring
                 # error of an earlier step is the one raised
-                score(first, r, idx)
+                score(first, r, drawn)
                 raise NumericDivergenceError("iterate left the finite-loss ball", step=t)
             iterates[r] = theta
             if t in ckpt_index:
                 ckpts[:, ckpt_index[t]] = theta
-        score(first, count, idx)
+        score(first, count, drawn)
     steps = np.array(ckpt_steps)
     return [RunRecord(config, s, budget, ckpts[i], steps, metrics[i]) for i, s in enumerate(seeds)]
 
@@ -346,7 +324,7 @@ def dp_sgd_theoretical_runs(
     dim = model.param_dim()
     return _dp_sgd_runs(
         model, data, config, seeds, lambda seed: np.zeros(dim),
-        lambda theta, idx: model.grad_full(theta, data), lambda first, count: None, dim,
+        lambda theta, batches: model.grad_full(theta, data), lambda first, count: None, dim,
         noise_std, PrivacyBudget.from_rho(rho, delta), data.n,
         radius=config.projection_radius, record_loss=record_loss,
     )
@@ -421,14 +399,15 @@ def dp_sgd_practical_runs(
     T, dim = config.num_steps, model.param_dim()
     mean_noise_std, rho_total = calibrate_practical(config.clip_norm, noise_multiplier, T, batch)
     if diurnal is not None:
-        batches = _diurnal_batches(diurnal, seeds, batch)
+        draw = _diurnal_batches(diurnal, seeds, batch)
     else:
-        batches = _uniform_batches(seeds, T, data.n, batch)
+        draw = _uniform_batches(seeds, T, data.n, batch)
     return _dp_sgd_runs(
         model, data, config, seeds,
         lambda seed: 0.02 * rng.uniform_vector(seed, rng.STREAM_INIT, 0, dim) - 0.01,
-        lambda theta, idx: model.clipped_grad_mean(theta, data, idx, config.clip_norm),
-        batches, max(dim, batch), mean_noise_std, PrivacyBudget.from_rho(rho_total, delta),
+        lambda theta, batches: model.clipped_grad_mean(theta, data, batches, config.clip_norm),
+        lambda first, count: model.batches(data, draw(first, count)),
+        max(dim, batch), mean_noise_std, PrivacyBudget.from_rho(rho_total, delta),
         batch, record_loss=record_loss, eval_data=eval_data,
     )
 

@@ -10,7 +10,9 @@ placed at the step's row and maps its words with Python integers, where
 the trainer maps a chunk of steps per seed in uint64 arithmetic.
 row_loop_batches gathers the softmax head's (S, d, B) batch factors a
 row at a time into a C-contiguous array, where the model takes one
-np.take of the store's columns. clipped_grad_mean_l2 and batch_loss_l2
+np.take of the store's columns. row_loop_terms builds one step's
+model.Batches an example at a time, where the trainer gathers the terms
+of a whole chunk of steps at once. clipped_grad_mean_l2 and batch_loss_l2
 are the practical kernels with every l2 term computed, whatever l2_reg
 is, where the loss models skip the terms that are exact zeros at
 l2_reg = 0. The closed forms of the
@@ -28,6 +30,7 @@ from dpckpt import rng
 from dpckpt.dpld import _chi_cdf
 from dpckpt.harness.experiments import ResultRow, ResultTable
 from dpckpt.model import (
+    Batches,
     DiurnalSchedule,
     QuadraticLoss,
     _binary_ce,
@@ -86,6 +89,20 @@ def row_loop_batches(data, idx: np.ndarray) -> np.ndarray:
     return design
 
 
+def row_loop_terms(model, data, idx: np.ndarray) -> Batches:
+    """model.batches(data, idx) for one step's (S, B) index matrix, an example
+    at a time: example i of row s reads data.sq_norms at its row j, and a
+    softmax head's true-class logit sits at (s c + labels[j]) B + i."""
+    num_rows, batch = idx.shape
+    sq_norms = np.empty((num_rows, batch))
+    offsets = np.empty((num_rows, batch), dtype=np.int64)
+    for s in range(num_rows):
+        for i, j in enumerate(idx[s]):
+            sq_norms[s, i] = data.sq_norms[j]
+            offsets[s, i] = (s * data.num_classes + int(data.labels[j])) * batch + i
+    return Batches(idx, sq_norms, None if model.binary else offsets)
+
+
 def clipped_grad_mean_l2(model, rows, data, idx, clip_norm) -> np.ndarray:
     """model.clipped_grad_mean with each per-example squared norm taken as
     |R_i|^2 |x_i|^2 + 2 l2 <R_i, logits_i> + l2^2 |theta|^2 and the clipped
@@ -96,7 +113,7 @@ def clipped_grad_mean_l2(model, rows, data, idx, clip_norm) -> np.ndarray:
         return grad * clip_factors(row_sq_norms(grad), clip_norm)[:, None]
     design = model._design(data, idx)
     logits = model._logits(rows, design)
-    resid = model._residual(logits, model._labels(data, idx))
+    resid = model._residual(logits, model._true_class_offsets(len(rows), data, idx))
     if model.binary:
         logits, resid = logits[:, None, :], resid[:, None, :]
     lam = model.l2_reg
@@ -123,7 +140,7 @@ def batch_loss_l2(model, rows, data, idx) -> np.ndarray:
         ce = _binary_ce(logits)
     else:
         zmax, _, total = _softmax_terms(logits)  # over the class axis of (S, c, B) logits
-        labels = model._labels(data, idx)
+        labels = data.labels[idx]
         true = np.take_along_axis(logits, labels[:, None, :], axis=1)[:, 0]
         ce = (zmax + np.log(total))[:, 0] - true
     return ce.sum(axis=1) / logits.shape[-1] + 0.5 * model.l2_reg * row_sq_norms(rows)

@@ -17,6 +17,7 @@ from dpckpt.aggregate import (
     select_best_k,
     upa_past_k,
     weights,
+    window_key,
 )
 from dpckpt.model import DatasetHandle
 
@@ -138,11 +139,12 @@ def test_rolling_folds_equal_the_per_row_weights(spec, K, last_n):
     assert np.array_equal(rolling(spec, params, steps, last_n), per_row @ params)
 
 
-@pytest.mark.parametrize("k", [1, 3, 9, 40])
-@pytest.mark.parametrize("K, last_n", [(1, 1), (9, 4), (30, 30), (40, 1)])
+@pytest.mark.parametrize("k", [1, 3, 9, 40, 200, 700])
+@pytest.mark.parametrize("K, last_n", [(1, 1), (9, 4), (30, 30), (40, 1), (800, 80)])
 def test_rolling_upa_k_equals_the_per_row_weights(k, K, last_n):
     """upa_k's rolling matrix equals weights() on each prefix, with k cut to
-    the prefix's length where it is longer, bit for bit."""
+    the prefix's length where it is longer, bit for bit; (800, 80) is the
+    stock pds_eval window."""
     steps = np.arange(1, K + 1)
     per_row = np.zeros((last_n, K))
     for row, end in enumerate(range(K - last_n + 1, K + 1)):
@@ -151,6 +153,28 @@ def test_rolling_upa_k_equals_the_per_row_weights(k, K, last_n):
     assert np.array_equal(rolling(spec, np.eye(K), steps, last_n), per_row)
     params = np.array(_stream(K, 5, seed=K))
     assert np.array_equal(rolling(spec, params, steps, last_n), per_row @ params)
+
+
+def test_specs_with_one_window_key_roll_byte_equal_windows():
+    """Over K checkpoints the warm-up coefficient (1+t)/(10+t) stays at most
+    K / (K + 9), so EMA caps above it never bind and share one key, as pda's
+    gamma 0 does with a gamma that rounds away beside 1; specs of one key
+    roll byte-equal windows, and a binding cap, another gamma or another k
+    keys apart."""
+    K, last_n = 800, 80
+    params, steps = np.array(_stream(K, 6, seed=8)), np.arange(1, K + 1) * 2
+    groups = [
+        [_ema(0.99), _ema(0.999), _ema(0.9999), _ema(1.0)],
+        [_pda(0.0), _pda(1e-20)],
+        [AggregationSpec("upa_k", k=50), AggregationSpec("upa_k", k=50)],
+    ]
+    for group in groups:
+        assert len({window_key(spec, K) for spec in group}) == 1
+        windows = {rolling(spec, params, steps, last_n).tobytes() for spec in group}
+        assert len(windows) == 1
+    apart = [_ema(0.95), _ema(0.98), _pda(0.5), AggregationSpec("upa_k", k=49)]
+    keys = [window_key(spec, K) for spec in apart] + [window_key(g[0], K) for g in groups]
+    assert len(set(keys)) == len(keys)
 
 
 def test_ema_single_element_stream_identity():

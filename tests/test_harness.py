@@ -400,8 +400,9 @@ def test_pds_scores_match_an_independent_reference(monkeypatch):
     test_calls = [c for c in calls if c[2] is parts["test"]]
     assert len(test_calls) == 3
     assert sum(np.array_equal(c[1], params[-window:]) for c in test_calls) == 1
-    # each spec's window is rolled once, the winners' included
-    assert rolled == beta_specs + k_specs
+    # each distinct window is rolled once, the winners' included: beta 0.6
+    # and 0.9 never bind over 12 checkpoints, so they share one
+    assert rolled == beta_specs[:2] + k_specs
 
     def window_acc(spec, part):
         return real_accuracy(model, real_rolling(spec, params, run.steps, window), part)
@@ -436,6 +437,94 @@ def test_pds_scores_score_each_distinct_validation_window_once(monkeypatch):
     scores = experiments._pds_scores(_ProbModel2(), parts, beta_specs, k_specs, 5, run)
     assert len(scored) == 2 + len(k_specs)
     assert scores["best_ema"] in beta_specs[:2]
+
+
+def _counting_scan(monkeypatch, parts):
+    """Record every aggregate.rolling spec and every validation window that
+    _pds_scores scores: (rolled specs, scored windows)."""
+    rolled, scored = [], []
+    real_rolling, real_accuracy = aggregate.rolling, experiments.accuracy
+
+    def counted_rolling(spec, *args):
+        rolled.append(spec)
+        return real_rolling(spec, *args)
+
+    def counted(model, rows, part):
+        if part is parts["validation"]:
+            scored.append(rows)
+        return real_accuracy(model, rows, part)
+
+    monkeypatch.setattr(aggregate, "rolling", counted_rolling)
+    monkeypatch.setattr(experiments, "accuracy", counted)
+    return rolled, scored
+
+
+@pytest.mark.parametrize(
+    "family, winner, rolls",
+    [
+        # 0.99, 0.9 and 0.6 never bind over 12 checkpoints: one window, rolled
+        # for 0.99 and kept as the best, which 0.6 wins on the tie
+        ([("ema", 0.99), ("ema", 0.9), ("ema", 0.6)], 2, [0]),
+        # pda(0.95) takes the best from ema(0.99), then ema(0.9), of 0.99's
+        # key, takes it back: 0.99's window is gone, so 0.9 rolls its own
+        ([("ema", 0.99), ("pda", 0.95), ("ema", 0.9)], 2, [0, 1, 2]),
+    ],
+    ids=["descending-betas", "key-seen-off-the-best"],
+)
+def test_pds_scores_give_a_tie_winner_of_a_seen_key_its_own_test_series(
+    monkeypatch, family, winner, rolls
+):
+    """Balanced validation labels score every window of _ProbModel2 at 0.5,
+    so every spec ties and _best_index takes the smallest coefficient, a
+    later spec whose window key an earlier one already had."""
+    run = _oscillating_run(np.random.default_rng(11).uniform(size=12))
+    parts = _pds_parts([0, 1], [1, 0, 1, 1, 0])
+    specs = [
+        AggregationSpec("ema", beta=v) if kind == "ema" else AggregationSpec("pda", gamma=v)
+        for kind, v in family
+    ]
+    k_specs = [AggregationSpec("upa_k", k=2)]
+    model, window = _ProbModel2(), 5
+
+    def test_series(spec):
+        rows = aggregate.rolling(spec, run.params, run.steps, window)
+        return experiments.accuracy(model, rows, parts["test"])
+
+    series = [test_series(spec) for spec in specs]
+    # a winner's test series is not that of another key's window
+    assert all(
+        not np.array_equal(series[winner], other)
+        for spec, other in zip(specs, series)
+        if aggregate.window_key(spec, 12) != aggregate.window_key(specs[winner], 12)
+    )
+    rolled, scored = _counting_scan(monkeypatch, parts)
+    scores = experiments._pds_scores(model, parts, specs, k_specs, window, run)
+    assert scores["best_ema"] == specs[winner]
+    assert np.array_equal(scores["ema"], series[winner])
+    assert rolled == [specs[i] for i in rolls] + k_specs
+    assert len(scored) == len({aggregate.window_key(spec, 12) for spec in specs}) + 1
+
+
+def test_pds_eval_rolls_and_scores_eleven_windows_per_seed_at_the_stock_grid(
+    tmp_path, monkeypatch
+):
+    """At the stock 800 steps the warm-up coefficient stays below 800 / 809,
+    so the caps 0.99, 0.999 and 0.9999 give one window: 4 EMA windows and 7
+    UPA ones per seed, each rolled and scored on validation once."""
+    raw = load_config(os.path.join(CONFIG_DIR, "pds_eval.cfg"))
+    raw["num_seeds"] = "2"
+    real_split = experiments.split_dataset
+    parts = {}
+
+    def recording_split(*args, **kwargs):
+        parts.update(real_split(*args, **kwargs))
+        return parts
+
+    monkeypatch.setattr(experiments, "split_dataset", recording_split)
+    rolled, scored = _counting_scan(monkeypatch, parts)
+    run_experiment(ConfigView(raw), str(tmp_path / "out"), workers=1)
+    assert len(rolled) == len(scored) == 2 * 11
+    assert len({spec for spec in rolled if spec.kind == "ema"}) == 4
 
 
 # ---------------------------------------------------------------------------

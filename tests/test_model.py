@@ -232,20 +232,22 @@ def test_clipped_grad_mean_matches_the_per_example_oracle(kind, l2, clipped):
     above = (norms > clip_norm).sum()
     assert {"none": above == 0, "all": above == norms.size}.get(clipped, 0 < above < norms.size)
 
-    got = model.clipped_grad_mean(rows, data, idx, clip_norm)
+    got = model.clipped_grad_mean(rows, data, model.batches(data, idx), clip_norm)
     oracle = np.stack([clip_rows(per[s], clip_norm).mean(axis=0) for s in range(S)])
     assert got.shape == rows.shape
     assert np.max(np.abs(got - oracle)) <= 1e-12
     losses = model.loss_full(rows, data, idx)
     for s in range(S):
-        one = model.clipped_grad_mean(rows[s : s + 1], data, idx[s : s + 1], clip_norm)
+        one = model.clipped_grad_mean(
+            rows[s : s + 1], data, model.batches(data, idx[s : s + 1]), clip_norm
+        )
         assert np.array_equal(one[0], got[s])
         assert losses[s] == model.loss_full(rows[s : s + 1], batches[s])[0]
 
     # a one-example batch's clipped mean is that example's clipped gradient:
     # its norm is the sensitivity the privacy ledger charges
     each = model.clipped_grad_mean(
-        np.repeat(rows, B, axis=0), data, idx.reshape(S * B, 1), clip_norm
+        np.repeat(rows, B, axis=0), data, model.batches(data, idx.reshape(S * B, 1)), clip_norm
     )
     assert np.linalg.norm(each, axis=1).max() <= clip_norm * (1 + 1e-12)
     assert np.max(np.abs(each - clip_rows(np.concatenate(per), clip_norm))) <= 1e-12
@@ -267,7 +269,7 @@ def test_practical_kernels_equal_the_full_l2_formulas(kind, l2):
     rows = gen.normal(0.0, 0.8, (S, model.param_dim()))
     idx = np.stack([gen.choice(data.n, B, replace=False) for _ in range(S)])
     for clip_norm in (1e-3, 0.5, 1e3):  # every, some and no example clipped
-        got = model.clipped_grad_mean(rows, data, idx, clip_norm)
+        got = model.clipped_grad_mean(rows, data, model.batches(data, idx), clip_norm)
         assert _bit_equal(got, clipped_grad_mean_l2(model, rows, data, idx, clip_norm))
     assert _bit_equal(model.loss_full(rows, data, idx), batch_loss_l2(model, rows, data, idx))
 
@@ -311,7 +313,7 @@ def test_softmax_kernels_match_an_fsum_reference(num_classes):
         assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
         # each example alone, as a one-example batch that no clip bound scales
         repeated = np.repeat(theta[None], data.n, axis=0)
-        got = model.clipped_grad_mean(repeated, data, one_each, 1e300)
+        got = model.clipped_grad_mean(repeated, data, model.batches(data, one_each), 1e300)
         assert np.all(np.abs(got - grads).max(axis=1) <= 1e-12 * np.abs(grads).max(axis=1))
         got = model.loss_full(repeated, data, one_each)
         assert np.all(np.abs(got - losses) <= 1e-12 * np.maximum(1.0, scales))
@@ -443,7 +445,7 @@ def test_binary_kernels_raise_no_warning_where_the_slope_saturates():
         warnings.simplefilter("error", RuntimeWarning)
         grads = model.grad_full(rows, data)
         losses = model.loss_full(rows, data)
-        clipped = model.clipped_grad_mean(rows, data, idx, 1.0)
+        clipped = model.clipped_grad_mean(rows, data, model.batches(data, idx), 1.0)
     assert np.all(np.isfinite(grads)) and np.all(np.isfinite(losses))
     assert np.all(np.isfinite(clipped))
 
@@ -467,7 +469,9 @@ def test_every_kernel_rejects_a_vector_and_names_the_row_shape(kind):
         "loss_full": lambda: model.loss_full(vector, data),
         "loss_full on a batch": lambda: model.loss_full(vector, data, idx),
         "grad_full": lambda: model.grad_full(vector, data),
-        "clipped_grad_mean": lambda: model.clipped_grad_mean(vector, data, idx, 1.0),
+        "clipped_grad_mean": lambda: model.clipped_grad_mean(
+            vector, data, model.batches(data, idx), 1.0
+        ),
         "predict_proba": lambda: model.predict_proba(vector, data.features),
         "predict_labels": lambda: model.predict_labels(vector, data.features),
         "project_l2": lambda: project_l2(vector, 1.0),
@@ -580,7 +584,7 @@ def test_binary_full_kernel_matches_unfolded_references(case):
     # the batch kernels, on one 20-row batch per row
     gen = np.random.default_rng(13)
     idx = np.stack([gen.choice(data.n, 20, replace=False) for _ in rows])
-    clipped = model.clipped_grad_mean(rows, data, idx, 1.0)
+    clipped = model.clipped_grad_mean(rows, data, model.batches(data, idx), 1.0)
     for theta, batch_rows, grad, loss in zip(rows, idx, clipped, model.loss_full(rows, data, idx)):
         batch = data.subset(batch_rows)
         ce = np.logaddexp(0.0, -(2.0 * batch.labels - 1.0) * (batch.features @ theta))
@@ -649,7 +653,8 @@ def test_softmax_batch_kernels_equal_them_on_the_row_loop_gather(
     idx = gen.integers(0, data.n, size=(num_rows, 32))
 
     def scores():
-        return model.clipped_grad_mean(rows, data, idx, 0.5), model.loss_full(rows, data, idx)
+        batches = model.batches(data, idx)
+        return model.clipped_grad_mean(rows, data, batches, 0.5), model.loss_full(rows, data, idx)
 
     took = scores()
     store = LogisticLoss._design

@@ -47,7 +47,13 @@ from dpckpt.trainer import (
 from dpckpt import rng
 from dpckpt import trainer as trainer_module
 from per_example import clip_rows, clipped_mean
-from references import diurnal_row, gaussian_row, minibatch_indices
+from references import (
+    diurnal_row,
+    gaussian_row,
+    minibatch_indices,
+    row_loop_batches,
+    row_loop_terms,
+)
 
 
 def _dummy_data(n: int, p: int = 1) -> DatasetHandle:
@@ -111,6 +117,24 @@ def test_project_l2():
     assert np.array_equal(project_l2(np.zeros((1, 3)), 0.5), np.zeros((1, 3)))
     with pytest.raises(ValueError):
         project_l2(inside, 0.0)
+
+
+def test_an_infinite_row_projects_and_clips_to_nan_without_a_warning():
+    """project_l2, and the quadratic clipped step that clips through it, turn
+    a row with an infinite coordinate into NaN and keep every finite row's
+    bits, under warnings as errors; a finite gradient whose squared norm
+    overflows is clipped onto the sphere, not to 0."""
+    rows = np.array([[0.3, -4.0], [np.inf, 1.0], [-np.inf, -np.inf], [1e200, 1e200]])
+    model = QuadraticLoss(center=np.zeros(2))
+    batches = model.batches(_dummy_data(4, 2), np.zeros((4, 1), dtype=np.int64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = project_l2(rows, 2.0)
+        clipped = model.clipped_grad_mean(rows, None, batches, 2.0)
+    assert np.array_equal(out, clipped, equal_nan=True)
+    assert np.array_equal(out[0], rows[0] * min(1.0, 2.0 / np.linalg.norm(rows[0])))
+    assert np.isnan(out[1:3]).all()
+    assert np.linalg.norm(out[3]) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_project_l2_puts_a_row_whose_squared_norm_overflows_on_the_sphere():
@@ -560,7 +584,8 @@ def _practical_reference(model, data, config, seed, z, eval_data):
         else:
             idx = minibatch_indices(seed, t, data.n, config.batch_size)
         batch = data.subset(idx)
-        g = model.clipped_grad_mean(theta[None], data, idx[None], config.clip_norm)[0]
+        batches = model.batches(data, idx[None])
+        g = model.clipped_grad_mean(theta[None], data, batches, config.clip_norm)[0]
         g = g + std * gaussian_row(seed, rng.STREAM_NOISE, 0, t - 1, len(theta))
         theta = theta - config.eta.at(t) * g
         params.append(theta)
@@ -622,6 +647,83 @@ def test_practical_diurnal_runs_do_not_depend_on_the_chunk_size(monkeypatch):
         for got, want in zip(chunked, whole, strict=True):
             assert np.array_equal(got.params, want.params)
             assert np.array_equal(got.metrics, want.metrics)
+
+
+def _row_loop_design(store):
+    """LogisticLoss._design with each step's batch rows gathered a row at a
+    time: references.row_loop_batches for the softmax head, and the binary
+    head's sign-folded rows one batch at a time."""
+
+    def design(self, data, idx=None):
+        if idx is None:
+            return store(self, data)
+        if self.binary:
+            return np.stack([data.signed_features[rows] for rows in idx])
+        return row_loop_batches(data, idx)
+
+    return design
+
+
+@pytest.mark.parametrize("num_seeds", [1, 2, 5])
+@pytest.mark.parametrize("diurnal", [False, True], ids=["uniform", "diurnal"])
+@pytest.mark.parametrize("l2", [0.0, 0.05])
+@pytest.mark.parametrize("family", ["binary", "softmax"])
+def test_chunk_batch_terms_equal_a_per_step_row_loop(family, l2, diurnal, num_seeds, monkeypatch):
+    """The trainer gathers each chunk's squared norms and label offsets once
+    and a step reads its row of them; a loop that builds each step's batches,
+    terms and design a row at a time, with per-step noise, gives the same
+    checkpoints bit for bit, over chunks of five steps. A finite-loss ball
+    that a mid-chunk step first leaves stops the trainer at that step."""
+    classes = 2 if family == "binary" else 4
+    data = synth_classification(90, 5, num_classes=classes, separation=2.0, seed=3)
+    model = _SetRadius(5, classes, l2_reg=l2)
+    schedule = None
+    if diurnal:
+        schedule = DiurnalSchedule(
+            period=4, rows_a=np.flatnonzero(data.labels % 2 == 0),
+            rows_b=np.flatnonzero(data.labels % 2 == 1),
+        )
+    config = TrainerConfig(
+        "practical", 12, EtaSchedule("constant", 0.8), clip_norm=0.5, batch_size=8,
+        checkpoint_every=1, diurnal=schedule,
+    )
+    seeds = [7, 2**64 - 1, 0, 11, -3][:num_seeds]
+    _blocks_of(monkeypatch, 5, model, config, num_seeds)
+    runs = dp_sgd_practical_runs(model, data, config, seeds, 1.1, record_loss=False)
+
+    std = 1.1 * config.clip_norm / config.batch_size
+    theta = np.stack([
+        0.02 * rng.uniform_vector(seed, rng.STREAM_INIT, 0, model.param_dim()) - 0.01
+        for seed in seeds
+    ])
+    monkeypatch.setattr(LogisticLoss, "_design", _row_loop_design(LogisticLoss._design))
+    want = []
+    for t in range(1, config.num_steps + 1):
+        idx = np.stack([
+            diurnal_row(seed, schedule, t, config.batch_size) if diurnal
+            else minibatch_indices(seed, t, data.n, config.batch_size)
+            for seed in seeds
+        ])
+        g = model.clipped_grad_mean(theta, data, row_loop_terms(model, data, idx), config.clip_norm)
+        noise = np.stack([
+            gaussian_row(seed, rng.STREAM_NOISE, 0, t - 1, theta.shape[1]) for seed in seeds
+        ])
+        theta = theta - config.eta.at(t) * (g + std * noise)
+        want.append(theta)
+    want = np.stack(want, axis=1)  # (S, T, p)
+    for s, run in enumerate(runs):
+        assert np.array_equal(run.params, want[s])
+
+    norms = np.linalg.norm(want, axis=2).max(axis=0)
+    step = next(
+        t for t in range(2, config.num_steps + 1)
+        if (t - 1) % 5 and norms[t - 1] > norms[: t - 1].max()
+    )
+    model.radius = norms[step - 1] * (1.0 - 1e-12)
+    with pytest.raises(NumericDivergenceError) as info:
+        dp_sgd_practical_runs(model, data, config, seeds, 1.1, record_loss=False)
+    assert info.value.step == step
+    assert str(info.value) == f"iterate left the finite-loss ball (step {step})"
 
 
 @pytest.mark.parametrize("diurnal", [False, True], ids=["uniform", "diurnal"])
@@ -765,10 +867,10 @@ class _NaNGradientOnCall(QuadraticLoss):
     `rows` on its nan_call-th call; finite_radius, if given, is its
     finite_loss_radius.
 
-    QuadraticLoss.clipped_grad_mean(rows, data, idx, clip_norm) reads neither
-    data nor idx and calls grad_full once per practical step, and the
-    theoretical trainer calls grad_full once per step too. So either
-    trainer's nan_call-th grad_full call feeds step nan_call.
+    QuadraticLoss.clipped_grad_mean(rows, data, batches, clip_norm) reads
+    neither data nor batches and calls grad_full once per practical step,
+    and the theoretical trainer calls grad_full once per step too. So
+    either trainer's nan_call-th grad_full call feeds step nan_call.
     """
 
     def __init__(self, nan_call: int, rows=..., value=math.nan, finite_radius=None, **kwargs):
@@ -801,9 +903,12 @@ def test_practical_raises_at_the_step_whose_gradient_is_nan(record_loss):
     assert str(info.value) == "iterate left the finite-loss ball (step 4)"
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("record_loss", [True, False])
-def test_batched_practical_raises_when_one_row_turns_nan(record_loss):
-    model = _NaNGradientOnCall(nan_call=5, rows=1)
+def test_batched_practical_raises_when_one_row_turns_nan(record_loss, value):
+    """A NaN or infinite per-example gradient row is clipped to NaN, with no
+    numpy warning, and the check raises the named error at its step."""
+    model = _NaNGradientOnCall(nan_call=5, rows=1, value=value)
     config = TrainerConfig("practical", 10, EtaSchedule("constant", 0.1), batch_size=4)
     with pytest.raises(NumericDivergenceError) as info:
         dp_sgd_practical_runs(
@@ -811,6 +916,7 @@ def test_batched_practical_raises_when_one_row_turns_nan(record_loss):
             record_loss=record_loss,
         )
     assert info.value.step == 5
+    assert str(info.value) == "iterate left the finite-loss ball (step 5)"
 
 
 def _worst_rows(model, data, radius):
@@ -957,8 +1063,8 @@ _FINITE_RADII = pytest.mark.parametrize("finite_radius", [None, 1.2], ids=["room
 def test_batched_theoretical_raises_when_one_row_turns_nan(record_loss, value, finite_radius):
     model = _NaNGradientOnCall(nan_call=3, rows=1, value=value, finite_radius=finite_radius)
     config = TrainerConfig("theoretical", 10, EtaSchedule("inverse_sqrt", 0.4))
-    # projecting an infinite row multiplies inf by 0, NaN, which the check then meets
-    with pytest.raises(NumericDivergenceError) as info, np.errstate(invalid="ignore"):
+    # an infinite row projects to NaN, which the check then meets
+    with pytest.raises(NumericDivergenceError) as info:
         dp_sgd_theoretical_runs(
             model, _dummy_data(20, 2), config, [1, 2], rho=0.5, record_loss=record_loss
         )
