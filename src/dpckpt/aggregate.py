@@ -228,17 +228,17 @@ def upa_past_k(thetas: np.ndarray, k: int) -> np.ndarray:
 
 
 def opa_batch_labels(
-    thetas: Sequence[np.ndarray], model: LossModel, features: np.ndarray
+    thetas: Sequence[np.ndarray], model: LossModel, data: DatasetHandle
 ) -> np.ndarray:
     """Label of the averaged prediction vector per input (ties to lowest class)."""
-    return np.mean(model.predict_proba(np.asarray(thetas), features), axis=0).argmax(axis=1)
+    return np.mean(model.predict_proba(np.asarray(thetas), data), axis=0).argmax(axis=1)
 
 
 def omv_batch_labels(
-    thetas: Sequence[np.ndarray], model: LossModel, features: np.ndarray
+    thetas: Sequence[np.ndarray], model: LossModel, data: DatasetHandle
 ) -> np.ndarray:
     """Majority vote over per-checkpoint labels per input (ties to lowest class)."""
-    labels = model.predict_labels(np.asarray(thetas), features)  # (k, n)
+    labels = model.predict_labels(np.asarray(thetas), data)  # (k, n)
     # classes above the largest label get no votes, so they cannot win
     votes = (labels[:, :, None] == np.arange(labels.max() + 1)).sum(axis=0)  # (n, c')
     return votes.argmax(axis=1)

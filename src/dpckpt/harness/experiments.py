@@ -152,7 +152,7 @@ def aggregation_accuracy(
         if spec.k > len(params):
             raise ValueError(f"k={spec.k} exceeds the {len(params)} checkpoints")
         vote = aggregate.opa_batch_labels if spec.kind == "opa" else aggregate.omv_batch_labels
-        labels = vote(params[len(params) - spec.k :], model, eval_data.features)
+        labels = vote(params[len(params) - spec.k :], model, eval_data)
         return float(np.mean(labels == eval_data.labels))
     if spec.kind == "best_k":
         rows = aggregate.select_best_k(params, steps, model, heldout, spec.k)
@@ -164,7 +164,8 @@ def parse_aggregation_list(items: Sequence[str]) -> list[AggregationSpec]:
     """agg.list entries like "ema:0.9", "upa_k:5", "best_k:5:0.9" -> specs.
 
     The fields after the kind are its aggregate.KIND_PARAMS, in order and
-    all of them: k is an int, every other parameter a float.
+    all of them: k is an int, every other parameter a float. Two entries
+    of one label are a config error.
     """
     specs = []
     for item in items:
@@ -176,9 +177,12 @@ def parse_aggregation_list(items: Sequence[str]) -> list[AggregationSpec]:
             if len(fields) != len(names):
                 raise ValueError(f"{kind} takes {len(names)} field(s), got {len(fields)}")
             values = {n: int(v) if n == "k" else float(v) for n, v in zip(names, fields)}
-            specs.append(AggregationSpec(kind, **values))
+            spec = AggregationSpec(kind, **values)
         except ValueError as exc:
             raise ConfigError(f"bad aggregation entry {item!r}: {exc}", key="agg.list") from None
+        if spec.label() in (s.label() for s in specs):
+            raise ConfigError(f"aggregation {spec.label()} is listed twice", key="agg.list")
+        specs.append(spec)
     if not specs:
         raise ConfigError("aggregation list is empty", key="agg.list")
     return specs
@@ -204,7 +208,12 @@ def _one_of(names: Sequence[str]) -> tuple:
     return (lambda v: v in names), "must be one of " + ", ".join(names)
 
 
-_NONEMPTY = (bool, "must not be empty")
+def _distinct(values) -> bool:
+    """One or more values, none of them listed twice."""
+    return 0 < len(values) == len(set(values))
+
+
+_DISTINCT = (_distinct, "must list one or more distinct entries")
 _DELTA = Key("train.delta", "float", 1e-5, lambda d: 0 < d < 1, "must be in (0, 1)")
 _RUN_KEYS = (
     Key("task", "str", None),
@@ -225,8 +234,7 @@ def _training_keys(num_seeds: int, n: int, p: int, classes: int, separation: flo
     """The run, seed and data keys of a training task; data.csv replaces the
     synthetic data."""
     return _RUN_KEYS + (
-        Key("seeds", "int_list", None, lambda s: 0 < len(s) == len(set(s)),
-            "must list one or more distinct seeds", excludes=("num_seeds",)),
+        Key("seeds", "int_list", None, *_DISTINCT, excludes=("num_seeds",)),
         Key("num_seeds", "int", num_seeds, *_count(1)),
         Key("data.csv", "str", None, excludes=_SYNTH_KEYS),
         Key("data.n", "int", n),
@@ -291,17 +299,17 @@ KEY_TABLES: dict[str, tuple[Key, ...]] = {
         Key("save_runs", "bool", True),
     ),
     "ema_sweep": _scored_keys(400, 0.1, 3.0) + (
-        Key("sweep.betas", "float_list", DEFAULT_BETA_GRID, *_NONEMPTY),
+        Key("sweep.betas", "float_list", DEFAULT_BETA_GRID, *_DISTINCT),
         Key("save_runs", "bool", False),
     ),
     "k_sweep": _scored_keys(400, 0.1, 3.0) + (
-        Key("sweep.ks", "int_list", DEFAULT_K_GRID, *_NONEMPTY),
+        Key("sweep.ks", "int_list", DEFAULT_K_GRID, *_DISTINCT),
         Key("save_runs", "bool", False),
     ),
     "pds_eval": _scored_keys(800, 4.0, 2.0) + (
         Key("pds.period", "int", None),  # unset: an eighth of train.steps, at least 2
-        Key("agg.beta_grid", "float_list", DEFAULT_BETA_GRID, *_NONEMPTY),
-        Key("agg.k_grid", "int_list", DEFAULT_K_GRID),
+        Key("agg.beta_grid", "float_list", DEFAULT_BETA_GRID, *_DISTINCT),
+        Key("agg.k_grid", "int_list", DEFAULT_K_GRID, *_DISTINCT),
         Key("stability.window_fraction", "float", 0.1, lambda f: 0 < f <= 1,
             "window fraction must be in (0, 1]"),
         Key("save_runs", "bool", True),
@@ -310,9 +318,9 @@ KEY_TABLES: dict[str, tuple[Key, ...]] = {
         Key("train.radius", "float", 2.0),
         Key("train.l2_reg", "float", 0.05),
         _DELTA,
-        Key("uq.epsilons", "float_list", (1.0, 8.0), *_NONEMPTY),
-        Key("uq.k_values", "int_list", (3, 5, 10), lambda ks: bool(ks) and min(ks) >= 2,
-            "must list one or more k, and k must be at least 2"),
+        Key("uq.epsilons", "float_list", (1.0, 8.0), *_DISTINCT),
+        Key("uq.k_values", "int_list", (3, 5, 10), lambda ks: _distinct(ks) and min(ks) >= 2,
+            "must list one or more distinct k, and k must be at least 2"),
         Key("uq.pool_runs", "int", 10, *_count(1)),
         Key("uq.level", "float", 0.95, lambda a: 0 < a and 1 - (1 - a) / 2 < 1,
             "level must be in (0, 1), and the t quantile's 1 - (1 - level)/2 below 1"),
@@ -328,7 +336,7 @@ KEY_TABLES: dict[str, tuple[Key, ...]] = {
         Key("dpld.points", "float_pairs", (
             (20.0, 20.0), (0.01, 0.01), (0.1, 10.0), (1.0, 10.0), (10.0, 10.0), (10.0, 0.1),
             (10.0, 1.0),
-        ), *_NONEMPTY),
+        ), *_DISTINCT),
         # NaN and inf are left to LDConfig, whose theta_start must be finite
         Key("dpld.start_distance", "float", 10.0, lambda d: not d < 0, "must be nonnegative"),
         Key("dpld.statistic", "str", "clamped_coord", *_one_of(tuple(dpld.STATISTICS))),
@@ -861,7 +869,7 @@ def run_uq_compare(cfg: dict, out_dir: str, master_seed: int):
     _check_k_fits(k_list, shortest, "uq.k_values")
     test_inputs = synth_classification(
         cfg["uq.num_test_inputs"], data.p, data.num_classes, separation=2.0, seed=99
-    ).features
+    )
 
     results = _run_parallel(
         functools.partial(_uq_widths, model, data, test_inputs, cfg, budgets),

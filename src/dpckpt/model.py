@@ -6,61 +6,51 @@ l2-regularized logistic regression (binary sigmoid or multiclass
 softmax). All parameters are flat float64 vectors so the trainer and
 the aggregation operators never need to know the model structure.
 Every LossModel method takes an (S, p) matrix of S parameter rows (the
-seed-batched trainer's iterates, or a run's checkpoints) and returns one
-value per row; any other shape, a (p,) vector included, is a ValueError.
-Row products go through stacked np.matmul, which makes the same BLAS call
-per row as an unbatched product, so a row of a batch equals the one-row
-call bit for bit (a plain X @ Theta.T would be one larger product,
-rounded differently).
-The binary head reads labelled data only through its sign-folded design
-matrix X~ = diag(2y - 1) X (DatasetHandle.signed_features: built once per
-handle, read-only, and stored transposed as a C-contiguous (p, n) array).
-X~ theta is the signed margin z itself, and the mean gradient is
-l2 * theta - X~^T sigmoid(-z) / n, so no pass applies the labels' signs and
-both per-row products read one contiguous buffer. The fold alone is exact
-(+-1 products and negated sums round exactly); the transposed store sums
-in another order, so against the unfolded kernel results move by at most
-1e-12 relative, the tolerance tools/artifact_drift.py checks. The gathered
-batches of clipped_grad_mean and loss_full are rows of that store too.
-The softmax head has one layout, class-major (S, c, n) logits: each row's
-(c, d) weights times a (d, n) factor whose examples are contiguous, the
-handle's read-only C-contiguous DatasetHandle.transposed_features for
-full data, or for an (L, B) index matrix the (L, d, B) view of one
-np.take of the store's columns (a C-contiguous (d, L, B) array), so every
-softmax logit is one BLAS layout (a transposed operand rounds differently
-at some shapes; a wider leading stride does not). Every reduction over
-the classes runs along axis 1, elementwise over the contiguous examples;
-a true-class logit is read at its flat offset (s c + y) n + i; and the
-gradient is one stacked matmul of the (S, c, n) residuals with the rows.
-loss_full and grad_full each make their own logits pass, and the
-trainer calls loss_full only for a loss it records, a chunk of steps'
-iterates per call. The binary head's cross-entropy and slope both read
-the signed margins z; the softmax head's log-sum-exp and probabilities
-both read exp(logits - max) and its sum over the classes. The binary slope
--sigmoid(-z), which every binary kernel reads, is the gradient-only
--1/(1 + exp(z)): three passes, against the seven of a slope built from
-the loss's exp(-|z|). Where exp(z) overflows (z above 709.78) it is
--0.0, its limit; where z <= 0 it equals the two-sided stable form bit for
-bit. The sigmoid of predict_proba is branch-free: it takes its numerator
-as max(exp(-|x|), x >= 0), which equals the np.where form bit for bit.
-predict_proba and predict_labels give (S, n, c) probabilities (the softmax
-head's a transposed view of its class-major array) and (S, n) labels; the
-softmax head reads a C-contiguous copy of the transposed features, as it
-reads a store. predict_labels reads the argmax straight off the logits,
-with no softmax; a non-finite logit in either is a NumericDivergenceError.
+seed-batched trainer's iterates, or a run's checkpoints) and a
+DatasetHandle, and returns one value per row; any other shape of rows, a
+(p,) vector included, is a ValueError. Row products go through stacked
+np.matmul, which makes the same BLAS call per row as an unbatched
+product, so a row of a batch equals the one-row call bit for bit (a plain
+X @ Theta.T would be one larger product, rounded differently).
+Both logistic heads have one layout, class-major (S, h, n) logits, h = 1
+for the binary head (one logit per example) and h = c for the softmax
+head: each row's (h, d) weights times a C-contiguous (d, n) store, or for
+an (S, B) index matrix an (S, d, B) batch factor of the store's columns,
+so every reduction over the logits runs along axis 1, elementwise over
+the contiguous examples, and the gradient is one stacked matmul of the
+(S, h, n) residuals with the example rows. The binary head reads
+labelled data only through its sign-folded design matrix
+X~ = diag(2y - 1) X (DatasetHandle.signed_features: built once per
+handle, read-only, and stored transposed as a (p, n) array), whose logit
+is the signed margin z itself, so no pass applies the labels' signs; its
+batch factor is the transposed view of the store's gathered rows. The
+softmax head's store is DatasetHandle.transposed_features, its batch
+factor the view of one np.take of the store's columns, and its
+true-class logits are read at their flat offsets (s c + y) n + i. Which
+operand a product reads is fixed per head because a transposed operand
+rounds differently at some shapes; a wider leading stride does not.
+loss_full and grad_full each make their own logits pass, and the trainer
+calls loss_full only for a loss it records, a chunk of steps' iterates
+per call. The binary slope -sigmoid(-z), which every binary kernel
+reads, is the gradient-only -1/(1 + exp(z)): three passes, against the
+seven of a slope built from the loss's exp(-|z|). Where exp(z) overflows
+(z above 709.78) it is -0.0, its limit; where z <= 0 it equals the
+two-sided stable form bit for bit. The softmax head's log-sum-exp and
+probabilities both read exp(logits - max) and its sum over the classes.
+predict_proba and predict_labels give (S, n, c) probabilities (the
+softmax head's a transposed view of its class-major array) and (S, n)
+labels from the logits of the handle's unfolded features: the softmax
+head's store, and the transposed view of the features for the binary
+head. predict_labels reads the argmax straight off the logits, with no
+softmax, and the sigmoid of predict_proba is branch-free: its numerator
+is max(exp(-|x|), x >= 0), which equals the np.where form bit for bit.
 accuracy, the one scoring entry that also takes a (p,) vector, gives (S,)
 accuracies for rows, scored in chunks of at most ~40k logits: it counts
-hits(rows, data), the (S, n) bool predict_labels == labels. The softmax
-head's hits read the handle's store, and a row is a hit when its classes
-at the top logit weigh 1 in DatasetHandle.label_weights ((c, n) int8: 1 at
-the label, 2 at each lower class, 0 above), which is exactly when the
-label is the lowest top class, the one argmax picks; ties are counted as
-argmax counts them. The weights are summed in the narrowest signed integer
-type that holds their largest total, 2c - 1 (int8 up to 64 classes).
-Those hits skip the pass that checks every logit finite when the
-Cauchy-Schwarz bound sqrt(max row |theta|^2 * max_i |x_i|^2) is below
-1e300, which proves them finite; a NaN or infinite row fails the bound,
-so the check still raises for it.
+hits(rows, data), the (S, n) bool predict_labels == labels, which the
+softmax head reads off its logits and the handle's label_weights with no
+argmax. Every prediction checks its logits finite unless a Cauchy-Schwarz
+bound proves them so, which a NaN or infinite row fails: a non-finite
+logit is a NumericDivergenceError.
 A batch is an (S, B) index matrix, row s's batch the rows idx[s] of the
 dataset: loss_full(rows, data, idx) is each row's loss on its own batch,
 and clipped_grad_mean, the practical trainer's step, is the mean of its
@@ -69,8 +59,8 @@ without forming them. The step reads its batch as Batches, the index
 matrix with the per-example terms that depend on the indices alone (each
 example's squared feature norm and the softmax head's true-class logit
 offsets), which LossModel.batches builds for a whole chunk of steps'
-(count, S, B) index matrices at once; the step's design gather stays its
-own. A logistic per-example gradient is R_i (x) x_i +
+(count, S, B) index matrices at once; the step's batch factor gather
+stays its own. A logistic per-example gradient is R_i (x) x_i +
 l2 * theta, with R_i the residual in the logits (softmax probabilities
 minus one-hot, or -sigmoid(-z) for a signed row), so its squared norm is
 |R_i|^2 |x_i|^2 + 2 l2 <R_i, logits_i> + l2^2 |theta|^2, read off one
@@ -84,8 +74,7 @@ an l2 ball: the theoretical trainer's projection, and the quadratic
 loss's clipped step, whose examples share one gradient.
 finite_loss_radius bounds the rows whose batch loss is certainly finite,
 so the practical trainer can check its iterates without computing a loss
-it does not record. Only the softmax head gathers a batch's labels; the
-binary head's are folded into its store.
+it does not record.
 The diurnal sampler draws minibatches as row indices into the training
 data, as the uniform sampler does, so a batch is a gather of those rows.
 diurnal_draw maps a block of raw uint64 words (the trainer's chunk of
@@ -375,9 +364,10 @@ class LossModel:
     predict_labels with a cheaper argmax than the probability one, and
     hits, the (S, n) bool predict_labels == labels that accuracy counts,
     with a cheaper test (the softmax head reads class-major logits and the
-    handle's tie weights). Each method takes (S, p) parameter rows and
-    gives one result per row. The curvature attributes drive step-size
-    rules and noise calibration:
+    handle's tie weights). Every method takes (S, p) parameter rows and a
+    DatasetHandle (the quadratic loss reads none of its data) and gives
+    one result per row. The curvature attributes drive step-size rules and
+    noise calibration:
 
       lipschitz   bound on a per-example gradient norm (None if unset)
       smoothness  gradient Lipschitz constant
@@ -415,18 +405,18 @@ class LossModel:
         batch_size rows of data."""
         raise NotImplementedError
 
-    def predict_proba(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """(S, n, c) class probabilities of each row on the (n, d) features (the
+    def predict_proba(self, rows: np.ndarray, data: DatasetHandle) -> np.ndarray:
+        """(S, n, c) class probabilities of each row on the data's features (the
         softmax head's are a transposed view of its (S, c, n) array)."""
         raise NotImplementedError
 
-    def predict_labels(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """(S, n) argmax classes of each row on the (n, d) features."""
-        return self.predict_proba(rows, features).argmax(axis=-1)
+    def predict_labels(self, rows: np.ndarray, data: DatasetHandle) -> np.ndarray:
+        """(S, n) argmax classes of each row on the data's features."""
+        return self.predict_proba(rows, data).argmax(axis=-1)
 
     def hits(self, rows: np.ndarray, data: DatasetHandle) -> np.ndarray:
         """(S, n) bool: whether each row's predict_labels class is the label."""
-        return self.predict_labels(rows, data.features) == data.labels
+        return self.predict_labels(rows, data) == data.labels
 
     def _check_rows(self, rows: np.ndarray) -> np.ndarray:
         """The (S, p) parameter rows as float64; any other shape is a ValueError."""
@@ -482,7 +472,7 @@ class QuadraticLoss(LossModel):
         reach = math.sqrt(min(1.0, 2.0 / self.curvature) * 1e307)
         return max(0.0, reach - float(np.linalg.norm(self.center)))
 
-    def predict_proba(self, rows, features):
+    def predict_proba(self, rows, data):
         self._check_rows(rows)
         raise ValueError("quadratic model has no prediction head")
 
@@ -544,27 +534,31 @@ class LogisticLoss(LossModel):
         return self.n_features if self.binary else self.num_classes * self.n_features
 
     def _logits(self, rows: np.ndarray, design: np.ndarray) -> np.ndarray:
-        """(S, n) margins of an (n, d) or (S, n, d) binary design, or (S, c, n)
-        logits of a C-contiguous (d, n) or (S, d, n) softmax one; one stacked
-        BLAS call per row."""
-        if self.binary:
-            return np.matmul(design, rows[:, :, None])[:, :, 0]
-        weights = rows.reshape(len(rows), self.num_classes, self.n_features)
+        """(S, h, n) logits, h = 1 for the binary head and c for the softmax
+        head: each row's (h, d) weights times a (d, n) design or its own
+        (d, n) slice of an (S, d, n) one; one stacked BLAS call per row."""
+        weights = rows.reshape(-1, rows.shape[1] // self.n_features, self.n_features)
         return np.matmul(weights, design)
 
     def _design(self, data: DatasetHandle, idx: np.ndarray | None = None) -> np.ndarray:
-        """The store the head's logits read, the binary head's sign-folded (n, d)
-        one (whose logits are the margins z) or the softmax head's (d, n); or
-        each batch's rows for an (S, B) index matrix: (S, B, d), or for the
-        softmax head (S, d, B), the view of one np.take of the store's columns,
-        a C-contiguous (d, S, B) array, so each row's (d, B) factor has a unit
-        inner stride, as the store has."""
+        """The (d, n) store the head's logits read (the binary head's sign-folded
+        one, whose logits are the margins z, or the softmax head's transposed
+        features), or for an (S, B) index matrix the (S, d, B) batch factors:
+        for the binary head the transposed view of the store's gathered
+        (S, B, d) rows, for the softmax head the view of one np.take of the
+        store's columns, a C-contiguous (d, S, B) array."""
         if self.binary:
-            design = data.signed_features
-            return design if idx is None else design[idx]
+            signed = data.signed_features
+            return signed.T if idx is None else signed[idx].transpose(0, 2, 1)
         if idx is None:
             return data.transposed_features
         return np.take(data.transposed_features, idx, axis=1).transpose(1, 0, 2)
+
+    def _example_rows(self, data: DatasetHandle) -> np.ndarray:
+        """The (n, d) rows grad_full multiplies the residuals with: the binary
+        head's sign-folded rows, a view of its store, or the softmax head's
+        C-contiguous features (the transposed store rounds differently)."""
+        return data.signed_features if self.binary else data.features
 
     def _true_class_offsets(
         self, num_rows: int, data: DatasetHandle, idx: np.ndarray | None = None
@@ -584,8 +578,8 @@ class LogisticLoss(LossModel):
     def _residual(self, logits, label_offsets: np.ndarray | None) -> np.ndarray:
         """Each example's loss slope in its logits: (S, c, n) probabilities minus
         one-hot (subtracted at the true-class label_offsets) for the softmax
-        head, and for the binary head -sigmoid(-z) of the
-        signed margins z, taken as -1/(1 + exp(z)) in three passes over one
+        head, and for the binary head -sigmoid(-z) of its (S, 1, n) signed
+        margins z, taken as -1/(1 + exp(z)) in three passes over one
         buffer. Where exp(z) overflows that is -0.0, its limit; where z <= 0,
         exp(z) is the exp(-|z|) of the two-sided stable form, so the two agree
         bit for bit there, and within a few ulp where z > 0."""
@@ -603,7 +597,7 @@ class LogisticLoss(LossModel):
         rows = self._check_rows(rows)
         logits = self._logits(rows, self._design(data, idx))
         if self.binary:
-            ce = _binary_ce(logits)
+            ce = _binary_ce(logits[:, 0])
         else:
             zmax, _, total = _softmax_terms(logits)
             lse = (zmax + np.log(total))[:, 0]
@@ -618,21 +612,14 @@ class LogisticLoss(LossModel):
         rows = self._check_rows(rows)
         logits = self._logits(rows, self._design(data))
         resid = self._residual(logits, self._true_class_offsets(len(rows), data))
-        if self.binary:
-            slope = np.matmul(data.signed_features.T, resid[:, :, None])
-            return self.l2_reg * rows + slope[:, :, 0] / data.n
-        grad_w = np.matmul(resid, data.features) / data.n
-        return grad_w.reshape(len(rows), -1) + self.l2_reg * rows
+        grad_w = np.matmul(resid, self._example_rows(data)) / data.n
+        return grad_w.reshape(rows.shape) + self.l2_reg * rows
 
     def clipped_grad_mean(self, rows, data, batches, clip_norm):
         rows = self._check_rows(rows)
-        idx = batches.idx
-        design = self._design(data, idx)  # (S, B, d)
+        design = self._design(data, batches.idx)  # (S, d, B)
         logits = self._logits(rows, design)
         resid = self._residual(logits, batches.label_offsets)
-        if self.binary:
-            # one logit per example: (S, B) -> (S, 1, B), as the softmax head's
-            logits, resid = logits[:, None, :], resid[:, None, :]
         lam = self.l2_reg
         sq_norms = (resid * resid).sum(axis=1) * batches.sq_norms
         if lam > 0:
@@ -642,9 +629,9 @@ class LogisticLoss(LossModel):
                 + lam * lam * row_sq_norms(rows)[:, None]
             )
         factors = clip_factors(sq_norms, clip_norm)  # (S, B)
-        batch = idx.shape[-1]
-        design = design if self.binary else np.swapaxes(design, 1, 2)  # (S, B, d)
-        grad = (np.matmul(factors[:, None, :] * resid, design) / batch).reshape(len(rows), -1)
+        batch = batches.idx.shape[-1]
+        grad = np.matmul(factors[:, None, :] * resid, np.swapaxes(design, 1, 2)) / batch
+        grad = grad.reshape(rows.shape)
         if lam > 0:
             grad = grad + lam * rows * (factors.sum(axis=1) / batch)[:, None]
         return grad
@@ -674,51 +661,51 @@ class LogisticLoss(LossModel):
             limits.append(math.sqrt(2e307 / self.l2_reg))
         return min(limits)
 
-    def _checked_logits(self, rows, features):
-        """Finite logits of the rows on the (n, d) features, which the softmax
-        head transposes into a store's layout; what both prediction heads read."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        design = features if self.binary else np.ascontiguousarray(features.T)
-        return _finite(self._logits(self._check_rows(rows), design))
+    def _checked_logits(self, rows, data: DatasetHandle) -> np.ndarray:
+        """Finite (S, h, n) logits of the rows on the handle's features, what
+        the prediction heads read: the binary head's through the transposed
+        view of the features, the softmax head's through its store.
 
-    def predict_proba(self, rows, features) -> np.ndarray:
-        logits = self._checked_logits(rows, features)
-        if self.binary:
-            pos = _sigmoid(logits)
-            return np.stack([1.0 - pos, pos], axis=-1)
-        _, ex, total = _softmax_terms(logits)
-        return np.divide(ex, total, out=ex).transpose(0, 2, 1)
-
-    def predict_labels(self, rows, features) -> np.ndarray:
-        """The argmax of the logits, which softmax and sigmoid preserve; a zero
-        margin or a logit tie gives the lowest class, as the probability argmax
-        does. The two differ only where distinct logits round to equal
-        probabilities: there the probability argmax gives the lower class."""
-        logits = self._checked_logits(rows, features)
-        return (logits > 0).astype(np.int64) if self.binary else logits.argmax(axis=1)
-
-    def hits(self, rows, data) -> np.ndarray:
-        """The binary head's hits are its predict_labels that match. The
-        softmax head scores the class-major logits of the handle's store,
-        whose class maxima run along n: an example's classes at the top
-        logit weigh 1 in data.label_weights exactly when its label is the
-        lowest of them, the class predict_labels gives.
-
-        Its logits are checked finite only when a bound does not prove them
-        so: a logit is a class block of a row dotted with a feature row, at
+        They are checked finite only when a bound does not prove them so: a
+        logit is a row, or a class block of it, dotted with a feature row, at
         most sqrt(max row |theta|^2 * max_i |x_i|^2) in size by
         Cauchy-Schwarz, and its computed value, like the computed squared
         norms, is within a relative d * 2**-53 of a true one, so a computed
         bound below 1e300 leaves every logit finite. A NaN or infinite row
         makes the bound NaN or inf, and the full check runs."""
+        rows = self._check_rows(rows)
+        design = data.features.T if self.binary else data.transposed_features
+        logits = self._logits(rows, design)
+        with np.errstate(over="ignore"):
+            row_bound = row_sq_norms(rows).max(initial=0.0)
+            bound = math.sqrt(float(row_bound) * float(data.sq_norms.max()))
+        return logits if bound < 1e300 else _finite(logits)
+
+    def predict_proba(self, rows, data) -> np.ndarray:
+        logits = self._checked_logits(rows, data)
+        if self.binary:
+            pos = _sigmoid(logits[:, 0])
+            return np.stack([1.0 - pos, pos], axis=-1)
+        _, ex, total = _softmax_terms(logits)
+        return np.divide(ex, total, out=ex).transpose(0, 2, 1)
+
+    def predict_labels(self, rows, data) -> np.ndarray:
+        """The argmax of the logits, which softmax and sigmoid preserve; a zero
+        margin or a logit tie gives the lowest class, as the probability argmax
+        does. The two differ only where distinct logits round to equal
+        probabilities: there the probability argmax gives the lower class."""
+        logits = self._checked_logits(rows, data)
+        return (logits[:, 0] > 0).astype(np.int64) if self.binary else logits.argmax(axis=1)
+
+    def hits(self, rows, data) -> np.ndarray:
+        """The binary head's hits are its predict_labels that match. The
+        softmax head scores its class-major logits, whose class maxima run
+        along n: an example's classes at the top logit weigh 1 in
+        data.label_weights exactly when its label is the lowest of them, the
+        class predict_labels gives."""
         if self.binary:
             return super().hits(rows, data)
-        rows = self._check_rows(rows)
-        logits = self._logits(rows, data.transposed_features)
-        with np.errstate(over="ignore"):
-            bound = math.sqrt(float(row_sq_norms(rows).max()) * float(data.sq_norms.max()))
-        if not bound < 1e300:
-            _finite(logits)
+        logits = self._checked_logits(rows, data)
         top = logits.max(axis=1, keepdims=True)
         # the narrowest signed type that holds the largest total, 2c - 1
         width = np.min_scalar_type(1 - 2 * self.num_classes)
@@ -735,7 +722,7 @@ def accuracy(model: LossModel, theta: np.ndarray, data: DatasetHandle):
     Rows are scored a chunk at a time, as many as fit ACCURACY_BLOCK (row,
     example, class) logits."""
     theta = np.asarray(theta, dtype=np.float64)
-    rows = np.atleast_2d(theta)
+    rows = theta[None] if theta.ndim < 2 else theta
     chunk = max(1, ACCURACY_BLOCK // (data.n * data.num_classes))
     acc = np.empty(len(rows))
     for lo in range(0, len(rows), chunk):

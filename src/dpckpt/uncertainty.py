@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .model import LossModel
+from .model import DatasetHandle, LossModel
 
 STATISTIC_MODES = ("label_as_integer", "modal_class_probability")
 
@@ -99,9 +99,9 @@ def t_quantile(dof: int, p: float) -> float:
 
 
 def statistic_matrix(
-    thetas: Sequence[np.ndarray], model: LossModel, inputs: np.ndarray, mode: str
+    thetas: Sequence[np.ndarray], model: LossModel, inputs: DatasetHandle, mode: str
 ) -> np.ndarray:
-    """(S, n_inputs) statistics, one row per model.
+    """(S, n_inputs) statistics, one row per model, on the inputs' features.
 
     Each row depends only on its own model, so a row slice of the result
     equals the matrix of those rows' models bit for bit.

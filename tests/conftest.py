@@ -59,11 +59,15 @@ class ProbVectorModel(LossModel):
     def param_dim(self) -> int:
         return self.num_classes
 
-    def predict_proba(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
-        """(S, n, c) for (S, p) rows."""
+    def predict_proba(self, rows: np.ndarray, data: DatasetHandle) -> np.ndarray:
+        """(S, n, c) for (S, p) rows; the data's features are unread."""
         rows = self._check_rows(rows)
         probs = rows / rows.sum(axis=1, keepdims=True)
-        return np.repeat(probs[:, None, :], len(features), axis=1)
+        return np.repeat(probs[:, None, :], data.n, axis=1)
+
+    def inputs(self, n: int) -> DatasetHandle:
+        """n inputs, whose features this model never reads."""
+        return DatasetHandle(np.zeros((n, 1)), np.zeros(n, dtype=np.int64), self.num_classes)
 
 
 @pytest.fixture(scope="session")

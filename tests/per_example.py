@@ -21,7 +21,7 @@ def per_example_grads(model: LossModel, theta: np.ndarray, data: DatasetHandle) 
     """
     if isinstance(model, QuadraticLoss):
         return np.tile(model.grad_full(theta[None])[0], (data.n, 1))
-    probs = model.predict_proba(theta[None], data.features)[0]
+    probs = model.predict_proba(theta[None], data)[0]
     resid = probs - np.eye(model.num_classes)[data.labels]
     if model.binary:
         resid = resid[:, 1:]

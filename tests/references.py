@@ -12,7 +12,12 @@ row_loop_batches gathers the softmax head's (S, d, B) batch factors a
 row at a time into a C-contiguous array, where the model takes one
 np.take of the store's columns. row_loop_terms builds one step's
 model.Batches an example at a time, where the trainer gathers the terms
-of a whole chunk of steps at once. clipped_grad_mean_l2 and batch_loss_l2
+of a whole chunk of steps at once. binary_row_kernels and
+binary_row_predictions compute the binary head's kernels and predictions
+a parameter row at a time on the row-major sign-folded rows, where the
+model makes one stacked class-major product over its (p, n) store;
+softmax_row_grad is the softmax head's full-data gradient a row at a time.
+clipped_grad_mean_l2 and batch_loss_l2
 are the practical kernels with every l2 term computed, whatever l2_reg
 is, where the loss models skip the terms that are exact zeros at
 l2_reg = 0. The closed forms of the
@@ -111,13 +116,11 @@ def clipped_grad_mean_l2(model, rows, data, idx, clip_norm) -> np.ndarray:
     if isinstance(model, QuadraticLoss):
         grad = model.curvature * (rows - model.center)
         return grad * clip_factors(row_sq_norms(grad), clip_norm)[:, None]
-    design = model._design(data, idx)
+    design = model._design(data, idx)  # (S, d, B)
     logits = model._logits(rows, design)
     resid = model._residual(logits, model._true_class_offsets(len(rows), data, idx))
-    if model.binary:
-        logits, resid = logits[:, None, :], resid[:, None, :]
     lam = model.l2_reg
-    # class-major (S, c, B) terms: every sum over classes runs along axis 1
+    # class-major (S, h, B) terms: every sum over the logits runs along axis 1
     sq_norms = (
         (resid * resid).sum(axis=1) * data.sq_norms[idx]
         + 2.0 * lam * (resid * logits).sum(axis=1)
@@ -125,8 +128,8 @@ def clipped_grad_mean_l2(model, rows, data, idx, clip_norm) -> np.ndarray:
     )
     factors = clip_factors(sq_norms, clip_norm)
     batch = idx.shape[-1]
-    design = design if model.binary else np.swapaxes(design, 1, 2)  # (S, B, d)
-    grad = (np.matmul(factors[:, None, :] * resid, design) / batch).reshape(len(rows), -1)
+    grad = np.matmul(factors[:, None, :] * resid, np.swapaxes(design, 1, 2)) / batch
+    grad = grad.reshape(len(rows), -1)
     return grad + lam * rows * (factors.sum(axis=1) / batch)[:, None]
 
 
@@ -137,13 +140,80 @@ def batch_loss_l2(model, rows, data, idx) -> np.ndarray:
         return 0.5 * model.curvature * row_sq_norms(rows - model.center)
     logits = model._logits(rows, model._design(data, idx))
     if model.binary:
-        ce = _binary_ce(logits)
+        ce = _binary_ce(logits[:, 0])
     else:
         zmax, _, total = _softmax_terms(logits)  # over the class axis of (S, c, B) logits
         labels = data.labels[idx]
         true = np.take_along_axis(logits, labels[:, None, :], axis=1)[:, 0]
         ce = (zmax + np.log(total))[:, 0] - true
     return ce.sum(axis=1) / logits.shape[-1] + 0.5 * model.l2_reg * row_sq_norms(rows)
+
+
+def binary_row_kernels(theta, data, batch: np.ndarray, l2_reg: float, clip_norm: float) -> dict:
+    """The binary head's training kernels at one (p,) theta, in plain numpy on
+    the sign-folded rows x~_i = (2 y_i - 1) x_i, one product per row:
+    loss_full and grad_full on all of data, and loss_full and
+    clipped_grad_mean on the B rows batch. The full-data products read the
+    rows from a column-major copy, the layout of the handle's (p, n) store
+    (a product over a row-major copy rounds differently); the batch
+    products read the gathered rows. Each example's loss is
+    max(-z, 0) + log1p(exp(-|z|)) and its slope -1/(1 + exp(z)) in its
+    margin z = x~_i . theta (-0.0 where exp(z) overflows); an l2 term that
+    is an exact zero is left out, as the kernels leave it."""
+
+    def ce_and_slope(z):
+        with np.errstate(over="ignore"):
+            slope = -1.0 / (1.0 + np.exp(z))
+        return np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z))), slope
+
+    signed = (2.0 * data.labels - 1.0)[:, None] * data.features
+    full = np.asfortranarray(signed)
+    ce, slope = ce_and_slope(full @ theta)
+    out = {
+        "loss_full": ce.sum() / data.n,
+        "grad_full": l2_reg * theta + slope @ full / data.n,
+    }
+    rows = signed[batch]
+    z = rows @ theta
+    ce, slope = ce_and_slope(z)
+    out["loss_full_batch"] = ce.sum() / len(batch)
+    x = data.features[batch]
+    sq_norms = slope * slope * np.einsum("ij,ij->i", x, x)
+    if l2_reg > 0:
+        sq_norms = sq_norms + 2.0 * l2_reg * (slope * z) + l2_reg * l2_reg * (theta @ theta)
+        out["loss_full"] += 0.5 * l2_reg * (theta @ theta)
+        out["loss_full_batch"] += 0.5 * l2_reg * (theta @ theta)
+    norms = np.sqrt(np.maximum(sq_norms, 0.0))
+    factors = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
+    grad = (factors * slope) @ rows / len(batch)
+    if l2_reg > 0:
+        grad = grad + l2_reg * theta * (factors.sum() / len(batch))
+    out["clipped_grad_mean"] = grad
+    return out
+
+
+def binary_row_predictions(theta, data) -> tuple[np.ndarray, np.ndarray]:
+    """The binary head's (n, 2) predict_proba and (n,) predict_labels at one
+    (p,) theta, in plain numpy on the unfolded features: the sigmoid of
+    x_i . theta, as 1/(1 + e) where it is >= 0 and e/(1 + e) elsewhere with
+    e = exp(-|x_i . theta|), and the class 1 exactly where it is > 0."""
+    logit = data.features @ theta
+    e = np.exp(-np.abs(logit))
+    pos = np.where(logit >= 0, 1.0, e) / (1.0 + e)
+    return np.stack([1.0 - pos, pos], axis=1), (logit > 0).astype(np.int64)
+
+
+def softmax_row_grad(theta, data, l2_reg: float) -> np.ndarray:
+    """The softmax head's grad_full at one (p,) theta, in plain numpy: the
+    (c, n) class-major probabilities of the weights times the transposed
+    features, minus one at each label, times the row-major (n, d) features
+    (a product with a column-major copy rounds differently), over n."""
+    weights = theta.reshape(data.num_classes, data.p)
+    logits = weights @ np.ascontiguousarray(data.features.T)
+    ex = np.exp(logits - logits.max(axis=0))
+    resid = ex / ex.sum(axis=0)
+    resid[data.labels, np.arange(data.n)] -= 1.0
+    return (resid @ data.features / data.n).reshape(-1) + l2_reg * theta
 
 
 def renyi_gaussians_shared_cov(

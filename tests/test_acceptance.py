@@ -85,14 +85,15 @@ def test_ac1_aggregator_exactness():
     data = synth_classification(40, 5, num_classes=3, separation=3.0, seed=21)
     model = LogisticLoss.for_data(data, l2_reg=0.01, radius=2.0)
     params = [gen.normal(size=model.param_dim()) for _ in range(9)]
-    opa_labels = aggregate.opa_batch_labels(params, model, data.features)
-    omv_labels = aggregate.omv_batch_labels(params, model, data.features)
+    opa_labels = aggregate.opa_batch_labels(params, model, data)
+    omv_labels = aggregate.omv_batch_labels(params, model, data)
     opa_mismatch = omv_mismatch = 0
-    for x, opa_label, omv_label in zip(data.features, opa_labels, omv_labels):
-        probs = np.mean([model.predict_proba(t[None], x[None, :])[0, 0] for t in params], axis=0)
+    for i, (opa_label, omv_label) in enumerate(zip(opa_labels, omv_labels)):
+        x = data.subset([i])
+        probs = np.mean([model.predict_proba(t[None], x)[0, 0] for t in params], axis=0)
         if opa_label != int(np.argmax(probs)):
             opa_mismatch += 1
-        votes = [int(np.argmax(model.predict_proba(t[None], x[None, :])[0, 0])) for t in params]
+        votes = [int(np.argmax(model.predict_proba(t[None], x)[0, 0])) for t in params]
         if omv_label != int(np.argmax(np.bincount(votes))):
             omv_mismatch += 1
 
@@ -439,7 +440,7 @@ def test_ac9_determinism_and_postprocessing(tmp_path):
     aggregate.upa_past_k(params, 5)
     aggregate.combine(AggregationSpec("pda", gamma=1.0), params)
     stats = uncertainty.statistic_matrix(
-        params, model, data.features[:8], "modal_class_probability"
+        params, model, data.subset(np.arange(8)), "modal_class_probability"
     )
     uncertainty.t_widths(stats[-5:], level=0.95)
     uncertainty.t_widths(stats[uncertainty.independent_rows(range(len(params)), 5, 0)], 0.95)

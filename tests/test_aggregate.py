@@ -334,9 +334,9 @@ def test_opa_averages_probabilities(prob_model):
     # the labels tie one vote each, so only the averaged row (0.3, 0.3, 0.4)
     # picks class 2
     thetas = [np.array([0.6, 0.4, 0.0]), np.array([0.0, 0.2, 0.8])]
-    features = np.zeros((1, 3))
-    assert opa_batch_labels(thetas, prob_model, features).tolist() == [2]
-    assert omv_batch_labels(thetas, prob_model, features).tolist() == [0]
+    inputs = prob_model.inputs(1)
+    assert opa_batch_labels(thetas, prob_model, inputs).tolist() == [2]
+    assert omv_batch_labels(thetas, prob_model, inputs).tolist() == [0]
 
 
 def test_opa_vs_omv_disagree_on_crafted_votes(prob_model):
@@ -346,25 +346,25 @@ def test_opa_vs_omv_disagree_on_crafted_votes(prob_model):
         np.array([0.4, 0.6, 0.0]),
         np.array([1.0, 0.0, 0.0]),
     ]
-    features = np.zeros((1, 3))
-    assert omv_batch_labels(thetas, prob_model, features).tolist() == [1]  # majority of labels
-    assert opa_batch_labels(thetas, prob_model, features).tolist() == [0]  # probability mass wins
+    inputs = prob_model.inputs(1)
+    assert omv_batch_labels(thetas, prob_model, inputs).tolist() == [1]  # majority of labels
+    assert opa_batch_labels(thetas, prob_model, inputs).tolist() == [0]  # probability mass wins
 
 
 def test_omv_tie_goes_to_lowest_class(prob_model):
     thetas = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])]
-    assert omv_batch_labels(thetas, prob_model, np.zeros((1, 3))).tolist() == [0]
+    assert omv_batch_labels(thetas, prob_model, prob_model.inputs(1)).tolist() == [0]
 
 
 def test_batch_label_helpers_match_scalar_ops(prob_model):
     gen = np.random.default_rng(5)
     raw = gen.uniform(0.05, 1.0, size=(7, 3))
     thetas = [row for row in raw]
-    features = np.zeros((4, 3))
-    opa_batch = opa_batch_labels(thetas, prob_model, features)
-    omv_batch = omv_batch_labels(thetas, prob_model, features)
+    inputs = prob_model.inputs(4)
+    opa_batch = opa_batch_labels(thetas, prob_model, inputs)
+    omv_batch = omv_batch_labels(thetas, prob_model, inputs)
     for i in range(4):
-        row = features[i : i + 1]
+        row = inputs.subset([i])
         probs = [prob_model.predict_proba(theta[None], row)[0, 0] for theta in thetas]
         assert opa_batch[i] == int(np.argmax(np.mean(probs, axis=0)))
         votes = [int(np.argmax(p)) for p in probs]

@@ -328,10 +328,10 @@ class _ProbModel2(LossModel):
     def param_dim(self) -> int:
         return 2
 
-    def predict_proba(self, rows, features):
+    def predict_proba(self, rows, data):
         """(S, n, 2) for (S, 2) rows."""
         rows = self._check_rows(rows)
-        return np.repeat(rows[:, None, :], len(features), axis=1)
+        return np.repeat(rows[:, None, :], data.n, axis=1)
 
 
 def _oscillating_run(qs):
@@ -1241,6 +1241,67 @@ def test_cli_unfinishable_config_exits_2_before_training(
     assert "RuntimeWarning" not in err
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
     assert not os.path.exists(os.path.join(out, "status.json"))
+
+
+def _rejects_duplicates(tmp_path, capsys, monkeypatch, command, lines, key):
+    """The config exits 2 naming the key, before any training or trial;
+    the error line is returned."""
+    _forbid_compute(monkeypatch)
+    cfg = _write_cfg(tmp_path, lines)
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err
+    assert not os.path.exists(os.path.join(out, "status.json"))
+    return err
+
+
+@pytest.mark.parametrize("points", ["1:1, 1:1", "20:20, 1.0:1, 1:1.0"])
+def test_dpld_points_listed_twice_exit_2(tmp_path, capsys, monkeypatch, points):
+    # two equal points would write two rows of one setting with different values
+    lines = f"task = dpld_bias\ndpld.points = {points}\n"
+    _rejects_duplicates(tmp_path, capsys, monkeypatch, "dpld-bias", lines, "dpld.points")
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [("uq.epsilons = 1.0, 1.0", "uq.epsilons"), ("uq.epsilons = 8, 1, 8.0", "uq.epsilons"),
+     ("uq.k_values = 3, 3", "uq.k_values")],
+)
+def test_uq_epsilons_and_k_values_listed_twice_exit_2(tmp_path, capsys, monkeypatch, line, key):
+    lines = f"task = uq_compare\n{line}\n"
+    _rejects_duplicates(tmp_path, capsys, monkeypatch, "uq", lines, key)
+
+
+@pytest.mark.parametrize(
+    "task, line, key",
+    [("ema_sweep", "sweep.betas = 0.9, 0.90", "sweep.betas"),
+     ("k_sweep", "sweep.ks = 5, 3, 5", "sweep.ks")],
+)
+def test_sweep_grids_listed_twice_exit_2(tmp_path, capsys, monkeypatch, task, line, key):
+    lines = f"task = {task}\n{line}\n"
+    _rejects_duplicates(tmp_path, capsys, monkeypatch, "sweep", lines, key)
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [("agg.beta_grid = 0.9, 0.99, 0.9", "agg.beta_grid"), ("agg.k_grid = 3, 3", "agg.k_grid")],
+)
+def test_pds_grids_listed_twice_exit_2(tmp_path, capsys, monkeypatch, line, key):
+    lines = f"task = pds_eval\n{line}\n"
+    _rejects_duplicates(tmp_path, capsys, monkeypatch, "aggregate", lines, key)
+
+
+@pytest.mark.parametrize(
+    "task, entries",
+    [("aggregate_eval", "ema:0.9, upa_k:5, ema:0.90"), ("aggregate_eval", "opa:5, opa:5"),
+     ("risk_compare", "pda:1, pda:1.0")],
+)
+def test_agg_list_entries_of_one_label_exit_2(tmp_path, capsys, monkeypatch, task, entries):
+    lines = f"task = {task}\nagg.list = {entries}\n"
+    command = "report" if task == "risk_compare" else "aggregate"
+    err = _rejects_duplicates(tmp_path, capsys, monkeypatch, command, lines, "agg.list")
+    assert "is listed twice" in err
 
 
 def test_cli_config_workers_is_checked_under_the_workers_flag(tmp_path, capsys):

@@ -33,7 +33,15 @@ from dpckpt.model import (
 )
 from dpckpt.trainer import EtaSchedule, TrainerConfig, dp_sgd_practical_runs, project_l2
 from per_example import clip_rows, clipped_mean, per_example_grads
-from references import batch_loss_l2, clipped_grad_mean_l2, diurnal_row, row_loop_batches
+from references import (
+    batch_loss_l2,
+    binary_row_kernels,
+    binary_row_predictions,
+    clipped_grad_mean_l2,
+    diurnal_row,
+    row_loop_batches,
+    softmax_row_grad,
+)
 
 # ---------------------------------------------------------------------------
 # datasets
@@ -134,7 +142,7 @@ def test_quadratic_grad_matches_fd(fd_grad):
 def test_quadratic_has_no_prediction_head():
     model = QuadraticLoss(center=np.zeros(2))
     with pytest.raises(Exception):
-        model.predict_proba(np.zeros((1, 2)), np.zeros((1, 2)))
+        model.predict_proba(np.zeros((1, 2)), DatasetHandle(np.zeros((1, 2)), [0], 2))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +330,7 @@ def test_softmax_kernels_match_an_fsum_reference(num_classes):
 def test_predict_proba_rows_sum_to_one(multi_model, multi_data):
     gen = np.random.default_rng(3)
     theta = gen.normal(0.0, 0.4, (1, multi_model.param_dim()))
-    probs = multi_model.predict_proba(theta, multi_data.features)
+    probs = multi_model.predict_proba(theta, multi_data)
     assert probs.shape == (1, multi_data.n, 3)
     assert np.allclose(probs.sum(axis=2), 1.0, atol=1e-12)
     assert probs.min() >= 0.0
@@ -330,7 +338,7 @@ def test_predict_proba_rows_sum_to_one(multi_model, multi_data):
 
 def test_binary_predict_saturates_at_large_margin():
     model = LogisticLoss(n_features=1)
-    probs = model.predict_proba(np.array([[50.0]]), np.array([[1.0]]))
+    probs = model.predict_proba(np.array([[50.0]]), DatasetHandle([[1.0]], [1], 2))
     assert probs[0, 0, 1] == pytest.approx(1.0, abs=1e-20)
     assert probs[0, 0, 0] == pytest.approx(0.0, abs=1e-20)
 
@@ -344,7 +352,7 @@ def test_loss_stays_finite_at_extreme_margins(binary_data):
 def test_non_finite_logits_rejected():
     model = LogisticLoss(n_features=1)
     with pytest.raises(NumericDivergenceError):
-        model.predict_proba(np.array([[np.inf]]), np.array([[1.0]]))
+        model.predict_proba(np.array([[np.inf]]), DatasetHandle([[1.0]], [1], 2))
 
 
 def test_accuracy_against_hand_labels():
@@ -438,7 +446,7 @@ def test_binary_kernels_raise_no_warning_where_the_slope_saturates():
     """The "underflow" rows' margins reach |z| far above 745, where exp(-|z|)
     underflows and exp(z) overflows; no kernel warns on either."""
     model, data, rows = _binary_case("underflow")
-    z = model._logits(rows, data.signed_features)
+    z = model._logits(rows, model._design(data))
     assert z.max() > 710.0 and z.min() < -746.0
     idx = np.tile(np.arange(20), (len(rows), 1))
     with warnings.catch_warnings():
@@ -472,8 +480,8 @@ def test_every_kernel_rejects_a_vector_and_names_the_row_shape(kind):
         "clipped_grad_mean": lambda: model.clipped_grad_mean(
             vector, data, model.batches(data, idx), 1.0
         ),
-        "predict_proba": lambda: model.predict_proba(vector, data.features),
-        "predict_labels": lambda: model.predict_labels(vector, data.features),
+        "predict_proba": lambda: model.predict_proba(vector, data),
+        "predict_labels": lambda: model.predict_labels(vector, data),
         "project_l2": lambda: project_l2(vector, 1.0),
     }
     for name, call in calls.items():
@@ -490,9 +498,9 @@ def test_row_batched_calls_check_the_width(binary_data, multi_data):
             with pytest.raises(ValueError):
                 model.loss_full(bad, data)
             with pytest.raises(ValueError):
-                model.predict_proba(bad, data.features)
+                model.predict_proba(bad, data)
             with pytest.raises(ValueError):
-                model.predict_labels(bad, data.features)
+                model.predict_labels(bad, data)
 
 
 @given(
@@ -526,12 +534,12 @@ def test_row_batch_cases_reach_underflow_and_signed_zeros(binary_data, multi_dat
     binary, multi = (m for m, _ in _every_family(binary_data, multi_data)[1:])
     gen = np.random.default_rng(0)
     big = gen.normal(scale=1e3, size=(3, binary.param_dim()))
-    z = binary._logits(big, binary_data.signed_features)
+    z = binary._logits(big, binary._design(binary_data))
     assert np.any(np.exp(-np.abs(z)) == 0.0)
     zero = np.zeros((1, binary.param_dim()))
     # a matmul sum of zeros starts from +0.0, so the folded z of the zero row
     # is +0.0 on every example, even for a -0.0 row or a -0.0 folded feature row
-    assert np.all(binary._logits(zero, binary_data.signed_features) == 0.0)
+    assert np.all(binary._logits(zero, binary._design(binary_data)) == 0.0)
     logits = multi._logits(
         gen.normal(scale=1e3, size=(3, multi.param_dim())), multi_data.transposed_features
     )
@@ -565,7 +573,7 @@ def test_binary_full_kernel_matches_unfolded_references(case):
     references never fold: a log-add-exp loss of the plain margins and the
     mean of the per-example oracle's (clipped) gradients, all within 1e-12."""
     model, data, rows = _binary_case(case)
-    z = model._logits(rows, data.signed_features)
+    z = model._logits(rows, model._design(data))[:, 0]
     if case == "underflow":
         assert np.any(np.exp(-np.abs(z)) == 0.0)
     if case == "zero_rows":
@@ -594,6 +602,51 @@ def test_binary_full_kernel_matches_unfolded_references(case):
         np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
 
 
+# S = 1 and 3 seeds of train_practical, and uq_compare's pool of 10 runs
+@pytest.mark.parametrize("num_rows", [1, 3, 10])
+@pytest.mark.parametrize("l2_reg", [0.0, 0.05])
+def test_binary_kernels_equal_a_row_major_reference_bit_for_bit(num_rows, l2_reg):
+    """At the stock binary shape (n = 1000, p = 10, B = 32, and uq_compare's 50
+    test inputs) the class-major one-logit kernels give the bits of a
+    product per parameter row over the sign-folded rows, on rows of small,
+    unit and saturating scale."""
+    data = synth_classification(1000, 10, num_classes=2, separation=2.0, seed=7)
+    inputs = synth_classification(50, 10, num_classes=2, separation=2.0, seed=99)
+    model = LogisticLoss.for_data(data, l2_reg=l2_reg, radius=2.0)
+    gen = np.random.default_rng(num_rows)
+    scales = np.array([1.0, 0.01, 100.0] * 4)[:num_rows, None]
+    rows = scales * gen.normal(size=(num_rows, model.param_dim()))
+    idx = gen.integers(0, data.n, size=(num_rows, 32))
+    got = {
+        "loss_full": model.loss_full(rows, data),
+        "grad_full": model.grad_full(rows, data),
+        "loss_full_batch": model.loss_full(rows, data, idx),
+        "clipped_grad_mean": model.clipped_grad_mean(rows, data, model.batches(data, idx), 1.0),
+    }
+    probs, labels = model.predict_proba(rows, inputs), model.predict_labels(rows, inputs)
+    for s, theta in enumerate(rows):
+        want = binary_row_kernels(theta, data, idx[s], l2_reg, 1.0)
+        assert want.keys() == got.keys()
+        for name, value in want.items():
+            assert _bit_equal(got[name][s], value), name
+        want_probs, want_labels = binary_row_predictions(theta, inputs)
+        assert _bit_equal(probs[s], want_probs)
+        assert np.array_equal(labels[s], want_labels)
+
+
+@pytest.mark.parametrize("l2_reg", [0.0, 0.05])
+def test_softmax_grad_full_equals_a_row_major_reference_bit_for_bit(l2_reg):
+    """At the stock softmax shape (n = 3500, p = 20, c = 10) the gradient's
+    product reads the row-major features, which the transposed store
+    would round differently."""
+    data = synth_classification(3500, 20, num_classes=10, separation=2.0, seed=11)
+    model = LogisticLoss.for_data(data, l2_reg=l2_reg)
+    rows = np.random.default_rng(3).normal(scale=0.3, size=(4, model.param_dim()))
+    grads = model.grad_full(rows, data)
+    for theta, grad in zip(rows, grads):
+        assert _bit_equal(grad, softmax_row_grad(theta, data, l2_reg))
+
+
 def _fresh(data):
     return DatasetHandle(data.features, data.labels, data.num_classes)
 
@@ -620,22 +673,30 @@ def test_each_store_is_one_read_only_transposed_copy(binary_data, name):
 
 @pytest.mark.parametrize("which", ["binary", "multi"])
 def test_design_gathers_the_store_its_head_reads(which, binary_data, multi_data):
+    """Both heads' logits read a C-contiguous (d, n) store, and a batch's
+    (S, d, B) factors hold the store's columns. The softmax head's factors
+    run along B with a unit stride, as the store does; the binary head's
+    are the transposed view of its gathered (S, B, d) rows, which its
+    one-logit product reads as the row-major product it was."""
     data = binary_data if which == "binary" else multi_data
     model = LogisticLoss.for_data(data)
-    store = data.signed_features if which == "binary" else data.transposed_features
-    assert model._design(data) is store
+    if which == "binary":
+        store = data.signed_features.T
+        assert np.shares_memory(model._design(data), store)
+    else:
+        store = data.transposed_features
+        assert model._design(data) is store
+    assert store.shape == (data.p, data.n) and store.flags.c_contiguous
+    assert np.array_equal(model._design(data), store)
     idx = np.random.default_rng(4).integers(0, data.n, size=(3, 7))
-    rows = model._design(data, idx)
-    if which == "multi":  # the softmax head's batches are (S, d, B), as its store is (d, n)
-        # what the stacked matmuls need: each row's (d, B) factor holds the
-        # store's columns and runs along B with a unit stride, as the store does
-        assert rows.shape == (3, data.p, 7) and rows.strides[2] == rows.itemsize
-        for s in range(3):
-            assert np.array_equal(rows[s], store[:, idx[s]])
-        rows, store = np.swapaxes(rows, 1, 2), store.T
-    assert rows.shape == (3, 7, data.p)
+    factors = model._design(data, idx)
+    assert factors.shape == (3, data.p, 7)
     for s in range(3):
-        assert np.array_equal(rows[s], store[idx[s]])
+        assert np.array_equal(factors[s], store[:, idx[s]])
+    if which == "multi":
+        assert factors.strides[2] == factors.itemsize
+    else:
+        assert np.swapaxes(factors, 1, 2).flags.c_contiguous
 
 
 @pytest.mark.parametrize("l2_reg", [0.0, 0.05])
@@ -679,6 +740,66 @@ def test_softmax_hits_check_finite_rows_the_logit_bound_does_not_cover():
     with pytest.raises(NumericDivergenceError, match="non-finite logits"):
         with np.errstate(over="ignore"):
             model.hits(fine, huge)
+
+
+@pytest.mark.parametrize("which", ["binary", "multi"])
+def test_predictions_read_the_handle_with_no_per_call_copy(which, binary_data, multi_data,
+                                                           monkeypatch):
+    """Every prediction's logits read the handle's own arrays: the softmax
+    head's cached store itself, and the binary head the transposed view of
+    the features."""
+    data = _fresh(binary_data if which == "binary" else multi_data)
+    model = LogisticLoss.for_data(data)
+    designs = []
+    logits = LogisticLoss._logits
+
+    def spy(self, rows, design):
+        designs.append(design)
+        return logits(self, rows, design)
+
+    monkeypatch.setattr(LogisticLoss, "_logits", spy)
+    rows = np.random.default_rng(1).normal(size=(3, model.param_dim()))
+    for predict in (model.predict_proba, model.predict_labels, model.hits):
+        predict(rows, data)
+    assert len(designs) == 3
+    for design in designs:
+        if which == "multi":
+            assert design is data.transposed_features
+        else:
+            assert design.shape == (data.p, data.n) and design.T.flags.c_contiguous
+            assert np.shares_memory(design, data.features)
+
+
+@pytest.mark.parametrize("which", ["binary", "multi"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_prediction_raises_on_a_non_finite_row(which, bad, binary_data, multi_data):
+    """A NaN or infinite row makes the logit bound non-finite, so the full
+    finiteness check runs for it, on both heads and in every prediction."""
+    data = binary_data if which == "binary" else multi_data
+    model = LogisticLoss.for_data(data)
+    rows = np.random.default_rng(2).normal(size=(2, model.param_dim()))
+    rows[1, -1] = bad
+    for predict in (model.predict_proba, model.predict_labels, model.hits):
+        with pytest.raises(NumericDivergenceError, match="non-finite logits"):
+            predict(rows, data)
+            pytest.fail(f"{predict.__name__} scored a non-finite row")
+    assert model.hits(rows[:1], data).shape == (1, data.n)
+
+
+def test_binary_predictions_check_finite_rows_the_logit_bound_does_not_cover():
+    """As for the softmax head's hits: a row whose squared norm overflows fails
+    the bound, and the full check tells a logit that overflows from one
+    that does not."""
+    model = LogisticLoss(n_features=2)
+    data = DatasetHandle(np.array([[1e-160, 0.0], [0.0, -1e-160]]), np.array([0, 0]), 2)
+    fine = np.array([[1e160, 2e160]])  # squared norm overflows, logits are 1 and -2
+    assert model.predict_labels(fine, data).tolist() == [[1, 0]]
+    assert model.hits(fine, data).tolist() == [[False, True]]
+    huge = DatasetHandle(np.eye(2) * 1e160, data.labels, 2)  # logits overflow
+    for predict in (model.predict_proba, model.predict_labels, model.hits):
+        with pytest.raises(NumericDivergenceError, match="non-finite logits"):
+            with np.errstate(over="ignore"):
+                predict(fine, huge)
 
 
 def test_sq_norms_is_built_once_from_the_row_dots(binary_data):
@@ -731,7 +852,7 @@ def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):
     for model, data in _every_family(binary_data, multi_data)[1:]:
         chunk = max(1, ACCURACY_BLOCK // (data.n * data.num_classes))
         rows = gen.normal(scale=2.0, size=(2 * chunk + 1, model.param_dim()))
-        probs, accs = model.predict_proba(rows, data.features), accuracy(model, rows, data)
+        probs, accs = model.predict_proba(rows, data), accuracy(model, rows, data)
         hits = model.hits(rows, data)
         assert probs.shape == (len(rows), data.n, data.num_classes)
         assert accs.shape == (len(rows),) and len(set(accs.tolist())) > 1
@@ -739,12 +860,12 @@ def test_row_batched_predictions_equal_per_row_calls(binary_data, multi_data):
         # accuracy scores a chunk at a time: rows on either side of its
         # boundaries score as they do alone
         for s, row in enumerate(rows):
-            assert np.array_equal(probs[s], model.predict_proba(row[None], data.features)[0])
+            assert np.array_equal(probs[s], model.predict_proba(row[None], data)[0])
             assert np.array_equal(hits[s], model.hits(row[None], data)[0])
             one = accuracy(model, row, data)
             assert type(one) is float and accs[s] == one
         assert np.array_equal(accs, hits.sum(axis=1) / data.n)
-        assert np.array_equal(hits, model.predict_labels(rows, data.features) == data.labels)
+        assert np.array_equal(hits, model.predict_labels(rows, data) == data.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -764,21 +885,23 @@ def test_predict_labels_equals_the_probability_argmax(
     model = LogisticLoss.for_data(data)
     gen = np.random.default_rng(seed)
     theta = gen.normal(scale=scale, size=(num_rows, model.param_dim()))
-    labels = model.predict_labels(theta, data.features)
+    labels = model.predict_labels(theta, data)
     assert labels.shape == (num_rows, data.n)
-    assert np.array_equal(labels, model.predict_proba(theta, data.features).argmax(-1))
+    assert np.array_equal(labels, model.predict_proba(theta, data).argmax(-1))
 
 
 def test_predict_labels_exact_ties_give_class_zero(monkeypatch):
     binary = LogisticLoss(n_features=1)
     features = np.array([[1.0], [-1.0]])
-    assert binary.predict_labels(np.zeros((1, 1)), features).tolist() == [[0, 0]]
+    data = DatasetHandle(features, [1, 1], 2)
+    assert binary.predict_labels(np.zeros((1, 1)), data).tolist() == [[0, 0]]
     # a BLAS sum starting from +0.0 never yields -0.0, so feed both signed zeros
-    monkeypatch.setattr(binary, "_logits", lambda rows, feats: np.array([[0.0, -0.0]]))
-    assert binary.predict_labels(np.zeros((1, 1)), features).tolist() == [[0, 0]]
-    assert binary.predict_proba(np.zeros((1, 1)), features).argmax(-1).tolist() == [[0, 0]]
+    monkeypatch.setattr(binary, "_logits", lambda rows, design: np.array([[[0.0, -0.0]]]))
+    assert binary.predict_labels(np.zeros((1, 1)), data).tolist() == [[0, 0]]
+    assert binary.predict_proba(np.zeros((1, 1)), data).argmax(-1).tolist() == [[0, 0]]
     multi = LogisticLoss(n_features=2, num_classes=3)
-    labels = multi.predict_labels(np.zeros((2, 6)), features.repeat(2, axis=1))
+    wide = DatasetHandle(features.repeat(2, axis=1), [1, 2], 3)
+    labels = multi.predict_labels(np.zeros((2, 6)), wide)
     assert labels.tolist() == [[0, 0], [0, 0]]
 
 
@@ -787,18 +910,18 @@ def test_predict_labels_splits_logits_that_round_to_equal_probabilities():
     logits whose softmax probabilities round equal."""
     model = LogisticLoss(n_features=1, num_classes=3)
     # exp(-ulp(0.1)) rounds to 1.0, so the two top probabilities round equal
-    theta, features = np.array([0.1, np.nextafter(0.1, 1.0), -5.0]), np.array([[1.0]])
-    probs = model.predict_proba(theta[None], features)[0]
+    theta, data = np.array([0.1, np.nextafter(0.1, 1.0), -5.0]), DatasetHandle([[1.0]], [1], 3)
+    probs = model.predict_proba(theta[None], data)[0]
     assert probs[0, 0] == probs[0, 1] and probs.argmax(-1).tolist() == [0]
-    assert model.predict_labels(theta[None], features).tolist() == [[1]]
-    assert accuracy(model, theta, DatasetHandle(features, np.array([1]), 3)) == 1.0
+    assert model.predict_labels(theta[None], data).tolist() == [[1]]
+    assert accuracy(model, theta, data) == 1.0
 
 
 def test_predict_labels_rejects_non_finite_logits_and_quadratic_models(binary_data):
     model = LogisticLoss(n_features=1)
     data = DatasetHandle(np.array([[1.0]]), np.array([1]), 2)
     with pytest.raises(NumericDivergenceError):
-        model.predict_labels(np.array([[np.inf]]), data.features)
+        model.predict_labels(np.array([[np.inf]]), data)
     with pytest.raises(NumericDivergenceError):
         accuracy(model, np.array([np.inf]), data)
     softmax, three = LogisticLoss(n_features=1, num_classes=3), DatasetHandle([[1.0]], [2], 3)
@@ -806,7 +929,7 @@ def test_predict_labels_rejects_non_finite_logits_and_quadratic_models(binary_da
         with pytest.raises(NumericDivergenceError, match="non-finite logits"):
             accuracy(softmax, np.array([[0.5, bad, -1.0]]), three)
     with pytest.raises(ValueError, match="no prediction head"):
-        QuadraticLoss(center=np.zeros(5)).predict_labels(np.zeros((1, 5)), binary_data.features)
+        QuadraticLoss(center=np.zeros(5)).predict_labels(np.zeros((1, 5)), binary_data)
 
 
 @given(
@@ -828,7 +951,7 @@ def test_hits_are_the_predicted_labels_that_match(num_classes, num_rows, integra
         features = gen.normal(size=(n, d))
         rows = gen.normal(scale=2.0, size=(num_rows, model.param_dim()))
     data = DatasetHandle(features, gen.integers(0, num_classes, n), num_classes)
-    want = model.predict_labels(rows, features) == data.labels
+    want = model.predict_labels(rows, data) == data.labels
     assert np.array_equal(model.hits(rows, data), want)
 
 
@@ -841,7 +964,7 @@ def test_hits_give_a_logit_tie_to_its_lowest_class():
         [False, True, False, False],
         [True, False, False, False],
     ]
-    assert model.predict_labels(rows, data.features).tolist() == [[1] * 4, [0] * 4]
+    assert model.predict_labels(rows, data).tolist() == [[1] * 4, [0] * 4]
 
 
 @pytest.mark.parametrize("num_classes", [64, 65, 128, 129])
@@ -858,7 +981,7 @@ def test_hits_count_top_class_weights_without_wrapping(num_classes):
     rows = gen.integers(-1, 2, (3, model.param_dim())).astype(np.float64)
     rows[0] = 0.0
     data = DatasetHandle(features, labels, num_classes)
-    want = model.predict_labels(rows, features) == data.labels
+    want = model.predict_labels(rows, data) == data.labels
     assert np.array_equal(model.hits(rows, data), want)
     assert want[0].sum() == np.sum(labels == 0)
 
@@ -890,9 +1013,9 @@ def test_softmax_scores_agree_on_ties_near_ties_and_a_non_finite_logit(num_class
     model = LogisticLoss(n_features=1, num_classes=num_classes)
     rows, picks = _tie_rows(num_classes)
     data = DatasetHandle(np.ones((num_classes, 1)), np.arange(num_classes), num_classes)
-    labels = model.predict_labels(rows, data.features)
+    labels = model.predict_labels(rows, data)
     assert np.array_equal(labels, np.repeat(picks[:, None], num_classes, axis=1))
-    assert np.array_equal(model.predict_proba(rows, data.features).argmax(-1), labels)
+    assert np.array_equal(model.predict_proba(rows, data).argmax(-1), labels)
     assert np.array_equal(model.hits(rows, data), labels == data.labels)
     assert np.array_equal(accuracy(model, rows, data), np.full(len(rows), 1.0 / num_classes))
     for bad in (np.inf, -np.inf, np.nan):
@@ -900,8 +1023,8 @@ def test_softmax_scores_agree_on_ties_near_ties_and_a_non_finite_logit(num_class
         row[1, num_classes - 1] = bad
         scores = {
             "hits": lambda: model.hits(row, data),
-            "predict_labels": lambda: model.predict_labels(row, data.features),
-            "predict_proba": lambda: model.predict_proba(row, data.features),
+            "predict_labels": lambda: model.predict_labels(row, data),
+            "predict_proba": lambda: model.predict_proba(row, data),
             "accuracy": lambda: accuracy(model, row, data),
         }
         for name, score in scores.items():
@@ -912,9 +1035,8 @@ def test_softmax_scores_agree_on_ties_near_ties_and_a_non_finite_logit(num_class
 
 @pytest.mark.parametrize("num_rows", [1, 2, 80])
 def test_hits_equal_the_predicted_labels_on_near_ties_at_the_stock_shape(num_rows):
-    """hits read the handle's (p, n) store and predict_labels a C-contiguous
-    copy of the transposed features it is given, so both make the same BLAS
-    call. Classes 2k + 1 are classes 2k with each weight nudged by -1, 0 or
+    """hits and predict_labels both read the handle's (p, n) store, so both
+    make the same BLAS call. Classes 2k + 1 are classes 2k with each weight nudged by -1, 0 or
     +1 in its last bit: their logits part by no more than rounding, where
     a product with the transposed operand picks another class on some
     examples at this shape."""
@@ -925,7 +1047,7 @@ def test_hits_equal_the_predicted_labels_on_near_ties_at_the_stock_shape(num_row
     nudge = gen.choice([-1.0, 0.0, 1.0], size=(num_rows, 5, 20)) * 2.0**-52
     weights[:, 1::2] = weights[:, 0::2] * (1.0 + nudge)
     rows = weights.reshape(num_rows, -1)
-    labels = model.predict_labels(rows, data.features)
+    labels = model.predict_labels(rows, data)
     assert np.array_equal(labels, np.matmul(weights, data.transposed_features).argmax(axis=1))
     assert np.array_equal(model.hits(rows, data), labels == data.labels)
 
@@ -935,7 +1057,7 @@ def test_label_scoring_never_builds_probabilities(monkeypatch, multi_data):
     per-step eval all score a LogisticLoss from its logits alone."""
     model = LogisticLoss.for_data(multi_data, l2_reg=0.01)
 
-    def no_probs(self, theta, features):
+    def no_probs(self, theta, data):
         raise AssertionError("predict_proba called where only labels are read")
 
     monkeypatch.setattr(LogisticLoss, "predict_proba", no_probs)
@@ -943,7 +1065,7 @@ def test_label_scoring_never_builds_probabilities(monkeypatch, multi_data):
     steps = list(range(1, 7))
     assert accuracy(model, params, multi_data).shape == (6,)
     assert len(select_best_k(params, steps, model, multi_data, 2)) == 2
-    assert omv_batch_labels(params, model, multi_data.features).shape == (multi_data.n,)
+    assert omv_batch_labels(params, model, multi_data).shape == (multi_data.n,)
     run = SimpleNamespace(params=params, steps=np.array(steps))
     parts = {"validation": multi_data, "test": multi_data}
     beta_specs, k_specs = [AggregationSpec("ema", beta=0.5)], [AggregationSpec("upa_k", k=2)]

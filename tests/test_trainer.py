@@ -652,13 +652,14 @@ def test_practical_diurnal_runs_do_not_depend_on_the_chunk_size(monkeypatch):
 def _row_loop_design(store):
     """LogisticLoss._design with each step's batch rows gathered a row at a
     time: references.row_loop_batches for the softmax head, and the binary
-    head's sign-folded rows one batch at a time."""
+    head's sign-folded rows one batch at a time, as the (S, d, B) view of
+    their (S, B, d) stack."""
 
     def design(self, data, idx=None):
         if idx is None:
             return store(self, data)
         if self.binary:
-            return np.stack([data.signed_features[rows] for rows in idx])
+            return np.stack([data.signed_features[rows] for rows in idx]).transpose(0, 2, 1)
         return row_loop_batches(data, idx)
 
     return design

@@ -213,7 +213,7 @@ def test_ci_mean_nominal_level_scaling():
 
 def test_model_statistic_modes(prob_model):
     theta = np.array([0.2, 0.5, 0.3])
-    x = np.zeros((1, 3))
+    x = prob_model.inputs(1)
     modal = statistic_matrix([theta], prob_model, x, "modal_class_probability")
     assert modal.tolist() == [[pytest.approx(0.5)]]
     assert statistic_matrix([theta], prob_model, x, "label_as_integer").tolist() == [[1.0]]
@@ -224,7 +224,7 @@ def test_model_statistic_modes(prob_model):
 def test_uq_widths_hand_computed(prob_model):
     # statistics for modal_class_probability are just max(theta) per model
     thetas = [np.array([0.2, 0.5, 0.3]), np.array([0.4, 0.4, 0.2]), np.array([0.1, 0.8, 0.1])]
-    inputs = np.zeros((2, 3))
+    inputs = prob_model.inputs(2)
     stats = statistic_matrix(thetas, prob_model, inputs, "modal_class_probability")
     widths = t_widths(stats, level=0.95)
     expected = 2 * t_quantile(2, 0.975) * np.array([0.5, 0.4, 0.8]).std(ddof=1) / math.sqrt(3)
@@ -240,7 +240,7 @@ def test_statistic_matrix_row_slices_equal_the_matrix_of_those_rows(classes, mod
     data = synth_classification(60, 4, num_classes=classes, separation=2.0, seed=3)
     model = LogisticLoss.for_data(data, l2_reg=0.05, radius=2.0)
     thetas = step_generator(11, STREAM_TRIAL, 0).normal(size=(12, model.param_dim()))
-    inputs = data.features[:25]
+    inputs = data.subset(np.arange(25))
     full = statistic_matrix(thetas, model, inputs, mode)
     assert full.shape == (12, 25)
     for rows in (slice(-5, None), slice(0, 1), [1, 4, 7, 11], [3]):
